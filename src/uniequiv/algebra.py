@@ -131,16 +131,9 @@ def verify_algebra(G: MatrixAlgebra, tol: Tolerances = Tolerances()) -> AlgebraR
 
 
 def membership_constraints(G: MatrixAlgebra) -> np.ndarray:
-    """Real-linear constraints expressing "M lies in span(basis)".
+    """Complex rows comp_q^dag: C @ vec(M) = 0 exactly when M lies in span(basis).
 
-    Acts on the real parameter vector [Re(vec M); Im(vec M)] of a d x d
-    matrix M. For the full algebra the constraint set is empty.
+    vec is the row-major ravel of a d x d matrix M. For the full algebra the
+    constraint set is empty.
     """
-    d2 = G.dim * G.dim
-    comp = G.comp_q
-    if comp.shape[1] == 0:
-        return np.zeros((0, 2 * d2))
-    C = comp.conj().T  # rows annihilate vec(M) exactly when M is in the span
-    top = np.hstack([C.real, -C.imag])
-    bot = np.hstack([C.imag, C.real])
-    return np.vstack([top, bot])
+    return G.comp_q.conj().T

@@ -20,6 +20,7 @@ __all__ = [
     "DeterminantReport",
     "as_complex_matrix",
     "frobenius",
+    "numerical_rank",
     "nullspace_basis",
     "hermitian_eigendecomposition",
     "inverse_sqrt_psd",
@@ -97,27 +98,33 @@ class DeterminantReport(NamedTuple):
     sv_ratio: float    # sigma_min / sigma_max, the singularity predicate
 
 
+def numerical_rank(s, tol: Tolerances = Tolerances()) -> int:
+    """Count of singular values above rank_rel * sigma_max; s is sorted descending."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol.rank_rel * s[0]))
+
+
 def nullspace_basis(M, tol: Tolerances = Tolerances()) -> np.ndarray:
-    """Orthonormal basis of the numerical right nullspace of a real matrix.
+    """Orthonormal basis of the numerical right nullspace of a real or complex matrix.
 
     Returns an (n, k) array whose columns span the nullspace; k = 0 when the
-    nullspace is trivial. Singular vectors with sigma <= rank_rel * sigma_max
-    count as null; the zero matrix yields the full identity basis.
+    nullspace is trivial. Singular vectors beyond numerical_rank count as
+    null; the zero matrix yields the full identity basis.
     """
-    M = np.asarray(M, dtype=float)
+    M = np.asarray(M, dtype=complex if np.iscomplexobj(M) else float)
     if M.ndim != 2 or M.shape[1] < 1:
         raise InputError(f"expected a 2-D matrix with at least one column, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise InputError("nullspace input contains non-finite entries")
-    n = M.shape[1]
-    if M.shape[0] == 0:
-        return np.eye(n)
-    _, s, vh = np.linalg.svd(M)
-    smax = float(s[0]) if s.size else 0.0
-    if smax == 0.0:
-        return np.eye(n)
-    rank = int(np.sum(s > tol.rank_rel * smax))
-    return vh[rank:].T.copy()
+    rows, n = M.shape
+    if rows < n:  # zero rows keep the thin SVD's vh square
+        M = np.vstack([M, np.zeros((n - rows, n), dtype=M.dtype)])
+    _, s, vh = np.linalg.svd(M, full_matrices=False)
+    rank = numerical_rank(s, tol)
+    if rank == 0:
+        return np.eye(n, dtype=M.dtype)
+    return vh[rank:].conj().T
 
 
 def hermitian_eigendecomposition(H, tol: Tolerances = Tolerances()):

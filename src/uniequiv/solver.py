@@ -6,14 +6,16 @@ problem is linearized into the system
 
     A X_i = Y_i B,   X_i B^dag = A^dag Y_i,   A, A^dag in G1,  B, B^dag in G2,
 
-whose invertible solutions are exactly the certificates: the unitary factors
-U = A (A^dag A)^(-1/2), V = B (B^dag B)^(-1/2) then solve the original
-equations and stay inside the algebras. Invertible elements of the solution
-space are found by randomized polynomial identity testing (Schwartz-Zippel).
+whose invertible solutions are exactly the certificates: the polar factors
+U of A and V of B then solve the original equations and stay inside the
+algebras. Invertible elements of the solution space are found by randomized
+polynomial identity testing (Schwartz-Zippel).
 
-The adjoint equation is antilinear in the complex parameters, so the system
-is solved over split real/imaginary unknowns and the solution set is a
-real-linear space.
+The system is complex-linear, so the solution set is a complex-linear space:
+the adjoint equation is imposed as its adjoint B X_i^dag = Y_i^dag A, and
+A^dag in G1 as conj(C) vec(A^T) = 0 for G1's membership rows C (likewise for
+B). Matrix polynomials run through the same pipeline with full algebras and
+the first equation only.
 """
 
 from __future__ import annotations
@@ -24,14 +26,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import MatrixAlgebra, full_algebra, membership_constraints, span_residual, verify_algebra
-from .errors import DegenerateCandidateError, InputError, InvalidAlgebraError, NotPositiveDefiniteError
+from .errors import DegenerateCandidateError, InputError, InvalidAlgebraError
 from .linalg import (
     MatrixPolynomial,
     Tolerances,
     as_complex_matrix,
     frobenius,
-    inverse_sqrt_psd,
     nullspace_basis,
+    numerical_rank,
     singular_value_ratio,
     singular_values,
 )
@@ -82,10 +84,10 @@ class UepInstance:
 
 @dataclass(frozen=True, eq=False)
 class SolutionSpace:
-    """Real-linear basis of candidate pairs (A_j, B_j) solving the linearized system."""
+    """Complex-linear basis of candidate pairs (A_j, B_j) solving the linearized system."""
 
     basis: tuple  # ((A_j, B_j), ...)
-    real_dimension: int
+    dimension: int
     d1: int
     d2: int
 
@@ -129,18 +131,9 @@ class UepVerdict:
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
-    matrix: np.ndarray           # real constraint matrix
-    instance: UepInstance
-    n_params: int                # 2 * (|G1 basis| + |G2 basis|)
-
-    def params_to_pair(self, x: np.ndarray):
-        g1 = self.instance.G1.size
-        g2 = self.instance.G2.size
-        sA = x[:g1] + 1j * x[g1:2 * g1]
-        sB = x[2 * g1:2 * g1 + g2] + 1j * x[2 * g1 + g2:]
-        A = np.tensordot(sA, np.stack(self.instance.G1.basis), axes=1)
-        B = np.tensordot(sB, np.stack(self.instance.G2.basis), axes=1)
-        return A, B
+    matrix: np.ndarray           # complex constraints; columns are G1's basis, then G2's
+    basis1: np.ndarray           # stacked G1 basis, shape (|G1|, d1, d1)
+    basis2: np.ndarray           # stacked G2 basis, shape (|G2|, d2, d2)
 
 
 def singular_value_prefilter(pairs, tol: Tolerances = Tolerances()):
@@ -159,31 +152,39 @@ def singular_value_prefilter(pairs, tol: Tolerances = Tolerances()):
     return True, None
 
 
-def _realvec_adjoint(M: np.ndarray) -> np.ndarray:
-    Md = M.conj().T
-    return np.concatenate([Md.real.ravel(), Md.imag.ravel()])
+def _linear_system(E1, E2, pairs, adjoint_rows, memb=(None, None)) -> LinearSystem:
+    """Constraint matrix over A = sum a_j E1[j], B = sum b_k E2[k].
 
-
-def _chi_prime_residual(inst: UepInstance, A, B, memb1, memb2) -> np.ndarray:
-    parts = []
-    for X, Y in inst.pairs:
-        R1 = A @ X - Y @ B
-        R2 = X @ B.conj().T - A.conj().T @ Y
-        parts.extend([R1.real.ravel(), R1.imag.ravel(), R2.real.ravel(), R2.imag.ravel()])
-    if memb1 is not None and memb1.shape[0]:
-        parts.append(memb1 @ _realvec_adjoint(A))
-    if memb2 is not None and memb2.shape[0]:
-        parts.append(memb2 @ _realvec_adjoint(B))
-    return np.concatenate(parts)
+    Rows hold the entries of A X_i - Y_i B, then (with adjoint_rows) of
+    B X_i^dag - Y_i^dag A, then the membership rows C of memb applied as
+    conj(C) vec(A^T) and conj(C) vec(B^T), which says A^dag, B^dag lie in
+    the algebras. The batched products E1 @ X_i equal kron(I, X_i^T) applied
+    to the stacked basis.
+    """
+    X = np.stack([X for X, _ in pairs])
+    Y = np.stack([Y for _, Y in pairs])
+    blocks = [(E1[:, None] @ X, -(Y @ E2[:, None]))]
+    if adjoint_rows:
+        Xh, Yh = X.conj().transpose(0, 2, 1), Y.conj().transpose(0, 2, 1)
+        blocks.append((-(Yh @ E1[:, None]), E2[:, None] @ Xh))
+    g1, g2 = len(E1), len(E2)
+    rows = [np.hstack([a.reshape(g1, -1).T, b.reshape(g2, -1).T]) for a, b in blocks]
+    for C, E, cols in zip(memb, (E1, E2), (slice(0, g1), slice(g1, None))):
+        if C is not None and C.shape[0]:
+            block = np.zeros((C.shape[0], g1 + g2), dtype=complex)
+            block[:, cols] = C.conj() @ E.transpose(0, 2, 1).reshape(len(E), -1).T
+            rows.append(block)
+    return LinearSystem(matrix=np.vstack(rows), basis1=E1, basis2=E2)
 
 
 def build_linear_system(inst: UepInstance, tol: Tolerances = Tolerances()) -> LinearSystem:
-    """Real-linear constraint matrix of the linearized system.
+    """Complex-linear constraint matrix of the linearized system.
 
-    Unknowns are the split real/imaginary coordinates of A over G1's basis
-    followed by those of B over G2's basis. For star-closed algebras the
-    adjoint-membership constraints are vacuous and omitted.
+    Unknowns are the coordinates of A over G1's basis followed by those of B
+    over G2's basis. For star-closed algebras the adjoint-membership
+    constraints are vacuous and omitted.
     """
+    memb = []
     for name, G in (("G1", inst.G1), ("G2", inst.G2)):
         report = verify_algebra(G, tol)
         if not (report.unital and report.multiplicatively_closed):
@@ -191,25 +192,18 @@ def build_linear_system(inst: UepInstance, tol: Tolerances = Tolerances()) -> Li
                 f"{name} is not a usable algebra: unital={report.unital}, "
                 f"multiplicatively_closed={report.multiplicatively_closed}"
             )
-    memb1 = None if verify_algebra(inst.G1, tol).star_closed else membership_constraints(inst.G1)
-    memb2 = None if verify_algebra(inst.G2, tol).star_closed else membership_constraints(inst.G2)
-    n = 2 * (inst.G1.size + inst.G2.size)
-    system = LinearSystem(matrix=np.zeros((0, n)), instance=inst, n_params=n)
-    columns = []
-    for l in range(n):
-        e = np.zeros(n)
-        e[l] = 1.0
-        A, B = system.params_to_pair(e)
-        columns.append(_chi_prime_residual(inst, A, B, memb1, memb2))
-    matrix = np.column_stack(columns)
-    return LinearSystem(matrix=matrix, instance=inst, n_params=n)
+        memb.append(None if report.star_closed else membership_constraints(G))
+    return _linear_system(np.stack(inst.G1.basis), np.stack(inst.G2.basis), inst.pairs,
+                          adjoint_rows=True, memb=memb)
 
 
 def solve_solution_space(system: LinearSystem, tol: Tolerances = Tolerances()) -> SolutionSpace:
     ns = nullspace_basis(system.matrix, tol)
-    basis = tuple(system.params_to_pair(ns[:, j]) for j in range(ns.shape[1]))
-    return SolutionSpace(basis=basis, real_dimension=ns.shape[1],
-                         d1=system.instance.d1, d2=system.instance.d2)
+    g1 = len(system.basis1)
+    As = np.tensordot(ns[:g1].T, system.basis1, axes=1)
+    Bs = np.tensordot(ns[g1:].T, system.basis2, axes=1)
+    return SolutionSpace(basis=tuple(zip(As, Bs)), dimension=ns.shape[1],
+                         d1=system.basis1.shape[1], d2=system.basis2.shape[1])
 
 
 def per_trial_failure_bound(d1: int, d2: int, sample_max: int) -> float:
@@ -222,9 +216,14 @@ def per_trial_failure_bound(d1: int, d2: int, sample_max: int) -> float:
 
 
 def draw_candidate(space: SolutionSpace, cfg: SamplerConfig, trial: int):
-    """The (A, B) combination for one trial; deterministic given (seed, trial)."""
+    """The (A, B) combination for one trial; deterministic given (seed, trial).
+
+    The 2k integers drawn are the real and imaginary parts of the k complex
+    coefficients.
+    """
     rng = np.random.default_rng([int(cfg.seed), int(trial)])
-    coeffs = rng.integers(1, cfg.sample_max + 1, size=space.real_dimension).astype(float)
+    re, im = rng.integers(1, cfg.sample_max + 1, size=(2, space.dimension)).astype(float)
+    coeffs = re + 1j * im
     A = sum(c * Aj for c, (Aj, _) in zip(coeffs, space.basis))
     B = sum(c * Bj for c, (_, Bj) in zip(coeffs, space.basis))
     return A, B
@@ -236,16 +235,15 @@ class SampleResult(NamedTuple):
     trials_used: int
 
 
-def sample_invertible(space: SolutionSpace, cfg: SamplerConfig,
-                      tol: Tolerances = Tolerances(), start_trial: int = 0):
+def sample_invertible(space: SolutionSpace, cfg: SamplerConfig, tol: Tolerances = Tolerances()):
     """Search the solution space for a pair with both blocks invertible.
 
     Returns the first hit, or None after all trials fail; in the latter case
     the caller reports the failure bound per_trial_bound ** trials.
     """
-    if space.real_dimension < 1:
+    if space.dimension < 1:
         raise InputError("sample_invertible needs a non-trivial solution space")
-    for t in range(start_trial, cfg.trials):
+    for t in range(cfg.trials):
         A, B = draw_candidate(space, cfg, t)
         if (singular_value_ratio(A) > tol.rank_rel
                 and singular_value_ratio(B) > tol.rank_rel):
@@ -254,15 +252,19 @@ def sample_invertible(space: SolutionSpace, cfg: SamplerConfig,
 
 
 def extract_unitaries(A, B, tol: Tolerances = Tolerances()):
-    """Unitary factors U = A (A^dag A)^(-1/2), V = B (B^dag B)^(-1/2)."""
-    A = as_complex_matrix(A, "A")
-    B = as_complex_matrix(B, "B")
-    try:
-        U = A @ inverse_sqrt_psd(A.conj().T @ A, tol)
-        V = B @ inverse_sqrt_psd(B.conj().T @ B, tol)
-    except NotPositiveDefiniteError as exc:
-        raise DegenerateCandidateError(f"candidate pair is numerically singular: {exc}") from exc
-    return U, V
+    """Polar factors: U = W Vh from the SVD A = W S Vh, and V likewise from B.
+
+    A block is rejected under the sampler's own rule, sigma_min/sigma_max <= rank_rel.
+    """
+    factors = []
+    for name, M in (("A", A), ("B", B)):
+        W, s, Vh = np.linalg.svd(as_complex_matrix(M, name), full_matrices=False)
+        if s[0] == 0.0 or s[-1] / s[0] <= tol.rank_rel:
+            raise DegenerateCandidateError(
+                f"{name} is numerically singular: singular values in [{s[-1]:.3e}, {s[0]:.3e}]"
+            )
+        factors.append(W @ Vh)
+    return tuple(factors)
 
 
 def _unitarity_defect(U: np.ndarray) -> float:
@@ -274,6 +276,23 @@ def _max_pair_residual(U, V, pairs) -> float:
     return max(frobenius(U @ X @ Vd - Y) / max(1.0, frobenius(Y)) for X, Y in pairs)
 
 
+def _search(system: LinearSystem, cfg: SamplerConfig, tol: Tolerances, kind: str):
+    """Solution space and the first invertible sample, or a NO verdict in place of the sample."""
+    space = solve_solution_space(system, tol)
+    if space.dimension == 0:
+        return space, UepVerdict(verdict="NO", certainty="exact", solution_dimension=0,
+                                 certificate_kind=kind,
+                                 detail="linear system has only the trivial solution")
+    found = sample_invertible(space, cfg, tol)
+    if found is None:
+        eps = per_trial_failure_bound(space.d1, space.d2, cfg.sample_max)
+        return space, UepVerdict(verdict="NO", certainty="probabilistic",
+                                 trials_used=cfg.trials, failure_bound=eps ** cfg.trials,
+                                 solution_dimension=space.dimension, certificate_kind=kind,
+                                 detail="no invertible element found by randomized search")
+    return space, found
+
+
 def decide_uep(inst: UepInstance, cfg: SamplerConfig = SamplerConfig(),
                tol: Tolerances = Tolerances()) -> UepVerdict:
     """Full decision pipeline; YES verdicts carry a verified (U, V) certificate."""
@@ -281,28 +300,15 @@ def decide_uep(inst: UepInstance, cfg: SamplerConfig = SamplerConfig(),
     if not ok:
         return UepVerdict(verdict="NO", certainty="exact",
                           detail=f"singular values differ at pair index {idx}")
-    system = build_linear_system(inst, tol)
-    space = solve_solution_space(system, tol)
-    if space.real_dimension == 0:
-        return UepVerdict(verdict="NO", certainty="exact", solution_dimension=0,
-                          detail="linearized system has only the trivial solution")
-    eps = per_trial_failure_bound(inst.d1, inst.d2, cfg.sample_max)
-    start = 0
-    while True:
-        found = sample_invertible(space, cfg, tol, start_trial=start)
-        if found is None:
-            return UepVerdict(
-                verdict="NO", certainty="probabilistic",
-                trials_used=cfg.trials, failure_bound=eps ** cfg.trials,
-                solution_dimension=space.real_dimension,
-                detail="no invertible element found by randomized search",
-            )
-        try:
-            U, V = extract_unitaries(found.A, found.B, tol)
-        except DegenerateCandidateError:
-            start = found.trials_used
-            continue
-        break
+    space, found = _search(build_linear_system(inst, tol), cfg, tol, "unitary")
+    if isinstance(found, UepVerdict):
+        return found
+    try:
+        U, V = extract_unitaries(found.A, found.B, tol)
+    except DegenerateCandidateError as exc:
+        return UepVerdict(verdict="INCONCLUSIVE", certainty="probabilistic",
+                          trials_used=found.trials_used, solution_dimension=space.dimension,
+                          detail=f"numerical breakdown: unitary extraction rejected the sample ({exc})")
     residual = _max_pair_residual(U, V, inst.pairs)
     defects = (
         _unitarity_defect(U),
@@ -314,12 +320,12 @@ def decide_uep(inst: UepInstance, cfg: SamplerConfig = SamplerConfig(),
         return UepVerdict(
             verdict="YES", certainty="probabilistic", U=U, V=V,
             residual=residual, trials_used=found.trials_used, failure_bound=0.0,
-            solution_dimension=space.real_dimension,
+            solution_dimension=space.dimension,
         )
     return UepVerdict(
         verdict="INCONCLUSIVE", certainty="probabilistic", U=U, V=V,
         residual=residual, trials_used=found.trials_used,
-        solution_dimension=space.real_dimension,
+        solution_dimension=space.dimension,
         detail=(
             "numerical breakdown: sampled certificate failed verification "
             f"(residual={residual:.3e}, max defect={max(defects):.3e})"
@@ -327,11 +333,9 @@ def decide_uep(inst: UepInstance, cfg: SamplerConfig = SamplerConfig(),
     )
 
 
-def _numerical_rank(M, tol: Tolerances) -> int:
-    s = singular_values(M)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol.rank_rel * s[0]))
+def _matrix_units(d: int) -> np.ndarray:
+    """The full algebra's basis E_ij, stacked in row-major (i, j) order."""
+    return np.eye(d * d, dtype=complex).reshape(d * d, d, d)
 
 
 def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
@@ -339,65 +343,35 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
                                   tol: Tolerances = Tolerances()) -> UepVerdict:
     """Decide whether invertible A, B exist with A X_i B^(-1) = Y_i for all i.
 
-    Constraints are only A X_i = Y_i B, which is complex-linear, so the
-    solution space is computed over complex parameters directly. Coefficient
-    ranks are invariant under the equivalence and serve as an exact prefilter.
+    The constraints are only A X_i = Y_i B over full algebras, and the
+    certificate is the sampled (A, B) itself. Coefficient ranks are invariant
+    under the equivalence and serve as an exact prefilter.
     """
     if P.shape != Q.shape or P.degree != Q.degree:
         raise InputError("matrix polynomials must share shape and degree")
     d1, d2 = P.shape
     pairs = tuple(zip(P.coefficients, Q.coefficients))
     for idx, (X, Y) in enumerate(pairs):
-        if _numerical_rank(X, tol) != _numerical_rank(Y, tol):
+        if numerical_rank(singular_values(X), tol) != numerical_rank(singular_values(Y), tol):
             return UepVerdict(verdict="NO", certainty="exact", certificate_kind="invertible",
                               detail=f"coefficient ranks differ at index {idx}")
-    gA, gB = d1 * d1, d2 * d2
-    n = gA + gB
-
-    def params_to_pair(z):
-        return z[:gA].reshape(d1, d1), z[gA:].reshape(d2, d2)
-
-    columns = []
-    for l in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[l] = 1.0
-        A, B = params_to_pair(e)
-        columns.append(np.concatenate([(A @ X - Y @ B).ravel() for X, Y in pairs]))
-    matrix = np.column_stack(columns)
-    _, s, vh = np.linalg.svd(matrix)
-    smax = float(s[0]) if s.size else 0.0
-    rank = 0 if smax == 0.0 else int(np.sum(s > tol.rank_rel * smax))
-    null = vh[rank:].conj().T
-    dim = null.shape[1]
-    if dim == 0:
-        return UepVerdict(verdict="NO", certainty="exact", solution_dimension=0,
-                          certificate_kind="invertible",
-                          detail="linear system has only the trivial solution")
-    basis = [params_to_pair(null[:, j]) for j in range(dim)]
-    eps = per_trial_failure_bound(d1, d2, cfg.sample_max)
-    for t in range(cfg.trials):
-        rng = np.random.default_rng([int(cfg.seed), int(t)])
-        coeffs = rng.integers(1, cfg.sample_max + 1, size=dim).astype(float)
-        A = sum(c * Aj for c, (Aj, _) in zip(coeffs, basis))
-        B = sum(c * Bj for c, (_, Bj) in zip(coeffs, basis))
-        if singular_value_ratio(A) <= tol.rank_rel or singular_value_ratio(B) <= tol.rank_rel:
-            continue
-        residual = max(
-            frobenius(np.linalg.solve(B.T, (A @ X).T).T - Y) / max(1.0, frobenius(Y))
-            for X, Y in pairs
-        )
-        if residual <= tol.residual_abs:
-            return UepVerdict(verdict="YES", certainty="probabilistic", U=A, V=B,
-                              residual=residual, trials_used=t + 1, failure_bound=0.0,
-                              solution_dimension=dim, certificate_kind="invertible")
-        return UepVerdict(verdict="INCONCLUSIVE", certainty="probabilistic", U=A, V=B,
-                          residual=residual, trials_used=t + 1,
-                          solution_dimension=dim, certificate_kind="invertible",
-                          detail="sampled invertible pair failed the residual check")
-    return UepVerdict(verdict="NO", certainty="probabilistic",
-                      trials_used=cfg.trials, failure_bound=eps ** cfg.trials,
-                      solution_dimension=dim, certificate_kind="invertible",
-                      detail="no invertible element found by randomized search")
+    system = _linear_system(_matrix_units(d1), _matrix_units(d2), pairs, adjoint_rows=False)
+    space, found = _search(system, cfg, tol, "invertible")
+    if isinstance(found, UepVerdict):
+        return found
+    A, B = found.A, found.B
+    residual = max(
+        frobenius(np.linalg.solve(B.T, (A @ X).T).T - Y) / max(1.0, frobenius(Y))
+        for X, Y in pairs
+    )
+    if residual <= tol.residual_abs:
+        return UepVerdict(verdict="YES", certainty="probabilistic", U=A, V=B,
+                          residual=residual, trials_used=found.trials_used, failure_bound=0.0,
+                          solution_dimension=space.dimension, certificate_kind="invertible")
+    return UepVerdict(verdict="INCONCLUSIVE", certainty="probabilistic", U=A, V=B,
+                      residual=residual, trials_used=found.trials_used,
+                      solution_dimension=space.dimension, certificate_kind="invertible",
+                      detail="sampled invertible pair failed the residual check")
 
 
 def uep_instance_full(d1: int, d2: int, pairs) -> UepInstance:

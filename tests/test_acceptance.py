@@ -206,7 +206,7 @@ def test_criterion_5_exact_oracle_agreement(capsys):
             for _ in range(m)
         )
         system = build_linear_system(uep_instance_full(d1, d2, pairs))
-        if solve_solution_space(system).real_dimension != exact_nullspace_dimension(system.matrix):
+        if solve_solution_space(system).dimension != exact_nullspace_dimension(system.matrix):
             ok = False
     _report(capsys, 5, "floating dimension matches exact nullity", ok)
 

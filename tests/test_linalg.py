@@ -67,6 +67,19 @@ class TestNullspace:
                 for j in range(ns.shape[1]):
                     assert np.linalg.norm(M @ ns[:, j]) <= 10 * tol.rank_rel * max(smax, 1e-300) + 1e-30
 
+    def test_complex_and_wide_against_exact_oracle(self, rng):
+        def gaussian_ints(rows, cols):
+            return rng.integers(-2, 3, size=(rows, cols)) + 1j * rng.integers(-2, 3, size=(rows, cols))
+
+        for _ in range(20):
+            rows, cols, inner = rng.integers(1, 5), rng.integers(5, 9), rng.integers(1, 4)
+            # a wide matrix and a tall one of rank at most inner
+            for M in (gaussian_ints(rows, cols), gaussian_ints(cols, inner) @ gaussian_ints(inner, cols)):
+                ns = nullspace_basis(M)
+                assert ns.shape == (cols, exact_nullspace_dimension(M))
+                assert np.allclose(ns.conj().T @ ns, np.eye(ns.shape[1]), atol=1e-12)
+                assert np.linalg.norm(M @ ns) <= 1e-10 * max(1.0, np.linalg.norm(M))
+
     def test_rejects_nonfinite(self):
         with pytest.raises(InputError):
             nullspace_basis([[np.nan, 0.0]])

@@ -67,7 +67,7 @@ class TestExactNullspace:
                                G1=full_algebra(int(d1)), G2=full_algebra(int(d2)))
             system = build_linear_system(inst)
             space = solve_solution_space(system)
-            assert space.real_dimension == exact_nullspace_dimension(system.matrix)
+            assert space.dimension == exact_nullspace_dimension(system.matrix)
 
 
 class TestHaarUnitary:

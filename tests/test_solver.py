@@ -16,9 +16,11 @@ from uniequiv import (
     matrix_algebra,
     sample_invertible,
     singular_value_prefilter,
+    singular_value_ratio,
     solve_solution_space,
     uep_instance_full,
 )
+from uniequiv.algebra import span_residual
 from uniequiv.oracle import random_yes_instance
 from uniequiv.solver import SolutionSpace, draw_candidate, per_trial_failure_bound
 
@@ -35,29 +37,25 @@ class TestBuildSystem:
     def test_scalar_instance(self):
         inst = uep_instance_full(1, 1, [(np.array([[2.0]]), np.array([[2.0]]))])
         system = build_linear_system(inst)
-        assert system.matrix.shape == (4, 4)
+        assert system.matrix.shape == (2, 2)
         space = solve_solution_space(system)
-        assert space.real_dimension == 2
-        # the span must contain (1, 1) and (i, i)
-        stacked = np.column_stack([
-            [A[0, 0].real, A[0, 0].imag, B[0, 0].real, B[0, 0].imag]
-            for A, B in space.basis
-        ])
-        for target in ([1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]):
-            x, *_ = np.linalg.lstsq(stacked, np.asarray(target), rcond=None)
-            assert np.linalg.norm(stacked @ x - target) < 1e-10
+        assert space.dimension == 1
+        # the span must contain (1, 1)
+        (A, B), = space.basis
+        assert abs(A[0, 0]) > 1e-10
+        assert abs(B[0, 0] / A[0, 0] - 1.0) < 1e-10
 
     def test_zero_pairs_leave_everything_free(self):
         Z = np.zeros((2, 2))
         inst = uep_instance_full(2, 2, [(Z, Z)])
         space = _space(inst)
-        assert space.real_dimension == 2 * (4 + 4)
+        assert space.dimension == 4 + 4
 
     def test_identity_pair_forces_equal_blocks(self):
         I2 = np.eye(2)
         inst = uep_instance_full(2, 2, [(I2, I2)])
         space = _space(inst)
-        assert space.real_dimension == 2 * 4
+        assert space.dimension == 4
         for A, B in space.basis:
             assert np.linalg.norm(A - B) < 1e-10
 
@@ -71,17 +69,18 @@ class TestBuildSystem:
     def test_basis_pairs_satisfy_equations(self, rng):
         inst, _ = random_yes_instance(3, 2, 2, seed=5)
         space = _space(inst)
-        assert space.real_dimension >= 2
+        assert space.dimension >= 1
         for A, B in space.basis:
             scale = max(1.0, np.linalg.norm(A), np.linalg.norm(B))
             for X, Y in inst.pairs:
                 assert np.linalg.norm(A @ X - Y @ B) <= 1e-8 * scale
                 assert np.linalg.norm(X @ B.conj().T - A.conj().T @ Y) <= 1e-8 * scale
 
-    def test_real_linearity_of_solutions(self, rng):
-        inst, _ = random_yes_instance(2, 3, 1, seed=8)
+    def test_complex_linearity_of_solutions(self, rng):
+        inst, _ = random_yes_instance(2, 3, 0, seed=8)
         space = _space(inst)
-        a, b = rng.standard_normal(2)
+        assert space.dimension >= 2
+        a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         (A1, B1), (A2, B2) = space.basis[0], space.basis[1]
         A, B = a * A1 + b * A2, a * B1 + b * B2
         scale = max(1.0, np.linalg.norm(A), np.linalg.norm(B))
@@ -89,17 +88,32 @@ class TestBuildSystem:
             assert np.linalg.norm(A @ X - Y @ B) <= 1e-8 * scale
             assert np.linalg.norm(X @ B.conj().T - A.conj().T @ Y) <= 1e-8 * scale
 
+    def test_membership_rows_keep_adjoints_in_upper_triangular_algebra(self):
+        # with X = Y = I, every A = B in the upper-triangular algebra solves
+        # both equations; A^dag in G1 cuts the space down to the diagonal
+        units = [np.outer(np.eye(3)[i], np.eye(3)[j]) for i in range(3) for j in range(i, 3)]
+        G1 = matrix_algebra(units)
+        inst = UepInstance(d1=3, d2=3, pairs=((np.eye(3), np.eye(3)),), G1=G1, G2=full_algebra(3))
+        space = _space(inst)
+        assert space.dimension == 3
+        for A, B in space.basis:
+            scale = max(1.0, np.linalg.norm(A), np.linalg.norm(B))
+            for X, Y in inst.pairs:
+                assert np.linalg.norm(A @ X - Y @ B) <= 1e-8 * scale
+                assert np.linalg.norm(X @ B.conj().T - A.conj().T @ Y) <= 1e-8 * scale
+            assert span_residual(G1, A) <= 1e-10 * scale
+            assert span_residual(G1, A.conj().T) <= 1e-10 * scale
+
 
 class TestSampler:
     def test_identity_span_succeeds_first_trial(self):
-        basis = ((np.eye(2), np.eye(2)), (1j * np.eye(2), 1j * np.eye(2)))
-        space = SolutionSpace(basis=basis, real_dimension=2, d1=2, d2=2)
+        space = SolutionSpace(basis=((np.eye(2), np.eye(2)),), dimension=1, d1=2, d2=2)
         result = sample_invertible(space, CFG)
         assert result is not None and result.trials_used == 1
 
     def test_shared_kernel_never_invertible(self):
         E11 = np.diag([1.0, 0.0]).astype(complex)
-        space = SolutionSpace(basis=((E11, E11),), real_dimension=1, d1=2, d2=2)
+        space = SolutionSpace(basis=((E11, E11),), dimension=1, d1=2, d2=2)
         assert sample_invertible(space, CFG) is None
 
     def test_forced_zero_block(self):
@@ -107,7 +121,7 @@ class TestSampler:
         # forces B = 0 as well, so the space is trivial
         inst = uep_instance_full(1, 1, [(np.array([[1.0]]), np.array([[0.0]]))])
         space = _space(inst)
-        assert space.real_dimension == 0
+        assert space.dimension == 0
         verdict = decide_uep(inst, CFG)
         assert verdict.verdict == "NO" and verdict.certainty == "exact"
 
@@ -124,8 +138,7 @@ class TestSampler:
         )
 
     def test_draw_is_deterministic(self):
-        basis = ((np.eye(2), np.eye(2)), (1j * np.eye(2), 1j * np.eye(2)))
-        space = SolutionSpace(basis=basis, real_dimension=2, d1=2, d2=2)
+        space = SolutionSpace(basis=((np.eye(2), np.eye(2)),), dimension=1, d1=2, d2=2)
         A1, B1 = draw_candidate(space, CFG, 0)
         A2, B2 = draw_candidate(space, CFG, 0)
         assert np.array_equal(A1, A2) and np.array_equal(B1, B2)
@@ -163,6 +176,20 @@ class TestExtract:
 
 
 class TestDecide:
+    def test_no_only_when_the_sample_is_singular(self):
+        # extraction uses the sampler's rule, so a candidate the sampler
+        # accepts is never rejected, let alone discarded on the way to a NO
+        tol = Tolerances(rank_rel=1e-2)
+        inst = uep_instance_full(6, 6, [(np.eye(6), np.eye(6))])
+        space = _space(inst, tol)
+        for seed in range(200):
+            cfg = SamplerConfig(trials=1, seed=seed)
+            verdict = decide_uep(inst, cfg, tol)
+            assert verdict.verdict in ("YES", "NO")
+            if verdict.verdict == "NO":
+                A, B = draw_candidate(space, cfg, 0)
+                assert min(singular_value_ratio(A), singular_value_ratio(B)) <= 1e-2
+
     def test_swapped_diagonal_is_yes(self):
         inst = uep_instance_full(2, 2, [(np.diag([1.0, 2.0]), np.diag([2.0, 1.0]))])
         verdict = decide_uep(inst, CFG)
