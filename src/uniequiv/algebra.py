@@ -1,9 +1,11 @@
 """Unital matrix sub-algebras given by spanning bases.
 
-An algebra is stored as a list of linearly independent d x d matrices.
-The solver only trusts algebras after `verify_algebra` confirms unitality
-and multiplicative closure; star-closure is detected and exploited (it
-drops the explicit adjoint-membership constraints) but not required.
+An algebra is stored as linearly independent d x d matrices and an
+orthonormal basis span_q of their vectorized span. The solver only trusts
+algebras after `verify_algebra` confirms unitality and multiplicative
+closure, each checked by batched projections onto span_q; star-closure is
+detected and exploited (it drops the explicit adjoint-membership
+constraints) but not required.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .linalg import Tolerances, as_complex_matrix, frobenius
+from .linalg import Tolerances, as_complex_matrix, nullspace_basis
 
 __all__ = [
     "MatrixAlgebra",
     "AlgebraReport",
     "matrix_algebra",
+    "matrix_units",
     "full_algebra",
     "factor_algebra",
     "verify_algebra",
@@ -35,9 +38,8 @@ class MatrixAlgebra:
     basis: tuple
     kind: str  # "full" | "factor" | "span"
     factor_shape: tuple | None = None
-    # derived: orthonormal bases of the vectorized span and its complement
+    # derived: orthonormal basis of the vectorized span, shape (d^2, size)
     span_q: np.ndarray = None
-    comp_q: np.ndarray = None
 
     @property
     def size(self) -> int:
@@ -59,40 +61,29 @@ def matrix_algebra(basis, kind: str = "span", factor_shape=None,
     d = mats[0].shape[0]
     if any(E.shape != (d, d) for E in mats):
         raise InputError("algebra basis elements must all be square of one size")
-    vecs = np.column_stack([E.ravel() for E in mats])
-    u, s, _ = np.linalg.svd(vecs, full_matrices=True)
-    if s[-1] <= tol.rank_rel * s[0]:
+    u, s, _ = np.linalg.svd(np.stack(mats).reshape(len(mats), -1).T, full_matrices=False)
+    if len(mats) > d * d or s[-1] <= tol.rank_rel * s[0]:
         raise InputError("algebra basis is not linearly independent at rank_rel")
-    r = len(mats)
-    return MatrixAlgebra(dim=d, basis=mats, kind=kind, factor_shape=factor_shape,
-                         span_q=u[:, :r].copy(), comp_q=u[:, r:].copy())
+    return MatrixAlgebra(dim=d, basis=mats, kind=kind, factor_shape=factor_shape, span_q=u)
+
+
+def matrix_units(d: int) -> np.ndarray:
+    """The matrix units E_ij of C^(d x d), stacked in row-major (i, j) order."""
+    return np.eye(d * d, dtype=complex).reshape(d * d, d, d)
 
 
 def full_algebra(d: int) -> MatrixAlgebra:
     """The full matrix algebra on C^(d x d), basis = matrix units."""
     if d < 1:
         raise InputError("dimension must be positive")
-    basis = []
-    for i in range(d):
-        for j in range(d):
-            E = np.zeros((d, d), dtype=complex)
-            E[i, j] = 1.0
-            basis.append(E)
-    return matrix_algebra(basis, kind="full")
+    return matrix_algebra(matrix_units(d), kind="full")
 
 
 def factor_algebra(a: int, b: int) -> MatrixAlgebra:
     """The algebra {M (x) I_b : M in C^(a x a)} acting on dimension a*b."""
     if a < 1 or b < 1:
         raise InputError("factor dimensions must be positive")
-    eye_b = np.eye(b, dtype=complex)
-    basis = []
-    for i in range(a):
-        for j in range(a):
-            E = np.zeros((a, a), dtype=complex)
-            E[i, j] = 1.0
-            basis.append(np.kron(E, eye_b))
-    return matrix_algebra(basis, kind="factor", factor_shape=(a, b))
+    return matrix_algebra(np.kron(matrix_units(a), np.eye(b)), kind="factor", factor_shape=(a, b))
 
 
 def project_onto_span(G: MatrixAlgebra, M) -> np.ndarray:
@@ -107,33 +98,38 @@ def span_residual(G: MatrixAlgebra, M) -> float:
     return float(np.linalg.norm(v - G.span_q @ (G.span_q.conj().T @ v)))
 
 
-def _in_span(G: MatrixAlgebra, M, tol: Tolerances) -> bool:
-    return span_residual(G, M) <= tol.residual_abs * max(1.0, frobenius(M))
+def _all_in_span(G: MatrixAlgebra, Ms: np.ndarray, tol: Tolerances) -> bool:
+    """Whether every matrix of the stack Ms lies in the span, each under the rule
+    ||vec M - Q Q^dag vec M|| <= residual_abs * max(1, ||M||_F)."""
+    V = Ms.reshape(len(Ms), -1).T
+    residuals = np.linalg.norm(V - G.span_q @ (G.span_q.conj().T @ V), axis=0)
+    return bool(np.all(residuals <= tol.residual_abs * np.maximum(1.0, np.linalg.norm(V, axis=0))))
 
 
 def verify_algebra(G: MatrixAlgebra, tol: Tolerances = Tolerances()) -> AlgebraReport:
     """Check unitality, multiplicative closure and star closure of the span.
 
+    The identity, the products E_j @ E_k for each E_j, and the adjoints
+    E_k^dag are projected onto span_q in one batch each. A basis of d^2
+    elements spans all of C^(d x d), so its report is all-true unprojected.
+
     Returns a report rather than raising; callers that need a valid algebra
     (the solver) reject when unital or multiplicatively_closed is false.
     """
-    cached = getattr(G, "_verify_report", None)
-    if cached is not None:
-        return cached
-    unital = _in_span(G, np.eye(G.dim, dtype=complex), tol)
-    closed = all(
-        _in_span(G, Ej @ Ek, tol) for Ej in G.basis for Ek in G.basis
+    if G.size == G.dim * G.dim:
+        return AlgebraReport(unital=True, multiplicatively_closed=True, star_closed=True)
+    E = np.stack(G.basis)
+    return AlgebraReport(
+        unital=_all_in_span(G, np.eye(G.dim, dtype=complex)[None], tol),
+        multiplicatively_closed=all(_all_in_span(G, Ej @ E, tol) for Ej in E),
+        star_closed=_all_in_span(G, E.conj().transpose(0, 2, 1), tol),
     )
-    star = all(_in_span(G, Ej.conj().T, tol) for Ej in G.basis)
-    report = AlgebraReport(unital=unital, multiplicatively_closed=closed, star_closed=star)
-    object.__setattr__(G, "_verify_report", report)
-    return report
 
 
 def membership_constraints(G: MatrixAlgebra) -> np.ndarray:
-    """Complex rows comp_q^dag: C @ vec(M) = 0 exactly when M lies in span(basis).
+    """Orthonormal complex rows C: C @ vec(M) = 0 exactly when M lies in span(basis).
 
-    vec is the row-major ravel of a d x d matrix M. For the full algebra the
-    constraint set is empty.
+    The rows span the orthogonal complement of span_q. vec is the row-major
+    ravel of a d x d matrix M. For the full algebra the constraint set is empty.
     """
-    return G.comp_q.conj().T
+    return nullspace_basis(G.span_q.conj().T).conj().T

@@ -25,7 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import MatrixAlgebra, full_algebra, membership_constraints, span_residual, verify_algebra
+from .algebra import (MatrixAlgebra, full_algebra, matrix_units, membership_constraints,
+                      span_residual, verify_algebra)
 from .errors import DegenerateCandidateError, InputError, InvalidAlgebraError
 from .linalg import (
     MatrixPolynomial,
@@ -333,11 +334,6 @@ def decide_uep(inst: UepInstance, cfg: SamplerConfig = SamplerConfig(),
     )
 
 
-def _matrix_units(d: int) -> np.ndarray:
-    """The full algebra's basis E_ij, stacked in row-major (i, j) order."""
-    return np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-
-
 def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
                                   cfg: SamplerConfig = SamplerConfig(),
                                   tol: Tolerances = Tolerances()) -> UepVerdict:
@@ -355,7 +351,7 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
         if numerical_rank(singular_values(X), tol) != numerical_rank(singular_values(Y), tol):
             return UepVerdict(verdict="NO", certainty="exact", certificate_kind="invertible",
                               detail=f"coefficient ranks differ at index {idx}")
-    system = _linear_system(_matrix_units(d1), _matrix_units(d2), pairs, adjoint_rows=False)
+    system = _linear_system(matrix_units(d1), matrix_units(d2), pairs, adjoint_rows=False)
     space, found = _search(system, cfg, tol, "invertible")
     if isinstance(found, UepVerdict):
         return found

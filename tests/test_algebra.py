@@ -1,10 +1,66 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from uniequiv import InputError, factor_algebra, full_algebra, matrix_algebra, membership_constraints, verify_algebra
-from uniequiv.algebra import project_onto_span, span_residual
+from uniequiv import (
+    InputError,
+    Tolerances,
+    factor_algebra,
+    full_algebra,
+    matrix_algebra,
+    membership_constraints,
+    verify_algebra,
+)
+from uniequiv.algebra import AlgebraReport, project_onto_span, span_residual
 
-from conftest import ginibre
+from conftest import ginibre, haar
+
+
+def reference_verify(G, tol=Tolerances()):
+    """Reference for verify_algebra: one projection per identity, product and adjoint."""
+    def in_span(M):
+        return span_residual(G, M) <= tol.residual_abs * max(1.0, np.linalg.norm(M))
+
+    return AlgebraReport(
+        unital=in_span(np.eye(G.dim)),
+        multiplicatively_closed=all(in_span(Ej @ Ek) for Ej in G.basis for Ek in G.basis),
+        star_closed=all(in_span(Ej.conj().T) for Ej in G.basis),
+    )
+
+
+@st.composite
+def algebras(draw):
+    """Spans from five families, the last element perturbed by 0, 1e-10 or
+    1e-6 (100x either side of the default residual_abs of 1e-8):
+    W (M_n1 (+) M_n2) W^-1 with W unitary or merely invertible, upper-triangular
+    algebras in a random unitary frame, I plus random matrices, and a random
+    basis of all of C^(d x d)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    family = draw(st.sampled_from(["blocks-unitary", "blocks-invertible", "upper", "identity-plus", "all"]))
+    if family.startswith("blocks"):
+        n1, n2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        d = n1 + n2
+        if family == "blocks-unitary":
+            W = haar(d, rng)
+        else:
+            N = ginibre(d, d, rng)
+            W = np.eye(d) + 0.5 * N / np.linalg.norm(N, 2)
+        units = [np.outer(np.eye(d)[i], np.eye(d)[j])
+                 for lo, hi in ((0, n1), (n1, d)) for i in range(lo, hi) for j in range(lo, hi)]
+        basis = [W @ E @ np.linalg.inv(W) for E in units]
+    elif family == "upper":
+        d = draw(st.integers(1, 4))
+        Q = haar(d, rng)
+        basis = [Q @ np.outer(np.eye(d)[i], np.eye(d)[j]) @ Q.conj().T
+                 for i in range(d) for j in range(i, d)]
+    elif family == "identity-plus":
+        d = draw(st.integers(2, 4))
+        basis = [np.eye(d)] + [ginibre(d, d, rng) for _ in range(draw(st.integers(0, 3)))]
+    else:
+        d = draw(st.integers(1, 4))
+        basis = [ginibre(d, d, rng) for _ in range(d * d)]
+    basis[-1] = basis[-1] + draw(st.sampled_from([0.0, 1e-10, 1e-6])) * ginibre(d, d, rng)
+    return matrix_algebra(basis, kind="span")
 
 
 class TestFullAlgebra:
@@ -64,9 +120,27 @@ class TestVerify:
         assert report.multiplicatively_closed
         assert not report.star_closed
 
-    def test_rejects_dependent_basis(self):
+    def test_rejects_dependent_basis(self, rng):
         with pytest.raises(InputError):
             matrix_algebra([np.eye(2), 2.0 * np.eye(2)])
+        # five matrices in the four-dimensional C^(2 x 2)
+        with pytest.raises(InputError):
+            matrix_algebra([ginibre(2, 2, rng) for _ in range(5)])
+
+    def test_report_follows_the_tolerance_of_each_call(self):
+        # the adjoint of the last element leaves the span by 1e-5: outside at
+        # the default residual_abs, inside at 1e-3
+        e00, e11 = np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])
+        e01 = np.outer(np.eye(3)[0], np.eye(3)[1])
+        G = matrix_algebra([np.eye(3), e00, e11, e00 + 1e-5 * e01])
+        assert not verify_algebra(G).star_closed
+        assert verify_algebra(G, Tolerances(residual_abs=1e-3)).star_closed
+        assert not verify_algebra(G).star_closed
+
+    @settings(max_examples=25, deadline=None)
+    @given(algebras())
+    def test_matches_the_per_product_reference(self, G):
+        assert verify_algebra(G) == reference_verify(G)
 
 
 class TestMembership:

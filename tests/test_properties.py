@@ -57,3 +57,11 @@ def test_invariant_under_pair_permutation(case, data):
     inst, seed = case
     order = data.draw(st.permutations(range(len(inst.pairs))))
     _assert_same_decision(inst, _with_pairs(inst, (inst.pairs[i] for i in order)), seed)
+
+
+@SETTINGS
+@given(instances(), st.floats(1 / 8, 8))
+def test_invariant_under_global_scaling(case, c):
+    # (A, B) solves the system for (X_i, Y_i) exactly when it does for (c X_i, c Y_i)
+    inst, seed = case
+    _assert_same_decision(inst, _with_pairs(inst, ((c * X, c * Y) for X, Y in inst.pairs)), seed)
