@@ -73,10 +73,15 @@ def matrix_units(d: int) -> np.ndarray:
 
 
 def full_algebra(d: int) -> MatrixAlgebra:
-    """The full matrix algebra on C^(d x d), basis = matrix units."""
+    """The full matrix algebra on C^(d x d), basis = matrix units.
+
+    The vectorized matrix units are the standard basis of C^(d^2), so span_q
+    is the identity and there is no independence to check.
+    """
     if d < 1:
         raise InputError("dimension must be positive")
-    return matrix_algebra(matrix_units(d), kind="full")
+    return MatrixAlgebra(dim=d, basis=tuple(matrix_units(d)), kind="full",
+                         span_q=np.eye(d * d, dtype=complex))
 
 
 def factor_algebra(a: int, b: int) -> MatrixAlgebra:

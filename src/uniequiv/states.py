@@ -178,18 +178,13 @@ def unilocal_mixed_equivalence(rhos, sigmas, cfg: SamplerConfig = SamplerConfig(
 
 
 def _quartic_traces(mats) -> np.ndarray:
-    """T[i, j, k] = tr(m_i^dag m_j m_k^dag m_i); invariant up to lam_j conj(lam_k)."""
-    n = len(mats)
-    P = np.empty((n, n), dtype=object)
-    for a in range(n):
-        for b in range(n):
-            P[a, b] = mats[a].conj().T @ mats[b]
-    T = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                T[i, j, k] = np.trace(P[i, j] @ P[k, i])
-    return T
+    """T[i, j, k] = tr(m_i^dag m_j m_k^dag m_i); invariant up to lam_j conj(lam_k).
+
+    With P[a, b] = m_a^dag m_b, T[i, j, k] = sum_{y,z} P[i, j]_yz P[k, i]_zy.
+    """
+    M = np.stack(mats)
+    P = np.einsum("ayx,byz->abxz", M.conj(), M)
+    return np.einsum("ijyz,kizy->ijk", P, P)
 
 
 def _resolve_phase_components(psis, phis, tol: Tolerances,
@@ -250,16 +245,72 @@ def resolve_eigenvector_phases(psis, phis, tol: Tolerances = Tolerances()):
     return [lam * phi for lam, phi in zip(lambdas, phis)]
 
 
+def _marginals(rho: DensityOperator):
+    """The reduced states (tr_B rho, tr_A rho)."""
+    R = rho.matrix.reshape(rho.d1, rho.d2, rho.d1, rho.d2)
+    return np.einsum("ijkj->ik", R), np.einsum("ijil->jl", R)
+
+
+def _is_product(rho: DensityOperator, marginals, tol: Tolerances) -> bool:
+    scale = max(1.0, frobenius(rho.matrix))
+    return frobenius(rho.matrix - np.kron(*marginals)) <= tol.residual_abs * scale
+
+
+def _product_lu(marginals_rho, marginals_sigma, tol: Tolerances) -> UepVerdict:
+    """Two product states are LU-equivalent exactly when their marginal spectra
+    match; U and V then map the marginal eigenbases of rho onto those of sigma."""
+    factors = []
+    for name, r, s in zip("AB", marginals_rho, marginals_sigma):
+        w_r, Q_r = hermitian_eigendecomposition(r, tol)
+        w_s, Q_s = hermitian_eigendecomposition(s, tol)
+        if np.max(np.abs(w_r - w_s)) > tol.residual_abs:
+            return UepVerdict(verdict="NO", certainty="exact",
+                              detail=f"product states with different spectra on subsystem {name}")
+        factors.append(Q_s @ Q_r.conj().T)
+    U, V = factors
+    return UepVerdict(verdict="YES", certainty="exact", U=U, V=V)
+
+
+def _checked_on_densities(v: UepVerdict, rho: DensityOperator, sigma: DensityOperator,
+                          tol: Tolerances) -> UepVerdict:
+    """Re-check a YES certificate on the density matrices; a failure is INCONCLUSIVE."""
+    if v.verdict != "YES":
+        return v
+    local = np.kron(v.U, v.V)
+    resid = frobenius(local @ rho.matrix @ local.conj().T - sigma.matrix)
+    resid /= max(1.0, frobenius(sigma.matrix))
+    v.residual = resid
+    if resid > tol.residual_abs:
+        v.verdict = "INCONCLUSIVE"
+        v.detail = f"certificate failed the density-matrix check (residual={resid:.3e})"
+    return v
+
+
+def _with_counts(v: UepVerdict, components: int = 0, solves: int = 0) -> UepVerdict:
+    v.aux["phase_components"] = components
+    v.aux["grid_solves"] = solves
+    return v
+
+
 def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
                      cfg: SamplerConfig = SamplerConfig(),
                      tol: Tolerances = Tolerances(),
                      phase_grid: int = 12) -> UepVerdict:
     """LU equivalence (U (x) V) rho (U (x) V)^dag = sigma for generic states.
 
-    Requires all eigenvalue gaps above degenerate_gap. Eigenvectors are
-    matricized into pure-state sets, per-vector phases are aligned via the
-    quartic-trace identity, and the simultaneous pure-state solver finishes
-    the job; YES verdicts are re-verified directly on the density matrices.
+    Requires all eigenvalue gaps above degenerate_gap. LU equivalence then
+    forces U psi_j V^T = lam_j phi_j with |lam_j| = 1 for the matricized
+    eigenvectors, so before any solve: different spectra, a product state
+    against a non-product one, and different Schmidt coefficients of some
+    psi_j and phi_j are exact NOs, and two product states are decided from
+    their marginals. Otherwise per-vector phases are aligned via the
+    quartic-trace identity and the simultaneous pure-state solver finishes
+    the job, over a grid of phases when the trace graph is disconnected.
+    YES verdicts are re-verified directly on the density matrices.
+
+    Every verdict's aux holds `phase_components` (components of the trace
+    graph, 0 when a test before the graph decides) and `grid_solves` (the
+    pure-state solves run).
     """
     if (rho.d1, rho.d2) != (sigma.d1, sigma.d2):
         raise InputError("density operators have mismatched dimensions")
@@ -270,46 +321,51 @@ def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
         if w.size > 1 and np.min(w[:-1] - w[1:]) <= tol.degenerate_gap:
             raise NotGenericError(f"{name} has eigenvalue gaps <= {tol.degenerate_gap}")
     if np.max(np.abs(w_r - w_s)) > tol.residual_abs:
-        return UepVerdict(verdict="NO", certainty="exact",
-                          detail="eigenvalue spectra differ")
+        return _with_counts(UepVerdict(verdict="NO", certainty="exact",
+                                       detail="eigenvalue spectra differ"))
+    marg_r, marg_s = _marginals(rho), _marginals(sigma)
+    product_r, product_s = _is_product(rho, marg_r, tol), _is_product(sigma, marg_s, tol)
+    if product_r != product_s:
+        which = "rho" if product_r else "sigma"
+        return _with_counts(UepVerdict(verdict="NO", certainty="exact",
+                                       detail=f"only {which} is a product state"))
+    if product_r:
+        return _with_counts(_checked_on_densities(_product_lu(marg_r, marg_s, tol),
+                                                  rho, sigma, tol))
     n = w_r.size
     psis = [Q_r[:, i].reshape(d1, d2) for i in range(n)]
     phis = [Q_s[:, i].reshape(d1, d2) for i in range(n)]
+    ok, idx = singular_value_prefilter(tuple(zip(psis, phis)), tol)
+    if not ok:
+        return _with_counts(UepVerdict(verdict="NO", certainty="exact",
+                                       detail=f"Schmidt coefficients of eigenvector {idx} differ"))
     lambdas, components = _resolve_phase_components(psis, phis, tol)
 
-    def run(aligned_phis) -> UepVerdict:
-        v = _simultaneous_lu_matrices(psis, aligned_phis, cfg, tol)
-        if v.verdict != "YES":
-            return v
-        local = np.kron(v.U, v.V)
-        resid = frobenius(local @ rho.matrix @ local.conj().T - sigma.matrix)
-        resid /= max(1.0, frobenius(sigma.matrix))
-        v.residual = resid
-        if resid > tol.residual_abs:
-            v.verdict = "INCONCLUSIVE"
-            v.detail = f"certificate failed the density-matrix check (residual={resid:.3e})"
-        return v
+    def run(phases) -> UepVerdict:
+        aligned = [lam * phi for lam, phi in zip(phases, phis)]
+        return _checked_on_densities(_simultaneous_lu_matrices(psis, aligned, cfg, tol),
+                                     rho, sigma, tol)
 
     if len(components) == 1:
-        return run([lam * phi for lam, phi in zip(lambdas, phis)])
+        return _with_counts(run(lambdas), 1, 1)
 
     # disconnected phase graph: grid over one free phase per extra component
     free = components[1:]
     grid = np.exp(2j * np.pi * np.arange(phase_grid) / phase_grid)
-    last = None
+    solves, last = 0, None
     for combo in product(range(phase_grid), repeat=len(free)):
         phases = lambdas.copy()
         for comp, gidx in zip(free, combo):
             phases[comp] = phases[comp] * grid[gidx]
-        verdict = run([lam * phi for lam, phi in zip(phases, phis)])
-        if verdict.verdict == "YES":
-            verdict.aux["phase_grid_combo"] = combo
-            return verdict
-        last = verdict
+        last = run(phases)
+        solves += 1
+        if last.verdict == "YES":
+            last.aux["phase_grid_combo"] = combo
+            return _with_counts(last, len(components), solves)
     last = last or UepVerdict(verdict="INCONCLUSIVE", certainty="probabilistic")
     last.verdict = "INCONCLUSIVE"
     last.detail = (
         f"phase graph disconnected into {len(components)} components; "
         f"grid fallback with K={phase_grid} exhausted without a certificate"
     )
-    return last
+    return _with_counts(last, len(components), solves)

@@ -11,7 +11,7 @@ from uniequiv import (
     membership_constraints,
     verify_algebra,
 )
-from uniequiv.algebra import AlgebraReport, project_onto_span, span_residual
+from uniequiv.algebra import AlgebraReport, matrix_units, project_onto_span, span_residual
 
 from conftest import ginibre, haar
 
@@ -70,6 +70,15 @@ class TestFullAlgebra:
         assert G.size == d * d
         report = verify_algebra(G)
         assert report.unital and report.multiplicatively_closed and report.star_closed
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_matches_the_algebra_built_from_matrix_units(self, d, rng):
+        G, ref = full_algebra(d), matrix_algebra(matrix_units(d), kind="full")
+        assert np.allclose(G.span_q.conj().T @ G.span_q, np.eye(d * d), atol=1e-12)
+        assert all(np.array_equal(E, F) for E, F in zip(G.basis, ref.basis))
+        assert verify_algebra(G) == verify_algebra(ref)
+        M = ginibre(d, d, rng)
+        assert np.allclose(project_onto_span(G, M), project_onto_span(ref, M), atol=1e-12)
 
     def test_d1_basis(self):
         G = full_algebra(1)

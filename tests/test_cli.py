@@ -179,6 +179,27 @@ class TestDecide:
         path2.write_text(dumps_document(degenerate))
         assert main(["decide", str(path2), "--seed", "6"]) == 5
 
+    @pytest.mark.parametrize("local, code, counts", [(True, 0, (1, 1)), (False, 1, (0, 0))],
+                             ids=["local-yes", "global-no"])
+    def test_generic_mixed_verbose_counts_rerun_identically(self, tmp_path, rng, local, code,
+                                                            counts):
+        d1 = d2 = 2
+        rho = random_density(d1, d2, rng, min_gap=1e-3)
+        W = np.kron(haar(d1, rng), haar(d2, rng)) if local else haar(d1 * d2, rng)
+        doc = {
+            "mode": "generic-mixed", "d1": d1, "d2": d2,
+            "rho": matrix_to_json(rho.matrix),
+            "sigma": matrix_to_json(W @ rho.matrix @ W.conj().T),
+        }
+        path = tmp_path / "g.json"
+        path.write_text(dumps_document(doc))
+        v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+        for out in (v1, v2):
+            assert main(["decide", str(path), "--seed", "6", "--verbose", "-o", str(out)]) == code
+        aux = json.loads(v1.read_text())["aux"]
+        assert (aux["phase_components"], aux["grid_solves"]) == counts
+        assert _strip_timing(v1) == _strip_timing(v2)
+
 
 class TestVerify:
     def test_witness_verifies(self, tmp_path):

@@ -1,10 +1,13 @@
-"""Property-based invariances of decide_uep on small full and factor instances."""
+"""Property-based invariances of decide_uep on small full and factor instances,
+and of generic_mixed_lu under local unitaries."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from uniequiv import SamplerConfig, UepInstance, decide_uep
+from uniequiv import SamplerConfig, UepInstance, decide_uep, density_operator, generic_mixed_lu
 from uniequiv.oracle import haar_unitary_in_algebra, random_yes_instance
+
+from conftest import haar, random_density
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -65,3 +68,16 @@ def test_invariant_under_global_scaling(case, c):
     # (A, B) solves the system for (X_i, Y_i) exactly when it does for (c X_i, c Y_i)
     inst, seed = case
     _assert_same_decision(inst, _with_pairs(inst, ((c * X, c * Y) for X, Y in inst.pairs)), seed)
+
+
+@SETTINGS
+@given(st.sampled_from([(2, 2), (2, 3)]), st.integers(0, 2**16), st.integers(0, 2**16))
+def test_generic_mixed_yes_under_repeated_local_unitaries(dims, seed, sampler_seed):
+    # the NO tests run before the solver must never fire on LU-equivalent states
+    d1, d2 = dims
+    rng = np.random.default_rng(seed)
+    rho = sigma = random_density(d1, d2, rng, min_gap=1e-3)
+    for _ in range(2):
+        local = np.kron(haar(d1, rng), haar(d2, rng))
+        sigma = density_operator(d1, d2, local @ sigma.matrix @ local.conj().T)
+        assert generic_mixed_lu(rho, sigma, SamplerConfig(seed=sampler_seed)).verdict == "YES"

@@ -17,11 +17,52 @@ from uniequiv import (
     state_to_matrix,
     unilocal_mixed_equivalence,
 )
+from uniequiv import states
 from uniequiv.states import _quartic_traces
 
 from conftest import ginibre, haar, random_density
 
 CFG = SamplerConfig(seed=29)
+
+
+def _reference_quartic_traces(mats):
+    """The O(n^3) loop _quartic_traces replaced, kept as its reference."""
+    n = len(mats)
+    P = np.empty((n, n), dtype=object)
+    for a in range(n):
+        for b in range(n):
+            P[a, b] = mats[a].conj().T @ mats[b]
+    T = np.zeros((n, n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                T[i, j, k] = np.trace(P[i, j] @ P[k, i])
+    return T
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Records every pure-state solve generic_mixed_lu runs."""
+    calls = []
+    real = states._simultaneous_lu_matrices
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(states, "_simultaneous_lu_matrices", spy)
+    return calls
+
+
+def _product_density(a, b, rng):
+    """rho_A (x) rho_B with spectra a and b in Haar eigenbases."""
+    QA, QB = haar(len(a), rng), haar(len(b), rng)
+    return density_operator(len(a), len(b),
+                            np.kron((QA * a) @ QA.conj().T, (QB * b) @ QB.conj().T))
+
+
+# marginal spectra whose nine products are all distinct, so rho_A (x) rho_B is generic
+SPEC_A, SPEC_B = np.array([0.5, 0.3, 0.2]), np.array([0.6, 0.3, 0.1])
 
 
 def _random_state(d1, d2, rng):
@@ -186,6 +227,13 @@ class TestPhaseResolution:
                         ratio = Tpsi[i, j, k] / Tphi[i, j, k]
                         assert abs(ratio - lam[k] * np.conj(lam[j])) <= 1e-8
 
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (4, 2, 2), (9, 3, 3), (16, 4, 4), (6, 2, 3)],
+                             ids=lambda s: f"n={s[0]},{s[1]}x{s[2]}")
+    def test_quartic_traces_match_the_loop(self, shape, rng):
+        n, d1, d2 = shape
+        mats = [ginibre(d1, d2, rng) for _ in range(n)]
+        assert np.max(np.abs(_quartic_traces(mats) - _reference_quartic_traces(mats))) <= 1e-10
+
     def test_disconnected_graph_raises(self):
         # orthogonal supports: every cross trace vanishes
         psis = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
@@ -235,6 +283,60 @@ class TestGenericMixed:
         sigma = density_operator(d1, d2, (Qd * w2) @ Qd.conj().T)
         verdict = generic_mixed_lu(rho, sigma, CFG)
         assert verdict.verdict == "NO" and verdict.certainty == "exact"
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)], ids=["2x2", "2x3"])
+    def test_global_unitary_is_exact_no_before_any_solve(self, dims, solver_calls):
+        # same spectrum, but a global unitary changes the Schmidt coefficients
+        # of the eigenvectors, which no phase can restore
+        d1, d2 = dims
+        rng = np.random.default_rng(d1 * 10 + d2)
+        rho = random_density(d1, d2, rng, min_gap=1e-3)
+        W = haar(d1 * d2, rng)
+        sigma = density_operator(d1, d2, W @ rho.matrix @ W.conj().T)
+        verdict = generic_mixed_lu(rho, sigma, CFG)
+        assert (verdict.verdict, verdict.certainty) == ("NO", "exact")
+        assert "Schmidt coefficients of eigenvector" in verdict.detail
+        assert verdict.aux == {"phase_components": 0, "grid_solves": 0}
+        assert not solver_calls
+
+    def test_connected_graph_takes_one_solve(self, rng, solver_calls):
+        rho = random_density(2, 3, rng, min_gap=1e-3)
+        local = np.kron(haar(2, rng), haar(3, rng))
+        sigma = density_operator(2, 3, local @ rho.matrix @ local.conj().T)
+        verdict = generic_mixed_lu(rho, sigma, CFG)
+        assert verdict.verdict == "YES"
+        assert verdict.aux == {"phase_components": 1, "grid_solves": 1}
+        assert len(solver_calls) == 1
+
+    def test_product_states_decided_from_marginals(self, rng, solver_calls):
+        rho = _product_density(SPEC_A, SPEC_B, rng)
+        local = np.kron(haar(3, rng), haar(3, rng))
+        sigma = density_operator(3, 3, local @ rho.matrix @ local.conj().T)
+        verdict = generic_mixed_lu(rho, sigma, CFG)
+        assert (verdict.verdict, verdict.certainty) == ("YES", "exact")
+        got = np.kron(verdict.U, verdict.V)
+        assert np.linalg.norm(got @ rho.matrix @ got.conj().T - sigma.matrix) <= 1e-8
+        assert verdict.aux == {"phase_components": 0, "grid_solves": 0}
+        assert not solver_calls
+
+    @pytest.mark.parametrize("product_first", [True, False])
+    def test_product_against_non_product_is_exact_no(self, rng, solver_calls, product_first):
+        rho = _product_density(SPEC_A, SPEC_B, rng)
+        W = haar(9, rng)
+        entangled = density_operator(3, 3, W @ rho.matrix @ W.conj().T)  # same spectrum
+        pair = (rho, entangled) if product_first else (entangled, rho)
+        verdict = generic_mixed_lu(*pair, CFG)
+        assert (verdict.verdict, verdict.certainty) == ("NO", "exact")
+        assert "product state" in verdict.detail
+        assert not solver_calls
+
+    def test_product_states_with_swapped_marginals_are_exact_no(self, rng, solver_calls):
+        # rho_A (x) rho_B and rho_B (x) rho_A share the spectrum but not the marginals
+        verdict = generic_mixed_lu(_product_density(SPEC_A, SPEC_B, rng),
+                                   _product_density(SPEC_B, SPEC_A, rng), CFG)
+        assert (verdict.verdict, verdict.certainty) == ("NO", "exact")
+        assert "subsystem A" in verdict.detail
+        assert not solver_calls
 
     def test_degenerate_spectrum_rejected(self):
         rho = density_operator(2, 2, np.eye(4) / 4.0)
