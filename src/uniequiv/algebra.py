@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .linalg import Tolerances, as_complex_matrix, nullspace_basis
+from .linalg import Tolerances, as_complex_matrix, nullspace_basis, numerical_rank
 
 __all__ = [
     "MatrixAlgebra",
@@ -62,7 +62,7 @@ def matrix_algebra(basis, kind: str = "span", factor_shape=None,
     if any(E.shape != (d, d) for E in mats):
         raise InputError("algebra basis elements must all be square of one size")
     u, s, _ = np.linalg.svd(np.stack(mats).reshape(len(mats), -1).T, full_matrices=False)
-    if len(mats) > d * d or s[-1] <= tol.rank_rel * s[0]:
+    if len(mats) > d * d or numerical_rank(s, tol) < len(mats):
         raise InputError("algebra basis is not linearly independent at rank_rel")
     return MatrixAlgebra(dim=d, basis=mats, kind=kind, factor_shape=factor_shape, span_q=u)
 

@@ -14,7 +14,6 @@ import numpy as np
 from .algebra import MatrixAlgebra, factor_algebra, full_algebra, matrix_algebra
 from .errors import MalformedInstanceError
 from .linalg import MatrixPolynomial
-from .oracle import algebra_from_kind
 from .solver import UepInstance, UepVerdict
 from .states import DensityOperator, PureState, density_operator, pure_state
 

@@ -16,6 +16,10 @@ the adjoint equation is imposed as its adjoint B X_i^dag = Y_i^dag A, and
 A^dag in G1 as conj(C) vec(A^T) = 0 for G1's membership rows C (likewise for
 B). Matrix polynomials run through the same pipeline with full algebras and
 the first equation only.
+
+Every YES, in every mode, leaves the package through `check_certificate`,
+which recomputes the certificate's residual and side conditions with
+`certificate_residuals`; `uniequiv verify` calls the same function.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .linalg import (
     frobenius,
     nullspace_basis,
     numerical_rank,
-    singular_value_ratio,
     singular_values,
 )
 
@@ -51,6 +54,8 @@ __all__ = [
     "sample_invertible",
     "per_trial_failure_bound",
     "extract_unitaries",
+    "certificate_residuals",
+    "check_certificate",
     "decide_uep",
     "decide_invertible_equivalence",
     "uep_instance_full",
@@ -236,6 +241,11 @@ class SampleResult(NamedTuple):
     trials_used: int
 
 
+def _invertible(tol: Tolerances, *mats) -> bool:
+    """Whether every square matrix has full numerical rank (the package's one rank rule)."""
+    return all(numerical_rank(singular_values(M), tol) == len(M) for M in mats)
+
+
 def sample_invertible(space: SolutionSpace, cfg: SamplerConfig, tol: Tolerances = Tolerances()):
     """Search the solution space for a pair with both blocks invertible.
 
@@ -246,8 +256,7 @@ def sample_invertible(space: SolutionSpace, cfg: SamplerConfig, tol: Tolerances 
         raise InputError("sample_invertible needs a non-trivial solution space")
     for t in range(cfg.trials):
         A, B = draw_candidate(space, cfg, t)
-        if (singular_value_ratio(A) > tol.rank_rel
-                and singular_value_ratio(B) > tol.rank_rel):
+        if _invertible(tol, A, B):
             return SampleResult(A=A, B=B, trials_used=t + 1)
     return None
 
@@ -255,12 +264,12 @@ def sample_invertible(space: SolutionSpace, cfg: SamplerConfig, tol: Tolerances 
 def extract_unitaries(A, B, tol: Tolerances = Tolerances()):
     """Polar factors: U = W Vh from the SVD A = W S Vh, and V likewise from B.
 
-    A block is rejected under the sampler's own rule, sigma_min/sigma_max <= rank_rel.
+    A block is rejected under the sampler's own rule: numerical rank below full.
     """
     factors = []
     for name, M in (("A", A), ("B", B)):
         W, s, Vh = np.linalg.svd(as_complex_matrix(M, name), full_matrices=False)
-        if s[0] == 0.0 or s[-1] / s[0] <= tol.rank_rel:
+        if numerical_rank(s, tol) < len(s):
             raise DegenerateCandidateError(
                 f"{name} is numerically singular: singular values in [{s[-1]:.3e}, {s[0]:.3e}]"
             )
@@ -268,13 +277,69 @@ def extract_unitaries(A, B, tol: Tolerances = Tolerances()):
     return tuple(factors)
 
 
-def _unitarity_defect(U: np.ndarray) -> float:
-    return frobenius(U.conj().T @ U - np.eye(U.shape[0]))
+def certificate_residuals(mode: str, payload, U, V, tol: Tolerances = Tolerances()):
+    """(residual, defect) of the certificate (U, V) for an instance of mode.
+
+    payload is what serialize.parse_instance returns for the mode. residual
+    is the largest relative Frobenius residual of the mode's own equations:
+    U X_i V^dag = Y_i, (U (x) V)|psi_i> = |phi_i>, (U (x) I) rho_i (U (x) I)^dag
+    = sigma_i, (U (x) V) rho (U (x) V)^dag = sigma, or U X_i V^(-1) = Y_i for
+    matpoly, whose U, V are the invertible A, B. defect is the worst side
+    condition: the unitarity defect of U and V, with the distance to G1, G2
+    for matrix-pairs; for matpoly 0.0 when A and B have full numerical rank,
+    otherwise inf (and the residual is then inf too). V is None exactly for
+    unilocal-mixed; any other shape raises InputError.
+    """
+    if mode == "matrix-pairs":
+        dims, pairs = (payload.d1, payload.d2), payload.pairs
+    elif mode == "matpoly":
+        P, Q = payload
+        dims, pairs = P.shape, tuple(zip(P.coefficients, Q.coefficients))
+    elif mode == "pure-sets":
+        dims = (payload[0][0].d1, payload[0][0].d2)
+        pairs = [(a.amplitudes.reshape(dims), b.amplitudes.reshape(dims)) for a, b in zip(*payload)]
+    else:  # unilocal-mixed: two lists of density operators; generic-mixed: one pair
+        rhos, sigmas = payload if mode == "unilocal-mixed" else ([payload[0]], [payload[1]])
+        dims = (rhos[0].d1, rhos[0].d2)
+        pairs = [(r.matrix, s.matrix) for r, s in zip(rhos, sigmas)]
+    expected = ((dims[0],) * 2, None if mode == "unilocal-mixed" else (dims[1],) * 2)
+    for name, M, shape in zip("UV", (U, V), expected):
+        got = None if M is None else np.shape(M)
+        if got != shape:
+            raise InputError(f"certificate {name} has shape {got}, expected {shape} for {mode}")
+    if mode == "matpoly":
+        if not _invertible(tol, U, V):
+            return np.inf, np.inf
+        return max(frobenius(np.linalg.solve(V.T, (U @ X).T).T - Y) / max(1.0, frobenius(Y))
+                   for X, Y in pairs), 0.0
+    defect = max(frobenius(W.conj().T @ W - np.eye(len(W))) for W in (U, V) if W is not None)
+    if mode == "matrix-pairs":
+        defect = max(defect, span_residual(payload.G1, U), span_residual(payload.G2, V))
+        L, R = U, V
+    elif mode == "pure-sets":
+        L, R = U, V.conj()  # (U (x) V)|psi> is U psi V^T
+    else:
+        L = R = np.kron(U, np.eye(dims[1]) if V is None else V)
+    Rd = R.conj().T
+    return max(frobenius(L @ X @ Rd - Y) / max(1.0, frobenius(Y)) for X, Y in pairs), defect
 
 
-def _max_pair_residual(U, V, pairs) -> float:
-    Vd = V.conj().T
-    return max(frobenius(U @ X @ Vd - Y) / max(1.0, frobenius(Y)) for X, Y in pairs)
+def check_certificate(verdict: UepVerdict, mode: str, payload,
+                      tol: Tolerances = Tolerances()) -> UepVerdict:
+    """The YES check every decide path ends in.
+
+    Sets the residual of a YES from certificate_residuals; when the residual
+    or the defect exceeds residual_abs, the YES becomes INCONCLUSIVE with both
+    stated. Other verdicts pass unchanged.
+    """
+    if verdict.verdict != "YES":
+        return verdict
+    verdict.residual, defect = certificate_residuals(mode, payload, verdict.U, verdict.V, tol)
+    if max(verdict.residual, defect) > tol.residual_abs:
+        verdict.verdict = "INCONCLUSIVE"
+        verdict.detail = ("numerical breakdown: certificate failed verification "
+                          f"(residual={verdict.residual:.3e}, defect={defect:.3e})")
+    return verdict
 
 
 def _search(system: LinearSystem, cfg: SamplerConfig, tol: Tolerances, kind: str):
@@ -310,28 +375,10 @@ def decide_uep(inst: UepInstance, cfg: SamplerConfig = SamplerConfig(),
         return UepVerdict(verdict="INCONCLUSIVE", certainty="probabilistic",
                           trials_used=found.trials_used, solution_dimension=space.dimension,
                           detail=f"numerical breakdown: unitary extraction rejected the sample ({exc})")
-    residual = _max_pair_residual(U, V, inst.pairs)
-    defects = (
-        _unitarity_defect(U),
-        _unitarity_defect(V),
-        span_residual(inst.G1, U),
-        span_residual(inst.G2, V),
-    )
-    if residual <= tol.residual_abs and max(defects) <= tol.residual_abs:
-        return UepVerdict(
-            verdict="YES", certainty="probabilistic", U=U, V=V,
-            residual=residual, trials_used=found.trials_used, failure_bound=0.0,
-            solution_dimension=space.dimension,
-        )
-    return UepVerdict(
-        verdict="INCONCLUSIVE", certainty="probabilistic", U=U, V=V,
-        residual=residual, trials_used=found.trials_used,
-        solution_dimension=space.dimension,
-        detail=(
-            "numerical breakdown: sampled certificate failed verification "
-            f"(residual={residual:.3e}, max defect={max(defects):.3e})"
-        ),
-    )
+    return check_certificate(UepVerdict(verdict="YES", certainty="probabilistic", U=U, V=V,
+                                        trials_used=found.trials_used,
+                                        solution_dimension=space.dimension),
+                             "matrix-pairs", inst, tol)
 
 
 def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
@@ -355,19 +402,11 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
     space, found = _search(system, cfg, tol, "invertible")
     if isinstance(found, UepVerdict):
         return found
-    A, B = found.A, found.B
-    residual = max(
-        frobenius(np.linalg.solve(B.T, (A @ X).T).T - Y) / max(1.0, frobenius(Y))
-        for X, Y in pairs
-    )
-    if residual <= tol.residual_abs:
-        return UepVerdict(verdict="YES", certainty="probabilistic", U=A, V=B,
-                          residual=residual, trials_used=found.trials_used, failure_bound=0.0,
-                          solution_dimension=space.dimension, certificate_kind="invertible")
-    return UepVerdict(verdict="INCONCLUSIVE", certainty="probabilistic", U=A, V=B,
-                      residual=residual, trials_used=found.trials_used,
-                      solution_dimension=space.dimension, certificate_kind="invertible",
-                      detail="sampled invertible pair failed the residual check")
+    return check_certificate(UepVerdict(verdict="YES", certainty="probabilistic",
+                                        U=found.A, V=found.B, trials_used=found.trials_used,
+                                        solution_dimension=space.dimension,
+                                        certificate_kind="invertible"),
+                             "matpoly", (P, Q), tol)
 
 
 def uep_instance_full(d1: int, d2: int, pairs) -> UepInstance:

@@ -22,6 +22,7 @@ from .solver import (
     SamplerConfig,
     UepInstance,
     UepVerdict,
+    check_certificate,
     decide_uep,
     singular_value_prefilter,
     uep_instance_full,
@@ -116,7 +117,9 @@ def simultaneous_lu_pure(states_in, states_out, cfg: SamplerConfig = SamplerConf
                          tol: Tolerances = Tolerances()) -> UepVerdict:
     """Simultaneous local-unitary equivalence of two lists of pure states.
 
-    On YES the certificate (U, V) satisfies (U (x) V)|psi_i> = |phi_i>.
+    On YES the certificate (U, V) satisfies (U (x) V)|psi_i> = |phi_i>; it was
+    checked on the matricized states U psi_i V^T = phi_i, which is the same
+    equation.
     """
     if len(states_in) != len(states_out) or not states_in:
         raise InputError("state lists must be non-empty and of equal length")
@@ -126,14 +129,7 @@ def simultaneous_lu_pure(states_in, states_out, cfg: SamplerConfig = SamplerConf
         raise InputError(f"input dimensions {d_in} differ from output dimensions {d_out}")
     Xs = [state_to_matrix(s) for s in states_in]
     Ys = [state_to_matrix(s) for s in states_out]
-    verdict = _simultaneous_lu_matrices(Xs, Ys, cfg, tol)
-    if verdict.verdict == "YES":
-        local = np.kron(verdict.U, verdict.V)
-        verdict.residual = max(
-            float(np.linalg.norm(local @ si.amplitudes - so.amplitudes))
-            for si, so in zip(states_in, states_out)
-        )
-    return verdict
+    return _simultaneous_lu_matrices(Xs, Ys, cfg, tol)
 
 
 def unilocal_mixed_equivalence(rhos, sigmas, cfg: SamplerConfig = SamplerConfig(),
@@ -161,20 +157,11 @@ def unilocal_mixed_equivalence(rhos, sigmas, cfg: SamplerConfig = SamplerConfig(
     for j in range(d1):
         for k in range(d1):
             M[j, k] = np.mean(np.diag(U_full[j * d2:(j + 1) * d2, k * d2:(k + 1) * d2]))
-    big = np.kron(M, np.eye(d2, dtype=complex))
-    residual = max(
-        frobenius(big @ r.matrix @ big.conj().T - s.matrix) / max(1.0, frobenius(s.matrix))
-        for r, s in zip(rhos, sigmas)
-    )
     verdict.U = M
     verdict.V = None
-    verdict.residual = residual
     verdict.aux = {"U_full": U_full, "V_full": V_full,
                    "uv_gap": frobenius(U_full - V_full)}
-    if residual > tol.residual_abs:
-        verdict.verdict = "INCONCLUSIVE"
-        verdict.detail = f"extracted factor failed the direct check (residual={residual:.3e})"
-    return verdict
+    return check_certificate(verdict, "unilocal-mixed", (rhos, sigmas), tol)
 
 
 def _quartic_traces(mats) -> np.ndarray:
@@ -271,21 +258,6 @@ def _product_lu(marginals_rho, marginals_sigma, tol: Tolerances) -> UepVerdict:
     return UepVerdict(verdict="YES", certainty="exact", U=U, V=V)
 
 
-def _checked_on_densities(v: UepVerdict, rho: DensityOperator, sigma: DensityOperator,
-                          tol: Tolerances) -> UepVerdict:
-    """Re-check a YES certificate on the density matrices; a failure is INCONCLUSIVE."""
-    if v.verdict != "YES":
-        return v
-    local = np.kron(v.U, v.V)
-    resid = frobenius(local @ rho.matrix @ local.conj().T - sigma.matrix)
-    resid /= max(1.0, frobenius(sigma.matrix))
-    v.residual = resid
-    if resid > tol.residual_abs:
-        v.verdict = "INCONCLUSIVE"
-        v.detail = f"certificate failed the density-matrix check (residual={resid:.3e})"
-    return v
-
-
 def _with_counts(v: UepVerdict, components: int = 0, solves: int = 0) -> UepVerdict:
     v.aux["phase_components"] = components
     v.aux["grid_solves"] = solves
@@ -330,8 +302,8 @@ def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
         return _with_counts(UepVerdict(verdict="NO", certainty="exact",
                                        detail=f"only {which} is a product state"))
     if product_r:
-        return _with_counts(_checked_on_densities(_product_lu(marg_r, marg_s, tol),
-                                                  rho, sigma, tol))
+        return _with_counts(check_certificate(_product_lu(marg_r, marg_s, tol),
+                                              "generic-mixed", (rho, sigma), tol))
     n = w_r.size
     psis = [Q_r[:, i].reshape(d1, d2) for i in range(n)]
     phis = [Q_s[:, i].reshape(d1, d2) for i in range(n)]
@@ -343,8 +315,8 @@ def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
 
     def run(phases) -> UepVerdict:
         aligned = [lam * phi for lam, phi in zip(phases, phis)]
-        return _checked_on_densities(_simultaneous_lu_matrices(psis, aligned, cfg, tol),
-                                     rho, sigma, tol)
+        return check_certificate(_simultaneous_lu_matrices(psis, aligned, cfg, tol),
+                                 "generic-mixed", (rho, sigma), tol)
 
     if len(components) == 1:
         return _with_counts(run(lambdas), 1, 1)
@@ -352,20 +324,18 @@ def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
     # disconnected phase graph: grid over one free phase per extra component
     free = components[1:]
     grid = np.exp(2j * np.pi * np.arange(phase_grid) / phase_grid)
-    solves, last = 0, None
+    solves = 0
     for combo in product(range(phase_grid), repeat=len(free)):
         phases = lambdas.copy()
         for comp, gidx in zip(free, combo):
             phases[comp] = phases[comp] * grid[gidx]
-        last = run(phases)
+        v = run(phases)
         solves += 1
-        if last.verdict == "YES":
-            last.aux["phase_grid_combo"] = combo
-            return _with_counts(last, len(components), solves)
-    last = last or UepVerdict(verdict="INCONCLUSIVE", certainty="probabilistic")
-    last.verdict = "INCONCLUSIVE"
-    last.detail = (
-        f"phase graph disconnected into {len(components)} components; "
-        f"grid fallback with K={phase_grid} exhausted without a certificate"
-    )
-    return _with_counts(last, len(components), solves)
+        if v.verdict == "YES":
+            v.aux["phase_grid_combo"] = combo
+            return _with_counts(v, len(components), solves)
+    return _with_counts(UepVerdict(
+        verdict="INCONCLUSIVE", certainty="probabilistic",
+        detail=(f"phase graph disconnected into {len(components)} components; "
+                f"grid fallback with K={phase_grid} exhausted without a certificate"),
+    ), len(components), solves)

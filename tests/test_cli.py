@@ -201,7 +201,73 @@ class TestDecide:
         assert _strip_timing(v1) == _strip_timing(v2)
 
 
+def _state_doc(mode, rng):
+    """A YES instance document of a mode other than matrix-pairs."""
+    if mode == "matpoly":
+        A = ginibre(2, 2, rng) + 2 * np.eye(2)
+        B = ginibre(3, 3, rng) + 2 * np.eye(3)
+        coeffs = [ginibre(2, 3, rng) for _ in range(2)]
+        return {"mode": mode, "d1": 2, "d2": 3,
+                "P": [matrix_to_json(C) for C in coeffs],
+                "Q": [matrix_to_json(A @ C @ np.linalg.inv(B)) for C in coeffs]}
+    local = np.kron(haar(2, rng), haar(2, rng))
+    if mode == "pure-sets":
+        vecs = [ginibre(1, 4, rng).ravel() for _ in range(3)]
+        vecs = [v / np.linalg.norm(v) for v in vecs]
+        return {"mode": mode, "d1": 2, "d2": 2,
+                "states_in": [vector_to_json(v) for v in vecs],
+                "states_out": [vector_to_json(local @ v) for v in vecs]}
+    if mode == "unilocal-mixed":
+        big = np.kron(haar(2, rng), np.eye(2))
+        rhos = [random_density(2, 2, rng) for _ in range(2)]
+        return {"mode": mode, "d1": 2, "d2": 2,
+                "rhos": [matrix_to_json(r.matrix) for r in rhos],
+                "sigmas": [matrix_to_json(big @ r.matrix @ big.conj().T) for r in rhos]}
+    rho = random_density(2, 2, rng, min_gap=1e-3)
+    return {"mode": mode, "d1": 2, "d2": 2, "rho": matrix_to_json(rho.matrix),
+            "sigma": matrix_to_json(local @ rho.matrix @ local.conj().T)}
+
+
+STATE_MODES = ("pure-sets", "unilocal-mixed", "generic-mixed", "matpoly")
+
+
 class TestVerify:
+    @staticmethod
+    def _decided(tmp_path, mode, rng):
+        """(instance path, certificate {U, V} taken from the verdict document)."""
+        inst_path, verdict_path = tmp_path / "i.json", tmp_path / "v.json"
+        inst_path.write_text(dumps_document(_state_doc(mode, rng)))
+        assert main(["decide", str(inst_path), "--seed", "3", "-o", str(verdict_path)]) == 0
+        doc = json.loads(verdict_path.read_text())
+        return inst_path, {"U": doc["U"], "V": doc["V"]}
+
+    @staticmethod
+    def _verify(tmp_path, inst_path, cert):
+        cert_path = tmp_path / "c.json"
+        cert_path.write_text(json.dumps(cert))
+        return main(["verify", str(inst_path), str(cert_path)])
+
+    @pytest.mark.parametrize("mode", STATE_MODES)
+    def test_decide_certificate_reverifies_in_every_mode(self, tmp_path, rng, mode):
+        inst_path, cert = self._decided(tmp_path, mode, rng)
+        assert (cert["V"] is None) == (mode == "unilocal-mixed")
+        assert self._verify(tmp_path, inst_path, cert) == 0
+
+    @pytest.mark.parametrize("mode", STATE_MODES)
+    def test_perturbed_certificate_rejected_in_every_mode(self, tmp_path, rng, mode):
+        inst_path, cert = self._decided(tmp_path, mode, rng)
+        # matpoly's A is unnormalized, so its step scales with ||A||_F
+        step = 1e-3 * np.linalg.norm(matrix_from_json(cert["U"], "U")) if mode == "matpoly" else 1e-3
+        cert["U"][0][0][0] += step
+        assert self._verify(tmp_path, inst_path, cert) == 1
+
+    @pytest.mark.parametrize("mode", STATE_MODES)
+    def test_misshapen_certificate_exits_3(self, tmp_path, rng, mode):
+        inst_path, cert = self._decided(tmp_path, mode, rng)
+        wrong_v = matrix_to_json(np.eye(2)) if mode == "unilocal-mixed" else None
+        assert self._verify(tmp_path, inst_path, {"U": cert["U"], "V": wrong_v}) == 3
+        assert self._verify(tmp_path, inst_path, {"U": matrix_to_json(np.eye(5)), "V": cert["V"]}) == 3
+
     def test_witness_verifies(self, tmp_path):
         inst_path, wit_path = tmp_path / "i.json", tmp_path / "w.json"
         main(["gen", "--yes", "--d1", "3", "--d2", "3", "--m", "1", "--seed", "21",

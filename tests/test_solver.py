@@ -20,11 +20,13 @@ from uniequiv import (
     solve_solution_space,
     uep_instance_full,
 )
+from uniequiv import density_operator, pure_state
 from uniequiv.algebra import span_residual
 from uniequiv.oracle import random_yes_instance
-from uniequiv.solver import SolutionSpace, draw_candidate, per_trial_failure_bound
+from uniequiv.solver import (SolutionSpace, UepVerdict, certificate_residuals, check_certificate,
+                             draw_candidate, per_trial_failure_bound)
 
-from conftest import ginibre
+from conftest import ginibre, haar, random_density
 
 CFG = SamplerConfig(seed=17)
 
@@ -293,3 +295,74 @@ class TestInvertibleEquivalence:
         Q = MatrixPolynomial((ginibre(2, 3, rng),))
         with pytest.raises(InputError):
             decide_invertible_equivalence(P, Q, CFG)
+
+
+MODES = ("matrix-pairs", "matpoly", "pure-sets", "unilocal-mixed", "generic-mixed")
+UNITARY_MODES = tuple(m for m in MODES if m != "matpoly")
+
+
+def _planted(mode, rng):
+    """(payload, U, V) of an instance of mode with its planted certificate."""
+    if mode == "matrix-pairs":
+        inst, (U0, V0) = random_yes_instance(4, 3, 1, g1_kind=("factor", 2, 2), seed=61)
+        return inst, U0, V0
+    if mode == "matpoly":
+        A, B = ginibre(3, 3, rng) + 2 * np.eye(3), ginibre(2, 2, rng) + 2 * np.eye(2)
+        P = MatrixPolynomial(tuple(ginibre(3, 2, rng) for _ in range(2)))
+        Q = MatrixPolynomial(tuple(A @ C @ np.linalg.inv(B) for C in P.coefficients))
+        return (P, Q), A, B
+    U0, V0 = haar(2, rng), haar(3, rng)
+    if mode == "pure-sets":
+        vecs = [ginibre(1, 6, rng).ravel() for _ in range(3)]
+        ins = [pure_state(2, 3, v / np.linalg.norm(v)) for v in vecs]
+        outs = [pure_state(2, 3, np.kron(U0, V0) @ s.amplitudes) for s in ins]
+        return (ins, outs), U0, V0
+    if mode == "unilocal-mixed":
+        big = np.kron(U0, np.eye(3))
+        rhos = [random_density(2, 3, rng) for _ in range(2)]
+        return (rhos, [density_operator(2, 3, big @ r.matrix @ big.conj().T) for r in rhos]), U0, None
+    local = np.kron(U0, V0)
+    rho = random_density(2, 3, rng, min_gap=1e-3)
+    return (rho, density_operator(2, 3, local @ rho.matrix @ local.conj().T)), U0, V0
+
+
+class TestCertificateResiduals:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_planted_certificate_passes(self, mode, rng):
+        payload, U, V = _planted(mode, rng)
+        residual, defect = certificate_residuals(mode, payload, U, V)
+        assert residual <= 1e-12 and defect <= 1e-12
+
+    @pytest.mark.parametrize("mode", UNITARY_MODES)
+    def test_scaled_unitary_fails_on_the_defect(self, mode, rng):
+        payload, U, V = _planted(mode, rng)
+        _, defect = certificate_residuals(mode, payload, 1.01 * U, V)
+        assert defect > Tolerances().residual_abs
+
+    def test_matrix_pairs_defect_counts_the_algebra(self):
+        # swap @ U0 is unitary but lies outside G1 = M (x) I_2: only membership rejects it
+        inst, (U0, V0) = random_yes_instance(4, 3, 0, g1_kind=("factor", 2, 2), seed=62)
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        _, defect = certificate_residuals("matrix-pairs", inst, swap @ U0, V0)
+        assert defect >= span_residual(inst.G1, swap @ U0) > 1e-3
+
+    def test_singular_matpoly_block_fails(self, rng):
+        payload, A, B = _planted("matpoly", rng)
+        A[0] = 0.0
+        assert certificate_residuals("matpoly", payload, A, B) == (np.inf, np.inf)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_wrong_shapes_raise(self, mode, rng):
+        payload, U, V = _planted(mode, rng)
+        with pytest.raises(InputError):
+            certificate_residuals(mode, payload, np.eye(len(U) + 1), V)
+        with pytest.raises(InputError):
+            certificate_residuals(mode, payload, U, np.eye(2) if V is None else None)
+
+    def test_failed_check_turns_yes_into_inconclusive(self, rng):
+        payload, U, V = _planted("generic-mixed", rng)
+        verdict = check_certificate(UepVerdict(verdict="YES", certainty="exact", U=1.01 * U, V=V),
+                                    "generic-mixed", payload)
+        assert verdict.verdict == "INCONCLUSIVE"
+        assert "residual=" in verdict.detail and "defect=" in verdict.detail
+        assert verdict.residual > Tolerances().residual_abs

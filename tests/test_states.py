@@ -338,6 +338,24 @@ class TestGenericMixed:
         assert "subsystem A" in verdict.detail
         assert not solver_calls
 
+    def test_exhausted_grid_is_a_fresh_inconclusive(self, rng, solver_calls):
+        # |0><0| (x) rho_1 + |1><1| (x) rho_2: every eigenvector is a product
+        # vector, so the trace graph has 4 components, and the phases the
+        # (U (x) V) conjugate needs are not multiples of pi
+        rho = np.zeros((4, 4), dtype=complex)
+        for block, p, w in ((slice(0, 2), 0.6, [0.7, 0.3]), (slice(2, 4), 0.4, [0.85, 0.15])):
+            Q = haar(2, rng)
+            rho[block, block] = p * (Q * w) @ Q.conj().T
+        rho = density_operator(2, 2, rho)
+        local = np.kron(haar(2, rng), haar(2, rng))
+        sigma = density_operator(2, 2, local @ rho.matrix @ local.conj().T)
+        verdict = generic_mixed_lu(rho, sigma, CFG, phase_grid=2)
+        assert (verdict.verdict, verdict.certainty) == ("INCONCLUSIVE", "probabilistic")
+        assert verdict.solution_dimension is None
+        assert verdict.U is None and verdict.V is None
+        assert verdict.aux == {"phase_components": 4, "grid_solves": 8}
+        assert len(solver_calls) == 8
+
     def test_degenerate_spectrum_rejected(self):
         rho = density_operator(2, 2, np.eye(4) / 4.0)
         with pytest.raises(NotGenericError):
