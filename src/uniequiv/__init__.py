@@ -15,26 +15,16 @@ from .errors import (
     InvalidAlgebraError,
     MalformedInstanceError,
     NotGenericError,
-    NotPositiveDefiniteError,
-    PhaseResolutionError,
     UniequivError,
 )
 from .linalg import (
     MatrixPolynomial,
     Tolerances,
-    determinant_magnitude_sq,
-    evaluate_matrix_polynomial,
     hermitian_eigendecomposition,
-    inverse_sqrt_psd,
     nullspace_basis,
-    polynomial_at_matrix,
-    singular_value_ratio,
     singular_values,
-    vandermonde_inverse_sqrt_coeffs,
 )
 from .oracle import (
-    GaussianRational,
-    exact_nullspace_dimension,
     haar_unitary_in_algebra,
     random_no_instance,
     random_yes_instance,
@@ -59,9 +49,7 @@ from .states import (
     PureState,
     density_operator,
     generic_mixed_lu,
-    matrix_to_state,
     pure_state,
-    resolve_eigenvector_phases,
     simultaneous_lu_pure,
     state_to_matrix,
     unilocal_mixed_equivalence,

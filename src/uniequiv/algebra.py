@@ -28,7 +28,6 @@ __all__ = [
     "verify_algebra",
     "membership_constraints",
     "span_residual",
-    "project_onto_span",
 ]
 
 
@@ -37,9 +36,8 @@ class MatrixAlgebra:
     dim: int
     basis: tuple
     kind: str  # "full" | "factor" | "span"
+    span_q: np.ndarray  # orthonormal basis of the vectorized span, shape (d^2, size)
     factor_shape: tuple | None = None
-    # derived: orthonormal basis of the vectorized span, shape (d^2, size)
-    span_q: np.ndarray = None
 
     @property
     def size(self) -> int:
@@ -89,12 +87,6 @@ def factor_algebra(a: int, b: int) -> MatrixAlgebra:
     if a < 1 or b < 1:
         raise InputError("factor dimensions must be positive")
     return matrix_algebra(np.kron(matrix_units(a), np.eye(b)), kind="factor", factor_shape=(a, b))
-
-
-def project_onto_span(G: MatrixAlgebra, M) -> np.ndarray:
-    """Orthogonal projection of M onto span(basis), as a matrix."""
-    v = as_complex_matrix(M).ravel()
-    return (G.span_q @ (G.span_q.conj().T @ v)).reshape(G.dim, G.dim)
 
 
 def span_residual(G: MatrixAlgebra, M) -> float:

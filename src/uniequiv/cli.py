@@ -2,7 +2,8 @@
 
 Exit codes: 0 = YES, 1 = NO, 2 = INCONCLUSIVE, 3 = malformed file or shape
 mismatch, 4 = invalid algebra, 5 = unmet precondition (e.g. degenerate
-spectrum in generic-mixed mode), 64 = usage error.
+spectrum in generic-mixed mode), 64 = usage error: a missing, malformed or
+out-of-range option, or options that contradict each other.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ EXIT_PRECONDITION = 5
 EXIT_USAGE = 64
 
 
+class _UsageError(UniequivError):
+    """An option value that the command rejects before reading any file."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -59,7 +64,7 @@ def _build_parser() -> _Parser:
     decide.add_argument("--tol-rank", type=float, default=1e-10)
     decide.add_argument("--tol-residual", type=float, default=1e-8)
     decide.add_argument("--phase-grid", type=int, default=12,
-                        help="grid points per circle for generic-mixed phase fallback")
+                        help="grid points per circle for generic-mixed phase fallback (>= 1)")
     decide.add_argument("--verbose", action="store_true")
     decide.add_argument("-o", "--output", help="write the verdict document here instead of stdout")
 
@@ -94,7 +99,7 @@ def _parse_algebra_flag(flag: str, name: str):
             return ("factor", a, b)
         except ValueError:
             pass
-    raise MalformedInstanceError(f'--{name}: expected "full" or "factor:a,b", got {flag!r}')
+    raise InputError(f'--{name}: expected "full" or "factor:a,b", got {flag!r}')
 
 
 def _write(text: str, path: str | None) -> None:
@@ -106,8 +111,13 @@ def _write(text: str, path: str | None) -> None:
 
 
 def cmd_decide(args) -> int:
-    tol = Tolerances(rank_rel=args.tol_rank, residual_abs=args.tol_residual)
-    cfg = SamplerConfig(sample_max=args.sample_max, trials=args.trials, seed=args.seed)
+    try:
+        tol = Tolerances(rank_rel=args.tol_rank, residual_abs=args.tol_residual)
+        cfg = SamplerConfig(sample_max=args.sample_max, trials=args.trials, seed=args.seed)
+    except InputError as exc:
+        raise _UsageError(str(exc)) from exc
+    if args.phase_grid < 1:
+        raise _UsageError(f"--phase-grid must be at least 1, got {args.phase_grid}")
     doc, (mode, payload) = serialize.load_instance(args.instance)
     if args.mode is not None and args.mode != mode:
         mode, payload = serialize.parse_instance({**doc, "mode": args.mode})
@@ -130,17 +140,20 @@ def cmd_decide(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    """Write a planted instance; gen reads no file, so every error is a usage error."""
     g1 = _parse_algebra_flag(args.g1, "g1")
     g2 = _parse_algebra_flag(args.g2, "g2")
     if args.d1 < 1 or args.d2 < 1 or args.m < 0:
-        raise MalformedInstanceError("dimensions must be positive and m non-negative")
+        raise InputError("dimensions must be positive and m non-negative")
+    if args.no_ and args.witness:
+        raise InputError("--witness needs --yes: a NO instance has no planted certificate")
     if args.yes:
         inst, (U0, V0) = random_yes_instance(args.d1, args.d2, args.m, g1, g2, seed=args.seed)
         if args.witness:
             _write(serialize.dumps_document(serialize.certificate_to_json(U0, V0)), args.witness)
     else:
         if (g1, g2) != ("full", "full"):
-            raise MalformedInstanceError("NO instances are generated over the full algebras")
+            raise InputError("NO instances are generated over the full algebras")
         inst = random_no_instance(args.d1, args.d2, args.m, seed=args.seed)
     doc = serialize.instance_to_json(inst, mode="matrix-pairs", seed=args.seed)
     _write(serialize.dumps_document(doc), args.output)
@@ -176,17 +189,14 @@ def main(argv=None) -> int:
         if args.command == "gen":
             return cmd_gen(args)
         return cmd_verify(args)
-    except MalformedInstanceError as exc:
+    except UniequivError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except InvalidAlgebraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_ALGEBRA
-    except NotGenericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (InputError, UniequivError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, _UsageError) or args.command == "gen":
+            return EXIT_USAGE
+        if isinstance(exc, InvalidAlgebraError):
+            return EXIT_INVALID_ALGEBRA
+        if isinstance(exc, NotGenericError):
+            return EXIT_PRECONDITION
         return EXIT_MALFORMED
 
 

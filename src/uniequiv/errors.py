@@ -17,17 +17,9 @@ class InvalidAlgebraError(UniequivError):
     """A matrix algebra failed the unitality / multiplicative-closure checks."""
 
 
-class NotPositiveDefiniteError(UniequivError):
-    """Inverse square root requested for a singular or indefinite matrix."""
-
-
 class DegenerateCandidateError(UniequivError):
     """A sampled candidate pair turned out to be numerically singular."""
 
 
 class NotGenericError(UniequivError):
     """Density operator has (nearly) degenerate eigenvalues."""
-
-
-class PhaseResolutionError(UniequivError):
-    """Eigenvector phase alignment could not be completed."""

@@ -8,28 +8,20 @@ than raw determinant magnitudes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InputError, NotPositiveDefiniteError
+from .errors import InputError
 
 __all__ = [
     "Tolerances",
     "MatrixPolynomial",
-    "DeterminantReport",
     "as_complex_matrix",
     "frobenius",
     "numerical_rank",
     "nullspace_basis",
     "hermitian_eigendecomposition",
-    "inverse_sqrt_psd",
-    "vandermonde_inverse_sqrt_coeffs",
-    "evaluate_matrix_polynomial",
-    "polynomial_at_matrix",
     "singular_values",
-    "singular_value_ratio",
-    "determinant_magnitude_sq",
 ]
 
 
@@ -93,11 +85,6 @@ class MatrixPolynomial:
         return self.coefficients[0].shape
 
 
-class DeterminantReport(NamedTuple):
-    value: float       # |det M|^2
-    sv_ratio: float    # sigma_min / sigma_max, the singularity predicate
-
-
 def numerical_rank(s, tol: Tolerances = Tolerances()) -> int:
     """Count of singular values above rank_rel * sigma_max; s is sorted descending."""
     if s.size == 0 or s[0] == 0.0:
@@ -144,90 +131,6 @@ def hermitian_eigendecomposition(H, tol: Tolerances = Tolerances()):
     return w[order], Q[:, order]
 
 
-def inverse_sqrt_psd(H, tol: Tolerances = Tolerances()) -> np.ndarray:
-    """Hermitian S with S H S = I, for positive definite H (spectral method)."""
-    w, Q = hermitian_eigendecomposition(H, tol)
-    if w[0] <= 0.0 or w[-1] <= tol.rank_rel * w[0]:
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite at rank_rel={tol.rank_rel}: spectrum "
-            f"[{w[-1]:.3e}, {w[0]:.3e}]"
-        )
-    S = (Q / np.sqrt(w)) @ Q.conj().T
-    return (S + S.conj().T) / 2.0
-
-
-def vandermonde_inverse_sqrt_coeffs(eigs: Sequence[float], tol: Tolerances = Tolerances()) -> np.ndarray:
-    """Monomial coefficients of the polynomial p with p(x_i) = x_i^(-1/2).
-
-    Solves the Vandermonde system with the Bjorck-Pereyra recurrence (Newton
-    divided differences followed by monomial conversion), which stays accurate
-    where a generic LU solve would not.
-    """
-    x = np.asarray(eigs, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise InputError("expected a non-empty 1-D list of eigenvalues")
-    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
-        raise InputError("eigenvalues must be finite and strictly positive")
-    x = np.sort(x)
-    if x.size > 1 and np.min(np.diff(x)) <= tol.degenerate_gap:
-        raise InputError(f"eigenvalues must be pairwise distinct (gap > {tol.degenerate_gap})")
-    xl = x.astype(np.longdouble)
-    c = 1.0 / np.sqrt(xl)
-    n = x.size
-    for k in range(n - 1):
-        for i in range(n - 1, k, -1):
-            c[i] = (c[i] - c[i - 1]) / (xl[i] - xl[i - k - 1])
-    for k in range(n - 2, -1, -1):
-        for i in range(k, n - 1):
-            c[i] -= xl[k] * c[i + 1]
-    return c.astype(float)
-
-
-def evaluate_matrix_polynomial(P: MatrixPolynomial, lam: complex) -> np.ndarray:
-    """Horner evaluation of P at the scalar lam."""
-    acc = P.coefficients[-1].copy()
-    for C in reversed(P.coefficients[:-1]):
-        acc = acc * lam + C
-    return acc
-
-
-def polynomial_at_matrix(coeffs, H) -> np.ndarray:
-    """Horner evaluation of a scalar polynomial at a square matrix.
-
-    coeffs are monomial coefficients in ascending degree, as returned by
-    vandermonde_inverse_sqrt_coeffs.
-    """
-    H = as_complex_matrix(H, "H")
-    if H.shape[0] != H.shape[1]:
-        raise InputError("polynomial_at_matrix needs a square matrix")
-    c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 1 or c.size == 0:
-        raise InputError("expected a non-empty 1-D coefficient list")
-    eye = np.eye(H.shape[0], dtype=complex)
-    acc = c[-1] * eye
-    for coef in c[-2::-1]:
-        acc = acc @ H + coef * eye
-    return acc
-
-
 def singular_values(M) -> np.ndarray:
     """Singular values, descending, length min(rows, cols)."""
     return np.linalg.svd(as_complex_matrix(M), compute_uv=False)
-
-
-def singular_value_ratio(M) -> float:
-    """sigma_min / sigma_max; 0 for the zero matrix."""
-    s = singular_values(M)
-    if s[0] == 0.0:
-        return 0.0
-    return float(s[-1] / s[0])
-
-
-def determinant_magnitude_sq(M, tol: Tolerances = Tolerances()) -> DeterminantReport:
-    """|det M|^2 via pivoted LU, alongside the sv-ratio singularity predicate."""
-    M = as_complex_matrix(M)
-    if M.shape[0] != M.shape[1]:
-        raise InputError(f"determinant needs a square matrix, got shape {M.shape}")
-    sign, logabs = np.linalg.slogdet(M)
-    value = 0.0 if sign == 0.0 or np.isneginf(logabs) else float(np.exp(2.0 * logabs))
-    return DeterminantReport(value=value, sv_ratio=singular_value_ratio(M))

@@ -1,14 +1,12 @@
-"""Ground-truth machinery for tests: planted instances, Haar unitaries
-restricted to an algebra, and exact rational nullspace dimensions.
+"""Seeded instance generators: planted YES instances, NO instances and
+Haar unitaries restricted to an algebra. `uniequiv gen` builds its
+instances here.
 
 NO instances are built only through invariant violation (a rescaled top
 singular value) so their verdicts never depend on the randomized solver.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -17,87 +15,11 @@ from .errors import InputError
 from .solver import UepInstance
 
 __all__ = [
-    "GaussianRational",
     "random_yes_instance",
     "random_no_instance",
     "haar_unitary_in_algebra",
-    "exact_nullspace_dimension",
     "algebra_from_kind",
 ]
-
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """Complex number with exact rational real and imaginary parts."""
-
-    re: Fraction
-    im: Fraction = Fraction(0)
-
-    def __add__(self, other):
-        other = _coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        return GaussianRational(self.re * other.re - self.im * other.im,
-                                self.re * other.im + self.im * other.re)
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        denom = other.re * other.re + other.im * other.im
-        if denom == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational((self.re * other.re + self.im * other.im) / denom,
-                                (self.im * other.re - self.re * other.im) / denom)
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
-    def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
-
-
-def _coerce(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(Fraction(value))
-    if isinstance(value, float):
-        return GaussianRational(Fraction(value))  # exact binary expansion
-    if isinstance(value, complex):
-        return GaussianRational(Fraction(value.real), Fraction(value.imag))
-    raise InputError(f"cannot coerce {type(value).__name__} to GaussianRational")
-
-
-def exact_nullspace_dimension(M) -> int:
-    """Nullity of a matrix over the Gaussian rationals by exact elimination.
-
-    Entries may be GaussianRational, int, Fraction, float or complex (floats
-    convert exactly via their binary expansion).
-    """
-    rows = [[_coerce(e) for e in row] for row in M]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    if any(len(row) != ncols for row in rows):
-        raise InputError("ragged matrix")
-    rank = 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                factor = rows[r][col] / pivot
-                rows[r] = [rows[r][c] - factor * rows[rank][c] for c in range(ncols)]
-        rank += 1
-    return ncols - rank
 
 
 def _as_rng(seed) -> np.random.Generator:

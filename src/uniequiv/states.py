@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .algebra import factor_algebra
-from .errors import InputError, NotGenericError, PhaseResolutionError
+from .errors import InputError, NotGenericError
 from .linalg import Tolerances, as_complex_matrix, frobenius, hermitian_eigendecomposition
 from .solver import (
     SamplerConfig,
@@ -34,12 +34,9 @@ __all__ = [
     "pure_state",
     "density_operator",
     "state_to_matrix",
-    "matrix_to_state",
     "simultaneous_lu_pure",
     "unilocal_mixed_equivalence",
     "generic_mixed_lu",
-    "resolve_eigenvector_phases",
-    "singular_value_prefilter",
 ]
 
 
@@ -89,11 +86,6 @@ def density_operator(d1: int, d2: int, matrix) -> DensityOperator:
 
 def state_to_matrix(s: PureState) -> np.ndarray:
     return s.amplitudes.reshape(s.d1, s.d2)
-
-
-def matrix_to_state(M, d1: int | None = None, d2: int | None = None) -> PureState:
-    M = as_complex_matrix(M, "state matrix")
-    return pure_state(d1 or M.shape[0], d2 or M.shape[1], M.ravel())
 
 
 def _check_uniform(states, what: str):
@@ -164,6 +156,10 @@ def unilocal_mixed_equivalence(rhos, sigmas, cfg: SamplerConfig = SamplerConfig(
     return check_certificate(verdict, "unilocal-mixed", (rhos, sigmas), tol)
 
 
+_EDGE_DENOM = 1e-6
+_EDGE_MODULUS = 1e-4
+
+
 def _quartic_traces(mats) -> np.ndarray:
     """T[i, j, k] = tr(m_i^dag m_j m_k^dag m_i); invariant up to lam_j conj(lam_k).
 
@@ -174,13 +170,15 @@ def _quartic_traces(mats) -> np.ndarray:
     return np.einsum("ijyz,kizy->ijk", P, P)
 
 
-def _resolve_phase_components(psis, phis, tol: Tolerances,
-                              denom_tol: float = 1e-6, mag_tol: float = 1e-4):
+def _resolve_phase_components(psis, phis):
     """Per-index phases lam_j with U psi_j V^dag = lam_j phi_j, up to one free
     phase per connected component of the trace graph.
 
-    Returns (lambdas, components); components are index lists, each gauged to
-    lam = 1 at its smallest index, ordered by that index.
+    An edge k -> j needs a trace ratio T_psi[i, j, k] / T_phi[i, j, k] with
+    |T_phi| > _EDGE_DENOM and modulus within _EDGE_MODULUS of 1. Returns
+    (lambdas, components); components are index lists, each gauged to lam = 1
+    at its smallest index, ordered by that index. generic_mixed_lu grids over
+    the phases of every component after the first.
     """
     n = len(psis)
     Tpsi = _quartic_traces(psis)
@@ -202,10 +200,10 @@ def _resolve_phase_components(psis, phis, tol: Tolerances,
                     continue
                 for i in range(n):
                     denom = Tphi[i, j, k]
-                    if abs(denom) <= denom_tol:
+                    if abs(denom) <= _EDGE_DENOM:
                         continue
                     ratio = Tpsi[i, j, k] / denom
-                    if abs(abs(ratio) - 1.0) > mag_tol:
+                    if abs(abs(ratio) - 1.0) > _EDGE_MODULUS:
                         continue  # unusable edge: non-equivalence or noise
                     lambdas[j] = (ratio / abs(ratio)) * lambdas[k]
                     resolved[j] = True
@@ -214,22 +212,6 @@ def _resolve_phase_components(psis, phis, tol: Tolerances,
                     break
         components.append(sorted(comp))
     return lambdas, components
-
-
-def resolve_eigenvector_phases(psis, phis, tol: Tolerances = Tolerances()):
-    """Rescale phis so that a single (U, V) can map psi_j -> rescaled phi_j.
-
-    Raises PhaseResolutionError when the trace graph is disconnected (the
-    remaining phases then require the grid fallback in generic_mixed_lu).
-    """
-    if len(psis) != len(phis):
-        raise InputError("lists must have equal length")
-    lambdas, components = _resolve_phase_components(psis, phis, tol)
-    if len(components) > 1:
-        raise PhaseResolutionError(
-            f"phase graph is disconnected into {len(components)} components"
-        )
-    return [lam * phi for lam, phi in zip(lambdas, phis)]
 
 
 def _marginals(rho: DensityOperator):
@@ -277,7 +259,8 @@ def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
     psi_j and phi_j are exact NOs, and two product states are decided from
     their marginals. Otherwise per-vector phases are aligned via the
     quartic-trace identity and the simultaneous pure-state solver finishes
-    the job, over a grid of phases when the trace graph is disconnected.
+    the job, over a grid of phase_grid >= 1 points per free phase when the
+    trace graph is disconnected.
     YES verdicts are re-verified directly on the density matrices.
 
     Every verdict's aux holds `phase_components` (components of the trace
@@ -286,6 +269,8 @@ def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
     """
     if (rho.d1, rho.d2) != (sigma.d1, sigma.d2):
         raise InputError("density operators have mismatched dimensions")
+    if phase_grid < 1:
+        raise InputError(f"phase_grid must be at least 1, got {phase_grid}")
     d1, d2 = rho.d1, rho.d2
     w_r, Q_r = hermitian_eigendecomposition(rho.matrix, tol)
     w_s, Q_s = hermitian_eigendecomposition(sigma.matrix, tol)
@@ -311,7 +296,7 @@ def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
     if not ok:
         return _with_counts(UepVerdict(verdict="NO", certainty="exact",
                                        detail=f"Schmidt coefficients of eigenvector {idx} differ"))
-    lambdas, components = _resolve_phase_components(psis, phis, tol)
+    lambdas, components = _resolve_phase_components(psis, phis)
 
     def run(phases) -> UepVerdict:
         aligned = [lam * phi for lam, phi in zip(phases, phis)]

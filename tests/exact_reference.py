@@ -1,0 +1,159 @@
+"""Reference kernels the tests compare the package against, none of them on
+the decide path: the polynomial polar factor U = A p(A^dag A) (acceptance
+criterion 3), sigma_min/sigma_max of a candidate (criterion 4) and nullity
+by exact elimination over the Gaussian rationals (criterion 5)."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
+
+from uniequiv import InputError, Tolerances, hermitian_eigendecomposition, singular_values
+from uniequiv.linalg import as_complex_matrix
+
+
+class NotPositiveDefiniteError(Exception):
+    """Inverse square root requested for a singular or indefinite matrix."""
+
+
+def inverse_sqrt_psd(H, tol: Tolerances = Tolerances()) -> np.ndarray:
+    """Hermitian S with S H S = I, for positive definite H (spectral method)."""
+    w, Q = hermitian_eigendecomposition(H, tol)
+    if w[0] <= 0.0 or w[-1] <= tol.rank_rel * w[0]:
+        raise NotPositiveDefiniteError(
+            f"matrix is not positive definite at rank_rel={tol.rank_rel}: spectrum "
+            f"[{w[-1]:.3e}, {w[0]:.3e}]"
+        )
+    S = (Q / np.sqrt(w)) @ Q.conj().T
+    return (S + S.conj().T) / 2.0
+
+
+def vandermonde_inverse_sqrt_coeffs(eigs: Sequence[float], tol: Tolerances = Tolerances()) -> np.ndarray:
+    """Monomial coefficients of the polynomial p with p(x_i) = x_i^(-1/2).
+
+    Solves the Vandermonde system with the Bjorck-Pereyra recurrence (Newton
+    divided differences followed by monomial conversion), which stays accurate
+    where a generic LU solve would not.
+    """
+    x = np.asarray(eigs, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise InputError("expected a non-empty 1-D list of eigenvalues")
+    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
+        raise InputError("eigenvalues must be finite and strictly positive")
+    x = np.sort(x)
+    if x.size > 1 and np.min(np.diff(x)) <= tol.degenerate_gap:
+        raise InputError(f"eigenvalues must be pairwise distinct (gap > {tol.degenerate_gap})")
+    xl = x.astype(np.longdouble)
+    c = 1.0 / np.sqrt(xl)
+    n = x.size
+    for k in range(n - 1):
+        for i in range(n - 1, k, -1):
+            c[i] = (c[i] - c[i - 1]) / (xl[i] - xl[i - k - 1])
+    for k in range(n - 2, -1, -1):
+        for i in range(k, n - 1):
+            c[i] -= xl[k] * c[i + 1]
+    return c.astype(float)
+
+
+def polynomial_at_matrix(coeffs, H) -> np.ndarray:
+    """Horner evaluation of a scalar polynomial at a square matrix.
+
+    coeffs are monomial coefficients in ascending degree, as returned by
+    vandermonde_inverse_sqrt_coeffs.
+    """
+    H = as_complex_matrix(H, "H")
+    if H.shape[0] != H.shape[1]:
+        raise InputError("polynomial_at_matrix needs a square matrix")
+    c = np.asarray(coeffs, dtype=complex)
+    if c.ndim != 1 or c.size == 0:
+        raise InputError("expected a non-empty 1-D coefficient list")
+    eye = np.eye(H.shape[0], dtype=complex)
+    acc = c[-1] * eye
+    for coef in c[-2::-1]:
+        acc = acc @ H + coef * eye
+    return acc
+
+
+def singular_value_ratio(M) -> float:
+    """sigma_min / sigma_max; 0 for the zero matrix."""
+    s = singular_values(M)
+    if s[0] == 0.0:
+        return 0.0
+    return float(s[-1] / s[0])
+
+
+@dataclass(frozen=True)
+class GaussianRational:
+    """Complex number with exact rational real and imaginary parts."""
+
+    re: Fraction
+    im: Fraction = Fraction(0)
+
+    def __add__(self, other):
+        other = _coerce(other)
+        return GaussianRational(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        other = _coerce(other)
+        return GaussianRational(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        other = _coerce(other)
+        return GaussianRational(self.re * other.re - self.im * other.im,
+                                self.re * other.im + self.im * other.re)
+
+    def __truediv__(self, other):
+        other = _coerce(other)
+        denom = other.re * other.re + other.im * other.im
+        if denom == 0:
+            raise ZeroDivisionError("division by zero GaussianRational")
+        return GaussianRational((self.re * other.re + self.im * other.im) / denom,
+                                (self.im * other.re - self.re * other.im) / denom)
+
+    def conjugate(self):
+        return GaussianRational(self.re, -self.im)
+
+    def __bool__(self) -> bool:
+        return self.re != 0 or self.im != 0
+
+
+def _coerce(value) -> GaussianRational:
+    if isinstance(value, GaussianRational):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return GaussianRational(Fraction(value))
+    if isinstance(value, float):
+        return GaussianRational(Fraction(value))  # exact binary expansion
+    if isinstance(value, complex):
+        return GaussianRational(Fraction(value.real), Fraction(value.imag))
+    raise InputError(f"cannot coerce {type(value).__name__} to GaussianRational")
+
+
+def exact_nullspace_dimension(M) -> int:
+    """Nullity of a matrix over the Gaussian rationals by exact elimination.
+
+    Entries may be GaussianRational, int, Fraction, float or complex (floats
+    convert exactly via their binary expansion).
+    """
+    rows = [[_coerce(e) for e in row] for row in M]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    if any(len(row) != ncols for row in rows):
+        raise InputError("ragged matrix")
+    rank = 0
+    for col in range(ncols):
+        pivot_row = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        pivot = rows[rank][col]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
+                factor = rows[r][col] / pivot
+                rows[r] = [rows[r][c] - factor * rows[rank][c] for c in range(ncols)]
+        rank += 1
+    return ncols - rank

@@ -15,25 +15,27 @@ from uniequiv import (
     Tolerances,
     decide_uep,
     density_operator,
-    exact_nullspace_dimension,
     generic_mixed_lu,
-    inverse_sqrt_psd,
     per_trial_failure_bound,
-    polynomial_at_matrix,
     pure_state,
     random_no_instance,
     random_yes_instance,
-    singular_value_ratio,
     state_to_matrix,
     unilocal_mixed_equivalence,
     uep_instance_full,
-    vandermonde_inverse_sqrt_coeffs,
 )
 from uniequiv.algebra import span_residual
 from uniequiv.serialize import dumps_document, verdict_document
 from uniequiv.solver import build_linear_system, draw_candidate, sample_invertible, solve_solution_space
 
 from conftest import ginibre, haar, random_density
+from exact_reference import (
+    exact_nullspace_dimension,
+    inverse_sqrt_psd,
+    polynomial_at_matrix,
+    singular_value_ratio,
+    vandermonde_inverse_sqrt_coeffs,
+)
 
 TOL = Tolerances()
 

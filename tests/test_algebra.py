@@ -11,7 +11,7 @@ from uniequiv import (
     membership_constraints,
     verify_algebra,
 )
-from uniequiv.algebra import AlgebraReport, matrix_units, project_onto_span, span_residual
+from uniequiv.algebra import AlgebraReport, matrix_units, span_residual
 
 from conftest import ginibre, haar
 
@@ -72,13 +72,14 @@ class TestFullAlgebra:
         assert report.unital and report.multiplicatively_closed and report.star_closed
 
     @pytest.mark.parametrize("d", range(1, 7))
-    def test_matches_the_algebra_built_from_matrix_units(self, d, rng):
+    def test_matches_the_algebra_built_from_matrix_units(self, d):
         G, ref = full_algebra(d), matrix_algebra(matrix_units(d), kind="full")
         assert np.allclose(G.span_q.conj().T @ G.span_q, np.eye(d * d), atol=1e-12)
         assert all(np.array_equal(E, F) for E, F in zip(G.basis, ref.basis))
         assert verify_algebra(G) == verify_algebra(ref)
-        M = ginibre(d, d, rng)
-        assert np.allclose(project_onto_span(G, M), project_onto_span(ref, M), atol=1e-12)
+        # same orthogonal projector onto the span, whatever basis of it span_q holds
+        assert np.allclose(G.span_q @ G.span_q.conj().T, ref.span_q @ ref.span_q.conj().T,
+                           atol=1e-12)
 
     def test_d1_basis(self):
         G = full_algebra(1)
@@ -177,10 +178,3 @@ class TestMembership:
             span_residual(G, outsider), abs=1e-10
         )
         assert span_residual(G, outsider) > 1e-3
-
-    def test_projection_idempotent(self, rng):
-        G = factor_algebra(2, 2)
-        member = sum(c * E for c, E in zip(rng.standard_normal(4) + 1j * rng.standard_normal(4), G.basis))
-        P = project_onto_span(G, member)
-        assert np.linalg.norm(P - member) < 1e-10
-        assert np.linalg.norm(project_onto_span(G, P) - P) < 1e-10

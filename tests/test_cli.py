@@ -65,6 +65,18 @@ class TestGen:
         doc = json.loads(out.read_text())
         assert doc["G1"] == {"kind": "factor", "a": 2, "b": 2}
 
+    @pytest.mark.parametrize("flags", [
+        ["--no", "--witness", "w.json"],
+        ["--no", "--g1", "factor:2,1"],
+        ["--yes", "--g1", "factor:x"],
+    ], ids=["no-with-witness", "no-with-factor", "malformed-factor"])
+    def test_option_errors_exit_64_and_write_nothing(self, tmp_path, monkeypatch, capsys, flags):
+        # gen reads no file, so each error it finds is in its options
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "--d1", "2", "--d2", "2", "--seed", "1", "-o", "i.json", *flags]) == 64
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_no_instance_fails_prefilter(self, tmp_path):
         out = tmp_path / "no.json"
         assert main(["gen", "--no", "--d1", "2", "--d2", "3", "--seed", "9", "-o", str(out)]) == 0
@@ -112,6 +124,19 @@ class TestDecide:
         with pytest.raises(SystemExit) as exc:
             main(["decide"])  # missing instance and --seed
         assert exc.value.code == 64
+
+    @pytest.mark.parametrize("option", [
+        ["--phase-grid", "0"], ["--phase-grid", "-3"], ["--trials", "0"], ["--sample-max", "1"],
+        ["--tol-rank", "0"], ["--tol-residual", "2"], ["--seed", "-1"],
+    ], ids=lambda o: "=".join(o))
+    def test_out_of_range_option_exits_64_before_reading_the_file(self, tmp_path, capsys, option):
+        inst_path = tmp_path / "i.json"
+        assert main(["gen", "--yes", "--d1", "2", "--d2", "2", "--seed", "3",
+                     "-o", str(inst_path)]) == 0
+        for path in (inst_path, tmp_path / "missing.json"):
+            assert main(["decide", str(path), "--seed", "1", *option]) == 64
+            out = capsys.readouterr()
+            assert out.out == "" and "error:" in out.err
 
     def test_matpoly_mode(self, tmp_path, rng):
         A = ginibre(2, 2, rng) + 2 * np.eye(2)

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from uniequiv import (
-    GaussianRational,
     InputError,
     SamplerConfig,
     decide_uep,
-    exact_nullspace_dimension,
     factor_algebra,
     full_algebra,
     haar_unitary_in_algebra,
@@ -19,6 +17,8 @@ from uniequiv import (
 )
 from uniequiv.algebra import span_residual
 from uniequiv.solver import build_linear_system, solve_solution_space
+
+from exact_reference import GaussianRational, exact_nullspace_dimension
 
 
 class TestGaussianRational:

@@ -16,7 +16,6 @@ from uniequiv import (
     matrix_algebra,
     sample_invertible,
     singular_value_prefilter,
-    singular_value_ratio,
     solve_solution_space,
     uep_instance_full,
 )
@@ -27,6 +26,7 @@ from uniequiv.solver import (SolutionSpace, UepVerdict, certificate_residuals, c
                              draw_candidate, per_trial_failure_bound)
 
 from conftest import ginibre, haar, random_density
+from exact_reference import singular_value_ratio
 
 CFG = SamplerConfig(seed=17)
 
@@ -178,19 +178,27 @@ class TestExtract:
 
 
 class TestDecide:
-    def test_no_only_when_the_sample_is_singular(self):
+    @pytest.mark.parametrize("rank_rel", [1e-3, 1e-2, 1e-1])
+    def test_no_only_when_the_sample_is_singular(self, rank_rel):
         # extraction uses the sampler's rule, so a candidate the sampler
-        # accepts is never rejected, let alone discarded on the way to a NO
-        tol = Tolerances(rank_rel=1e-2)
+        # accepts is never rejected, let alone discarded on the way to a NO;
+        # a YES from a candidate near the rank cut still has to check out
+        tol = Tolerances(rank_rel=rank_rel)
         inst = uep_instance_full(6, 6, [(np.eye(6), np.eye(6))])
         space = _space(inst, tol)
+        near_cut = 0
         for seed in range(200):
             cfg = SamplerConfig(trials=1, seed=seed)
             verdict = decide_uep(inst, cfg, tol)
-            assert verdict.verdict in ("YES", "NO")
-            if verdict.verdict == "NO":
-                A, B = draw_candidate(space, cfg, 0)
-                assert min(singular_value_ratio(A), singular_value_ratio(B)) <= 1e-2
+            A, B = draw_candidate(space, cfg, 0)
+            ratio = min(singular_value_ratio(A), singular_value_ratio(B))
+            near_cut += rank_rel / 10 <= ratio <= 10 * rank_rel
+            if verdict.verdict == "YES":
+                residuals = certificate_residuals("matrix-pairs", inst, verdict.U, verdict.V, tol)
+                assert max(residuals) <= tol.residual_abs
+            else:
+                assert verdict.verdict == "NO" and ratio <= rank_rel
+        assert near_cut >= 1
 
     def test_swapped_diagonal_is_yes(self):
         inst = uep_instance_full(2, 2, [(np.diag([1.0, 2.0]), np.diag([2.0, 1.0]))])

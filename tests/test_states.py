@@ -4,21 +4,18 @@ import pytest
 from uniequiv import (
     InputError,
     NotGenericError,
-    PhaseResolutionError,
     SamplerConfig,
     Tolerances,
     density_operator,
     generic_mixed_lu,
-    matrix_to_state,
     pure_state,
-    resolve_eigenvector_phases,
     simultaneous_lu_pure,
     singular_values,
     state_to_matrix,
     unilocal_mixed_equivalence,
 )
 from uniequiv import states
-from uniequiv.states import _quartic_traces
+from uniequiv.states import _quartic_traces, _resolve_phase_components, _simultaneous_lu_matrices
 
 from conftest import ginibre, haar, random_density
 
@@ -85,12 +82,6 @@ class TestVectorization:
     def test_maximally_entangled_is_scaled_identity(self):
         s = pure_state(2, 2, np.array([1, 0, 0, 1]) / np.sqrt(2))
         assert np.allclose(state_to_matrix(s), np.eye(2) / np.sqrt(2), atol=1e-12)
-
-    def test_round_trip(self, rng):
-        for _ in range(10):
-            s = _random_state(2, 3, rng)
-            back = matrix_to_state(state_to_matrix(s), 2, 3)
-            assert np.linalg.norm(back.amplitudes - s.amplitudes) <= 1e-12
 
     def test_keystone_correspondence(self, rng):
         # (A (x) B)|psi> must matricize to A psi B^T: fixes every convention
@@ -195,10 +186,17 @@ class TestUnilocalMixed:
         assert verdict.verdict == "NO" and verdict.certainty == "exact"
 
 
+def _aligned(psis, phis):
+    """phis rescaled by the resolved phases; the trace graph must be connected."""
+    lambdas, components = _resolve_phase_components(psis, phis)
+    assert components == [list(range(len(psis)))]
+    return [lam * phi for lam, phi in zip(lambdas, phis)]
+
+
 class TestPhaseResolution:
     def test_identity_transformation(self, rng):
         psis = [ginibre(2, 3, rng) for _ in range(4)]
-        aligned = resolve_eigenvector_phases(psis, psis)
+        aligned = _aligned(psis, psis)
         for a, p in zip(aligned, psis):
             assert np.linalg.norm(a - p) <= 1e-10
 
@@ -206,7 +204,7 @@ class TestPhaseResolution:
         psis = [ginibre(2, 3, rng) for _ in range(5)]
         thetas = rng.uniform(0, 2 * np.pi, size=5)
         phis = [np.exp(1j * t) * p for t, p in zip(thetas, psis)]
-        aligned = resolve_eigenvector_phases(psis, phis)
+        aligned = _aligned(psis, phis)
         # gauge-fixed to the first state: aligned must equal psis up to one
         # global phase shared by all entries
         g = np.vdot(psis[0].ravel(), aligned[0].ravel())
@@ -234,11 +232,11 @@ class TestPhaseResolution:
         mats = [ginibre(d1, d2, rng) for _ in range(n)]
         assert np.max(np.abs(_quartic_traces(mats) - _reference_quartic_traces(mats))) <= 1e-10
 
-    def test_disconnected_graph_raises(self):
+    def test_disconnected_graph_splits_into_components(self):
         # orthogonal supports: every cross trace vanishes
         psis = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
-        with pytest.raises(PhaseResolutionError):
-            resolve_eigenvector_phases(psis, psis)
+        _, components = _resolve_phase_components(psis, psis)
+        assert components == [[0], [1]]
 
     def test_end_to_end_rephased_transform(self, rng):
         d1, d2 = 2, 2
@@ -246,10 +244,22 @@ class TestPhaseResolution:
         psis = [ginibre(d1, d2, rng) for _ in range(4)]
         lam = np.exp(1j * rng.uniform(0, 2 * np.pi, size=4))
         phis = [U0 @ p @ V0.conj().T / l for p, l in zip(psis, lam)]
-        aligned = resolve_eigenvector_phases(psis, phis)
-        from uniequiv.states import _simultaneous_lu_matrices
+        aligned = _aligned(psis, phis)
         verdict = _simultaneous_lu_matrices(psis, aligned, CFG, Tolerances())
         assert verdict.verdict == "YES"
+
+
+def _classical_quantum_pair(rng):
+    """|0><0| (x) rho_1 + |1><1| (x) rho_2 and its (U (x) V) conjugate: every
+    eigenvector is a product vector, so the trace graph has 4 components, and
+    the phases the conjugate needs are not multiples of pi."""
+    rho = np.zeros((4, 4), dtype=complex)
+    for block, p, w in ((slice(0, 2), 0.6, [0.7, 0.3]), (slice(2, 4), 0.4, [0.85, 0.15])):
+        Q = haar(2, rng)
+        rho[block, block] = p * (Q * w) @ Q.conj().T
+    rho = density_operator(2, 2, rho)
+    local = np.kron(haar(2, rng), haar(2, rng))
+    return rho, density_operator(2, 2, local @ rho.matrix @ local.conj().T)
 
 
 class TestGenericMixed:
@@ -339,22 +349,18 @@ class TestGenericMixed:
         assert not solver_calls
 
     def test_exhausted_grid_is_a_fresh_inconclusive(self, rng, solver_calls):
-        # |0><0| (x) rho_1 + |1><1| (x) rho_2: every eigenvector is a product
-        # vector, so the trace graph has 4 components, and the phases the
-        # (U (x) V) conjugate needs are not multiples of pi
-        rho = np.zeros((4, 4), dtype=complex)
-        for block, p, w in ((slice(0, 2), 0.6, [0.7, 0.3]), (slice(2, 4), 0.4, [0.85, 0.15])):
-            Q = haar(2, rng)
-            rho[block, block] = p * (Q * w) @ Q.conj().T
-        rho = density_operator(2, 2, rho)
-        local = np.kron(haar(2, rng), haar(2, rng))
-        sigma = density_operator(2, 2, local @ rho.matrix @ local.conj().T)
-        verdict = generic_mixed_lu(rho, sigma, CFG, phase_grid=2)
+        verdict = generic_mixed_lu(*_classical_quantum_pair(rng), CFG, phase_grid=2)
         assert (verdict.verdict, verdict.certainty) == ("INCONCLUSIVE", "probabilistic")
         assert verdict.solution_dimension is None
         assert verdict.U is None and verdict.V is None
         assert verdict.aux == {"phase_components": 4, "grid_solves": 8}
         assert len(solver_calls) == 8
+
+    @pytest.mark.parametrize("phase_grid", [0, -3])
+    def test_phase_grid_below_one_is_rejected(self, rng, solver_calls, phase_grid):
+        with pytest.raises(InputError, match="phase_grid"):
+            generic_mixed_lu(*_classical_quantum_pair(rng), CFG, phase_grid=phase_grid)
+        assert not solver_calls
 
     def test_degenerate_spectrum_rejected(self):
         rho = density_operator(2, 2, np.eye(4) / 4.0)
