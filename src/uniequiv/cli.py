@@ -90,6 +90,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# dest -> (flag, test, rule): the ranges `decide` and `verify` check before reading a file
+_RANGES = {
+    "tol_rank": ("--tol-rank", lambda v: 0.0 < v < 1.0, "lie strictly in (0, 1)"),
+    "tol_residual": ("--tol-residual", lambda v: 0.0 < v < 1.0, "lie strictly in (0, 1)"),
+    "trials": ("--trials", lambda v: v >= 1, "be at least 1"),
+    "sample_max": ("--sample-max", lambda v: v >= 2, "be at least 2"),
+    "seed": ("--seed", lambda v: v >= 0, "be at least 0"),
+    "phase_grid": ("--phase-grid", lambda v: v >= 1, "be at least 1"),
+}
+
+
+def _check_ranges(args) -> None:
+    """Reject an out-of-range option of the command, naming the flag as typed."""
+    for dest, (flag, ok, rule) in _RANGES.items():
+        value = getattr(args, dest, None)
+        if value is not None and not ok(value):
+            raise _UsageError(f"{flag} must {rule}, got {value}")
+
+
 def _parse_algebra_flag(flag: str, name: str):
     if flag == "full":
         return "full"
@@ -111,13 +130,9 @@ def _write(text: str, path: str | None) -> None:
 
 
 def cmd_decide(args) -> int:
-    try:
-        tol = Tolerances(rank_rel=args.tol_rank, residual_abs=args.tol_residual)
-        cfg = SamplerConfig(sample_max=args.sample_max, trials=args.trials, seed=args.seed)
-    except InputError as exc:
-        raise _UsageError(str(exc)) from exc
-    if args.phase_grid < 1:
-        raise _UsageError(f"--phase-grid must be at least 1, got {args.phase_grid}")
+    _check_ranges(args)
+    tol = Tolerances(rank_rel=args.tol_rank, residual_abs=args.tol_residual)
+    cfg = SamplerConfig(sample_max=args.sample_max, trials=args.trials, seed=args.seed)
     doc, (mode, payload) = serialize.load_instance(args.instance)
     if args.mode is not None and args.mode != mode:
         mode, payload = serialize.parse_instance({**doc, "mode": args.mode})
@@ -168,6 +183,7 @@ def cmd_verify(args) -> int:
     linear system, the sampler or the extraction. perfbench/check.py is the
     checker that shares no code with the package.
     """
+    _check_ranges(args)
     _, (mode, payload) = serialize.load_instance(args.instance)
     try:
         with open(args.certificate, "r", encoding="utf-8") as fh:

@@ -17,6 +17,16 @@ A^dag in G1 as conj(C) vec(A^T) = 0 for G1's membership rows C (likewise for
 B). Matrix polynomials run through the same pipeline with full algebras and
 the first equation only.
 
+Over two full algebras the system is solved in the singular frames of one
+random pivot pair X_c = sum c_i X_i, Y_c = sum c_i Y_i. Every solution also
+satisfies A X_c X_c^dag = Y_c Y_c^dag A and B X_c^dag X_c = Y_c^dag Y_c B, so
+with X_c = W_x S R_x^dag and Y_c = W_y S' R_y^dag the matrices W_y^dag A W_x
+and R_y^dag B R_x are block-diagonal over the clusters of equal singular
+values: only the unknowns inside those blocks are kept, 2d of them instead
+of 2d^2 for distinct singular values. Clusters merge at a loose relative
+gap, since merging only enlarges the searched space. A pivot pair whose
+spectra differ is an exact NO, because U X_c V^dag = Y_c for every solution.
+
 Every YES, in every mode, leaves the package through `check_certificate`,
 which recomputes the certificate's residual and side conditions with
 `certificate_residuals`; `uniequiv verify` calls the same function.
@@ -48,7 +58,10 @@ __all__ = [
     "SamplerConfig",
     "UepVerdict",
     "LinearSystem",
+    "PivotFrames",
     "singular_value_prefilter",
+    "pivot_pair",
+    "pivot_frames",
     "build_linear_system",
     "solve_solution_space",
     "sample_invertible",
@@ -142,6 +155,31 @@ class LinearSystem:
     basis2: np.ndarray           # stacked G2 basis, shape (|G2|, d2, d2)
 
 
+# Relative singular-value gap (against max(1, sigma_1)) at or below which the
+# pivot's clusters merge; only a gap above it in both spectra splits them.
+_PIVOT_GAP = 1e-6
+
+
+class PivotFrames(NamedTuple):
+    """Singular frames X_c = W_x S R_x^dag, Y_c = W_y S' R_y^dag of a pivot pair.
+
+    blocks1 and blocks2 are the clusters of equal singular values as
+    (start, stop) ranges of the spectra zero-padded to d1 (the A side) and
+    to d2 (the B side). merged_gap is the largest relative gap merged inside
+    a cluster (0.0 if none), split_gap the smallest one kept between two
+    clusters (None for one cluster on both sides).
+    """
+
+    W_x: np.ndarray
+    R_x: np.ndarray
+    W_y: np.ndarray
+    R_y: np.ndarray
+    blocks1: tuple
+    blocks2: tuple
+    merged_gap: float
+    split_gap: float | None
+
+
 def singular_value_prefilter(pairs, tol: Tolerances = Tolerances()):
     """Per-pair singular-value comparison; a mismatch rules out equivalence.
 
@@ -183,12 +221,72 @@ def _linear_system(E1, E2, pairs, adjoint_rows, memb=(None, None)) -> LinearSyst
     return LinearSystem(matrix=np.vstack(rows), basis1=E1, basis2=E2)
 
 
-def build_linear_system(inst: UepInstance, tol: Tolerances = Tolerances()) -> LinearSystem:
+def pivot_pair(inst: UepInstance, seed: int):
+    """(X_c, Y_c) = sum_i c_i (X_i, Y_i) for a unit complex Gaussian vector c.
+
+    c comes from the child seed of `seed` with spawn key (0,), which none of
+    the sampler's per-trial seeds (seed, trial) reaches.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(0,)))
+    re, im = rng.standard_normal((2, len(inst.pairs)))
+    c = (re + 1j * im) / np.linalg.norm(re + 1j * im)
+    return (sum(ci * X for ci, (X, _) in zip(c, inst.pairs)),
+            sum(ci * Y for ci, (_, Y) in zip(c, inst.pairs)))
+
+
+def _both_full(inst: UepInstance) -> bool:
+    return inst.G1.size == inst.d1 ** 2 and inst.G2.size == inst.d2 ** 2
+
+
+def pivot_frames(Xc, Yc) -> PivotFrames:
+    """Full SVDs of a pivot pair with equal spectra and their clusters.
+
+    A cut between k and k+1 needs a gap above _PIVOT_GAP * max(1, sigma_1)
+    in both spectra, so rounding can merge two clusters but not split one.
+    The spectra are zero-padded to max(d1, d2); the d1 side reads the gaps
+    of its first d1 values, the d2 side those of its first d2.
+    """
+    W_x, sx, Rh_x = np.linalg.svd(Xc)
+    W_y, sy, Rh_y = np.linalg.svd(Yc)
+    pad = np.zeros(max(Xc.shape) - len(sx))
+    gap = np.minimum(-np.diff(np.concatenate([sx, pad])), -np.diff(np.concatenate([sy, pad])))
+    gap /= max(1.0, float(sx[0]), float(sy[0]))
+    cut = gap > _PIVOT_GAP
+
+    def blocks(d):
+        cuts = [0, *(np.flatnonzero(cut[:d - 1]) + 1).tolist(), d]
+        return tuple(zip(cuts[:-1], cuts[1:]))
+
+    return PivotFrames(W_x=W_x, R_x=Rh_x.conj().T, W_y=W_y, R_y=Rh_y.conj().T,
+                       blocks1=blocks(len(W_x)), blocks2=blocks(len(Rh_x)),
+                       merged_gap=float(gap[~cut].max(initial=0.0)),
+                       split_gap=float(gap[cut].min()) if cut.any() else None)
+
+
+def _block_units(d: int, blocks) -> np.ndarray:
+    """The matrix units E_jk of C^(d x d) with j and k in one block, row-major per block."""
+    idx = [(j, k) for a, b in blocks for j in range(a, b) for k in range(a, b)]
+    E = np.zeros((len(idx), d, d), dtype=complex)
+    rows, cols = np.array(idx).T
+    E[np.arange(len(idx)), rows, cols] = 1.0
+    return E
+
+
+def build_linear_system(inst: UepInstance, tol: Tolerances = Tolerances(),
+                        frames: PivotFrames | None = None) -> LinearSystem:
     """Complex-linear constraint matrix of the linearized system.
 
     Unknowns are the coordinates of A over G1's basis followed by those of B
     over G2's basis. For star-closed algebras the adjoint-membership
     constraints are vacuous and omitted.
+
+    With pivot frames (both algebras full) the bases are the block matrix
+    units carried back to the original frame, W_y E W_x^dag for A and
+    R_y E R_x^dag for B, and the rows are those of the rotated pairs
+    W_x^dag X_i R_x, W_y^dag Y_i R_y: A' X'_i = Y'_i B' is A X_i = Y_i B in
+    the frames, and likewise for the adjoint equation. Those rows are kept
+    as the triangular factor R of their QR decomposition, which has the same
+    nullspace and singular values in far fewer rows.
     """
     memb = []
     for name, G in (("G1", inst.G1), ("G2", inst.G2)):
@@ -199,8 +297,18 @@ def build_linear_system(inst: UepInstance, tol: Tolerances = Tolerances()) -> Li
                 f"multiplicatively_closed={report.multiplicatively_closed}"
             )
         memb.append(None if report.star_closed else membership_constraints(G))
-    return _linear_system(np.stack(inst.G1.basis), np.stack(inst.G2.basis), inst.pairs,
-                          adjoint_rows=True, memb=memb)
+    if frames is None:
+        return _linear_system(np.stack(inst.G1.basis), np.stack(inst.G2.basis), inst.pairs,
+                              adjoint_rows=True, memb=memb)
+    if not _both_full(inst):
+        raise InputError("pivot frames apply only when both algebras are full")
+    E1, E2 = _block_units(inst.d1, frames.blocks1), _block_units(inst.d2, frames.blocks2)
+    Wxh, Rxh = frames.W_x.conj().T, frames.R_x.conj().T
+    pairs = tuple((Wxh @ X @ frames.R_x, frames.W_y.conj().T @ Y @ frames.R_y)
+                  for X, Y in inst.pairs)
+    rows = _linear_system(E1, E2, pairs, adjoint_rows=True).matrix
+    return LinearSystem(matrix=np.linalg.qr(rows, mode="r"),
+                        basis1=frames.W_y @ E1 @ Wxh, basis2=frames.R_y @ E2 @ Rxh)
 
 
 def solve_solution_space(system: LinearSystem, tol: Tolerances = Tolerances()) -> SolutionSpace:
@@ -361,12 +469,37 @@ def _search(system: LinearSystem, cfg: SamplerConfig, tol: Tolerances, kind: str
 
 def decide_uep(inst: UepInstance, cfg: SamplerConfig = SamplerConfig(),
                tol: Tolerances = Tolerances()) -> UepVerdict:
-    """Full decision pipeline; YES verdicts carry a verified (U, V) certificate."""
+    """Full decision pipeline; YES verdicts carry a verified (U, V) certificate.
+
+    Over two full algebras the system is built in the frames of the pivot
+    pair drawn from cfg.seed (one cluster on both sides keeps the plain
+    system, which the frames would not shrink), and every verdict past the
+    pivot records pivot_clusters, pivot_merged_gap and pivot_split_gap in aux.
+    """
     ok, idx = singular_value_prefilter(inst.pairs, tol)
     if not ok:
         return UepVerdict(verdict="NO", certainty="exact",
                           detail=f"singular values differ at pair index {idx}")
-    space, found = _search(build_linear_system(inst, tol), cfg, tol, "unitary")
+    frames, aux = None, {}
+    if _both_full(inst):
+        Xc, Yc = pivot_pair(inst, cfg.seed)
+        if not singular_value_prefilter(((Xc, Yc),), tol)[0]:
+            return UepVerdict(verdict="NO", certainty="exact",
+                              detail="singular values differ at the random pivot pair "
+                                     "sum_i c_i (X_i, Y_i)")
+        frames = pivot_frames(Xc, Yc)
+        aux = {"pivot_clusters": [len(frames.blocks1), len(frames.blocks2)],
+               "pivot_merged_gap": frames.merged_gap, "pivot_split_gap": frames.split_gap}
+        if len(frames.blocks1) == len(frames.blocks2) == 1:
+            frames = None
+    verdict = _decide_system(inst, build_linear_system(inst, tol, frames), cfg, tol)
+    verdict.aux.update(aux)
+    return verdict
+
+
+def _decide_system(inst: UepInstance, system: LinearSystem, cfg: SamplerConfig,
+                   tol: Tolerances) -> UepVerdict:
+    space, found = _search(system, cfg, tol, "unitary")
     if isinstance(found, UepVerdict):
         return found
     try:

@@ -24,6 +24,17 @@ def _strip_timing(path):
     return json.dumps(doc, indent=2)
 
 
+OUT_OF_RANGE = [
+    (["--phase-grid", "0"], "--phase-grid must be at least 1, got 0"),
+    (["--phase-grid", "-3"], "--phase-grid must be at least 1, got -3"),
+    (["--trials", "0"], "--trials must be at least 1, got 0"),
+    (["--sample-max", "1"], "--sample-max must be at least 2, got 1"),
+    (["--tol-rank", "0"], "--tol-rank must lie strictly in (0, 1), got 0.0"),
+    (["--tol-residual", "2"], "--tol-residual must lie strictly in (0, 1), got 2.0"),
+    (["--seed", "-1"], "--seed must be at least 0, got -1"),
+]
+
+
 class TestSerialization:
     def test_matrix_round_trip(self, rng):
         M = ginibre(3, 4, rng)
@@ -125,18 +136,32 @@ class TestDecide:
             main(["decide"])  # missing instance and --seed
         assert exc.value.code == 64
 
-    @pytest.mark.parametrize("option", [
-        ["--phase-grid", "0"], ["--phase-grid", "-3"], ["--trials", "0"], ["--sample-max", "1"],
-        ["--tol-rank", "0"], ["--tol-residual", "2"], ["--seed", "-1"],
-    ], ids=lambda o: "=".join(o))
-    def test_out_of_range_option_exits_64_before_reading_the_file(self, tmp_path, capsys, option):
+    @pytest.mark.parametrize("option, message", OUT_OF_RANGE,
+                             ids=["=".join(o) for o, _ in OUT_OF_RANGE])
+    def test_out_of_range_option_exits_64_before_reading_the_file(self, tmp_path, capsys, option,
+                                                                  message):
         inst_path = tmp_path / "i.json"
         assert main(["gen", "--yes", "--d1", "2", "--d2", "2", "--seed", "3",
                      "-o", str(inst_path)]) == 0
         for path in (inst_path, tmp_path / "missing.json"):
             assert main(["decide", str(path), "--seed", "1", *option]) == 64
             out = capsys.readouterr()
-            assert out.out == "" and "error:" in out.err
+            assert out.out == "" and out.err == f"error: {message}\n"
+
+    def test_matrix_pairs_verbose_rerun_is_identical(self, tmp_path):
+        inst_path = tmp_path / "i.json"
+        assert main(["gen", "--yes", "--d1", "4", "--d2", "3", "--m", "1", "--seed", "8",
+                     "-o", str(inst_path)]) == 0
+        v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+        for out in (v1, v2):
+            assert main(["decide", str(inst_path), "--seed", "2", "--verbose", "-o", str(out)]) == 0
+        assert _strip_timing(v1) == _strip_timing(v2)
+        aux = json.loads(v1.read_text())["aux"]
+        # 3 distinct singular values; the A side pads a zero to 4
+        assert aux["pivot_clusters"] == [4, 3]
+        assert aux["pivot_merged_gap"] == 0.0 and aux["pivot_split_gap"] > 1e-6
+        main(["decide", str(inst_path), "--seed", "2", "-o", str(v2)])
+        assert "aux" not in json.loads(v2.read_text())
 
     def test_matpoly_mode(self, tmp_path, rng):
         A = ginibre(2, 2, rng) + 2 * np.eye(2)
@@ -292,6 +317,19 @@ class TestVerify:
         wrong_v = matrix_to_json(np.eye(2)) if mode == "unilocal-mixed" else None
         assert self._verify(tmp_path, inst_path, {"U": cert["U"], "V": wrong_v}) == 3
         assert self._verify(tmp_path, inst_path, {"U": matrix_to_json(np.eye(5)), "V": cert["V"]}) == 3
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "2"])
+    def test_out_of_range_tolerance_exits_64_before_reading_either_file(self, tmp_path, capsys,
+                                                                        tol):
+        inst_path, wit_path = tmp_path / "i.json", tmp_path / "w.json"
+        main(["gen", "--yes", "--d1", "2", "--d2", "3", "--seed", "11",
+              "-o", str(inst_path), "--witness", str(wit_path)])
+        capsys.readouterr()
+        for paths in ((inst_path, wit_path), (tmp_path / "missing.json", tmp_path / "none.json")):
+            assert main(["verify", *map(str, paths), "--tol-residual", tol]) == 64
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == f"error: --tol-residual must lie strictly in (0, 1), got {float(tol)}\n"
 
     def test_witness_verifies(self, tmp_path):
         inst_path, wit_path = tmp_path / "i.json", tmp_path / "w.json"

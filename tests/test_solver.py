@@ -23,7 +23,7 @@ from uniequiv import density_operator, pure_state
 from uniequiv.algebra import span_residual
 from uniequiv.oracle import random_yes_instance
 from uniequiv.solver import (SolutionSpace, UepVerdict, certificate_residuals, check_certificate,
-                             draw_candidate, per_trial_failure_bound)
+                             draw_candidate, per_trial_failure_bound, pivot_frames, pivot_pair)
 
 from conftest import ginibre, haar, random_density
 from exact_reference import singular_value_ratio
@@ -246,6 +246,99 @@ class TestDecide:
         verdict = decide_uep(inst, CFG)
         assert verdict.verdict == "YES"
         assert np.linalg.norm(verdict.U - verdict.V) <= 1e-7
+
+
+def _gauged(Xs, rng):
+    """Y_i = U_i X_i V_i^dag with independent unitaries per pair: every pair
+    keeps its singular values, but no one (U, V) serves them all."""
+    d1, d2 = Xs[0].shape
+    return uep_instance_full(d1, d2, [(X, haar(d1, rng) @ X @ haar(d2, rng).conj().T) for X in Xs])
+
+
+class TestPivot:
+    def test_clusters_merge_below_the_gap_in_either_spectrum(self):
+        # a 1e-8 gap merges; the cut between 0.5 and 0.4 needs a gap in both
+        # spectra, and the A side pads its spectrum with a zero to d1 = 4
+        Xc = np.zeros((4, 3))
+        Xc[range(3), range(3)] = [1.0, 1.0 - 1e-8, 0.5]
+        Yc = np.zeros((4, 3))
+        Yc[range(3), range(3)] = [1.0, 1.0 - 1e-8, 0.5 - 1e-7]
+        frames = pivot_frames(Xc, Yc)
+        assert frames.blocks1 == ((0, 2), (2, 3), (3, 4))
+        assert frames.blocks2 == ((0, 2), (2, 3))
+        assert frames.merged_gap == pytest.approx(1e-8)
+        assert frames.split_gap == pytest.approx(0.5 - 1e-7)
+        near = np.diag([1.0, 1.0 - 1e-7, 1.0 - 2e-7])
+        one = pivot_frames(near, near)
+        assert one.blocks1 == one.blocks2 == ((0, 3),) and one.split_gap is None
+
+    def test_pivot_seed_stays_apart_from_the_trials(self):
+        inst, _ = random_yes_instance(3, 3, 1, seed=4)
+        Xc, _ = pivot_pair(inst, 9)
+        assert np.array_equal(Xc, pivot_pair(inst, 9)[0])
+        X = np.stack([X for X, _ in inst.pairs])
+        for trial in range(4):
+            re, im = np.random.default_rng([9, trial]).standard_normal((2, 2))
+            c = (re + 1j * im) / np.linalg.norm(re + 1j * im)
+            assert np.linalg.norm(Xc - np.tensordot(c, X, axes=1)) > 1e-3
+
+    def test_gauged_no_ends_at_the_pivot_without_a_nullspace(self, monkeypatch):
+        import uniequiv.solver as solver_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("nullspace_basis called")
+
+        monkeypatch.setattr(solver_mod, "nullspace_basis", forbidden)
+        rng = np.random.default_rng(10)
+        inst = _gauged([ginibre(10, 10, rng) for _ in range(2)], rng)
+        assert singular_value_prefilter(inst.pairs)[0]
+        verdict = decide_uep(inst, CFG)
+        assert (verdict.verdict, verdict.certainty) == ("NO", "exact")
+        assert verdict.solution_dimension is None
+        assert "pivot" in verdict.detail and verdict.aux == {}
+
+    def test_rank_deficient_gauged_no_is_exact(self):
+        # rank-one pairs leave singular solutions in the linear space: the
+        # unreduced search draws only singular candidates and can answer no
+        # better than NO/probabilistic, while the pivot spectra already differ
+        rng = np.random.default_rng(3)
+        inst = _gauged([ginibre(3, 1, rng) @ ginibre(1, 3, rng) for _ in range(2)], rng)
+        space = _space(inst)
+        assert space.dimension >= 1 and sample_invertible(space, CFG) is None
+        verdict = decide_uep(inst, CFG)
+        assert (verdict.verdict, verdict.certainty) == ("NO", "exact")
+        assert verdict.solution_dimension is None
+
+    @pytest.mark.parametrize("X", [np.eye(6), np.zeros((6, 6))], ids=["identity", "zero"])
+    def test_one_cluster_keeps_the_plain_system(self, monkeypatch, X):
+        import uniequiv.solver as solver_mod
+        frames_seen = []
+        real = solver_mod.build_linear_system
+
+        def spy(inst, tol=Tolerances(), frames=None):
+            frames_seen.append(frames)
+            return real(inst, tol, frames)
+
+        monkeypatch.setattr(solver_mod, "build_linear_system", spy)
+        verdict = decide_uep(uep_instance_full(6, 6, [(X, X)]), CFG)
+        assert verdict.verdict == "YES" and frames_seen == [None]
+        assert verdict.aux == {"pivot_clusters": [1, 1], "pivot_merged_gap": 0.0,
+                               "pivot_split_gap": None}
+
+    def test_frames_need_two_full_algebras(self):
+        inst, _ = random_yes_instance(4, 4, 0, g1_kind=("factor", 2, 2), seed=6)
+        frames = pivot_frames(*pivot_pair(inst, 0))
+        with pytest.raises(InputError):
+            build_linear_system(inst, frames=frames)
+        verdict = decide_uep(inst, CFG)
+        assert verdict.verdict == "YES" and "pivot_clusters" not in verdict.aux
+
+    def test_reduced_yes_certificate_checks_out(self):
+        inst, _ = random_yes_instance(6, 4, 2, seed=12)
+        verdict = decide_uep(inst, CFG)
+        assert verdict.verdict == "YES" and verdict.residual <= 1e-12
+        assert verdict.solution_dimension == _space(inst).dimension
+        assert verdict.aux["pivot_clusters"] == [5, 4]
 
 
 class TestPrefilter:

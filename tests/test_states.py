@@ -315,7 +315,11 @@ class TestGenericMixed:
         sigma = density_operator(2, 3, local @ rho.matrix @ local.conj().T)
         verdict = generic_mixed_lu(rho, sigma, CFG)
         assert verdict.verdict == "YES"
-        assert verdict.aux == {"phase_components": 1, "grid_solves": 1}
+        # the inner solve's pivot fields ride along with the phase counts
+        assert verdict.aux == {"phase_components": 1, "grid_solves": 1,
+                               "pivot_clusters": [2, 3], "pivot_merged_gap": 0.0,
+                               "pivot_split_gap": verdict.aux["pivot_split_gap"]}
+        assert verdict.aux["pivot_split_gap"] > 1e-6
         assert len(solver_calls) == 1
 
     def test_product_states_decided_from_marginals(self, rng, solver_calls):
