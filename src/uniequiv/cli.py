@@ -90,23 +90,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# dest -> (flag, test, rule): the ranges `decide` and `verify` check before reading a file
-_RANGES = {
-    "tol_rank": ("--tol-rank", lambda v: 0.0 < v < 1.0, "lie strictly in (0, 1)"),
-    "tol_residual": ("--tol-residual", lambda v: 0.0 < v < 1.0, "lie strictly in (0, 1)"),
-    "trials": ("--trials", lambda v: v >= 1, "be at least 1"),
-    "sample_max": ("--sample-max", lambda v: v >= 2, "be at least 2"),
-    "seed": ("--seed", lambda v: v >= 0, "be at least 0"),
-    "phase_grid": ("--phase-grid", lambda v: v >= 1, "be at least 1"),
-}
+# Tolerances / SamplerConfig field -> the flag that sets it
+_FLAGS = {"rank_rel": "--tol-rank", "residual_abs": "--tol-residual", "trials": "--trials",
+          "sample_max": "--sample-max", "seed": "--seed"}
 
 
-def _check_ranges(args) -> None:
-    """Reject an out-of-range option of the command, naming the flag as typed."""
-    for dest, (flag, ok, rule) in _RANGES.items():
-        value = getattr(args, dest, None)
-        if value is not None and not ok(value):
-            raise _UsageError(f"{flag} must {rule}, got {value}")
+def _options(make, **fields):
+    """make(**fields); its range error becomes a usage error naming the flag, not the field."""
+    try:
+        return make(**fields)
+    except InputError as exc:
+        field, _, rule = str(exc).partition(" ")
+        raise _UsageError(f"{_FLAGS.get(field, field)} {rule}") from exc
 
 
 def _parse_algebra_flag(flag: str, name: str):
@@ -130,9 +125,10 @@ def _write(text: str, path: str | None) -> None:
 
 
 def cmd_decide(args) -> int:
-    _check_ranges(args)
-    tol = Tolerances(rank_rel=args.tol_rank, residual_abs=args.tol_residual)
-    cfg = SamplerConfig(sample_max=args.sample_max, trials=args.trials, seed=args.seed)
+    tol = _options(Tolerances, rank_rel=args.tol_rank, residual_abs=args.tol_residual)
+    cfg = _options(SamplerConfig, sample_max=args.sample_max, trials=args.trials, seed=args.seed)
+    if args.phase_grid < 1:
+        raise _UsageError(f"--phase-grid must be at least 1, got {args.phase_grid}")
     doc, (mode, payload) = serialize.load_instance(args.instance)
     if args.mode is not None and args.mode != mode:
         mode, payload = serialize.parse_instance({**doc, "mode": args.mode})
@@ -183,7 +179,7 @@ def cmd_verify(args) -> int:
     linear system, the sampler or the extraction. perfbench/check.py is the
     checker that shares no code with the package.
     """
-    _check_ranges(args)
+    tol = _options(Tolerances, residual_abs=args.tol_residual)
     _, (mode, payload) = serialize.load_instance(args.instance)
     try:
         with open(args.certificate, "r", encoding="utf-8") as fh:
@@ -191,9 +187,9 @@ def cmd_verify(args) -> int:
     except Exception as exc:
         raise MalformedInstanceError(f"cannot read certificate: {exc}") from exc
     U, V = serialize.certificate_from_json(cert_doc)
-    residual, defect = certificate_residuals(mode, payload, U, V)
+    residual, defect = certificate_residuals(mode, payload, U, V, tol)
     print(f"residual: {residual:.6e}  defect: {defect:.6e}")
-    return EXIT_YES if max(residual, defect) <= args.tol_residual else EXIT_NO
+    return EXIT_YES if max(residual, defect) <= tol.residual_abs else EXIT_NO
 
 
 def main(argv=None) -> int:

@@ -23,9 +23,12 @@ satisfies A X_c X_c^dag = Y_c Y_c^dag A and B X_c^dag X_c = Y_c^dag Y_c B, so
 with X_c = W_x S R_x^dag and Y_c = W_y S' R_y^dag the matrices W_y^dag A W_x
 and R_y^dag B R_x are block-diagonal over the clusters of equal singular
 values: only the unknowns inside those blocks are kept, 2d of them instead
-of 2d^2 for distinct singular values. Clusters merge at a loose relative
-gap, since merging only enlarges the searched space. A pivot pair whose
-spectra differ is an exact NO, because U X_c V^dag = Y_c for every solution.
+of 2d^2 for distinct singular values. Clusters merge below a relative gap
+of 1e3 eps / min(rank_rel, residual_abs): merging only enlarges the searched
+space, while a split leaves the computed frames about eps / gap off the
+exact ones, and every solution a residual of that size in the reduced
+system. A pivot pair whose spectra differ is an exact NO, because
+U X_c V^dag = Y_c for every solution.
 
 Every YES, in every mode, leaves the package through `check_certificate`,
 which recomputes the certificate's residual and side conditions with
@@ -58,10 +61,7 @@ __all__ = [
     "SamplerConfig",
     "UepVerdict",
     "LinearSystem",
-    "PivotFrames",
     "singular_value_prefilter",
-    "pivot_pair",
-    "pivot_frames",
     "build_linear_system",
     "solve_solution_space",
     "sample_invertible",
@@ -155,12 +155,14 @@ class LinearSystem:
     basis2: np.ndarray           # stacked G2 basis, shape (|G2|, d2, d2)
 
 
-# Relative singular-value gap (against max(1, sigma_1)) at or below which the
-# pivot's clusters merge; only a gap above it in both spectra splits them.
-_PIVOT_GAP = 1e-6
+# A cut between two pivot clusters at relative gap g leaves the computed frames
+# about eps / g off the exact ones, and every solution a residual of that size
+# in the reduced system; splitting needs eps / g this factor below both the
+# rank cut and the certificate bound.
+_PIVOT_MARGIN = 1e3
 
 
-class PivotFrames(NamedTuple):
+class _PivotFrames(NamedTuple):
     """Singular frames X_c = W_x S R_x^dag, Y_c = W_y S' R_y^dag of a pivot pair.
 
     blocks1 and blocks2 are the clusters of equal singular values as
@@ -186,14 +188,17 @@ def singular_value_prefilter(pairs, tol: Tolerances = Tolerances()):
     Returns (True, None) on pass, (False, first_offending_index) on fail.
     """
     for idx, (X, Y) in enumerate(pairs):
-        sx = singular_values(X)
-        sy = singular_values(Y)
-        if sx.shape != sy.shape:
-            return False, idx
-        scale = max(1.0, float(sx[0]) if sx.size else 0.0, float(sy[0]) if sy.size else 0.0)
-        if sx.size and np.max(np.abs(sx - sy)) > tol.residual_abs * scale:
+        if not _same_spectrum(singular_values(X), singular_values(Y), tol):
             return False, idx
     return True, None
+
+
+def _same_spectrum(sx, sy, tol: Tolerances) -> bool:
+    """Whether two descending spectra agree within residual_abs * max(1, sigma_1)."""
+    if sx.shape != sy.shape:
+        return False
+    scale = max(1.0, float(sx[0]) if sx.size else 0.0, float(sy[0]) if sy.size else 0.0)
+    return not (sx.size and np.max(np.abs(sx - sy)) > tol.residual_abs * scale)
 
 
 def _linear_system(E1, E2, pairs, adjoint_rows, memb=(None, None)) -> LinearSystem:
@@ -221,7 +226,7 @@ def _linear_system(E1, E2, pairs, adjoint_rows, memb=(None, None)) -> LinearSyst
     return LinearSystem(matrix=np.vstack(rows), basis1=E1, basis2=E2)
 
 
-def pivot_pair(inst: UepInstance, seed: int):
+def _pivot_pair(inst: UepInstance, seed: int):
     """(X_c, Y_c) = sum_i c_i (X_i, Y_i) for a unit complex Gaussian vector c.
 
     c comes from the child seed of `seed` with spawn key (0,), which none of
@@ -234,33 +239,32 @@ def pivot_pair(inst: UepInstance, seed: int):
             sum(ci * Y for ci, (_, Y) in zip(c, inst.pairs)))
 
 
-def _both_full(inst: UepInstance) -> bool:
-    return inst.G1.size == inst.d1 ** 2 and inst.G2.size == inst.d2 ** 2
+def _pivot_frames(Xc, Yc, tol: Tolerances) -> _PivotFrames | None:
+    """Full SVDs of a pivot pair and their clusters; None when the spectra differ.
 
-
-def pivot_frames(Xc, Yc) -> PivotFrames:
-    """Full SVDs of a pivot pair with equal spectra and their clusters.
-
-    A cut between k and k+1 needs a gap above _PIVOT_GAP * max(1, sigma_1)
-    in both spectra, so rounding can merge two clusters but not split one.
-    The spectra are zero-padded to max(d1, d2); the d1 side reads the gaps
-    of its first d1 values, the d2 side those of its first d2.
+    The spectra are compared under singular_value_prefilter's rule. A cut
+    between k and k+1 needs a gap above _PIVOT_MARGIN * eps / min(rank_rel,
+    residual_abs) times max(1, sigma_1) in both spectra. The spectra are
+    zero-padded to max(d1, d2); the d1 side reads the gaps of its first d1
+    values, the d2 side those of its first d2.
     """
     W_x, sx, Rh_x = np.linalg.svd(Xc)
     W_y, sy, Rh_y = np.linalg.svd(Yc)
+    if not _same_spectrum(sx, sy, tol):
+        return None
     pad = np.zeros(max(Xc.shape) - len(sx))
     gap = np.minimum(-np.diff(np.concatenate([sx, pad])), -np.diff(np.concatenate([sy, pad])))
     gap /= max(1.0, float(sx[0]), float(sy[0]))
-    cut = gap > _PIVOT_GAP
+    cut = gap > _PIVOT_MARGIN * np.finfo(float).eps / min(tol.rank_rel, tol.residual_abs)
 
     def blocks(d):
         cuts = [0, *(np.flatnonzero(cut[:d - 1]) + 1).tolist(), d]
         return tuple(zip(cuts[:-1], cuts[1:]))
 
-    return PivotFrames(W_x=W_x, R_x=Rh_x.conj().T, W_y=W_y, R_y=Rh_y.conj().T,
-                       blocks1=blocks(len(W_x)), blocks2=blocks(len(Rh_x)),
-                       merged_gap=float(gap[~cut].max(initial=0.0)),
-                       split_gap=float(gap[cut].min()) if cut.any() else None)
+    return _PivotFrames(W_x=W_x, R_x=Rh_x.conj().T, W_y=W_y, R_y=Rh_y.conj().T,
+                        blocks1=blocks(len(W_x)), blocks2=blocks(len(Rh_x)),
+                        merged_gap=float(gap[~cut].max(initial=0.0)),
+                        split_gap=float(gap[cut].min()) if cut.any() else None)
 
 
 def _block_units(d: int, blocks) -> np.ndarray:
@@ -273,16 +277,16 @@ def _block_units(d: int, blocks) -> np.ndarray:
 
 
 def build_linear_system(inst: UepInstance, tol: Tolerances = Tolerances(),
-                        frames: PivotFrames | None = None) -> LinearSystem:
+                        frames: _PivotFrames | None = None) -> LinearSystem:
     """Complex-linear constraint matrix of the linearized system.
 
     Unknowns are the coordinates of A over G1's basis followed by those of B
     over G2's basis. For star-closed algebras the adjoint-membership
     constraints are vacuous and omitted.
 
-    With pivot frames (both algebras full) the bases are the block matrix
-    units carried back to the original frame, W_y E W_x^dag for A and
-    R_y E R_x^dag for B, and the rows are those of the rotated pairs
+    With pivot frames (for two full algebras only) the bases are the block
+    matrix units carried back to the original frame, W_y E W_x^dag for A
+    and R_y E R_x^dag for B, and the rows are those of the rotated pairs
     W_x^dag X_i R_x, W_y^dag Y_i R_y: A' X'_i = Y'_i B' is A X_i = Y_i B in
     the frames, and likewise for the adjoint equation. Those rows are kept
     as the triangular factor R of their QR decomposition, which has the same
@@ -300,8 +304,6 @@ def build_linear_system(inst: UepInstance, tol: Tolerances = Tolerances(),
     if frames is None:
         return _linear_system(np.stack(inst.G1.basis), np.stack(inst.G2.basis), inst.pairs,
                               adjoint_rows=True, memb=memb)
-    if not _both_full(inst):
-        raise InputError("pivot frames apply only when both algebras are full")
     E1, E2 = _block_units(inst.d1, frames.blocks1), _block_units(inst.d2, frames.blocks2)
     Wxh, Rxh = frames.W_x.conj().T, frames.R_x.conj().T
     pairs = tuple((Wxh @ X @ frames.R_x, frames.W_y.conj().T @ Y @ frames.R_y)
@@ -481,13 +483,12 @@ def decide_uep(inst: UepInstance, cfg: SamplerConfig = SamplerConfig(),
         return UepVerdict(verdict="NO", certainty="exact",
                           detail=f"singular values differ at pair index {idx}")
     frames, aux = None, {}
-    if _both_full(inst):
-        Xc, Yc = pivot_pair(inst, cfg.seed)
-        if not singular_value_prefilter(((Xc, Yc),), tol)[0]:
+    if inst.G1.size == inst.d1 ** 2 and inst.G2.size == inst.d2 ** 2:
+        frames = _pivot_frames(*_pivot_pair(inst, cfg.seed), tol)
+        if frames is None:
             return UepVerdict(verdict="NO", certainty="exact",
                               detail="singular values differ at the random pivot pair "
                                      "sum_i c_i (X_i, Y_i)")
-        frames = pivot_frames(Xc, Yc)
         aux = {"pivot_clusters": [len(frames.blocks1), len(frames.blocks2)],
                "pivot_merged_gap": frames.merged_gap, "pivot_split_gap": frames.split_gap}
         if len(frames.blocks1) == len(frames.blocks2) == 1:

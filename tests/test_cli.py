@@ -27,11 +27,11 @@ def _strip_timing(path):
 OUT_OF_RANGE = [
     (["--phase-grid", "0"], "--phase-grid must be at least 1, got 0"),
     (["--phase-grid", "-3"], "--phase-grid must be at least 1, got -3"),
-    (["--trials", "0"], "--trials must be at least 1, got 0"),
-    (["--sample-max", "1"], "--sample-max must be at least 2, got 1"),
+    (["--trials", "0"], "--trials must be positive"),
+    (["--sample-max", "1"], "--sample-max must be at least 2"),
     (["--tol-rank", "0"], "--tol-rank must lie strictly in (0, 1), got 0.0"),
     (["--tol-residual", "2"], "--tol-residual must lie strictly in (0, 1), got 2.0"),
-    (["--seed", "-1"], "--seed must be at least 0, got -1"),
+    (["--seed", "-1"], "--seed must be a non-negative integer"),
 ]
 
 

@@ -5,11 +5,11 @@ solution space."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from uniequiv import (SamplerConfig, UepInstance, build_linear_system, decide_uep,
-                      density_operator, generic_mixed_lu, singular_value_prefilter,
-                      solve_solution_space, uep_instance_full)
+from uniequiv import (SamplerConfig, Tolerances, UepInstance, build_linear_system, decide_uep,
+                      density_operator, generic_mixed_lu, solve_solution_space,
+                      uep_instance_full)
 from uniequiv.oracle import haar_unitary_in_algebra, random_yes_instance
-from uniequiv.solver import pivot_frames, pivot_pair
+from uniequiv.solver import _pivot_frames, _pivot_pair
 
 from conftest import ginibre, haar, random_density
 
@@ -87,7 +87,8 @@ def test_generic_mixed_yes_under_repeated_local_unitaries(dims, seed, sampler_se
         assert generic_mixed_lu(rho, sigma, SamplerConfig(seed=sampler_seed)).verdict == "YES"
 
 
-GAPS = (1e-7, 1e-8, 1e-9)
+# merged at the default tolerances' cut (about 2.2e-3), and split just above it
+GAPS = (1e-9, 1e-8, 1e-7, 1.5e-6, 1e-5, 3e-3, 1e-2)
 
 
 @st.composite
@@ -95,9 +96,10 @@ def full_pairs(draw):
     """Pairs over two full algebras, drawn for the pivot reduction: generic,
     rank-deficient (shared range and kernel), one cluster (scaled unitaries,
     all-zero pairs), and shared frames X_i = a_i W D R^dag whose spectrum D has
-    one pair of singular values split by a relative gap of 1e-7 to 1e-9. Y_i
-    is U X_i V^dag, or U X_i^T V^dag when square, which keeps the spectrum of
-    every combination of the pairs but is not an equivalence in general."""
+    one pair of singular values split by a relative gap from GAPS. Y_i is
+    U X_i V^dag (planted), or U X_i^T V^dag when square, which keeps the
+    spectrum of every combination of the pairs but is not an equivalence in
+    general."""
     kind = draw(st.sampled_from(["generic", "rank-deficient", "one-cluster", "zero", "split"]))
     d1, d2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     if kind == "one-cluster":
@@ -130,7 +132,7 @@ def full_pairs(draw):
     transpose = d1 == d2 and draw(st.booleans())
     U, V = haar(d1, rng), haar(d2, rng)
     pairs = [(X, U @ (X.T if transpose else X) @ V.conj().T) for X in Xs]
-    return uep_instance_full(d1, d2, pairs), draw(st.integers(0, 2**16))
+    return uep_instance_full(d1, d2, pairs), draw(st.integers(0, 2**16)), not transpose
 
 
 def _stacked_basis(space):
@@ -148,12 +150,14 @@ def test_pivot_reduction_keeps_the_solution_space(case):
     # merging pivot clusters only enlarges the searched space, and a block
     # the frames rule out holds no solution, so the reduced and unreduced
     # systems share their nullspace
-    inst, seed = case
-    Xc, Yc = pivot_pair(inst, seed)
-    assert singular_value_prefilter(((Xc, Yc),))[0]
+    inst, seed, planted = case
+    frames = _pivot_frames(*_pivot_pair(inst, seed), Tolerances())
+    assert frames is not None
     full = solve_solution_space(build_linear_system(inst))
-    reduced = solve_solution_space(build_linear_system(inst, frames=pivot_frames(Xc, Yc)))
+    reduced = solve_solution_space(build_linear_system(inst, frames=frames))
     assert reduced.dimension == full.dimension
+    if planted:
+        assert decide_uep(inst, SamplerConfig(seed=seed)).verdict == "YES"
     if full.dimension:
         Q1, Q2 = _stacked_basis(full), _stacked_basis(reduced)
         # the sine of the largest principal angle between the two spans

@@ -23,7 +23,7 @@ from uniequiv import density_operator, pure_state
 from uniequiv.algebra import span_residual
 from uniequiv.oracle import random_yes_instance
 from uniequiv.solver import (SolutionSpace, UepVerdict, certificate_residuals, check_certificate,
-                             draw_candidate, per_trial_failure_bound, pivot_frames, pivot_pair)
+                             _pivot_frames, _pivot_pair, draw_candidate, per_trial_failure_bound)
 
 from conftest import ginibre, haar, random_density
 from exact_reference import singular_value_ratio
@@ -255,27 +255,68 @@ def _gauged(Xs, rng):
     return uep_instance_full(d1, d2, [(X, haar(d1, rng) @ X @ haar(d2, rng).conj().T) for X in Xs])
 
 
+# the relative gap above which the default tolerances split pivot clusters
+CUT = 1e3 * np.finfo(float).eps / Tolerances().rank_rel
+
+
+def _tuned_pivot(d, gap, seed):
+    """Pairs X_i = W diag(x_i) R^dag, Y_i = U X_i V^dag (i = 1, 2) whose pivot
+    drawn from seed has relative gap `gap` between its two largest singular
+    values. The two pairs differ strongly on those two directions, so a frame
+    error there is not a symmetry of the instance: a split that rounding
+    cannot resolve loses the solutions."""
+    rng = np.random.default_rng(seed)
+    one = [np.ones((1, 1)), np.zeros((1, 1))]
+    c1, c2 = (_pivot_pair(uep_instance_full(1, 1, [(X, X) for X in probe]), seed)[0][0, 0]
+              for probe in (one, one[::-1]))
+    x1 = np.concatenate([[12.0, 4.0], rng.uniform(0.1, 0.5, d - 2)]).astype(complex)
+    x2 = np.concatenate([[0.0, 12.0], rng.uniform(0.1, 0.5, d - 2)]).astype(complex)
+    x2[0] = ((1 + gap) * abs(c1 * x1[1] + c2 * x2[1]) - c1 * x1[0]) / c2
+    W, R, U, V = (haar(d, rng) for _ in range(4))
+    Xs = [W @ np.diag(x) @ R.conj().T for x in (x1, x2)]
+    return uep_instance_full(d, d, [(X, U @ X @ V.conj().T) for X in Xs])
+
+
 class TestPivot:
-    def test_clusters_merge_below_the_gap_in_either_spectrum(self):
-        # a 1e-8 gap merges; the cut between 0.5 and 0.4 needs a gap in both
-        # spectra, and the A side pads its spectrum with a zero to d1 = 4
+    def test_clusters_merge_below_the_cut_in_either_spectrum(self):
+        # residual_abs = 1e-2 lets the two spectra differ while the cut stays
+        # at the rank cut's; the A side pads its spectrum with a zero to d1 = 4
+        tol = Tolerances(residual_abs=1e-2)
         Xc = np.zeros((4, 3))
-        Xc[range(3), range(3)] = [1.0, 1.0 - 1e-8, 0.5]
+        Xc[range(3), range(3)] = [1.0, 1.0 - 1e-4, 0.5]
         Yc = np.zeros((4, 3))
-        Yc[range(3), range(3)] = [1.0, 1.0 - 1e-8, 0.5 - 1e-7]
-        frames = pivot_frames(Xc, Yc)
+        Yc[range(3), range(3)] = [1.0, 1.0 - 1e-4, 0.5 - 1e-3]
+        frames = _pivot_frames(Xc, Yc, tol)
         assert frames.blocks1 == ((0, 2), (2, 3), (3, 4))
         assert frames.blocks2 == ((0, 2), (2, 3))
-        assert frames.merged_gap == pytest.approx(1e-8)
-        assert frames.split_gap == pytest.approx(0.5 - 1e-7)
-        near = np.diag([1.0, 1.0 - 1e-7, 1.0 - 2e-7])
-        one = pivot_frames(near, near)
+        assert frames.merged_gap == pytest.approx(1e-4)
+        assert frames.split_gap == pytest.approx(0.5 - 1e-3)
+        # a split needs a gap above the cut in both spectra
+        split, merged = np.diag([1.0, 1.0 - 2 * CUT]), np.diag([1.0, 1.0 - CUT / 2])
+        assert len(_pivot_frames(split, split, tol).blocks1) == 2
+        assert len(_pivot_frames(split, merged, tol).blocks1) == 1
+        near = np.diag([1.0, 1.0 - 1e-5, 1.0 - 2e-5])
+        one = _pivot_frames(near, near, tol)
         assert one.blocks1 == one.blocks2 == ((0, 3),) and one.split_gap is None
+        assert _pivot_frames(np.diag([1.0, 0.5]), np.diag([1.0, 0.4]), Tolerances()) is None
+
+    @pytest.mark.parametrize("gap", [1.2e-6, 3e-6, 1e-5, 1.5 * CUT, 1e-2])
+    def test_tuned_pivot_gap_keeps_every_solution(self, gap):
+        # a split at relative gap g leaves the computed frames about eps / g
+        # off, which at g near 1e-6 meets the 1e-10 rank cut and drops
+        # solutions; below the cut the pair merges, above it the split is exact
+        for seed in range(40):
+            inst = _tuned_pivot(6, gap, seed)
+            frames = _pivot_frames(*_pivot_pair(inst, seed), Tolerances())
+            assert frames.blocks1[0] == ((0, 1) if gap > CUT else (0, 2))
+            verdict = decide_uep(inst, SamplerConfig(seed=seed))
+            assert verdict.verdict == "YES" and verdict.residual <= 1e-12
+            assert verdict.solution_dimension == _space(inst).dimension
 
     def test_pivot_seed_stays_apart_from_the_trials(self):
         inst, _ = random_yes_instance(3, 3, 1, seed=4)
-        Xc, _ = pivot_pair(inst, 9)
-        assert np.array_equal(Xc, pivot_pair(inst, 9)[0])
+        Xc, _ = _pivot_pair(inst, 9)
+        assert np.array_equal(Xc, _pivot_pair(inst, 9)[0])
         X = np.stack([X for X, _ in inst.pairs])
         for trial in range(4):
             re, im = np.random.default_rng([9, trial]).standard_normal((2, 2))
@@ -325,11 +366,8 @@ class TestPivot:
         assert verdict.aux == {"pivot_clusters": [1, 1], "pivot_merged_gap": 0.0,
                                "pivot_split_gap": None}
 
-    def test_frames_need_two_full_algebras(self):
+    def test_factor_algebra_keeps_the_plain_system(self):
         inst, _ = random_yes_instance(4, 4, 0, g1_kind=("factor", 2, 2), seed=6)
-        frames = pivot_frames(*pivot_pair(inst, 0))
-        with pytest.raises(InputError):
-            build_linear_system(inst, frames=frames)
         verdict = decide_uep(inst, CFG)
         assert verdict.verdict == "YES" and "pivot_clusters" not in verdict.aux
 
