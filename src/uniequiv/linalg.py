@@ -19,6 +19,7 @@ __all__ = [
     "as_complex_matrix",
     "frobenius",
     "numerical_rank",
+    "same_spectrum",
     "nullspace_basis",
     "hermitian_eigendecomposition",
     "singular_values",
@@ -33,15 +34,13 @@ class Tolerances:
         invertibility.
     residual_abs: largest Frobenius residual accepted as "equation satisfied"
         (relative to input scale with an absolute floor of 1).
-    degenerate_gap: smallest eigenvalue gap still considered "distinct".
     """
 
     rank_rel: float = 1e-10
     residual_abs: float = 1e-8
-    degenerate_gap: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in ("rank_rel", "residual_abs", "degenerate_gap"):
+        for name in ("rank_rel", "residual_abs"):
             value = getattr(self, name)
             if not (0.0 < value < 1.0):
                 raise InputError(f"{name} must lie strictly in (0, 1), got {value!r}")
@@ -90,6 +89,14 @@ def numerical_rank(s, tol: Tolerances = Tolerances()) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol.rank_rel * s[0]))
+
+
+def same_spectrum(sx, sy, tol: Tolerances = Tolerances()):
+    """Whether descending spectra (last axis) agree within residual_abs * max(1, sigma_1)."""
+    if sx.shape != sy.shape:
+        return False
+    scale = np.maximum(1.0, np.maximum(*(np.max(s, axis=-1, initial=0.0) for s in (sx, sy))))
+    return np.max(np.abs(sx - sy), axis=-1, initial=0.0) <= tol.residual_abs * scale
 
 
 def nullspace_basis(M, tol: Tolerances = Tolerances()) -> np.ndarray:

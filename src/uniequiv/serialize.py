@@ -155,9 +155,11 @@ def parse_instance(doc: dict):
         if mode == "matpoly":
             return mode, _parse_matpoly(doc, d1, d2)
         if mode == "pure-sets":
-            return mode, _parse_pure_sets(doc, d1, d2)
+            return mode, _parse_lists(doc, ("states_in", "states_out"), "state vectors",
+                                      lambda v, w: pure_state(d1, d2, vector_from_json(v, w)))
         if mode == "unilocal-mixed":
-            return mode, _parse_density_lists(doc, d1, d2)
+            return mode, _parse_lists(doc, ("rhos", "sigmas"), "density matrices",
+                                      lambda M, w: density_operator(d1, d2, matrix_from_json(M, w)))
         return mode, _parse_generic_mixed(doc, d1, d2)
     except MalformedInstanceError:
         raise
@@ -193,29 +195,16 @@ def _parse_matpoly(doc, d1, d2):
     return tuple(out)
 
 
-def _parse_pure_sets(doc, d1, d2):
+def _parse_lists(doc, keys, what, parse):
+    """Two equally long non-empty lists doc[keys[0]], doc[keys[1]], each item read by parse."""
     out = []
-    for key in ("states_in", "states_out"):
-        vecs_obj = doc.get(key)
-        if not isinstance(vecs_obj, list) or not vecs_obj:
-            raise MalformedInstanceError(f"{key}: expected a non-empty list of state vectors")
-        out.append([pure_state(d1, d2, vector_from_json(v, f"{key}[{i}]"))
-                    for i, v in enumerate(vecs_obj)])
+    for key in keys:
+        items = doc.get(key)
+        if not isinstance(items, list) or not items:
+            raise MalformedInstanceError(f"{key}: expected a non-empty list of {what}")
+        out.append([parse(item, f"{key}[{i}]") for i, item in enumerate(items)])
     if len(out[0]) != len(out[1]):
-        raise MalformedInstanceError("states_in and states_out must have equal length")
-    return tuple(out)
-
-
-def _parse_density_lists(doc, d1, d2):
-    out = []
-    for key in ("rhos", "sigmas"):
-        mats_obj = doc.get(key)
-        if not isinstance(mats_obj, list) or not mats_obj:
-            raise MalformedInstanceError(f"{key}: expected a non-empty list of density matrices")
-        out.append([density_operator(d1, d2, matrix_from_json(M, f"{key}[{i}]"))
-                    for i, M in enumerate(mats_obj)])
-    if len(out[0]) != len(out[1]):
-        raise MalformedInstanceError("rhos and sigmas must have equal length")
+        raise MalformedInstanceError(f"{keys[0]} and {keys[1]} must have equal length")
     return tuple(out)
 
 
@@ -245,8 +234,7 @@ def verdict_document(verdict: UepVerdict, mode: str, seed: int,
         "verdict": verdict.verdict,
         "certainty": verdict.certainty,
         "certificate_kind": verdict.certificate_kind,
-        "U": None if verdict.U is None else matrix_to_json(verdict.U),
-        "V": None if verdict.V is None else matrix_to_json(verdict.V),
+        **certificate_to_json(verdict.U, verdict.V),
         "residual": float(verdict.residual),
         "trials_used": int(verdict.trials_used),
         "failure_bound": float(verdict.failure_bound),
@@ -256,8 +244,7 @@ def verdict_document(verdict: UepVerdict, mode: str, seed: int,
         "seed": int(seed),
     }
     if verbose:
-        doc["aux"] = {k: (matrix_to_json(v) if isinstance(v, np.ndarray) else v)
-                      for k, v in verdict.aux.items()}
+        doc["aux"] = dict(verdict.aux)
     if timing is not None:
         doc["timing"] = float(timing)
     return doc

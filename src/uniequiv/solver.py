@@ -52,6 +52,7 @@ from .linalg import (
     frobenius,
     nullspace_basis,
     numerical_rank,
+    same_spectrum,
     singular_values,
 )
 
@@ -185,20 +186,13 @@ class _PivotFrames(NamedTuple):
 def singular_value_prefilter(pairs, tol: Tolerances = Tolerances()):
     """Per-pair singular-value comparison; a mismatch rules out equivalence.
 
-    Returns (True, None) on pass, (False, first_offending_index) on fail.
+    The pairs are finite and of one shape, compared in one batched SVD per
+    side. Returns (True, None) on pass, (False, first_offending_index) on fail.
     """
-    for idx, (X, Y) in enumerate(pairs):
-        if not _same_spectrum(singular_values(X), singular_values(Y), tol):
-            return False, idx
-    return True, None
-
-
-def _same_spectrum(sx, sy, tol: Tolerances) -> bool:
-    """Whether two descending spectra agree within residual_abs * max(1, sigma_1)."""
-    if sx.shape != sy.shape:
-        return False
-    scale = max(1.0, float(sx[0]) if sx.size else 0.0, float(sy[0]) if sy.size else 0.0)
-    return not (sx.size and np.max(np.abs(sx - sy)) > tol.residual_abs * scale)
+    sx, sy = (np.linalg.svd(np.asarray(np.stack(side), dtype=complex), compute_uv=False)
+              for side in zip(*pairs))
+    bad = np.flatnonzero(~same_spectrum(sx, sy, tol))
+    return (False, int(bad[0])) if bad.size else (True, None)
 
 
 def _linear_system(E1, E2, pairs, adjoint_rows, memb=(None, None)) -> LinearSystem:
@@ -250,7 +244,7 @@ def _pivot_frames(Xc, Yc, tol: Tolerances) -> _PivotFrames | None:
     """
     W_x, sx, Rh_x = np.linalg.svd(Xc)
     W_y, sy, Rh_y = np.linalg.svd(Yc)
-    if not _same_spectrum(sx, sy, tol):
+    if not same_spectrum(sx, sy, tol):
         return None
     pad = np.zeros(max(Xc.shape) - len(sx))
     gap = np.minimum(-np.diff(np.concatenate([sx, pad])), -np.diff(np.concatenate([sy, pad])))
@@ -452,21 +446,37 @@ def check_certificate(verdict: UepVerdict, mode: str, payload,
     return verdict
 
 
-def _search(system: LinearSystem, cfg: SamplerConfig, tol: Tolerances, kind: str):
-    """Solution space and the first invertible sample, or a NO verdict in place of the sample."""
+def _decide(system: LinearSystem, cfg: SamplerConfig, tol: Tolerances, mode: str,
+            payload) -> UepVerdict:
+    """The decide tail of every mode: solve, sample, take the polar factors of the
+    sample (matpoly keeps the invertible A, B as they are), check."""
+    kind = "invertible" if mode == "matpoly" else "unitary"
     space = solve_solution_space(system, tol)
     if space.dimension == 0:
-        return space, UepVerdict(verdict="NO", certainty="exact", solution_dimension=0,
-                                 certificate_kind=kind,
-                                 detail="linear system has only the trivial solution")
+        return UepVerdict(verdict="NO", certainty="exact", solution_dimension=0,
+                          certificate_kind=kind,
+                          detail="linear system has only the trivial solution")
     found = sample_invertible(space, cfg, tol)
     if found is None:
         eps = per_trial_failure_bound(space.d1, space.d2, cfg.sample_max)
-        return space, UepVerdict(verdict="NO", certainty="probabilistic",
-                                 trials_used=cfg.trials, failure_bound=eps ** cfg.trials,
-                                 solution_dimension=space.dimension, certificate_kind=kind,
-                                 detail="no invertible element found by randomized search")
-    return space, found
+        return UepVerdict(verdict="NO", certainty="probabilistic",
+                          trials_used=cfg.trials, failure_bound=eps ** cfg.trials,
+                          solution_dimension=space.dimension, certificate_kind=kind,
+                          detail="no invertible element found by randomized search")
+    U, V = found.A, found.B
+    if mode != "matpoly":
+        try:
+            U, V = extract_unitaries(U, V, tol)
+        except DegenerateCandidateError as exc:
+            return UepVerdict(verdict="INCONCLUSIVE", certainty="probabilistic",
+                              trials_used=found.trials_used, solution_dimension=space.dimension,
+                              detail="numerical breakdown: unitary extraction rejected the "
+                                     f"sample ({exc})")
+    return check_certificate(UepVerdict(verdict="YES", certainty="probabilistic", U=U, V=V,
+                                        trials_used=found.trials_used,
+                                        solution_dimension=space.dimension,
+                                        certificate_kind=kind),
+                             mode, payload, tol)
 
 
 def decide_uep(inst: UepInstance, cfg: SamplerConfig = SamplerConfig(),
@@ -493,26 +503,9 @@ def decide_uep(inst: UepInstance, cfg: SamplerConfig = SamplerConfig(),
                "pivot_merged_gap": frames.merged_gap, "pivot_split_gap": frames.split_gap}
         if len(frames.blocks1) == len(frames.blocks2) == 1:
             frames = None
-    verdict = _decide_system(inst, build_linear_system(inst, tol, frames), cfg, tol)
+    verdict = _decide(build_linear_system(inst, tol, frames), cfg, tol, "matrix-pairs", inst)
     verdict.aux.update(aux)
     return verdict
-
-
-def _decide_system(inst: UepInstance, system: LinearSystem, cfg: SamplerConfig,
-                   tol: Tolerances) -> UepVerdict:
-    space, found = _search(system, cfg, tol, "unitary")
-    if isinstance(found, UepVerdict):
-        return found
-    try:
-        U, V = extract_unitaries(found.A, found.B, tol)
-    except DegenerateCandidateError as exc:
-        return UepVerdict(verdict="INCONCLUSIVE", certainty="probabilistic",
-                          trials_used=found.trials_used, solution_dimension=space.dimension,
-                          detail=f"numerical breakdown: unitary extraction rejected the sample ({exc})")
-    return check_certificate(UepVerdict(verdict="YES", certainty="probabilistic", U=U, V=V,
-                                        trials_used=found.trials_used,
-                                        solution_dimension=space.dimension),
-                             "matrix-pairs", inst, tol)
 
 
 def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
@@ -533,14 +526,7 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
             return UepVerdict(verdict="NO", certainty="exact", certificate_kind="invertible",
                               detail=f"coefficient ranks differ at index {idx}")
     system = _linear_system(matrix_units(d1), matrix_units(d2), pairs, adjoint_rows=False)
-    space, found = _search(system, cfg, tol, "invertible")
-    if isinstance(found, UepVerdict):
-        return found
-    return check_certificate(UepVerdict(verdict="YES", certainty="probabilistic",
-                                        U=found.A, V=found.B, trials_used=found.trials_used,
-                                        solution_dimension=space.dimension,
-                                        certificate_kind="invertible"),
-                             "matpoly", (P, Q), tol)
+    return _decide(system, cfg, tol, "matpoly", (P, Q))
 
 
 def uep_instance_full(d1: int, d2: int, pairs) -> UepInstance:

@@ -15,12 +15,12 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import factor_algebra
+from .algebra import factor_algebra  # noqa: F401 -- unused; perfbench/spans.py wraps this name
 from .errors import InputError, NotGenericError
-from .linalg import Tolerances, as_complex_matrix, frobenius, hermitian_eigendecomposition
+from .linalg import (Tolerances, as_complex_matrix, frobenius, hermitian_eigendecomposition,
+                     same_spectrum)
 from .solver import (
     SamplerConfig,
-    UepInstance,
     UepVerdict,
     check_certificate,
     decide_uep,
@@ -124,35 +124,54 @@ def simultaneous_lu_pure(states_in, states_out, cfg: SamplerConfig = SamplerConf
     return _simultaneous_lu_matrices(Xs, Ys, cfg, tol)
 
 
+def _realigned_blocks(rhos, sigmas) -> tuple:
+    """The blocks R_pq[a, b] = rho_i[(a, p), (b, q)] of every rho_i, and S_pq of
+    every sigma_i, as two stacks in the order (i, p, q)."""
+    d1, d2 = rhos[0].d1, rhos[0].d2
+    return tuple(np.stack([s.matrix for s in states]).reshape(-1, d1, d2, d1, d2)
+                 .transpose(0, 2, 4, 1, 3).reshape(-1, d1, d1) for states in (rhos, sigmas))
+
+
+def _spanning_pairs(R, S) -> tuple:
+    """(I, I) and the rows of T from the QR [vec R_j, vec S_j] = Q T: at most 2 d^2
+    pairs with the span of the (R_j, S_j). As Q has orthonormal columns, the
+    linear system keeps its nullspace and its singular values."""
+    n, d, _ = R.shape
+    T = np.linalg.qr(np.hstack([R.reshape(n, -1), S.reshape(n, -1)]), mode="r")
+    eye = np.eye(d, dtype=complex)
+    return ((eye, eye),) + tuple(zip(*T.reshape(-1, 2, d, d).transpose(1, 0, 2, 3)))
+
+
 def unilocal_mixed_equivalence(rhos, sigmas, cfg: SamplerConfig = SamplerConfig(),
                                tol: Tolerances = Tolerances()) -> UepVerdict:
     """Simultaneous (U (x) I) rho_i (U (x) I)^dag = sigma_i for one unitary U.
 
-    Both algebras are {M (x) I_b}; the appended identity pair forces the left
-    and right solver unitaries to coincide. Any number of non-acting parties
-    is supported by folding them into the single d2 factor.
+    With the blocks R_pq[a, b] = rho_i[(a, p), (b, q)] (the block
+    realignment), the equation holds exactly when U R_pq = S_pq U for every
+    block. Singular values of a rho_i, or of a block, that differ from
+    sigma_i's are an exact NO naming i (and p, q), counted from 0. The
+    solver then runs on _spanning_pairs over two full d1 x d1 algebras; the
+    (I, I) pair forces its left and right unitaries to coincide, and
+    aux["uv_gap"] is their distance. Non-acting parties fold into d2.
     """
     if len(rhos) != len(sigmas) or not rhos:
         raise InputError("density operator lists must be non-empty and of equal length")
     d1, d2 = _check_uniform(list(rhos) + list(sigmas), "density operators")
-    d = d1 * d2
-    eye = np.eye(d, dtype=complex)
-    pairs = tuple((r.matrix, s.matrix) for r, s in zip(rhos, sigmas)) + ((eye, eye),)
-    G = factor_algebra(d1, d2)
-    inst = UepInstance(d1=d, d2=d, pairs=pairs, G1=G, G2=G)
-    verdict = decide_uep(inst, cfg, tol)
+    ok, i = singular_value_prefilter(tuple((r.matrix, s.matrix) for r, s in zip(rhos, sigmas)), tol)
+    if not ok:
+        return UepVerdict(verdict="NO", certainty="exact",
+                          detail=f"rho_{i} vs sigma_{i}: singular values differ")
+    R, S = _realigned_blocks(rhos, sigmas)
+    ok, idx = singular_value_prefilter(tuple(zip(R, S)), tol)
+    if not ok:
+        i, p, q = np.unravel_index(idx, (len(rhos), d2, d2))
+        return UepVerdict(verdict="NO", certainty="exact", detail=(
+            f"block ({p}, {q}) of rho_{i} vs sigma_{i}: singular values differ"))
+    verdict = decide_uep(uep_instance_full(d1, d1, _spanning_pairs(R, S)), cfg, tol)
     if verdict.verdict != "YES":
         return verdict
-    U_full, V_full = verdict.U, verdict.V
-    # read off the a x a factor of M (x) I_b by averaging the diagonal blocks
-    M = np.zeros((d1, d1), dtype=complex)
-    for j in range(d1):
-        for k in range(d1):
-            M[j, k] = np.mean(np.diag(U_full[j * d2:(j + 1) * d2, k * d2:(k + 1) * d2]))
-    verdict.U = M
+    verdict.aux["uv_gap"] = frobenius(verdict.U - verdict.V)
     verdict.V = None
-    verdict.aux = {"U_full": U_full, "V_full": V_full,
-                   "uv_gap": frobenius(U_full - V_full)}
     return check_certificate(verdict, "unilocal-mixed", (rhos, sigmas), tol)
 
 
@@ -232,7 +251,7 @@ def _product_lu(marginals_rho, marginals_sigma, tol: Tolerances) -> UepVerdict:
     for name, r, s in zip("AB", marginals_rho, marginals_sigma):
         w_r, Q_r = hermitian_eigendecomposition(r, tol)
         w_s, Q_s = hermitian_eigendecomposition(s, tol)
-        if np.max(np.abs(w_r - w_s)) > tol.residual_abs:
+        if not same_spectrum(w_r, w_s, tol):
             return UepVerdict(verdict="NO", certainty="exact",
                               detail=f"product states with different spectra on subsystem {name}")
         factors.append(Q_s @ Q_r.conj().T)
@@ -252,7 +271,7 @@ def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
                      phase_grid: int = 12) -> UepVerdict:
     """LU equivalence (U (x) V) rho (U (x) V)^dag = sigma for generic states.
 
-    Requires all eigenvalue gaps above degenerate_gap. LU equivalence then
+    Requires all eigenvalue gaps above residual_abs. LU equivalence then
     forces U psi_j V^T = lam_j phi_j with |lam_j| = 1 for the matricized
     eigenvectors, so before any solve: different spectra, a product state
     against a non-product one, and different Schmidt coefficients of some
@@ -275,9 +294,9 @@ def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
     w_r, Q_r = hermitian_eigendecomposition(rho.matrix, tol)
     w_s, Q_s = hermitian_eigendecomposition(sigma.matrix, tol)
     for name, w in (("rho", w_r), ("sigma", w_s)):
-        if w.size > 1 and np.min(w[:-1] - w[1:]) <= tol.degenerate_gap:
-            raise NotGenericError(f"{name} has eigenvalue gaps <= {tol.degenerate_gap}")
-    if np.max(np.abs(w_r - w_s)) > tol.residual_abs:
+        if w.size > 1 and np.min(w[:-1] - w[1:]) <= tol.residual_abs:
+            raise NotGenericError(f"{name} has eigenvalue gaps <= {tol.residual_abs}")
+    if not same_spectrum(w_r, w_s, tol):
         return _with_counts(UepVerdict(verdict="NO", certainty="exact",
                                        detail="eigenvalue spectra differ"))
     marg_r, marg_s = _marginals(rho), _marginals(sigma)

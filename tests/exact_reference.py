@@ -15,6 +15,10 @@ from uniequiv import InputError, Tolerances, hermitian_eigendecomposition, singu
 from uniequiv.linalg import as_complex_matrix
 
 
+# smallest gap between interpolation nodes still considered distinct
+DISTINCT_GAP = 1e-8
+
+
 class NotPositiveDefiniteError(Exception):
     """Inverse square root requested for a singular or indefinite matrix."""
 
@@ -31,7 +35,7 @@ def inverse_sqrt_psd(H, tol: Tolerances = Tolerances()) -> np.ndarray:
     return (S + S.conj().T) / 2.0
 
 
-def vandermonde_inverse_sqrt_coeffs(eigs: Sequence[float], tol: Tolerances = Tolerances()) -> np.ndarray:
+def vandermonde_inverse_sqrt_coeffs(eigs: Sequence[float]) -> np.ndarray:
     """Monomial coefficients of the polynomial p with p(x_i) = x_i^(-1/2).
 
     Solves the Vandermonde system with the Bjorck-Pereyra recurrence (Newton
@@ -44,8 +48,8 @@ def vandermonde_inverse_sqrt_coeffs(eigs: Sequence[float], tol: Tolerances = Tol
     if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
         raise InputError("eigenvalues must be finite and strictly positive")
     x = np.sort(x)
-    if x.size > 1 and np.min(np.diff(x)) <= tol.degenerate_gap:
-        raise InputError(f"eigenvalues must be pairwise distinct (gap > {tol.degenerate_gap})")
+    if x.size > 1 and np.min(np.diff(x)) <= DISTINCT_GAP:
+        raise InputError(f"eigenvalues must be pairwise distinct (gap > {DISTINCT_GAP})")
     xl = x.astype(np.longdouble)
     c = 1.0 / np.sqrt(xl)
     n = x.size

@@ -207,6 +207,14 @@ class TestDecide:
         path = tmp_path / "u.json"
         path.write_text(dumps_document(doc))
         assert main(["decide", str(path), "--seed", "6"]) == 0
+        v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+        for out in (v1, v2):
+            assert main(["decide", str(path), "--seed", "6", "--verbose", "-o", str(out)]) == 0
+        assert _strip_timing(v1) == _strip_timing(v2)
+        out = json.loads(v1.read_text())
+        assert out["verdict"] == "YES" and out["V"] is None
+        assert set(out["aux"]) == {"pivot_clusters", "pivot_merged_gap", "pivot_split_gap",
+                                   "uv_gap"}
 
     def test_generic_mixed_mode_and_precondition(self, tmp_path, rng):
         d1 = d2 = 2

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from uniequiv import (
     nullspace_basis,
     singular_values,
 )
-from uniequiv.linalg import numerical_rank
+from uniequiv.linalg import numerical_rank, same_spectrum
 
 from conftest import ginibre, haar
 from exact_reference import (
@@ -25,7 +27,7 @@ class TestTolerances:
         tol = Tolerances()
         assert tol.rank_rel == 1e-10
         assert tol.residual_abs == 1e-8
-        assert tol.degenerate_gap == 1e-8
+        assert [f.name for f in fields(tol)] == ["rank_rel", "residual_abs"]
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -1e-3, 2.0])
     def test_rejects_out_of_range(self, bad):
@@ -196,6 +198,14 @@ class TestSingularValues:
         M = ginibre(3, 4, rng)
         U, V = haar(3, rng), haar(4, rng)
         assert np.max(np.abs(singular_values(M) - singular_values(U @ M @ V.conj().T))) <= 1e-10
+
+    def test_same_spectrum_scales_with_sigma_1(self):
+        tol = Tolerances()
+        assert same_spectrum(np.array([1.0, 0.5]), np.array([1.0, 0.5 + 5e-9]), tol)
+        assert not same_spectrum(np.array([1.0, 0.5]), np.array([1.0, 0.5 + 2e-8]), tol)
+        assert same_spectrum(np.array([10.0, 0.5]), np.array([10.0, 0.5 + 5e-8]), tol)
+        assert not same_spectrum(np.array([1.0]), np.array([1.0, 0.0]), tol)
+        assert same_spectrum(np.array([]), np.array([]), tol)
 
 
 class TestDeterminant:

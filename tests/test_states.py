@@ -15,7 +15,11 @@ from uniequiv import (
     unilocal_mixed_equivalence,
 )
 from uniequiv import states
-from uniequiv.states import _quartic_traces, _resolve_phase_components, _simultaneous_lu_matrices
+from uniequiv.algebra import factor_algebra
+from uniequiv.solver import (UepInstance, build_linear_system, solve_solution_space,
+                             uep_instance_full)
+from uniequiv.states import (_quartic_traces, _realigned_blocks, _resolve_phase_components,
+                             _simultaneous_lu_matrices, _spanning_pairs)
 
 from conftest import ginibre, haar, random_density
 
@@ -179,11 +183,62 @@ class TestUnilocalMixed:
         assert verdict.residual <= 1e-8
         assert verdict.aux["uv_gap"] <= 1e-7
 
+    @pytest.mark.parametrize("d1", (1, 2, 3))
+    @pytest.mark.parametrize("d2", (1, 2, 3))
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_realigned_blocks_match_the_factor_algebra_system(self, d1, d2, k):
+        """The factor-algebra route {M (x) I} on (d1 d2)-dimensional pairs is kept
+        here as the reference: the realigned d1 x d1 system, on all blocks and
+        on the spanning pairs, has the same solution dimension, and the
+        verdict is YES exactly on planted cases."""
+        rng = np.random.default_rng(1000 + 100 * d1 + 10 * d2 + k)
+        rhos = [random_density(d1, d2, rng) for _ in range(k)]
+        cases = {"yes": np.kron(haar(d1, rng), np.eye(d2))}
+        if d2 > 1:  # I (x) V with d2 = 1 is a phase, which every U matches
+            cases["ixv-no"] = np.kron(np.eye(d1), haar(d2, rng))
+        for kind, big in cases.items():
+            sigmas = [density_operator(d1, d2, big @ r.matrix @ big.conj().T) for r in rhos]
+            self._check_against_factor_route(rhos, sigmas, kind == "yes")
+        if d1 * d2 > 1:
+            sigmas = [random_density(d1, d2, rng) for _ in range(k)]
+            self._check_against_factor_route(rhos, sigmas, False)
+
+    @staticmethod
+    def _check_against_factor_route(rhos, sigmas, planted):
+        d1, d2 = rhos[0].d1, rhos[0].d2
+        d = d1 * d2
+        R, S = _realigned_blocks(rhos, sigmas)
+        assert R.shape == S.shape == (len(rhos) * d2 * d2, d1, d1)
+        spanning = _spanning_pairs(R, S)
+        assert len(spanning) == 1 + min(len(R), 2 * d1 * d1)
+        eye = np.eye(d, dtype=complex)
+        G = factor_algebra(d1, d2)
+        factor = build_linear_system(UepInstance(
+            d, d, tuple((r.matrix, s.matrix) for r, s in zip(rhos, sigmas)) + ((eye, eye),), G, G))
+        expected = solve_solution_space(factor).dimension
+        for pairs in (spanning[:1] + tuple(zip(R, S)), spanning):
+            realigned = build_linear_system(uep_instance_full(d1, d1, pairs))
+            assert solve_solution_space(realigned).dimension == expected
+        verdict = unilocal_mixed_equivalence(rhos, sigmas, CFG)
+        assert verdict.verdict == ("YES" if planted else "NO")
+        if planted:
+            assert verdict.residual <= 1e-8 and verdict.aux["uv_gap"] <= 1e-7
+
     def test_spectrum_mismatch_is_exact_no(self, rng):
         rho = density_operator(2, 2, np.diag([0.4, 0.3, 0.2, 0.1]))
         sigma = density_operator(2, 2, np.diag([0.7, 0.1, 0.1, 0.1]))
         verdict = unilocal_mixed_equivalence([rho], [sigma], CFG)
         assert verdict.verdict == "NO" and verdict.certainty == "exact"
+        assert verdict.detail == "rho_0 vs sigma_0: singular values differ"
+
+    def test_block_mismatch_names_the_state_and_block(self, rng):
+        # I (x) V keeps every spectrum of rho_1 but not of its blocks
+        rhos = [random_density(2, 3, rng) for _ in range(2)]
+        W = np.kron(np.eye(2), haar(3, rng))
+        sigmas = [rhos[0], density_operator(2, 3, W @ rhos[1].matrix @ W.conj().T)]
+        verdict = unilocal_mixed_equivalence(rhos, sigmas, CFG)
+        assert verdict.verdict == "NO" and verdict.certainty == "exact"
+        assert verdict.detail.startswith("block (") and "of rho_1 vs sigma_1" in verdict.detail
 
 
 def _aligned(psis, phis):
