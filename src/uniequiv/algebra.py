@@ -43,6 +43,11 @@ class MatrixAlgebra:
     def size(self) -> int:
         return len(self.basis)
 
+    @property
+    def full(self) -> bool:
+        """Whether the basis spans all d x d matrices (its d^2 elements are independent)."""
+        return self.size == self.dim * self.dim
+
 
 class AlgebraReport(NamedTuple):
     unital: bool
@@ -90,8 +95,10 @@ def factor_algebra(a: int, b: int) -> MatrixAlgebra:
 
 
 def span_residual(G: MatrixAlgebra, M) -> float:
-    """Frobenius distance from M to span(basis)."""
+    """Frobenius distance from M to span(basis); 0.0 for a full algebra, whose span is everything."""
     v = as_complex_matrix(M).ravel()
+    if G.full:
+        return 0.0
     return float(np.linalg.norm(v - G.span_q @ (G.span_q.conj().T @ v)))
 
 
@@ -113,7 +120,7 @@ def verify_algebra(G: MatrixAlgebra, tol: Tolerances = Tolerances()) -> AlgebraR
     Returns a report rather than raising; callers that need a valid algebra
     (the solver) reject when unital or multiplicatively_closed is false.
     """
-    if G.size == G.dim * G.dim:
+    if G.full:
         return AlgebraReport(unital=True, multiplicatively_closed=True, star_closed=True)
     E = np.stack(G.basis)
     return AlgebraReport(
@@ -129,4 +136,6 @@ def membership_constraints(G: MatrixAlgebra) -> np.ndarray:
     The rows span the orthogonal complement of span_q. vec is the row-major
     ravel of a d x d matrix M. For the full algebra the constraint set is empty.
     """
+    if G.full:
+        return np.zeros((0, G.dim * G.dim), dtype=complex)
     return nullspace_basis(G.span_q.conj().T).conj().T

@@ -84,11 +84,16 @@ class MatrixPolynomial:
         return self.coefficients[0].shape
 
 
-def numerical_rank(s, tol: Tolerances = Tolerances()) -> int:
-    """Count of singular values above rank_rel * sigma_max; s is sorted descending."""
-    if s.size == 0 or s[0] == 0.0:
+def numerical_rank(s, tol: Tolerances = Tolerances(), scale: float = 0.0) -> int:
+    """Count of singular values above rank_rel * max(sigma_max, scale); s is sorted descending.
+
+    scale is a reference for a matrix whose largest constraints were taken
+    out before it was formed: without it, a matrix of pure rounding noise
+    would keep its noise as rank.
+    """
+    if s.size == 0:
         return 0
-    return int(np.count_nonzero(s > tol.rank_rel * s[0]))
+    return int(np.count_nonzero(s > tol.rank_rel * max(float(s[0]), scale)))
 
 
 def same_spectrum(sx, sy, tol: Tolerances = Tolerances()):
@@ -99,12 +104,15 @@ def same_spectrum(sx, sy, tol: Tolerances = Tolerances()):
     return np.max(np.abs(sx - sy), axis=-1, initial=0.0) <= tol.residual_abs * scale
 
 
-def nullspace_basis(M, tol: Tolerances = Tolerances()) -> np.ndarray:
+def nullspace_basis(M, tol: Tolerances = Tolerances(), scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis of the numerical right nullspace of a real or complex matrix.
 
     Returns an (n, k) array whose columns span the nullspace; k = 0 when the
-    nullspace is trivial. Singular vectors beyond numerical_rank count as
-    null; the zero matrix yields the full identity basis.
+    nullspace is trivial. A tall matrix is first replaced by the triangular
+    factor R of its QR decomposition, which has the same nullspace and
+    singular values in n rows. Singular vectors beyond numerical_rank (with
+    the reference scale) count as null; a matrix of rank 0 yields the full
+    identity basis.
     """
     M = np.asarray(M, dtype=complex if np.iscomplexobj(M) else float)
     if M.ndim != 2 or M.shape[1] < 1:
@@ -112,10 +120,12 @@ def nullspace_basis(M, tol: Tolerances = Tolerances()) -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise InputError("nullspace input contains non-finite entries")
     rows, n = M.shape
-    if rows < n:  # zero rows keep the thin SVD's vh square
+    if rows > n:
+        M = np.linalg.qr(M, mode="r")
+    elif rows < n:  # zero rows keep vh square
         M = np.vstack([M, np.zeros((n - rows, n), dtype=M.dtype)])
-    _, s, vh = np.linalg.svd(M, full_matrices=False)
-    rank = numerical_rank(s, tol)
+    _, s, vh = np.linalg.svd(M)
+    rank = numerical_rank(s, tol, scale)
     if rank == 0:
         return np.eye(n, dtype=M.dtype)
     return vh[rank:].conj().T

@@ -14,8 +14,8 @@ polynomial identity testing (Schwartz-Zippel).
 The system is complex-linear, so the solution set is a complex-linear space:
 the adjoint equation is imposed as its adjoint B X_i^dag = Y_i^dag A, and
 A^dag in G1 as conj(C) vec(A^T) = 0 for G1's membership rows C (likewise for
-B). Matrix polynomials run through the same pipeline with full algebras and
-the first equation only.
+B). Every system has one column per basis pair (A_j, B_j), so one solve
+serves every route below.
 
 Over two full algebras the system is solved in the singular frames of one
 random pivot pair X_c = sum c_i X_i, Y_c = sum c_i Y_i. Every solution also
@@ -30,6 +30,18 @@ exact ones, and every solution a residual of that size in the reduced
 system. A pivot pair whose spectra differ is an exact NO, because
 U X_c V^dag = Y_c for every solution.
 
+Matrix polynomials (invertible A, B with A X_i = Y_i B) use the same pivot
+pair, with the frames A' = W_y^dag A W_x and B' = R_y^dag B R_x of
+X_c = W_x S R_x^dag and Y_c = W_y T R_y^dag. Row (j, k) of A' S = T B' reads
+s_k A'_jk = t_j B'_jk and ties no other unknown, so its solutions have a
+closed-form orthonormal basis: one coupled unknown (t_j, s_k) / hypot(s_k, t_j)
+on (A'_jk, B'_jk) when max(s_k, t_j) is above the pivot cut (the cluster cut
+above, times max(1, s_1, t_1)), and two free units below it. Square
+coefficients with an invertible pivot keep d^2 unknowns in place of 2d^2.
+The rows of every pair are then taken in the frames. The pivot rows they
+imply now hold exactly, so a matrix whose every constraint was a pivot row
+is rounding noise: its rank cut is rank_rel * max(sigma_1, hypot(s_1, t_1)).
+
 Every YES, in every mode, leaves the package through `check_certificate`,
 which recomputes the certificate's residual and side conditions with
 `certificate_residuals`; `uniequiv verify` calls the same function.
@@ -42,8 +54,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import (MatrixAlgebra, full_algebra, matrix_units, membership_constraints,
-                      span_residual, verify_algebra)
+from .algebra import (MatrixAlgebra, full_algebra, membership_constraints, span_residual,
+                      verify_algebra)
 from .errors import DegenerateCandidateError, InputError, InvalidAlgebraError
 from .linalg import (
     MatrixPolynomial,
@@ -151,9 +163,16 @@ class UepVerdict:
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
-    matrix: np.ndarray           # complex constraints; columns are G1's basis, then G2's
-    basis1: np.ndarray           # stacked G1 basis, shape (|G1|, d1, d1)
-    basis2: np.ndarray           # stacked G2 basis, shape (|G2|, d2, d2)
+    """Complex constraints on A = sum_j x_j basis_a[j], B = sum_j x_j basis_b[j].
+
+    Column j of matrix is the unknown x_j of the basis pair (basis_a[j],
+    basis_b[j]). The nullspace's rank cut is rank_rel * max(sigma_1, scale).
+    """
+
+    matrix: np.ndarray
+    basis_a: np.ndarray          # shape (columns, d1, d1)
+    basis_b: np.ndarray          # shape (columns, d2, d2)
+    scale: float = 0.0
 
 
 # A cut between two pivot clusters at relative gap g leaves the computed frames
@@ -195,21 +214,19 @@ def singular_value_prefilter(pairs, tol: Tolerances = Tolerances()):
     return (False, int(bad[0])) if bad.size else (True, None)
 
 
-def _linear_system(E1, E2, pairs, adjoint_rows, memb=(None, None)) -> LinearSystem:
+def _linear_system(E1, E2, pairs, memb=(None, None)) -> np.ndarray:
     """Constraint matrix over A = sum a_j E1[j], B = sum b_k E2[k].
 
-    Rows hold the entries of A X_i - Y_i B, then (with adjoint_rows) of
-    B X_i^dag - Y_i^dag A, then the membership rows C of memb applied as
-    conj(C) vec(A^T) and conj(C) vec(B^T), which says A^dag, B^dag lie in
-    the algebras. The batched products E1 @ X_i equal kron(I, X_i^T) applied
-    to the stacked basis.
+    Rows hold the entries of A X_i - Y_i B, then of B X_i^dag - Y_i^dag A,
+    then the membership rows C of memb applied as conj(C) vec(A^T) and
+    conj(C) vec(B^T), which says A^dag, B^dag lie in the algebras. The
+    batched products E1 @ X_i equal kron(I, X_i^T) applied to the stacked
+    basis.
     """
     X = np.stack([X for X, _ in pairs])
     Y = np.stack([Y for _, Y in pairs])
-    blocks = [(E1[:, None] @ X, -(Y @ E2[:, None]))]
-    if adjoint_rows:
-        Xh, Yh = X.conj().transpose(0, 2, 1), Y.conj().transpose(0, 2, 1)
-        blocks.append((-(Yh @ E1[:, None]), E2[:, None] @ Xh))
+    Xh, Yh = X.conj().transpose(0, 2, 1), Y.conj().transpose(0, 2, 1)
+    blocks = [(E1[:, None] @ X, -(Y @ E2[:, None])), (-(Yh @ E1[:, None]), E2[:, None] @ Xh)]
     g1, g2 = len(E1), len(E2)
     rows = [np.hstack([a.reshape(g1, -1).T, b.reshape(g2, -1).T]) for a, b in blocks]
     for C, E, cols in zip(memb, (E1, E2), (slice(0, g1), slice(g1, None))):
@@ -217,48 +234,67 @@ def _linear_system(E1, E2, pairs, adjoint_rows, memb=(None, None)) -> LinearSyst
             block = np.zeros((C.shape[0], g1 + g2), dtype=complex)
             block[:, cols] = C.conj() @ E.transpose(0, 2, 1).reshape(len(E), -1).T
             rows.append(block)
-    return LinearSystem(matrix=np.vstack(rows), basis1=E1, basis2=E2)
+    return np.vstack(rows)
 
 
-def _pivot_pair(inst: UepInstance, seed: int):
+def _separate_unknowns(E1, E2):
+    """Basis pairs (E1[j], 0), then (0, E2[k]): one column per unknown of A, then of B."""
+    return (np.concatenate([E1, np.zeros((len(E2),) + E1.shape[1:], dtype=complex)]),
+            np.concatenate([np.zeros((len(E1),) + E2.shape[1:], dtype=complex), E2]))
+
+
+def _pivot_pair(pairs, seed: int):
     """(X_c, Y_c) = sum_i c_i (X_i, Y_i) for a unit complex Gaussian vector c.
 
     c comes from the child seed of `seed` with spawn key (0,), which none of
     the sampler's per-trial seeds (seed, trial) reaches.
     """
     rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(0,)))
-    re, im = rng.standard_normal((2, len(inst.pairs)))
+    re, im = rng.standard_normal((2, len(pairs)))
     c = (re + 1j * im) / np.linalg.norm(re + 1j * im)
-    return (sum(ci * X for ci, (X, _) in zip(c, inst.pairs)),
-            sum(ci * Y for ci, (_, Y) in zip(c, inst.pairs)))
+    return (sum(ci * X for ci, (X, _) in zip(c, pairs)),
+            sum(ci * Y for ci, (_, Y) in zip(c, pairs)))
+
+
+def _pivot_cut(s, t, tol: Tolerances):
+    """(scale, cut) of a pivot pair with descending spectra s and t.
+
+    scale is max(1, s_1, t_1); cut is _PIVOT_MARGIN * eps / min(rank_rel,
+    residual_abs) times scale, the smallest singular value or gap the
+    computed frames resolve to well below both the rank cut and the
+    certificate bound.
+    """
+    scale = max(1.0, float(s[0]), float(t[0]))
+    return scale, _PIVOT_MARGIN * np.finfo(float).eps / min(tol.rank_rel, tol.residual_abs) * scale
 
 
 def _pivot_frames(Xc, Yc, tol: Tolerances) -> _PivotFrames | None:
     """Full SVDs of a pivot pair and their clusters; None when the spectra differ.
 
     The spectra are compared under singular_value_prefilter's rule. A cut
-    between k and k+1 needs a gap above _PIVOT_MARGIN * eps / min(rank_rel,
-    residual_abs) times max(1, sigma_1) in both spectra. The spectra are
-    zero-padded to max(d1, d2); the d1 side reads the gaps of its first d1
-    values, the d2 side those of its first d2.
+    between k and k+1 needs a gap above _pivot_cut in both spectra. The
+    spectra are zero-padded to max(d1, d2); the d1 side reads the gaps of its
+    first d1 values, the d2 side those of its first d2. The reported gaps
+    are relative to _pivot_cut's scale.
     """
     W_x, sx, Rh_x = np.linalg.svd(Xc)
     W_y, sy, Rh_y = np.linalg.svd(Yc)
     if not same_spectrum(sx, sy, tol):
         return None
+    scale, cut = _pivot_cut(sx, sy, tol)
     pad = np.zeros(max(Xc.shape) - len(sx))
     gap = np.minimum(-np.diff(np.concatenate([sx, pad])), -np.diff(np.concatenate([sy, pad])))
-    gap /= max(1.0, float(sx[0]), float(sy[0]))
-    cut = gap > _PIVOT_MARGIN * np.finfo(float).eps / min(tol.rank_rel, tol.residual_abs)
+    split = gap > cut
+    gap /= scale
 
     def blocks(d):
-        cuts = [0, *(np.flatnonzero(cut[:d - 1]) + 1).tolist(), d]
+        cuts = [0, *(np.flatnonzero(split[:d - 1]) + 1).tolist(), d]
         return tuple(zip(cuts[:-1], cuts[1:]))
 
     return _PivotFrames(W_x=W_x, R_x=Rh_x.conj().T, W_y=W_y, R_y=Rh_y.conj().T,
                         blocks1=blocks(len(W_x)), blocks2=blocks(len(Rh_x)),
-                        merged_gap=float(gap[~cut].max(initial=0.0)),
-                        split_gap=float(gap[cut].min()) if cut.any() else None)
+                        merged_gap=float(gap[~split].max(initial=0.0)),
+                        split_gap=float(gap[split].min()) if split.any() else None)
 
 
 def _block_units(d: int, blocks) -> np.ndarray:
@@ -282,9 +318,7 @@ def build_linear_system(inst: UepInstance, tol: Tolerances = Tolerances(),
     matrix units carried back to the original frame, W_y E W_x^dag for A
     and R_y E R_x^dag for B, and the rows are those of the rotated pairs
     W_x^dag X_i R_x, W_y^dag Y_i R_y: A' X'_i = Y'_i B' is A X_i = Y_i B in
-    the frames, and likewise for the adjoint equation. Those rows are kept
-    as the triangular factor R of their QR decomposition, which has the same
-    nullspace and singular values in far fewer rows.
+    the frames, and likewise for the adjoint equation.
     """
     memb = []
     for name, G in (("G1", inst.G1), ("G2", inst.G2)):
@@ -296,24 +330,75 @@ def build_linear_system(inst: UepInstance, tol: Tolerances = Tolerances(),
             )
         memb.append(None if report.star_closed else membership_constraints(G))
     if frames is None:
-        return _linear_system(np.stack(inst.G1.basis), np.stack(inst.G2.basis), inst.pairs,
-                              adjoint_rows=True, memb=memb)
+        E1, E2 = np.stack(inst.G1.basis), np.stack(inst.G2.basis)
+        return LinearSystem(_linear_system(E1, E2, inst.pairs, memb),
+                            *_separate_unknowns(E1, E2))
     E1, E2 = _block_units(inst.d1, frames.blocks1), _block_units(inst.d2, frames.blocks2)
     Wxh, Rxh = frames.W_x.conj().T, frames.R_x.conj().T
     pairs = tuple((Wxh @ X @ frames.R_x, frames.W_y.conj().T @ Y @ frames.R_y)
                   for X, Y in inst.pairs)
-    rows = _linear_system(E1, E2, pairs, adjoint_rows=True).matrix
-    return LinearSystem(matrix=np.linalg.qr(rows, mode="r"),
-                        basis1=frames.W_y @ E1 @ Wxh, basis2=frames.R_y @ E2 @ Rxh)
+    return LinearSystem(_linear_system(E1, E2, pairs),
+                        *_separate_unknowns(frames.W_y @ E1 @ Wxh, frames.R_y @ E2 @ Rxh))
+
+
+def _matpoly_system(pairs, seed: int, tol: Tolerances):
+    """The system A X_i = Y_i B in the frames of the pivot pair drawn from seed, and its aux.
+
+    With s and t zero-padded to max(d1, d2), the unknown (j, k) is coupled
+    when max(s_k, t_j) is above the pivot cut: its one column is
+    (t_j E_jk, s_k E_jk) / hypot(s_k, t_j) in the frames, with the side
+    outside A' (d1 x d1) or B' (d2 x d2) left out. That side always has
+    weight 0, so the column stays a unit, or vanishes when it was the only
+    side (row (j, k) then forces the other entry to 0). Below the cut A'_jk
+    and B'_jk are free units. aux holds pivot_unknowns (columns kept),
+    pivot_free_units (free units among them) and pivot_coupling_margin (the
+    smallest max(s_k, t_j) of a coupled column over the cut, None without one).
+    """
+    Xc, Yc = _pivot_pair(pairs, seed)
+    W_x, s, Rh_x = np.linalg.svd(Xc)
+    W_y, t, Rh_y = np.linalg.svd(Yc)
+    _, cut = _pivot_cut(s, t, tol)
+    (d1, d2), D = Xc.shape, max(Xc.shape)
+    s_k, t_j = (np.concatenate([v, np.zeros(D - len(v))]) for v in (s, t))
+    j, k = np.divmod(np.arange(D * D), D)
+    s_k, t_j = s_k[k], t_j[j]
+    in_a, in_b = (j < d1) & (k < d1), (j < d2) & (k < d2)
+    weight = np.maximum(s_k, t_j)
+    coupled = weight > cut
+    norm = np.hypot(s_k, t_j, where=coupled, out=np.ones(D * D))
+    alpha, beta = t_j / norm * in_a, s_k / norm * in_b
+    kept = np.flatnonzero(coupled & ((alpha != 0) | (beta != 0)))
+    free_a, free_b = np.flatnonzero(~coupled & in_a), np.flatnonzero(~coupled & in_b)
+    idx = np.concatenate([kept, free_a, free_b])
+    alpha = np.concatenate([alpha[kept], np.ones(len(free_a)), np.zeros(len(free_b))])
+    beta = np.concatenate([beta[kept], np.zeros(len(free_a)), np.ones(len(free_b))])
+    r, c, n = j[idx], k[idx], len(idx)
+    # row (p, q) of A' X'_i - Y'_i B': A'_rc adds X'_i[c, q] at p = r, B'_rc
+    # subtracts Y'_i[p, r] at q = c
+    X = W_x.conj().T @ np.stack([X for X, _ in pairs]) @ Rh_x.conj().T
+    Y = W_y.conj().T @ np.stack([Y for _, Y in pairs]) @ Rh_y.conj().T
+    a, b = np.flatnonzero(alpha), np.flatnonzero(beta)
+    rows = np.zeros((len(pairs), d1, d2, n), dtype=complex)
+    rows[:, r[a], :, a] = alpha[a, None, None] * X[:, c[a], :].transpose(1, 0, 2)
+    rows[:, :, c[b], b] -= beta[b] * Y[:, :, r[b]]
+    # the frame units E_rc carried back: W_y E_rc W_x^dag and R_y E_rc R_x^dag
+    basis_a = np.zeros((n, d1, d1), dtype=complex)
+    basis_a[a] = alpha[a, None, None] * W_y.T[r[a], :, None] * W_x.T.conj()[c[a], None, :]
+    basis_b = np.zeros((n, d2, d2), dtype=complex)
+    basis_b[b] = beta[b, None, None] * Rh_y.conj()[r[b], :, None] * Rh_x[c[b], None, :]
+    system = LinearSystem(rows.reshape(-1, n), basis_a, basis_b,
+                          scale=float(np.hypot(s[0], t[0])))
+    margin = float(weight[kept].min() / cut) if kept.size else None
+    return system, {"pivot_unknowns": n, "pivot_free_units": len(free_a) + len(free_b),
+                    "pivot_coupling_margin": margin}
 
 
 def solve_solution_space(system: LinearSystem, tol: Tolerances = Tolerances()) -> SolutionSpace:
-    ns = nullspace_basis(system.matrix, tol)
-    g1 = len(system.basis1)
-    As = np.tensordot(ns[:g1].T, system.basis1, axes=1)
-    Bs = np.tensordot(ns[g1:].T, system.basis2, axes=1)
+    ns = nullspace_basis(system.matrix, tol, system.scale)
+    As = np.tensordot(ns.T, system.basis_a, axes=1)
+    Bs = np.tensordot(ns.T, system.basis_b, axes=1)
     return SolutionSpace(basis=tuple(zip(As, Bs)), dimension=ns.shape[1],
-                         d1=system.basis1.shape[1], d2=system.basis2.shape[1])
+                         d1=system.basis_a.shape[1], d2=system.basis_b.shape[1])
 
 
 def per_trial_failure_bound(d1: int, d2: int, sample_max: int) -> float:
@@ -493,8 +578,8 @@ def decide_uep(inst: UepInstance, cfg: SamplerConfig = SamplerConfig(),
         return UepVerdict(verdict="NO", certainty="exact",
                           detail=f"singular values differ at pair index {idx}")
     frames, aux = None, {}
-    if inst.G1.size == inst.d1 ** 2 and inst.G2.size == inst.d2 ** 2:
-        frames = _pivot_frames(*_pivot_pair(inst, cfg.seed), tol)
+    if inst.G1.full and inst.G2.full:
+        frames = _pivot_frames(*_pivot_pair(inst.pairs, cfg.seed), tol)
         if frames is None:
             return UepVerdict(verdict="NO", certainty="exact",
                               detail="singular values differ at the random pivot pair "
@@ -513,20 +598,24 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
                                   tol: Tolerances = Tolerances()) -> UepVerdict:
     """Decide whether invertible A, B exist with A X_i B^(-1) = Y_i for all i.
 
-    The constraints are only A X_i = Y_i B over full algebras, and the
-    certificate is the sampled (A, B) itself. Coefficient ranks are invariant
-    under the equivalence and serve as an exact prefilter.
+    The constraints are only A X_i = Y_i B over full algebras, solved in the
+    frames of the pivot pair drawn from cfg.seed (see _matpoly_system), and
+    the certificate is the sampled (A, B) itself. Coefficient ranks are
+    invariant under the equivalence and serve as an exact prefilter. Every
+    verdict past it records pivot_unknowns, pivot_free_units and
+    pivot_coupling_margin in aux.
     """
     if P.shape != Q.shape or P.degree != Q.degree:
         raise InputError("matrix polynomials must share shape and degree")
-    d1, d2 = P.shape
     pairs = tuple(zip(P.coefficients, Q.coefficients))
     for idx, (X, Y) in enumerate(pairs):
         if numerical_rank(singular_values(X), tol) != numerical_rank(singular_values(Y), tol):
             return UepVerdict(verdict="NO", certainty="exact", certificate_kind="invertible",
                               detail=f"coefficient ranks differ at index {idx}")
-    system = _linear_system(matrix_units(d1), matrix_units(d2), pairs, adjoint_rows=False)
-    return _decide(system, cfg, tol, "matpoly", (P, Q))
+    system, aux = _matpoly_system(pairs, cfg.seed, tol)
+    verdict = _decide(system, cfg, tol, "matpoly", (P, Q))
+    verdict.aux.update(aux)
+    return verdict
 
 
 def uep_instance_full(d1: int, d2: int, pairs) -> UepInstance:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +159,15 @@ class TestMembership:
     def test_full_algebra_has_no_constraints(self):
         C = membership_constraints(full_algebra(3))
         assert C.shape == (0, 9)
+
+    def test_full_algebra_is_decided_without_span_q(self, rng):
+        # a full algebra spans everything: no projection onto span_q and no
+        # nullspace of the d^2 x d^2 identity is needed
+        G = replace(full_algebra(3), span_q=None)
+        assert membership_constraints(G).shape == (0, 9)
+        assert span_residual(G, ginibre(3, 3, rng)) == 0.0
+        with pytest.raises(InputError):
+            span_residual(G, np.full((3, 3), np.nan))
 
     def test_scalar_span_constraints(self, rng):
         G = factor_algebra(1, 2)

@@ -178,6 +178,17 @@ class TestDecide:
         assert main(["decide", str(path), "--seed", "4", "-o", str(out)]) == 0
         verdict = json.loads(out.read_text())
         assert verdict["certificate_kind"] == "invertible"
+        v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+        for out in (v1, v2):
+            assert main(["decide", str(path), "--seed", "4", "--verbose", "-o", str(out)]) == 0
+        assert _strip_timing(v1) == _strip_timing(v2)
+        aux = json.loads(v1.read_text())["aux"]
+        # a generic 2x3 pivot couples its 2x2 corner, keeps B'_2k (k < 2) as
+        # B-only columns, forces B'_j2 (j < 2) to 0 and leaves B'_22 free
+        assert {k: aux[k] for k in ("pivot_unknowns", "pivot_free_units")} == {
+            "pivot_unknowns": 7, "pivot_free_units": 1}
+        assert set(aux) == {"pivot_unknowns", "pivot_free_units", "pivot_coupling_margin"}
+        assert aux["pivot_coupling_margin"] > 1.0
 
     def test_pure_sets_mode(self, tmp_path, rng):
         d1, d2 = 2, 2

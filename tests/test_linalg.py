@@ -87,6 +87,31 @@ class TestNullspace:
         with pytest.raises(InputError):
             nullspace_basis([[np.nan, 0.0]])
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_tall_qr_route_matches_a_direct_thin_svd(self, rng, field):
+        # sigma_1 = 1, so the rank cut is rank_rel: two values sit 10x above
+        # it, two 10x below, and four are 0, so the planted nullity is 6
+        tol = Tolerances()
+        cut = tol.rank_rel
+        s = np.array([1.0, 0.6, 0.2, 0.05, 10 * cut, 10 * cut, cut / 10, cut / 10, 0, 0, 0, 0])
+        rows, n = 40, len(s)
+        draw = ginibre if field == "complex" else (lambda a, b, r: r.standard_normal((a, b)))
+        U, V = np.linalg.qr(draw(rows, n, rng))[0], np.linalg.qr(draw(n, n, rng))[0]
+        M = (U * s) @ V.conj().T
+        ns = nullspace_basis(M, tol)
+        _, sv, vh = np.linalg.svd(M, full_matrices=False)
+        ref = vh[np.count_nonzero(sv > cut * sv[0]):].conj().T
+        assert ns.shape == ref.shape == (n, 6)
+        # the 1e-9 gap to the kept values leaves each basis about eps / 1e-9 off
+        assert np.linalg.norm(ns - ref @ (ref.conj().T @ ns), 2) <= 1e-5
+
+    def test_reference_scale_drops_rounding_noise(self, rng):
+        # a matrix whose constraints were all taken out before it was formed
+        noise = 1e-16 * ginibre(30, 8, rng)
+        assert nullspace_basis(noise, Tolerances(), scale=1.0).shape == (8, 8)
+        assert nullspace_basis(noise, Tolerances()).shape == (8, 0)
+        assert numerical_rank(np.array([1e-15, 1e-16]), Tolerances(), scale=1.0) == 0
+
 
 class TestHermitianEig:
     def test_identity(self):

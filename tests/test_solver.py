@@ -267,7 +267,7 @@ def _tuned_pivot(d, gap, seed):
     cannot resolve loses the solutions."""
     rng = np.random.default_rng(seed)
     one = [np.ones((1, 1)), np.zeros((1, 1))]
-    c1, c2 = (_pivot_pair(uep_instance_full(1, 1, [(X, X) for X in probe]), seed)[0][0, 0]
+    c1, c2 = (_pivot_pair([(X, X) for X in probe], seed)[0][0, 0]
               for probe in (one, one[::-1]))
     x1 = np.concatenate([[12.0, 4.0], rng.uniform(0.1, 0.5, d - 2)]).astype(complex)
     x2 = np.concatenate([[0.0, 12.0], rng.uniform(0.1, 0.5, d - 2)]).astype(complex)
@@ -307,7 +307,7 @@ class TestPivot:
         # solutions; below the cut the pair merges, above it the split is exact
         for seed in range(40):
             inst = _tuned_pivot(6, gap, seed)
-            frames = _pivot_frames(*_pivot_pair(inst, seed), Tolerances())
+            frames = _pivot_frames(*_pivot_pair(inst.pairs, seed), Tolerances())
             assert frames.blocks1[0] == ((0, 1) if gap > CUT else (0, 2))
             verdict = decide_uep(inst, SamplerConfig(seed=seed))
             assert verdict.verdict == "YES" and verdict.residual <= 1e-12
@@ -315,8 +315,8 @@ class TestPivot:
 
     def test_pivot_seed_stays_apart_from_the_trials(self):
         inst, _ = random_yes_instance(3, 3, 1, seed=4)
-        Xc, _ = _pivot_pair(inst, 9)
-        assert np.array_equal(Xc, _pivot_pair(inst, 9)[0])
+        Xc, _ = _pivot_pair(inst.pairs, 9)
+        assert np.array_equal(Xc, _pivot_pair(inst.pairs, 9)[0])
         X = np.stack([X for X, _ in inst.pairs])
         for trial in range(4):
             re, im = np.random.default_rng([9, trial]).standard_normal((2, 2))
