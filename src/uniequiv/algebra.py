@@ -79,12 +79,14 @@ def full_algebra(d: int) -> MatrixAlgebra:
     """The full matrix algebra on C^(d x d), basis = matrix units.
 
     The vectorized matrix units are the standard basis of C^(d^2), so span_q
-    is the identity and there is no independence to check.
+    is the identity and there is no independence to check. One read-only
+    identity serves as span_q and, reshaped, as the basis views.
     """
     if d < 1:
         raise InputError("dimension must be positive")
-    return MatrixAlgebra(dim=d, basis=tuple(matrix_units(d)), kind="full",
-                         span_q=np.eye(d * d, dtype=complex))
+    eye = np.eye(d * d, dtype=complex)
+    eye.flags.writeable = False
+    return MatrixAlgebra(dim=d, basis=tuple(eye.reshape(d * d, d, d)), kind="full", span_q=eye)
 
 
 def factor_algebra(a: int, b: int) -> MatrixAlgebra:

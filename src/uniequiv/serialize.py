@@ -3,11 +3,17 @@
 Complex numbers serialize as two-element [re, im] arrays; matrices as
 row-major lists of rows. Python's shortest-round-trip float printing makes
 the encoding lossless for binary64 values and byte-deterministic.
+
+Matrices and vectors are decoded in one numpy conversion when every leaf is
+an int or float and every value is finite; otherwise the per-entry reader
+runs, and it alone words the errors.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -36,17 +42,31 @@ __all__ = [
 MODES = ("matrix-pairs", "matpoly", "pure-sets", "unilocal-mixed", "generic-mixed")
 
 
-def _pair(z: complex):
-    return [float(z.real), float(z.imag)]
-
-
 def matrix_to_json(M) -> list:
     M = np.asarray(M, dtype=complex)
-    return [[_pair(z) for z in row] for row in M]
+    return np.stack([M.real, M.imag], -1).tolist()
 
 
 def vector_to_json(v) -> list:
-    return [_pair(z) for z in np.asarray(v, dtype=complex).ravel()]
+    return matrix_to_json(np.ravel(v))
+
+
+def _fast_pairs(obj, shape):
+    """obj as a complex array of the given shape in one conversion, or None
+    unless obj nests finite [re, im] pairs of ints and floats to that shape.
+    The view keeps every bit, signed zeros too."""
+    leaves = obj
+    for _ in range(len(shape)):
+        leaves = chain.from_iterable(leaves)
+    try:
+        if not set(map(type, leaves)) <= {int, float}:
+            return None
+        a = np.array(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if a.shape != (*shape, 2) or not np.isfinite(a).all():
+        return None
+    return a.view(complex)[..., 0]
 
 
 def _entry_from_json(obj, where: str) -> complex:
@@ -65,6 +85,9 @@ def matrix_from_json(obj, where: str) -> np.ndarray:
     ncols = len(obj[0])
     if ncols == 0 or any(len(r) != ncols for r in obj):
         raise MalformedInstanceError(f"{where}: rows must be non-empty and of equal length")
+    fast = _fast_pairs(obj, (len(obj), ncols))
+    if fast is not None:
+        return fast
     return np.array(
         [[_entry_from_json(e, f"{where}[{i}][{j}]") for j, e in enumerate(row)]
          for i, row in enumerate(obj)],
@@ -75,6 +98,9 @@ def matrix_from_json(obj, where: str) -> np.ndarray:
 def vector_from_json(obj, where: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise MalformedInstanceError(f"{where}: expected a non-empty list of [re, im] pairs")
+    fast = _fast_pairs(obj, (len(obj),))
+    if fast is not None:
+        return fast
     return np.array([_entry_from_json(e, f"{where}[{i}]") for i, e in enumerate(obj)],
                     dtype=complex)
 
@@ -267,5 +293,51 @@ def certificate_from_json(doc: dict):
     return tuple(out)
 
 
+@lru_cache(maxsize=64)
+def _matrix_template(nrows: int, ncols: int) -> str:
+    """The text json.dumps(indent=2) gives an nrows x ncols matrix of [re, im]
+    pairs as a top-level value, with %r for each float."""
+    pair = "\n      [\n        %r,\n        %r\n      ]"
+    row = "\n    [" + ",".join([pair] * ncols) + "\n    ]"
+    return "[" + ",".join([row] * nrows) + "\n  ]"
+
+
+def _matrix_text(value) -> str | None:
+    """The indented JSON text of a top-level value that is a non-empty matrix
+    of finite [re, im] float pairs, or None for any other value."""
+    if type(value) is not list or not value or type(value[0]) is not list:
+        return None
+    ncols = len(value[0])
+    if ncols == 0 or any(type(r) is not list or len(r) != ncols for r in value):
+        return None
+    entries = list(chain.from_iterable(value))
+    if any(type(e) is not list or len(e) != 2 for e in entries):
+        return None
+    floats = tuple(chain.from_iterable(entries))
+    if set(map(type, floats)) != {float} or not np.isfinite(floats).all():
+        return None
+    return _matrix_template(len(value), ncols) % floats
+
+
 def dumps_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """json.dumps(doc, indent=2) + "\n", byte for byte.
+
+    json's indenting encoder is pure Python; each top-level matrix value is
+    written from a %r template instead and spliced in where a placeholder
+    string stood. A placeholder whose text occurs anywhere else sends the
+    whole document through json.dumps.
+    """
+    texts = {}
+    for key, value in doc.items():
+        text = _matrix_text(value)
+        if text is not None:
+            texts[key] = (f"\x00matrix {len(texts)}\x00", text)
+    if not texts:
+        return json.dumps(doc, indent=2) + "\n"
+    out = json.dumps({**doc, **{k: token for k, (token, _) in texts.items()}}, indent=2)
+    for token, text in texts.values():
+        quoted = json.dumps(token)
+        if out.count(quoted) != 1:
+            return json.dumps(doc, indent=2) + "\n"
+        out = out.replace(quoted, text)
+    return out + "\n"

@@ -604,6 +604,11 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
     invariant under the equivalence and serve as an exact prefilter. Every
     verdict past it records pivot_unknowns, pivot_free_units and
     pivot_coupling_margin in aux.
+
+    A X_i = Y_i B is unchanged when one pair (X_i, Y_i) is scaled, so each
+    nonzero pair is divided by max(||X_i||_F, ||Y_i||_F) before the system is
+    built: one rank cut then sees the constraints of small coefficients next
+    to large ones. The certificate is checked on the unscaled (P, Q).
     """
     if P.shape != Q.shape or P.degree != Q.degree:
         raise InputError("matrix polynomials must share shape and degree")
@@ -612,6 +617,8 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
         if numerical_rank(singular_values(X), tol) != numerical_rank(singular_values(Y), tol):
             return UepVerdict(verdict="NO", certainty="exact", certificate_kind="invertible",
                               detail=f"coefficient ranks differ at index {idx}")
+    norms = [max(np.linalg.norm(X), np.linalg.norm(Y)) for X, Y in pairs]
+    pairs = tuple((X / n, Y / n) if n > 0 else (X, Y) for (X, Y), n in zip(pairs, norms))
     system, aux = _matpoly_system(pairs, cfg.seed, tol)
     verdict = _decide(system, cfg, tol, "matpoly", (P, Q))
     verdict.aux.update(aux)

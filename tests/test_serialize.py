@@ -1,0 +1,264 @@
+"""The JSON codec: pinned parse errors, the one-conversion decode against the
+per-entry reader, and dumps_document against json.dumps."""
+
+import json
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from uniequiv import serialize
+from uniequiv.errors import MalformedInstanceError
+from uniequiv.oracle import random_yes_instance
+from uniequiv.serialize import (
+    certificate_from_json,
+    certificate_to_json,
+    dumps_document,
+    instance_to_json,
+    matrix_from_json,
+    matrix_to_json,
+    parse_instance,
+    vector_from_json,
+    verdict_document,
+)
+from uniequiv.solver import UepVerdict
+
+from test_cli import STATE_MODES, _state_doc
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _matrix_text(rows, cols, bad=None, at=None):
+    """JSON text of a rows x cols matrix of [re, im] pairs, with the entry at
+    `at` replaced by the JSON text `bad`."""
+    return "[" + ", ".join(
+        "[" + ", ".join(bad if (i, j) == at else f"[{i}.5, {j}.0]" for j in range(cols)) + "]"
+        for i in range(rows)) + "]"
+
+
+def _parse_error(text, parse=parse_instance):
+    with pytest.raises(MalformedInstanceError) as info:
+        parse(json.loads(text))
+    return str(info.value)
+
+
+# (JSON text of one entry, the message after "<location>: ")
+BAD_ENTRIES = [
+    ("[true, 0.0]", "expected a [re, im] number pair, got [True, 0.0]"),
+    ("[0.0, false]", "expected a [re, im] number pair, got [0.0, False]"),
+    ('["1", 0.0]', "expected a [re, im] number pair, got ['1', 0.0]"),
+    ('"ab"', "expected a [re, im] number pair, got 'ab'"),
+    ("null", "expected a [re, im] number pair, got None"),
+    ("[1.0, null]", "expected a [re, im] number pair, got [1.0, None]"),
+    ("[1.0, 0.0, 0.0]", "expected a [re, im] number pair, got [1.0, 0.0, 0.0]"),
+    ("[1.0]", "expected a [re, im] number pair, got [1.0]"),
+    ("1.5", "expected a [re, im] number pair, got 1.5"),
+    ('{"re": 1.0, "im": 0.0}', "expected a [re, im] number pair, got {'re': 1.0, 'im': 0.0}"),
+    ("[[1.0, 0.0], [0.0, 0.0]]", "expected a [re, im] number pair, got [[1.0, 0.0], [0.0, 0.0]]"),
+    ("[NaN, 0.0]", "non-finite entry [nan, 0.0]"),
+    ("[0.0, Infinity]", "non-finite entry [0.0, inf]"),
+    ("[-Infinity, 0]", "non-finite entry [-inf, 0]"),
+]
+
+# (document text with @ where the bad matrix stands, its shape, the bad entry's location)
+CONTEXTS = [
+    ('{"mode": "matrix-pairs", "d1": 2, "d2": 3, "pairs": [{"X": %s, "Y": @}]}'
+     % _matrix_text(2, 3), (2, 3), "pairs[0].Y[1][2]"),
+    ('{"mode": "matpoly", "d1": 2, "d2": 3, "P": [@], "Q": [%s]}' % _matrix_text(2, 3),
+     (2, 3), "P[0][1][2]"),
+    ('{"mode": "matrix-pairs", "d1": 3, "d2": 3, "pairs": [{"X": %s, "Y": %s}],'
+     ' "G2": {"kind": "span", "basis": [%s, @]}}'
+     % (_matrix_text(3, 3), _matrix_text(3, 3), _matrix_text(3, 3)), (3, 3), "G2.basis[1][1][2]"),
+    ('{"mode": "unilocal-mixed", "d1": 1, "d2": 3, "rhos": [@], "sigmas": [%s]}'
+     % _matrix_text(3, 3), (3, 3), "rhos[0][1][2]"),
+    ('{"mode": "generic-mixed", "d1": 1, "d2": 3, "rho": @, "sigma": %s}' % _matrix_text(3, 3),
+     (3, 3), "rho[1][2]"),
+]
+
+
+def _context_text(doc, shape, bad):
+    return doc.replace("@", _matrix_text(*shape, bad, (1, 2)))
+
+
+class TestParseErrors:
+    """Each message names the field and entry exactly as the per-entry reader always has."""
+
+    @pytest.mark.parametrize("bad, message", BAD_ENTRIES)
+    @pytest.mark.parametrize("doc, shape, where", CONTEXTS)
+    def test_matrix_entry(self, doc, shape, where, bad, message):
+        assert _parse_error(_context_text(doc, shape, bad)) == f"{where}: {message}"
+
+    @pytest.mark.parametrize("bad, message", BAD_ENTRIES)
+    def test_vector_entry(self, bad, message):
+        text = ('{"mode": "pure-sets", "d1": 2, "d2": 2, "states_in": [[[1, 0], [0, 0], [0, 0], %s]],'
+                ' "states_out": [[[1, 0], [0, 0], [0, 0], [0, 0]]]}' % bad)
+        assert _parse_error(text) == f"states_in[0][3]: {message}"
+
+    @pytest.mark.parametrize("bad, message", BAD_ENTRIES)
+    def test_certificate_entry(self, bad, message):
+        text = '{"U": %s, "V": null}' % _matrix_text(2, 3, bad, (1, 2))
+        assert _parse_error(text, certificate_from_json) == f"U[1][2]: {message}"
+
+    @pytest.mark.parametrize("doc, shape, where", CONTEXTS)
+    def test_int_beyond_binary64(self, doc, shape, where):
+        # the overflow surfaces from float() and is worded by the caller's wrapper
+        expected = ("G2: int too large to convert to float" if where.startswith("G2")
+                    else "instance validation failed: int too large to convert to float")
+        assert _parse_error(_context_text(doc, shape, "[%d, 0]" % 10**400)) == expected
+
+    def test_int_beyond_binary64_in_vector(self):
+        text = ('{"mode": "pure-sets", "d1": 1, "d2": 2, "states_in": [[[1, 0], [0, %d]]],'
+                ' "states_out": [[[1, 0], [0, 0]]]}' % 10**400)
+        assert _parse_error(text) == "instance validation failed: int too large to convert to float"
+
+    @pytest.mark.parametrize("X, message", [
+        ("[[[1, 0], [0, 0], [0, 0]], [[1, 0], [0, 0]]]",
+         "pairs[0].X: rows must be non-empty and of equal length"),
+        ("[[], []]", "pairs[0].X: rows must be non-empty and of equal length"),
+        ("[]", "pairs[0].X: expected a list of rows"),
+        ("[[1, 0], 2]", "pairs[0].X: expected a list of rows"),
+        ("[[0, 1], [1, 0]]", "pairs[0].X[0][0]: expected a [re, im] number pair, got 0"),
+        ("[[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]",
+         "pairs[0].Y[1][2]: expected a [re, im] number pair, got [1, 0, 0]"),
+    ])
+    def test_matrix_shape(self, X, message):
+        text = ('{"mode": "matrix-pairs", "d1": 2, "d2": 3, "pairs": [{"X": %s, "Y": %s}]}'
+                % (X, _matrix_text(2, 3, "[1, 0, 0]", (1, 2))))
+        assert _parse_error(text) == message
+
+    def test_empty_vector(self):
+        text = '{"mode": "pure-sets", "d1": 1, "d2": 1, "states_in": [[]], "states_out": [[[1, 0]]]}'
+        assert _parse_error(text) == "states_in[0]: expected a non-empty list of [re, im] pairs"
+
+
+def _slow_matrix(obj):
+    return np.array([[serialize._entry_from_json(e, "M") for e in row] for row in obj],
+                    dtype=complex)
+
+
+def _no_entry_reader(*args):
+    raise AssertionError("the per-entry reader ran on a well-formed document")
+
+
+LEAVES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308]),
+    st.integers(-2**80, 2**80),
+)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFastDecode:
+    @SETTINGS
+    @given(st.integers(1, 5).flatmap(lambda cols: st.lists(
+        st.lists(st.lists(LEAVES, min_size=2, max_size=2), min_size=cols, max_size=cols),
+        min_size=1, max_size=5)))
+    def test_matrix_matches_per_entry_reader(self, obj):
+        expected = _slow_matrix(obj)
+        with mock.patch.object(serialize, "_entry_from_json", _no_entry_reader):
+            got = matrix_from_json(obj, "M")
+        assert _same_bits(got, expected)
+
+    @SETTINGS
+    @given(st.lists(st.lists(LEAVES, min_size=2, max_size=2), min_size=1, max_size=8))
+    def test_vector_matches_per_entry_reader(self, obj):
+        expected = np.array([serialize._entry_from_json(e, "v") for e in obj], dtype=complex)
+        with mock.patch.object(serialize, "_entry_from_json", _no_entry_reader):
+            got = vector_from_json(obj, "v")
+        assert _same_bits(got, expected)
+
+    def test_signed_zero_survives(self):
+        M = matrix_from_json([[[-0.0, 0.0], [0.0, -0.0]]], "M")
+        assert np.signbit(M.real).tolist() == [[True, False]]
+        assert np.signbit(M.imag).tolist() == [[False, True]]
+
+    def test_float_subclass_takes_the_per_entry_reader(self):
+        # np.float64 is a float to the per-entry reader, but not a JSON leaf type
+        obj = [[[np.float64(1.5), 2]]]
+        assert matrix_from_json(obj, "M").tolist() == [[1.5 + 2j]]
+
+
+def test_well_formed_documents_never_reach_the_per_entry_reader(monkeypatch, rng):
+    """A silent fall-back to the per-entry reader would show only in the benchmark."""
+    monkeypatch.setattr(serialize, "_entry_from_json", _no_entry_reader)
+    inst, _ = random_yes_instance(2, 3, 1, g1_kind=("factor", 2, 1), seed=4)
+    doc = instance_to_json(inst)
+    doc["G2"] = {"kind": "span", "basis": [matrix_to_json(E) for E in
+                                           (np.eye(3), np.diag([1.0, 0.0, 0.0]))]}
+    parse_instance(doc)
+    for mode in STATE_MODES:
+        parse_instance(json.loads(json.dumps(_state_doc(mode, rng))))
+    certificate_from_json(certificate_to_json(np.eye(2), np.eye(3)))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SHAPES = st.tuples(st.integers(1, 4), st.integers(1, 4))
+
+
+@st.composite
+def _complex_matrices(draw):
+    rows, cols = draw(SHAPES)
+    parts = draw(st.lists(FINITE, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    return np.array(parts).view(complex).reshape(rows, cols)
+
+
+AUX = st.dictionaries(
+    st.text(max_size=6),
+    st.recursive(st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)),
+                 lambda inner: st.lists(inner, max_size=3), max_leaves=6),
+    max_size=4)
+
+
+def _equal_to_json(doc):
+    return dumps_document(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+class TestDumpsDocument:
+    @SETTINGS
+    @given(U=st.none() | _complex_matrices(), V=st.none() | _complex_matrices(),
+           residual=st.floats(allow_nan=False), detail=st.text(max_size=12),
+           aux=AUX, verbose=st.booleans(), timing=st.none() | FINITE)
+    def test_verdict_document(self, U, V, residual, detail, aux, verbose, timing):
+        verdict = UepVerdict(verdict="YES", certainty="probabilistic", U=U, V=V,
+                             residual=residual, trials_used=1, failure_bound=1e-5,
+                             solution_dimension=None if U is None else 3, detail=detail, aux=aux)
+        assert _equal_to_json(verdict_document(verdict, "matrix-pairs", 7, timing, verbose))
+
+    @SETTINGS
+    @given(U=st.none() | _complex_matrices(), V=st.none() | _complex_matrices())
+    def test_certificate_document(self, U, V):
+        assert _equal_to_json(certificate_to_json(U, V))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_instance_documents(self, seed, rng):
+        inst, _ = random_yes_instance(3, 2, 2, g1_kind=("factor", 3, 1), seed=seed)
+        assert _equal_to_json(instance_to_json(inst, seed=seed))
+        for mode in STATE_MODES:
+            assert _equal_to_json(_state_doc(mode, rng))
+
+    @pytest.mark.parametrize("U", [
+        [[[float("nan"), 0.0]]],
+        [[[float("inf"), 0.0], [1.0, 2.0]]],
+        [[[1, 0.0]]],
+        [[[True, 0.0]]],
+        [[[1.0, 0.0, 0.0]]],
+        [[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]],
+        [[]],
+        [],
+        [[[np.float64(1.0), 0.0]]],
+    ])
+    def test_other_values_take_the_plain_path(self, U):
+        assert _equal_to_json({"verdict": "YES", "U": U, "V": [[[1.0, -0.0]]]})
+
+    def test_placeholder_text_elsewhere(self):
+        # strings whose JSON text holds a placeholder's send the document through json.dumps
+        doc = {"U": [[[1.0, 2.0]]], "V": [[[3.0, 4.0]]]}
+        for detail in ("\x00matrix 0\x00", 'a"\x00matrix 1\x00', "\x00matrix 1\x00"):
+            assert _equal_to_json({**doc, "detail": detail})
+            assert _equal_to_json({"detail": detail, **doc})
+            assert _equal_to_json({**doc, detail: None})

@@ -414,6 +414,21 @@ class TestInvertibleEquivalence:
         for X, Y in zip(P.coefficients, Q.coefficients):
             assert np.linalg.norm(A @ X - Y @ B) <= 1e-6 * max(1.0, np.linalg.norm(A @ X))
 
+    def test_disparate_coefficient_scales(self):
+        # each pair scaled by 1e6 or 1e-6: one rank cut over unnormalized pairs
+        # could not see the small ones' constraints (about half ended INCONCLUSIVE)
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            d1, d2, k = rng.integers(2, 5), rng.integers(2, 5), rng.integers(2, 4)
+            A = ginibre(d1, d1, rng) + 2 * np.eye(d1)
+            B = ginibre(d2, d2, rng) + 2 * np.eye(d2)
+            P = [ginibre(d1, d2, rng) * rng.choice([1e6, 1e-6]) for _ in range(k)]
+            Q = [A @ C @ np.linalg.inv(B) for C in P]
+            verdict = decide_invertible_equivalence(MatrixPolynomial(tuple(P)),
+                                                    MatrixPolynomial(tuple(Q)),
+                                                    SamplerConfig(seed=seed))
+            assert verdict.verdict == "YES", (seed, verdict.detail)
+
     def test_rank_profile_mismatch_is_no(self, rng):
         P = MatrixPolynomial((np.eye(2), np.eye(2)))           # ranks (2, 2)
         Q = MatrixPolynomial((np.diag([1.0, 0.0]), np.eye(2)))  # ranks (1, 2)
