@@ -1,11 +1,13 @@
-"""Unital matrix sub-algebras given by spanning bases.
+"""Unital matrix sub-algebras: factor shapes and spanning bases.
 
-An algebra is stored as linearly independent d x d matrices and an
-orthonormal basis span_q of their vectorized span. The solver only trusts
-algebras after `verify_algebra` confirms unitality and multiplicative
-closure, each checked by batched projections onto span_q; star-closure is
-detected and exploited (it drops the explicit adjoint-membership
-constraints) but not required.
+The factor algebra {M (x) I_b : M in C^(a x a)} and the full algebra (the
+shape (d, 1)) are stored by their factor_shape (a, b) alone. Any other
+algebra is a span: linearly independent d x d matrices and an orthonormal
+basis span_q of their vectorized span. The solver only trusts an algebra
+after `verify_algebra` confirms unitality and multiplicative closure: for a
+shape that is a * b = dim, for a span batched projections onto span_q.
+Star-closure is detected and exploited (it drops the explicit
+adjoint-membership constraints) but not required.
 """
 
 from __future__ import annotations
@@ -34,19 +36,22 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class MatrixAlgebra:
     dim: int
-    basis: tuple
     kind: str  # "full" | "factor" | "span"
-    span_q: np.ndarray  # orthonormal basis of the vectorized span, shape (d^2, size)
-    factor_shape: tuple | None = None
+    factor_shape: tuple | None = None  # (a, b) with a * b = dim; None for a span
+    span_basis: tuple | None = None  # a span's linearly independent elements
+    span_q: np.ndarray | None = None  # a span's orthonormal basis of vec(span), (d^2, size)
+
+    @property
+    def basis(self) -> tuple:
+        """The basis elements; for a factor shape (a, b) the E_jk (x) I_b, built on each read."""
+        if self.factor_shape is None:
+            return self.span_basis
+        a, b = self.factor_shape
+        return tuple(np.kron(matrix_units(a), np.eye(b)))
 
     @property
     def size(self) -> int:
-        return len(self.basis)
-
-    @property
-    def full(self) -> bool:
-        """Whether the basis spans all d x d matrices (its d^2 elements are independent)."""
-        return self.size == self.dim * self.dim
+        return len(self.span_basis) if self.factor_shape is None else self.factor_shape[0] ** 2
 
 
 class AlgebraReport(NamedTuple):
@@ -55,9 +60,8 @@ class AlgebraReport(NamedTuple):
     star_closed: bool
 
 
-def matrix_algebra(basis, kind: str = "span", factor_shape=None,
-                   tol: Tolerances = Tolerances()) -> MatrixAlgebra:
-    """Build an algebra from a spanning basis, checking linear independence."""
+def matrix_algebra(basis, tol: Tolerances = Tolerances()) -> MatrixAlgebra:
+    """Build a span algebra from a spanning basis, checking linear independence."""
     mats = tuple(as_complex_matrix(E, "algebra basis element") for E in basis)
     if not mats:
         raise InputError("algebra basis must be non-empty")
@@ -67,7 +71,7 @@ def matrix_algebra(basis, kind: str = "span", factor_shape=None,
     u, s, _ = np.linalg.svd(np.stack(mats).reshape(len(mats), -1).T, full_matrices=False)
     if len(mats) > d * d or numerical_rank(s, tol) < len(mats):
         raise InputError("algebra basis is not linearly independent at rank_rel")
-    return MatrixAlgebra(dim=d, basis=mats, kind=kind, factor_shape=factor_shape, span_q=u)
+    return MatrixAlgebra(dim=d, kind="span", span_basis=mats, span_q=u)
 
 
 def matrix_units(d: int) -> np.ndarray:
@@ -76,32 +80,31 @@ def matrix_units(d: int) -> np.ndarray:
 
 
 def full_algebra(d: int) -> MatrixAlgebra:
-    """The full matrix algebra on C^(d x d), basis = matrix units.
-
-    The vectorized matrix units are the standard basis of C^(d^2), so span_q
-    is the identity and there is no independence to check. One read-only
-    identity serves as span_q and, reshaped, as the basis views.
-    """
+    """The full matrix algebra on C^(d x d): the factor shape (d, 1)."""
     if d < 1:
         raise InputError("dimension must be positive")
-    eye = np.eye(d * d, dtype=complex)
-    eye.flags.writeable = False
-    return MatrixAlgebra(dim=d, basis=tuple(eye.reshape(d * d, d, d)), kind="full", span_q=eye)
+    return MatrixAlgebra(dim=d, kind="full", factor_shape=(d, 1))
 
 
 def factor_algebra(a: int, b: int) -> MatrixAlgebra:
     """The algebra {M (x) I_b : M in C^(a x a)} acting on dimension a*b."""
     if a < 1 or b < 1:
         raise InputError("factor dimensions must be positive")
-    return matrix_algebra(np.kron(matrix_units(a), np.eye(b)), kind="factor", factor_shape=(a, b))
+    return MatrixAlgebra(dim=a * b, kind="factor", factor_shape=(a, b))
 
 
 def span_residual(G: MatrixAlgebra, M) -> float:
-    """Frobenius distance from M to span(basis); 0.0 for a full algebra, whose span is everything."""
-    v = as_complex_matrix(M).ravel()
-    if G.full:
-        return 0.0
-    return float(np.linalg.norm(v - G.span_q @ (G.span_q.conj().T @ v)))
+    """Frobenius distance from M to the algebra; for a factor shape (a, b),
+    ||M - m (x) I_b|| with m[j, k] the mean over p of M[(j, p), (k, p)], which
+    is M itself (distance 0.0) for the full shape (d, 1)."""
+    M = as_complex_matrix(M)
+    if G.factor_shape is None:
+        v = M.ravel()
+        return float(np.linalg.norm(v - G.span_q @ (G.span_q.conj().T @ v)))
+    a, b = G.factor_shape
+    blocks = M.reshape(a, b, a, b)
+    m = np.einsum("jpkp->jk", blocks) / b
+    return float(np.linalg.norm(blocks - m[:, None, :, None] * np.eye(b)[:, None]))
 
 
 def _all_in_span(G: MatrixAlgebra, Ms: np.ndarray, tol: Tolerances) -> bool:
@@ -116,14 +119,16 @@ def verify_algebra(G: MatrixAlgebra, tol: Tolerances = Tolerances()) -> AlgebraR
     """Check unitality, multiplicative closure and star closure of the span.
 
     The identity, the products E_j @ E_k for each E_j, and the adjoints
-    E_k^dag are projected onto span_q in one batch each. A basis of d^2
-    elements spans all of C^(d x d), so its report is all-true unprojected.
+    E_k^dag are projected onto span_q in one batch each. A factor shape (a, b)
+    is a *-algebra by construction: it is checked unprojected, and passes
+    exactly when a * b = dim.
 
     Returns a report rather than raising; callers that need a valid algebra
     (the solver) reject when unital or multiplicatively_closed is false.
     """
-    if G.full:
-        return AlgebraReport(unital=True, multiplicatively_closed=True, star_closed=True)
+    if G.factor_shape is not None:
+        ok = G.factor_shape[0] * G.factor_shape[1] == G.dim
+        return AlgebraReport(unital=ok, multiplicatively_closed=ok, star_closed=ok)
     E = np.stack(G.basis)
     return AlgebraReport(
         unital=_all_in_span(G, np.eye(G.dim, dtype=complex)[None], tol),
@@ -133,11 +138,14 @@ def verify_algebra(G: MatrixAlgebra, tol: Tolerances = Tolerances()) -> AlgebraR
 
 
 def membership_constraints(G: MatrixAlgebra) -> np.ndarray:
-    """Orthonormal complex rows C: C @ vec(M) = 0 exactly when M lies in span(basis).
+    """Orthonormal complex rows C: C @ vec(M) = 0 exactly when M lies in the algebra.
 
-    The rows span the orthogonal complement of span_q. vec is the row-major
-    ravel of a d x d matrix M. For the full algebra the constraint set is empty.
+    The rows span the orthogonal complement of span_q, or of the orthonormal
+    vec(E_jk (x) I_b) / sqrt(b) of a factor shape. vec is the row-major ravel
+    of a d x d matrix M. For the full algebra the constraint set is empty.
     """
-    if G.full:
-        return np.zeros((0, G.dim * G.dim), dtype=complex)
-    return nullspace_basis(G.span_q.conj().T).conj().T
+    if G.factor_shape is None:
+        Q = G.span_q
+    else:
+        Q = np.stack(G.basis).reshape(G.size, -1).T / np.sqrt(G.factor_shape[1])
+    return nullspace_basis(Q.conj().T).conj().T

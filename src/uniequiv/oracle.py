@@ -29,14 +29,12 @@ def _as_rng(seed) -> np.random.Generator:
 
 
 def haar_unitary_in_algebra(G: MatrixAlgebra, seed) -> np.ndarray:
-    """Haar-random unitary inside the algebra (full or factor kinds only)."""
-    rng = _as_rng(seed)
-    if G.kind == "full":
-        return _haar_unitary(G.dim, rng)
-    if G.kind == "factor":
-        a, b = G.factor_shape
-        return np.kron(_haar_unitary(a, rng), np.eye(b, dtype=complex))
-    raise InputError(f"no canonical Haar measure for algebra kind {G.kind!r}")
+    """Haar-random unitary u (x) I_b inside an algebra of factor shape (a, b)."""
+    if G.factor_shape is None:
+        raise InputError(f"no canonical Haar measure for algebra kind {G.kind!r}")
+    a, b = G.factor_shape
+    u = _haar_unitary(a, _as_rng(seed))
+    return u if b == 1 else np.kron(u, np.eye(b, dtype=complex))
 
 
 def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

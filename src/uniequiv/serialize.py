@@ -73,7 +73,10 @@ def _entry_from_json(obj, where: str) -> complex:
     if (not isinstance(obj, (list, tuple)) or len(obj) != 2
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)):
         raise MalformedInstanceError(f"{where}: expected a [re, im] number pair, got {obj!r}")
-    z = complex(float(obj[0]), float(obj[1]))
+    try:
+        z = complex(float(obj[0]), float(obj[1]))
+    except OverflowError:  # an int beyond binary64
+        raise MalformedInstanceError(f"{where}: entry beyond the binary64 range") from None
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
         raise MalformedInstanceError(f"{where}: non-finite entry {obj!r}")
     return z
@@ -131,7 +134,7 @@ def algebra_from_json(obj, d: int, where: str) -> MatrixAlgebra:
             if not isinstance(basis_obj, list) or not basis_obj:
                 raise MalformedInstanceError(f"{where}.basis: expected a non-empty list of matrices")
             basis = [matrix_from_json(E, f"{where}.basis[{i}]") for i, E in enumerate(basis_obj)]
-            return matrix_algebra(basis, kind="span")
+            return matrix_algebra(basis)
     except MalformedInstanceError:
         raise
     except Exception as exc:

@@ -17,13 +17,16 @@ A^dag in G1 as conj(C) vec(A^T) = 0 for G1's membership rows C (likewise for
 B). Every system has one column per basis pair (A_j, B_j), so one solve
 serves every route below.
 
-Over two full algebras the system is solved in the singular frames of one
-random pivot pair X_c = sum c_i X_i, Y_c = sum c_i Y_i. Every solution also
+Over two factor shapes (a, b) and (a', b') (full is (d, 1)), U = u (x) I_b
+and V = v (x) I_b' solve the equations exactly when u X_pq v^dag = Y_pq for
+the realigned blocks X_pq[r, c] = X_i[(r, p), (c, q)]: a system over two
+full algebras, solved in the singular frames of one random pivot pair
+X_c = sum c_i X_i, Y_c = sum c_i Y_i of the blocks. Every solution also
 satisfies A X_c X_c^dag = Y_c Y_c^dag A and B X_c^dag X_c = Y_c^dag Y_c B, so
 with X_c = W_x S R_x^dag and Y_c = W_y S' R_y^dag the matrices W_y^dag A W_x
 and R_y^dag B R_x are block-diagonal over the clusters of equal singular
-values: only the unknowns inside those blocks are kept, 2d of them instead
-of 2d^2 for distinct singular values. Clusters merge below a relative gap
+values: only the unknowns inside those blocks are kept, 2a of them instead
+of 2a^2 for distinct singular values. Clusters merge below a relative gap
 of 1e3 eps / min(rank_rel, residual_abs): merging only enlarges the searched
 space, while a split leaves the computed frames about eps / gap off the
 exact ones, and every solution a residual of that size in the reduced
@@ -283,7 +286,8 @@ def _pivot_frames(Xc, Yc, tol: Tolerances) -> _PivotFrames | None:
         return None
     scale, cut = _pivot_cut(sx, sy, tol)
     pad = np.zeros(max(Xc.shape) - len(sx))
-    gap = np.minimum(-np.diff(np.concatenate([sx, pad])), -np.diff(np.concatenate([sy, pad])))
+    # + 0.0 makes the -0.0 that -diff gives between equal values (padded zeros) 0.0
+    gap = np.minimum(-np.diff(np.concatenate([sx, pad])), -np.diff(np.concatenate([sy, pad]))) + 0.0
     split = gap > cut
     gap /= scale
 
@@ -306,21 +310,10 @@ def _block_units(d: int, blocks) -> np.ndarray:
     return E
 
 
-def build_linear_system(inst: UepInstance, tol: Tolerances = Tolerances(),
-                        frames: _PivotFrames | None = None) -> LinearSystem:
-    """Complex-linear constraint matrix of the linearized system.
-
-    Unknowns are the coordinates of A over G1's basis followed by those of B
-    over G2's basis. For star-closed algebras the adjoint-membership
-    constraints are vacuous and omitted.
-
-    With pivot frames (for two full algebras only) the bases are the block
-    matrix units carried back to the original frame, W_y E W_x^dag for A
-    and R_y E R_x^dag for B, and the rows are those of the rotated pairs
-    W_x^dag X_i R_x, W_y^dag Y_i R_y: A' X'_i = Y'_i B' is A X_i = Y_i B in
-    the frames, and likewise for the adjoint equation.
-    """
-    memb = []
+def _usable_algebras(inst: UepInstance, tol: Tolerances) -> list:
+    """The verify_algebra reports of G1 and G2; InvalidAlgebraError unless both
+    are unital and multiplicatively closed."""
+    reports = []
     for name, G in (("G1", inst.G1), ("G2", inst.G2)):
         report = verify_algebra(G, tol)
         if not (report.unital and report.multiplicatively_closed):
@@ -328,17 +321,36 @@ def build_linear_system(inst: UepInstance, tol: Tolerances = Tolerances(),
                 f"{name} is not a usable algebra: unital={report.unital}, "
                 f"multiplicatively_closed={report.multiplicatively_closed}"
             )
-        memb.append(None if report.star_closed else membership_constraints(G))
-    if frames is None:
-        E1, E2 = np.stack(inst.G1.basis), np.stack(inst.G2.basis)
-        return LinearSystem(_linear_system(E1, E2, inst.pairs, memb),
-                            *_separate_unknowns(E1, E2))
-    E1, E2 = _block_units(inst.d1, frames.blocks1), _block_units(inst.d2, frames.blocks2)
-    Wxh, Rxh = frames.W_x.conj().T, frames.R_x.conj().T
-    pairs = tuple((Wxh @ X @ frames.R_x, frames.W_y.conj().T @ Y @ frames.R_y)
-                  for X, Y in inst.pairs)
-    return LinearSystem(_linear_system(E1, E2, pairs),
-                        *_separate_unknowns(frames.W_y @ E1 @ Wxh, frames.R_y @ E2 @ Rxh))
+        reports.append(report)
+    return reports
+
+
+def build_linear_system(inst: UepInstance, tol: Tolerances = Tolerances(),
+                        frames: _PivotFrames | None = None) -> LinearSystem:
+    """Complex-linear constraint matrix of the linearized system.
+
+    Unknowns are the coordinates of A over G1's basis followed by those of B
+    over G2's basis. For star-closed algebras the adjoint-membership
+    constraints are vacuous and omitted. decide_uep takes this plain system
+    only with a span algebra; over factor shapes it is the reference.
+
+    With pivot frames (for two full algebras only) the bases are the block
+    matrix units carried back to the original frame, W_y E W_x^dag for A
+    and R_y E R_x^dag for B, and the rows are those of the rotated pairs
+    W_x^dag X_i R_x, W_y^dag Y_i R_y: A' X'_i = Y'_i B' is A X_i = Y_i B in
+    the frames, and likewise for the adjoint equation.
+    """
+    if frames is not None:
+        E1, E2 = _block_units(inst.d1, frames.blocks1), _block_units(inst.d2, frames.blocks2)
+        Wxh, Rxh = frames.W_x.conj().T, frames.R_x.conj().T
+        pairs = tuple((Wxh @ X @ frames.R_x, frames.W_y.conj().T @ Y @ frames.R_y)
+                      for X, Y in inst.pairs)
+        return LinearSystem(_linear_system(E1, E2, pairs),
+                            *_separate_unknowns(frames.W_y @ E1 @ Wxh, frames.R_y @ E2 @ Rxh))
+    memb = [None if report.star_closed else membership_constraints(G)
+            for report, G in zip(_usable_algebras(inst, tol), (inst.G1, inst.G2))]
+    E1, E2 = np.stack(inst.G1.basis), np.stack(inst.G2.basis)
+    return LinearSystem(_linear_system(E1, E2, inst.pairs, memb), *_separate_unknowns(E1, E2))
 
 
 def _matpoly_system(pairs, seed: int, tol: Tolerances):
@@ -531,11 +543,10 @@ def check_certificate(verdict: UepVerdict, mode: str, payload,
     return verdict
 
 
-def _decide(system: LinearSystem, cfg: SamplerConfig, tol: Tolerances, mode: str,
-            payload) -> UepVerdict:
+def _decide(system: LinearSystem, cfg: SamplerConfig, tol: Tolerances,
+            kind: str = "unitary") -> UepVerdict:
     """The decide tail of every mode: solve, sample, take the polar factors of the
-    sample (matpoly keeps the invertible A, B as they are), check."""
-    kind = "invertible" if mode == "matpoly" else "unitary"
+    sample (matpoly keeps the invertible A, B); each caller checks a YES."""
     space = solve_solution_space(system, tol)
     if space.dimension == 0:
         return UepVerdict(verdict="NO", certainty="exact", solution_dimension=0,
@@ -549,7 +560,7 @@ def _decide(system: LinearSystem, cfg: SamplerConfig, tol: Tolerances, mode: str
                           solution_dimension=space.dimension, certificate_kind=kind,
                           detail="no invertible element found by randomized search")
     U, V = found.A, found.B
-    if mode != "matpoly":
+    if kind == "unitary":
         try:
             U, V = extract_unitaries(U, V, tol)
         except DegenerateCandidateError as exc:
@@ -557,40 +568,77 @@ def _decide(system: LinearSystem, cfg: SamplerConfig, tol: Tolerances, mode: str
                               trials_used=found.trials_used, solution_dimension=space.dimension,
                               detail="numerical breakdown: unitary extraction rejected the "
                                      f"sample ({exc})")
-    return check_certificate(UepVerdict(verdict="YES", certainty="probabilistic", U=U, V=V,
-                                        trials_used=found.trials_used,
-                                        solution_dimension=space.dimension,
-                                        certificate_kind=kind),
-                             mode, payload, tol)
+    return UepVerdict(verdict="YES", certainty="probabilistic", U=U, V=V,
+                      trials_used=found.trials_used, solution_dimension=space.dimension,
+                      certificate_kind=kind)
+
+
+def _realigned_blocks(Xs, Ys, shape1, shape2) -> tuple:
+    """The a x a' blocks X_pq[r, c] = X_i[(r, p), (c, q)] of every X_i, and Y_pq of
+    every Y_i, as two stacks in the order (i, p, q), for shape1 = (a, b) and
+    shape2 = (a', b'); over (a, 1) and (a', 1) they are the X_i and Y_i."""
+    (a, b), (a2, b2) = shape1, shape2
+    return tuple(np.stack(side).reshape(-1, a, b, a2, b2).transpose(0, 2, 4, 1, 3)
+                 .reshape(-1, a, a2) for side in (Xs, Ys))
+
+
+def _spanning_pairs(X, Y) -> tuple:
+    """The rows of T from the QR [vec X_j, vec Y_j] = Q T: at most 2 a a' pairs with
+    the span of the a x a' pairs (X_j, Y_j). As Q has orthonormal columns, the
+    linear system keeps its nullspace and its singular values."""
+    n, a, a2 = X.shape
+    T = np.linalg.qr(np.hstack([X.reshape(n, -1), Y.reshape(n, -1)]), mode="r")
+    return tuple(zip(*T.reshape(-1, 2, a, a2).transpose(1, 0, 2, 3)))
+
+
+def _pivot_decide(inst: UepInstance, cfg: SamplerConfig, tol: Tolerances) -> UepVerdict:
+    """Decide an instance over two full algebras in the frames of the pivot pair
+    drawn from cfg.seed, leaving a YES unchecked. Every verdict past the pivot
+    records pivot_clusters, pivot_merged_gap and pivot_split_gap in aux."""
+    frames = _pivot_frames(*_pivot_pair(inst.pairs, cfg.seed), tol)
+    if frames is None:
+        return UepVerdict(verdict="NO", certainty="exact",
+                          detail="singular values differ at the random pivot pair "
+                                 "sum_i c_i (X_i, Y_i)")
+    verdict = _decide(build_linear_system(inst, tol, frames), cfg, tol)
+    verdict.aux.update(pivot_clusters=[len(frames.blocks1), len(frames.blocks2)],
+                       pivot_merged_gap=frames.merged_gap, pivot_split_gap=frames.split_gap)
+    return verdict
 
 
 def decide_uep(inst: UepInstance, cfg: SamplerConfig = SamplerConfig(),
                tol: Tolerances = Tolerances()) -> UepVerdict:
     """Full decision pipeline; YES verdicts carry a verified (U, V) certificate.
 
-    Over two full algebras the system is built in the frames of the pivot
-    pair drawn from cfg.seed (one cluster on both sides keeps the plain
-    system, which the frames would not shrink), and every verdict past the
-    pivot records pivot_clusters, pivot_merged_gap and pivot_split_gap in aux.
+    A span algebra takes the plain system. Factor shapes (a, b) and (a', b')
+    are checked against d1 and d2 without a projection; then blocks whose
+    singular values differ are an exact NO naming the block and the pair;
+    _pivot_decide solves the blocks, or their spanning pairs when there are
+    more than 2 a a', and u, v lift to u (x) I_b, v (x) I_b'. The failure
+    bound is that of the blocks' (a, a').
     """
     ok, idx = singular_value_prefilter(inst.pairs, tol)
     if not ok:
         return UepVerdict(verdict="NO", certainty="exact",
                           detail=f"singular values differ at pair index {idx}")
-    frames, aux = None, {}
-    if inst.G1.full and inst.G2.full:
-        frames = _pivot_frames(*_pivot_pair(inst.pairs, cfg.seed), tol)
-        if frames is None:
-            return UepVerdict(verdict="NO", certainty="exact",
-                              detail="singular values differ at the random pivot pair "
-                                     "sum_i c_i (X_i, Y_i)")
-        aux = {"pivot_clusters": [len(frames.blocks1), len(frames.blocks2)],
-               "pivot_merged_gap": frames.merged_gap, "pivot_split_gap": frames.split_gap}
-        if len(frames.blocks1) == len(frames.blocks2) == 1:
-            frames = None
-    verdict = _decide(build_linear_system(inst, tol, frames), cfg, tol, "matrix-pairs", inst)
-    verdict.aux.update(aux)
-    return verdict
+    if "span" in (inst.G1.kind, inst.G2.kind):
+        return check_certificate(_decide(build_linear_system(inst, tol), cfg, tol),
+                                 "matrix-pairs", inst, tol)
+    _usable_algebras(inst, tol)  # unprojected: a shape passes when a * b = dim
+    (a, b), (a2, b2) = inst.G1.factor_shape, inst.G2.factor_shape
+    X, Y = _realigned_blocks(*zip(*inst.pairs), (a, b), (a2, b2))
+    if b * b2 > 1:  # else the blocks are the pairs, which passed above
+        ok, idx = singular_value_prefilter(tuple(zip(X, Y)), tol)
+        if not ok:
+            i, p, q = np.unravel_index(idx, (len(inst.pairs), b, b2))
+            return UepVerdict(verdict="NO", certainty="exact", detail=(
+                f"singular values differ at block ({p}, {q}) of pair index {i}"))
+    pairs = _spanning_pairs(X, Y) if len(X) > 2 * a * a2 else tuple(zip(X, Y))
+    verdict = _pivot_decide(uep_instance_full(a, a2, pairs), cfg, tol)
+    if verdict.verdict == "YES":
+        verdict.U, verdict.V = (W if n == 1 else np.kron(W, np.eye(n))
+                                for W, n in ((verdict.U, b), (verdict.V, b2)))
+    return check_certificate(verdict, "matrix-pairs", inst, tol)
 
 
 def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
@@ -620,7 +668,7 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
     norms = [max(np.linalg.norm(X), np.linalg.norm(Y)) for X, Y in pairs]
     pairs = tuple((X / n, Y / n) if n > 0 else (X, Y) for (X, Y), n in zip(pairs, norms))
     system, aux = _matpoly_system(pairs, cfg.seed, tol)
-    verdict = _decide(system, cfg, tol, "matpoly", (P, Q))
+    verdict = check_certificate(_decide(system, cfg, tol, "invertible"), "matpoly", (P, Q), tol)
     verdict.aux.update(aux)
     return verdict
 

@@ -22,6 +22,9 @@ from .linalg import (Tolerances, as_complex_matrix, frobenius, hermitian_eigende
 from .solver import (
     SamplerConfig,
     UepVerdict,
+    _pivot_decide,
+    _realigned_blocks,
+    _spanning_pairs,
     check_certificate,
     decide_uep,
     singular_value_prefilter,
@@ -124,24 +127,6 @@ def simultaneous_lu_pure(states_in, states_out, cfg: SamplerConfig = SamplerConf
     return _simultaneous_lu_matrices(Xs, Ys, cfg, tol)
 
 
-def _realigned_blocks(rhos, sigmas) -> tuple:
-    """The blocks R_pq[a, b] = rho_i[(a, p), (b, q)] of every rho_i, and S_pq of
-    every sigma_i, as two stacks in the order (i, p, q)."""
-    d1, d2 = rhos[0].d1, rhos[0].d2
-    return tuple(np.stack([s.matrix for s in states]).reshape(-1, d1, d2, d1, d2)
-                 .transpose(0, 2, 4, 1, 3).reshape(-1, d1, d1) for states in (rhos, sigmas))
-
-
-def _spanning_pairs(R, S) -> tuple:
-    """(I, I) and the rows of T from the QR [vec R_j, vec S_j] = Q T: at most 2 d^2
-    pairs with the span of the (R_j, S_j). As Q has orthonormal columns, the
-    linear system keeps its nullspace and its singular values."""
-    n, d, _ = R.shape
-    T = np.linalg.qr(np.hstack([R.reshape(n, -1), S.reshape(n, -1)]), mode="r")
-    eye = np.eye(d, dtype=complex)
-    return ((eye, eye),) + tuple(zip(*T.reshape(-1, 2, d, d).transpose(1, 0, 2, 3)))
-
-
 def unilocal_mixed_equivalence(rhos, sigmas, cfg: SamplerConfig = SamplerConfig(),
                                tol: Tolerances = Tolerances()) -> UepVerdict:
     """Simultaneous (U (x) I) rho_i (U (x) I)^dag = sigma_i for one unitary U.
@@ -150,9 +135,10 @@ def unilocal_mixed_equivalence(rhos, sigmas, cfg: SamplerConfig = SamplerConfig(
     realignment), the equation holds exactly when U R_pq = S_pq U for every
     block. Singular values of a rho_i, or of a block, that differ from
     sigma_i's are an exact NO naming i (and p, q), counted from 0. The
-    solver then runs on _spanning_pairs over two full d1 x d1 algebras; the
-    (I, I) pair forces its left and right unitaries to coincide, and
-    aux["uv_gap"] is their distance. Non-acting parties fold into d2.
+    pivot route then runs on (I, I) and the spanning pairs over two full
+    d1 x d1 algebras; the (I, I) pair forces its left and right unitaries
+    to coincide, and aux["uv_gap"] is their distance. Non-acting parties
+    fold into d2.
     """
     if len(rhos) != len(sigmas) or not rhos:
         raise InputError("density operator lists must be non-empty and of equal length")
@@ -161,13 +147,16 @@ def unilocal_mixed_equivalence(rhos, sigmas, cfg: SamplerConfig = SamplerConfig(
     if not ok:
         return UepVerdict(verdict="NO", certainty="exact",
                           detail=f"rho_{i} vs sigma_{i}: singular values differ")
-    R, S = _realigned_blocks(rhos, sigmas)
+    R, S = _realigned_blocks([r.matrix for r in rhos], [s.matrix for s in sigmas],
+                             (d1, d2), (d1, d2))
     ok, idx = singular_value_prefilter(tuple(zip(R, S)), tol)
     if not ok:
         i, p, q = np.unravel_index(idx, (len(rhos), d2, d2))
         return UepVerdict(verdict="NO", certainty="exact", detail=(
             f"block ({p}, {q}) of rho_{i} vs sigma_{i}: singular values differ"))
-    verdict = decide_uep(uep_instance_full(d1, d1, _spanning_pairs(R, S)), cfg, tol)
+    eye = np.eye(d1, dtype=complex)
+    verdict = _pivot_decide(uep_instance_full(d1, d1, ((eye, eye),) + _spanning_pairs(R, S)),
+                            cfg, tol)
     if verdict.verdict != "YES":
         return verdict
     verdict.aux["uv_gap"] = frobenius(verdict.U - verdict.V)

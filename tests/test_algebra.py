@@ -1,4 +1,4 @@
-from dataclasses import replace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from uniequiv import (
     membership_constraints,
     verify_algebra,
 )
-from uniequiv.algebra import AlgebraReport, matrix_units, span_residual
+from uniequiv.algebra import AlgebraReport, MatrixAlgebra, matrix_units, span_residual
 
 from conftest import ginibre, haar
 
@@ -62,7 +62,7 @@ def algebras(draw):
         d = draw(st.integers(1, 4))
         basis = [ginibre(d, d, rng) for _ in range(d * d)]
     basis[-1] = basis[-1] + draw(st.sampled_from([0.0, 1e-10, 1e-6])) * ginibre(d, d, rng)
-    return matrix_algebra(basis, kind="span")
+    return matrix_algebra(basis)
 
 
 class TestFullAlgebra:
@@ -73,15 +73,34 @@ class TestFullAlgebra:
         report = verify_algebra(G)
         assert report.unital and report.multiplicatively_closed and report.star_closed
 
-    @pytest.mark.parametrize("d", range(1, 7))
-    def test_matches_the_algebra_built_from_matrix_units(self, d):
-        G, ref = full_algebra(d), matrix_algebra(matrix_units(d), kind="full")
-        assert np.allclose(G.span_q.conj().T @ G.span_q, np.eye(d * d), atol=1e-12)
+    @pytest.mark.parametrize("a, b", [(d, 1) for d in range(1, 7)]
+                             + [(1, 3), (2, 2), (2, 3), (3, 2)])
+    def test_matches_the_span_of_its_units(self, a, b, rng):
+        # the shape alone stands for the span of the E_jk (x) I_b
+        G = full_algebra(a) if b == 1 else factor_algebra(a, b)
+        ref = matrix_algebra(np.kron(matrix_units(a), np.eye(b)))
+        assert G.factor_shape == (a, b) and G.size == ref.size == a * a
         assert all(np.array_equal(E, F) for E, F in zip(G.basis, ref.basis))
-        assert verify_algebra(G) == verify_algebra(ref)
-        # same orthogonal projector onto the span, whatever basis of it span_q holds
-        assert np.allclose(G.span_q @ G.span_q.conj().T, ref.span_q @ ref.span_q.conj().T,
-                           atol=1e-12)
+        assert verify_algebra(G) == verify_algebra(ref) == AlgebraReport(True, True, True)
+        member = np.kron(ginibre(a, a, rng), np.eye(b))
+        for M in (member, ginibre(a * b, a * b, rng)):
+            assert span_residual(G, M) == pytest.approx(span_residual(ref, M), abs=1e-12)
+        assert span_residual(G, member) <= 1e-12
+        # the same orthogonal projector onto the complement of the span
+        C, C_ref = membership_constraints(G), membership_constraints(ref)
+        assert C.shape == C_ref.shape == (a * a * (b * b - 1), a * a * b * b)
+        assert np.allclose(C.conj().T @ C, C_ref.conj().T @ C_ref, atol=1e-12)
+
+    def test_shapes_store_no_arrays(self):
+        # full_algebra(32) held a d^2 x d^2 identity, 16.8 MB, as span_q
+        tracemalloc.start()
+        try:
+            algebras = [full_algebra(32), factor_algebra(8, 12)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert all(G.span_q is None and G.span_basis is None for G in algebras)
 
     def test_d1_basis(self):
         G = full_algebra(1)
@@ -114,6 +133,10 @@ class TestFactorAlgebra:
     def test_factor_2_3(self):
         report = verify_algebra(factor_algebra(2, 3))
         assert report.unital and report.multiplicatively_closed and report.star_closed
+
+    def test_shape_must_tile_its_dimension(self):
+        report = verify_algebra(MatrixAlgebra(dim=5, kind="factor", factor_shape=(2, 2)))
+        assert report == AlgebraReport(False, False, False)
 
 
 class TestVerify:
@@ -160,14 +183,16 @@ class TestMembership:
         C = membership_constraints(full_algebra(3))
         assert C.shape == (0, 9)
 
-    def test_full_algebra_is_decided_without_span_q(self, rng):
-        # a full algebra spans everything: no projection onto span_q and no
-        # nullspace of the d^2 x d^2 identity is needed
-        G = replace(full_algebra(3), span_q=None)
+    def test_full_algebra_holds_everything(self, rng):
+        # the full shape (d, 1) spans everything: its distance is exactly 0.0
+        # and it takes no membership rows, while input is still checked
+        G = full_algebra(3)
         assert membership_constraints(G).shape == (0, 9)
         assert span_residual(G, ginibre(3, 3, rng)) == 0.0
         with pytest.raises(InputError):
             span_residual(G, np.full((3, 3), np.nan))
+        with pytest.raises(InputError):
+            span_residual(factor_algebra(1, 3), np.full((3, 3), np.inf))
 
     def test_scalar_span_constraints(self, rng):
         G = factor_algebra(1, 2)

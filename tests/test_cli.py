@@ -163,6 +163,15 @@ class TestDecide:
         main(["decide", str(inst_path), "--seed", "2", "-o", str(v2)])
         assert "aux" not in json.loads(v2.read_text())
 
+    def test_merged_padding_zeros_print_a_positive_gap(self, tmp_path):
+        # the 5 x 2 pivot pads its spectra with three zeros, which merge at a gap
+        # of +0.0; equal values differenced as -diff gave -0.0, which == 0.0 misses
+        inst_path, out = tmp_path / "i.json", tmp_path / "v.json"
+        assert main(["gen", "--yes", "--d1", "5", "--d2", "2", "--seed", "3",
+                     "-o", str(inst_path)]) == 0
+        assert main(["decide", str(inst_path), "--seed", "1", "--verbose", "-o", str(out)]) == 0
+        assert '"pivot_merged_gap": 0.0,' in out.read_text()
+
     def test_matpoly_mode(self, tmp_path, rng):
         A = ginibre(2, 2, rng) + 2 * np.eye(2)
         B = ginibre(3, 3, rng) + 2 * np.eye(3)

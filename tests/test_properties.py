@@ -1,5 +1,6 @@
 """Property-based invariances of decide_uep on small full and factor instances,
-of generic_mixed_lu under local unitaries, and of the pivot reductions'
+its agreement with the plain system over mixed factor shapes, of
+generic_mixed_lu under local unitaries, and of the pivot reductions'
 solution spaces (matrix pairs and matrix polynomials)."""
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from uniequiv import (MatrixPolynomial, SamplerConfig, Tolerances, UepInstance,
                       build_linear_system, decide_invertible_equivalence, decide_uep,
-                      density_operator, generic_mixed_lu, solve_solution_space,
-                      uep_instance_full)
+                      density_operator, generic_mixed_lu, sample_invertible,
+                      solve_solution_space, uep_instance_full)
+from uniequiv.algebra import span_residual
 from uniequiv.oracle import haar_unitary_in_algebra, random_yes_instance
 from uniequiv.solver import _matpoly_system, _pivot_frames, _pivot_pair
 
@@ -30,11 +32,10 @@ def instances(draw):
     """A planted YES instance, or a NO one whose last pair is regauged by its
     own unitaries (the singular values still match, so the solver decides)."""
     seed = draw(st.integers(0, 2**16))
-    g1_kind = draw(st.sampled_from(["full", ("factor", 2, 2)]))
-    d1 = 4 if g1_kind != "full" else draw(st.integers(1, 4))
-    d2 = draw(st.integers(1, 4))
+    kinds = [draw(st.sampled_from(["full", ("factor", 2, 2), ("factor", 1, 3)])) for _ in "12"]
+    d1, d2 = (draw(st.integers(1, 4)) if k == "full" else k[1] * k[2] for k in kinds)
     m = draw(st.integers(0, 2))
-    inst, _ = random_yes_instance(d1, d2, m, g1_kind=g1_kind, seed=seed)
+    inst, _ = random_yes_instance(d1, d2, m, *kinds, seed=seed)
     if m and draw(st.booleans()):
         U, V = _algebra_unitaries(inst, np.random.default_rng(seed))
         X, Y = inst.pairs[-1]
@@ -86,6 +87,52 @@ def test_generic_mixed_yes_under_repeated_local_unitaries(dims, seed, sampler_se
         local = np.kron(haar(d1, rng), haar(d2, rng))
         sigma = density_operator(d1, d2, local @ sigma.matrix @ local.conj().T)
         assert generic_mixed_lu(rho, sigma, SamplerConfig(seed=sampler_seed)).verdict == "YES"
+
+
+@st.composite
+def factor_shape_instances(draw):
+    """Instances over factor shapes (a, b) and (a', b') in 1..3, mixing full
+    (b = 1) and factor kinds, square or not: planted YES; I (x) W, with
+    Y_i = (I_a (x) W1) X_i (I_a' (x) W2)^dag, which keeps the spectrum of
+    every pair (a phase, so a YES, when b = b' = 1); gauged, with unitaries
+    of the algebras drawn per pair, which keeps the spectrum of every block
+    (a NO for m >= 1 that no block prefilter sees); and random NO."""
+    shapes = [(draw(st.integers(1, 3)), draw(st.integers(1, 3))) for _ in "12"]
+    kinds = ["full" if b == 1 else ("factor", a, b) for a, b in shapes]
+    family = draw(st.sampled_from(["planted", "ixw", "gauged", "random"]))
+    seed = draw(st.integers(0, 2**16))
+    (a, b), (a2, b2) = shapes
+    inst, _ = random_yes_instance(a * b, a2 * b2, draw(st.integers(0, 2)), *kinds, seed=seed)
+    rng = np.random.default_rng([seed, 1])  # apart from the planted instance's stream
+    if family == "ixw":
+        L, R = np.kron(np.eye(a), haar(b, rng)), np.kron(np.eye(a2), haar(b2, rng))
+        inst = _with_pairs(inst, ((X, L @ X @ R.conj().T) for X, _ in inst.pairs))
+    elif family == "gauged":
+        inst = _with_pairs(inst, ((X, U @ X @ V.conj().T) for X, _ in inst.pairs
+                                  for U, V in [_algebra_unitaries(inst, rng)]))
+    elif family == "random":
+        inst = _with_pairs(inst, ((X, ginibre(*X.shape, rng)) for X, _ in inst.pairs))
+    return inst, draw(st.integers(0, 2**16)), family == "planted"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(factor_shape_instances())
+def test_factor_shapes_decide_as_the_plain_system(case):
+    # the realigned blocks carry the plain system's solutions: the same
+    # dimension wherever a solve ran, and an invertible element exactly when
+    # the plain space has one
+    inst, seed, planted = case
+    cfg = SamplerConfig(seed=seed)
+    verdict = decide_uep(inst, cfg)
+    plain = solve_solution_space(build_linear_system(inst))
+    if verdict.solution_dimension is not None:
+        assert verdict.solution_dimension == plain.dimension
+    has_invertible = plain.dimension > 0 and sample_invertible(plain, cfg) is not None
+    assert verdict.verdict == ("YES" if has_invertible else "NO")
+    assert has_invertible or not planted
+    if has_invertible:
+        assert span_residual(inst.G1, verdict.U) <= 1e-10
+        assert span_residual(inst.G2, verdict.V) <= 1e-10
 
 
 # merged at the default tolerances' cut (about 2.2e-3), and split just above it

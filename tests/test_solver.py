@@ -4,6 +4,7 @@ import pytest
 from uniequiv import (
     InputError,
     InvalidAlgebraError,
+    MatrixAlgebra,
     MatrixPolynomial,
     SamplerConfig,
     Tolerances,
@@ -67,6 +68,13 @@ class TestBuildSystem:
                            G1=bad, G2=full_algebra(2))
         with pytest.raises(InvalidAlgebraError):
             build_linear_system(inst)
+
+    def test_rejects_a_shape_that_does_not_tile_its_dimension(self):
+        bad = MatrixAlgebra(dim=4, kind="factor", factor_shape=(2, 3))
+        inst = UepInstance(d1=4, d2=4, pairs=((np.eye(4), np.eye(4)),),
+                           G1=full_algebra(4), G2=bad)
+        with pytest.raises(InvalidAlgebraError, match="G2 is not a usable algebra"):
+            decide_uep(inst, CFG)
 
     def test_basis_pairs_satisfy_equations(self, rng):
         inst, _ = random_yes_instance(3, 2, 2, seed=5)
@@ -179,18 +187,26 @@ class TestExtract:
 
 class TestDecide:
     @pytest.mark.parametrize("rank_rel", [1e-3, 1e-2, 1e-1])
-    def test_no_only_when_the_sample_is_singular(self, rank_rel):
+    def test_no_only_when_the_sample_is_singular(self, monkeypatch, rank_rel):
         # extraction uses the sampler's rule, so a candidate the sampler
         # accepts is never rejected, let alone discarded on the way to a NO;
         # a YES from a candidate near the rank cut still has to check out
+        import uniequiv.solver as solver_mod
+        spaces = []
+
+        def spy(system, tol=Tolerances()):
+            spaces.append(solve_solution_space(system, tol))
+            return spaces[-1]
+
+        monkeypatch.setattr(solver_mod, "solve_solution_space", spy)
         tol = Tolerances(rank_rel=rank_rel)
         inst = uep_instance_full(6, 6, [(np.eye(6), np.eye(6))])
-        space = _space(inst, tol)
         near_cut = 0
         for seed in range(200):
             cfg = SamplerConfig(trials=1, seed=seed)
             verdict = decide_uep(inst, cfg, tol)
-            A, B = draw_candidate(space, cfg, 0)
+            # the candidate is drawn from the space decide_uep solved
+            A, B = draw_candidate(spaces.pop(), cfg, 0)
             ratio = min(singular_value_ratio(A), singular_value_ratio(B))
             near_cut += rank_rel / 10 <= ratio <= 10 * rank_rel
             if verdict.verdict == "YES":
@@ -351,7 +367,9 @@ class TestPivot:
         assert verdict.solution_dimension is None
 
     @pytest.mark.parametrize("X", [np.eye(6), np.zeros((6, 6))], ids=["identity", "zero"])
-    def test_one_cluster_keeps_the_plain_system(self, monkeypatch, X):
+    def test_one_cluster_takes_the_frames(self, monkeypatch, X):
+        # one cluster keeps every matrix unit, rotated into the frames: the
+        # plain system's solutions, with no fork to it
         import uniequiv.solver as solver_mod
         frames_seen = []
         real = solver_mod.build_linear_system
@@ -361,15 +379,69 @@ class TestPivot:
             return real(inst, tol, frames)
 
         monkeypatch.setattr(solver_mod, "build_linear_system", spy)
-        verdict = decide_uep(uep_instance_full(6, 6, [(X, X)]), CFG)
-        assert verdict.verdict == "YES" and frames_seen == [None]
+        inst = uep_instance_full(6, 6, [(X, X)])
+        verdict = decide_uep(inst, CFG)
+        (frames,) = frames_seen
+        assert verdict.verdict == "YES" and frames.blocks1 == frames.blocks2 == ((0, 6),)
         assert verdict.aux == {"pivot_clusters": [1, 1], "pivot_merged_gap": 0.0,
                                "pivot_split_gap": None}
+        assert verdict.solution_dimension == _space(inst).dimension
 
-    def test_factor_algebra_keeps_the_plain_system(self):
+    def test_factor_algebra_takes_the_realigned_pivot(self, monkeypatch):
+        # M (x) I_2 against the full algebra on C^4: the pivot route runs on the
+        # two realigned 2 x 4 blocks, and the lifted u (x) I_2 checks out on the
+        # instance itself
+        import uniequiv.solver as solver_mod
+        frames_seen = []
+        real = solver_mod.build_linear_system
+
+        def spy(inst, tol=Tolerances(), frames=None):
+            frames_seen.append((inst.d1, inst.d2, frames is not None))
+            return real(inst, tol, frames)
+
+        monkeypatch.setattr(solver_mod, "build_linear_system", spy)
         inst, _ = random_yes_instance(4, 4, 0, g1_kind=("factor", 2, 2), seed=6)
         verdict = decide_uep(inst, CFG)
-        assert verdict.verdict == "YES" and "pivot_clusters" not in verdict.aux
+        assert frames_seen == [(2, 4, True)]
+        assert verdict.verdict == "YES" and verdict.residual <= 1e-12
+        assert verdict.aux["pivot_clusters"] == [2, 3]  # the B side merges two padded zeros
+        assert span_residual(inst.G1, verdict.U) <= 1e-12
+        monkeypatch.undo()
+        assert verdict.solution_dimension == _space(inst).dimension
+
+    def test_shapes_never_reach_the_span_machinery(self, monkeypatch):
+        # verify_algebra checks a shape without projecting; every projection
+        # onto span_q, every membership row and every basis read is forbidden
+        import uniequiv.algebra as algebra_mod
+        import uniequiv.solver as solver_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("span machinery called")
+
+        monkeypatch.setattr(algebra_mod, "_all_in_span", forbidden)
+        for mod in (algebra_mod, solver_mod):
+            monkeypatch.setattr(mod, "membership_constraints", forbidden)
+        monkeypatch.setattr(MatrixAlgebra, "basis", property(forbidden))
+        rng = np.random.default_rng(5)
+        cases = [random_yes_instance(4, 3, 1, seed=5)[0],
+                 random_yes_instance(6, 4, 2, ("factor", 3, 2), ("factor", 2, 2), seed=5)[0],
+                 _gauged([ginibre(4, 4, rng) for _ in range(2)], rng)]
+        for inst, expected in zip(cases, ("YES", "YES", "NO")):
+            assert decide_uep(inst, CFG).verdict == expected
+
+    def test_block_mismatch_names_the_block_and_the_pair(self):
+        # I (x) W keeps the spectrum of every pair but not of its blocks
+        rng = np.random.default_rng(8)
+        inst, _ = random_yes_instance(4, 4, 1, ("factor", 2, 2), ("factor", 2, 2), seed=8)
+        W = np.kron(np.eye(2), haar(2, rng))
+        moved = UepInstance(4, 4, (inst.pairs[0], (inst.pairs[1][0], W @ inst.pairs[1][1])),
+                            inst.G1, inst.G2)
+        assert singular_value_prefilter(moved.pairs)[0]
+        verdict = decide_uep(moved, CFG)
+        assert (verdict.verdict, verdict.certainty) == ("NO", "exact")
+        assert verdict.solution_dimension is None
+        assert verdict.detail.startswith("singular values differ at block (")
+        assert verdict.detail.endswith(") of pair index 1")
 
     def test_reduced_yes_certificate_checks_out(self):
         inst, _ = random_yes_instance(6, 4, 2, seed=12)

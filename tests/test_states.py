@@ -16,10 +16,10 @@ from uniequiv import (
 )
 from uniequiv import states
 from uniequiv.algebra import factor_algebra
-from uniequiv.solver import (UepInstance, build_linear_system, solve_solution_space,
-                             uep_instance_full)
-from uniequiv.states import (_quartic_traces, _realigned_blocks, _resolve_phase_components,
-                             _simultaneous_lu_matrices, _spanning_pairs)
+from uniequiv.solver import (UepInstance, _realigned_blocks, _spanning_pairs, build_linear_system,
+                             solve_solution_space, uep_instance_full)
+from uniequiv.states import (_quartic_traces, _resolve_phase_components,
+                             _simultaneous_lu_matrices)
 
 from conftest import ginibre, haar, random_density
 
@@ -207,9 +207,11 @@ class TestUnilocalMixed:
     def _check_against_factor_route(rhos, sigmas, planted):
         d1, d2 = rhos[0].d1, rhos[0].d2
         d = d1 * d2
-        R, S = _realigned_blocks(rhos, sigmas)
+        R, S = _realigned_blocks([r.matrix for r in rhos], [s.matrix for s in sigmas],
+                                 (d1, d2), (d1, d2))
         assert R.shape == S.shape == (len(rhos) * d2 * d2, d1, d1)
-        spanning = _spanning_pairs(R, S)
+        identity = ((np.eye(d1, dtype=complex),) * 2,)
+        spanning = identity + _spanning_pairs(R, S)
         assert len(spanning) == 1 + min(len(R), 2 * d1 * d1)
         eye = np.eye(d, dtype=complex)
         G = factor_algebra(d1, d2)
