@@ -31,7 +31,13 @@ of 1e3 eps / min(rank_rel, residual_abs): merging only enlarges the searched
 space, while a split leaves the computed frames about eps / gap off the
 exact ones, and every solution a residual of that size in the reduced
 system. A pivot pair whose spectra differ is an exact NO, because
-U X_c V^dag = Y_c for every solution.
+U X_c V^dag = Y_c for every solution. The blocks stay two (n, a, a') stacks
+from the realignment to the certificate, and the reduced system is
+assembled by index from the rotated stacks (_pivot_system).
+
+Over factor shapes other than two full algebras (and in unilocal-mixed),
+singular values are compared only to explain a solve that ended without a
+verified YES (see decide_uep).
 
 Matrix polynomials (invertible A, B with A X_i = Y_i B) use the same pivot
 pair, with the frames A' = W_y^dag A W_x and B' = R_y^dag B R_x of
@@ -208,11 +214,11 @@ class _PivotFrames(NamedTuple):
 def singular_value_prefilter(pairs, tol: Tolerances = Tolerances()):
     """Per-pair singular-value comparison; a mismatch rules out equivalence.
 
-    The pairs are finite and of one shape, compared in one batched SVD per
-    side. Returns (True, None) on pass, (False, first_offending_index) on fail.
+    pairs is a sequence of finite pairs (X_i, Y_i) of one shape, or the
+    (n, 2, r, c) array of them, compared in one batched SVD. Returns
+    (True, None) on pass, (False, first_offending_index) on fail.
     """
-    sx, sy = (np.linalg.svd(np.asarray(np.stack(side), dtype=complex), compute_uv=False)
-              for side in zip(*pairs))
+    sx, sy = np.linalg.svd(np.asarray(pairs, dtype=complex), compute_uv=False).transpose(1, 0, 2)
     bad = np.flatnonzero(~same_spectrum(sx, sy, tol))
     return (False, int(bad[0])) if bad.size else (True, None)
 
@@ -246,17 +252,17 @@ def _separate_unknowns(E1, E2):
             np.concatenate([np.zeros((len(E1),) + E2.shape[1:], dtype=complex), E2]))
 
 
-def _pivot_pair(pairs, seed: int):
-    """(X_c, Y_c) = sum_i c_i (X_i, Y_i) for a unit complex Gaussian vector c.
+def _pivot_pair(X, Y, seed: int):
+    """(X_c, Y_c) = sum_i c_i (X_i, Y_i) over the stacks X, Y for a unit complex
+    Gaussian vector c.
 
     c comes from the child seed of `seed` with spawn key (0,), which none of
     the sampler's per-trial seeds (seed, trial) reaches.
     """
     rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(0,)))
-    re, im = rng.standard_normal((2, len(pairs)))
+    re, im = rng.standard_normal((2, len(X)))
     c = (re + 1j * im) / np.linalg.norm(re + 1j * im)
-    return (sum(ci * X for ci, (X, _) in zip(c, pairs)),
-            sum(ci * Y for ci, (_, Y) in zip(c, pairs)))
+    return tuple((c @ Z.reshape(len(Z), -1)).reshape(Z.shape[1:]) for Z in (X, Y))
 
 
 def _pivot_cut(s, t, tol: Tolerances):
@@ -301,13 +307,44 @@ def _pivot_frames(Xc, Yc, tol: Tolerances) -> _PivotFrames | None:
                         split_gap=float(gap[split].min()) if split.any() else None)
 
 
-def _block_units(d: int, blocks) -> np.ndarray:
-    """The matrix units E_jk of C^(d x d) with j and k in one block, row-major per block."""
-    idx = [(j, k) for a, b in blocks for j in range(a, b) for k in range(a, b)]
-    E = np.zeros((len(idx), d, d), dtype=complex)
-    rows, cols = np.array(idx).T
-    E[np.arange(len(idx)), rows, cols] = 1.0
-    return E
+def _cluster_units(blocks) -> tuple:
+    """Row and column indices (j, k) of the matrix units with j and k in one
+    cluster, row-major per cluster (the clusters are contiguous ranges)."""
+    label = np.repeat(np.arange(len(blocks)), [b - a for a, b in blocks])
+    return np.nonzero(label[:, None] == label)
+
+
+def _pivot_system(X, Y, frames: _PivotFrames) -> LinearSystem:
+    """The reduced system of the (n, a, a') stacks X, Y in the pivot frames,
+    assembled by index.
+
+    Its unknowns are the cluster units E_jk of A' (blocks1), then those of B'
+    (blocks2); its rows are the entries of A' X'_i - Y'_i B', then of
+    B' X'_i^dag - Y'_i^dag A', for X' = W_x^dag X R_x and Y' = W_y^dag Y R_y.
+    Unit (j, k) of A' puts X'[:, k, :] in rows (:, j, :) of the first and
+    -conj(Y'[:, j, :]) in columns (:, :, k) of the second; unit (j, k) of B'
+    puts -Y'[:, :, j] in columns (:, :, k) of the first and conj(X'[:, :, k])
+    in rows (:, j, :) of the second. Each unit carries back to the original
+    frame as W_y E_jk W_x^dag or R_y E_jk R_x^dag.
+    """
+    n, a, a2 = X.shape
+    Xr = frames.W_x.conj().T @ X @ frames.R_x
+    Yr = frames.W_y.conj().T @ Y @ frames.R_y
+    (j1, k1), (j2, k2) = _cluster_units(frames.blocks1), _cluster_units(frames.blocks2)
+    g1, g = len(j1), len(j1) + len(j2)
+    c1, c2 = np.arange(g1), np.arange(g1, g)
+    top = np.zeros((n, a, a2, g), dtype=complex)
+    top[:, j1, :, c1] = Xr[:, k1, :].transpose(1, 0, 2)
+    top[:, :, k2, c2] = -Yr[:, :, j2]
+    bottom = np.zeros((n, a2, a, g), dtype=complex)
+    bottom[:, j2, :, c2] = Xr[:, :, k2].conj().transpose(2, 0, 1)
+    bottom[:, :, k1, c1] = -Yr[:, j1, :].conj().transpose(0, 2, 1)
+    basis_a = np.zeros((g, a, a), dtype=complex)
+    basis_a[:g1] = frames.W_y.T[j1, :, None] * frames.W_x.T.conj()[k1, None, :]
+    basis_b = np.zeros((g, a2, a2), dtype=complex)
+    basis_b[g1:] = frames.R_y.T[j2, :, None] * frames.R_x.T.conj()[k2, None, :]
+    return LinearSystem(np.concatenate([top.reshape(-1, g), bottom.reshape(-1, g)]),
+                        basis_a, basis_b)
 
 
 def _usable_algebras(inst: UepInstance, tol: Tolerances) -> list:
@@ -325,36 +362,24 @@ def _usable_algebras(inst: UepInstance, tol: Tolerances) -> list:
     return reports
 
 
-def build_linear_system(inst: UepInstance, tol: Tolerances = Tolerances(),
-                        frames: _PivotFrames | None = None) -> LinearSystem:
+def build_linear_system(inst: UepInstance, tol: Tolerances = Tolerances()) -> LinearSystem:
     """Complex-linear constraint matrix of the linearized system.
 
     Unknowns are the coordinates of A over G1's basis followed by those of B
     over G2's basis. For star-closed algebras the adjoint-membership
     constraints are vacuous and omitted. decide_uep takes this plain system
-    only with a span algebra; over factor shapes it is the reference.
-
-    With pivot frames (for two full algebras only) the bases are the block
-    matrix units carried back to the original frame, W_y E W_x^dag for A
-    and R_y E R_x^dag for B, and the rows are those of the rotated pairs
-    W_x^dag X_i R_x, W_y^dag Y_i R_y: A' X'_i = Y'_i B' is A X_i = Y_i B in
-    the frames, and likewise for the adjoint equation.
+    only with a span algebra; over factor shapes it is the reference that
+    the pivot route (_pivot_system) is tested against.
     """
-    if frames is not None:
-        E1, E2 = _block_units(inst.d1, frames.blocks1), _block_units(inst.d2, frames.blocks2)
-        Wxh, Rxh = frames.W_x.conj().T, frames.R_x.conj().T
-        pairs = tuple((Wxh @ X @ frames.R_x, frames.W_y.conj().T @ Y @ frames.R_y)
-                      for X, Y in inst.pairs)
-        return LinearSystem(_linear_system(E1, E2, pairs),
-                            *_separate_unknowns(frames.W_y @ E1 @ Wxh, frames.R_y @ E2 @ Rxh))
     memb = [None if report.star_closed else membership_constraints(G)
             for report, G in zip(_usable_algebras(inst, tol), (inst.G1, inst.G2))]
     E1, E2 = np.stack(inst.G1.basis), np.stack(inst.G2.basis)
     return LinearSystem(_linear_system(E1, E2, inst.pairs, memb), *_separate_unknowns(E1, E2))
 
 
-def _matpoly_system(pairs, seed: int, tol: Tolerances):
-    """The system A X_i = Y_i B in the frames of the pivot pair drawn from seed, and its aux.
+def _matpoly_system(X, Y, seed: int, tol: Tolerances):
+    """The system A X_i = Y_i B of the stacks X, Y in the frames of the pivot pair
+    drawn from seed, and its aux.
 
     With s and t zero-padded to max(d1, d2), the unknown (j, k) is coupled
     when max(s_k, t_j) is above the pivot cut: its one column is
@@ -366,7 +391,7 @@ def _matpoly_system(pairs, seed: int, tol: Tolerances):
     pivot_free_units (free units among them) and pivot_coupling_margin (the
     smallest max(s_k, t_j) of a coupled column over the cut, None without one).
     """
-    Xc, Yc = _pivot_pair(pairs, seed)
+    Xc, Yc = _pivot_pair(X, Y, seed)
     W_x, s, Rh_x = np.linalg.svd(Xc)
     W_y, t, Rh_y = np.linalg.svd(Yc)
     _, cut = _pivot_cut(s, t, tol)
@@ -387,10 +412,10 @@ def _matpoly_system(pairs, seed: int, tol: Tolerances):
     r, c, n = j[idx], k[idx], len(idx)
     # row (p, q) of A' X'_i - Y'_i B': A'_rc adds X'_i[c, q] at p = r, B'_rc
     # subtracts Y'_i[p, r] at q = c
-    X = W_x.conj().T @ np.stack([X for X, _ in pairs]) @ Rh_x.conj().T
-    Y = W_y.conj().T @ np.stack([Y for _, Y in pairs]) @ Rh_y.conj().T
+    X = W_x.conj().T @ X @ Rh_x.conj().T
+    Y = W_y.conj().T @ Y @ Rh_y.conj().T
     a, b = np.flatnonzero(alpha), np.flatnonzero(beta)
-    rows = np.zeros((len(pairs), d1, d2, n), dtype=complex)
+    rows = np.zeros((len(X), d1, d2, n), dtype=complex)
     rows[:, r[a], :, a] = alpha[a, None, None] * X[:, c[a], :].transpose(1, 0, 2)
     rows[:, :, c[b], b] -= beta[b] * Y[:, :, r[b]]
     # the frame units E_rc carried back: W_y E_rc W_x^dag and R_y E_rc R_x^dag
@@ -407,8 +432,8 @@ def _matpoly_system(pairs, seed: int, tol: Tolerances):
 
 def solve_solution_space(system: LinearSystem, tol: Tolerances = Tolerances()) -> SolutionSpace:
     ns = nullspace_basis(system.matrix, tol, system.scale)
-    As = np.tensordot(ns.T, system.basis_a, axes=1)
-    Bs = np.tensordot(ns.T, system.basis_b, axes=1)
+    As, Bs = ((ns.T @ E.reshape(len(E), -1)).reshape((-1,) + E.shape[1:])
+              for E in (system.basis_a, system.basis_b))
     return SolutionSpace(basis=tuple(zip(As, Bs)), dimension=ns.shape[1],
                          d1=system.basis_a.shape[1], d2=system.basis_b.shape[1])
 
@@ -440,25 +465,36 @@ class SampleResult(NamedTuple):
     A: np.ndarray
     B: np.ndarray
     trials_used: int
+    svds: tuple  # (W, s, Vh) of A and of B, from the decompositions that accepted them
 
 
-def _invertible(tol: Tolerances, *mats) -> bool:
-    """Whether every square matrix has full numerical rank (the package's one rank rule)."""
-    return all(numerical_rank(singular_values(M), tol) == len(M) for M in mats)
+def _invertible_svds(tol: Tolerances, *mats):
+    """The SVDs (W, s, Vh) of the square mats, or None as soon as one has numerical
+    rank below full (the package's one rank rule)."""
+    svds = []
+    for M in mats:
+        W, s, Vh = np.linalg.svd(M)
+        if numerical_rank(s, tol) < len(s):
+            return None
+        svds.append((W, s, Vh))
+    return tuple(svds)
 
 
 def sample_invertible(space: SolutionSpace, cfg: SamplerConfig, tol: Tolerances = Tolerances()):
     """Search the solution space for a pair with both blocks invertible.
 
-    Returns the first hit, or None after all trials fail; in the latter case
-    the caller reports the failure bound per_trial_bound ** trials.
+    Each candidate takes one SVD per block: its singular values decide
+    invertibility, and the hit keeps the factors, which give its polar
+    factors. Returns the first hit, or None after all trials fail; in the
+    latter case the caller reports the failure bound per_trial_bound ** trials.
     """
     if space.dimension < 1:
         raise InputError("sample_invertible needs a non-trivial solution space")
     for t in range(cfg.trials):
         A, B = draw_candidate(space, cfg, t)
-        if _invertible(tol, A, B):
-            return SampleResult(A=A, B=B, trials_used=t + 1)
+        svds = _invertible_svds(tol, A, B)
+        if svds is not None:
+            return SampleResult(A=A, B=B, trials_used=t + 1, svds=svds)
     return None
 
 
@@ -508,11 +544,12 @@ def certificate_residuals(mode: str, payload, U, V, tol: Tolerances = Tolerances
         got = None if M is None else np.shape(M)
         if got != shape:
             raise InputError(f"certificate {name} has shape {got}, expected {shape} for {mode}")
+    X, Y = (np.stack(side) for side in zip(*pairs))
     if mode == "matpoly":
-        if not _invertible(tol, U, V):
+        if any(numerical_rank(singular_values(M), tol) < len(M) for M in (U, V)):
             return np.inf, np.inf
-        return max(frobenius(np.linalg.solve(V.T, (U @ X).T).T - Y) / max(1.0, frobenius(Y))
-                   for X, Y in pairs), 0.0
+        UXVinv = np.linalg.solve(V.T, (U @ X).transpose(0, 2, 1)).transpose(0, 2, 1)
+        return _worst_relative(UXVinv - Y, Y), 0.0
     defect = max(frobenius(W.conj().T @ W - np.eye(len(W))) for W in (U, V) if W is not None)
     if mode == "matrix-pairs":
         defect = max(defect, span_residual(payload.G1, U), span_residual(payload.G2, V))
@@ -521,8 +558,13 @@ def certificate_residuals(mode: str, payload, U, V, tol: Tolerances = Tolerances
         L, R = U, V.conj()  # (U (x) V)|psi> is U psi V^T
     else:
         L = R = np.kron(U, np.eye(dims[1]) if V is None else V)
-    Rd = R.conj().T
-    return max(frobenius(L @ X @ Rd - Y) / max(1.0, frobenius(Y)) for X, Y in pairs), defect
+    return _worst_relative(L @ X @ R.conj().T - Y, Y), defect
+
+
+def _worst_relative(D, Y) -> float:
+    """The largest ||D_i||_F / max(1, ||Y_i||_F) over the stacks D and Y."""
+    return float(np.max(np.linalg.norm(D, axis=(1, 2))
+                        / np.maximum(1.0, np.linalg.norm(Y, axis=(1, 2)))))
 
 
 def check_certificate(verdict: UepVerdict, mode: str, payload,
@@ -545,8 +587,9 @@ def check_certificate(verdict: UepVerdict, mode: str, payload,
 
 def _decide(system: LinearSystem, cfg: SamplerConfig, tol: Tolerances,
             kind: str = "unitary") -> UepVerdict:
-    """The decide tail of every mode: solve, sample, take the polar factors of the
-    sample (matpoly keeps the invertible A, B); each caller checks a YES."""
+    """The decide tail of every mode: solve, sample, take the polar factors W Vh of
+    the sample from the SVDs that accepted it (matpoly keeps the invertible A, B);
+    each caller checks a YES."""
     space = solve_solution_space(system, tol)
     if space.dimension == 0:
         return UepVerdict(verdict="NO", certainty="exact", solution_dimension=0,
@@ -561,13 +604,7 @@ def _decide(system: LinearSystem, cfg: SamplerConfig, tol: Tolerances,
                           detail="no invertible element found by randomized search")
     U, V = found.A, found.B
     if kind == "unitary":
-        try:
-            U, V = extract_unitaries(U, V, tol)
-        except DegenerateCandidateError as exc:
-            return UepVerdict(verdict="INCONCLUSIVE", certainty="probabilistic",
-                              trials_used=found.trials_used, solution_dimension=space.dimension,
-                              detail="numerical breakdown: unitary extraction rejected the "
-                                     f"sample ({exc})")
+        U, V = (W @ Vh for W, _, Vh in found.svds)
     return UepVerdict(verdict="YES", certainty="probabilistic", U=U, V=V,
                       trials_used=found.trials_used, solution_dimension=space.dimension,
                       certificate_kind=kind)
@@ -583,62 +620,93 @@ def _realigned_blocks(Xs, Ys, shape1, shape2) -> tuple:
 
 
 def _spanning_pairs(X, Y) -> tuple:
-    """The rows of T from the QR [vec X_j, vec Y_j] = Q T: at most 2 a a' pairs with
-    the span of the a x a' pairs (X_j, Y_j). As Q has orthonormal columns, the
-    linear system keeps its nullspace and its singular values."""
+    """The stacks X, Y of n pairs a x a' when n <= 2 a a'; else the rows of T from
+    the QR [vec X_j, vec Y_j] = Q T, as two stacks: 2 a a' pairs with the same
+    span. As Q has orthonormal columns, the linear system keeps its nullspace
+    and its singular values."""
     n, a, a2 = X.shape
+    if n <= 2 * a * a2:
+        return X, Y
     T = np.linalg.qr(np.hstack([X.reshape(n, -1), Y.reshape(n, -1)]), mode="r")
-    return tuple(zip(*T.reshape(-1, 2, a, a2).transpose(1, 0, 2, 3)))
+    return T[:, :a * a2].reshape(-1, a, a2), T[:, a * a2:].reshape(-1, a, a2)
 
 
-def _pivot_decide(inst: UepInstance, cfg: SamplerConfig, tol: Tolerances) -> UepVerdict:
-    """Decide an instance over two full algebras in the frames of the pivot pair
-    drawn from cfg.seed, leaving a YES unchecked. Every verdict past the pivot
-    records pivot_clusters, pivot_merged_gap and pivot_split_gap in aux."""
-    frames = _pivot_frames(*_pivot_pair(inst.pairs, cfg.seed), tol)
+def _pivot_decide(X, Y, cfg: SamplerConfig, tol: Tolerances) -> UepVerdict:
+    """Decide u X_j v^dag = Y_j over two full algebras for the (n, a, a') stacks
+    X, Y in the frames of the pivot pair drawn from cfg.seed, leaving a YES
+    unchecked. Every verdict past the pivot records pivot_clusters,
+    pivot_merged_gap and pivot_split_gap in aux."""
+    frames = _pivot_frames(*_pivot_pair(X, Y, cfg.seed), tol)
     if frames is None:
         return UepVerdict(verdict="NO", certainty="exact",
                           detail="singular values differ at the random pivot pair "
                                  "sum_i c_i (X_i, Y_i)")
-    verdict = _decide(build_linear_system(inst, tol, frames), cfg, tol)
+    verdict = _decide(_pivot_system(X, Y, frames), cfg, tol)
     verdict.aux.update(pivot_clusters=[len(frames.blocks1), len(frames.blocks2)],
                        pivot_merged_gap=frames.merged_gap, pivot_split_gap=frames.split_gap)
     return verdict
+
+
+def _spectrum_mismatch(pairs, X, Y, blocks: tuple, tol: Tolerances):
+    """The first pair (i,), else the first block (i, p, q) of the realigned stacks
+    X, Y (blocks = (b, b') per pair), whose singular values differ; None when
+    every spectrum matches."""
+    ok, i = singular_value_prefilter(pairs, tol)
+    if not ok:
+        return (i,)
+    ok, idx = singular_value_prefilter(np.stack([X, Y], axis=1), tol)
+    if not ok:
+        return tuple(int(v) for v in np.unravel_index(idx, (len(pairs),) + blocks))
+    return None
 
 
 def decide_uep(inst: UepInstance, cfg: SamplerConfig = SamplerConfig(),
                tol: Tolerances = Tolerances()) -> UepVerdict:
     """Full decision pipeline; YES verdicts carry a verified (U, V) certificate.
 
-    A span algebra takes the plain system. Factor shapes (a, b) and (a', b')
-    are checked against d1 and d2 without a projection; then blocks whose
-    singular values differ are an exact NO naming the block and the pair;
-    _pivot_decide solves the blocks, or their spanning pairs when there are
-    more than 2 a a', and u, v lift to u (x) I_b, v (x) I_b'. The failure
-    bound is that of the blocks' (a, a').
+    Over a span algebra, and over two full algebras, where the blocks below
+    are the pairs, pairs whose singular values differ are an exact NO first.
+    A span algebra then takes the plain system. Factor shapes (a, b) and
+    (a', b') are checked against d1 and d2 without a projection, so unless
+    b = b' = 1 a shape that does not tile its dimension raises before any
+    NO; _pivot_decide solves the realigned blocks, or their spanning pairs
+    when there are more than 2 a a', and u, v lift to u (x) I_b, v (x) I_b'.
+    The failure bound is that of the blocks' (a, a'). Over any other pair of
+    shapes the pairs' and then the blocks' singular values are compared only
+    when the solve ends in anything but a verified YES: they explain a
+    non-YES, as the exact NO naming the pair or the block, instead of gating
+    the solve. So a certificate that passes check_certificate stands even
+    where the comparison would have said NO, which its residual allows only
+    within about sqrt(rank) of the comparison's tolerance.
     """
-    ok, idx = singular_value_prefilter(inst.pairs, tol)
-    if not ok:
+    def no(where):
         return UepVerdict(verdict="NO", certainty="exact",
-                          detail=f"singular values differ at pair index {idx}")
-    if "span" in (inst.G1.kind, inst.G2.kind):
+                          detail=f"singular values differ at {where}")
+
+    shapes = inst.G1.factor_shape, inst.G2.factor_shape
+    blocks_are_pairs = None in shapes or shapes[0][1] * shapes[1][1] == 1
+    if blocks_are_pairs:
+        ok, idx = singular_value_prefilter(inst.pairs, tol)
+        if not ok:
+            return no(f"pair index {idx}")
+    if None in shapes:
         return check_certificate(_decide(build_linear_system(inst, tol), cfg, tol),
                                  "matrix-pairs", inst, tol)
     _usable_algebras(inst, tol)  # unprojected: a shape passes when a * b = dim
-    (a, b), (a2, b2) = inst.G1.factor_shape, inst.G2.factor_shape
+    (a, b), (a2, b2) = shapes
     X, Y = _realigned_blocks(*zip(*inst.pairs), (a, b), (a2, b2))
-    if b * b2 > 1:  # else the blocks are the pairs, which passed above
-        ok, idx = singular_value_prefilter(tuple(zip(X, Y)), tol)
-        if not ok:
-            i, p, q = np.unravel_index(idx, (len(inst.pairs), b, b2))
-            return UepVerdict(verdict="NO", certainty="exact", detail=(
-                f"singular values differ at block ({p}, {q}) of pair index {i}"))
-    pairs = _spanning_pairs(X, Y) if len(X) > 2 * a * a2 else tuple(zip(X, Y))
-    verdict = _pivot_decide(uep_instance_full(a, a2, pairs), cfg, tol)
+    verdict = _pivot_decide(*_spanning_pairs(X, Y), cfg, tol)
     if verdict.verdict == "YES":
         verdict.U, verdict.V = (W if n == 1 else np.kron(W, np.eye(n))
                                 for W, n in ((verdict.U, b), (verdict.V, b2)))
-    return check_certificate(verdict, "matrix-pairs", inst, tol)
+    verdict = check_certificate(verdict, "matrix-pairs", inst, tol)
+    if blocks_are_pairs or verdict.verdict == "YES":
+        return verdict
+    mismatch = _spectrum_mismatch(inst.pairs, X, Y, (b, b2), tol)
+    if mismatch is None:
+        return verdict
+    i, *block = mismatch
+    return no(f"block ({block[0]}, {block[1]}) of pair index {i}" if block else f"pair index {i}")
 
 
 def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
@@ -660,14 +728,15 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
     """
     if P.shape != Q.shape or P.degree != Q.degree:
         raise InputError("matrix polynomials must share shape and degree")
-    pairs = tuple(zip(P.coefficients, Q.coefficients))
-    for idx, (X, Y) in enumerate(pairs):
-        if numerical_rank(singular_values(X), tol) != numerical_rank(singular_values(Y), tol):
+    X, Y = np.stack(P.coefficients), np.stack(Q.coefficients)
+    spectra = zip(*(np.linalg.svd(Z, compute_uv=False) for Z in (X, Y)))
+    for idx, (sx, sy) in enumerate(spectra):
+        if numerical_rank(sx, tol) != numerical_rank(sy, tol):
             return UepVerdict(verdict="NO", certainty="exact", certificate_kind="invertible",
                               detail=f"coefficient ranks differ at index {idx}")
-    norms = [max(np.linalg.norm(X), np.linalg.norm(Y)) for X, Y in pairs]
-    pairs = tuple((X / n, Y / n) if n > 0 else (X, Y) for (X, Y), n in zip(pairs, norms))
-    system, aux = _matpoly_system(pairs, cfg.seed, tol)
+    norms = np.array([max(np.linalg.norm(Xi), np.linalg.norm(Yi)) for Xi, Yi in zip(X, Y)])
+    scale = np.where(norms > 0, norms, 1.0)[:, None, None]
+    system, aux = _matpoly_system(X / scale, Y / scale, cfg.seed, tol)
     verdict = check_certificate(_decide(system, cfg, tol, "invertible"), "matpoly", (P, Q), tol)
     verdict.aux.update(aux)
     return verdict

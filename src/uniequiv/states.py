@@ -25,6 +25,7 @@ from .solver import (
     _pivot_decide,
     _realigned_blocks,
     _spanning_pairs,
+    _spectrum_mismatch,
     check_certificate,
     decide_uep,
     singular_value_prefilter,
@@ -133,35 +134,37 @@ def unilocal_mixed_equivalence(rhos, sigmas, cfg: SamplerConfig = SamplerConfig(
 
     With the blocks R_pq[a, b] = rho_i[(a, p), (b, q)] (the block
     realignment), the equation holds exactly when U R_pq = S_pq U for every
-    block. Singular values of a rho_i, or of a block, that differ from
-    sigma_i's are an exact NO naming i (and p, q), counted from 0. The
-    pivot route then runs on (I, I) and the spanning pairs over two full
-    d1 x d1 algebras; the (I, I) pair forces its left and right unitaries
-    to coincide, and aux["uv_gap"] is their distance. Non-acting parties
-    fold into d2.
+    block. The pivot route runs on (I, I) and the spanning pairs over two
+    full d1 x d1 algebras; the (I, I) pair forces its left and right
+    unitaries to coincide, and aux["uv_gap"] is their distance. When it ends
+    in anything but a verified YES, singular values of a rho_i, or else of a
+    block, that differ from sigma_i's explain it: an exact NO naming i (and
+    p, q), counted from 0. A certificate that passes check_certificate
+    stands even where that comparison would say NO, which its residual
+    allows only within about sqrt(rank) of the comparison's tolerance.
+    Non-acting parties fold into d2.
     """
     if len(rhos) != len(sigmas) or not rhos:
         raise InputError("density operator lists must be non-empty and of equal length")
     d1, d2 = _check_uniform(list(rhos) + list(sigmas), "density operators")
-    ok, i = singular_value_prefilter(tuple((r.matrix, s.matrix) for r, s in zip(rhos, sigmas)), tol)
-    if not ok:
-        return UepVerdict(verdict="NO", certainty="exact",
-                          detail=f"rho_{i} vs sigma_{i}: singular values differ")
-    R, S = _realigned_blocks([r.matrix for r in rhos], [s.matrix for s in sigmas],
-                             (d1, d2), (d1, d2))
-    ok, idx = singular_value_prefilter(tuple(zip(R, S)), tol)
-    if not ok:
-        i, p, q = np.unravel_index(idx, (len(rhos), d2, d2))
-        return UepVerdict(verdict="NO", certainty="exact", detail=(
-            f"block ({p}, {q}) of rho_{i} vs sigma_{i}: singular values differ"))
-    eye = np.eye(d1, dtype=complex)
-    verdict = _pivot_decide(uep_instance_full(d1, d1, ((eye, eye),) + _spanning_pairs(R, S)),
-                            cfg, tol)
-    if verdict.verdict != "YES":
+    pairs = tuple((r.matrix, s.matrix) for r, s in zip(rhos, sigmas))
+    R, S = _realigned_blocks(*zip(*pairs), (d1, d2), (d1, d2))
+    eye = np.eye(d1, dtype=complex)[None]
+    X, Y = _spanning_pairs(R, S)
+    verdict = _pivot_decide(np.concatenate([eye, X]), np.concatenate([eye, Y]), cfg, tol)
+    if verdict.verdict == "YES":
+        verdict.aux["uv_gap"] = frobenius(verdict.U - verdict.V)
+        verdict.V = None
+        verdict = check_certificate(verdict, "unilocal-mixed", (rhos, sigmas), tol)
+        if verdict.verdict == "YES":
+            return verdict
+    mismatch = _spectrum_mismatch(pairs, R, S, (d2, d2), tol)
+    if mismatch is None:
         return verdict
-    verdict.aux["uv_gap"] = frobenius(verdict.U - verdict.V)
-    verdict.V = None
-    return check_certificate(verdict, "unilocal-mixed", (rhos, sigmas), tol)
+    i, *block = mismatch
+    where = f"block ({block[0]}, {block[1]}) of " if block else ""
+    return UepVerdict(verdict="NO", certainty="exact",
+                      detail=f"{where}rho_{i} vs sigma_{i}: singular values differ")
 
 
 _EDGE_DENOM = 1e-6

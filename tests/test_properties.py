@@ -1,7 +1,9 @@
 """Property-based invariances of decide_uep on small full and factor instances,
 its agreement with the plain system over mixed factor shapes, of
 generic_mixed_lu under local unitaries, and of the pivot reductions'
-solution spaces (matrix pairs and matrix polynomials)."""
+solution spaces (matrix pairs and matrix polynomials); and the exact NO that
+the deferred singular-value comparisons give over factor shapes and in
+unilocal-mixed."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -9,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 from uniequiv import (MatrixPolynomial, SamplerConfig, Tolerances, UepInstance,
                       build_linear_system, decide_invertible_equivalence, decide_uep,
                       density_operator, generic_mixed_lu, sample_invertible,
-                      solve_solution_space, uep_instance_full)
+                      singular_value_prefilter, solve_solution_space, uep_instance_full,
+                      unilocal_mixed_equivalence)
 from uniequiv.algebra import span_residual
 from uniequiv.oracle import haar_unitary_in_algebra, random_yes_instance
-from uniequiv.solver import _matpoly_system, _pivot_frames, _pivot_pair
+from uniequiv.solver import _matpoly_system, _pivot_frames, _pivot_pair, _pivot_system
 
 from conftest import ginibre, haar, random_density
 
@@ -204,10 +207,11 @@ def test_pivot_reduction_keeps_the_solution_space(case):
     # the frames rule out holds no solution, so the reduced and unreduced
     # systems share their nullspace
     inst, seed, planted = case
-    frames = _pivot_frames(*_pivot_pair(inst.pairs, seed), Tolerances())
+    X, Y = (np.stack(side) for side in zip(*inst.pairs))
+    frames = _pivot_frames(*_pivot_pair(X, Y, seed), Tolerances())
     assert frames is not None
     full = solve_solution_space(build_linear_system(inst))
-    reduced = solve_solution_space(build_linear_system(inst, frames=frames))
+    reduced = solve_solution_space(_pivot_system(X, Y, frames))
     assert reduced.dimension == full.dimension
     if planted:
         assert decide_uep(inst, SamplerConfig(seed=seed)).verdict == "YES"
@@ -269,7 +273,7 @@ def test_matpoly_pivot_reduction_keeps_the_solution_space(case):
     # reduced system in d^2 unknowns has the unreduced one's nullspace
     pairs, seed, planted = case
     tol = Tolerances()
-    system, aux = _matpoly_system(pairs, seed, tol)
+    system, aux = _matpoly_system(*(np.stack(side) for side in zip(*pairs)), seed, tol)
     reduced = solve_solution_space(system, tol)
     full = _unreduced_matpoly_space(pairs, tol)
     assert reduced.dimension == full.shape[1]
@@ -279,3 +283,126 @@ def test_matpoly_pivot_reduction_keeps_the_solution_space(case):
         assert decide_invertible_equivalence(P, Q, SamplerConfig(seed=seed)).verdict == "YES"
     if reduced.dimension:
         assert _largest_angle_sine(full, _stacked_basis(reduced)) <= 1e-6
+
+
+def _scale_spectrum(M, rng):
+    """M with its singular values scaled by independent factors in [1.001, 1.01]."""
+    W, s, Vh = np.linalg.svd(M)
+    n = len(s)
+    return (W[:, :n] * (s * rng.uniform(1.001, 1.01, n))) @ Vh[:n]
+
+
+def _blocks(M, shape1, shape2):
+    """The blocks M[(r, p), (c, q)] over r, c, in the order (p, q)."""
+    (a, b), (a2, b2) = shape1, shape2
+    M = M.reshape(a, b, a2, b2)
+    return [M[:, p, :, q] for p in range(b) for q in range(b2)]
+
+
+def _named_mismatch(pairs, shape1, shape2):
+    """(i,) for the first pair, else (i, p, q) for the first block, that
+    singular_value_prefilter finds, run over the pairs, then over the blocks."""
+    ok, i = singular_value_prefilter(pairs)
+    if not ok:
+        return (i,)
+    blocks = [bp for X, Y in pairs
+              for bp in zip(_blocks(X, shape1, shape2), _blocks(Y, shape1, shape2))]
+    ok, idx = singular_value_prefilter(blocks)
+    assert not ok
+    return tuple(np.unravel_index(idx, (len(pairs), shape1[1], shape2[1])))
+
+
+def _local(b, swap, rng):
+    """A Haar unitary of size b, or the permutation swapping its last two indices."""
+    if not swap or b == 1:
+        return haar(b, rng)
+    order = np.arange(b)
+    order[-2:] = order[-2:][::-1]
+    return np.eye(b)[order]
+
+
+@st.composite
+def spectrum_nos(draw):
+    """NO instances whose spectra differ, over factor shapes (square,
+    rectangular, or a full algebra against a factor one) and in unilocal-mixed
+    with 1-3 states: one pair's singular values scaled, one block's singular
+    values scaled, or I (x) V on the factor sides of one pair, which keeps
+    the pair's spectrum but, generically, not its blocks'. V is Haar, or the
+    swap of the last two indices, whose first mismatch is a block past
+    (0, 0) when b' > 2."""
+    plant = draw(st.sampled_from(["pair", "block", "ixv"]))
+    swap = plant == "ixv" and draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(["square", "rectangular", "mixed"]))
+        a, b = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+        shape2 = {"square": (a, b), "mixed": (draw(st.integers(2, 6)), 1),
+                  "rectangular": (draw(st.integers(1, 3)), draw(st.integers(1, 3)))}[kind]
+        shapes = [(a, b), shape2][::draw(st.sampled_from([1, -1]))]
+        kinds = ["full" if sb == 1 else ("factor", sa, sb) for sa, sb in shapes]
+        m = draw(st.integers(0, 2))
+        inst, _ = random_yes_instance(*(sa * sb for sa, sb in shapes), m, *kinds, seed=seed)
+        pairs = list(inst.pairs)
+        i = draw(st.integers(0, m))
+        X, Y = pairs[i]
+        if plant == "pair":
+            pairs[i] = (X, _scale_spectrum(Y, rng))
+        elif plant == "block":
+            (sa, sb), (ta, tb) = shapes
+            p, q = draw(st.integers(0, sb - 1)), draw(st.integers(0, tb - 1))
+            Y = Y.reshape(sa, sb, ta, tb).copy()
+            Y[:, p, :, q] = _scale_spectrum(Y[:, p, :, q], rng)
+            pairs[i] = (X, Y.reshape(sa * sb, ta * tb))
+        else:
+            L, R = (np.kron(np.eye(sa), _local(sb, swap, rng)) for sa, sb in shapes)
+            pairs[i] = (X, L @ Y @ R.conj().T)
+        return "pairs", _with_pairs(inst, pairs), shapes, seed
+    d1, d2, k = draw(st.integers(1, 3)), draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    rhos = [random_density(d1, d2, rng) for _ in range(k)]
+    big = np.kron(haar(d1, rng), np.eye(d2))
+    sigmas = [r.matrix for r in rhos]
+    i = draw(st.integers(0, k - 1))
+    if plant == "pair":
+        w, Q = np.linalg.eigh(sigmas[i])
+        shift = 1e-3 * w[0]  # from the largest eigenvalue to the smallest
+        w[0], w[-1] = w[0] + shift, w[-1] - shift
+        sigmas[i] = (Q * w) @ Q.conj().T
+    elif plant == "block":
+        # an off-diagonal block (p, q) and its adjoint (q, p) keep the trace
+        p = draw(st.integers(0, d2 - 1))
+        q = (p + draw(st.integers(1, d2 - 1))) % d2
+        H = np.zeros((d1, d2, d1, d2), dtype=complex)
+        H[:, p, :, q] = 1e-5 * ginibre(d1, d1, rng)
+        H = H.reshape(d1 * d2, -1)
+        sigmas[i] = sigmas[i] + H + H.conj().T
+    else:
+        local = np.kron(np.eye(d1), _local(d2, swap, rng))
+        sigmas[i] = local @ sigmas[i] @ local.conj().T
+    sigmas = [density_operator(d1, d2, big @ S @ big.conj().T) for S in sigmas]
+    return "unilocal", (rhos, sigmas), ((d1, d2), (d1, d2)), seed
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spectrum_nos())
+def test_deferred_spectrum_comparisons_name_the_mismatch(case):
+    # over factor shapes and in unilocal-mixed the singular values are compared
+    # only after the solve, and then name the pair, else the block, exactly
+    # as singular_value_prefilter run over the pairs and then the blocks does
+    mode, payload, (shape1, shape2), seed = case
+    cfg = SamplerConfig(seed=seed)
+    if mode == "pairs":
+        verdict = decide_uep(payload, cfg)
+        pairs = payload.pairs
+    else:
+        verdict = unilocal_mixed_equivalence(*payload, cfg)
+        pairs = [(r.matrix, s.matrix) for r, s in zip(*payload)]
+    assert (verdict.verdict, verdict.certainty) == ("NO", "exact")
+    assert verdict.solution_dimension is None and verdict.aux == {}
+    i, *block = _named_mismatch(pairs, shape1, shape2)
+    if mode == "pairs":
+        where = f"block ({block[0]}, {block[1]}) of pair index {i}" if block else f"pair index {i}"
+        assert verdict.detail == f"singular values differ at {where}"
+    else:
+        where = f"block ({block[0]}, {block[1]}) of " if block else ""
+        assert verdict.detail == f"{where}rho_{i} vs sigma_{i}: singular values differ"

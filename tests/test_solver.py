@@ -20,11 +20,14 @@ from uniequiv import (
     solve_solution_space,
     uep_instance_full,
 )
-from uniequiv import density_operator, pure_state
+from uniequiv import (density_operator, pure_state, simultaneous_lu_pure,
+                      unilocal_mixed_equivalence)
 from uniequiv.algebra import span_residual
 from uniequiv.oracle import random_yes_instance
 from uniequiv.solver import (SolutionSpace, UepVerdict, certificate_residuals, check_certificate,
                              _pivot_frames, _pivot_pair, draw_candidate, per_trial_failure_bound)
+
+import uniequiv.solver as solver_mod
 
 from conftest import ginibre, haar, random_density
 from exact_reference import singular_value_ratio
@@ -69,9 +72,12 @@ class TestBuildSystem:
         with pytest.raises(InvalidAlgebraError):
             build_linear_system(inst)
 
-    def test_rejects_a_shape_that_does_not_tile_its_dimension(self):
+    @pytest.mark.parametrize("Y", [np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0])],
+                             ids=["equal-spectra", "spectra-differ"])
+    def test_rejects_a_shape_that_does_not_tile_its_dimension(self, Y):
+        # the shapes are checked before any singular values are compared
         bad = MatrixAlgebra(dim=4, kind="factor", factor_shape=(2, 3))
-        inst = UepInstance(d1=4, d2=4, pairs=((np.eye(4), np.eye(4)),),
+        inst = UepInstance(d1=4, d2=4, pairs=((np.eye(4), Y),),
                            G1=full_algebra(4), G2=bad)
         with pytest.raises(InvalidAlgebraError, match="G2 is not a usable algebra"):
             decide_uep(inst, CFG)
@@ -264,6 +270,24 @@ class TestDecide:
         assert np.linalg.norm(verdict.U - verdict.V) <= 1e-7
 
 
+def _stacks(inst):
+    """The X_i and the Y_i of an instance as two stacks, as the pivot route takes them."""
+    return tuple(np.stack(side) for side in zip(*inst.pairs))
+
+
+def _pivot_systems_seen(monkeypatch):
+    """Records (a, a', frames) for every reduced system the pivot route assembles."""
+    seen = []
+    real = solver_mod._pivot_system
+
+    def spy(X, Y, frames):
+        seen.append((X.shape[1], X.shape[2], frames))
+        return real(X, Y, frames)
+
+    monkeypatch.setattr(solver_mod, "_pivot_system", spy)
+    return seen
+
+
 def _gauged(Xs, rng):
     """Y_i = U_i X_i V_i^dag with independent unitaries per pair: every pair
     keeps its singular values, but no one (U, V) serves them all."""
@@ -283,7 +307,7 @@ def _tuned_pivot(d, gap, seed):
     cannot resolve loses the solutions."""
     rng = np.random.default_rng(seed)
     one = [np.ones((1, 1)), np.zeros((1, 1))]
-    c1, c2 = (_pivot_pair([(X, X) for X in probe], seed)[0][0, 0]
+    c1, c2 = (_pivot_pair(np.stack(probe), np.stack(probe), seed)[0][0, 0]
               for probe in (one, one[::-1]))
     x1 = np.concatenate([[12.0, 4.0], rng.uniform(0.1, 0.5, d - 2)]).astype(complex)
     x2 = np.concatenate([[0.0, 12.0], rng.uniform(0.1, 0.5, d - 2)]).astype(complex)
@@ -323,7 +347,7 @@ class TestPivot:
         # solutions; below the cut the pair merges, above it the split is exact
         for seed in range(40):
             inst = _tuned_pivot(6, gap, seed)
-            frames = _pivot_frames(*_pivot_pair(inst.pairs, seed), Tolerances())
+            frames = _pivot_frames(*_pivot_pair(*_stacks(inst), seed), Tolerances())
             assert frames.blocks1[0] == ((0, 1) if gap > CUT else (0, 2))
             verdict = decide_uep(inst, SamplerConfig(seed=seed))
             assert verdict.verdict == "YES" and verdict.residual <= 1e-12
@@ -331,9 +355,9 @@ class TestPivot:
 
     def test_pivot_seed_stays_apart_from_the_trials(self):
         inst, _ = random_yes_instance(3, 3, 1, seed=4)
-        Xc, _ = _pivot_pair(inst.pairs, 9)
-        assert np.array_equal(Xc, _pivot_pair(inst.pairs, 9)[0])
-        X = np.stack([X for X, _ in inst.pairs])
+        X, Y = _stacks(inst)
+        Xc, _ = _pivot_pair(X, Y, 9)
+        assert np.array_equal(Xc, _pivot_pair(X, Y, 9)[0])
         for trial in range(4):
             re, im = np.random.default_rng([9, trial]).standard_normal((2, 2))
             c = (re + 1j * im) / np.linalg.norm(re + 1j * im)
@@ -370,18 +394,10 @@ class TestPivot:
     def test_one_cluster_takes_the_frames(self, monkeypatch, X):
         # one cluster keeps every matrix unit, rotated into the frames: the
         # plain system's solutions, with no fork to it
-        import uniequiv.solver as solver_mod
-        frames_seen = []
-        real = solver_mod.build_linear_system
-
-        def spy(inst, tol=Tolerances(), frames=None):
-            frames_seen.append(frames)
-            return real(inst, tol, frames)
-
-        monkeypatch.setattr(solver_mod, "build_linear_system", spy)
+        seen = _pivot_systems_seen(monkeypatch)
         inst = uep_instance_full(6, 6, [(X, X)])
         verdict = decide_uep(inst, CFG)
-        (frames,) = frames_seen
+        ((_, _, frames),) = seen
         assert verdict.verdict == "YES" and frames.blocks1 == frames.blocks2 == ((0, 6),)
         assert verdict.aux == {"pivot_clusters": [1, 1], "pivot_merged_gap": 0.0,
                                "pivot_split_gap": None}
@@ -391,18 +407,10 @@ class TestPivot:
         # M (x) I_2 against the full algebra on C^4: the pivot route runs on the
         # two realigned 2 x 4 blocks, and the lifted u (x) I_2 checks out on the
         # instance itself
-        import uniequiv.solver as solver_mod
-        frames_seen = []
-        real = solver_mod.build_linear_system
-
-        def spy(inst, tol=Tolerances(), frames=None):
-            frames_seen.append((inst.d1, inst.d2, frames is not None))
-            return real(inst, tol, frames)
-
-        monkeypatch.setattr(solver_mod, "build_linear_system", spy)
+        seen = _pivot_systems_seen(monkeypatch)
         inst, _ = random_yes_instance(4, 4, 0, g1_kind=("factor", 2, 2), seed=6)
         verdict = decide_uep(inst, CFG)
-        assert frames_seen == [(2, 4, True)]
+        assert [(a, a2, frames is not None) for a, a2, frames in seen] == [(2, 4, True)]
         assert verdict.verdict == "YES" and verdict.residual <= 1e-12
         assert verdict.aux["pivot_clusters"] == [2, 3]  # the B side merges two padded zeros
         assert span_residual(inst.G1, verdict.U) <= 1e-12
@@ -449,6 +457,37 @@ class TestPivot:
         assert verdict.verdict == "YES" and verdict.residual <= 1e-12
         assert verdict.solution_dimension == _space(inst).dimension
         assert verdict.aux["pivot_clusters"] == [5, 4]
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["clusters", "generic"])
+    def test_index_built_system_matches_the_unit_products(self, shared, rng):
+        # the reduced system assembled by index has the rows that the plain
+        # system's products give on the rotated pairs and the cluster units,
+        # and its bases are those units carried back to the original frame;
+        # pairs in shared frames give a 2-cluster and a padded zero on the 5 side
+        W, R, U, V = haar(5, rng), haar(4, rng), haar(5, rng), haar(4, rng)
+        D = np.zeros((5, 4))
+        D[range(4), range(4)] = [3.0, 3.0, 2.0, 1.0]
+        X = np.stack([a * (W @ D @ R.conj().T) if shared else ginibre(5, 4, rng)
+                      for a in (1.0, 2j, -0.5)])
+        Y = U @ X @ V.conj().T
+        frames = _pivot_frames(*_pivot_pair(X, Y, 3), Tolerances())
+        if shared:
+            assert frames.blocks1 == ((0, 2), (2, 3), (3, 4), (4, 5))
+            assert frames.blocks2 == ((0, 2), (2, 3), (3, 4))
+        system = solver_mod._pivot_system(X, Y, frames)
+
+        def units(d, blocks):
+            return np.array([np.outer(np.eye(d)[j], np.eye(d)[k]) for a, b in blocks
+                             for j in range(a, b) for k in range(a, b)], dtype=complex)
+
+        E1, E2 = units(5, frames.blocks1), units(4, frames.blocks2)
+        Xr = frames.W_x.conj().T @ X @ frames.R_x
+        Yr = frames.W_y.conj().T @ Y @ frames.R_y
+        assert np.array_equal(system.matrix, solver_mod._linear_system(E1, E2, list(zip(Xr, Yr))))
+        g1 = len(E1)
+        assert np.allclose(system.basis_a[:g1], frames.W_y @ E1 @ frames.W_x.conj().T, atol=1e-15)
+        assert np.allclose(system.basis_b[g1:], frames.R_y @ E2 @ frames.R_x.conj().T, atol=1e-15)
+        assert not system.basis_a[g1:].any() and not system.basis_b[:g1].any()
 
 
 class TestPrefilter:
@@ -584,6 +623,29 @@ class TestCertificateResiduals:
             certificate_residuals(mode, payload, np.eye(len(U) + 1), V)
         with pytest.raises(InputError):
             certificate_residuals(mode, payload, U, np.eye(2) if V is None else None)
+
+    @pytest.mark.parametrize("case, checked_as", [
+        ("full", "matrix-pairs"), ("factor", "matrix-pairs"), ("pure-sets", "matrix-pairs"),
+        ("unilocal-mixed", "unilocal-mixed")])
+    def test_a_yes_is_checked_once(self, case, checked_as, monkeypatch, rng):
+        # every decide path ends in one certificate check; pure-sets checks
+        # the matricized states, unilocal-mixed the density operators
+        modes = []
+        real = solver_mod.certificate_residuals
+
+        def spy(mode, *args, **kwargs):
+            modes.append(mode)
+            return real(mode, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "certificate_residuals", spy)
+        if case in ("full", "factor"):
+            kind = "full" if case == "full" else ("factor", 2, 2)
+            verdict = decide_uep(random_yes_instance(4, 4, 1, kind, kind, seed=62)[0], CFG)
+        else:
+            (ins, outs), _, _ = _planted(case, rng)
+            decide = simultaneous_lu_pure if case == "pure-sets" else unilocal_mixed_equivalence
+            verdict = decide(ins, outs, CFG)
+        assert verdict.verdict == "YES" and modes == [checked_as]
 
     def test_failed_check_turns_yes_into_inconclusive(self, rng):
         payload, U, V = _planted("generic-mixed", rng)

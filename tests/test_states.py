@@ -211,7 +211,7 @@ class TestUnilocalMixed:
                                  (d1, d2), (d1, d2))
         assert R.shape == S.shape == (len(rhos) * d2 * d2, d1, d1)
         identity = ((np.eye(d1, dtype=complex),) * 2,)
-        spanning = identity + _spanning_pairs(R, S)
+        spanning = identity + tuple(zip(*_spanning_pairs(R, S)))
         assert len(spanning) == 1 + min(len(R), 2 * d1 * d1)
         eye = np.eye(d, dtype=complex)
         G = factor_algebra(d1, d2)

@@ -1,0 +1,120 @@
+"""Compare the verdict documents of this tree with those of another checkout.
+
+    python3 tools/verdict_diff.py OTHER_TREE [--workload NAME ...] [--seed N ...]
+
+Every case and the warm-up of each `perfbench` workload (all four, at seeds
+11, 12 and 13 unless narrowed) is built once, by this tree's
+`perfbench/workloads.py`, and decided in two fresh processes: one imports
+`uniequiv` and `perfbench/worker.py` from this tree, the other from
+OTHER_TREE. Each request goes through `worker.decide_text` with the seed the
+benchmark gives it (case i of a cycle: i + 1; the warm-up: 1), under one
+BLAS thread. `perfbench` is only imported, never edited.
+
+For every document the keys verdict, certainty, solution_dimension, detail,
+failure_bound and trials_used are compared, and so are the keys of the
+verdict's aux (the documents do not carry aux, so the child records them
+as `serialize.verdict_document` is called). Each difference is printed on
+one line; the summary counts the documents with a difference and those
+that are byte-identical once `timing` is left out. The exit status is 1
+when any document differs in a compared key, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parents[1]
+WORKLOADS = ("pairs-full", "unilocal-factor", "states-small", "cli-cold")
+KEYS = ("verdict", "certainty", "solution_dimension", "detail", "failure_bound", "trials_used")
+
+
+def build_requests(workloads, seeds):
+    """[(label, instance text, decide seed)] for every case and warm-up, from this tree."""
+    sys.path[:0] = [str(HERE / "src"), str(HERE / "perfbench")]
+    import workloads as wl
+
+    requests = []
+    for name in workloads:
+        for seed in seeds:
+            cases, warmup = wl.build(name, seed)
+            for i, case in enumerate(cases):
+                requests.append((f"{name} s{seed} #{i} {case.kind}", json.dumps(case.doc), i + 1))
+            requests.append((f"{name} s{seed} warm-up {warmup.kind}", json.dumps(warmup.doc), 1))
+    return requests
+
+
+def replay(tree: Path, requests):
+    """The verdict texts and aux keys of tree for every request, from a fresh process."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("PYTHONPATH", None)
+    payload = json.dumps([[text, seed] for _, text, seed in requests])
+    proc = subprocess.run([sys.executable, __file__, "--emit", str(tree)], input=payload,
+                          capture_output=True, text=True, env=env, check=False)
+    if proc.returncode != 0:
+        raise SystemExit(f"replay in {tree} failed:\n{proc.stderr.strip()[-2000:]}")
+    return json.loads(proc.stdout)
+
+
+def emit(tree: Path) -> int:
+    """Child side: decide every [text, seed] read from stdin with tree's code."""
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    from uniequiv import serialize
+    import worker
+
+    aux_keys = []
+    real = serialize.verdict_document
+
+    def recording(verdict, *args, **kwargs):
+        aux_keys.append(sorted(verdict.aux))
+        return real(verdict, *args, **kwargs)
+
+    serialize.verdict_document = recording
+    out = [{"text": worker.decide_text(text, seed), "aux": aux_keys.pop()}
+           for text, seed in json.load(sys.stdin)]
+    json.dump(out, sys.stdout)
+    return 0
+
+
+def without_timing(text: str) -> str:
+    doc = json.loads(text)
+    doc.pop("timing", None)
+    return json.dumps(doc)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("other", type=Path, help="root of the checkout to compare against")
+    parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--workload", action="append", choices=WORKLOADS)
+    parser.add_argument("--seed", action="append", type=int)
+    args = parser.parse_args(argv)
+    if args.emit:
+        return emit(args.other.resolve())
+    other = args.other.resolve()
+    if not (other / "perfbench" / "worker.py").is_file():
+        parser.error(f"{other} has no perfbench/worker.py")
+    requests = build_requests(args.workload or WORKLOADS, args.seed or (11, 12, 13))
+    mine, theirs = replay(HERE, requests), replay(other, requests)
+    differing = identical = 0
+    for (label, _, _), a, b in zip(requests, mine, theirs):
+        doc_a, doc_b = json.loads(a["text"]), json.loads(b["text"])
+        diffs = [f"{key}: {doc_a.get(key)!r} here, {doc_b.get(key)!r} there"
+                 for key in KEYS if doc_a.get(key) != doc_b.get(key)]
+        if a["aux"] != b["aux"]:
+            diffs.append(f"aux keys: {a['aux']} here, {b['aux']} there")
+        for diff in diffs:
+            print(f"{label}: {diff}")
+        differing += bool(diffs)
+        identical += without_timing(a["text"]) == without_timing(b["text"])
+    print(f"{len(requests)} documents: {differing} differ in a compared key, "
+          f"{identical} byte-identical without timing")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
