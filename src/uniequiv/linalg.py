@@ -2,7 +2,10 @@
 
 Everything here is a pure function over immutable inputs; numerical rank
 decisions are made with the scale-free ratio sigma_min/sigma_max rather
-than raw determinant magnitudes.
+than raw determinant magnitudes. A nullspace is found in two small steps:
+one Hermitian eigen-solve of the columns x columns Gram matrix narrows the
+search to the directions near or below the rank cut, and one SVD of the
+matrix restricted to them decides the cut on the matrix itself.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+
+_EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "Tolerances",
@@ -108,27 +113,52 @@ def nullspace_basis(M, tol: Tolerances = Tolerances(), scale: float = 0.0) -> np
     """Orthonormal basis of the numerical right nullspace of a real or complex matrix.
 
     Returns an (n, k) array whose columns span the nullspace; k = 0 when the
-    nullspace is trivial. A tall matrix is first replaced by the triangular
-    factor R of its QR decomposition, which has the same nullspace and
-    singular values in n rows. Singular vectors beyond numerical_rank (with
-    the reference scale) count as null; a matrix of rank 0 yields the full
-    identity basis.
+    nullspace is trivial, and the identity when every direction is null. The
+    cut is numerical_rank's, rank_rel * ref with ref = max(sigma_1, scale).
+    One eigh of the n x n Gram G = M^dag M gives sigma_1^2 and keeps the
+    eigenvectors V with eigenvalue <= t^2, where
+    t = max(1e3 sqrt(n) eps / rank_rel * sigma_1^2 / ref, 10 rank_rel ref);
+    the SVD of M V is then cut at rank_rel * ref. So every direction within
+    10x of the cut is decided on M itself. G's rounding, about
+    sqrt(n) eps sigma_1^2, tilts a kept vector towards a dropped direction of
+    singular value sigma_b > t, adding sqrt(n) eps sigma_1^2 / sigma_b
+    <= 1e-3 rank_rel ref to its residual (Davis-Kahan); t^2 stays at least
+    1e7 sqrt(n) eps sigma_1^2, far above G's eigenvalue noise; and when
+    t >= sigma_1 every vector is kept, which is the dense SVD. G squares M's
+    range, so where its diagonal leaves [2^-960, 2^960] (entries beyond about
+    1e+-150) it is formed again from M times a power of two.
     """
     M = np.asarray(M, dtype=complex if np.iscomplexobj(M) else float)
     if M.ndim != 2 or M.shape[1] < 1:
         raise InputError(f"expected a 2-D matrix with at least one column, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise InputError("nullspace input contains non-finite entries")
-    rows, n = M.shape
-    if rows > n:
-        M = np.linalg.qr(M, mode="r")
-    elif rows < n:  # zero rows keep vh square
-        M = np.vstack([M, np.zeros((n - rows, n), dtype=M.dtype)])
-    _, s, vh = np.linalg.svd(M)
-    rank = numerical_rank(s, tol, scale)
-    if rank == 0:
+    n = M.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = M.conj().T @ M
+    # nan or inf when an entry of M is; in range, G is far from overflow and
+    # its rounding, eps * top, from the subnormal numbers
+    top = float(np.max(G.diagonal().real))
+    if not 2.0**-960 <= top <= 2.0**960:
+        if not np.all(np.isfinite(M)):
+            raise InputError("nullspace input contains non-finite entries")
+        # a power of two takes M's largest entry near 1 and scales M and scale exactly
+        unit = 2.0 ** min(1000, -int(np.frexp(np.max(np.abs(M)))[1]))
+        M, scale = M * unit, scale * unit
+        G = M.conj().T @ M
+    w, V = np.linalg.eigh(G)
+    s1 = float(np.sqrt(max(w[-1], 0.0)))
+    ref = max(s1, scale)
+    # a dropped direction above t tilts no kept vector by more than 1e-3 of the cut
+    floor = 1e3 * np.sqrt(n) * _EPS * s1 * (s1 / ref) / tol.rank_rel if ref else 0.0
+    t = max(floor, 10.0 * tol.rank_rel * ref)
+    V = V[:, w <= t * t]
+    if V.shape[1] == 0:
+        return V
+    B = M @ V
+    _, s, vh = np.linalg.svd(B, full_matrices=B.shape[0] < B.shape[1])
+    rank = numerical_rank(s, tol, ref)
+    if rank == 0 and V.shape[1] == n:
         return np.eye(n, dtype=M.dtype)
-    return vh[rank:].conj().T
+    return V @ vh[rank:].conj().T
 
 
 def hermitian_eigendecomposition(H, tol: Tolerances = Tolerances()):

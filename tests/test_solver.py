@@ -30,7 +30,7 @@ from uniequiv.solver import (SolutionSpace, UepVerdict, certificate_residuals, c
 import uniequiv.solver as solver_mod
 
 from conftest import ginibre, haar, random_density
-from exact_reference import singular_value_ratio
+from exact_reference import dense_nullspace_basis, singular_value_ratio
 
 CFG = SamplerConfig(seed=17)
 
@@ -488,6 +488,61 @@ class TestPivot:
         assert np.allclose(system.basis_a[:g1], frames.W_y @ E1 @ frames.W_x.conj().T, atol=1e-15)
         assert np.allclose(system.basis_b[g1:], frames.R_y @ E2 @ frames.R_x.conj().T, atol=1e-15)
         assert not system.basis_a[g1:].any() and not system.basis_b[:g1].any()
+
+
+def _perturbed_full_yes(d, size):
+    inst, _ = random_yes_instance(d, d, 2, seed=d)
+    rng = np.random.default_rng(d)
+    pairs = tuple((X, Y + size * ginibre(d, d, rng)) for X, Y in inst.pairs)
+    verdict = decide_uep(UepInstance(d1=d, d2=d, pairs=pairs, G1=inst.G1, G2=inst.G2),
+                         SamplerConfig(seed=d))
+    return verdict.verdict, verdict.solution_dimension
+
+
+def _matpoly_yes(d, seed):
+    rng = np.random.default_rng(seed)
+    A, B = (ginibre(d, d, rng) + 2 * np.eye(d) for _ in "AB")
+    P = [ginibre(d, d, rng) for _ in range(2)]
+    Q = [A @ C @ np.linalg.inv(B) for C in P]
+    verdict = decide_invertible_equivalence(MatrixPolynomial(tuple(P)), MatrixPolynomial(tuple(Q)),
+                                            SamplerConfig(seed=seed))
+    return verdict.verdict, verdict.solution_dimension
+
+
+# every d in 6..24 unperturbed, and 95 sizes from 1e-13 to 1e-8 spread over
+# them, so the solution's singular value crosses the 1e-10 cut between cases
+_CUT_CROSSING = [(d, 0.0) for d in range(6, 25)] + [
+    (6 + i % 19, 10.0 ** (-13 + 5 * i / 94)) for i in range(95)]
+
+
+class TestGramNullspace:
+    def test_cut_crossing_decides_as_the_dense_reference(self, monkeypatch):
+        # planted full-algebra YES cases perturbed across the cut, and degree-1
+        # matpoly YES cases, whose reduced system has sigma_1 below its
+        # reference scale, so the cut is rank_rel * scale
+        cases = [(_perturbed_full_yes, case) for case in _CUT_CROSSING]
+        cases += [(_matpoly_yes, (d, seed)) for d in (8, 9, 10) for seed in range(4)]
+        scales = []
+
+        def recording(M, tol=Tolerances(), scale=0.0):
+            scales.append(scale / np.linalg.norm(M, 2))
+            return dense_nullspace_basis(M, tol, scale)
+
+        gram = [decide(*args) for decide, args in cases]
+        monkeypatch.setattr(solver_mod, "nullspace_basis", recording)
+        dense = [decide(*args) for decide, args in cases]
+        assert gram == dense
+        assert {verdict for verdict, _ in gram} == {"YES", "NO"}
+        assert min(scales[-12:]) > 1.0
+
+    @pytest.mark.parametrize("c", [1e-160, 1e160])
+    def test_planted_yes_at_extreme_scales(self, c):
+        # the Gram of the reduced system would underflow (a NO with no
+        # solution) or overflow (eigh fails) without its power-of-two rescaling
+        inst, _ = random_yes_instance(4, 4, 2, seed=3)
+        pairs = tuple((c * X, c * Y) for X, Y in inst.pairs)
+        verdict = decide_uep(UepInstance(d1=4, d2=4, pairs=pairs, G1=inst.G1, G2=inst.G2), CFG)
+        assert (verdict.verdict, verdict.solution_dimension) == ("YES", 1)
 
 
 class TestPrefilter:

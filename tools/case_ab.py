@@ -1,0 +1,131 @@
+"""Time every case of one benchmark cycle in this tree and in another checkout.
+
+    python3 tools/case_ab.py OTHER_TREE --workload NAME [--seed N] [--rounds K]
+
+The cases of one cycle of the `perfbench` workload NAME (seed N, default 11)
+are built once, by this tree's `perfbench/workloads.py`. Two persistent
+child processes, one per tree, each import `uniequiv` and
+`perfbench/worker.py` from their own tree, run the workload's warm-up, and
+then time `worker.decide_text` on the requests sent to them, under one BLAS
+thread. Each of K rounds (default 5) sends every case to both children,
+one after the other, alternating which goes first from case to case and from
+round to round, so that both trees see the same machine state.
+
+One line per case gives the median wall time here and there over the
+rounds and the change (here - there) / there; the last line does the same
+for the cycle total of each round. Each request finds its child's caches
+colder than the benchmark's closed loop does, as the other child ran in
+between: millisecond cases read up to three times slower than there, in
+both trees alike. `perfbench` is only imported, never edited.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parents[1]
+WORKLOADS = ("pairs-full", "unilocal-factor", "states-small", "cli-cold")
+
+
+def build_cycle(workload: str, seed: int):
+    """[(label, instance text, decide seed)] for one cycle, and the warm-up request."""
+    sys.path[:0] = [str(HERE / "src"), str(HERE / "perfbench")]
+    import workloads as wl
+
+    cases, warmup = wl.build(workload, seed)
+    requests = [(f"#{i} {case.kind}", json.dumps(case.doc), i + 1) for i, case in enumerate(cases)]
+    return requests, (json.dumps(warmup.doc), 1)
+
+
+class Child:
+    """A process deciding requests with tree's code, one JSON line in, one out."""
+
+    def __init__(self, tree: Path):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        env.pop("PYTHONPATH", None)
+        self.tree = tree
+        self.proc = subprocess.Popen([sys.executable, __file__, str(tree), "--serve"], env=env,
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+    def decide(self, text: str, seed: int) -> float:
+        self.proc.stdin.write(json.dumps([text, seed]) + "\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise SystemExit(f"the child for {self.tree} exited with {self.proc.wait()}")
+        return json.loads(line)
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.stdout.close()
+        self.proc.wait()
+
+
+def serve(tree: Path) -> int:
+    """Child side: time worker.decide_text on every [text, seed] line of stdin."""
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import worker
+
+    for line in sys.stdin:
+        text, seed = json.loads(line)
+        start = time.perf_counter()
+        worker.decide_text(text, seed)
+        print(json.dumps(time.perf_counter() - start), flush=True)
+    return 0
+
+
+def change(here: float, there: float) -> str:
+    return f"{100.0 * (here - there) / there:+.1f}%"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("other", type=Path, help="root of the checkout to compare against")
+    parser.add_argument("--serve", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--workload", choices=WORKLOADS)
+    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--rounds", type=int, default=5)
+    args = parser.parse_args(argv)
+    if args.serve:
+        return serve(args.other.resolve())
+    other = args.other.resolve()
+    if not (other / "perfbench" / "worker.py").is_file():
+        parser.error(f"{other} has no perfbench/worker.py")
+    if args.workload is None:
+        parser.error("--workload is required")
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    requests, warmup = build_cycle(args.workload, args.seed)
+    children = (Child(HERE), Child(other))
+    try:
+        for child in children:
+            child.decide(*warmup)
+        walls = [([], []) for _ in requests]
+        for r in range(args.rounds):
+            for i, (_, text, seed) in enumerate(requests):
+                order = (0, 1) if (r + i) % 2 == 0 else (1, 0)
+                for side in order:
+                    walls[i][side].append(children[side].decide(text, seed))
+    finally:
+        for child in children:
+            child.close()
+    width = max(len(label) for label, _, _ in requests)
+    print(f"{'case':<{width}}  {'here (s)':>10}  {'there (s)':>10}  change")
+    for (label, _, _), (mine, theirs) in zip(requests, walls):
+        a, b = statistics.median(mine), statistics.median(theirs)
+        print(f"{label:<{width}}  {a:10.6f}  {b:10.6f}  {change(a, b)}")
+    totals = [statistics.median(sum(w[side][r] for w in walls) for r in range(args.rounds))
+              for side in (0, 1)]
+    print(f"{'cycle':<{width}}  {totals[0]:10.6f}  {totals[1]:10.6f}  {change(*totals)}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
