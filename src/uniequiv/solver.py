@@ -20,36 +20,29 @@ serves every route below.
 Over two factor shapes (a, b) and (a', b') (full is (d, 1)), U = u (x) I_b
 and V = v (x) I_b' solve the equations exactly when u X_pq v^dag = Y_pq for
 the realigned blocks X_pq[r, c] = X_i[(r, p), (c, q)]: a system over two
-full algebras, solved in the singular frames of one random pivot pair
-X_c = sum c_i X_i, Y_c = sum c_i Y_i of the blocks. Every solution also
-satisfies A X_c X_c^dag = Y_c Y_c^dag A and B X_c^dag X_c = Y_c^dag Y_c B, so
-with X_c = W_x S R_x^dag and Y_c = W_y S' R_y^dag the matrices W_y^dag A W_x
-and R_y^dag B R_x are block-diagonal over the clusters of equal singular
-values: only the unknowns inside those blocks are kept, 2a of them instead
-of 2a^2 for distinct singular values. Clusters merge below a relative gap
-of 1e3 eps / min(rank_rel, residual_abs): merging only enlarges the searched
-space, while a split leaves the computed frames about eps / gap off the
-exact ones, and every solution a residual of that size in the reduced
-system. A pivot pair whose spectra differ is an exact NO, because
-U X_c V^dag = Y_c for every solution. The blocks stay two (n, a, a') stacks
-from the realignment to the certificate, and the reduced system is
-assembled by index from the rotated stacks (_pivot_system).
+full algebras. It and the matrix-polynomial system A X_i = Y_i B (invertible
+A, B, no adjoint equation) are solved for A' = W_y^dag A W_x and
+B' = R_y^dag B R_x in the singular frames X_c = W_x S R_x^dag and
+Y_c = W_y T R_y^dag of one random pivot pair X_c = sum c_i X_i,
+Y_c = sum c_i Y_i, with s and t zero-padded to max(d1, d2). Row (j, k) of
+A' S = T B', s_k A'_jk = t_j B'_jk, is a combination of the system's rows,
+so a unit (j, k) with max(s_k, t_j) above the pivot cut needs only the
+coupled column (t_j E_jk, s_k E_jk) / hypot(s_k, t_j) (_pivot_system). For
+unitaries, spectra that differ at the pivot are an exact NO, as
+U X_c V^dag = Y_c; once s = t the adjoint pivot row gives
+(s_k^2 - s_j^2) A'_jk = 0, so only the units inside one cluster of equal
+singular values are kept: about a unknowns in place of 2a^2 for distinct
+singular values, where a square matrix polynomial keeps d^2 of 2d^2.
+Clusters merge below a relative gap of the pivot cut, 1e3 eps /
+min(rank_rel, residual_abs): merging only enlarges the searched space,
+while a split leaves the frames about eps / gap off, and every solution a
+residual of that size. As the pivot rows hold exactly, a system of pivot
+rows alone is rounding noise, so the rank cut is
+rank_rel * max(sigma_1, hypot(s_1, t_1)).
 
 Over factor shapes other than two full algebras (and in unilocal-mixed),
 singular values are compared only to explain a solve that ended without a
 verified YES (see decide_uep).
-
-Matrix polynomials (invertible A, B with A X_i = Y_i B) use the same pivot
-pair, with the frames A' = W_y^dag A W_x and B' = R_y^dag B R_x of
-X_c = W_x S R_x^dag and Y_c = W_y T R_y^dag. Row (j, k) of A' S = T B' reads
-s_k A'_jk = t_j B'_jk and ties no other unknown, so its solutions have a
-closed-form orthonormal basis: one coupled unknown (t_j, s_k) / hypot(s_k, t_j)
-on (A'_jk, B'_jk) when max(s_k, t_j) is above the pivot cut (the cluster cut
-above, times max(1, s_1, t_1)), and two free units below it. Square
-coefficients with an invertible pivot keep d^2 unknowns in place of 2d^2.
-The rows of every pair are then taken in the frames. The pivot rows they
-imply now hold exactly, so a matrix whose every constraint was a pivot row
-is rounding noise: its rank cut is rank_rel * max(sigma_1, hypot(s_1, t_1)).
 
 Every YES, in every mode, leaves the package through `check_certificate`,
 which recomputes the certificate's residual and side conditions with
@@ -192,23 +185,16 @@ _PIVOT_MARGIN = 1e3
 
 
 class _PivotFrames(NamedTuple):
-    """Singular frames X_c = W_x S R_x^dag, Y_c = W_y S' R_y^dag of a pivot pair.
-
-    blocks1 and blocks2 are the clusters of equal singular values as
-    (start, stop) ranges of the spectra zero-padded to d1 (the A side) and
-    to d2 (the B side). merged_gap is the largest relative gap merged inside
-    a cluster (0.0 if none), split_gap the smallest one kept between two
-    clusters (None for one cluster on both sides).
-    """
+    """Singular frames X_c = W_x S R_x^dag, Y_c = W_y T R_y^dag of a pivot pair,
+    its spectra s, t zero-padded to max(d1, d2), and its cut (_pivot_frames)."""
 
     W_x: np.ndarray
     R_x: np.ndarray
     W_y: np.ndarray
     R_y: np.ndarray
-    blocks1: tuple
-    blocks2: tuple
-    merged_gap: float
-    split_gap: float | None
+    s: np.ndarray
+    t: np.ndarray
+    cut: float
 
 
 def singular_value_prefilter(pairs, tol: Tolerances = Tolerances()):
@@ -265,86 +251,92 @@ def _pivot_pair(X, Y, seed: int):
     return tuple((c @ Z.reshape(len(Z), -1)).reshape(Z.shape[1:]) for Z in (X, Y))
 
 
-def _pivot_cut(s, t, tol: Tolerances):
-    """(scale, cut) of a pivot pair with descending spectra s and t.
-
-    scale is max(1, s_1, t_1); cut is _PIVOT_MARGIN * eps / min(rank_rel,
-    residual_abs) times scale, the smallest singular value or gap the
-    computed frames resolve to well below both the rank cut and the
-    certificate bound.
-    """
+def _pivot_frames(Xc, Yc, tol: Tolerances) -> _PivotFrames:
+    """Full SVDs of a pivot pair, its padded spectra and its cut,
+    _PIVOT_MARGIN * eps / min(rank_rel, residual_abs) times max(1, s_1, t_1)."""
+    W_x, s, Rh_x = np.linalg.svd(Xc)
+    W_y, t, Rh_y = np.linalg.svd(Yc)
     scale = max(1.0, float(s[0]), float(t[0]))
-    return scale, _PIVOT_MARGIN * np.finfo(float).eps / min(tol.rank_rel, tol.residual_abs) * scale
+    cut = _PIVOT_MARGIN * np.finfo(float).eps / min(tol.rank_rel, tol.residual_abs) * scale
+    pad = np.zeros(max(Xc.shape) - len(s))
+    return _PivotFrames(W_x, Rh_x.conj().T, W_y, Rh_y.conj().T,
+                        np.concatenate([s, pad]), np.concatenate([t, pad]), cut)
 
 
-def _pivot_frames(Xc, Yc, tol: Tolerances) -> _PivotFrames | None:
-    """Full SVDs of a pivot pair and their clusters; None when the spectra differ.
+def _clusters(frames: _PivotFrames) -> tuple:
+    """(label, aux): label[j] numbers the cluster of equal singular values of
+    index j, cut between k and k+1 by a gap above frames.cut in both padded
+    spectra. aux holds pivot_clusters (the clusters among the first d1 and the
+    first d2 indices), pivot_merged_gap (the largest gap merged inside a
+    cluster, 0.0 if none) and pivot_split_gap (the smallest kept between two,
+    None for one cluster), relative to max(1, s_1, t_1)."""
+    s, t = frames.s, frames.t
+    gap = np.minimum(s[:-1] - s[1:], t[:-1] - t[1:])
+    split = gap > frames.cut
+    gap /= max(1.0, float(s[0]), float(t[0]))
+    label = np.concatenate([[0], np.cumsum(split)])
+    counts = [int(label[len(W) - 1]) + 1 for W in (frames.W_x, frames.R_x)]
+    return label, {"pivot_clusters": counts,
+                   "pivot_merged_gap": float(gap[~split].max(initial=0.0)),
+                   "pivot_split_gap": float(gap[split].min()) if split.any() else None}
 
-    The spectra are compared under singular_value_prefilter's rule. A cut
-    between k and k+1 needs a gap above _pivot_cut in both spectra. The
-    spectra are zero-padded to max(d1, d2); the d1 side reads the gaps of its
-    first d1 values, the d2 side those of its first d2. The reported gaps
-    are relative to _pivot_cut's scale.
+
+def _pivot_system(X, Y, frames: _PivotFrames, label, adjoint: bool):
+    """The reduced system of the (n, d1, d2) stacks X, Y in the pivot frames,
+    and its aux.
+
+    Of the units (j, k) with label[j] == label[k], those with
+    w = max(s_k, t_j) above frames.cut keep one coupled column, alpha E_jk on
+    A' and beta E_jk on B' for (alpha, beta) = (t_j, s_k) / hypot(s_k, t_j),
+    with weight 0 on a side outside A' (d1 x d1) or B' (d2 x d2); a column
+    with no side is dropped, as row (j, k) forces the other entry to 0. Then
+    the units below the cut keep free columns E_jk in A', then in B'. The
+    rows are the entries of A' X'_i - Y'_i B', then with adjoint those of
+    B' X'_i^dag - Y'_i^dag A', for X' = W_x^dag X R_x and Y' = W_y^dag Y R_y;
+    the columns carry back as alpha W_y E_jk W_x^dag and beta R_y E_jk R_x^dag.
+    aux holds pivot_unknowns (columns), pivot_free_units and
+    pivot_coupling_margin (the smallest w / cut of a coupled column, None
+    without one).
     """
-    W_x, sx, Rh_x = np.linalg.svd(Xc)
-    W_y, sy, Rh_y = np.linalg.svd(Yc)
-    if not same_spectrum(sx, sy, tol):
-        return None
-    scale, cut = _pivot_cut(sx, sy, tol)
-    pad = np.zeros(max(Xc.shape) - len(sx))
-    # + 0.0 makes the -0.0 that -diff gives between equal values (padded zeros) 0.0
-    gap = np.minimum(-np.diff(np.concatenate([sx, pad])), -np.diff(np.concatenate([sy, pad]))) + 0.0
-    split = gap > cut
-    gap /= scale
-
-    def blocks(d):
-        cuts = [0, *(np.flatnonzero(split[:d - 1]) + 1).tolist(), d]
-        return tuple(zip(cuts[:-1], cuts[1:]))
-
-    return _PivotFrames(W_x=W_x, R_x=Rh_x.conj().T, W_y=W_y, R_y=Rh_y.conj().T,
-                        blocks1=blocks(len(W_x)), blocks2=blocks(len(Rh_x)),
-                        merged_gap=float(gap[~split].max(initial=0.0)),
-                        split_gap=float(gap[split].min()) if split.any() else None)
-
-
-def _cluster_units(blocks) -> tuple:
-    """Row and column indices (j, k) of the matrix units with j and k in one
-    cluster, row-major per cluster (the clusters are contiguous ranges)."""
-    label = np.repeat(np.arange(len(blocks)), [b - a for a, b in blocks])
-    return np.nonzero(label[:, None] == label)
-
-
-def _pivot_system(X, Y, frames: _PivotFrames) -> LinearSystem:
-    """The reduced system of the (n, a, a') stacks X, Y in the pivot frames,
-    assembled by index.
-
-    Its unknowns are the cluster units E_jk of A' (blocks1), then those of B'
-    (blocks2); its rows are the entries of A' X'_i - Y'_i B', then of
-    B' X'_i^dag - Y'_i^dag A', for X' = W_x^dag X R_x and Y' = W_y^dag Y R_y.
-    Unit (j, k) of A' puts X'[:, k, :] in rows (:, j, :) of the first and
-    -conj(Y'[:, j, :]) in columns (:, :, k) of the second; unit (j, k) of B'
-    puts -Y'[:, :, j] in columns (:, :, k) of the first and conj(X'[:, :, k])
-    in rows (:, j, :) of the second. Each unit carries back to the original
-    frame as W_y E_jk W_x^dag or R_y E_jk R_x^dag.
-    """
-    n, a, a2 = X.shape
-    Xr = frames.W_x.conj().T @ X @ frames.R_x
-    Yr = frames.W_y.conj().T @ Y @ frames.R_y
-    (j1, k1), (j2, k2) = _cluster_units(frames.blocks1), _cluster_units(frames.blocks2)
-    g1, g = len(j1), len(j1) + len(j2)
-    c1, c2 = np.arange(g1), np.arange(g1, g)
-    top = np.zeros((n, a, a2, g), dtype=complex)
-    top[:, j1, :, c1] = Xr[:, k1, :].transpose(1, 0, 2)
-    top[:, :, k2, c2] = -Yr[:, :, j2]
-    bottom = np.zeros((n, a2, a, g), dtype=complex)
-    bottom[:, j2, :, c2] = Xr[:, :, k2].conj().transpose(2, 0, 1)
-    bottom[:, :, k1, c1] = -Yr[:, j1, :].conj().transpose(0, 2, 1)
-    basis_a = np.zeros((g, a, a), dtype=complex)
-    basis_a[:g1] = frames.W_y.T[j1, :, None] * frames.W_x.T.conj()[k1, None, :]
-    basis_b = np.zeros((g, a2, a2), dtype=complex)
-    basis_b[g1:] = frames.R_y.T[j2, :, None] * frames.R_x.T.conj()[k2, None, :]
-    return LinearSystem(np.concatenate([top.reshape(-1, g), bottom.reshape(-1, g)]),
-                        basis_a, basis_b)
+    n, d1, d2 = X.shape
+    W_x, R_x, W_y, R_y, s, t, cut = frames
+    j, k = (label[:, None] == label).nonzero()
+    side = np.maximum(j, k)
+    in_a, in_b = side < d1, side < d2  # (j, k) lies in A', in B'
+    s_k, t_j = s[k], t[j]
+    weight = np.maximum(s_k, t_j)
+    coupled = weight > cut
+    norm = np.hypot(s_k, t_j, where=coupled, out=np.ones(len(j)))
+    alpha, beta = t_j / norm * in_a, s_k / norm * in_b
+    kept = (coupled & (alpha + beta > 0)).nonzero()[0]
+    free = (~coupled).nonzero()[0]
+    free_a, free_b = free[in_a[free]], free[in_b[free]]
+    idx = np.concatenate([kept, free_a, free_b])
+    r, c, alpha, beta, g = j[idx], k[idx], alpha[idx], beta[idx], len(idx)
+    na = len(kept) + len(free_a)
+    alpha[len(kept):na], alpha[na:], beta[len(kept):na], beta[na:] = 1.0, 0.0, 0.0, 1.0
+    a, b = alpha.nonzero()[0], beta.nonzero()[0]
+    (ra, ca, wa), (rb, cb, wb) = (r[a], c[a], alpha[a]), (r[b], c[b], beta[b])
+    X, Y = W_x.conj().T @ X @ R_x, W_y.conj().T @ Y @ R_y
+    # row (p, q) of A' X'_i - Y'_i B': A'_rc adds X'_i[c, q] at p = r, B'_rc
+    # subtracts Y'_i[p, r] at q = c; of B' X'_i^dag - Y'_i^dag A': B'_rc adds
+    # conj(X'_i[q, c]) at p = r, A'_rc subtracts conj(Y'_i[r, p]) at q = c
+    rows = np.zeros((2 if adjoint else 1, n, d1, d2, g), dtype=complex)
+    top = rows[0]
+    top[:, ra, :, a] = wa[:, None, None] * X[:, ca, :].transpose(1, 0, 2)
+    top[:, :, cb, b] -= wb * Y[:, :, rb]
+    if adjoint:
+        bottom = rows[1].reshape(n, d2, d1, g)
+        bottom[:, rb, :, b] = wb[:, None, None] * X[:, :, cb].conj().transpose(2, 0, 1)
+        bottom[:, :, ca, a] -= wa * Y[:, ra, :].conj().transpose(0, 2, 1)
+    basis_a = np.zeros((g, d1, d1), dtype=complex)
+    basis_a[a] = wa[:, None, None] * W_y.T[ra, :, None] * W_x.T.conj()[ca, None, :]
+    basis_b = np.zeros((g, d2, d2), dtype=complex)
+    basis_b[b] = wb[:, None, None] * R_y.T[rb, :, None] * R_x.T.conj()[cb, None, :]
+    system = LinearSystem(rows.reshape(-1, g), basis_a, basis_b, scale=float(np.hypot(s[0], t[0])))
+    margin = float(weight[kept].min() / cut) if kept.size else None
+    return system, {"pivot_unknowns": g, "pivot_free_units": len(free_a) + len(free_b),
+                    "pivot_coupling_margin": margin}
 
 
 def _usable_algebras(inst: UepInstance, tol: Tolerances) -> list:
@@ -375,59 +367,6 @@ def build_linear_system(inst: UepInstance, tol: Tolerances = Tolerances()) -> Li
             for report, G in zip(_usable_algebras(inst, tol), (inst.G1, inst.G2))]
     E1, E2 = np.stack(inst.G1.basis), np.stack(inst.G2.basis)
     return LinearSystem(_linear_system(E1, E2, inst.pairs, memb), *_separate_unknowns(E1, E2))
-
-
-def _matpoly_system(X, Y, seed: int, tol: Tolerances):
-    """The system A X_i = Y_i B of the stacks X, Y in the frames of the pivot pair
-    drawn from seed, and its aux.
-
-    With s and t zero-padded to max(d1, d2), the unknown (j, k) is coupled
-    when max(s_k, t_j) is above the pivot cut: its one column is
-    (t_j E_jk, s_k E_jk) / hypot(s_k, t_j) in the frames, with the side
-    outside A' (d1 x d1) or B' (d2 x d2) left out. That side always has
-    weight 0, so the column stays a unit, or vanishes when it was the only
-    side (row (j, k) then forces the other entry to 0). Below the cut A'_jk
-    and B'_jk are free units. aux holds pivot_unknowns (columns kept),
-    pivot_free_units (free units among them) and pivot_coupling_margin (the
-    smallest max(s_k, t_j) of a coupled column over the cut, None without one).
-    """
-    Xc, Yc = _pivot_pair(X, Y, seed)
-    W_x, s, Rh_x = np.linalg.svd(Xc)
-    W_y, t, Rh_y = np.linalg.svd(Yc)
-    _, cut = _pivot_cut(s, t, tol)
-    (d1, d2), D = Xc.shape, max(Xc.shape)
-    s_k, t_j = (np.concatenate([v, np.zeros(D - len(v))]) for v in (s, t))
-    j, k = np.divmod(np.arange(D * D), D)
-    s_k, t_j = s_k[k], t_j[j]
-    in_a, in_b = (j < d1) & (k < d1), (j < d2) & (k < d2)
-    weight = np.maximum(s_k, t_j)
-    coupled = weight > cut
-    norm = np.hypot(s_k, t_j, where=coupled, out=np.ones(D * D))
-    alpha, beta = t_j / norm * in_a, s_k / norm * in_b
-    kept = np.flatnonzero(coupled & ((alpha != 0) | (beta != 0)))
-    free_a, free_b = np.flatnonzero(~coupled & in_a), np.flatnonzero(~coupled & in_b)
-    idx = np.concatenate([kept, free_a, free_b])
-    alpha = np.concatenate([alpha[kept], np.ones(len(free_a)), np.zeros(len(free_b))])
-    beta = np.concatenate([beta[kept], np.zeros(len(free_a)), np.ones(len(free_b))])
-    r, c, n = j[idx], k[idx], len(idx)
-    # row (p, q) of A' X'_i - Y'_i B': A'_rc adds X'_i[c, q] at p = r, B'_rc
-    # subtracts Y'_i[p, r] at q = c
-    X = W_x.conj().T @ X @ Rh_x.conj().T
-    Y = W_y.conj().T @ Y @ Rh_y.conj().T
-    a, b = np.flatnonzero(alpha), np.flatnonzero(beta)
-    rows = np.zeros((len(X), d1, d2, n), dtype=complex)
-    rows[:, r[a], :, a] = alpha[a, None, None] * X[:, c[a], :].transpose(1, 0, 2)
-    rows[:, :, c[b], b] -= beta[b] * Y[:, :, r[b]]
-    # the frame units E_rc carried back: W_y E_rc W_x^dag and R_y E_rc R_x^dag
-    basis_a = np.zeros((n, d1, d1), dtype=complex)
-    basis_a[a] = alpha[a, None, None] * W_y.T[r[a], :, None] * W_x.T.conj()[c[a], None, :]
-    basis_b = np.zeros((n, d2, d2), dtype=complex)
-    basis_b[b] = beta[b, None, None] * Rh_y.conj()[r[b], :, None] * Rh_x[c[b], None, :]
-    system = LinearSystem(rows.reshape(-1, n), basis_a, basis_b,
-                          scale=float(np.hypot(s[0], t[0])))
-    margin = float(weight[kept].min() / cut) if kept.size else None
-    return system, {"pivot_unknowns": n, "pivot_free_units": len(free_a) + len(free_b),
-                    "pivot_coupling_margin": margin}
 
 
 def solve_solution_space(system: LinearSystem, tol: Tolerances = Tolerances()) -> SolutionSpace:
@@ -562,9 +501,19 @@ def certificate_residuals(mode: str, payload, U, V, tol: Tolerances = Tolerances
 
 
 def _worst_relative(D, Y) -> float:
-    """The largest ||D_i||_F / max(1, ||Y_i||_F) over the stacks D and Y."""
-    return float(np.max(np.linalg.norm(D, axis=(1, 2))
-                        / np.maximum(1.0, np.linalg.norm(Y, axis=(1, 2)))))
+    """The largest ||D_i||_F / max(1, ||Y_i||_F) over the stacks D and Y, inf
+    for a non-finite D. The norms square the entries, so each pair is divided
+    by its largest real or imaginary part m first, and the ratio taken as
+    ||D_i / m||_F / max(1 / m, ||Y_i / m||_F): no inf or nan is formed."""
+    Z = np.concatenate([D, Y], axis=1).view(float)  # D_i over Y_i, re and im side by side
+    m = np.abs(Z).max(axis=(1, 2))
+    if not m.max() < np.inf:  # nan fails too
+        return np.inf
+    # below the smallest normal number the ratio is ||D_i||_F, and 1 / m stays finite
+    m = np.maximum(m, np.finfo(float).tiny)
+    Z = (Z / m[:, None, None]).reshape(len(Z), 2, -1)
+    nd, ny = np.sqrt(np.einsum("ijk,ijk->ji", Z, Z))
+    return float(np.max(nd / np.maximum(1.0 / m, ny)))
 
 
 def check_certificate(verdict: UepVerdict, mode: str, payload,
@@ -578,7 +527,7 @@ def check_certificate(verdict: UepVerdict, mode: str, payload,
     if verdict.verdict != "YES":
         return verdict
     verdict.residual, defect = certificate_residuals(mode, payload, verdict.U, verdict.V, tol)
-    if max(verdict.residual, defect) > tol.residual_abs:
+    if not max(verdict.residual, defect) <= tol.residual_abs:  # a nan fails too
         verdict.verdict = "INCONCLUSIVE"
         verdict.detail = ("numerical breakdown: certificate failed verification "
                           f"(residual={verdict.residual:.3e}, defect={defect:.3e})")
@@ -634,16 +583,15 @@ def _spanning_pairs(X, Y) -> tuple:
 def _pivot_decide(X, Y, cfg: SamplerConfig, tol: Tolerances) -> UepVerdict:
     """Decide u X_j v^dag = Y_j over two full algebras for the (n, a, a') stacks
     X, Y in the frames of the pivot pair drawn from cfg.seed, leaving a YES
-    unchecked. Every verdict past the pivot records pivot_clusters,
-    pivot_merged_gap and pivot_split_gap in aux."""
+    unchecked. Every verdict past the pivot records the aux of _clusters."""
     frames = _pivot_frames(*_pivot_pair(X, Y, cfg.seed), tol)
-    if frames is None:
+    if not same_spectrum(frames.s, frames.t, tol):
         return UepVerdict(verdict="NO", certainty="exact",
                           detail="singular values differ at the random pivot pair "
                                  "sum_i c_i (X_i, Y_i)")
-    verdict = _decide(_pivot_system(X, Y, frames), cfg, tol)
-    verdict.aux.update(pivot_clusters=[len(frames.blocks1), len(frames.blocks2)],
-                       pivot_merged_gap=frames.merged_gap, pivot_split_gap=frames.split_gap)
+    label, aux = _clusters(frames)
+    verdict = _decide(_pivot_system(X, Y, frames, label, adjoint=True)[0], cfg, tol)
+    verdict.aux.update(aux)
     return verdict
 
 
@@ -715,11 +663,11 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
     """Decide whether invertible A, B exist with A X_i B^(-1) = Y_i for all i.
 
     The constraints are only A X_i = Y_i B over full algebras, solved in the
-    frames of the pivot pair drawn from cfg.seed (see _matpoly_system), and
-    the certificate is the sampled (A, B) itself. Coefficient ranks are
-    invariant under the equivalence and serve as an exact prefilter. Every
-    verdict past it records pivot_unknowns, pivot_free_units and
-    pivot_coupling_margin in aux.
+    frames of the pivot pair drawn from cfg.seed by _pivot_system, with every
+    unit in one cluster and no adjoint rows, and the certificate is the
+    sampled (A, B) itself. Coefficient ranks are invariant under the
+    equivalence and serve as an exact prefilter. Every verdict past it
+    records pivot_unknowns, pivot_free_units and pivot_coupling_margin in aux.
 
     A X_i = Y_i B is unchanged when one pair (X_i, Y_i) is scaled, so each
     nonzero pair is divided by max(||X_i||_F, ||Y_i||_F) before the system is
@@ -736,7 +684,9 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
                               detail=f"coefficient ranks differ at index {idx}")
     norms = np.array([max(np.linalg.norm(Xi), np.linalg.norm(Yi)) for Xi, Yi in zip(X, Y)])
     scale = np.where(norms > 0, norms, 1.0)[:, None, None]
-    system, aux = _matpoly_system(X / scale, Y / scale, cfg.seed, tol)
+    X, Y = X / scale, Y / scale
+    frames = _pivot_frames(*_pivot_pair(X, Y, cfg.seed), tol)
+    system, aux = _pivot_system(X, Y, frames, np.zeros(len(frames.s), dtype=int), adjoint=False)
     verdict = check_certificate(_decide(system, cfg, tol, "invertible"), "matpoly", (P, Q), tol)
     verdict.aux.update(aux)
     return verdict

@@ -15,8 +15,9 @@ from uniequiv import (MatrixPolynomial, SamplerConfig, Tolerances, UepInstance,
                       singular_value_prefilter, solve_solution_space, uep_instance_full,
                       unilocal_mixed_equivalence)
 from uniequiv.algebra import span_residual
+from uniequiv.linalg import same_spectrum
 from uniequiv.oracle import haar_unitary_in_algebra, random_yes_instance
-from uniequiv.solver import _matpoly_system, _pivot_frames, _pivot_pair, _pivot_system
+from uniequiv.solver import _clusters, _pivot_frames, _pivot_pair, _pivot_system
 
 from conftest import ginibre, haar, random_density
 from exact_reference import dense_nullspace_basis
@@ -211,9 +212,10 @@ def test_pivot_reduction_keeps_the_solution_space(case):
     inst, seed, planted = case
     X, Y = (np.stack(side) for side in zip(*inst.pairs))
     frames = _pivot_frames(*_pivot_pair(X, Y, seed), Tolerances())
-    assert frames is not None
+    assert same_spectrum(frames.s, frames.t, Tolerances())
+    system, _ = _pivot_system(X, Y, frames, _clusters(frames)[0], adjoint=True)
     full = solve_solution_space(build_linear_system(inst))
-    reduced = solve_solution_space(_pivot_system(X, Y, frames))
+    reduced = solve_solution_space(system)
     assert reduced.dimension == full.dimension
     if planted:
         assert decide_uep(inst, SamplerConfig(seed=seed)).verdict == "YES"
@@ -275,7 +277,9 @@ def test_matpoly_pivot_reduction_keeps_the_solution_space(case):
     # reduced system in d^2 unknowns has the unreduced one's nullspace
     pairs, seed, planted = case
     tol = Tolerances()
-    system, aux = _matpoly_system(*(np.stack(side) for side in zip(*pairs)), seed, tol)
+    X, Y = (np.stack(side) for side in zip(*pairs))
+    frames = _pivot_frames(*_pivot_pair(X, Y, seed), tol)
+    system, aux = _pivot_system(X, Y, frames, np.zeros(len(frames.s), dtype=int), adjoint=False)
     reduced = solve_solution_space(system, tol)
     full = _unreduced_matpoly_space(pairs, tol)
     assert reduced.dimension == full.shape[1]

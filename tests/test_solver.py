@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -23,9 +25,13 @@ from uniequiv import (
 from uniequiv import (density_operator, pure_state, simultaneous_lu_pure,
                       unilocal_mixed_equivalence)
 from uniequiv.algebra import span_residual
+from uniequiv.cli import main
+from uniequiv.linalg import same_spectrum
 from uniequiv.oracle import random_yes_instance
+from uniequiv.serialize import certificate_to_json, dumps_document, instance_to_json
 from uniequiv.solver import (SolutionSpace, UepVerdict, certificate_residuals, check_certificate,
-                             _pivot_frames, _pivot_pair, draw_candidate, per_trial_failure_bound)
+                             _clusters, _pivot_frames, _pivot_pair, draw_candidate,
+                             per_trial_failure_bound)
 
 import uniequiv.solver as solver_mod
 
@@ -276,13 +282,15 @@ def _stacks(inst):
 
 
 def _pivot_systems_seen(monkeypatch):
-    """Records (a, a', frames) for every reduced system the pivot route assembles."""
+    """Records (a, a', label, adjoint, columns) for every reduced system the
+    pivot routes assemble."""
     seen = []
     real = solver_mod._pivot_system
 
-    def spy(X, Y, frames):
-        seen.append((X.shape[1], X.shape[2], frames))
-        return real(X, Y, frames)
+    def spy(X, Y, frames, label, adjoint):
+        system, aux = real(X, Y, frames, label, adjoint)
+        seen.append((X.shape[1], X.shape[2], label.tolist(), adjoint, system.matrix.shape[1]))
+        return system, aux
 
     monkeypatch.setattr(solver_mod, "_pivot_system", spy)
     return seen
@@ -326,19 +334,21 @@ class TestPivot:
         Xc[range(3), range(3)] = [1.0, 1.0 - 1e-4, 0.5]
         Yc = np.zeros((4, 3))
         Yc[range(3), range(3)] = [1.0, 1.0 - 1e-4, 0.5 - 1e-3]
-        frames = _pivot_frames(Xc, Yc, tol)
-        assert frames.blocks1 == ((0, 2), (2, 3), (3, 4))
-        assert frames.blocks2 == ((0, 2), (2, 3))
-        assert frames.merged_gap == pytest.approx(1e-4)
-        assert frames.split_gap == pytest.approx(0.5 - 1e-3)
+        label, aux = _clusters(_pivot_frames(Xc, Yc, tol))
+        assert label.tolist() == [0, 0, 1, 2]
+        assert aux["pivot_clusters"] == [3, 2]
+        assert aux["pivot_merged_gap"] == pytest.approx(1e-4)
+        assert aux["pivot_split_gap"] == pytest.approx(0.5 - 1e-3)
         # a split needs a gap above the cut in both spectra
         split, merged = np.diag([1.0, 1.0 - 2 * CUT]), np.diag([1.0, 1.0 - CUT / 2])
-        assert len(_pivot_frames(split, split, tol).blocks1) == 2
-        assert len(_pivot_frames(split, merged, tol).blocks1) == 1
+        assert _clusters(_pivot_frames(split, split, tol))[0].tolist() == [0, 1]
+        assert _clusters(_pivot_frames(split, merged, tol))[0].tolist() == [0, 0]
         near = np.diag([1.0, 1.0 - 1e-5, 1.0 - 2e-5])
-        one = _pivot_frames(near, near, tol)
-        assert one.blocks1 == one.blocks2 == ((0, 3),) and one.split_gap is None
-        assert _pivot_frames(np.diag([1.0, 0.5]), np.diag([1.0, 0.4]), Tolerances()) is None
+        label, aux = _clusters(_pivot_frames(near, near, tol))
+        assert label.tolist() == [0, 0, 0] and aux["pivot_clusters"] == [1, 1]
+        assert aux["pivot_split_gap"] is None
+        frames = _pivot_frames(np.diag([1.0, 0.5]), np.diag([1.0, 0.4]), Tolerances())
+        assert not same_spectrum(frames.s, frames.t, Tolerances())
 
     @pytest.mark.parametrize("gap", [1.2e-6, 3e-6, 1e-5, 1.5 * CUT, 1e-2])
     def test_tuned_pivot_gap_keeps_every_solution(self, gap):
@@ -347,8 +357,8 @@ class TestPivot:
         # solutions; below the cut the pair merges, above it the split is exact
         for seed in range(40):
             inst = _tuned_pivot(6, gap, seed)
-            frames = _pivot_frames(*_pivot_pair(*_stacks(inst), seed), Tolerances())
-            assert frames.blocks1[0] == ((0, 1) if gap > CUT else (0, 2))
+            label, _ = _clusters(_pivot_frames(*_pivot_pair(*_stacks(inst), seed), Tolerances()))
+            assert label[:2].tolist() == ([0, 1] if gap > CUT else [0, 0])
             verdict = decide_uep(inst, SamplerConfig(seed=seed))
             assert verdict.verdict == "YES" and verdict.residual <= 1e-12
             assert verdict.solution_dimension == _space(inst).dimension
@@ -397,8 +407,8 @@ class TestPivot:
         seen = _pivot_systems_seen(monkeypatch)
         inst = uep_instance_full(6, 6, [(X, X)])
         verdict = decide_uep(inst, CFG)
-        ((_, _, frames),) = seen
-        assert verdict.verdict == "YES" and frames.blocks1 == frames.blocks2 == ((0, 6),)
+        ((_, _, label, adjoint, _),) = seen
+        assert verdict.verdict == "YES" and label == [0] * 6 and adjoint
         assert verdict.aux == {"pivot_clusters": [1, 1], "pivot_merged_gap": 0.0,
                                "pivot_split_gap": None}
         assert verdict.solution_dimension == _space(inst).dimension
@@ -410,7 +420,7 @@ class TestPivot:
         seen = _pivot_systems_seen(monkeypatch)
         inst, _ = random_yes_instance(4, 4, 0, g1_kind=("factor", 2, 2), seed=6)
         verdict = decide_uep(inst, CFG)
-        assert [(a, a2, frames is not None) for a, a2, frames in seen] == [(2, 4, True)]
+        assert [(a, a2, adjoint) for a, a2, _, adjoint, _ in seen] == [(2, 4, True)]
         assert verdict.verdict == "YES" and verdict.residual <= 1e-12
         assert verdict.aux["pivot_clusters"] == [2, 3]  # the B side merges two padded zeros
         assert span_residual(inst.G1, verdict.U) <= 1e-12
@@ -458,12 +468,30 @@ class TestPivot:
         assert verdict.solution_dimension == _space(inst).dimension
         assert verdict.aux["pivot_clusters"] == [5, 4]
 
+    def test_distinct_spectrum_keeps_one_coupled_column_per_unit(self, monkeypatch):
+        # distinct singular values leave one cluster per index, whose unit
+        # (j, j) keeps the coupled column (t_j, s_j) / hypot(s_j, t_j): d
+        # unknowns where free units of A' and B' would take 2d
+        seen = _pivot_systems_seen(monkeypatch)
+        inst, _ = random_yes_instance(6, 6, 2, seed=14)
+        verdict = decide_uep(inst, CFG)
+        ((_, _, label, _, columns),) = seen
+        assert label == list(range(6)) and columns == 6
+        assert verdict.verdict == "YES" and verdict.residual <= 1e-12
+        monkeypatch.undo()
+        assert verdict.solution_dimension == _space(inst).dimension
+
+    @pytest.mark.parametrize("adjoint", [True, False], ids=["unitary", "matpoly"])
     @pytest.mark.parametrize("shared", [True, False], ids=["clusters", "generic"])
-    def test_index_built_system_matches_the_unit_products(self, shared, rng):
+    def test_index_built_system_matches_the_unit_products(self, shared, adjoint, rng):
         # the reduced system assembled by index has the rows that the plain
-        # system's products give on the rotated pairs and the cluster units,
-        # and its bases are those units carried back to the original frame;
-        # pairs in shared frames give a 2-cluster and a padded zero on the 5 side
+        # system's products give on the rotated pairs, with the alpha-weighted
+        # units of its columns as E1 and the beta-weighted ones as E2: a coupled
+        # column is the sum of its two halves, over every row for the unitary
+        # route and over the rows of A X_i - Y_i B for matpoly. Its bases are
+        # those units carried back to the original frame. Pairs in shared
+        # frames give a 2-cluster and a padded zero on the 5 side, and a
+        # rank-4 pivot leaves free units on the padded index
         W, R, U, V = haar(5, rng), haar(4, rng), haar(5, rng), haar(4, rng)
         D = np.zeros((5, 4))
         D[range(4), range(4)] = [3.0, 3.0, 2.0, 1.0]
@@ -471,23 +499,41 @@ class TestPivot:
                       for a in (1.0, 2j, -0.5)])
         Y = U @ X @ V.conj().T
         frames = _pivot_frames(*_pivot_pair(X, Y, 3), Tolerances())
-        if shared:
-            assert frames.blocks1 == ((0, 2), (2, 3), (3, 4), (4, 5))
-            assert frames.blocks2 == ((0, 2), (2, 3), (3, 4))
-        system = solver_mod._pivot_system(X, Y, frames)
+        label = _clusters(frames)[0] if adjoint else np.zeros(5, dtype=int)
+        if shared and adjoint:
+            assert label.tolist() == [0, 0, 1, 2, 3]
+        system, aux = solver_mod._pivot_system(X, Y, frames, label, adjoint)
 
-        def units(d, blocks):
-            return np.array([np.outer(np.eye(d)[j], np.eye(d)[k]) for a, b in blocks
-                             for j in range(a, b) for k in range(a, b)], dtype=complex)
+        def unit(d, j, k):
+            return np.outer(np.eye(d)[j], np.eye(d)[k]) if max(j, k) < d else np.zeros((d, d))
 
-        E1, E2 = units(5, frames.blocks1), units(4, frames.blocks2)
+        coupled, free_a, free_b = [], [], []
+        for j in range(5):
+            for k in range(5):
+                if label[j] != label[k]:
+                    continue
+                sk, tj = frames.s[k], frames.t[j]
+                if max(sk, tj) > frames.cut:
+                    h = np.hypot(sk, tj)
+                    alpha, beta = tj / h * (max(j, k) < 5), sk / h * (max(j, k) < 4)
+                    if alpha or beta:
+                        coupled.append((alpha * unit(5, j, k), beta * unit(4, j, k)))
+                else:
+                    free_a.append((unit(5, j, k), np.zeros((4, 4))))
+                    if max(j, k) < 4:
+                        free_b.append((np.zeros((5, 5)), unit(4, j, k)))
+        E1, E2 = (np.array(side, dtype=complex) for side in zip(*coupled + free_a + free_b))
+        g = len(E1)
+        assert system.matrix.shape[1] == aux["pivot_unknowns"] == g
+        assert aux["pivot_free_units"] == len(free_a) + len(free_b) > 0
         Xr = frames.W_x.conj().T @ X @ frames.R_x
         Yr = frames.W_y.conj().T @ Y @ frames.R_y
-        assert np.array_equal(system.matrix, solver_mod._linear_system(E1, E2, list(zip(Xr, Yr))))
-        g1 = len(E1)
-        assert np.allclose(system.basis_a[:g1], frames.W_y @ E1 @ frames.W_x.conj().T, atol=1e-15)
-        assert np.allclose(system.basis_b[g1:], frames.R_y @ E2 @ frames.R_x.conj().T, atol=1e-15)
-        assert not system.basis_a[g1:].any() and not system.basis_b[:g1].any()
+        plain = solver_mod._linear_system(E1, E2, list(zip(Xr, Yr)))
+        rows = len(plain) if adjoint else X.size
+        assert np.array_equal(system.matrix, plain[:rows, :g] + plain[:rows, g:])
+        assert np.allclose(system.basis_a, frames.W_y @ E1 @ frames.W_x.conj().T, atol=1e-15)
+        assert np.allclose(system.basis_b, frames.R_y @ E2 @ frames.R_x.conj().T, atol=1e-15)
+        assert system.scale == np.hypot(frames.s[0], frames.t[0])
 
 
 def _perturbed_full_yes(d, size):
@@ -701,6 +747,29 @@ class TestCertificateResiduals:
             decide = simultaneous_lu_pure if case == "pure-sets" else unilocal_mixed_equivalence
             verdict = decide(ins, outs, CFG)
         assert verdict.verdict == "YES" and modes == [checked_as]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e200])
+    def test_turned_certificate_fails_at_every_scale(self, scale, tmp_path, capsys):
+        # U turned by exp(1e-7 i H) reads the same residual however large the
+        # entries; unless each pair is divided by its largest entry first,
+        # ||Y_i||_F overflows at 1e160 and the residual reads 0, and at 1e200
+        # ||D_i||_F too and it reads nan, both accepted by check_certificate
+        inst, (U, V) = random_yes_instance(4, 4, 2, seed=3)
+        G = ginibre(4, 4, np.random.default_rng(1))
+        w, Q = np.linalg.eigh(G + G.conj().T)
+        U = U @ (Q * np.exp(0.5e-7j * w)) @ Q.conj().T
+        scaled = UepInstance(4, 4, tuple((scale * X, scale * Y) for X, Y in inst.pairs),
+                             inst.G1, inst.G2)
+        verdict = check_certificate(UepVerdict(verdict="YES", certainty="probabilistic", U=U, V=V),
+                                    "matrix-pairs", scaled)
+        assert verdict.verdict == "INCONCLUSIVE"
+        assert verdict.residual == pytest.approx(1.558529e-7, rel=1e-6)
+        inst_path, cert_path = tmp_path / "i.json", tmp_path / "c.json"
+        inst_path.write_text(dumps_document(instance_to_json(scaled)))
+        cert_path.write_text(json.dumps(certificate_to_json(U, V)))
+        assert main(["verify", str(inst_path), str(cert_path)]) == 1
+        residual = float(capsys.readouterr().out.split()[1])
+        assert residual == pytest.approx(1.558529e-7, rel=1e-6)
 
     def test_failed_check_turns_yes_into_inconclusive(self, rng):
         payload, U, V = _planted("generic-mixed", rng)

@@ -11,12 +11,16 @@ benchmark gives it (case i of a cycle: i + 1; the warm-up: 1), under one
 BLAS thread. `perfbench` is only imported, never edited.
 
 For every document the keys verdict, certainty, solution_dimension, detail,
-failure_bound and trials_used are compared, and so are the keys of the
-verdict's aux (the documents do not carry aux, so the child records them
-as `serialize.verdict_document` is called). Each difference is printed on
-one line; the summary counts the documents with a difference and those
-that are byte-identical once `timing` is left out. The exit status is 1
-when any document differs in a compared key, else 0.
+failure_bound and trials_used are compared, and so is the verdict's aux
+(the documents do not carry aux, so the child records it as
+`serialize.verdict_document` is called): every key, and the value of every
+entry that is an int or a list or tuple of ints (pivot_clusters,
+pivot_unknowns, pivot_free_units, phase_components, grid_solves,
+phase_grid_combo). Float entries such as uv_gap and the pivot gaps follow
+the sampled certificate or rounding, so only their keys are compared. Each
+difference is printed on one line; the summary counts the documents with a
+difference and those that are byte-identical once `timing` is left out.
+The exit status is 1 when any document differs, else 0.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ def build_requests(workloads, seeds):
 
 
 def replay(tree: Path, requests):
-    """The verdict texts and aux keys of tree for every request, from a fresh process."""
+    """The verdict texts and compared aux of tree for every request, from a fresh process."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env.pop("PYTHONPATH", None)
     payload = json.dumps([[text, seed] for _, text, seed in requests])
@@ -60,21 +64,31 @@ def replay(tree: Path, requests):
     return json.loads(proc.stdout)
 
 
+def compared_aux(aux: dict) -> dict:
+    """aux with the value of every int or list or tuple of ints kept, and None
+    for every other value."""
+    def exact(value):
+        return isinstance(value, int) or (isinstance(value, (list, tuple))
+                                          and all(isinstance(v, int) for v in value))
+
+    return {key: value if exact(value) else None for key, value in sorted(aux.items())}
+
+
 def emit(tree: Path) -> int:
     """Child side: decide every [text, seed] read from stdin with tree's code."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     from uniequiv import serialize
     import worker
 
-    aux_keys = []
+    auxes = []
     real = serialize.verdict_document
 
     def recording(verdict, *args, **kwargs):
-        aux_keys.append(sorted(verdict.aux))
+        auxes.append(compared_aux(verdict.aux))
         return real(verdict, *args, **kwargs)
 
     serialize.verdict_document = recording
-    out = [{"text": worker.decide_text(text, seed), "aux": aux_keys.pop()}
+    out = [{"text": worker.decide_text(text, seed), "aux": auxes.pop()}
            for text, seed in json.load(sys.stdin)]
     json.dump(out, sys.stdout)
     return 0
@@ -106,7 +120,7 @@ def main(argv=None) -> int:
         diffs = [f"{key}: {doc_a.get(key)!r} here, {doc_b.get(key)!r} there"
                  for key in KEYS if doc_a.get(key) != doc_b.get(key)]
         if a["aux"] != b["aux"]:
-            diffs.append(f"aux keys: {a['aux']} here, {b['aux']} there")
+            diffs.append(f"aux: {a['aux']} here, {b['aux']} there")
         for diff in diffs:
             print(f"{label}: {diff}")
         differing += bool(diffs)
