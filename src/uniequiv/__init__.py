@@ -6,7 +6,6 @@ from .algebra import (
     factor_algebra,
     full_algebra,
     matrix_algebra,
-    membership_constraints,
     verify_algebra,
 )
 from .errors import (

@@ -6,8 +6,8 @@ algebra is a span: linearly independent d x d matrices and an orthonormal
 basis span_q of their vectorized span. The solver only trusts an algebra
 after `verify_algebra` confirms unitality and multiplicative closure: for a
 shape that is a * b = dim, for a span batched projections onto span_q.
-Star-closure is detected and exploited (it drops the explicit
-adjoint-membership constraints) but not required.
+Star-closure is reported but not required: the solver draws a span that is
+not star-closed from its star part G cap G^dag, which holds its unitaries.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .linalg import Tolerances, as_complex_matrix, nullspace_basis, numerical_rank
+from .linalg import Tolerances, as_complex_matrix, numerical_rank
 
 __all__ = [
     "MatrixAlgebra",
@@ -28,7 +28,6 @@ __all__ = [
     "full_algebra",
     "factor_algebra",
     "verify_algebra",
-    "membership_constraints",
     "span_residual",
 ]
 
@@ -135,17 +134,3 @@ def verify_algebra(G: MatrixAlgebra, tol: Tolerances = Tolerances()) -> AlgebraR
         multiplicatively_closed=all(_all_in_span(G, Ej @ E, tol) for Ej in E),
         star_closed=_all_in_span(G, E.conj().transpose(0, 2, 1), tol),
     )
-
-
-def membership_constraints(G: MatrixAlgebra) -> np.ndarray:
-    """Orthonormal complex rows C: C @ vec(M) = 0 exactly when M lies in the algebra.
-
-    The rows span the orthogonal complement of span_q, or of the orthonormal
-    vec(E_jk (x) I_b) / sqrt(b) of a factor shape. vec is the row-major ravel
-    of a d x d matrix M. For the full algebra the constraint set is empty.
-    """
-    if G.factor_shape is None:
-        Q = G.span_q
-    else:
-        Q = np.stack(G.basis).reshape(G.size, -1).T / np.sqrt(G.factor_shape[1])
-    return nullspace_basis(Q.conj().T).conj().T

@@ -3,7 +3,8 @@
 Exit codes: 0 = YES, 1 = NO, 2 = INCONCLUSIVE, 3 = malformed file or shape
 mismatch, 4 = invalid algebra, 5 = unmet precondition (e.g. degenerate
 spectrum in generic-mixed mode), 64 = usage error: a missing, malformed or
-out-of-range option, or options that contradict each other.
+out-of-range option, options that contradict each other, or an output path
+that cannot be written.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ EXIT_USAGE = 64
 
 
 class _UsageError(UniequivError):
-    """An option value that the command rejects before reading any file."""
+    """An option that the command rejects: a value out of range, checked before
+    any file is read, or an output path that cannot be written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,9 +121,12 @@ def _parse_algebra_flag(flag: str, name: str):
 def _write(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def cmd_decide(args) -> int:
@@ -129,9 +134,7 @@ def cmd_decide(args) -> int:
     cfg = _options(SamplerConfig, sample_max=args.sample_max, trials=args.trials, seed=args.seed)
     if args.phase_grid < 1:
         raise _UsageError(f"--phase-grid must be at least 1, got {args.phase_grid}")
-    doc, (mode, payload) = serialize.load_instance(args.instance)
-    if args.mode is not None and args.mode != mode:
-        mode, payload = serialize.parse_instance({**doc, "mode": args.mode})
+    mode, payload = serialize.load_instance(args.instance, args.mode)
     start = time.perf_counter()
     if mode == "matrix-pairs":
         verdict = decide_uep(payload, cfg, tol)
@@ -180,7 +183,7 @@ def cmd_verify(args) -> int:
     checker that shares no code with the package.
     """
     tol = _options(Tolerances, residual_abs=args.tol_residual)
-    _, (mode, payload) = serialize.load_instance(args.instance)
+    mode, payload = serialize.load_instance(args.instance)
     try:
         with open(args.certificate, "r", encoding="utf-8") as fh:
             cert_doc = json.load(fh)

@@ -165,15 +165,16 @@ def instance_to_json(inst: UepInstance, mode: str = "matrix-pairs", seed=None) -
     return doc
 
 
-def parse_instance(doc: dict):
-    """Parse an instance document into (mode, payload).
+def parse_instance(doc: dict, mode: str | None = None):
+    """Parse an instance document into (mode, payload), under mode when given,
+    else under the document's own "mode" (default matrix-pairs).
 
     Payload depends on the mode: a UepInstance, a (P, Q) polynomial pair,
     two pure-state lists, two density-operator lists, or a (rho, sigma) pair.
     """
     if not isinstance(doc, dict):
         raise MalformedInstanceError("top level: expected a JSON object")
-    mode = doc.get("mode", "matrix-pairs")
+    mode = doc.get("mode", "matrix-pairs") if mode is None else mode
     if mode not in MODES:
         raise MalformedInstanceError(f"mode: unknown mode {mode!r}, expected one of {MODES}")
     d1 = _require_int(doc, "d1", "top level")
@@ -246,7 +247,8 @@ def _parse_generic_mixed(doc, d1, d2):
     return tuple(out)
 
 
-def load_instance(path: str):
+def load_instance(path: str, mode: str | None = None):
+    """parse_instance(doc, mode) of the JSON document in the file at path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -254,7 +256,7 @@ def load_instance(path: str):
         raise MalformedInstanceError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedInstanceError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return doc, parse_instance(doc)
+    return parse_instance(doc, mode)
 
 
 def verdict_document(verdict: UepVerdict, mode: str, seed: int,

@@ -13,9 +13,10 @@ polynomial identity testing (Schwartz-Zippel).
 
 The system is complex-linear, so the solution set is a complex-linear space:
 the adjoint equation is imposed as its adjoint B X_i^dag = Y_i^dag A, and
-A^dag in G1 as conj(C) vec(A^T) = 0 for G1's membership rows C (likewise for
-B). Every system has one column per basis pair (A_j, B_j), so one solve
-serves every route below.
+A, A^dag in G1 by drawing A from a basis of G1 cap G1^dag (likewise B), which
+holds every unitary of G1, as U^dag = U^-1 is a polynomial in U. Every system
+has one column per basis pair (A_j, B_j), so one solve serves every route
+below.
 
 Over two factor shapes (a, b) and (a', b') (full is (d, 1)), U = u (x) I_b
 and V = v (x) I_b' solve the equations exactly when u X_pq v^dag = Y_pq for
@@ -56,8 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import (MatrixAlgebra, full_algebra, membership_constraints, span_residual,
-                      verify_algebra)
+from .algebra import MatrixAlgebra, full_algebra, span_residual, verify_algebra
 from .errors import DegenerateCandidateError, InputError, InvalidAlgebraError
 from .linalg import (
     MatrixPolynomial,
@@ -209,27 +209,37 @@ def singular_value_prefilter(pairs, tol: Tolerances = Tolerances()):
     return (False, int(bad[0])) if bad.size else (True, None)
 
 
-def _linear_system(E1, E2, pairs, memb=(None, None)) -> np.ndarray:
+def _linear_system(E1, E2, pairs) -> np.ndarray:
     """Constraint matrix over A = sum a_j E1[j], B = sum b_k E2[k].
 
-    Rows hold the entries of A X_i - Y_i B, then of B X_i^dag - Y_i^dag A,
-    then the membership rows C of memb applied as conj(C) vec(A^T) and
-    conj(C) vec(B^T), which says A^dag, B^dag lie in the algebras. The
-    batched products E1 @ X_i equal kron(I, X_i^T) applied to the stacked
-    basis.
+    Rows hold the entries of A X_i - Y_i B, then of B X_i^dag - Y_i^dag A.
+    The batched products E1 @ X_i equal kron(I, X_i^T) applied to the
+    stacked basis.
     """
     X = np.stack([X for X, _ in pairs])
     Y = np.stack([Y for _, Y in pairs])
     Xh, Yh = X.conj().transpose(0, 2, 1), Y.conj().transpose(0, 2, 1)
     blocks = [(E1[:, None] @ X, -(Y @ E2[:, None])), (-(Yh @ E1[:, None]), E2[:, None] @ Xh)]
-    g1, g2 = len(E1), len(E2)
-    rows = [np.hstack([a.reshape(g1, -1).T, b.reshape(g2, -1).T]) for a, b in blocks]
-    for C, E, cols in zip(memb, (E1, E2), (slice(0, g1), slice(g1, None))):
-        if C is not None and C.shape[0]:
-            block = np.zeros((C.shape[0], g1 + g2), dtype=complex)
-            block[:, cols] = C.conj() @ E.transpose(0, 2, 1).reshape(len(E), -1).T
-            rows.append(block)
-    return np.vstack(rows)
+    return np.vstack([np.hstack([a.reshape(-1, X.size).T, b.reshape(-1, X.size).T])
+                      for a, b in blocks])
+
+
+def _star_part(G: MatrixAlgebra, star_closed: bool, tol: Tolerances) -> np.ndarray:
+    """A stacked basis of G cap G^dag, where every unitary of G lies.
+
+    A shape or a star-closed span keeps its basis. Over the orthonormal
+    F_j = span_q[:, j] as d x d, M = sum a_j F_j has M^dag in G exactly when
+    (I - conj(Q) Q^T) vec(F_j^T) a = 0. The F_j combine over the nullspace of
+    that d^2 x k matrix, of scale 1 as F is orthonormal, cut at residual_abs:
+    the distance at which verify_algebra counts an adjoint inside G.
+    """
+    if star_closed:
+        return np.stack(G.basis)
+    Q = G.span_q
+    F = Q.T.reshape(-1, G.dim, G.dim)
+    T = F.transpose(0, 2, 1).reshape(len(F), -1).T
+    N = nullspace_basis(T - Q.conj() @ (Q.T @ T), Tolerances(rank_rel=tol.residual_abs), 1.0)
+    return (N.T @ Q.T).reshape(-1, G.dim, G.dim)
 
 
 def _separate_unknowns(E1, E2):
@@ -357,16 +367,14 @@ def _usable_algebras(inst: UepInstance, tol: Tolerances) -> list:
 def build_linear_system(inst: UepInstance, tol: Tolerances = Tolerances()) -> LinearSystem:
     """Complex-linear constraint matrix of the linearized system.
 
-    Unknowns are the coordinates of A over G1's basis followed by those of B
-    over G2's basis. For star-closed algebras the adjoint-membership
-    constraints are vacuous and omitted. decide_uep takes this plain system
-    only with a span algebra; over factor shapes it is the reference that
-    the pivot route (_pivot_system) is tested against.
+    Unknowns are the coordinates of A over a basis of G1 cap G1^dag followed
+    by those of B over one of G2 cap G2^dag (_star_part). decide_uep takes
+    this plain system only with a span algebra; over factor shapes it is the
+    reference that the pivot route (_pivot_system) is tested against.
     """
-    memb = [None if report.star_closed else membership_constraints(G)
-            for report, G in zip(_usable_algebras(inst, tol), (inst.G1, inst.G2))]
-    E1, E2 = np.stack(inst.G1.basis), np.stack(inst.G2.basis)
-    return LinearSystem(_linear_system(E1, E2, inst.pairs, memb), *_separate_unknowns(E1, E2))
+    E1, E2 = (_star_part(G, report.star_closed, tol)
+              for report, G in zip(_usable_algebras(inst, tol), (inst.G1, inst.G2)))
+    return LinearSystem(_linear_system(E1, E2, inst.pairs), *_separate_unknowns(E1, E2))
 
 
 def solve_solution_space(system: LinearSystem, tol: Tolerances = Tolerances()) -> SolutionSpace:

@@ -1,9 +1,10 @@
 """Reference kernels the tests compare the package against, none of them on
 the decide path: the polynomial polar factor U = A p(A^dag A) (acceptance
 criterion 3), sigma_min/sigma_max of a candidate (criterion 4), nullity
-by exact elimination over the Gaussian rationals (criterion 5) and the
+by exact elimination over the Gaussian rationals (criterion 5), the
 dense QR + full SVD nullspace that the Gram route of nullspace_basis
-replaced."""
+replaced, and the membership-row system of a span algebra that the star part
+G cap G^dag replaced."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from uniequiv import InputError, Tolerances, hermitian_eigendecomposition, singular_values
 from uniequiv.linalg import as_complex_matrix, numerical_rank
+from uniequiv.solver import LinearSystem, _linear_system, _separate_unknowns, _usable_algebras
 
 
 # smallest gap between interpolation nodes still considered distinct
@@ -188,3 +190,25 @@ def dense_nullspace_basis(M, tol: Tolerances = Tolerances(), scale: float = 0.0)
     if rank == 0:
         return np.eye(n, dtype=M.dtype)
     return vh[rank:].conj().T
+
+
+def membership_constraints(G) -> np.ndarray:
+    """Orthonormal complex rows C of a span algebra: C @ vec(M) = 0 exactly when
+    M lies in its span, for vec the row-major ravel of a d x d matrix M."""
+    return dense_nullspace_basis(G.span_q.conj().T).conj().T
+
+
+def membership_rows_system(inst, tol: Tolerances = Tolerances()) -> LinearSystem:
+    """The plain system with A, B over the algebras' own bases, and below the
+    equations, for each algebra that is not star-closed, its membership rows
+    applied as conj(C) vec(A^T) (likewise B), which say A^dag lies in it."""
+    E1, E2 = np.stack(inst.G1.basis), np.stack(inst.G2.basis)
+    rows = [_linear_system(E1, E2, inst.pairs)]
+    sides = (slice(0, len(E1)), slice(len(E1), None))
+    for report, G, E, cols in zip(_usable_algebras(inst, tol), (inst.G1, inst.G2), (E1, E2), sides):
+        if not report.star_closed:
+            C = membership_constraints(G)
+            block = np.zeros((len(C), len(E1) + len(E2)), dtype=complex)
+            block[:, cols] = C.conj() @ E.transpose(0, 2, 1).reshape(len(E), -1).T
+            rows.append(block)
+    return LinearSystem(np.vstack(rows), *_separate_unknowns(E1, E2))

@@ -172,6 +172,57 @@ class TestDecide:
         assert main(["decide", str(inst_path), "--seed", "1", "--verbose", "-o", str(out)]) == 0
         assert '"pivot_merged_gap": 0.0,' in out.read_text()
 
+    @pytest.fixture
+    def parse_calls(self, monkeypatch):
+        import uniequiv.serialize as serialize_mod
+
+        calls = []
+
+        def counted(doc, mode=None):
+            calls.append(mode)
+            return parse(doc, mode)
+
+        parse = serialize_mod.parse_instance
+        monkeypatch.setattr(serialize_mod, "parse_instance", counted)
+        return calls
+
+    def test_mode_override_parses_a_modeless_matpoly_file_once(self, tmp_path, rng, parse_calls):
+        # without its "mode" key the file reads as matrix-pairs, which has no pairs
+        coeffs = [ginibre(2, 3, rng) for _ in range(2)]
+        doc = {"d1": 2, "d2": 3, "P": [matrix_to_json(C) for C in coeffs],
+               "Q": [matrix_to_json(C) for C in coeffs]}
+        path, out = tmp_path / "p.json", tmp_path / "v.json"
+        path.write_text(dumps_document(doc))
+        assert main(["decide", str(path), "--seed", "4", "--mode", "matpoly", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["mode"] == "matpoly"
+        assert main(["decide", str(path), "--seed", "4", "-o", str(out)]) == 3
+        assert parse_calls == ["matpoly", None]
+
+    def test_mode_override_that_does_not_fit_exits_3(self, tmp_path, capsys, parse_calls):
+        path = tmp_path / "i.json"
+        assert main(["gen", "--yes", "--d1", "2", "--d2", "2", "--seed", "3",
+                     "-o", str(path)]) == 0
+        assert main(["decide", str(path), "--seed", "1", "--mode", "matpoly"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: P: expected a non-empty list of coefficient matrices\n"
+        assert parse_calls == ["matpoly"]
+
+    @pytest.mark.parametrize("command", [
+        ["decide", "{inst}", "--seed", "1", "-o", "{out}"],
+        ["gen", "--yes", "--d1", "2", "--d2", "2", "--seed", "3", "-o", "{out}"],
+        ["gen", "--yes", "--d1", "2", "--d2", "2", "--seed", "3", "--witness", "{out}"],
+    ], ids=["decide-output", "gen-output", "gen-witness"])
+    def test_unwritable_output_exits_64(self, tmp_path, capsys, command):
+        # a YES whose document cannot be written must not read as NO (exit 1)
+        inst, out = tmp_path / "i.json", tmp_path / "missing" / "o.json"
+        assert main(["gen", "--yes", "--d1", "2", "--d2", "2", "--seed", "3",
+                     "-o", str(inst)]) == 0
+        capsys.readouterr()
+        assert main([a.format(inst=inst, out=out) for a in command]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
     def test_matpoly_mode(self, tmp_path, rng):
         A = ginibre(2, 2, rng) + 2 * np.eye(2)
         B = ginibre(3, 3, rng) + 2 * np.eye(3)

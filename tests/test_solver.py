@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uniequiv import (
     InputError,
@@ -36,13 +37,19 @@ from uniequiv.solver import (SolutionSpace, UepVerdict, certificate_residuals, c
 import uniequiv.solver as solver_mod
 
 from conftest import ginibre, haar, random_density
-from exact_reference import dense_nullspace_basis, singular_value_ratio
+from exact_reference import dense_nullspace_basis, membership_rows_system, singular_value_ratio
+from test_algebra import algebras
 
 CFG = SamplerConfig(seed=17)
 
 
 def _space(inst, tol=Tolerances()):
     return solve_solution_space(build_linear_system(inst, tol), tol)
+
+
+def _upper_triangular(d):
+    return matrix_algebra([np.outer(np.eye(d)[i], np.eye(d)[j])
+                           for i in range(d) for j in range(i, d)])
 
 
 class TestBuildSystem:
@@ -110,11 +117,10 @@ class TestBuildSystem:
             assert np.linalg.norm(A @ X - Y @ B) <= 1e-8 * scale
             assert np.linalg.norm(X @ B.conj().T - A.conj().T @ Y) <= 1e-8 * scale
 
-    def test_membership_rows_keep_adjoints_in_upper_triangular_algebra(self):
+    def test_adjoints_stay_in_upper_triangular_algebra(self):
         # with X = Y = I, every A = B in the upper-triangular algebra solves
         # both equations; A^dag in G1 cuts the space down to the diagonal
-        units = [np.outer(np.eye(3)[i], np.eye(3)[j]) for i in range(3) for j in range(i, 3)]
-        G1 = matrix_algebra(units)
+        G1 = _upper_triangular(3)
         inst = UepInstance(d1=3, d2=3, pairs=((np.eye(3), np.eye(3)),), G1=G1, G2=full_algebra(3))
         space = _space(inst)
         assert space.dimension == 3
@@ -125,6 +131,67 @@ class TestBuildSystem:
                 assert np.linalg.norm(X @ B.conj().T - A.conj().T @ Y) <= 1e-8 * scale
             assert span_residual(G1, A) <= 1e-10 * scale
             assert span_residual(G1, A.conj().T) <= 1e-10 * scale
+
+
+def _star_unitary(G, rng):
+    """exp(iH) for a random Hermitian H of G cap G^dag, taken from the reference
+    solution space of X = Y = I over (G, G): its A lie in G cap G^dag."""
+    inst = UepInstance(G.dim, G.dim, ((np.eye(G.dim), np.eye(G.dim)),), G, G)
+    space = solve_solution_space(membership_rows_system(inst))
+    M = sum(c * A for c, (A, _) in zip(ginibre(space.dimension, 1, rng)[:, 0], space.basis))
+    w, Q = np.linalg.eigh(M + M.conj().T)
+    return (Q * np.exp(1j * w)) @ Q.conj().T
+
+
+def _outcome(decide):
+    try:
+        verdict = decide()
+    except InvalidAlgebraError:
+        return "invalid", None
+    return verdict.verdict, verdict.solution_dimension
+
+
+class TestStarPart:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("s", [1e-12, 1e-6, 1.0, 1e6, 1e11, 1e12, 1e15])
+    def test_scalar_pairs_over_upper_triangular_algebra_at_every_scale(self, d, s):
+        # membership rows at unit scale vanished under pairs at 1e11 and beyond:
+        # the sampled A stayed upper-triangular and its polar factor left G1
+        G = _upper_triangular(d)
+        inst = UepInstance(d, d, ((s * np.eye(d), s * np.eye(d)),), G, G)
+        verdict = decide_uep(inst, CFG)
+        assert verdict.verdict == "YES" and verdict.solution_dimension == d
+        assert span_residual(G, verdict.U) <= 1e-12 and span_residual(G, verdict.V) <= 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(algebras(), st.sampled_from(["planted", "gauged", "identity"]), st.booleans(),
+           st.integers(0, 2**16))
+    def test_verdicts_match_the_membership_rows(self, G, kind, full_g2, seed):
+        # decide_uep over the star parts against the membership-row system, at unit scale
+        rng, d = np.random.default_rng(seed), G.dim
+        G2 = full_algebra(d) if full_g2 else G
+        U, V = haar(d, rng), haar(d, rng)
+        try:
+            if kind == "planted":
+                U, V = _star_unitary(G, rng), V if full_g2 else _star_unitary(G, rng)
+        except InvalidAlgebraError:
+            pass  # both routes reject G
+        Xs = [np.eye(d)] if kind == "identity" else [ginibre(d, d, rng) for _ in range(2)]
+        inst = UepInstance(d, d, tuple((X, X if kind == "identity" else U @ X @ V.conj().T)
+                                       for X in Xs), G, G2)
+
+        def reference():
+            if not singular_value_prefilter(inst.pairs)[0]:
+                return UepVerdict(verdict="NO", certainty="exact")
+            return check_certificate(solver_mod._decide(membership_rows_system(inst), CFG,
+                                                        Tolerances()), "matrix-pairs", inst)
+
+        outcomes = _outcome(lambda: decide_uep(inst, CFG)), _outcome(reference)
+        # a span perturbed by 1e-10 holds its planted unitary only to about 1e-10,
+        # so the instance sits at the rank cut; there the star part, with fewer
+        # and orthonormal columns, has the lower cut and may find no solution
+        at_cut = kind == "planted" and max(span_residual(G, U), span_residual(G2, V)) > 1e-12
+        assert outcomes[0] == outcomes[1] or at_cut and outcomes == (("NO", 0), ("YES", 1))
 
 
 class TestSampler:
@@ -429,7 +496,7 @@ class TestPivot:
 
     def test_shapes_never_reach_the_span_machinery(self, monkeypatch):
         # verify_algebra checks a shape without projecting; every projection
-        # onto span_q, every membership row and every basis read is forbidden
+        # onto span_q, every star part and every basis read is forbidden
         import uniequiv.algebra as algebra_mod
         import uniequiv.solver as solver_mod
 
@@ -437,8 +504,7 @@ class TestPivot:
             raise AssertionError("span machinery called")
 
         monkeypatch.setattr(algebra_mod, "_all_in_span", forbidden)
-        for mod in (algebra_mod, solver_mod):
-            monkeypatch.setattr(mod, "membership_constraints", forbidden)
+        monkeypatch.setattr(solver_mod, "_star_part", forbidden)
         monkeypatch.setattr(MatrixAlgebra, "basis", property(forbidden))
         rng = np.random.default_rng(5)
         cases = [random_yes_instance(4, 3, 1, seed=5)[0],
