@@ -14,9 +14,8 @@ polynomial identity testing (Schwartz-Zippel).
 The system is complex-linear, so the solution set is a complex-linear space:
 the adjoint equation is imposed as its adjoint B X_i^dag = Y_i^dag A, and
 A, A^dag in G1 by drawing A from a basis of G1 cap G1^dag (likewise B), which
-holds every unitary of G1, as U^dag = U^-1 is a polynomial in U. Every system
-has one column per basis pair (A_j, B_j), so one solve serves every route
-below.
+holds every unitary of G1, as U^dag = U^-1 is a polynomial in U. One column
+per basis pair (A_j, B_j) in every system lets one solve serve every route.
 
 Over two factor shapes (a, b) and (a', b') (full is (d, 1)), U = u (x) I_b
 and V = v (x) I_b' solve the equations exactly when u X_pq v^dag = Y_pq for
@@ -224,22 +223,24 @@ def _linear_system(E1, E2, pairs) -> np.ndarray:
                       for a, b in blocks])
 
 
-def _star_part(G: MatrixAlgebra, star_closed: bool, tol: Tolerances) -> np.ndarray:
-    """A stacked basis of G cap G^dag, where every unitary of G lies.
+def _star_part(G: MatrixAlgebra, star_closed: bool, tol: Tolerances) -> tuple:
+    """A stacked basis of G cap G^dag, where every unitary of G lies, and the
+    factor 1 + 1/gap by which restricting to it widens the plain system's cut.
 
-    A shape or a star-closed span keeps its basis. Over the orthonormal
-    F_j = span_q[:, j] as d x d, M = sum a_j F_j has M^dag in G exactly when
-    (I - conj(Q) Q^T) vec(F_j^T) a = 0. The F_j combine over the nullspace of
-    that d^2 x k matrix, of scale 1 as F is orthonormal, cut at residual_abs:
-    the distance at which verify_algebra counts an adjoint inside G.
+    A shape or a star-closed span keeps its basis (factor 1). Otherwise the
+    orthonormal F_j = span_q[:, j] combine over the right singular vectors,
+    at most residual_abs, of K = (I - conj(Q) Q^T) vec(F_j^T): ||K a|| is how
+    far (sum a_j F_j)^dag lies off G. An element whose adjoint lies r off G
+    lies r / gap off them, gap K's next singular value: a cut rank_rel (1 + 1/gap)
+    sigma_1 keeps solutions within rank_rel of the equations and G cap G^dag.
     """
     if star_closed:
-        return np.stack(G.basis)
+        return np.stack(G.basis), 1.0
     Q = G.span_q
-    F = Q.T.reshape(-1, G.dim, G.dim)
-    T = F.transpose(0, 2, 1).reshape(len(F), -1).T
-    N = nullspace_basis(T - Q.conj() @ (Q.T @ T), Tolerances(rank_rel=tol.residual_abs), 1.0)
-    return (N.T @ Q.T).reshape(-1, G.dim, G.dim)
+    T = Q.T.reshape(-1, G.dim, G.dim).transpose(0, 2, 1).reshape(Q.shape[1], -1).T
+    _, s, vh = np.linalg.svd(T - Q.conj() @ (Q.T @ T))
+    r = numerical_rank(s, Tolerances(rank_rel=tol.residual_abs), 1.0)
+    return (vh[r:].conj() @ Q.T).reshape(-1, G.dim, G.dim), (1.0 + 1.0 / s[r - 1] if r else 1.0)
 
 
 def _separate_unknowns(E1, E2):
@@ -368,13 +369,15 @@ def build_linear_system(inst: UepInstance, tol: Tolerances = Tolerances()) -> Li
     """Complex-linear constraint matrix of the linearized system.
 
     Unknowns are the coordinates of A over a basis of G1 cap G1^dag followed
-    by those of B over one of G2 cap G2^dag (_star_part). decide_uep takes
-    this plain system only with a span algebra; over factor shapes it is the
-    reference that the pivot route (_pivot_system) is tested against.
+    by those of B over one of G2 cap G2^dag (_star_part), whose larger factor
+    f sets the scale f * sigma_1. decide_uep takes this plain system only
+    with a span algebra; over factor shapes it is the reference that the
+    pivot route (_pivot_system) is tested against.
     """
-    E1, E2 = (_star_part(G, report.star_closed, tol)
-              for report, G in zip(_usable_algebras(inst, tol), (inst.G1, inst.G2)))
-    return LinearSystem(_linear_system(E1, E2, inst.pairs), *_separate_unknowns(E1, E2))
+    (E1, f1), (E2, f2) = (_star_part(G, report.star_closed, tol)
+                          for report, G in zip(_usable_algebras(inst, tol), (inst.G1, inst.G2)))
+    M, f = _linear_system(E1, E2, inst.pairs), max(f1, f2)
+    return LinearSystem(M, *_separate_unknowns(E1, E2), f * np.linalg.norm(M, 2) if f > 1 else 0.0)
 
 
 def solve_solution_space(system: LinearSystem, tol: Tolerances = Tolerances()) -> SolutionSpace:

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from uniequiv import (
     InputError,
@@ -14,7 +14,7 @@ from uniequiv import (
 )
 from uniequiv.algebra import AlgebraReport, MatrixAlgebra, matrix_units, span_residual
 
-from conftest import ginibre, haar
+from conftest import algebras, ginibre, haar
 from exact_reference import membership_constraints
 
 
@@ -28,41 +28,6 @@ def reference_verify(G, tol=Tolerances()):
         multiplicatively_closed=all(in_span(Ej @ Ek) for Ej in G.basis for Ek in G.basis),
         star_closed=all(in_span(Ej.conj().T) for Ej in G.basis),
     )
-
-
-@st.composite
-def algebras(draw):
-    """Spans from five families, the last element perturbed by 0, 1e-10 or
-    1e-6 (100x either side of the default residual_abs of 1e-8):
-    W (M_n1 (+) M_n2) W^-1 with W unitary or merely invertible, upper-triangular
-    algebras in a random unitary frame, I plus random matrices, and a random
-    basis of all of C^(d x d)."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    family = draw(st.sampled_from(["blocks-unitary", "blocks-invertible", "upper", "identity-plus", "all"]))
-    if family.startswith("blocks"):
-        n1, n2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-        d = n1 + n2
-        if family == "blocks-unitary":
-            W = haar(d, rng)
-        else:
-            N = ginibre(d, d, rng)
-            W = np.eye(d) + 0.5 * N / np.linalg.norm(N, 2)
-        units = [np.outer(np.eye(d)[i], np.eye(d)[j])
-                 for lo, hi in ((0, n1), (n1, d)) for i in range(lo, hi) for j in range(lo, hi)]
-        basis = [W @ E @ np.linalg.inv(W) for E in units]
-    elif family == "upper":
-        d = draw(st.integers(1, 4))
-        Q = haar(d, rng)
-        basis = [Q @ np.outer(np.eye(d)[i], np.eye(d)[j]) @ Q.conj().T
-                 for i in range(d) for j in range(i, d)]
-    elif family == "identity-plus":
-        d = draw(st.integers(2, 4))
-        basis = [np.eye(d)] + [ginibre(d, d, rng) for _ in range(draw(st.integers(0, 3)))]
-    else:
-        d = draw(st.integers(1, 4))
-        basis = [ginibre(d, d, rng) for _ in range(d * d)]
-    basis[-1] = basis[-1] + draw(st.sampled_from([0.0, 1e-10, 1e-6])) * ginibre(d, d, rng)
-    return matrix_algebra(basis)
 
 
 class TestFullAlgebra:
