@@ -101,6 +101,8 @@ def span_residual(G: MatrixAlgebra, M) -> float:
         v = M.ravel()
         return float(np.linalg.norm(v - G.span_q @ (G.span_q.conj().T @ v)))
     a, b = G.factor_shape
+    if b == 1:
+        return 0.0
     blocks = M.reshape(a, b, a, b)
     m = np.einsum("jpkp->jk", blocks) / b
     return float(np.linalg.norm(blocks - m[:, None, :, None] * np.eye(b)[:, None]))

@@ -52,21 +52,24 @@ def vector_to_json(v) -> list:
 
 
 def _fast_pairs(obj, shape):
-    """obj as a complex array of the given shape in one conversion, or None
-    unless obj nests finite [re, im] pairs of ints and floats to that shape.
-    The view keeps every bit, signed zeros too."""
-    leaves = obj
-    for _ in range(len(shape)):
-        leaves = chain.from_iterable(leaves)
+    """obj, a vector or a list of equally long rows, as a complex array of
+    the given shape, or None unless every entry is a [re, im] list of finite
+    ints and floats. The entries are listed once and their flat floats
+    converted in one np.array call; the view keeps every bit, signed zeros
+    too."""
+    entries = obj if len(shape) == 1 else list(chain.from_iterable(obj))
+    if any(type(e) is not list or len(e) != 2 for e in entries):
+        return None
+    leaves = list(chain.from_iterable(entries))
+    if not set(map(type, leaves)) <= {int, float}:
+        return None
     try:
-        if not set(map(type, leaves)) <= {int, float}:
-            return None
-        a = np.array(obj, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+        a = np.array(leaves, dtype=float)
+    except OverflowError:  # an int beyond binary64
         return None
-    if a.shape != (*shape, 2) or not np.isfinite(a).all():
+    if not np.isfinite(a).all():
         return None
-    return a.view(complex)[..., 0]
+    return a.view(complex).reshape(shape)
 
 
 def _entry_from_json(obj, where: str) -> complex:

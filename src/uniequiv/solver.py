@@ -265,8 +265,7 @@ def _pivot_pair(X, Y, seed: int):
 def _pivot_frames(Xc, Yc, tol: Tolerances) -> _PivotFrames:
     """Full SVDs of a pivot pair, its padded spectra and its cut,
     _PIVOT_MARGIN * eps / min(rank_rel, residual_abs) times max(1, s_1, t_1)."""
-    W_x, s, Rh_x = np.linalg.svd(Xc)
-    W_y, t, Rh_y = np.linalg.svd(Yc)
+    (W_x, W_y), (s, t), (Rh_x, Rh_y) = np.linalg.svd(np.stack([Xc, Yc]))
     scale = max(1.0, float(s[0]), float(t[0]))
     cut = _PIVOT_MARGIN * np.finfo(float).eps / min(tol.rank_rel, tol.residual_abs) * scale
     pad = np.zeros(max(Xc.shape) - len(s))

@@ -27,10 +27,9 @@ from .solver import (
     _spanning_pairs,
     _spectrum_mismatch,
     check_certificate,
-    decide_uep,
     singular_value_prefilter,
-    uep_instance_full,
 )
+from .solver import decide_uep  # noqa: F401 -- unused; perfbench/spans.py wraps this name
 
 __all__ = [
     "PureState",
@@ -99,11 +98,11 @@ def _check_uniform(states, what: str):
     return dims.pop()
 
 
-def _simultaneous_lu_matrices(Xs, Ys, cfg: SamplerConfig, tol: Tolerances) -> UepVerdict:
-    """Solver on matricized states; on YES, converts W -> physical V = conj(W)."""
-    d1, d2 = Xs[0].shape
-    inst = uep_instance_full(d1, d2, tuple(zip(Xs, Ys)))
-    verdict = decide_uep(inst, cfg, tol)
+def _pivot_lu(X, Y, cfg: SamplerConfig, tol: Tolerances) -> UepVerdict:
+    """U X_i W^dag = Y_i on the pivot route for the (n, d1, d2) stacks X, Y of
+    matricized states; on YES, the solver's W becomes the physical V = conj(W).
+    A YES is left unchecked."""
+    verdict = _pivot_decide(*_spanning_pairs(X, Y), cfg, tol)
     if verdict.verdict == "YES":
         verdict.V = np.conj(verdict.V)
     return verdict
@@ -113,9 +112,9 @@ def simultaneous_lu_pure(states_in, states_out, cfg: SamplerConfig = SamplerConf
                          tol: Tolerances = Tolerances()) -> UepVerdict:
     """Simultaneous local-unitary equivalence of two lists of pure states.
 
-    On YES the certificate (U, V) satisfies (U (x) V)|psi_i> = |phi_i>; it was
-    checked on the matricized states U psi_i V^T = phi_i, which is the same
-    equation.
+    Matricized states whose Schmidt coefficients differ at a pair are an
+    exact NO; else their stacks go to the pivot route. A YES (U, V), with
+    (U (x) V)|psi_i> = |phi_i>, is checked once on the states.
     """
     if len(states_in) != len(states_out) or not states_in:
         raise InputError("state lists must be non-empty and of equal length")
@@ -123,9 +122,12 @@ def simultaneous_lu_pure(states_in, states_out, cfg: SamplerConfig = SamplerConf
     d_out = _check_uniform(states_out, "output states")
     if d_in != d_out:
         raise InputError(f"input dimensions {d_in} differ from output dimensions {d_out}")
-    Xs = [state_to_matrix(s) for s in states_in]
-    Ys = [state_to_matrix(s) for s in states_out]
-    return _simultaneous_lu_matrices(Xs, Ys, cfg, tol)
+    X, Y = (np.stack([state_to_matrix(s) for s in side]) for side in (states_in, states_out))
+    ok, idx = singular_value_prefilter(np.stack([X, Y], axis=1), tol)
+    if not ok:
+        return UepVerdict(verdict="NO", certainty="exact",
+                          detail=f"singular values differ at pair index {idx}")
+    return check_certificate(_pivot_lu(X, Y, cfg, tol), "pure-sets", (states_in, states_out), tol)
 
 
 def unilocal_mixed_equivalence(rhos, sigmas, cfg: SamplerConfig = SamplerConfig(),
@@ -263,20 +265,21 @@ def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
                      phase_grid: int = 12) -> UepVerdict:
     """LU equivalence (U (x) V) rho (U (x) V)^dag = sigma for generic states.
 
-    Requires all eigenvalue gaps above residual_abs. LU equivalence then
-    forces U psi_j V^T = lam_j phi_j with |lam_j| = 1 for the matricized
-    eigenvectors, so before any solve: different spectra, a product state
-    against a non-product one, and different Schmidt coefficients of some
-    psi_j and phi_j are exact NOs, and two product states are decided from
-    their marginals. Otherwise per-vector phases are aligned via the
-    quartic-trace identity and the simultaneous pure-state solver finishes
-    the job, over a grid of phase_grid >= 1 points per free phase when the
-    trace graph is disconnected.
-    YES verdicts are re-verified directly on the density matrices.
+    Requires the n eigenvalues of rho above residual_abs, and sigma's first
+    n, to lie more than residual_abs apart; rho may have any rank. LU
+    equivalence then forces U psi_j V^T = lam_j phi_j with |lam_j| = 1 for
+    the matricized eigenvectors of those n eigenvalues, so before any solve:
+    different spectra (a rank mismatch too), a product state against a
+    non-product one, and different Schmidt coefficients of some psi_j and
+    phi_j are exact NOs, and two product states are decided from their
+    marginals. Otherwise per-vector phases are aligned via the quartic-trace
+    identity, and the (n, d1, d2) eigenvector stacks go to the pivot route,
+    over a grid of phase_grid >= 1 points per free phase when the trace
+    graph is disconnected. Each candidate is checked once, on rho, sigma.
 
     Every verdict's aux holds `phase_components` (components of the trace
     graph, 0 when a test before the graph decides) and `grid_solves` (the
-    pure-state solves run).
+    pivot-route solves run).
     """
     if (rho.d1, rho.d2) != (sigma.d1, sigma.d2):
         raise InputError("density operators have mismatched dimensions")
@@ -285,9 +288,10 @@ def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
     d1, d2 = rho.d1, rho.d2
     w_r, Q_r = hermitian_eigendecomposition(rho.matrix, tol)
     w_s, Q_s = hermitian_eigendecomposition(sigma.matrix, tol)
-    for name, w in (("rho", w_r), ("sigma", w_s)):
-        if w.size > 1 and np.min(w[:-1] - w[1:]) <= tol.residual_abs:
-            raise NotGenericError(f"{name} has eigenvalue gaps <= {tol.residual_abs}")
+    n = int(np.count_nonzero(w_r > tol.residual_abs))
+    for name, w in (("rho", w_r[:n]), ("sigma", w_s[:n])):
+        if n > 1 and np.min(w[:-1] - w[1:]) <= tol.residual_abs:
+            raise NotGenericError(f"{name} has nonzero eigenvalues with gaps <= {tol.residual_abs}")
     if not same_spectrum(w_r, w_s, tol):
         return _with_counts(UepVerdict(verdict="NO", certainty="exact",
                                        detail="eigenvalue spectra differ"))
@@ -300,18 +304,15 @@ def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
     if product_r:
         return _with_counts(check_certificate(_product_lu(marg_r, marg_s, tol),
                                               "generic-mixed", (rho, sigma), tol))
-    n = w_r.size
-    psis = [Q_r[:, i].reshape(d1, d2) for i in range(n)]
-    phis = [Q_s[:, i].reshape(d1, d2) for i in range(n)]
-    ok, idx = singular_value_prefilter(tuple(zip(psis, phis)), tol)
+    psis, phis = (Q[:, :n].T.reshape(n, d1, d2) for Q in (Q_r, Q_s))
+    ok, idx = singular_value_prefilter(np.stack([psis, phis], axis=1), tol)
     if not ok:
         return _with_counts(UepVerdict(verdict="NO", certainty="exact",
                                        detail=f"Schmidt coefficients of eigenvector {idx} differ"))
     lambdas, components = _resolve_phase_components(psis, phis)
 
     def run(phases) -> UepVerdict:
-        aligned = [lam * phi for lam, phi in zip(phases, phis)]
-        return check_certificate(_simultaneous_lu_matrices(psis, aligned, cfg, tol),
+        return check_certificate(_pivot_lu(psis, phases[:, None, None] * phis, cfg, tol),
                                  "generic-mixed", (rho, sigma), tol)
 
     if len(components) == 1:

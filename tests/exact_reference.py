@@ -3,8 +3,9 @@ the decide path: the polynomial polar factor U = A p(A^dag A) (acceptance
 criterion 3), sigma_min/sigma_max of a candidate (criterion 4), nullity
 by exact elimination over the Gaussian rationals (criterion 5), the
 dense QR + full SVD nullspace that the Gram route of nullspace_basis
-replaced, and the membership-row system of a span algebra that the star part
-G cap G^dag replaced."""
+replaced, the membership-row system of a span algebra that the star part
+G cap G^dag replaced, and the decide_uep round trip that the state
+reductions' direct pivot route replaced."""
 
 from __future__ import annotations
 
@@ -14,9 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
-from uniequiv import InputError, Tolerances, hermitian_eigendecomposition, singular_values
-from uniequiv.linalg import as_complex_matrix, numerical_rank
-from uniequiv.solver import LinearSystem, _linear_system, _separate_unknowns, _usable_algebras
+from uniequiv import (InputError, Tolerances, decide_uep, hermitian_eigendecomposition,
+                      singular_values, uep_instance_full)
+from uniequiv.linalg import as_complex_matrix, numerical_rank, same_spectrum
+from uniequiv.solver import (LinearSystem, UepVerdict, _linear_system, _separate_unknowns,
+                             _usable_algebras, check_certificate, singular_value_prefilter)
+from uniequiv.states import _resolve_phase_components
 
 
 # smallest gap between interpolation nodes still considered distinct
@@ -212,3 +216,35 @@ def membership_rows_system(inst, tol: Tolerances = Tolerances()) -> LinearSystem
             block[:, cols] = C.conj() @ E.transpose(0, 2, 1).reshape(len(E), -1).T
             rows.append(block)
     return LinearSystem(np.vstack(rows), *_separate_unknowns(E1, E2))
+
+
+def lu_by_matrix_pairs(Xs, Ys, cfg, tol: Tolerances = Tolerances()):
+    """U X_i V^T = Y_i for matricized states as a UepInstance over two full
+    algebras through decide_uep (its pair prefilter and its matrix-pairs
+    check), then the physical V = conj(W)."""
+    d1, d2 = Xs[0].shape
+    verdict = decide_uep(uep_instance_full(d1, d2, zip(Xs, Ys)), cfg, tol)
+    if verdict.verdict == "YES":
+        verdict.V = np.conj(verdict.V)
+    return verdict
+
+
+def generic_mixed_by_matrix_pairs(rho, sigma, cfg, tol: Tolerances = Tolerances()):
+    """generic_mixed_lu of full-rank, non-product states with distinct
+    eigenvalues on lu_by_matrix_pairs: the spectrum and Schmidt tests, the
+    eigenvectors aligned by the resolved phases, and a YES checked again on
+    rho, sigma. None when the phase graph is disconnected."""
+    (w_r, Q_r), (w_s, Q_s) = (hermitian_eigendecomposition(r.matrix, tol) for r in (rho, sigma))
+    if not same_spectrum(w_r, w_s, tol):
+        return UepVerdict(verdict="NO", certainty="exact", detail="eigenvalue spectra differ")
+    psis, phis = ([Q[:, i].reshape(rho.d1, rho.d2) for i in range(len(w_r))] for Q in (Q_r, Q_s))
+    ok, idx = singular_value_prefilter(tuple(zip(psis, phis)), tol)
+    if not ok:
+        return UepVerdict(verdict="NO", certainty="exact",
+                          detail=f"Schmidt coefficients of eigenvector {idx} differ")
+    lambdas, components = _resolve_phase_components(psis, phis)
+    if len(components) > 1:
+        return None
+    aligned = [lam * phi for lam, phi in zip(lambdas, phis)]
+    return check_certificate(lu_by_matrix_pairs(psis, aligned, cfg, tol), "generic-mixed",
+                             (rho, sigma), tol)

@@ -1,26 +1,28 @@
 """Property-based invariances of decide_uep on small full and factor instances,
 its agreement with the plain system over mixed factor shapes, of
-generic_mixed_lu under local unitaries, and of the pivot reductions'
+generic_mixed_lu under local unitaries, the state reductions against the
+decide_uep round trip they replaced, and of the pivot reductions'
 solution spaces (matrix pairs and matrix polynomials); the exact NO that
 the deferred singular-value comparisons give over factor shapes and in
 unilocal-mixed; and the Gram route of nullspace_basis against the dense
 QR + SVD reference on planted spectra around the rank cut."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from uniequiv import (MatrixPolynomial, SamplerConfig, Tolerances, UepInstance,
                       build_linear_system, decide_invertible_equivalence, decide_uep,
-                      density_operator, generic_mixed_lu, nullspace_basis, sample_invertible,
-                      singular_value_prefilter, solve_solution_space, uep_instance_full,
-                      unilocal_mixed_equivalence)
+                      density_operator, generic_mixed_lu, nullspace_basis, pure_state,
+                      sample_invertible, simultaneous_lu_pure, singular_value_prefilter,
+                      solve_solution_space, uep_instance_full, unilocal_mixed_equivalence)
 from uniequiv.algebra import span_residual
 from uniequiv.linalg import same_spectrum
 from uniequiv.oracle import haar_unitary_in_algebra, random_yes_instance
 from uniequiv.solver import _clusters, _pivot_frames, _pivot_pair, _pivot_system
 
 from conftest import ginibre, haar, random_density
-from exact_reference import dense_nullspace_basis
+from exact_reference import (dense_nullspace_basis, generic_mixed_by_matrix_pairs,
+                             lu_by_matrix_pairs)
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -439,6 +441,65 @@ def planted_spectra(draw):
     draw_matrix = ginibre if complex_field else (lambda a, b, r: r.standard_normal((a, b)))
     U, V = np.linalg.qr(draw_matrix(rows, p, rng))[0], np.linalg.qr(draw_matrix(n, n, rng))[0]
     return (U * s) @ V[:, :p].conj().T, rank_rel, c * s1, s
+
+
+def _state_stack(d1, d2, k, rng):
+    X = ginibre(k * d1, d2, rng).reshape(k, d1, d2)
+    return X / np.linalg.norm(X, axis=(1, 2), keepdims=True)
+
+
+@st.composite
+def state_reduction_cases(draw):
+    """(mode, inputs, outputs, seed): pure-sets stacks or a generic-mixed
+    (rho, sigma), planted YES or one of three NOs. For pure-sets: random
+    outputs (Schmidt coefficients differ), rephased outputs lam_i (U (x) V)
+    psi_i and conjugated ones (both keep every Schmidt coefficient); for
+    generic-mixed: a global unitary (Schmidt test), a conjugate (U (x) V)
+    conj(rho) (U (x) V)^dag, and an unrelated state (spectrum)."""
+    mode = draw(st.sampled_from(["pure-sets", "generic-mixed"]))
+    d1, d2 = draw(st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 2)] if mode == "pure-sets"
+                                  else [(2, 2), (2, 3)]))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    local = haar(d1, rng), haar(d2, rng)
+    if mode == "pure-sets":
+        kind = draw(st.sampled_from(["yes", "random", "rephased", "conjugate"]))
+        X = _state_stack(d1, d2, draw(st.integers(1, 4)), rng)
+        Y = {"yes": lambda: local[0] @ X @ local[1].T,
+             "random": lambda: _state_stack(d1, d2, len(X), rng),
+             "rephased": lambda: (np.exp(2j * np.pi * rng.uniform(size=len(X)))[:, None, None]
+                                  * (local[0] @ X @ local[1].T)),
+             "conjugate": lambda: X.conj()}[kind]()
+        return mode, X, Y, seed
+    kind = draw(st.sampled_from(["yes", "global", "conjugate", "random"]))
+    rho = random_density(d1, d2, rng, min_gap=1e-3)
+    L = {"global": haar(d1 * d2, rng)}.get(kind, np.kron(*local))
+    M = {"conjugate": rho.matrix.conj(), "random": None}.get(kind, rho.matrix)
+    sigma = (random_density(d1, d2, rng, min_gap=1e-3) if M is None
+             else density_operator(d1, d2, L @ M @ L.conj().T))
+    return mode, rho, sigma, seed
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(state_reduction_cases())
+def test_state_reductions_decide_as_the_matrix_pairs_route(case):
+    # the stacks go to the pivot route directly, with one prefilter and one
+    # certificate check; the decide_uep round trip they replaced is the reference
+    mode, ins, outs, seed = case
+    cfg = SamplerConfig(seed=seed)
+    if mode == "pure-sets":
+        got = simultaneous_lu_pure(*([pure_state(*ins.shape[1:], Z.ravel()) for Z in side]
+                                     for side in (ins, outs)), cfg)
+        ref = lu_by_matrix_pairs(list(ins), list(outs), cfg)
+    else:
+        ref = generic_mixed_by_matrix_pairs(ins, outs, cfg)
+        assume(ref is not None)
+        got = generic_mixed_lu(ins, outs, cfg)
+    fields = ("verdict", "certainty", "solution_dimension", "detail")
+    assert [getattr(got, f) for f in fields] == [getattr(ref, f) for f in fields]
+    if got.verdict == "YES":
+        assert np.array_equal(got.U, ref.U) and np.array_equal(got.V, ref.V)
+        assert got.residual <= Tolerances().residual_abs
 
 
 # derandomized: 3,000 draws of this family kept every dimension, with

@@ -56,6 +56,8 @@ BAD_ENTRIES = [
     ("1.5", "expected a [re, im] number pair, got 1.5"),
     ('{"re": 1.0, "im": 0.0}', "expected a [re, im] number pair, got {'re': 1.0, 'im': 0.0}"),
     ("[[1.0, 0.0], [0.0, 0.0]]", "expected a [re, im] number pair, got [[1.0, 0.0], [0.0, 0.0]]"),
+    ("[[1.0, 0.0]]", "expected a [re, im] number pair, got [[1.0, 0.0]]"),
+    ("[[1.0], 0.0]", "expected a [re, im] number pair, got [[1.0], 0.0]"),
     ("[NaN, 0.0]", "non-finite entry [nan, 0.0]"),
     ("[0.0, Infinity]", "non-finite entry [0.0, inf]"),
     ("[-Infinity, 0]", "non-finite entry [-inf, 0]"),

@@ -23,7 +23,7 @@ from uniequiv import (
     solve_solution_space,
     uep_instance_full,
 )
-from uniequiv import (density_operator, pure_state, simultaneous_lu_pure,
+from uniequiv import (density_operator, generic_mixed_lu, pure_state, simultaneous_lu_pure,
                       unilocal_mixed_equivalence)
 from uniequiv.algebra import span_residual
 from uniequiv.cli import main
@@ -805,11 +805,11 @@ class TestCertificateResiduals:
             certificate_residuals(mode, payload, U, np.eye(2) if V is None else None)
 
     @pytest.mark.parametrize("case, checked_as", [
-        ("full", "matrix-pairs"), ("factor", "matrix-pairs"), ("pure-sets", "matrix-pairs"),
-        ("unilocal-mixed", "unilocal-mixed")])
+        ("full", "matrix-pairs"), ("factor", "matrix-pairs"), ("pure-sets", "pure-sets"),
+        ("unilocal-mixed", "unilocal-mixed"), ("generic-mixed", "generic-mixed")])
     def test_a_yes_is_checked_once(self, case, checked_as, monkeypatch, rng):
-        # every decide path ends in one certificate check; pure-sets checks
-        # the matricized states, unilocal-mixed the density operators
+        # every decide path ends in one certificate check, in its own mode:
+        # the state reductions check their states or density operators
         modes = []
         real = solver_mod.certificate_residuals
 
@@ -823,7 +823,8 @@ class TestCertificateResiduals:
             verdict = decide_uep(random_yes_instance(4, 4, 1, kind, kind, seed=62)[0], CFG)
         else:
             (ins, outs), _, _ = _planted(case, rng)
-            decide = simultaneous_lu_pure if case == "pure-sets" else unilocal_mixed_equivalence
+            decide = {"pure-sets": simultaneous_lu_pure, "generic-mixed": generic_mixed_lu,
+                      "unilocal-mixed": unilocal_mixed_equivalence}[case]
             verdict = decide(ins, outs, CFG)
         assert verdict.verdict == "YES" and modes == [checked_as]
 

@@ -17,9 +17,8 @@ from uniequiv import (
 from uniequiv import states
 from uniequiv.algebra import factor_algebra
 from uniequiv.solver import (UepInstance, _realigned_blocks, _spanning_pairs, build_linear_system,
-                             solve_solution_space, uep_instance_full)
-from uniequiv.states import (_quartic_traces, _resolve_phase_components,
-                             _simultaneous_lu_matrices)
+                             certificate_residuals, solve_solution_space, uep_instance_full)
+from uniequiv.states import _pivot_lu, _quartic_traces, _resolve_phase_components
 
 from conftest import ginibre, haar, random_density
 
@@ -43,15 +42,15 @@ def _reference_quartic_traces(mats):
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Records every pure-state solve generic_mixed_lu runs."""
+    """Records every pivot-route solve generic_mixed_lu runs on its eigenvector stacks."""
     calls = []
-    real = states._simultaneous_lu_matrices
+    real = states._pivot_lu
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(states, "_simultaneous_lu_matrices", spy)
+    monkeypatch.setattr(states, "_pivot_lu", spy)
     return calls
 
 
@@ -302,8 +301,10 @@ class TestPhaseResolution:
         lam = np.exp(1j * rng.uniform(0, 2 * np.pi, size=4))
         phis = [U0 @ p @ V0.conj().T / l for p, l in zip(psis, lam)]
         aligned = _aligned(psis, phis)
-        verdict = _simultaneous_lu_matrices(psis, aligned, CFG, Tolerances())
+        verdict = _pivot_lu(np.stack(psis), np.stack(aligned), CFG, Tolerances())
         assert verdict.verdict == "YES"
+        for p, a in zip(psis, aligned):
+            assert np.linalg.norm(verdict.U @ p @ verdict.V.T - a) <= 1e-8
 
 
 def _classical_quantum_pair(rng):
@@ -427,3 +428,55 @@ class TestGenericMixed:
         rho = density_operator(2, 2, np.eye(4) / 4.0)
         with pytest.raises(NotGenericError):
             generic_mixed_lu(rho, rho, CFG)
+
+
+def _rank_deficient_density(d1, d2, rank, rng):
+    """A density operator of the given rank whose nonzero eigenvalues lie at
+    least 1.2 / (rank (rank + 2)) apart, in a Haar eigenbasis."""
+    c = np.arange(rank, 0, -1) + rng.uniform(0.0, 0.4, size=rank)
+    Q = haar(d1 * d2, rng)[:, :rank]
+    M = (Q * (c / c.sum())) @ Q.conj().T
+    return density_operator(d1, d2, (M + M.conj().T) / 2.0)
+
+
+class TestRankDeficientGenericMixed:
+    """Only the nonzero eigenvalues need distinct values: the kernel of rho
+    never enters (U (x) V) rho (U (x) V)^dag = sigma."""
+
+    @pytest.mark.parametrize("d1, d2, rank", [(d1, d2, r) for d1, d2 in ((2, 2), (2, 3), (3, 3))
+                                              for r in range(1, d1 * d2 - 1)])
+    def test_planted_yes_at_every_rank(self, d1, d2, rank):
+        rng = np.random.default_rng(7000 + 100 * d1 + 10 * d2 + rank)
+        rho = _rank_deficient_density(d1, d2, rank, rng)
+        local = np.kron(haar(d1, rng), haar(d2, rng))
+        sigma = density_operator(d1, d2, local @ rho.matrix @ local.conj().T)
+        verdict = generic_mixed_lu(rho, sigma, CFG)
+        assert verdict.verdict == "YES"
+        assert verdict.aux["phase_components"] == verdict.aux["grid_solves"] == 1
+        residual, defect = certificate_residuals("generic-mixed", (rho, sigma),
+                                                 verdict.U, verdict.V)
+        assert residual == verdict.residual and max(residual, defect) <= 1e-8
+
+    def test_different_schmidt_coefficients_are_exact_no(self, rng):
+        rho = _rank_deficient_density(2, 3, 3, rng)
+        W = haar(6, rng)  # a global unitary keeps the spectrum, not the Schmidt coefficients
+        verdict = generic_mixed_lu(rho, density_operator(2, 3, W @ rho.matrix @ W.conj().T), CFG)
+        assert (verdict.verdict, verdict.certainty) == ("NO", "exact")
+        assert "Schmidt coefficients of eigenvector" in verdict.detail
+
+    @pytest.mark.parametrize("ranks", [(2, 3), (3, 2), (4, 6)])
+    def test_different_support_ranks_are_exact_no(self, ranks, rng):
+        rho, sigma = (_rank_deficient_density(2, 3, r, rng) for r in ranks)
+        verdict = generic_mixed_lu(rho, sigma, CFG)
+        assert (verdict.verdict, verdict.certainty, verdict.detail) == (
+            "NO", "exact", "eigenvalue spectra differ")
+
+    @pytest.mark.parametrize("repeated_in", ["rho", "sigma"])
+    def test_close_nonzero_eigenvalues_still_raise(self, repeated_in, rng):
+        # rank 2, the nonzero eigenvalues 5e-9 apart in one of the two states
+        Q = haar(4, rng)
+        repeated, distinct = ((Q * w) @ Q.conj().T
+                              for w in ([0.5 + 2.5e-9, 0.5 - 2.5e-9, 0, 0], [0.6, 0.4, 0, 0]))
+        pair = (repeated, distinct) if repeated_in == "rho" else (distinct, repeated)
+        with pytest.raises(NotGenericError, match=f"^{repeated_in} has nonzero eigenvalues"):
+            generic_mixed_lu(*(density_operator(2, 2, M) for M in pair), CFG)

@@ -1,6 +1,6 @@
 """Smoke tests of the comparison tools: a tree compared with itself differs
 nowhere (tools/verdict_diff.py), and tools/case_ab.py prints one timing line
-per case of a cycle and the cycle total."""
+per case of a cycle, or per matched case with --match, and the cycle total."""
 
 import re
 import subprocess
@@ -35,3 +35,26 @@ def test_case_ab_of_the_tree_against_itself_prints_every_case_and_the_cycle():
     for i, line in enumerate(cases):
         assert re.fullmatch(rf"#{i} \S+ .*?{timing}", line), line
     assert re.fullmatch(rf"cycle{timing}", cycle), cycle
+
+
+def test_case_ab_match_times_only_the_cases_of_that_kind():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "case_ab.py"), str(ROOT),
+         "--workload", "states-small", "--seed", "11", "--rounds", "1", "--match", "generic/yes"],
+        capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    _, *cases, cycle = proc.stdout.splitlines()
+    # the six generic-mixed YES cases of the 51 in the cycle, under their cycle index
+    assert [line.split()[:2] for line in cases] == [
+        [f"#{i}", "generic/yes"] for i in (13, 14, 24, 29, 38, 42)]
+    assert cycle.startswith("cycle ")
+
+
+def test_case_ab_match_without_a_case_is_an_error():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "case_ab.py"), str(ROOT),
+         "--workload", "states-small", "--match", "no-such-kind"],
+        capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 2
+    assert ("no case of states-small at seed 11 has a kind starting with 'no-such-kind'"
+            in proc.stderr)

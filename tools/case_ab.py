@@ -1,22 +1,25 @@
 """Time every case of one benchmark cycle in this tree and in another checkout.
 
     python3 tools/case_ab.py OTHER_TREE --workload NAME [--seed N] [--rounds K]
+                             [--match PREFIX]
 
 The cases of one cycle of the `perfbench` workload NAME (seed N, default 11)
-are built once, by this tree's `perfbench/workloads.py`. Two persistent
-child processes, one per tree, each import `uniequiv` and
-`perfbench/worker.py` from their own tree, run the workload's warm-up, and
-then time `worker.decide_text` on the requests sent to them, under one BLAS
-thread. Each of K rounds (default 5) sends every case to both children,
-one after the other, alternating which goes first from case to case and from
-round to round, so that both trees see the same machine state.
+are built once, by this tree's `perfbench/workloads.py`; with --match, only
+those whose kind starts with PREFIX (say `generic/yes`) are timed, so a
+change to one mode can be shown case by case. Two persistent child
+processes, one per tree, each import `uniequiv` and `perfbench/worker.py`
+from their own tree, run the workload's warm-up, and then time
+`worker.decide_text` on the requests sent to them, under one BLAS thread.
+Each of K rounds (default 5) sends every case to both children, one after
+the other, alternating which goes first from case to case and from round to
+round, so that both trees see the same machine state.
 
 One line per case gives the median wall time here and there over the
 rounds and the change (here - there) / there; the last line does the same
-for the cycle total of each round. Each request finds its child's caches
-colder than the benchmark's closed loop does, as the other child ran in
-between: millisecond cases read up to three times slower than there, in
-both trees alike. `perfbench` is only imported, never edited.
+for the total of the timed cases in each round. Each request finds its
+child's caches colder than the benchmark's closed loop does, as the other
+child ran in between: millisecond cases read up to three times slower than
+there, in both trees alike. `perfbench` is only imported, never edited.
 """
 
 from __future__ import annotations
@@ -34,13 +37,15 @@ HERE = Path(__file__).resolve().parents[1]
 WORKLOADS = ("pairs-full", "unilocal-factor", "states-small", "cli-cold")
 
 
-def build_cycle(workload: str, seed: int):
-    """[(label, instance text, decide seed)] for one cycle, and the warm-up request."""
+def build_cycle(workload: str, seed: int, match: str = ""):
+    """[(label, instance text, decide seed)] for the cases of one cycle whose
+    kind starts with match, and the warm-up request."""
     sys.path[:0] = [str(HERE / "src"), str(HERE / "perfbench")]
     import workloads as wl
 
     cases, warmup = wl.build(workload, seed)
-    requests = [(f"#{i} {case.kind}", json.dumps(case.doc), i + 1) for i, case in enumerate(cases)]
+    requests = [(f"#{i} {case.kind}", json.dumps(case.doc), i + 1) for i, case in enumerate(cases)
+                if case.kind.startswith(match)]
     return requests, (json.dumps(warmup.doc), 1)
 
 
@@ -92,6 +97,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--match", default="", metavar="PREFIX",
+                        help="time only the cases whose kind starts with PREFIX")
     args = parser.parse_args(argv)
     if args.serve:
         return serve(args.other.resolve())
@@ -102,7 +109,10 @@ def main(argv=None) -> int:
         parser.error("--workload is required")
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    requests, warmup = build_cycle(args.workload, args.seed)
+    requests, warmup = build_cycle(args.workload, args.seed, args.match)
+    if not requests:
+        parser.error(f"no case of {args.workload} at seed {args.seed} has a kind "
+                     f"starting with {args.match!r}")
     children = (Child(HERE), Child(other))
     try:
         for child in children:
