@@ -95,8 +95,10 @@ def factor_algebra(a: int, b: int) -> MatrixAlgebra:
 def span_residual(G: MatrixAlgebra, M) -> float:
     """Frobenius distance from M to the algebra; for a factor shape (a, b),
     ||M - m (x) I_b|| with m[j, k] the mean over p of M[(j, p), (k, p)], which
-    is M itself (distance 0.0) for the full shape (d, 1)."""
+    is M itself (distance 0.0) for the full shape (d, 1). M must be dim x dim."""
     M = as_complex_matrix(M)
+    if M.shape != (G.dim, G.dim):
+        raise InputError(f"matrix of shape {M.shape} does not act on dimension {G.dim}")
     if G.factor_shape is None:
         v = M.ravel()
         return float(np.linalg.norm(v - G.span_q @ (G.span_q.conj().T @ v)))

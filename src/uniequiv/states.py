@@ -265,14 +265,17 @@ def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
                      phase_grid: int = 12) -> UepVerdict:
     """LU equivalence (U (x) V) rho (U (x) V)^dag = sigma for generic states.
 
-    Requires the n eigenvalues of rho above residual_abs, and sigma's first
-    n, to lie more than residual_abs apart; rho may have any rank. LU
-    equivalence then forces U psi_j V^T = lam_j phi_j with |lam_j| = 1 for
-    the matricized eigenvectors of those n eigenvalues, so before any solve:
-    different spectra (a rank mismatch too), a product state against a
-    non-product one, and different Schmidt coefficients of some psi_j and
-    phi_j are exact NOs, and two product states are decided from their
-    marginals. Otherwise per-vector phases are aligned via the quartic-trace
+    Requires the n eigenvalues of rho above residual_abs and the next one
+    down, and sigma's first n + 1, to lie more than residual_abs apart, so
+    that eigh separates the n eigenvectors from the rest; rho may have any
+    rank. Sigma's gap between its n-th and (n + 1)-th eigenvalues is checked
+    only once the spectra match. LU equivalence then forces
+    U psi_j V^T = lam_j phi_j with |lam_j| = 1 for the matricized
+    eigenvectors of those n eigenvalues, so before any solve: different
+    spectra (a rank mismatch too), a product state against a non-product
+    one, and different Schmidt coefficients of some psi_j and phi_j are
+    exact NOs, and two product states are decided from their marginals.
+    Otherwise per-vector phases are aligned via the quartic-trace
     identity, and the (n, d1, d2) eigenvector stacks go to the pivot route,
     over a grid of phase_grid >= 1 points per free phase when the trace
     graph is disconnected. Each candidate is checked once, on rho, sigma.
@@ -288,13 +291,20 @@ def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
     d1, d2 = rho.d1, rho.d2
     w_r, Q_r = hermitian_eigendecomposition(rho.matrix, tol)
     w_s, Q_s = hermitian_eigendecomposition(sigma.matrix, tol)
+
+    def require_gaps(name, w):
+        if w.size > 1 and np.min(w[:-1] - w[1:]) <= tol.residual_abs:
+            raise NotGenericError(f"{name} has nonzero eigenvalues with gaps <= {tol.residual_abs} "
+                                  "to each other or to the next eigenvalue down")
+
     n = int(np.count_nonzero(w_r > tol.residual_abs))
-    for name, w in (("rho", w_r[:n]), ("sigma", w_s[:n])):
-        if n > 1 and np.min(w[:-1] - w[1:]) <= tol.residual_abs:
-            raise NotGenericError(f"{name} has nonzero eigenvalues with gaps <= {tol.residual_abs}")
+    require_gaps("rho", w_r[:n + 1])
+    require_gaps("sigma", w_s[:n])
     if not same_spectrum(w_r, w_s, tol):
         return _with_counts(UepVerdict(verdict="NO", certainty="exact",
                                        detail="eigenvalue spectra differ"))
+    # sigma's gap below its first n: a rank mismatch has answered NO by now
+    require_gaps("sigma", w_s[n - 1:n + 1])
     marg_r, marg_s = _marginals(rho), _marginals(sigma)
     product_r, product_s = _is_product(rho, marg_r, tol), _is_product(sigma, marg_s, tol)
     if product_r != product_s:

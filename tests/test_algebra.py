@@ -142,13 +142,16 @@ class TestVerify:
 class TestMembership:
     def test_full_algebra_holds_everything(self, rng):
         # the full shape (d, 1) spans everything: its distance is exactly 0.0,
-        # while input is still checked
+        # while input, its shape too, is still checked
         G = full_algebra(3)
         assert span_residual(G, ginibre(3, 3, rng)) == 0.0
         with pytest.raises(InputError):
             span_residual(G, np.full((3, 3), np.nan))
         with pytest.raises(InputError):
             span_residual(factor_algebra(1, 3), np.full((3, 3), np.inf))
+        for algebra, shape in ((G, (4, 4)), (G, (1, 9)), (factor_algebra(2, 2), (2, 8))):
+            with pytest.raises(InputError, match="does not act on dimension"):
+                span_residual(algebra, np.ones(shape))
 
     def test_custom_span_projection_oracle(self, rng):
         # the membership rows of the reference system match span_residual

@@ -480,3 +480,18 @@ class TestRankDeficientGenericMixed:
         pair = (repeated, distinct) if repeated_in == "rho" else (distinct, repeated)
         with pytest.raises(NotGenericError, match=f"^{repeated_in} has nonzero eigenvalues"):
             generic_mixed_lu(*(density_operator(2, 2, M) for M in pair), CFG)
+
+    @pytest.mark.parametrize("banded_in", ["rho", "sigma"])
+    def test_eigenvalues_straddling_the_cut_still_raise(self, banded_in, rng):
+        # two eigenvalues 1e-12 apart on either side of residual_abs = 1e-8:
+        # eigh mixes their eigenvectors by about 1e-16 / 1e-12, so a planted
+        # conjugate would fail the Schmidt test instead of deciding YES
+        Q = haar(4, rng)
+        banded = (Q * [0.6 - 2e-8, 0.4, 1e-8 + 5e-13, 1e-8 - 5e-13]) @ Q.conj().T
+        local = np.kron(haar(2, rng), haar(2, rng))
+        if banded_in == "rho":
+            pair = (banded, local @ banded @ local.conj().T)
+        else:  # rho's spectrum matches within residual_abs, its gaps do not
+            pair = ((Q * [0.6 - 2e-8, 0.4, 2e-8, 0.0]) @ Q.conj().T, banded)
+        with pytest.raises(NotGenericError, match=f"^{banded_in} has nonzero eigenvalues"):
+            generic_mixed_lu(*(density_operator(2, 2, M) for M in pair), CFG)
