@@ -21,7 +21,8 @@ Over two factor shapes (a, b) and (a', b') (full is (d, 1)), U = u (x) I_b
 and V = v (x) I_b' solve the equations exactly when u X_pq v^dag = Y_pq for
 the realigned blocks X_pq[r, c] = X_i[(r, p), (c, q)]: a system over two
 full algebras. It and the matrix-polynomial system A X_i = Y_i B (invertible
-A, B, no adjoint equation) are solved for A' = W_y^dag A W_x and
+A, B, no adjoint equation) are solved by _pivot_decide, on the pairs each
+divided by its largest entry, for A' = W_y^dag A W_x and
 B' = R_y^dag B R_x in the singular frames X_c = W_x S R_x^dag and
 Y_c = W_y T R_y^dag of one random pivot pair X_c = sum c_i X_i,
 Y_c = sum c_i Y_i, with s and t zero-padded to max(d1, d2). Row (j, k) of
@@ -414,36 +415,27 @@ class SampleResult(NamedTuple):
     A: np.ndarray
     B: np.ndarray
     trials_used: int
-    svds: tuple  # (W, s, Vh) of A and of B, from the decompositions that accepted them
-
-
-def _invertible_svds(tol: Tolerances, *mats):
-    """The SVDs (W, s, Vh) of the square mats, or None as soon as one has numerical
-    rank below full (the package's one rank rule)."""
-    svds = []
-    for M in mats:
-        W, s, Vh = np.linalg.svd(M)
-        if numerical_rank(s, tol) < len(s):
-            return None
-        svds.append((W, s, Vh))
-    return tuple(svds)
+    U: np.ndarray  # the polar factors of A and of B (extract_unitaries)
+    V: np.ndarray
 
 
 def sample_invertible(space: SolutionSpace, cfg: SamplerConfig, tol: Tolerances = Tolerances()):
     """Search the solution space for a pair with both blocks invertible.
 
-    Each candidate takes one SVD per block: its singular values decide
-    invertibility, and the hit keeps the factors, which give its polar
-    factors. Returns the first hit, or None after all trials fail; in the
-    latter case the caller reports the failure bound per_trial_bound ** trials.
+    A candidate is accepted exactly when extract_unitaries takes its polar
+    factors, which the hit keeps. Returns the first hit, or None after all
+    trials fail; in the latter case the caller reports the failure bound
+    per_trial_bound ** trials.
     """
     if space.dimension < 1:
         raise InputError("sample_invertible needs a non-trivial solution space")
     for t in range(cfg.trials):
         A, B = draw_candidate(space, cfg, t)
-        svds = _invertible_svds(tol, A, B)
-        if svds is not None:
-            return SampleResult(A=A, B=B, trials_used=t + 1, svds=svds)
+        try:
+            U, V = extract_unitaries(A, B, tol)
+        except DegenerateCandidateError:
+            continue
+        return SampleResult(A=A, B=B, trials_used=t + 1, U=U, V=V)
     return None
 
 
@@ -546,8 +538,8 @@ def check_certificate(verdict: UepVerdict, mode: str, payload,
 
 def _decide(system: LinearSystem, cfg: SamplerConfig, tol: Tolerances,
             kind: str = "unitary") -> UepVerdict:
-    """The decide tail of every mode: solve, sample, take the polar factors W Vh of
-    the sample from the SVDs that accepted it (matpoly keeps the invertible A, B);
+    """The decide tail of every mode: solve, sample, and answer YES with the
+    sample's polar factors, or for kind "invertible" the sampled A, B itself;
     each caller checks a YES."""
     space = solve_solution_space(system, tol)
     if space.dimension == 0:
@@ -561,9 +553,7 @@ def _decide(system: LinearSystem, cfg: SamplerConfig, tol: Tolerances,
                           trials_used=cfg.trials, failure_bound=eps ** cfg.trials,
                           solution_dimension=space.dimension, certificate_kind=kind,
                           detail="no invertible element found by randomized search")
-    U, V = found.A, found.B
-    if kind == "unitary":
-        U, V = (W @ Vh for W, _, Vh in found.svds)
+    U, V = (found.A, found.B) if kind == "invertible" else (found.U, found.V)
     return UepVerdict(verdict="YES", certainty="probabilistic", U=U, V=V,
                       trials_used=found.trials_used, solution_dimension=space.dimension,
                       certificate_kind=kind)
@@ -590,18 +580,34 @@ def _spanning_pairs(X, Y) -> tuple:
     return T[:, :a * a2].reshape(-1, a, a2), T[:, a * a2:].reshape(-1, a, a2)
 
 
-def _pivot_decide(X, Y, cfg: SamplerConfig, tol: Tolerances) -> UepVerdict:
-    """Decide u X_j v^dag = Y_j over two full algebras for the (n, a, a') stacks
-    X, Y in the frames of the pivot pair drawn from cfg.seed, leaving a YES
-    unchecked. Every verdict past the pivot records the aux of _clusters."""
+def _pivot_decide(X, Y, cfg: SamplerConfig, tol: Tolerances, kind: str = "unitary") -> UepVerdict:
+    """Decide u X_j v^dag = Y_j over two full algebras, or for kind "invertible"
+    A X_j = Y_j B, for the (n, a, a') stacks X, Y, leaving a YES unchecked.
+
+    Neither equation changes when a pair is scaled, so each nonzero pair is
+    divided by its largest real or imaginary part (a norm would square the
+    entries, and overflow near 1e154), and the result cut to its spanning
+    pairs: one rank cut then sees small pairs next to large ones. A unitary
+    pivot drawn from cfg.seed with differing spectra is an exact NO; an
+    invertible one takes one cluster and no adjoint rows. Every verdict past
+    the pivot records the aux of _clusters (unitary only) and _pivot_system.
+    """
+    n, a, _ = X.shape
+    Z = np.ascontiguousarray(np.concatenate([X, Y], axis=1), dtype=complex)  # X_j over Y_j
+    R = Z.view(float).reshape(n, -1)  # re and im of pair j in row j; dividing R divides Z
+    m = np.abs(R).max(axis=1)
+    R /= np.where(m > 0, m, 1.0)[:, None]
+    X, Y = _spanning_pairs(Z[:, :a], Z[:, a:])
     frames = _pivot_frames(*_pivot_pair(X, Y, cfg.seed), tol)
-    if not same_spectrum(frames.s, frames.t, tol):
+    unitary = kind == "unitary"
+    if unitary and not same_spectrum(frames.s, frames.t, tol):
         return UepVerdict(verdict="NO", certainty="exact",
                           detail="singular values differ at the random pivot pair "
                                  "sum_i c_i (X_i, Y_i)")
-    label, aux = _clusters(frames)
-    verdict = _decide(_pivot_system(X, Y, frames, label, adjoint=True)[0], cfg, tol)
-    verdict.aux.update(aux)
+    label, aux = _clusters(frames) if unitary else (np.zeros(len(frames.s), dtype=int), {})
+    system, system_aux = _pivot_system(X, Y, frames, label, adjoint=unitary)
+    verdict = _decide(system, cfg, tol, kind)
+    verdict.aux.update(aux, **system_aux)
     return verdict
 
 
@@ -627,8 +633,8 @@ def decide_uep(inst: UepInstance, cfg: SamplerConfig = SamplerConfig(),
     A span algebra then takes the plain system. Factor shapes (a, b) and
     (a', b') are checked against d1 and d2 without a projection, so unless
     b = b' = 1 a shape that does not tile its dimension raises before any
-    NO; _pivot_decide solves the realigned blocks, or their spanning pairs
-    when there are more than 2 a a', and u, v lift to u (x) I_b, v (x) I_b'.
+    NO; _pivot_decide solves the realigned blocks, normalized pair by pair
+    and spanned, and u, v lift to u (x) I_b, v (x) I_b'.
     The failure bound is that of the blocks' (a, a'). Over any other pair of
     shapes the pairs' and then the blocks' singular values are compared only
     when the solve ends in anything but a verified YES: they explain a
@@ -653,7 +659,7 @@ def decide_uep(inst: UepInstance, cfg: SamplerConfig = SamplerConfig(),
     _usable_algebras(inst, tol)  # unprojected: a shape passes when a * b = dim
     (a, b), (a2, b2) = shapes
     X, Y = _realigned_blocks(*zip(*inst.pairs), (a, b), (a2, b2))
-    verdict = _pivot_decide(*_spanning_pairs(X, Y), cfg, tol)
+    verdict = _pivot_decide(X, Y, cfg, tol)
     if verdict.verdict == "YES":
         verdict.U, verdict.V = (W if n == 1 else np.kron(W, np.eye(n))
                                 for W, n in ((verdict.U, b), (verdict.V, b2)))
@@ -672,17 +678,12 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
                                   tol: Tolerances = Tolerances()) -> UepVerdict:
     """Decide whether invertible A, B exist with A X_i B^(-1) = Y_i for all i.
 
-    The constraints are only A X_i = Y_i B over full algebras, solved in the
-    frames of the pivot pair drawn from cfg.seed by _pivot_system, with every
-    unit in one cluster and no adjoint rows, and the certificate is the
-    sampled (A, B) itself. Coefficient ranks are invariant under the
-    equivalence and serve as an exact prefilter. Every verdict past it
-    records pivot_unknowns, pivot_free_units and pivot_coupling_margin in aux.
-
-    A X_i = Y_i B is unchanged when one pair (X_i, Y_i) is scaled, so each
-    nonzero pair is divided by max(||X_i||_F, ||Y_i||_F) before the system is
-    built: one rank cut then sees the constraints of small coefficients next
-    to large ones. The certificate is checked on the unscaled (P, Q).
+    Coefficient ranks are invariant under the equivalence and serve as an
+    exact prefilter. Past it, one _pivot_decide of kind "invertible" solves
+    A X_i = Y_i B over full algebras on the normalized coefficient pairs,
+    with every unit in one cluster and no adjoint rows, and records
+    pivot_unknowns, pivot_free_units and pivot_coupling_margin in aux. The
+    certificate is the sampled (A, B) itself, checked on the unscaled (P, Q).
     """
     if P.shape != Q.shape or P.degree != Q.degree:
         raise InputError("matrix polynomials must share shape and degree")
@@ -692,14 +693,8 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
         if numerical_rank(sx, tol) != numerical_rank(sy, tol):
             return UepVerdict(verdict="NO", certainty="exact", certificate_kind="invertible",
                               detail=f"coefficient ranks differ at index {idx}")
-    norms = np.array([max(np.linalg.norm(Xi), np.linalg.norm(Yi)) for Xi, Yi in zip(X, Y)])
-    scale = np.where(norms > 0, norms, 1.0)[:, None, None]
-    X, Y = X / scale, Y / scale
-    frames = _pivot_frames(*_pivot_pair(X, Y, cfg.seed), tol)
-    system, aux = _pivot_system(X, Y, frames, np.zeros(len(frames.s), dtype=int), adjoint=False)
-    verdict = check_certificate(_decide(system, cfg, tol, "invertible"), "matpoly", (P, Q), tol)
-    verdict.aux.update(aux)
-    return verdict
+    verdict = _pivot_decide(X, Y, cfg, tol, "invertible")
+    return check_certificate(verdict, "matpoly", (P, Q), tol)
 
 
 def uep_instance_full(d1: int, d2: int, pairs) -> UepInstance:

@@ -24,7 +24,6 @@ from .solver import (
     UepVerdict,
     _pivot_decide,
     _realigned_blocks,
-    _spanning_pairs,
     _spectrum_mismatch,
     check_certificate,
     singular_value_prefilter,
@@ -102,7 +101,7 @@ def _pivot_lu(X, Y, cfg: SamplerConfig, tol: Tolerances) -> UepVerdict:
     """U X_i W^dag = Y_i on the pivot route for the (n, d1, d2) stacks X, Y of
     matricized states; on YES, the solver's W becomes the physical V = conj(W).
     A YES is left unchecked."""
-    verdict = _pivot_decide(*_spanning_pairs(X, Y), cfg, tol)
+    verdict = _pivot_decide(X, Y, cfg, tol)
     if verdict.verdict == "YES":
         verdict.V = np.conj(verdict.V)
     return verdict
@@ -136,7 +135,7 @@ def unilocal_mixed_equivalence(rhos, sigmas, cfg: SamplerConfig = SamplerConfig(
 
     With the blocks R_pq[a, b] = rho_i[(a, p), (b, q)] (the block
     realignment), the equation holds exactly when U R_pq = S_pq U for every
-    block. The pivot route runs on (I, I) and the spanning pairs over two
+    block. The pivot route spans (I, I) and the blocks together, over two
     full d1 x d1 algebras; the (I, I) pair forces its left and right
     unitaries to coincide, and aux["uv_gap"] is their distance. When it ends
     in anything but a verified YES, singular values of a rho_i, or else of a
@@ -152,8 +151,7 @@ def unilocal_mixed_equivalence(rhos, sigmas, cfg: SamplerConfig = SamplerConfig(
     pairs = tuple((r.matrix, s.matrix) for r, s in zip(rhos, sigmas))
     R, S = _realigned_blocks(*zip(*pairs), (d1, d2), (d1, d2))
     eye = np.eye(d1, dtype=complex)[None]
-    X, Y = _spanning_pairs(R, S)
-    verdict = _pivot_decide(np.concatenate([eye, X]), np.concatenate([eye, Y]), cfg, tol)
+    verdict = _pivot_decide(np.concatenate([eye, R]), np.concatenate([eye, S]), cfg, tol)
     if verdict.verdict == "YES":
         verdict.aux["uv_gap"] = frobenius(verdict.U - verdict.V)
         verdict.V = None

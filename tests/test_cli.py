@@ -285,7 +285,8 @@ class TestDecide:
         out = json.loads(v1.read_text())
         assert out["verdict"] == "YES" and out["V"] is None
         assert set(out["aux"]) == {"pivot_clusters", "pivot_merged_gap", "pivot_split_gap",
-                                   "uv_gap"}
+                                   "pivot_unknowns", "pivot_free_units",
+                                   "pivot_coupling_margin", "uv_gap"}
 
     def test_generic_mixed_mode_and_precondition(self, tmp_path, rng):
         d1 = d2 = 2

@@ -54,8 +54,8 @@ def instances(draw):
 def _assert_same_decision(inst, other, seed):
     cfg = SamplerConfig(seed=seed)
     v1, v2 = decide_uep(inst, cfg), decide_uep(other, cfg)
-    assert v1.verdict == v2.verdict
-    assert v1.solution_dimension == v2.solution_dimension
+    assert ((v1.verdict, v1.certainty, v1.solution_dimension)
+            == (v2.verdict, v2.certainty, v2.solution_dimension))
 
 
 @SETTINGS
@@ -82,6 +82,35 @@ def test_invariant_under_global_scaling(case, c):
     # (A, B) solves the system for (X_i, Y_i) exactly when it does for (c X_i, c Y_i)
     inst, seed = case
     _assert_same_decision(inst, _with_pairs(inst, ((c * X, c * Y) for X, Y in inst.pairs)), seed)
+
+
+@st.composite
+def per_pair_scales(draw):
+    """Three pairs over full (2..6) or factor algebras, planted YES or with the
+    last pair regauged as in instances(), and a power 10^k per pair, k drawn
+    uniformly from [-6, 6] by the seed (hypothesis would repeat one k)."""
+    seed = draw(st.integers(0, 2**16))
+    kinds = [draw(st.sampled_from(["full", ("factor", 2, 2), ("factor", 3, 2), ("factor", 2, 3)]))
+             for _ in "12"]
+    d1, d2 = (draw(st.integers(2, 6)) if k == "full" else k[1] * k[2] for k in kinds)
+    inst, _ = random_yes_instance(d1, d2, 2, *kinds, seed=seed)
+    if draw(st.booleans()):
+        U, V = _algebra_unitaries(inst, np.random.default_rng(seed))
+        X, Y = inst.pairs[-1]
+        inst = _with_pairs(inst, inst.pairs[:-1] + ((X, U @ Y @ V.conj().T),))
+    return inst, seed, np.random.default_rng([seed, 2]).integers(-6, 7, size=3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(per_pair_scales())
+def test_invariant_under_per_pair_scales(case):
+    # (A, B) solves the system for (X_i, Y_i) exactly when it does for
+    # (c_i X_i, c_i Y_i); one rank cut over pairs left at their own scales
+    # would lose the small pairs' constraints
+    inst, seed, powers = case
+    scaled = _with_pairs(inst, ((10.0 ** k * X, 10.0 ** k * Y)
+                                for (X, Y), k in zip(inst.pairs, powers)))
+    _assert_same_decision(inst, scaled, seed)
 
 
 @SETTINGS

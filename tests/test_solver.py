@@ -343,6 +343,20 @@ class TestDecide:
         assert v1.verdict == v2.verdict == "YES"
         assert v1.solution_dimension == v2.solution_dimension
 
+    def test_disparate_pair_scales(self):
+        # each pair scaled by 1, 1e6 or 1e-6: one rank cut over unnormalized
+        # pairs could not see the small ones' constraints (36 of 200 ended
+        # INCONCLUSIVE before the pivot route normalized every pair)
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            d1, d2 = (int(d) for d in rng.integers(2, 7, size=2))
+            inst, _ = random_yes_instance(d1, d2, 2, seed=seed)
+            scales = rng.choice([1.0, 1e6, 1e-6], size=3)
+            pairs = tuple((c * X, c * Y) for (X, Y), c in zip(inst.pairs, scales))
+            verdict = decide_uep(UepInstance(d1, d2, pairs, inst.G1, inst.G2),
+                                 SamplerConfig(seed=seed))
+            assert verdict.verdict == "YES", (seed, verdict.detail)
+
     def test_identity_pair_trick_equalizes_unitaries(self):
         # appending (I, I) forces U = V, turning UEP into similarity
         rng = np.random.default_rng(77)
@@ -480,17 +494,22 @@ class TestPivot:
         assert (verdict.verdict, verdict.certainty) == ("NO", "exact")
         assert verdict.solution_dimension is None
 
-    @pytest.mark.parametrize("X", [np.eye(6), np.zeros((6, 6))], ids=["identity", "zero"])
-    def test_one_cluster_takes_the_frames(self, monkeypatch, X):
+    @pytest.mark.parametrize("X, unknowns, free", [(np.eye(6), 36, 0), (np.zeros((6, 6)), 72, 72)],
+                             ids=["identity", "zero"])
+    def test_one_cluster_takes_the_frames(self, monkeypatch, X, unknowns, free):
         # one cluster keeps every matrix unit, rotated into the frames: the
-        # plain system's solutions, with no fork to it
+        # plain system's solutions, with no fork to it. The identity keeps 36
+        # coupled columns; the zero pivot leaves all 36 units free on each side
         seen = _pivot_systems_seen(monkeypatch)
         inst = uep_instance_full(6, 6, [(X, X)])
         verdict = decide_uep(inst, CFG)
         ((_, _, label, adjoint, _),) = seen
         assert verdict.verdict == "YES" and label == [0] * 6 and adjoint
+        margin = verdict.aux.pop("pivot_coupling_margin")
+        assert margin is None if free else margin > 1  # no coupled column, no margin
         assert verdict.aux == {"pivot_clusters": [1, 1], "pivot_merged_gap": 0.0,
-                               "pivot_split_gap": None}
+                               "pivot_split_gap": None, "pivot_unknowns": unknowns,
+                               "pivot_free_units": free}
         assert verdict.solution_dimension == _space(inst).dimension
 
     def test_factor_algebra_takes_the_realigned_pivot(self, monkeypatch):
@@ -663,11 +682,20 @@ class TestGramNullspace:
     @pytest.mark.parametrize("c", [1e-160, 1e160])
     def test_planted_yes_at_extreme_scales(self, c):
         # the Gram of the reduced system would underflow (a NO with no
-        # solution) or overflow (eigh fails) without its power-of-two rescaling
+        # solution) or overflow (eigh fails) without its power-of-two rescaling;
+        # a pair's Frobenius norm, which squares the entries, would overflow
+        # at 1e160 unless the pair is divided by its largest entry first
         inst, _ = random_yes_instance(4, 4, 2, seed=3)
         pairs = tuple((c * X, c * Y) for X, Y in inst.pairs)
         verdict = decide_uep(UepInstance(d1=4, d2=4, pairs=pairs, G1=inst.G1, G2=inst.G2), CFG)
         assert (verdict.verdict, verdict.solution_dimension) == ("YES", 1)
+        rng = np.random.default_rng(3)
+        A, B = (ginibre(4, 4, rng) + 2 * np.eye(4) for _ in "AB")
+        P = [c * ginibre(4, 4, rng) for _ in range(3)]
+        Q = [A @ C @ np.linalg.inv(B) for C in P]
+        verdict = decide_invertible_equivalence(MatrixPolynomial(tuple(P)),
+                                                MatrixPolynomial(tuple(Q)), CFG)
+        assert verdict.verdict == "YES" and verdict.residual <= 1e-10
 
 
 class TestPrefilter:
@@ -805,28 +833,38 @@ class TestCertificateResiduals:
             certificate_residuals(mode, payload, U, np.eye(2) if V is None else None)
 
     @pytest.mark.parametrize("case, checked_as", [
-        ("full", "matrix-pairs"), ("factor", "matrix-pairs"), ("pure-sets", "pure-sets"),
-        ("unilocal-mixed", "unilocal-mixed"), ("generic-mixed", "generic-mixed")])
+        ("full", "matrix-pairs"), ("factor", "matrix-pairs"), ("matpoly", "matpoly"),
+        ("pure-sets", "pure-sets"), ("unilocal-mixed", "unilocal-mixed"),
+        ("generic-mixed", "generic-mixed")])
     def test_a_yes_is_checked_once(self, case, checked_as, monkeypatch, rng):
         # every decide path ends in one certificate check, in its own mode:
-        # the state reductions check their states or density operators
-        modes = []
-        real = solver_mod.certificate_residuals
+        # the state reductions check their states or density operators. The
+        # sampler accepts a candidate by taking its polar factors, so each
+        # pivot route calls extract_unitaries once per trial
+        modes, extracted = [], []
+        real_check, real_extract = solver_mod.certificate_residuals, solver_mod.extract_unitaries
 
         def spy(mode, *args, **kwargs):
             modes.append(mode)
-            return real(mode, *args, **kwargs)
+            return real_check(mode, *args, **kwargs)
+
+        def extract_spy(*args, **kwargs):
+            extracted.append(args)
+            return real_extract(*args, **kwargs)
 
         monkeypatch.setattr(solver_mod, "certificate_residuals", spy)
+        monkeypatch.setattr(solver_mod, "extract_unitaries", extract_spy)
         if case in ("full", "factor"):
             kind = "full" if case == "full" else ("factor", 2, 2)
             verdict = decide_uep(random_yes_instance(4, 4, 1, kind, kind, seed=62)[0], CFG)
         else:
             (ins, outs), _, _ = _planted(case, rng)
-            decide = {"pure-sets": simultaneous_lu_pure, "generic-mixed": generic_mixed_lu,
+            decide = {"matpoly": decide_invertible_equivalence,
+                      "pure-sets": simultaneous_lu_pure, "generic-mixed": generic_mixed_lu,
                       "unilocal-mixed": unilocal_mixed_equivalence}[case]
             verdict = decide(ins, outs, CFG)
         assert verdict.verdict == "YES" and modes == [checked_as]
+        assert len(extracted) == verdict.trials_used >= 1
 
     @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e200])
     def test_turned_certificate_fails_at_every_scale(self, scale, tmp_path, capsys):

@@ -187,9 +187,9 @@ class TestUnilocalMixed:
     @pytest.mark.parametrize("k", (1, 2, 3))
     def test_realigned_blocks_match_the_factor_algebra_system(self, d1, d2, k):
         """The factor-algebra route {M (x) I} on (d1 d2)-dimensional pairs is kept
-        here as the reference: the realigned d1 x d1 system, on all blocks and
-        on the spanning pairs, has the same solution dimension, and the
-        verdict is YES exactly on planted cases."""
+        here as the reference: the realigned d1 x d1 system, on (I, I) and
+        all blocks and on their spanning pairs, has the same solution
+        dimension, and the verdict is YES exactly on planted cases."""
         rng = np.random.default_rng(1000 + 100 * d1 + 10 * d2 + k)
         rhos = [random_density(d1, d2, rng) for _ in range(k)]
         cases = {"yes": np.kron(haar(d1, rng), np.eye(d2))}
@@ -209,15 +209,17 @@ class TestUnilocalMixed:
         R, S = _realigned_blocks([r.matrix for r in rhos], [s.matrix for s in sigmas],
                                  (d1, d2), (d1, d2))
         assert R.shape == S.shape == (len(rhos) * d2 * d2, d1, d1)
-        identity = ((np.eye(d1, dtype=complex),) * 2,)
-        spanning = identity + tuple(zip(*_spanning_pairs(R, S)))
-        assert len(spanning) == 1 + min(len(R), 2 * d1 * d1)
+        eye1 = np.eye(d1, dtype=complex)[None]
+        blocks = ((eye1[0], eye1[0]),) + tuple(zip(R, S))
+        spanning = tuple(zip(*_spanning_pairs(np.concatenate([eye1, R]),
+                                              np.concatenate([eye1, S]))))
+        assert len(spanning) == min(1 + len(R), 2 * d1 * d1)
         eye = np.eye(d, dtype=complex)
         G = factor_algebra(d1, d2)
         factor = build_linear_system(UepInstance(
             d, d, tuple((r.matrix, s.matrix) for r, s in zip(rhos, sigmas)) + ((eye, eye),), G, G))
         expected = solve_solution_space(factor).dimension
-        for pairs in (spanning[:1] + tuple(zip(R, S)), spanning):
+        for pairs in (blocks, spanning):
             realigned = build_linear_system(uep_instance_full(d1, d1, pairs))
             assert solve_solution_space(realigned).dimension == expected
         verdict = unilocal_mixed_equivalence(rhos, sigmas, CFG)
@@ -376,7 +378,10 @@ class TestGenericMixed:
         # the inner solve's pivot fields ride along with the phase counts
         assert verdict.aux == {"phase_components": 1, "grid_solves": 1,
                                "pivot_clusters": [2, 3], "pivot_merged_gap": 0.0,
-                               "pivot_split_gap": verdict.aux["pivot_split_gap"]}
+                               "pivot_split_gap": verdict.aux["pivot_split_gap"],
+                               "pivot_unknowns": verdict.aux["pivot_unknowns"],
+                               "pivot_free_units": verdict.aux["pivot_free_units"],
+                               "pivot_coupling_margin": verdict.aux["pivot_coupling_margin"]}
         assert verdict.aux["pivot_split_gap"] > 1e-6
         assert len(solver_calls) == 1
 
