@@ -10,6 +10,7 @@ matrix restricted to them decides the cut on the matrix itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,13 +57,13 @@ def as_complex_matrix(m, what: str = "matrix") -> np.ndarray:
     M = np.asarray(m, dtype=complex)
     if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
         raise InputError(f"{what} must be a 2-D array with positive shape, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise InputError(f"{what} contains non-finite entries")
     return M
 
 
 def frobenius(M) -> float:
-    return float(np.linalg.norm(M))
+    return math.sqrt(np.vdot(M, M).real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,8 +106,8 @@ def same_spectrum(sx, sy, tol: Tolerances = Tolerances()):
     """Whether descending spectra (last axis) agree within residual_abs * max(1, sigma_1)."""
     if sx.shape != sy.shape:
         return False
-    scale = np.maximum(1.0, np.maximum(*(np.max(s, axis=-1, initial=0.0) for s in (sx, sy))))
-    return np.max(np.abs(sx - sy), axis=-1, initial=0.0) <= tol.residual_abs * scale
+    scale = np.maximum(sx.max(axis=-1, initial=1.0), sy.max(axis=-1, initial=1.0))
+    return np.abs(sx - sy).max(axis=-1, initial=0.0) <= tol.residual_abs * scale
 
 
 def nullspace_basis(M, tol: Tolerances = Tolerances(), scale: float = 0.0) -> np.ndarray:
@@ -136,7 +137,7 @@ def nullspace_basis(M, tol: Tolerances = Tolerances(), scale: float = 0.0) -> np
         G = M.conj().T @ M
     # nan or inf when an entry of M is; in range, G is far from overflow and
     # its rounding, eps * top, from the subnormal numbers
-    top = float(np.max(G.diagonal().real))
+    top = float(G.diagonal().real.max())
     if not 2.0**-960 <= top <= 2.0**960:
         if not np.all(np.isfinite(M)):
             raise InputError("nullspace input contains non-finite entries")
@@ -145,12 +146,12 @@ def nullspace_basis(M, tol: Tolerances = Tolerances(), scale: float = 0.0) -> np
         M, scale = M * unit, scale * unit
         G = M.conj().T @ M
     w, V = np.linalg.eigh(G)
-    s1 = float(np.sqrt(max(w[-1], 0.0)))
+    s1 = math.sqrt(max(float(w[-1]), 0.0))
     ref = max(s1, scale)
     # a dropped direction above t tilts no kept vector by more than 1e-3 of the cut
-    floor = 1e3 * np.sqrt(n) * _EPS * s1 * (s1 / ref) / tol.rank_rel if ref else 0.0
+    floor = 1e3 * math.sqrt(n) * _EPS * s1 * (s1 / ref) / tol.rank_rel if ref else 0.0
     t = max(floor, 10.0 * tol.rank_rel * ref)
-    V = V[:, w <= t * t]
+    V = V[:, :np.searchsorted(w, t * t, side="right")]  # w ascends
     if V.shape[1] == 0:
         return V
     B = M @ V

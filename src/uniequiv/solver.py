@@ -52,6 +52,7 @@ which recomputes the certificate's residual and side conditions with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -60,6 +61,7 @@ import numpy as np
 from .algebra import MatrixAlgebra, full_algebra, span_residual, verify_algebra
 from .errors import DegenerateCandidateError, InputError, InvalidAlgebraError
 from .linalg import (
+    _EPS,
     MatrixPolynomial,
     Tolerances,
     as_complex_matrix,
@@ -118,12 +120,15 @@ class UepInstance:
 
 @dataclass(frozen=True, eq=False)
 class SolutionSpace:
-    """Complex-linear basis of candidate pairs (A_j, B_j) solving the linearized system."""
+    """Complex-linear basis of candidate pairs (A_j, B_j) solving the linearized
+    system, as the stacks A (k, d1, d1) and B (k, d2, d2)."""
 
-    basis: tuple  # ((A_j, B_j), ...)
-    dimension: int
-    d1: int
-    d2: int
+    A: np.ndarray
+    B: np.ndarray
+
+    @property
+    def dimension(self) -> int:
+        return len(self.A)
 
 
 @dataclass(frozen=True)
@@ -183,15 +188,18 @@ class LinearSystem:
 # rank cut and the certificate bound.
 _PIVOT_MARGIN = 1e3
 
+# (1, i): _RE_IM @ parts is parts[0] + i parts[1], exactly
+_RE_IM = np.array([1.0, 1.0j])
+_TINY = float(np.finfo(float).tiny)
+
 
 class _PivotFrames(NamedTuple):
-    """Singular frames X_c = W_x S R_x^dag, Y_c = W_y T R_y^dag of a pivot pair,
-    its spectra s, t zero-padded to max(d1, d2), and its cut (_pivot_frames)."""
+    """Singular frames X_c = W_x S R_x^dag, Y_c = W_y T R_y^dag of a pivot pair
+    as the stacks W = (W_x, W_y) and R = (R_x, R_y), its spectra s, t
+    zero-padded to max(d1, d2), and its cut (_pivot_frames)."""
 
-    W_x: np.ndarray
-    R_x: np.ndarray
-    W_y: np.ndarray
-    R_y: np.ndarray
+    W: np.ndarray
+    R: np.ndarray
     s: np.ndarray
     t: np.ndarray
     cut: float
@@ -250,28 +258,29 @@ def _separate_unknowns(E1, E2):
             np.concatenate([np.zeros((len(E1),) + E2.shape[1:], dtype=complex), E2]))
 
 
-def _pivot_pair(X, Y, seed: int):
-    """(X_c, Y_c) = sum_i c_i (X_i, Y_i) over the stacks X, Y for a unit complex
-    Gaussian vector c.
+def _pivot_pair(Z, seed: int) -> np.ndarray:
+    """The pivot pair (X_c, Y_c) = sum_i c_i (X_i, Y_i) of the (n, 2, a, a') stack
+    Z of pairs, in one product, for a unit complex Gaussian vector c.
 
     c comes from the child seed of `seed` with spawn key (0,), which none of
     the sampler's per-trial seeds (seed, trial) reaches.
     """
     rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(0,)))
-    re, im = rng.standard_normal((2, len(X)))
-    c = (re + 1j * im) / np.linalg.norm(re + 1j * im)
-    return tuple((c @ Z.reshape(len(Z), -1)).reshape(Z.shape[1:]) for Z in (X, Y))
+    re, im = parts = rng.standard_normal((2, len(Z)))
+    c = (_RE_IM @ parts) / math.sqrt(re @ re + im @ im)  # the 2-norm as np.linalg.norm takes it
+    return (c @ Z.reshape(len(Z), -1)).reshape(Z.shape[1:])
 
 
-def _pivot_frames(Xc, Yc, tol: Tolerances) -> _PivotFrames:
-    """Full SVDs of a pivot pair, its padded spectra and its cut,
-    _PIVOT_MARGIN * eps / min(rank_rel, residual_abs) times max(1, s_1, t_1)."""
-    (W_x, W_y), (s, t), (Rh_x, Rh_y) = np.linalg.svd(np.stack([Xc, Yc]))
-    scale = max(1.0, float(s[0]), float(t[0]))
-    cut = _PIVOT_MARGIN * np.finfo(float).eps / min(tol.rank_rel, tol.residual_abs) * scale
-    pad = np.zeros(max(Xc.shape) - len(s))
-    return _PivotFrames(W_x, Rh_x.conj().T, W_y, Rh_y.conj().T,
-                        np.concatenate([s, pad]), np.concatenate([t, pad]), cut)
+def _pivot_frames(P, tol: Tolerances) -> _PivotFrames:
+    """Full SVDs of the pivot pair P = (X_c, Y_c) in one batched call, its padded
+    spectra and its cut, _PIVOT_MARGIN * eps / min(rank_rel, residual_abs)
+    times max(1, s_1, t_1)."""
+    W, sv, Rh = np.linalg.svd(P)
+    cut = (_PIVOT_MARGIN * _EPS / min(tol.rank_rel, tol.residual_abs)
+           * max(1.0, float(sv[:, 0].max())))
+    st = np.zeros((2, max(P.shape[1:])))
+    st[:, :sv.shape[1]] = sv
+    return _PivotFrames(W, Rh.conj().transpose(0, 2, 1), st[0], st[1], cut)
 
 
 def _clusters(frames: _PivotFrames) -> tuple:
@@ -284,17 +293,18 @@ def _clusters(frames: _PivotFrames) -> tuple:
     s, t = frames.s, frames.t
     gap = np.minimum(s[:-1] - s[1:], t[:-1] - t[1:])
     split = gap > frames.cut
-    gap /= max(1.0, float(s[0]), float(t[0]))
-    label = np.concatenate([[0], np.cumsum(split)])
-    counts = [int(label[len(W) - 1]) + 1 for W in (frames.W_x, frames.R_x)]
-    return label, {"pivot_clusters": counts,
-                   "pivot_merged_gap": float(gap[~split].max(initial=0.0)),
-                   "pivot_split_gap": float(gap[split].min()) if split.any() else None}
+    label = np.zeros(len(s), dtype=int)
+    label[1:] = split.cumsum()
+    ref = max(1.0, float(s[0]), float(t[0]))
+    kept = gap[split]
+    return label, {"pivot_clusters": [int(label[len(F[0]) - 1]) + 1 for F in (frames.W, frames.R)],
+                   "pivot_merged_gap": float(gap[~split].max(initial=0.0)) / ref,
+                   "pivot_split_gap": float(kept.min()) / ref if kept.size else None}
 
 
-def _pivot_system(X, Y, frames: _PivotFrames, label, adjoint: bool):
-    """The reduced system of the (n, d1, d2) stacks X, Y in the pivot frames,
-    and its aux.
+def _pivot_system(Z, frames: _PivotFrames, label, adjoint: bool):
+    """The reduced system of the (n, 2, d1, d2) stack Z of pairs (X_i, Y_i) in
+    the pivot frames, and its aux.
 
     Of the units (j, k) with label[j] == label[k], those with
     w = max(s_k, t_j) above frames.cut keep one coupled column, alpha E_jk on
@@ -303,21 +313,22 @@ def _pivot_system(X, Y, frames: _PivotFrames, label, adjoint: bool):
     with no side is dropped, as row (j, k) forces the other entry to 0. Then
     the units below the cut keep free columns E_jk in A', then in B'. The
     rows are the entries of A' X'_i - Y'_i B', then with adjoint those of
-    B' X'_i^dag - Y'_i^dag A', for X' = W_x^dag X R_x and Y' = W_y^dag Y R_y;
-    the columns carry back as alpha W_y E_jk W_x^dag and beta R_y E_jk R_x^dag.
+    B' X'_i^dag - Y'_i^dag A', for X' = W_x^dag X R_x and Y' = W_y^dag Y R_y.
+    The bases are the units alpha E_jk and beta E_jk, in the frames: a
+    solution (A', B') carries back as (W_y A' W_x^dag, R_y B' R_x^dag).
     aux holds pivot_unknowns (columns), pivot_free_units and
     pivot_coupling_margin (the smallest w / cut of a coupled column, None
     without one).
     """
-    n, d1, d2 = X.shape
-    W_x, R_x, W_y, R_y, s, t, cut = frames
+    n, _, d1, d2 = Z.shape
+    W, R, s, t, cut = frames
     j, k = (label[:, None] == label).nonzero()
     side = np.maximum(j, k)
     in_a, in_b = side < d1, side < d2  # (j, k) lies in A', in B'
     s_k, t_j = s[k], t[j]
     weight = np.maximum(s_k, t_j)
     coupled = weight > cut
-    norm = np.hypot(s_k, t_j, where=coupled, out=np.ones(len(j)))
+    norm = np.hypot(s_k, t_j) + ~coupled  # never 0; a free unit's value is replaced below
     alpha, beta = t_j / norm * in_a, s_k / norm * in_b
     kept = (coupled & (alpha + beta > 0)).nonzero()[0]
     free = (~coupled).nonzero()[0]
@@ -328,7 +339,10 @@ def _pivot_system(X, Y, frames: _PivotFrames, label, adjoint: bool):
     alpha[len(kept):na], alpha[na:], beta[len(kept):na], beta[na:] = 1.0, 0.0, 0.0, 1.0
     a, b = alpha.nonzero()[0], beta.nonzero()[0]
     (ra, ca, wa), (rb, cb, wb) = (r[a], c[a], alpha[a]), (r[b], c[b], beta[b])
-    X, Y = W_x.conj().T @ X @ R_x, W_y.conj().T @ Y @ R_y
+    # X' = W_x^dag X R_x and Y' likewise, as one GEMM per side for each factor
+    T = (Z.transpose(1, 0, 2, 3).reshape(2, n * d1, d2) @ R).reshape(2, n, d1, d2)
+    T = W.conj().transpose(0, 2, 1) @ T.transpose(0, 2, 1, 3).reshape(2, d1, n * d2)
+    X, Y = T.reshape(2, d1, n, d2).transpose(0, 2, 1, 3)
     # row (p, q) of A' X'_i - Y'_i B': A'_rc adds X'_i[c, q] at p = r, B'_rc
     # subtracts Y'_i[p, r] at q = c; of B' X'_i^dag - Y'_i^dag A': B'_rc adds
     # conj(X'_i[q, c]) at p = r, A'_rc subtracts conj(Y'_i[r, p]) at q = c
@@ -341,9 +355,9 @@ def _pivot_system(X, Y, frames: _PivotFrames, label, adjoint: bool):
         bottom[:, rb, :, b] = wb[:, None, None] * X[:, :, cb].conj().transpose(2, 0, 1)
         bottom[:, :, ca, a] -= wa * Y[:, ra, :].conj().transpose(0, 2, 1)
     basis_a = np.zeros((g, d1, d1), dtype=complex)
-    basis_a[a] = wa[:, None, None] * W_y.T[ra, :, None] * W_x.T.conj()[ca, None, :]
+    basis_a[a, ra, ca] = wa
     basis_b = np.zeros((g, d2, d2), dtype=complex)
-    basis_b[b] = wb[:, None, None] * R_y.T[rb, :, None] * R_x.T.conj()[cb, None, :]
+    basis_b[b, rb, cb] = wb
     system = LinearSystem(rows.reshape(-1, g), basis_a, basis_b, scale=float(np.hypot(s[0], t[0])))
     margin = float(weight[kept].min() / cut) if kept.size else None
     return system, {"pivot_unknowns": g, "pivot_free_units": len(free_a) + len(free_b),
@@ -381,11 +395,9 @@ def build_linear_system(inst: UepInstance, tol: Tolerances = Tolerances()) -> Li
 
 
 def solve_solution_space(system: LinearSystem, tol: Tolerances = Tolerances()) -> SolutionSpace:
-    ns = nullspace_basis(system.matrix, tol, system.scale)
-    As, Bs = ((ns.T @ E.reshape(len(E), -1)).reshape((-1,) + E.shape[1:])
-              for E in (system.basis_a, system.basis_b))
-    return SolutionSpace(basis=tuple(zip(As, Bs)), dimension=ns.shape[1],
-                         d1=system.basis_a.shape[1], d2=system.basis_b.shape[1])
+    ns = nullspace_basis(system.matrix, tol, system.scale).T
+    return SolutionSpace(*((ns @ E.reshape(len(E), -1)).reshape((-1,) + E.shape[1:])
+                           for E in (system.basis_a, system.basis_b)))
 
 
 def per_trial_failure_bound(d1: int, d2: int, sample_max: int) -> float:
@@ -404,11 +416,8 @@ def draw_candidate(space: SolutionSpace, cfg: SamplerConfig, trial: int):
     coefficients.
     """
     rng = np.random.default_rng([int(cfg.seed), int(trial)])
-    re, im = rng.integers(1, cfg.sample_max + 1, size=(2, space.dimension)).astype(float)
-    coeffs = re + 1j * im
-    A = sum(c * Aj for c, (Aj, _) in zip(coeffs, space.basis))
-    B = sum(c * Bj for c, (_, Bj) in zip(coeffs, space.basis))
-    return A, B
+    coeffs = _RE_IM @ rng.integers(1, cfg.sample_max + 1, size=(2, space.dimension))
+    return tuple((coeffs @ E.reshape(len(E), -1)).reshape(E.shape[1:]) for E in (space.A, space.B))
 
 
 class SampleResult(NamedTuple):
@@ -440,13 +449,18 @@ def sample_invertible(space: SolutionSpace, cfg: SamplerConfig, tol: Tolerances 
 
 
 def extract_unitaries(A, B, tol: Tolerances = Tolerances()):
-    """Polar factors: U = W Vh from the SVD A = W S Vh, and V likewise from B.
+    """Polar factors: U = W Vh from the SVD A = W S Vh, and V likewise from B,
+    in one batched SVD when A and B share a shape.
 
     A block is rejected under the sampler's own rule: numerical rank below full.
     """
+    A, B = as_complex_matrix(A, "A"), as_complex_matrix(B, "B")
+    if A.shape == B.shape:
+        svds = zip(*np.linalg.svd(np.stack([A, B]), full_matrices=False))
+    else:
+        svds = (np.linalg.svd(M, full_matrices=False) for M in (A, B))
     factors = []
-    for name, M in (("A", A), ("B", B)):
-        W, s, Vh = np.linalg.svd(as_complex_matrix(M, name), full_matrices=False)
+    for name, (W, s, Vh) in zip("AB", svds):
         if numerical_rank(s, tol) < len(s):
             raise DegenerateCandidateError(
                 f"{name} is numerically singular: singular values in [{s[-1]:.3e}, {s[0]:.3e}]"
@@ -485,7 +499,7 @@ def certificate_residuals(mode: str, payload, U, V, tol: Tolerances = Tolerances
         got = None if M is None else np.shape(M)
         if got != shape:
             raise InputError(f"certificate {name} has shape {got}, expected {shape} for {mode}")
-    X, Y = (np.stack(side) for side in zip(*pairs))
+    X, Y = np.asarray(pairs, dtype=complex).transpose(1, 0, 2, 3)
     if mode == "matpoly":
         if any(numerical_rank(singular_values(M), tol) < len(M) for M in (U, V)):
             return np.inf, np.inf
@@ -494,12 +508,13 @@ def certificate_residuals(mode: str, payload, U, V, tol: Tolerances = Tolerances
     defect = max(frobenius(W.conj().T @ W - np.eye(len(W))) for W in (U, V) if W is not None)
     if mode == "matrix-pairs":
         defect = max(defect, span_residual(payload.G1, U), span_residual(payload.G2, V))
-        L, R = U, V
+        L, Rh = U, V.conj().T
     elif mode == "pure-sets":
-        L, R = U, V.conj()  # (U (x) V)|psi> is U psi V^T
+        L, Rh = U, V.T  # (U (x) V)|psi> is U psi V^T
     else:
-        L = R = np.kron(U, np.eye(dims[1]) if V is None else V)
-    return _worst_relative(L @ X @ R.conj().T - Y, Y), defect
+        L = np.kron(U, np.eye(dims[1]) if V is None else V)
+        Rh = L.conj().T
+    return _worst_relative(L @ X @ Rh - Y, Y), defect
 
 
 def _worst_relative(D, Y) -> float:
@@ -512,10 +527,10 @@ def _worst_relative(D, Y) -> float:
     if not m.max() < np.inf:  # nan fails too
         return np.inf
     # below the smallest normal number the ratio is ||D_i||_F, and 1 / m stays finite
-    m = np.maximum(m, np.finfo(float).tiny)
+    m = np.maximum(m, _TINY)
     Z = (Z / m[:, None, None]).reshape(len(Z), 2, -1)
-    nd, ny = np.sqrt(np.einsum("ijk,ijk->ji", Z, Z))
-    return float(np.max(nd / np.maximum(1.0 / m, ny)))
+    nd, ny = np.sqrt((Z * Z).sum(axis=2)).T
+    return float((nd / np.maximum(1.0 / m, ny)).max())
 
 
 def check_certificate(verdict: UepVerdict, mode: str, payload,
@@ -548,7 +563,7 @@ def _decide(system: LinearSystem, cfg: SamplerConfig, tol: Tolerances,
                           detail="linear system has only the trivial solution")
     found = sample_invertible(space, cfg, tol)
     if found is None:
-        eps = per_trial_failure_bound(space.d1, space.d2, cfg.sample_max)
+        eps = per_trial_failure_bound(space.A.shape[1], space.B.shape[1], cfg.sample_max)
         return UepVerdict(verdict="NO", certainty="probabilistic",
                           trials_used=cfg.trials, failure_bound=eps ** cfg.trials,
                           solution_dimension=space.dimension, certificate_kind=kind,
@@ -568,16 +583,15 @@ def _realigned_blocks(Xs, Ys, shape1, shape2) -> tuple:
                  .reshape(-1, a, a2) for side in (Xs, Ys))
 
 
-def _spanning_pairs(X, Y) -> tuple:
-    """The stacks X, Y of n pairs a x a' when n <= 2 a a'; else the rows of T from
-    the QR [vec X_j, vec Y_j] = Q T, as two stacks: 2 a a' pairs with the same
-    span. As Q has orthonormal columns, the linear system keeps its nullspace
-    and its singular values."""
-    n, a, a2 = X.shape
-    if n <= 2 * a * a2:
-        return X, Y
-    T = np.linalg.qr(np.hstack([X.reshape(n, -1), Y.reshape(n, -1)]), mode="r")
-    return T[:, :a * a2].reshape(-1, a, a2), T[:, a * a2:].reshape(-1, a, a2)
+def _spanning_pairs(Z) -> np.ndarray:
+    """The (n, 2, a, a') stack Z of pairs (X_j, Y_j) when n <= 2 a a'; else the
+    rows of T from the QR [vec X_j, vec Y_j] = Q T, as 2 a a' pairs with the
+    same span. As Q has orthonormal columns, the linear system keeps its
+    nullspace and its singular values."""
+    n = len(Z)
+    if n <= Z[0].size:
+        return Z
+    return np.linalg.qr(Z.reshape(n, -1), mode="r").reshape((-1,) + Z.shape[1:])
 
 
 def _pivot_decide(X, Y, cfg: SamplerConfig, tol: Tolerances, kind: str = "unitary") -> UepVerdict:
@@ -589,24 +603,30 @@ def _pivot_decide(X, Y, cfg: SamplerConfig, tol: Tolerances, kind: str = "unitar
     entries, and overflow near 1e154), and the result cut to its spanning
     pairs: one rank cut then sees small pairs next to large ones. A unitary
     pivot drawn from cfg.seed with differing spectra is an exact NO; an
-    invertible one takes one cluster and no adjoint rows. Every verdict past
-    the pivot records the aux of _clusters (unitary only) and _pivot_system.
+    invertible one takes one cluster and no adjoint rows. The pairs are one
+    (n, 2, a, a') stack from the scale on, and the solution space is sampled
+    in the pivot frames: only a YES's certificate is carried back. Every
+    verdict past the pivot records the aux of _clusters (unitary only) and
+    _pivot_system.
     """
-    n, a, _ = X.shape
+    n, a, a2 = X.shape
     Z = np.ascontiguousarray(np.concatenate([X, Y], axis=1), dtype=complex)  # X_j over Y_j
     R = Z.view(float).reshape(n, -1)  # re and im of pair j in row j; dividing R divides Z
-    m = np.abs(R).max(axis=1)
-    R /= np.where(m > 0, m, 1.0)[:, None]
-    X, Y = _spanning_pairs(Z[:, :a], Z[:, a:])
-    frames = _pivot_frames(*_pivot_pair(X, Y, cfg.seed), tol)
+    m = np.abs(R).max(axis=1, keepdims=True)
+    R /= m + (m == 0)
+    Z = _spanning_pairs(Z.reshape(n, 2, a, a2))
+    frames = _pivot_frames(_pivot_pair(Z, cfg.seed), tol)
     unitary = kind == "unitary"
     if unitary and not same_spectrum(frames.s, frames.t, tol):
         return UepVerdict(verdict="NO", certainty="exact",
                           detail="singular values differ at the random pivot pair "
                                  "sum_i c_i (X_i, Y_i)")
     label, aux = _clusters(frames) if unitary else (np.zeros(len(frames.s), dtype=int), {})
-    system, system_aux = _pivot_system(X, Y, frames, label, adjoint=unitary)
+    system, system_aux = _pivot_system(Z, frames, label, adjoint=unitary)
     verdict = _decide(system, cfg, tol, kind)
+    if verdict.verdict == "YES":  # A = W_y A' W_x^dag, B = R_y B' R_x^dag
+        (W_x, W_y), (R_x, R_y) = frames.W, frames.R
+        verdict.U, verdict.V = W_y @ verdict.U @ W_x.conj().T, R_y @ verdict.V @ R_x.conj().T
     verdict.aux.update(aux, **system_aux)
     return verdict
 
@@ -614,13 +634,17 @@ def _pivot_decide(X, Y, cfg: SamplerConfig, tol: Tolerances, kind: str = "unitar
 def _spectrum_mismatch(pairs, X, Y, blocks: tuple, tol: Tolerances):
     """The first pair (i,), else the first block (i, p, q) of the realigned stacks
     X, Y (blocks = (b, b') per pair), whose singular values differ; None when
-    every spectrum matches."""
+    every spectrum matches. The blocks are compared pair by pair, up to the
+    first pair with a mismatch."""
     ok, i = singular_value_prefilter(pairs, tol)
     if not ok:
         return (i,)
-    ok, idx = singular_value_prefilter(np.stack([X, Y], axis=1), tol)
-    if not ok:
-        return tuple(int(v) for v in np.unravel_index(idx, (len(pairs),) + blocks))
+    per_pair = blocks[0] * blocks[1]
+    for i in range(len(pairs)):
+        part = slice(i * per_pair, (i + 1) * per_pair)
+        ok, idx = singular_value_prefilter(np.stack([X[part], Y[part]], axis=1), tol)
+        if not ok:
+            return (i,) + tuple(int(v) for v in np.unravel_index(idx, blocks))
     return None
 
 
@@ -688,8 +712,7 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
     if P.shape != Q.shape or P.degree != Q.degree:
         raise InputError("matrix polynomials must share shape and degree")
     X, Y = np.stack(P.coefficients), np.stack(Q.coefficients)
-    spectra = zip(*(np.linalg.svd(Z, compute_uv=False) for Z in (X, Y)))
-    for idx, (sx, sy) in enumerate(spectra):
+    for idx, (sx, sy) in enumerate(zip(*np.linalg.svd(np.stack([X, Y]), compute_uv=False))):
         if numerical_rank(sx, tol) != numerical_rank(sy, tol):
             return UepVerdict(verdict="NO", certainty="exact", certificate_kind="invertible",
                               detail=f"coefficient ranks differ at index {idx}")

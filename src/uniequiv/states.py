@@ -56,32 +56,37 @@ class DensityOperator:
     matrix: np.ndarray  # (d1*d2) x (d1*d2), Hermitian, unit trace, PSD
 
 
-def pure_state(d1: int, d2: int, amplitudes) -> PureState:
+def pure_state(d1: int, d2: int, amplitudes, tol: Tolerances = Tolerances()) -> PureState:
+    """A state of d1 x d2 amplitudes; a norm more than rank_rel off 1 is rescaled
+    with a warning."""
     v = np.asarray(amplitudes, dtype=complex).ravel()
     if v.size != d1 * d2:
         raise InputError(f"expected {d1 * d2} amplitudes, got {v.size}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InputError("amplitudes contain non-finite entries")
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise InputError("the zero vector is not a state")
-    if abs(norm - 1.0) > 1e-10:
+    if abs(norm - 1.0) > tol.rank_rel:
         warnings.warn(f"state norm {norm!r} differs from 1; rescaling", stacklevel=2)
         v = v / norm
     return PureState(d1=d1, d2=d2, amplitudes=v)
 
 
-def density_operator(d1: int, d2: int, matrix) -> DensityOperator:
+def density_operator(d1: int, d2: int, matrix, tol: Tolerances = Tolerances()) -> DensityOperator:
+    """A (d1 d2) x (d1 d2) density matrix: Hermitian, of unit trace and positive
+    semidefinite, each to within rank_rel."""
     M = as_complex_matrix(matrix, "density matrix")
     d = d1 * d2
     if M.shape != (d, d):
         raise InputError(f"density matrix must be {d} x {d}, got {M.shape}")
-    if frobenius(M - M.conj().T) > 1e-10 * max(1.0, frobenius(M)):
+    if frobenius(M - M.conj().T) > tol.rank_rel * max(1.0, frobenius(M)):
         raise InputError("density matrix is not Hermitian")
-    if abs(np.trace(M).real - 1.0) > 1e-10 or abs(np.trace(M).imag) > 1e-10:
-        raise InputError(f"density matrix trace {np.trace(M)} differs from 1")
+    trace = np.trace(M)
+    if abs(trace.real - 1.0) > tol.rank_rel or abs(trace.imag) > tol.rank_rel:
+        raise InputError(f"density matrix trace {trace} differs from 1")
     w = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
-    if w[0] < -1e-10:
+    if w[0] < -tol.rank_rel:
         raise InputError(f"density matrix has negative eigenvalue {w[0]:.3e}")
     return DensityOperator(d1=d1, d2=d2, matrix=M)
 
@@ -121,12 +126,13 @@ def simultaneous_lu_pure(states_in, states_out, cfg: SamplerConfig = SamplerConf
     d_out = _check_uniform(states_out, "output states")
     if d_in != d_out:
         raise InputError(f"input dimensions {d_in} differ from output dimensions {d_out}")
-    X, Y = (np.stack([state_to_matrix(s) for s in side]) for side in (states_in, states_out))
-    ok, idx = singular_value_prefilter(np.stack([X, Y], axis=1), tol)
+    Z = np.array([(state_to_matrix(a), state_to_matrix(b)) for a, b in zip(states_in, states_out)])
+    ok, idx = singular_value_prefilter(Z, tol)
     if not ok:
         return UepVerdict(verdict="NO", certainty="exact",
                           detail=f"singular values differ at pair index {idx}")
-    return check_certificate(_pivot_lu(X, Y, cfg, tol), "pure-sets", (states_in, states_out), tol)
+    return check_certificate(_pivot_lu(Z[:, 0], Z[:, 1], cfg, tol), "pure-sets",
+                             (states_in, states_out), tol)
 
 
 def unilocal_mixed_equivalence(rhos, sigmas, cfg: SamplerConfig = SamplerConfig(),
@@ -174,11 +180,16 @@ _EDGE_MODULUS = 1e-4
 def _quartic_traces(mats) -> np.ndarray:
     """T[i, j, k] = tr(m_i^dag m_j m_k^dag m_i); invariant up to lam_j conj(lam_k).
 
-    With P[a, b] = m_a^dag m_b, T[i, j, k] = sum_{y,z} P[i, j]_yz P[k, i]_zy.
+    With P[a, b] = m_a^dag m_b, T[i, j, k] = sum_{y,z} P[i, j]_yz P[k, i]_zy,
+    and P[k, i] = P[i, k]^dag: so T[i] = L_i L_i^dag for the rows
+    L_i[j] = vec P[i, j]. Every P[a, b] is a block of one product
+    [m_1 ... m_n]^dag [m_1 ... m_n].
     """
     M = np.stack(mats)
-    P = np.einsum("ayx,byz->abxz", M.conj(), M)
-    return np.einsum("ijyz,kizy->ijk", P, P)
+    n, d1, d2 = M.shape
+    S = M.transpose(1, 0, 2).reshape(d1, n * d2)  # [m_1 ... m_n]
+    L = (S.conj().T @ S).reshape(n, d2, n, d2).transpose(0, 2, 1, 3).reshape(n, n, d2 * d2)
+    return L @ L.conj().transpose(0, 2, 1)
 
 
 def _resolve_phase_components(psis, phis):

@@ -18,7 +18,7 @@ from uniequiv import (MatrixPolynomial, SamplerConfig, Tolerances, UepInstance,
 from uniequiv.algebra import span_residual
 from uniequiv.linalg import same_spectrum
 from uniequiv.oracle import haar_unitary_in_algebra, random_yes_instance
-from uniequiv.solver import _clusters, _pivot_frames, _pivot_pair, _pivot_system
+from uniequiv.solver import SolutionSpace, _clusters, _pivot_frames, _pivot_pair, _pivot_system
 
 from conftest import ginibre, haar, random_density
 from exact_reference import (dense_nullspace_basis, generic_mixed_by_matrix_pairs,
@@ -225,9 +225,16 @@ def _largest_angle_sine(Q1, Q2):
     return np.linalg.norm(Q2 - Q1 @ (Q1.conj().T @ Q2), 2)
 
 
+def _carried_back(space, frames):
+    """A solution space of a reduced pivot system, taken from the pivot frames
+    to the original ones: (W_y A W_x^dag, R_y B R_x^dag)."""
+    (W_x, W_y), (R_x, R_y) = frames.W, frames.R
+    return SolutionSpace(W_y @ space.A @ W_x.conj().T, R_y @ space.B @ R_x.conj().T)
+
+
 def _stacked_basis(space):
     """Orthonormal basis of the space of vec A (+) vec B, one column per basis pair."""
-    cols = np.array([np.concatenate([A.ravel(), B.ravel()]) for A, B in space.basis]).T
+    cols = np.array([np.concatenate([A.ravel(), B.ravel()]) for A, B in zip(space.A, space.B)]).T
     return np.linalg.qr(cols)[0] if space.dimension else cols
 
 
@@ -241,12 +248,12 @@ def test_pivot_reduction_keeps_the_solution_space(case):
     # the frames rule out holds no solution, so the reduced and unreduced
     # systems share their nullspace
     inst, seed, planted = case
-    X, Y = (np.stack(side) for side in zip(*inst.pairs))
-    frames = _pivot_frames(*_pivot_pair(X, Y, seed), Tolerances())
+    Z = np.array(inst.pairs)
+    frames = _pivot_frames(_pivot_pair(Z, seed), Tolerances())
     assert same_spectrum(frames.s, frames.t, Tolerances())
-    system, _ = _pivot_system(X, Y, frames, _clusters(frames)[0], adjoint=True)
+    system, _ = _pivot_system(Z, frames, _clusters(frames)[0], adjoint=True)
     full = solve_solution_space(build_linear_system(inst))
-    reduced = solve_solution_space(system)
+    reduced = _carried_back(solve_solution_space(system), frames)
     assert reduced.dimension == full.dimension
     if planted:
         assert decide_uep(inst, SamplerConfig(seed=seed)).verdict == "YES"
@@ -308,10 +315,10 @@ def test_matpoly_pivot_reduction_keeps_the_solution_space(case):
     # reduced system in d^2 unknowns has the unreduced one's nullspace
     pairs, seed, planted = case
     tol = Tolerances()
-    X, Y = (np.stack(side) for side in zip(*pairs))
-    frames = _pivot_frames(*_pivot_pair(X, Y, seed), tol)
-    system, aux = _pivot_system(X, Y, frames, np.zeros(len(frames.s), dtype=int), adjoint=False)
-    reduced = solve_solution_space(system, tol)
+    Z = np.array(pairs, dtype=complex)
+    frames = _pivot_frames(_pivot_pair(Z, seed), tol)
+    system, aux = _pivot_system(Z, frames, np.zeros(len(frames.s), dtype=int), adjoint=False)
+    reduced = _carried_back(solve_solution_space(system, tol), frames)
     full = _unreduced_matpoly_space(pairs, tol)
     assert reduced.dimension == full.shape[1]
     assert aux["pivot_unknowns"] == system.matrix.shape[1] >= reduced.dimension

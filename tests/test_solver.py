@@ -59,7 +59,7 @@ class TestBuildSystem:
         space = solve_solution_space(system)
         assert space.dimension == 1
         # the span must contain (1, 1)
-        (A, B), = space.basis
+        (A, B), = zip(space.A, space.B)
         assert abs(A[0, 0]) > 1e-10
         assert abs(B[0, 0] / A[0, 0] - 1.0) < 1e-10
 
@@ -74,7 +74,7 @@ class TestBuildSystem:
         inst = uep_instance_full(2, 2, [(I2, I2)])
         space = _space(inst)
         assert space.dimension == 4
-        for A, B in space.basis:
+        for A, B in zip(space.A, space.B):
             assert np.linalg.norm(A - B) < 1e-10
 
     def test_rejects_unverified_algebra(self):
@@ -98,7 +98,7 @@ class TestBuildSystem:
         inst, _ = random_yes_instance(3, 2, 2, seed=5)
         space = _space(inst)
         assert space.dimension >= 1
-        for A, B in space.basis:
+        for A, B in zip(space.A, space.B):
             scale = max(1.0, np.linalg.norm(A), np.linalg.norm(B))
             for X, Y in inst.pairs:
                 assert np.linalg.norm(A @ X - Y @ B) <= 1e-8 * scale
@@ -109,7 +109,7 @@ class TestBuildSystem:
         space = _space(inst)
         assert space.dimension >= 2
         a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        (A1, B1), (A2, B2) = space.basis[0], space.basis[1]
+        (A1, A2), (B1, B2) = space.A[:2], space.B[:2]
         A, B = a * A1 + b * A2, a * B1 + b * B2
         scale = max(1.0, np.linalg.norm(A), np.linalg.norm(B))
         for X, Y in inst.pairs:
@@ -123,7 +123,7 @@ class TestBuildSystem:
         inst = UepInstance(d1=3, d2=3, pairs=((np.eye(3), np.eye(3)),), G1=G1, G2=full_algebra(3))
         space = _space(inst)
         assert space.dimension == 3
-        for A, B in space.basis:
+        for A, B in zip(space.A, space.B):
             scale = max(1.0, np.linalg.norm(A), np.linalg.norm(B))
             for X, Y in inst.pairs:
                 assert np.linalg.norm(A @ X - Y @ B) <= 1e-8 * scale
@@ -137,7 +137,7 @@ def _star_unitary(G, rng):
     solution space of X = Y = I over (G, G): its A lie in G cap G^dag."""
     inst = UepInstance(G.dim, G.dim, ((np.eye(G.dim), np.eye(G.dim)),), G, G)
     space = solve_solution_space(membership_rows_system(inst))
-    M = sum(c * A for c, (A, _) in zip(ginibre(space.dimension, 1, rng)[:, 0], space.basis))
+    M = sum(c * A for c, A in zip(ginibre(space.dimension, 1, rng)[:, 0], space.A))
     w, Q = np.linalg.eigh(M + M.conj().T)
     return (Q * np.exp(1j * w)) @ Q.conj().T
 
@@ -209,13 +209,13 @@ class TestStarPart:
 
 class TestSampler:
     def test_identity_span_succeeds_first_trial(self):
-        space = SolutionSpace(basis=((np.eye(2), np.eye(2)),), dimension=1, d1=2, d2=2)
+        space = SolutionSpace(np.eye(2)[None], np.eye(2)[None])
         result = sample_invertible(space, CFG)
         assert result is not None and result.trials_used == 1
 
     def test_shared_kernel_never_invertible(self):
         E11 = np.diag([1.0, 0.0]).astype(complex)
-        space = SolutionSpace(basis=((E11, E11),), dimension=1, d1=2, d2=2)
+        space = SolutionSpace(E11[None], E11[None])
         assert sample_invertible(space, CFG) is None
 
     def test_forced_zero_block(self):
@@ -239,8 +239,30 @@ class TestSampler:
             per_trial_failure_bound(2, 3, CFG.sample_max) ** CFG.trials
         )
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_draws_and_the_pivot_follow_their_rng_streams(self, seed):
+        # over the matrix units a draw's entries are its coefficients: the 2k
+        # integers of default_rng([seed, trial]) as real and imaginary parts
+        cfg = SamplerConfig(seed=seed, sample_max=1000)
+        units = np.eye(4, dtype=complex).reshape(4, 2, 2)
+        space = SolutionSpace(units, units[:, ::-1])
+        for trial in range(3):
+            re, im = np.random.default_rng([seed, trial]).integers(1, 1001, (2, 4))
+            A, B = draw_candidate(space, cfg, trial)
+            assert np.array_equal(A.ravel(), re + 1j * im)
+            assert np.array_equal(B, A[::-1])
+        # the pivot pair of pairs (e_i, 0) is (c, 0), c the unit complex
+        # Gaussian of the child seed (seed, spawn key (0,))
+        Z = np.zeros((5, 2, 1, 5))
+        Z[range(5), 0, 0, range(5)] = 1.0
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+        re, im = rng.standard_normal((2, 5))
+        c = (re + 1j * im) / np.linalg.norm(re + 1j * im)
+        pivot = _pivot_pair(Z, seed)
+        assert np.array_equal(pivot[0, 0], c) and not pivot[1].any()
+
     def test_draw_is_deterministic(self):
-        space = SolutionSpace(basis=((np.eye(2), np.eye(2)),), dimension=1, d1=2, d2=2)
+        space = SolutionSpace(np.eye(2)[None], np.eye(2)[None])
         A1, B1 = draw_candidate(space, CFG, 0)
         A2, B2 = draw_candidate(space, CFG, 0)
         assert np.array_equal(A1, A2) and np.array_equal(B1, B2)
@@ -371,8 +393,9 @@ class TestDecide:
 
 
 def _stacks(inst):
-    """The X_i and the Y_i of an instance as two stacks, as the pivot route takes them."""
-    return tuple(np.stack(side) for side in zip(*inst.pairs))
+    """The pairs (X_i, Y_i) of an instance as one (n, 2, d1, d2) stack, as the
+    pivot route holds them."""
+    return np.array(inst.pairs)
 
 
 def _pivot_systems_seen(monkeypatch):
@@ -381,9 +404,9 @@ def _pivot_systems_seen(monkeypatch):
     seen = []
     real = solver_mod._pivot_system
 
-    def spy(X, Y, frames, label, adjoint):
-        system, aux = real(X, Y, frames, label, adjoint)
-        seen.append((X.shape[1], X.shape[2], label.tolist(), adjoint, system.matrix.shape[1]))
+    def spy(Z, frames, label, adjoint):
+        system, aux = real(Z, frames, label, adjoint)
+        seen.append((Z.shape[2], Z.shape[3], label.tolist(), adjoint, system.matrix.shape[1]))
         return system, aux
 
     monkeypatch.setattr(solver_mod, "_pivot_system", spy)
@@ -409,7 +432,7 @@ def _tuned_pivot(d, gap, seed):
     cannot resolve loses the solutions."""
     rng = np.random.default_rng(seed)
     one = [np.ones((1, 1)), np.zeros((1, 1))]
-    c1, c2 = (_pivot_pair(np.stack(probe), np.stack(probe), seed)[0][0, 0]
+    c1, c2 = (_pivot_pair(np.stack([probe, probe], axis=1), seed)[0, 0, 0]
               for probe in (one, one[::-1]))
     x1 = np.concatenate([[12.0, 4.0], rng.uniform(0.1, 0.5, d - 2)]).astype(complex)
     x2 = np.concatenate([[0.0, 12.0], rng.uniform(0.1, 0.5, d - 2)]).astype(complex)
@@ -428,20 +451,20 @@ class TestPivot:
         Xc[range(3), range(3)] = [1.0, 1.0 - 1e-4, 0.5]
         Yc = np.zeros((4, 3))
         Yc[range(3), range(3)] = [1.0, 1.0 - 1e-4, 0.5 - 1e-3]
-        label, aux = _clusters(_pivot_frames(Xc, Yc, tol))
+        label, aux = _clusters(_pivot_frames(np.stack([Xc, Yc]), tol))
         assert label.tolist() == [0, 0, 1, 2]
         assert aux["pivot_clusters"] == [3, 2]
         assert aux["pivot_merged_gap"] == pytest.approx(1e-4)
         assert aux["pivot_split_gap"] == pytest.approx(0.5 - 1e-3)
         # a split needs a gap above the cut in both spectra
         split, merged = np.diag([1.0, 1.0 - 2 * CUT]), np.diag([1.0, 1.0 - CUT / 2])
-        assert _clusters(_pivot_frames(split, split, tol))[0].tolist() == [0, 1]
-        assert _clusters(_pivot_frames(split, merged, tol))[0].tolist() == [0, 0]
+        assert _clusters(_pivot_frames(np.stack([split, split]), tol))[0].tolist() == [0, 1]
+        assert _clusters(_pivot_frames(np.stack([split, merged]), tol))[0].tolist() == [0, 0]
         near = np.diag([1.0, 1.0 - 1e-5, 1.0 - 2e-5])
-        label, aux = _clusters(_pivot_frames(near, near, tol))
+        label, aux = _clusters(_pivot_frames(np.stack([near, near]), tol))
         assert label.tolist() == [0, 0, 0] and aux["pivot_clusters"] == [1, 1]
         assert aux["pivot_split_gap"] is None
-        frames = _pivot_frames(np.diag([1.0, 0.5]), np.diag([1.0, 0.4]), Tolerances())
+        frames = _pivot_frames(np.stack([np.diag([1.0, 0.5]), np.diag([1.0, 0.4])]), Tolerances())
         assert not same_spectrum(frames.s, frames.t, Tolerances())
 
     @pytest.mark.parametrize("gap", [1.2e-6, 3e-6, 1e-5, 1.5 * CUT, 1e-2])
@@ -451,7 +474,7 @@ class TestPivot:
         # solutions; below the cut the pair merges, above it the split is exact
         for seed in range(40):
             inst = _tuned_pivot(6, gap, seed)
-            label, _ = _clusters(_pivot_frames(*_pivot_pair(*_stacks(inst), seed), Tolerances()))
+            label, _ = _clusters(_pivot_frames(_pivot_pair(_stacks(inst), seed), Tolerances()))
             assert label[:2].tolist() == ([0, 1] if gap > CUT else [0, 0])
             verdict = decide_uep(inst, SamplerConfig(seed=seed))
             assert verdict.verdict == "YES" and verdict.residual <= 1e-12
@@ -459,9 +482,9 @@ class TestPivot:
 
     def test_pivot_seed_stays_apart_from_the_trials(self):
         inst, _ = random_yes_instance(3, 3, 1, seed=4)
-        X, Y = _stacks(inst)
-        Xc, _ = _pivot_pair(X, Y, 9)
-        assert np.array_equal(Xc, _pivot_pair(X, Y, 9)[0])
+        Z = _stacks(inst)
+        X, Xc = Z[:, 0], _pivot_pair(Z, 9)[0]
+        assert np.array_equal(Xc, _pivot_pair(Z, 9)[0])
         for trial in range(4):
             re, im = np.random.default_rng([9, trial]).standard_normal((2, 2))
             c = (re + 1j * im) / np.linalg.norm(re + 1j * im)
@@ -587,7 +610,7 @@ class TestPivot:
         # units of its columns as E1 and the beta-weighted ones as E2: a coupled
         # column is the sum of its two halves, over every row for the unitary
         # route and over the rows of A X_i - Y_i B for matpoly. Its bases are
-        # those units carried back to the original frame. Pairs in shared
+        # those units, in the pivot frames. Pairs in shared
         # frames give a 2-cluster and a padded zero on the 5 side, and a
         # rank-4 pivot leaves free units on the padded index
         W, R, U, V = haar(5, rng), haar(4, rng), haar(5, rng), haar(4, rng)
@@ -596,11 +619,12 @@ class TestPivot:
         X = np.stack([a * (W @ D @ R.conj().T) if shared else ginibre(5, 4, rng)
                       for a in (1.0, 2j, -0.5)])
         Y = U @ X @ V.conj().T
-        frames = _pivot_frames(*_pivot_pair(X, Y, 3), Tolerances())
+        Z = np.stack([X, Y], axis=1)
+        frames = _pivot_frames(_pivot_pair(Z, 3), Tolerances())
         label = _clusters(frames)[0] if adjoint else np.zeros(5, dtype=int)
         if shared and adjoint:
             assert label.tolist() == [0, 0, 1, 2, 3]
-        system, aux = solver_mod._pivot_system(X, Y, frames, label, adjoint)
+        system, aux = solver_mod._pivot_system(Z, frames, label, adjoint)
 
         def unit(d, j, k):
             return np.outer(np.eye(d)[j], np.eye(d)[k]) if max(j, k) < d else np.zeros((d, d))
@@ -624,13 +648,13 @@ class TestPivot:
         g = len(E1)
         assert system.matrix.shape[1] == aux["pivot_unknowns"] == g
         assert aux["pivot_free_units"] == len(free_a) + len(free_b) > 0
-        Xr = frames.W_x.conj().T @ X @ frames.R_x
-        Yr = frames.W_y.conj().T @ Y @ frames.R_y
+        (W_x, W_y), (R_x, R_y) = frames.W, frames.R
+        Xr = W_x.conj().T @ (X @ R_x)  # the right factor first, as the route rotates
+        Yr = W_y.conj().T @ (Y @ R_y)
         plain = solver_mod._linear_system(E1, E2, list(zip(Xr, Yr)))
         rows = len(plain) if adjoint else X.size
         assert np.array_equal(system.matrix, plain[:rows, :g] + plain[:rows, g:])
-        assert np.allclose(system.basis_a, frames.W_y @ E1 @ frames.W_x.conj().T, atol=1e-15)
-        assert np.allclose(system.basis_b, frames.R_y @ E2 @ frames.R_x.conj().T, atol=1e-15)
+        assert np.array_equal(system.basis_a, E1) and np.array_equal(system.basis_b, E2)
         assert system.scale == np.hypot(frames.s[0], frames.t[0])
 
 

@@ -211,8 +211,8 @@ class TestUnilocalMixed:
         assert R.shape == S.shape == (len(rhos) * d2 * d2, d1, d1)
         eye1 = np.eye(d1, dtype=complex)[None]
         blocks = ((eye1[0], eye1[0]),) + tuple(zip(R, S))
-        spanning = tuple(zip(*_spanning_pairs(np.concatenate([eye1, R]),
-                                              np.concatenate([eye1, S]))))
+        spanning = tuple(map(tuple, _spanning_pairs(np.stack([np.concatenate([eye1, R]),
+                                                              np.concatenate([eye1, S])], axis=1))))
         assert len(spanning) == min(1 + len(R), 2 * d1 * d1)
         eye = np.eye(d, dtype=complex)
         G = factor_algebra(d1, d2)

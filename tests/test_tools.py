@@ -1,6 +1,7 @@
 """Smoke tests of the comparison tools: a tree compared with itself differs
 nowhere (tools/verdict_diff.py), and tools/case_ab.py prints one timing line
-per case of a cycle, or per matched case with --match, and the cycle total."""
+per case of a cycle, or per matched case with --match, and the cycle total,
+each with the rounds won by either tree and both trees' quartiles."""
 
 import re
 import subprocess
@@ -28,13 +29,21 @@ def test_case_ab_of_the_tree_against_itself_prints_every_case_and_the_cycle():
         capture_output=True, text=True, timeout=300, check=False)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     header, *cases, cycle = proc.stdout.splitlines()
-    assert header.split() == ["case", "here", "(s)", "there", "(s)", "change"]
-    # the timings are not checked, only the format: 21 cases of one cycle
-    timing = r"\s+\d+\.\d{6}\s+\d+\.\d{6}\s+[+-]\d+\.\d%$"
+    assert header.split() == ["case", "here", "(s)", "there", "(s)", "change", "won", "here/there",
+                              "here", "q1-q3", "(s)", "there", "q1-q3", "(s)"]
+    # the timings are not checked, only the format and what one round implies:
+    # 21 cases of one cycle, each round won by at most one tree, and every
+    # quartile the round's own time
+    t = r"(\d+\.\d{6})"
+    timing = rf"\s+{t}\s+{t}\s+[+-]\d+\.\d%\s+(\d+)/(\d+)\s+{t}-{t}\s+{t}-{t}$"
     assert len(cases) == 21
-    for i, line in enumerate(cases):
-        assert re.fullmatch(rf"#{i} \S+ .*?{timing}", line), line
-    assert re.fullmatch(rf"cycle{timing}", cycle), cycle
+    for i, line in enumerate(cases + [cycle]):
+        label = f"#{i} \\S+ .*?" if i < len(cases) else "cycle"
+        match = re.fullmatch(label + timing, line)
+        assert match, line
+        here, there, won_here, won_there, *quartiles = match.groups()
+        assert int(won_here) + int(won_there) <= 1
+        assert quartiles == [here, here, there, there]
 
 
 def test_case_ab_match_times_only_the_cases_of_that_kind():

@@ -15,8 +15,12 @@ the other, alternating which goes first from case to case and from round to
 round, so that both trees see the same machine state.
 
 One line per case gives the median wall time here and there over the
-rounds and the change (here - there) / there; the last line does the same
-for the total of the timed cases in each round. Each request finds its
+rounds, the change (here - there) / there, how many rounds each tree won
+(here/there; a tie counts for neither) and each tree's quartiles q1-q3; the
+last line does the same for the total of the timed cases in each round.
+These are the figures a claimed gain is judged by: the share of rounds
+won, and whether the medians differ by more than there's q3 - q1. Each
+request finds its
 child's caches colder than the benchmark's closed loop does, as the other
 child ran in between: millisecond cases read up to three times slower than
 there, in both trees alike. `perfbench` is only imported, never edited.
@@ -90,6 +94,23 @@ def change(here: float, there: float) -> str:
     return f"{100.0 * (here - there) / there:+.1f}%"
 
 
+def quartiles(values) -> tuple:
+    """(q1, q3) of values by the inclusive method; a single value is both."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def row(label: str, width: int, mine, theirs) -> str:
+    """One output line: medians, change, rounds won here/there, quartiles."""
+    a, b = statistics.median(mine), statistics.median(theirs)
+    won = sum(x < y for x, y in zip(mine, theirs)), sum(y < x for x, y in zip(mine, theirs))
+    spread = "  ".join("{:.6f}-{:.6f}".format(*quartiles(side)) for side in (mine, theirs))
+    return (f"{label:<{width}}  {a:10.6f}  {b:10.6f}  {change(a, b):>7}  "
+            f"{won[0]:>4}/{won[1]:<4}  {spread}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", type=Path, help="root of the checkout to compare against")
@@ -127,13 +148,12 @@ def main(argv=None) -> int:
         for child in children:
             child.close()
     width = max(len(label) for label, _, _ in requests)
-    print(f"{'case':<{width}}  {'here (s)':>10}  {'there (s)':>10}  change")
+    print(f"{'case':<{width}}  {'here (s)':>10}  {'there (s)':>10}  {'change':>7}  won here/there"
+          "  here q1-q3 (s)  there q1-q3 (s)")
     for (label, _, _), (mine, theirs) in zip(requests, walls):
-        a, b = statistics.median(mine), statistics.median(theirs)
-        print(f"{label:<{width}}  {a:10.6f}  {b:10.6f}  {change(a, b)}")
-    totals = [statistics.median(sum(w[side][r] for w in walls) for r in range(args.rounds))
-              for side in (0, 1)]
-    print(f"{'cycle':<{width}}  {totals[0]:10.6f}  {totals[1]:10.6f}  {change(*totals)}")
+        print(row(label, width, mine, theirs))
+    totals = [[sum(w[side][r] for w in walls) for r in range(args.rounds)] for side in (0, 1)]
+    print(row("cycle", width, *totals))
     return 0
 
 
