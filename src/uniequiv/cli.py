@@ -134,7 +134,7 @@ def cmd_decide(args) -> int:
     cfg = _options(SamplerConfig, sample_max=args.sample_max, trials=args.trials, seed=args.seed)
     if args.phase_grid < 1:
         raise _UsageError(f"--phase-grid must be at least 1, got {args.phase_grid}")
-    mode, payload = serialize.load_instance(args.instance, args.mode, tol)
+    mode, payload = serialize.load_instance(args.instance, args.mode)
     start = time.perf_counter()
     if mode == "matrix-pairs":
         verdict = decide_uep(payload, cfg, tol)
@@ -183,7 +183,7 @@ def cmd_verify(args) -> int:
     checker that shares no code with the package.
     """
     tol = _options(Tolerances, residual_abs=args.tol_residual)
-    mode, payload = serialize.load_instance(args.instance, tol=tol)
+    mode, payload = serialize.load_instance(args.instance)
     try:
         with open(args.certificate, "r", encoding="utf-8") as fh:
             cert_doc = json.load(fh)

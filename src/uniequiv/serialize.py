@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import MatrixAlgebra, factor_algebra, full_algebra, matrix_algebra
 from .errors import MalformedInstanceError
-from .linalg import MatrixPolynomial, Tolerances
+from .linalg import MatrixPolynomial
 from .solver import UepInstance, UepVerdict
 from .states import DensityOperator, PureState, density_operator, pure_state
 
@@ -168,13 +168,12 @@ def instance_to_json(inst: UepInstance, mode: str = "matrix-pairs", seed=None) -
     return doc
 
 
-def parse_instance(doc: dict, mode: str | None = None, tol: Tolerances = Tolerances()):
+def parse_instance(doc: dict, mode: str | None = None):
     """Parse an instance document into (mode, payload), under mode when given,
     else under the document's own "mode" (default matrix-pairs).
 
     Payload depends on the mode: a UepInstance, a (P, Q) polynomial pair,
     two pure-state lists, two density-operator lists, or a (rho, sigma) pair.
-    States are checked by pure_state and density_operator under tol.
     """
     if not isinstance(doc, dict):
         raise MalformedInstanceError("top level: expected a JSON object")
@@ -190,12 +189,11 @@ def parse_instance(doc: dict, mode: str | None = None, tol: Tolerances = Toleran
             return mode, _parse_matpoly(doc, d1, d2)
         if mode == "pure-sets":
             return mode, _parse_lists(doc, ("states_in", "states_out"), "state vectors",
-                                      lambda v, w: pure_state(d1, d2, vector_from_json(v, w), tol))
+                                      lambda v, w: pure_state(d1, d2, vector_from_json(v, w)))
         if mode == "unilocal-mixed":
             return mode, _parse_lists(doc, ("rhos", "sigmas"), "density matrices",
-                                      lambda M, w: density_operator(d1, d2, matrix_from_json(M, w),
-                                                                    tol))
-        return mode, _parse_generic_mixed(doc, d1, d2, tol)
+                                      lambda M, w: density_operator(d1, d2, matrix_from_json(M, w)))
+        return mode, _parse_generic_mixed(doc, d1, d2)
     except MalformedInstanceError:
         raise
     except Exception as exc:
@@ -243,17 +241,17 @@ def _parse_lists(doc, keys, what, parse):
     return tuple(out)
 
 
-def _parse_generic_mixed(doc, d1, d2, tol):
+def _parse_generic_mixed(doc, d1, d2):
     out = []
     for key in ("rho", "sigma"):
         if key not in doc:
             raise MalformedInstanceError(f"{key}: missing required field")
-        out.append(density_operator(d1, d2, matrix_from_json(doc[key], key), tol))
+        out.append(density_operator(d1, d2, matrix_from_json(doc[key], key)))
     return tuple(out)
 
 
-def load_instance(path: str, mode: str | None = None, tol: Tolerances = Tolerances()):
-    """parse_instance(doc, mode, tol) of the JSON document in the file at path."""
+def load_instance(path: str, mode: str | None = None):
+    """parse_instance(doc, mode) of the JSON document in the file at path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -261,7 +259,7 @@ def load_instance(path: str, mode: str | None = None, tol: Tolerances = Toleranc
         raise MalformedInstanceError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedInstanceError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return parse_instance(doc, mode, tol)
+    return parse_instance(doc, mode)
 
 
 def verdict_document(verdict: UepVerdict, mode: str, seed: int,

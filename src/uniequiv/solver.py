@@ -302,6 +302,15 @@ def _clusters(frames: _PivotFrames) -> tuple:
                    "pivot_split_gap": float(kept.min()) / ref if kept.size else None}
 
 
+def _into_frames(Z, frames: _PivotFrames):
+    """X' = W_x^dag X_i R_x and Y' = W_y^dag Y_i R_y for the (n, 2, d1, d2) stack Z
+    of pairs, as two stacks, in one GEMM per side for each factor."""
+    n, _, d1, d2 = Z.shape
+    T = (Z.transpose(1, 0, 2, 3).reshape(2, n * d1, d2) @ frames.R).reshape(2, n, d1, d2)
+    T = frames.W.conj().transpose(0, 2, 1) @ T.transpose(0, 2, 1, 3).reshape(2, d1, n * d2)
+    return T.reshape(2, d1, n, d2).transpose(0, 2, 1, 3)
+
+
 def _pivot_system(Z, frames: _PivotFrames, label, adjoint: bool):
     """The reduced system of the (n, 2, d1, d2) stack Z of pairs (X_i, Y_i) in
     the pivot frames, and its aux.
@@ -321,7 +330,7 @@ def _pivot_system(Z, frames: _PivotFrames, label, adjoint: bool):
     without one).
     """
     n, _, d1, d2 = Z.shape
-    W, R, s, t, cut = frames
+    s, t, cut = frames.s, frames.t, frames.cut
     j, k = (label[:, None] == label).nonzero()
     side = np.maximum(j, k)
     in_a, in_b = side < d1, side < d2  # (j, k) lies in A', in B'
@@ -339,10 +348,7 @@ def _pivot_system(Z, frames: _PivotFrames, label, adjoint: bool):
     alpha[len(kept):na], alpha[na:], beta[len(kept):na], beta[na:] = 1.0, 0.0, 0.0, 1.0
     a, b = alpha.nonzero()[0], beta.nonzero()[0]
     (ra, ca, wa), (rb, cb, wb) = (r[a], c[a], alpha[a]), (r[b], c[b], beta[b])
-    # X' = W_x^dag X R_x and Y' likewise, as one GEMM per side for each factor
-    T = (Z.transpose(1, 0, 2, 3).reshape(2, n * d1, d2) @ R).reshape(2, n, d1, d2)
-    T = W.conj().transpose(0, 2, 1) @ T.transpose(0, 2, 1, 3).reshape(2, d1, n * d2)
-    X, Y = T.reshape(2, d1, n, d2).transpose(0, 2, 1, 3)
+    X, Y = _into_frames(Z, frames)
     # row (p, q) of A' X'_i - Y'_i B': A'_rc adds X'_i[c, q] at p = r, B'_rc
     # subtracts Y'_i[p, r] at q = c; of B' X'_i^dag - Y'_i^dag A': B'_rc adds
     # conj(X'_i[q, c]) at p = r, A'_rc subtracts conj(Y'_i[r, p]) at q = c
@@ -449,18 +455,13 @@ def sample_invertible(space: SolutionSpace, cfg: SamplerConfig, tol: Tolerances 
 
 
 def extract_unitaries(A, B, tol: Tolerances = Tolerances()):
-    """Polar factors: U = W Vh from the SVD A = W S Vh, and V likewise from B,
-    in one batched SVD when A and B share a shape.
+    """Polar factors: U = W Vh from the SVD A = W S Vh, and V likewise from B.
 
     A block is rejected under the sampler's own rule: numerical rank below full.
     """
-    A, B = as_complex_matrix(A, "A"), as_complex_matrix(B, "B")
-    if A.shape == B.shape:
-        svds = zip(*np.linalg.svd(np.stack([A, B]), full_matrices=False))
-    else:
-        svds = (np.linalg.svd(M, full_matrices=False) for M in (A, B))
     factors = []
-    for name, (W, s, Vh) in zip("AB", svds):
+    for name, M in (("A", A), ("B", B)):
+        W, s, Vh = np.linalg.svd(as_complex_matrix(M, name), full_matrices=False)
         if numerical_rank(s, tol) < len(s):
             raise DegenerateCandidateError(
                 f"{name} is numerically singular: singular values in [{s[-1]:.3e}, {s[0]:.3e}]"
@@ -634,17 +635,18 @@ def _pivot_decide(X, Y, cfg: SamplerConfig, tol: Tolerances, kind: str = "unitar
 def _spectrum_mismatch(pairs, X, Y, blocks: tuple, tol: Tolerances):
     """The first pair (i,), else the first block (i, p, q) of the realigned stacks
     X, Y (blocks = (b, b') per pair), whose singular values differ; None when
-    every spectrum matches. The blocks are compared pair by pair, up to the
-    first pair with a mismatch."""
+    every spectrum matches. The first pair's blocks are compared alone, as a
+    NO's mismatch mostly shows there, then the rest in one batch."""
     ok, i = singular_value_prefilter(pairs, tol)
     if not ok:
         return (i,)
-    per_pair = blocks[0] * blocks[1]
-    for i in range(len(pairs)):
-        part = slice(i * per_pair, (i + 1) * per_pair)
-        ok, idx = singular_value_prefilter(np.stack([X[part], Y[part]], axis=1), tol)
+    first = blocks[0] * blocks[1]
+    for lo, hi in ((0, first), (first, len(X))):
+        if lo == hi:
+            continue
+        ok, idx = singular_value_prefilter(np.stack([X[lo:hi], Y[lo:hi]], axis=1), tol)
         if not ok:
-            return (i,) + tuple(int(v) for v in np.unravel_index(idx, blocks))
+            return tuple(int(v) for v in np.unravel_index(lo + idx, (len(pairs),) + blocks))
     return None
 
 

@@ -56,9 +56,15 @@ class DensityOperator:
     matrix: np.ndarray  # (d1*d2) x (d1*d2), Hermitian, unit trace, PSD
 
 
-def pure_state(d1: int, d2: int, amplitudes, tol: Tolerances = Tolerances()) -> PureState:
-    """A state of d1 x d2 amplitudes; a norm more than rank_rel off 1 is rescaled
-    with a warning."""
+# how far a state's norm may lie from 1 before it is rescaled, and a density
+# matrix from Hermitian, unit trace and positive semidefinite before it is
+# rejected
+_STATE_TOL = 1e-10
+
+
+def pure_state(d1: int, d2: int, amplitudes) -> PureState:
+    """A state of d1 x d2 amplitudes; a norm more than _STATE_TOL off 1 is
+    rescaled with a warning."""
     v = np.asarray(amplitudes, dtype=complex).ravel()
     if v.size != d1 * d2:
         raise InputError(f"expected {d1 * d2} amplitudes, got {v.size}")
@@ -67,26 +73,26 @@ def pure_state(d1: int, d2: int, amplitudes, tol: Tolerances = Tolerances()) -> 
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise InputError("the zero vector is not a state")
-    if abs(norm - 1.0) > tol.rank_rel:
+    if abs(norm - 1.0) > _STATE_TOL:
         warnings.warn(f"state norm {norm!r} differs from 1; rescaling", stacklevel=2)
         v = v / norm
     return PureState(d1=d1, d2=d2, amplitudes=v)
 
 
-def density_operator(d1: int, d2: int, matrix, tol: Tolerances = Tolerances()) -> DensityOperator:
+def density_operator(d1: int, d2: int, matrix) -> DensityOperator:
     """A (d1 d2) x (d1 d2) density matrix: Hermitian, of unit trace and positive
-    semidefinite, each to within rank_rel."""
+    semidefinite, each to within _STATE_TOL."""
     M = as_complex_matrix(matrix, "density matrix")
     d = d1 * d2
     if M.shape != (d, d):
         raise InputError(f"density matrix must be {d} x {d}, got {M.shape}")
-    if frobenius(M - M.conj().T) > tol.rank_rel * max(1.0, frobenius(M)):
+    if frobenius(M - M.conj().T) > _STATE_TOL * max(1.0, frobenius(M)):
         raise InputError("density matrix is not Hermitian")
     trace = np.trace(M)
-    if abs(trace.real - 1.0) > tol.rank_rel or abs(trace.imag) > tol.rank_rel:
+    if abs(trace.real - 1.0) > _STATE_TOL or abs(trace.imag) > _STATE_TOL:
         raise InputError(f"density matrix trace {trace} differs from 1")
     w = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
-    if w[0] < -tol.rank_rel:
+    if w[0] < -_STATE_TOL:
         raise InputError(f"density matrix has negative eigenvalue {w[0]:.3e}")
     return DensityOperator(d1=d1, d2=d2, matrix=M)
 
@@ -126,13 +132,12 @@ def simultaneous_lu_pure(states_in, states_out, cfg: SamplerConfig = SamplerConf
     d_out = _check_uniform(states_out, "output states")
     if d_in != d_out:
         raise InputError(f"input dimensions {d_in} differ from output dimensions {d_out}")
-    Z = np.array([(state_to_matrix(a), state_to_matrix(b)) for a, b in zip(states_in, states_out)])
-    ok, idx = singular_value_prefilter(Z, tol)
+    X, Y = (np.stack([state_to_matrix(s) for s in side]) for side in (states_in, states_out))
+    ok, idx = singular_value_prefilter(np.stack([X, Y], axis=1), tol)
     if not ok:
         return UepVerdict(verdict="NO", certainty="exact",
                           detail=f"singular values differ at pair index {idx}")
-    return check_certificate(_pivot_lu(Z[:, 0], Z[:, 1], cfg, tol), "pure-sets",
-                             (states_in, states_out), tol)
+    return check_certificate(_pivot_lu(X, Y, cfg, tol), "pure-sets", (states_in, states_out), tol)
 
 
 def unilocal_mixed_equivalence(rhos, sigmas, cfg: SamplerConfig = SamplerConfig(),

@@ -1,5 +1,4 @@
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from uniequiv.serialize import (
     vector_to_json,
 )
 from uniequiv.errors import MalformedInstanceError
-from uniequiv.linalg import Tolerances
 from uniequiv.oracle import random_yes_instance
 
 from conftest import ginibre, haar, random_density
@@ -180,9 +178,9 @@ class TestDecide:
 
         calls = []
 
-        def counted(doc, mode=None, tol=Tolerances()):
+        def counted(doc, mode=None):
             calls.append(mode)
-            return parse(doc, mode, tol)
+            return parse(doc, mode)
 
         parse = serialize_mod.parse_instance
         monkeypatch.setattr(serialize_mod, "parse_instance", counted)
@@ -267,39 +265,6 @@ class TestDecide:
         path = tmp_path / "s.json"
         path.write_text(dumps_document(doc))
         assert main(["decide", str(path), "--seed", "6"]) == 0
-
-    @pytest.mark.parametrize("flags, rescaled", [([], False), (["--tol-rank", "1e-11"], True)],
-                             ids=["default", "tol-rank-1e-11"])
-    def test_tol_rank_decides_whether_a_state_norm_passes(self, tmp_path, rng, flags, rescaled):
-        # states whose norm is 5e-11 off 1 are taken as they are within the
-        # default rank_rel 1e-10, and rescaled with a warning within 1e-11
-        local = np.kron(haar(2, rng), haar(2, rng))
-        vecs = [v / np.linalg.norm(v) * (1.0 + 5e-11) for v in ginibre(2, 4, rng)]
-        doc = {"mode": "pure-sets", "d1": 2, "d2": 2,
-               "states_in": [vector_to_json(v) for v in vecs],
-               "states_out": [vector_to_json(local @ v) for v in vecs]}
-        path = tmp_path / "s.json"
-        path.write_text(dumps_document(doc))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["decide", str(path), "--seed", "6", "-o", str(tmp_path / "v.json"),
-                         *flags]) == 0
-        assert len([w for w in caught if "rescaling" in str(w.message)]) == (4 if rescaled else 0)
-
-    @pytest.mark.parametrize("flags, code", [([], 0), (["--tol-rank", "1e-11"], 3)],
-                             ids=["default", "tol-rank-1e-11"])
-    def test_tol_rank_decides_whether_a_density_trace_passes(self, tmp_path, rng, flags, code,
-                                                             capsys):
-        # a trace 5e-11 off 1 passes the default rank_rel 1e-10, not 1e-11
-        big = np.kron(haar(2, rng), np.eye(2))
-        rho = random_density(2, 2, rng).matrix * (1.0 + 5e-11)
-        doc = {"mode": "unilocal-mixed", "d1": 2, "d2": 2, "rhos": [matrix_to_json(rho)],
-               "sigmas": [matrix_to_json(big @ rho @ big.conj().T)]}
-        path = tmp_path / "u.json"
-        path.write_text(dumps_document(doc))
-        assert main(["decide", str(path), "--seed", "6", "-o", str(tmp_path / "v.json"),
-                     *flags]) == code
-        assert ("differs from 1" in capsys.readouterr().err) == bool(code)
 
     def test_unilocal_mode(self, tmp_path, rng):
         d1, d2 = 2, 2

@@ -648,9 +648,12 @@ class TestPivot:
         g = len(E1)
         assert system.matrix.shape[1] == aux["pivot_unknowns"] == g
         assert aux["pivot_free_units"] == len(free_a) + len(free_b) > 0
+        # the route's stacked rotation is the per-pair one up to rounding; the
+        # rows are then assembled from it exactly
+        Xr, Yr = solver_mod._into_frames(Z, frames)
         (W_x, W_y), (R_x, R_y) = frames.W, frames.R
-        Xr = W_x.conj().T @ (X @ R_x)  # the right factor first, as the route rotates
-        Yr = W_y.conj().T @ (Y @ R_y)
+        np.testing.assert_allclose(Xr, W_x.conj().T @ X @ R_x, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(Yr, W_y.conj().T @ Y @ R_y, rtol=0, atol=1e-13)
         plain = solver_mod._linear_system(E1, E2, list(zip(Xr, Yr)))
         rows = len(plain) if adjoint else X.size
         assert np.array_equal(system.matrix, plain[:rows, :g] + plain[:rows, g:])
