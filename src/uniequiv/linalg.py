@@ -18,6 +18,7 @@ import numpy as np
 from .errors import InputError
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 __all__ = [
     "Tolerances",
@@ -64,6 +65,22 @@ def as_complex_matrix(m, what: str = "matrix") -> np.ndarray:
 
 def frobenius(M) -> float:
     return math.sqrt(np.vdot(M, M).real)
+
+
+def _worst_relative(D, Y) -> float:
+    """The largest ||D_i||_F / max(1, ||Y_i||_F) over the stacks D and Y, inf
+    for a non-finite D. The norms square the entries, so each pair is divided
+    by its largest real or imaginary part m first, and the ratio taken as
+    ||D_i / m||_F / max(1 / m, ||Y_i / m||_F): no inf or nan is formed."""
+    Z = np.concatenate([D, Y], axis=1).view(float)  # D_i over Y_i, re and im side by side
+    m = np.abs(Z).max(axis=(1, 2))
+    if not m.max() < np.inf:  # nan fails too
+        return np.inf
+    # below the smallest normal number the ratio is ||D_i||_F, and 1 / m stays finite
+    m = np.maximum(m, _TINY)
+    Z = (Z / m[:, None, None]).reshape(len(Z), 2, -1)
+    nd, ny = np.sqrt((Z * Z).sum(axis=2)).T
+    return float((nd / np.maximum(1.0 / m, ny)).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,8 +188,7 @@ def hermitian_eigendecomposition(H, tol: Tolerances = Tolerances()):
     H = as_complex_matrix(H, "Hermitian matrix")
     if H.shape[0] != H.shape[1]:
         raise InputError(f"expected a square matrix, got shape {H.shape}")
-    scale = frobenius(H)
-    if frobenius(H - H.conj().T) > tol.residual_abs * max(1.0, scale):
+    if _worst_relative((H - H.conj().T)[None], H[None]) > tol.residual_abs:
         raise InputError("matrix is not Hermitian within tolerance")
     w, Q = np.linalg.eigh((H + H.conj().T) / 2.0)
     order = np.argsort(-w, kind="stable")

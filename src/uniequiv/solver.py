@@ -64,6 +64,7 @@ from .linalg import (
     _EPS,
     MatrixPolynomial,
     Tolerances,
+    _worst_relative,
     as_complex_matrix,
     frobenius,
     nullspace_basis,
@@ -190,7 +191,6 @@ _PIVOT_MARGIN = 1e3
 
 # (1, i): _RE_IM @ parts is parts[0] + i parts[1], exactly
 _RE_IM = np.array([1.0, 1.0j])
-_TINY = float(np.finfo(float).tiny)
 
 
 class _PivotFrames(NamedTuple):
@@ -518,22 +518,6 @@ def certificate_residuals(mode: str, payload, U, V, tol: Tolerances = Tolerances
     return _worst_relative(L @ X @ Rh - Y, Y), defect
 
 
-def _worst_relative(D, Y) -> float:
-    """The largest ||D_i||_F / max(1, ||Y_i||_F) over the stacks D and Y, inf
-    for a non-finite D. The norms square the entries, so each pair is divided
-    by its largest real or imaginary part m first, and the ratio taken as
-    ||D_i / m||_F / max(1 / m, ||Y_i / m||_F): no inf or nan is formed."""
-    Z = np.concatenate([D, Y], axis=1).view(float)  # D_i over Y_i, re and im side by side
-    m = np.abs(Z).max(axis=(1, 2))
-    if not m.max() < np.inf:  # nan fails too
-        return np.inf
-    # below the smallest normal number the ratio is ||D_i||_F, and 1 / m stays finite
-    m = np.maximum(m, _TINY)
-    Z = (Z / m[:, None, None]).reshape(len(Z), 2, -1)
-    nd, ny = np.sqrt((Z * Z).sum(axis=2)).T
-    return float((nd / np.maximum(1.0 / m, ny)).max())
-
-
 def check_certificate(verdict: UepVerdict, mode: str, payload,
                       tol: Tolerances = Tolerances()) -> UepVerdict:
     """The YES check every decide path ends in.
@@ -575,13 +559,12 @@ def _decide(system: LinearSystem, cfg: SamplerConfig, tol: Tolerances,
                       certificate_kind=kind)
 
 
-def _realigned_blocks(Xs, Ys, shape1, shape2) -> tuple:
-    """The a x a' blocks X_pq[r, c] = X_i[(r, p), (c, q)] of every X_i, and Y_pq of
-    every Y_i, as two stacks in the order (i, p, q), for shape1 = (a, b) and
-    shape2 = (a', b'); over (a, 1) and (a', 1) they are the X_i and Y_i."""
+def _realigned_blocks(Z, shape1, shape2) -> np.ndarray:
+    """The a x a' blocks (X_pq, Y_pq), X_pq[r, c] = X_i[(r, p), (c, q)], of the
+    (n, 2, d1, d2) stack Z of pairs as one stack in the order (i, p, q), for
+    shape1 = (a, b), shape2 = (a', b'); over (a, 1) and (a', 1), Z itself."""
     (a, b), (a2, b2) = shape1, shape2
-    return tuple(np.stack(side).reshape(-1, a, b, a2, b2).transpose(0, 2, 4, 1, 3)
-                 .reshape(-1, a, a2) for side in (Xs, Ys))
+    return Z.reshape(-1, 2, a, b, a2, b2).transpose(0, 3, 5, 1, 2, 4).reshape(-1, 2, a, a2)
 
 
 def _spanning_pairs(Z) -> np.ndarray:
@@ -595,27 +578,26 @@ def _spanning_pairs(Z) -> np.ndarray:
     return np.linalg.qr(Z.reshape(n, -1), mode="r").reshape((-1,) + Z.shape[1:])
 
 
-def _pivot_decide(X, Y, cfg: SamplerConfig, tol: Tolerances, kind: str = "unitary") -> UepVerdict:
+def _pivot_decide(Z, cfg: SamplerConfig, tol: Tolerances, kind: str = "unitary") -> UepVerdict:
     """Decide u X_j v^dag = Y_j over two full algebras, or for kind "invertible"
-    A X_j = Y_j B, for the (n, a, a') stacks X, Y, leaving a YES unchecked.
+    A X_j = Y_j B, for the (n, 2, a, a') stack Z of pairs, leaving Z unchanged
+    and a YES unchecked.
 
-    Neither equation changes when a pair is scaled, so each nonzero pair is
-    divided by its largest real or imaginary part (a norm would square the
-    entries, and overflow near 1e154), and the result cut to its spanning
-    pairs: one rank cut then sees small pairs next to large ones. A unitary
-    pivot drawn from cfg.seed with differing spectra is an exact NO; an
-    invertible one takes one cluster and no adjoint rows. The pairs are one
-    (n, 2, a, a') stack from the scale on, and the solution space is sampled
-    in the pivot frames: only a YES's certificate is carried back. Every
-    verdict past the pivot records the aux of _clusters (unitary only) and
-    _pivot_system.
+    Neither equation changes when a pair is scaled, so each nonzero pair of a
+    copy of Z is divided by its largest real or imaginary part (a norm would
+    square the entries, and overflow near 1e154), and the result cut to its
+    spanning pairs: one rank cut then sees small pairs next to large ones. A
+    unitary pivot drawn from cfg.seed with differing spectra is an exact NO;
+    an invertible one takes one cluster and no adjoint rows. The solution
+    space is sampled in the pivot frames: only a YES's certificate is carried
+    back. Every verdict past the pivot records the aux of _clusters (unitary
+    only) and _pivot_system.
     """
-    n, a, a2 = X.shape
-    Z = np.ascontiguousarray(np.concatenate([X, Y], axis=1), dtype=complex)  # X_j over Y_j
-    R = Z.view(float).reshape(n, -1)  # re and im of pair j in row j; dividing R divides Z
+    Z = np.array(Z, dtype=complex, order="C")
+    R = Z.view(float).reshape(len(Z), -1)  # re and im of pair j in row j; dividing R divides Z
     m = np.abs(R).max(axis=1, keepdims=True)
     R /= m + (m == 0)
-    Z = _spanning_pairs(Z.reshape(n, 2, a, a2))
+    Z = _spanning_pairs(Z)
     frames = _pivot_frames(_pivot_pair(Z, cfg.seed), tol)
     unitary = kind == "unitary"
     if unitary and not same_spectrum(frames.s, frames.t, tol):
@@ -632,21 +614,21 @@ def _pivot_decide(X, Y, cfg: SamplerConfig, tol: Tolerances, kind: str = "unitar
     return verdict
 
 
-def _spectrum_mismatch(pairs, X, Y, blocks: tuple, tol: Tolerances):
-    """The first pair (i,), else the first block (i, p, q) of the realigned stacks
-    X, Y (blocks = (b, b') per pair), whose singular values differ; None when
-    every spectrum matches. The first pair's blocks are compared alone, as a
-    NO's mismatch mostly shows there, then the rest in one batch."""
+def _spectrum_mismatch(pairs, blocks, shape: tuple, tol: Tolerances):
+    """The first of the stacked pairs (i,), else of their realigned blocks (i, p, q)
+    (shape = (b, b') per pair), whose singular values differ; None when every
+    spectrum matches. The first pair's blocks are compared alone, as a NO's
+    mismatch mostly shows there, then the rest in one batch."""
     ok, i = singular_value_prefilter(pairs, tol)
     if not ok:
         return (i,)
-    first = blocks[0] * blocks[1]
-    for lo, hi in ((0, first), (first, len(X))):
+    first = shape[0] * shape[1]
+    for lo, hi in ((0, first), (first, len(blocks))):
         if lo == hi:
             continue
-        ok, idx = singular_value_prefilter(np.stack([X[lo:hi], Y[lo:hi]], axis=1), tol)
+        ok, idx = singular_value_prefilter(blocks[lo:hi], tol)
         if not ok:
-            return tuple(int(v) for v in np.unravel_index(lo + idx, (len(pairs),) + blocks))
+            return tuple(int(v) for v in np.unravel_index(lo + idx, (len(pairs),) + shape))
     return None
 
 
@@ -675,8 +657,9 @@ def decide_uep(inst: UepInstance, cfg: SamplerConfig = SamplerConfig(),
 
     shapes = inst.G1.factor_shape, inst.G2.factor_shape
     blocks_are_pairs = None in shapes or shapes[0][1] * shapes[1][1] == 1
+    pairs = np.array(inst.pairs)
     if blocks_are_pairs:
-        ok, idx = singular_value_prefilter(inst.pairs, tol)
+        ok, idx = singular_value_prefilter(pairs, tol)
         if not ok:
             return no(f"pair index {idx}")
     if None in shapes:
@@ -684,15 +667,15 @@ def decide_uep(inst: UepInstance, cfg: SamplerConfig = SamplerConfig(),
                                  "matrix-pairs", inst, tol)
     _usable_algebras(inst, tol)  # unprojected: a shape passes when a * b = dim
     (a, b), (a2, b2) = shapes
-    X, Y = _realigned_blocks(*zip(*inst.pairs), (a, b), (a2, b2))
-    verdict = _pivot_decide(X, Y, cfg, tol)
+    blocks = _realigned_blocks(pairs, (a, b), (a2, b2))
+    verdict = _pivot_decide(blocks, cfg, tol)
     if verdict.verdict == "YES":
         verdict.U, verdict.V = (W if n == 1 else np.kron(W, np.eye(n))
                                 for W, n in ((verdict.U, b), (verdict.V, b2)))
     verdict = check_certificate(verdict, "matrix-pairs", inst, tol)
     if blocks_are_pairs or verdict.verdict == "YES":
         return verdict
-    mismatch = _spectrum_mismatch(inst.pairs, X, Y, (b, b2), tol)
+    mismatch = _spectrum_mismatch(pairs, blocks, (b, b2), tol)
     if mismatch is None:
         return verdict
     i, *block = mismatch
@@ -713,12 +696,12 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
     """
     if P.shape != Q.shape or P.degree != Q.degree:
         raise InputError("matrix polynomials must share shape and degree")
-    X, Y = np.stack(P.coefficients), np.stack(Q.coefficients)
-    for idx, (sx, sy) in enumerate(zip(*np.linalg.svd(np.stack([X, Y]), compute_uv=False))):
+    Z = np.stack([P.coefficients, Q.coefficients], axis=1)
+    for idx, (sx, sy) in enumerate(np.linalg.svd(Z, compute_uv=False)):
         if numerical_rank(sx, tol) != numerical_rank(sy, tol):
             return UepVerdict(verdict="NO", certainty="exact", certificate_kind="invertible",
                               detail=f"coefficient ranks differ at index {idx}")
-    verdict = _pivot_decide(X, Y, cfg, tol, "invertible")
+    verdict = _pivot_decide(Z, cfg, tol, "invertible")
     return check_certificate(verdict, "matpoly", (P, Q), tol)
 
 

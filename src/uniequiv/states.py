@@ -9,6 +9,7 @@ U psi W^dag = phi) converts to the physical local unitary V = conj(W).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import product
@@ -17,8 +18,8 @@ import numpy as np
 
 from .algebra import factor_algebra  # noqa: F401 -- unused; perfbench/spans.py wraps this name
 from .errors import InputError, NotGenericError
-from .linalg import (Tolerances, as_complex_matrix, frobenius, hermitian_eigendecomposition,
-                     same_spectrum)
+from .linalg import (Tolerances, _worst_relative, as_complex_matrix, frobenius,
+                     hermitian_eigendecomposition, same_spectrum)
 from .solver import (
     SamplerConfig,
     UepVerdict,
@@ -70,12 +71,17 @@ def pure_state(d1: int, d2: int, amplitudes) -> PureState:
         raise InputError(f"expected {d1 * d2} amplitudes, got {v.size}")
     if not np.isfinite(v).all():
         raise InputError("amplitudes contain non-finite entries")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
+    # a norm squares the amplitudes, so it is taken, exactly, on v / 2^k for the
+    # largest 2^k at most the largest real or imaginary part
+    scale = 2.0 ** (math.frexp(np.abs(v.view(float)).max(initial=0.0))[1] - 1)
+    u = (v.view(float) / scale).view(complex)
+    unit = float(np.linalg.norm(u))
+    if unit == 0.0:
         raise InputError("the zero vector is not a state")
+    norm = unit * scale
     if abs(norm - 1.0) > _STATE_TOL:
         warnings.warn(f"state norm {norm!r} differs from 1; rescaling", stacklevel=2)
-        v = v / norm
+        v = u / unit
     return PureState(d1=d1, d2=d2, amplitudes=v)
 
 
@@ -86,7 +92,7 @@ def density_operator(d1: int, d2: int, matrix) -> DensityOperator:
     d = d1 * d2
     if M.shape != (d, d):
         raise InputError(f"density matrix must be {d} x {d}, got {M.shape}")
-    if frobenius(M - M.conj().T) > _STATE_TOL * max(1.0, frobenius(M)):
+    if _worst_relative((M - M.conj().T)[None], M[None]) > _STATE_TOL:
         raise InputError("density matrix is not Hermitian")
     trace = np.trace(M)
     if abs(trace.real - 1.0) > _STATE_TOL or abs(trace.imag) > _STATE_TOL:
@@ -108,11 +114,11 @@ def _check_uniform(states, what: str):
     return dims.pop()
 
 
-def _pivot_lu(X, Y, cfg: SamplerConfig, tol: Tolerances) -> UepVerdict:
-    """U X_i W^dag = Y_i on the pivot route for the (n, d1, d2) stacks X, Y of
-    matricized states; on YES, the solver's W becomes the physical V = conj(W).
-    A YES is left unchecked."""
-    verdict = _pivot_decide(X, Y, cfg, tol)
+def _pivot_lu(Z, cfg: SamplerConfig, tol: Tolerances) -> UepVerdict:
+    """U X_i W^dag = Y_i on the pivot route for the (n, 2, d1, d2) stack Z of
+    pairs (X_i, Y_i) of matricized states; on YES, the solver's W becomes the
+    physical V = conj(W). A YES is left unchecked."""
+    verdict = _pivot_decide(Z, cfg, tol)
     if verdict.verdict == "YES":
         verdict.V = np.conj(verdict.V)
     return verdict
@@ -123,7 +129,7 @@ def simultaneous_lu_pure(states_in, states_out, cfg: SamplerConfig = SamplerConf
     """Simultaneous local-unitary equivalence of two lists of pure states.
 
     Matricized states whose Schmidt coefficients differ at a pair are an
-    exact NO; else their stacks go to the pivot route. A YES (U, V), with
+    exact NO; else their pair stack goes to the pivot route. A YES (U, V), with
     (U (x) V)|psi_i> = |phi_i>, is checked once on the states.
     """
     if len(states_in) != len(states_out) or not states_in:
@@ -132,12 +138,12 @@ def simultaneous_lu_pure(states_in, states_out, cfg: SamplerConfig = SamplerConf
     d_out = _check_uniform(states_out, "output states")
     if d_in != d_out:
         raise InputError(f"input dimensions {d_in} differ from output dimensions {d_out}")
-    X, Y = (np.stack([state_to_matrix(s) for s in side]) for side in (states_in, states_out))
-    ok, idx = singular_value_prefilter(np.stack([X, Y], axis=1), tol)
+    Z = np.stack([(state_to_matrix(a), state_to_matrix(b)) for a, b in zip(states_in, states_out)])
+    ok, idx = singular_value_prefilter(Z, tol)
     if not ok:
         return UepVerdict(verdict="NO", certainty="exact",
                           detail=f"singular values differ at pair index {idx}")
-    return check_certificate(_pivot_lu(X, Y, cfg, tol), "pure-sets", (states_in, states_out), tol)
+    return check_certificate(_pivot_lu(Z, cfg, tol), "pure-sets", (states_in, states_out), tol)
 
 
 def unilocal_mixed_equivalence(rhos, sigmas, cfg: SamplerConfig = SamplerConfig(),
@@ -159,17 +165,17 @@ def unilocal_mixed_equivalence(rhos, sigmas, cfg: SamplerConfig = SamplerConfig(
     if len(rhos) != len(sigmas) or not rhos:
         raise InputError("density operator lists must be non-empty and of equal length")
     d1, d2 = _check_uniform(list(rhos) + list(sigmas), "density operators")
-    pairs = tuple((r.matrix, s.matrix) for r, s in zip(rhos, sigmas))
-    R, S = _realigned_blocks(*zip(*pairs), (d1, d2), (d1, d2))
-    eye = np.eye(d1, dtype=complex)[None]
-    verdict = _pivot_decide(np.concatenate([eye, R]), np.concatenate([eye, S]), cfg, tol)
+    pairs = np.stack([(r.matrix, s.matrix) for r, s in zip(rhos, sigmas)])
+    Z = np.concatenate([np.broadcast_to(np.eye(d1), (1, 2, d1, d1)),
+                        _realigned_blocks(pairs, (d1, d2), (d1, d2))])
+    verdict = _pivot_decide(Z, cfg, tol)
     if verdict.verdict == "YES":
         verdict.aux["uv_gap"] = frobenius(verdict.U - verdict.V)
         verdict.V = None
         verdict = check_certificate(verdict, "unilocal-mixed", (rhos, sigmas), tol)
         if verdict.verdict == "YES":
             return verdict
-    mismatch = _spectrum_mismatch(pairs, R, S, (d2, d2), tol)
+    mismatch = _spectrum_mismatch(pairs, Z[1:], (d2, d2), tol)
     if mismatch is None:
         return verdict
     i, *block = mismatch
@@ -267,12 +273,6 @@ def _product_lu(marginals_rho, marginals_sigma, tol: Tolerances) -> UepVerdict:
     return UepVerdict(verdict="YES", certainty="exact", U=U, V=V)
 
 
-def _with_counts(v: UepVerdict, components: int = 0, solves: int = 0) -> UepVerdict:
-    v.aux["phase_components"] = components
-    v.aux["grid_solves"] = solves
-    return v
-
-
 def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
                      cfg: SamplerConfig = SamplerConfig(),
                      tol: Tolerances = Tolerances(),
@@ -290,9 +290,10 @@ def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
     one, and different Schmidt coefficients of some psi_j and phi_j are
     exact NOs, and two product states are decided from their marginals.
     Otherwise per-vector phases are aligned via the quartic-trace
-    identity, and the (n, d1, d2) eigenvector stacks go to the pivot route,
-    over a grid of phase_grid >= 1 points per free phase when the trace
-    graph is disconnected. Each candidate is checked once, on rho, sigma.
+    identity, and the stacked eigenvector pairs go to the pivot route once
+    per point of a grid of phase_grid >= 1 points per free phase, one per
+    trace graph component after the first (a connected graph: one solve,
+    whose verdict stands). Each candidate is checked once, on rho, sigma.
 
     Every verdict's aux holds `phase_components` (components of the trace
     graph, 0 when a test before the graph decides) and `grid_solves` (the
@@ -302,6 +303,13 @@ def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
         raise InputError("density operators have mismatched dimensions")
     if phase_grid < 1:
         raise InputError(f"phase_grid must be at least 1, got {phase_grid}")
+    verdict, components, solves = _generic_mixed(rho, sigma, cfg, tol, phase_grid)
+    verdict.aux.update(phase_components=components, grid_solves=solves)
+    return verdict
+
+
+def _generic_mixed(rho, sigma, cfg: SamplerConfig, tol: Tolerances, phase_grid: int) -> tuple:
+    """generic_mixed_lu's verdict, trace graph components and solves run."""
     d1, d2 = rho.d1, rho.d2
     w_r, Q_r = hermitian_eigendecomposition(rho.matrix, tol)
     w_s, Q_s = hermitian_eigendecomposition(sigma.matrix, tol)
@@ -315,48 +323,40 @@ def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
     require_gaps("rho", w_r[:n + 1])
     require_gaps("sigma", w_s[:n])
     if not same_spectrum(w_r, w_s, tol):
-        return _with_counts(UepVerdict(verdict="NO", certainty="exact",
-                                       detail="eigenvalue spectra differ"))
+        return UepVerdict(verdict="NO", certainty="exact", detail="eigenvalue spectra differ"), 0, 0
     # sigma's gap below its first n: a rank mismatch has answered NO by now
     require_gaps("sigma", w_s[n - 1:n + 1])
     marg_r, marg_s = _marginals(rho), _marginals(sigma)
     product_r, product_s = _is_product(rho, marg_r, tol), _is_product(sigma, marg_s, tol)
     if product_r != product_s:
         which = "rho" if product_r else "sigma"
-        return _with_counts(UepVerdict(verdict="NO", certainty="exact",
-                                       detail=f"only {which} is a product state"))
+        return UepVerdict(verdict="NO", certainty="exact",
+                          detail=f"only {which} is a product state"), 0, 0
     if product_r:
-        return _with_counts(check_certificate(_product_lu(marg_r, marg_s, tol),
-                                              "generic-mixed", (rho, sigma), tol))
+        return check_certificate(_product_lu(marg_r, marg_s, tol),
+                                 "generic-mixed", (rho, sigma), tol), 0, 0
     psis, phis = (Q[:, :n].T.reshape(n, d1, d2) for Q in (Q_r, Q_s))
-    ok, idx = singular_value_prefilter(np.stack([psis, phis], axis=1), tol)
+    Z = np.stack([psis, phis], axis=1)
+    ok, idx = singular_value_prefilter(Z, tol)
     if not ok:
-        return _with_counts(UepVerdict(verdict="NO", certainty="exact",
-                                       detail=f"Schmidt coefficients of eigenvector {idx} differ"))
+        return UepVerdict(verdict="NO", certainty="exact",
+                          detail=f"Schmidt coefficients of eigenvector {idx} differ"), 0, 0
     lambdas, components = _resolve_phase_components(psis, phis)
-
-    def run(phases) -> UepVerdict:
-        return check_certificate(_pivot_lu(psis, phases[:, None, None] * phis, cfg, tol),
-                                 "generic-mixed", (rho, sigma), tol)
-
-    if len(components) == 1:
-        return _with_counts(run(lambdas), 1, 1)
-
-    # disconnected phase graph: grid over one free phase per extra component
+    # one free phase per component after the first: a connected graph's one solve stands
     free = components[1:]
     grid = np.exp(2j * np.pi * np.arange(phase_grid) / phase_grid)
-    solves = 0
-    for combo in product(range(phase_grid), repeat=len(free)):
+    for solves, combo in enumerate(product(range(phase_grid), repeat=len(free)), 1):
         phases = lambdas.copy()
         for comp, gidx in zip(free, combo):
             phases[comp] = phases[comp] * grid[gidx]
-        v = run(phases)
-        solves += 1
-        if v.verdict == "YES":
-            v.aux["phase_grid_combo"] = combo
-            return _with_counts(v, len(components), solves)
-    return _with_counts(UepVerdict(
+        Z[:, 1] = phases[:, None, None] * phis
+        verdict = check_certificate(_pivot_lu(Z, cfg, tol), "generic-mixed", (rho, sigma), tol)
+        if verdict.verdict == "YES" and free:
+            verdict.aux["phase_grid_combo"] = combo
+        if verdict.verdict == "YES" or not free:
+            return verdict, len(components), solves
+    return UepVerdict(
         verdict="INCONCLUSIVE", certainty="probabilistic",
         detail=(f"phase graph disconnected into {len(components)} components; "
                 f"grid fallback with K={phase_grid} exhausted without a certificate"),
-    ), len(components), solves)
+    ), len(components), solves

@@ -266,6 +266,24 @@ class TestDecide:
         path.write_text(dumps_document(doc))
         assert main(["decide", str(path), "--seed", "6"]) == 0
 
+    @pytest.mark.filterwarnings("ignore:state norm")
+    def test_extreme_scales_decide_on_the_unit_states(self, tmp_path, capsys):
+        # (|00> + |11>) 1e200 against |00> 1e200: Schmidt ranks 2 and 1, NO;
+        # a density matrix with an antihermitian part of 1e200 is malformed
+        bell, product = (np.array(v, dtype=complex) * 1e200 for v in ([1, 0, 0, 1], [1, 0, 0, 0]))
+        pure = {"mode": "pure-sets", "d1": 2, "d2": 2,
+                "states_in": [vector_to_json(bell)], "states_out": [vector_to_json(product)]}
+        M = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        M[0, 1], M[1, 0] = 1e200, -1e200
+        mixed = {"mode": "generic-mixed", "d1": 2, "d2": 2,
+                 "rho": matrix_to_json(M), "sigma": matrix_to_json(np.diag([0.4, 0.3, 0.2, 0.1]))}
+        for name, doc, code in (("p", pure, 1), ("g", mixed, 3)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(dumps_document(doc))
+            assert main(["decide", str(path), "--seed", "6",
+                         "-o", str(tmp_path / f"{name}.out")]) == code
+        assert "density matrix is not Hermitian" in capsys.readouterr().err
+
     def test_unilocal_mode(self, tmp_path, rng):
         d1, d2 = 2, 2
         big = np.kron(haar(d1, rng), np.eye(d2))

@@ -158,6 +158,11 @@ class TestHermitianEig:
         with pytest.raises(InputError):
             hermitian_eigendecomposition([[0.0, 1.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("b", [1e160, 1e200])
+    def test_rejects_a_huge_antihermitian_part(self, b):
+        with pytest.raises(InputError, match="not Hermitian"):
+            hermitian_eigendecomposition([[1.0, b], [-b, 1.0]])
+
 
 class TestInverseSqrt:
     def test_identity(self):

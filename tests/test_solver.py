@@ -602,6 +602,19 @@ class TestPivot:
         monkeypatch.undo()
         assert verdict.solution_dimension == _space(inst).dimension
 
+    @pytest.mark.parametrize("kind", ["unitary", "invertible"])
+    def test_pivot_decide_leaves_the_callers_stack_unchanged(self, kind, rng):
+        # callers reuse their stack after the solve, to explain a NO or for the
+        # next grid point; 10 > 2 * 2 * 2 pairs, so the spanning QR runs, and
+        # the zero pair is left unscaled
+        X = np.stack([ginibre(2, 2, rng) for _ in range(10)])
+        X[4] = 0.0
+        Z = np.stack([X, haar(2, rng) @ X @ haar(2, rng).conj().T], axis=1)
+        before = Z.copy()
+        verdict = solver_mod._pivot_decide(Z, CFG, Tolerances(), kind)
+        assert verdict.verdict == "YES"
+        assert np.array_equal(Z, before)
+
     @pytest.mark.parametrize("adjoint", [True, False], ids=["unitary", "matpoly"])
     @pytest.mark.parametrize("shared", [True, False], ids=["clusters", "generic"])
     def test_index_built_system_matches_the_unit_products(self, shared, adjoint, rng):

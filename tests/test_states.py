@@ -110,6 +110,24 @@ class TestVectorization:
         with pytest.raises(InputError):
             pure_state(1, 2, [0.0, 0.0])
 
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e-160, 1e-200])
+    def test_extreme_scales_rescale_to_the_unit_state(self, scale):
+        # the squares in a norm of these amplitudes overflow, or underflow in
+        # part or in full, unless the norm is taken on rescaled amplitudes
+        with pytest.warns(UserWarning, match="rescaling"):
+            s = pure_state(2, 2, np.array([1.0, 0.0, 0.0, 1.0j]) * scale)
+        np.testing.assert_allclose(s.amplitudes, np.array([1.0, 0.0, 0.0, 1.0j]) / np.sqrt(2),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_extreme_scales_keep_the_schmidt_rank(self, scale):
+        with pytest.warns(UserWarning):
+            bell = pure_state(2, 2, np.array([1.0, 0.0, 0.0, 1.0]) * scale)
+            product = pure_state(2, 2, np.array([1.0, 0.0, 0.0, 0.0]) * scale)
+        verdict = simultaneous_lu_pure([bell], [product], CFG)
+        assert (verdict.verdict, verdict.certainty) == ("NO", "exact")
+        assert verdict.detail == "singular values differ at pair index 0"
+
 
 class TestDensityOperator:
     def test_valid_density(self, rng):
@@ -126,6 +144,14 @@ class TestDensityOperator:
     def test_rejects_negative(self):
         with pytest.raises(InputError):
             density_operator(1, 2, np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize("b", [1e160, 1e200])
+    def test_rejects_a_huge_antihermitian_part(self, b):
+        # both Frobenius norms of the check overflow from about 1e154 on
+        M = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        M[0, 1], M[1, 0] = b, -b
+        with pytest.raises(InputError, match="density matrix is not Hermitian"):
+            density_operator(2, 2, M)
 
 
 class TestSimultaneousLuPure:
@@ -206,8 +232,8 @@ class TestUnilocalMixed:
     def _check_against_factor_route(rhos, sigmas, planted):
         d1, d2 = rhos[0].d1, rhos[0].d2
         d = d1 * d2
-        R, S = _realigned_blocks([r.matrix for r in rhos], [s.matrix for s in sigmas],
-                                 (d1, d2), (d1, d2))
+        R, S = _realigned_blocks(np.stack([(r.matrix, s.matrix) for r, s in zip(rhos, sigmas)]),
+                                 (d1, d2), (d1, d2)).transpose(1, 0, 2, 3)
         assert R.shape == S.shape == (len(rhos) * d2 * d2, d1, d1)
         eye1 = np.eye(d1, dtype=complex)[None]
         blocks = ((eye1[0], eye1[0]),) + tuple(zip(R, S))
@@ -303,7 +329,7 @@ class TestPhaseResolution:
         lam = np.exp(1j * rng.uniform(0, 2 * np.pi, size=4))
         phis = [U0 @ p @ V0.conj().T / l for p, l in zip(psis, lam)]
         aligned = _aligned(psis, phis)
-        verdict = _pivot_lu(np.stack(psis), np.stack(aligned), CFG, Tolerances())
+        verdict = _pivot_lu(np.stack([psis, aligned], axis=1), CFG, Tolerances())
         assert verdict.verdict == "YES"
         for p, a in zip(psis, aligned):
             assert np.linalg.norm(verdict.U @ p @ verdict.V.T - a) <= 1e-8
@@ -422,6 +448,29 @@ class TestGenericMixed:
         assert verdict.U is None and verdict.V is None
         assert verdict.aux == {"phase_components": 4, "grid_solves": 8}
         assert len(solver_calls) == 8
+
+    @pytest.mark.parametrize("phase_grid, combo, solves",
+                             [(1, None, 1), (2, (0, 1, 1), 4), (4, (0, 2, 2), 11)])
+    def test_phase_grid_finds_the_missing_phases(self, rng, solver_calls, phase_grid, combo,
+                                                 solves):
+        # I (x) Z keeps every product eigenvector up to a sign, which a grid
+        # of even size holds; the first hit is the smallest combo in order
+        rho, _ = _classical_quantum_pair(rng)
+        flip = np.kron(np.eye(2), np.diag([1.0, -1.0]))
+        sigma = density_operator(2, 2, flip @ rho.matrix @ flip)
+        verdict = generic_mixed_lu(rho, sigma, CFG, phase_grid=phase_grid)
+        assert len(solver_calls) == solves
+        if combo is None:
+            assert (verdict.verdict, verdict.certainty) == ("INCONCLUSIVE", "probabilistic")
+            assert verdict.aux == {"phase_components": 4, "grid_solves": solves}
+            return
+        assert verdict.verdict == "YES" and verdict.residual <= 1e-8
+        assert list(verdict.aux) == ["pivot_clusters", "pivot_merged_gap", "pivot_split_gap",
+                                     "pivot_unknowns", "pivot_free_units",
+                                     "pivot_coupling_margin", "phase_grid_combo",
+                                     "phase_components", "grid_solves"]
+        assert verdict.aux["phase_grid_combo"] == combo
+        assert (verdict.aux["phase_components"], verdict.aux["grid_solves"]) == (4, solves)
 
     @pytest.mark.parametrize("phase_grid", [0, -3])
     def test_phase_grid_below_one_is_rejected(self, rng, solver_calls, phase_grid):

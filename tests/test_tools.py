@@ -1,7 +1,8 @@
 """Smoke tests of the comparison tools: a tree compared with itself differs
 nowhere (tools/verdict_diff.py), and tools/case_ab.py prints one timing line
 per case of a cycle, or per matched case with --match, and the cycle total,
-each with the rounds won by either tree and both trees' quartiles."""
+each with the rounds won by either tree and both trees' quartiles. And
+tools/src_lines.py counts only the lines that hold code."""
 
 import re
 import subprocess
@@ -67,3 +68,50 @@ def test_case_ab_match_without_a_case_is_an_error():
     assert proc.returncode == 2
     assert ("no case of states-small at seed 11 has a kind starting with 'no-such-kind'"
             in proc.stderr)
+
+
+# 8 lines of code: the docstrings of the module, the class and both functions,
+# blank lines and comment lines are left out; a trailing comment, a string
+# that is not a docstring and a continued expression count
+FIXTURE = '''"""A module docstring
+over two lines."""
+
+import math  # a trailing comment
+
+
+# a comment line
+class Box:
+    """A class docstring."""
+
+    size = 3
+
+
+def area(r):
+    """A function docstring
+    over two lines."""
+    text = """a string
+    that is not a docstring"""
+    return (math.pi
+            * r * r)
+'''
+
+
+def test_src_lines_counts_only_code(tmp_path):
+    fixture = tmp_path / "fixture.py"
+    fixture.write_text(FIXTURE)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "src_lines.py"), str(fixture), str(fixture)],
+        capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert [line.split() for line in proc.stdout.splitlines()] == [
+        ["8", str(fixture)], ["8", str(fixture)], ["16", "total"]]
+
+
+def test_src_lines_defaults_to_every_module_of_the_package():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "src_lines.py")],
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    *modules, total = [line.split() for line in proc.stdout.splitlines()]
+    assert [Path(path).name for _, path in modules] == sorted(
+        path.name for path in (ROOT / "src" / "uniequiv").glob("*.py"))
+    assert total == [str(sum(int(count) for count, _ in modules)), "total"]
