@@ -169,7 +169,7 @@ def cmd_gen(args) -> int:
         if (g1, g2) != ("full", "full"):
             raise InputError("NO instances are generated over the full algebras")
         inst = random_no_instance(args.d1, args.d2, args.m, seed=args.seed)
-    doc = serialize.instance_to_json(inst, mode="matrix-pairs", seed=args.seed)
+    doc = serialize.instance_to_json(inst, seed=args.seed)
     _write(serialize.dumps_document(doc), args.output)
     return 0
 

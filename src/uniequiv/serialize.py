@@ -154,9 +154,9 @@ def _require_int(doc: dict, key: str, where: str) -> int:
     return value
 
 
-def instance_to_json(inst: UepInstance, mode: str = "matrix-pairs", seed=None) -> dict:
+def instance_to_json(inst: UepInstance, seed=None) -> dict:
     doc = {
-        "mode": mode,
+        "mode": "matrix-pairs",
         "d1": inst.d1,
         "d2": inst.d2,
         "pairs": [{"X": matrix_to_json(X), "Y": matrix_to_json(Y)} for X, Y in inst.pairs],

@@ -624,8 +624,6 @@ def _spectrum_mismatch(pairs, blocks, shape: tuple, tol: Tolerances):
         return (i,)
     first = shape[0] * shape[1]
     for lo, hi in ((0, first), (first, len(blocks))):
-        if lo == hi:
-            continue
         ok, idx = singular_value_prefilter(blocks[lo:hi], tol)
         if not ok:
             return tuple(int(v) for v in np.unravel_index(lo + idx, (len(pairs),) + shape))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -186,6 +186,9 @@ def unilocal_mixed_equivalence(rhos, sigmas, cfg: SamplerConfig = SamplerConfig(
 
 _EDGE_DENOM = 1e-6
 _EDGE_MODULUS = 1e-4
+# pivot-route solves one generic-mixed decision may run: the whole default grid
+# (K = 12) of four components, which the 2x2 classical-quantum states have
+_MAX_GRID_SOLVES = 12**3
 
 
 def _quartic_traces(mats) -> np.ndarray:
@@ -209,27 +212,24 @@ def _resolve_phase_components(psis, phis):
 
     An edge k -> j needs a trace ratio T_psi[i, j, k] / T_phi[i, j, k] with
     |T_phi| > _EDGE_DENOM and modulus within _EDGE_MODULUS of 1. Returns
-    (lambdas, components); components are index lists, each gauged to lam = 1
-    at its smallest index, ordered by that index. generic_mixed_lu grids over
-    the phases of every component after the first.
+    (lambdas, label): label[j] numbers the component of index j, in the order
+    of the components' smallest indices, and each component is gauged to
+    lam = 1 at its smallest index. generic_mixed_lu grids over the phases of
+    every component after the first.
     """
     n = len(psis)
     Tpsi = _quartic_traces(psis)
     Tphi = _quartic_traces(phis)
     lambdas = np.ones(n, dtype=complex)
-    resolved = [False] * n
-    components = []
+    label = [-1] * n
     for root in range(n):
-        if resolved[root]:
+        if label[root] >= 0:
             continue
-        comp = [root]
-        resolved[root] = True
-        lambdas[root] = 1.0
-        frontier = [root]
-        while frontier:
-            k = frontier.pop(0)
+        label[root] = max(label) + 1
+        queue = [root]
+        for k in queue:  # breadth first: the queue grows while it is read
             for j in range(n):
-                if resolved[j]:
+                if label[j] >= 0:
                     continue
                 for i in range(n):
                     denom = Tphi[i, j, k]
@@ -239,12 +239,10 @@ def _resolve_phase_components(psis, phis):
                     if abs(abs(ratio) - 1.0) > _EDGE_MODULUS:
                         continue  # unusable edge: non-equivalence or noise
                     lambdas[j] = (ratio / abs(ratio)) * lambdas[k]
-                    resolved[j] = True
-                    comp.append(j)
-                    frontier.append(j)
+                    label[j] = label[k]
+                    queue.append(j)
                     break
-        components.append(sorted(comp))
-    return lambdas, components
+    return lambdas, np.array(label)
 
 
 def _marginals(rho: DensityOperator):
@@ -294,6 +292,8 @@ def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
     per point of a grid of phase_grid >= 1 points per free phase, one per
     trace graph component after the first (a connected graph: one solve,
     whose verdict stands). Each candidate is checked once, on rho, sigma.
+    At most _MAX_GRID_SOLVES candidates are solved; a grid left without a
+    certificate, whole or cut by that budget, is INCONCLUSIVE.
 
     Every verdict's aux holds `phase_components` (components of the trace
     graph, 0 when a test before the graph decides) and `grid_solves` (the
@@ -341,22 +341,23 @@ def _generic_mixed(rho, sigma, cfg: SamplerConfig, tol: Tolerances, phase_grid: 
     if not ok:
         return UepVerdict(verdict="NO", certainty="exact",
                           detail=f"Schmidt coefficients of eigenvector {idx} differ"), 0, 0
-    lambdas, components = _resolve_phase_components(psis, phis)
+    lambdas, label = _resolve_phase_components(psis, phis)
+    components = int(label.max()) + 1
     # one free phase per component after the first: a connected graph's one solve stands
-    free = components[1:]
     grid = np.exp(2j * np.pi * np.arange(phase_grid) / phase_grid)
-    for solves, combo in enumerate(product(range(phase_grid), repeat=len(free)), 1):
-        phases = lambdas.copy()
-        for comp, gidx in zip(free, combo):
-            phases[comp] = phases[comp] * grid[gidx]
-        Z[:, 1] = phases[:, None, None] * phis
+    candidates = product(range(phase_grid), repeat=components - 1)
+    for solves, combo in enumerate(islice(candidates, _MAX_GRID_SOLVES), 1):
+        Z[:, 1] = (lambdas * grid[[0, *combo]][label])[:, None, None] * phis
         verdict = check_certificate(_pivot_lu(Z, cfg, tol), "generic-mixed", (rho, sigma), tol)
-        if verdict.verdict == "YES" and free:
+        if verdict.verdict == "YES" and combo:
             verdict.aux["phase_grid_combo"] = combo
-        if verdict.verdict == "YES" or not free:
-            return verdict, len(components), solves
+        if verdict.verdict == "YES" or not combo:
+            return verdict, components, solves
+    size = phase_grid ** (components - 1)
+    ended = (f"grid fallback with K={phase_grid} exhausted" if solves == size else
+             f"solve budget spent after {solves} of the {phase_grid}^{components - 1} = {size} "
+             "grid points")
     return UepVerdict(
         verdict="INCONCLUSIVE", certainty="probabilistic",
-        detail=(f"phase graph disconnected into {len(components)} components; "
-                f"grid fallback with K={phase_grid} exhausted without a certificate"),
-    ), len(components), solves
+        detail=f"phase graph disconnected into {components} components; {ended} without a certificate",
+    ), components, solves

@@ -242,8 +242,8 @@ def generic_mixed_by_matrix_pairs(rho, sigma, cfg, tol: Tolerances = Tolerances(
     if not ok:
         return UepVerdict(verdict="NO", certainty="exact",
                           detail=f"Schmidt coefficients of eigenvector {idx} differ")
-    lambdas, components = _resolve_phase_components(psis, phis)
-    if len(components) > 1:
+    lambdas, label = _resolve_phase_components(psis, phis)
+    if label.any():
         return None
     aligned = [lam * phi for lam, phi in zip(lambdas, phis)]
     return check_certificate(lu_by_matrix_pairs(psis, aligned, cfg, tol), "generic-mixed",

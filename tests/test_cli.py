@@ -120,6 +120,17 @@ class TestDecide:
         bad.write_text('{"mode": "matrix-pairs", "d1": 2')
         assert main(["decide", str(bad), "--seed", "1"]) == 3
 
+    def test_pair_of_the_wrong_shape_exits_3(self, tmp_path, capsys):
+        doc = {"mode": "matrix-pairs", "d1": 2, "d2": 2,
+               "pairs": [{"X": matrix_to_json(np.eye(2, 3)), "Y": matrix_to_json(np.eye(2, 3))}]}
+        path = tmp_path / "shape.json"
+        path.write_text(dumps_document(doc))
+        assert main(["decide", str(path), "--seed", "1"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: instance validation failed: pairs[0] has shape (2, 3)/(2, 3), "
+                           "expected (2, 2)\n")
+
     def test_invalid_algebra_exits_4(self, tmp_path, capsys):
         doc = {
             "mode": "matrix-pairs", "d1": 2, "d2": 2,

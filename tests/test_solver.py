@@ -25,7 +25,7 @@ from uniequiv import (
 )
 from uniequiv import (density_operator, generic_mixed_lu, pure_state, simultaneous_lu_pure,
                       unilocal_mixed_equivalence)
-from uniequiv.algebra import span_residual
+from uniequiv.algebra import factor_algebra, span_residual
 from uniequiv.cli import main
 from uniequiv.linalg import same_spectrum
 from uniequiv.oracle import random_yes_instance
@@ -49,6 +49,26 @@ def _space(inst, tol=Tolerances()):
 def _upper_triangular(d):
     return matrix_algebra([np.outer(np.eye(d)[i], np.eye(d)[j])
                            for i in range(d) for j in range(i, d)])
+
+
+_EYE2 = np.eye(2)
+BAD_INSTANCES = [
+    (dict(d1=0, d2=2, pairs=((_EYE2, _EYE2),)), "dimensions must be positive"),
+    (dict(d1=2, d2=-1, pairs=((_EYE2, _EYE2),)), "dimensions must be positive"),
+    (dict(d1=2, d2=2, pairs=()), "an instance needs at least one matrix pair"),
+    (dict(d1=2, d2=2, pairs=((_EYE2, _EYE2), (_EYE2, np.eye(2, 3)))),
+     r"pairs\[1\] has shape \(2, 2\)/\(2, 3\), expected \(2, 2\)"),
+    (dict(d1=2, d2=2, pairs=((_EYE2, _EYE2),), G2=full_algebra(3)),
+     "algebra ambient dimensions must match d1, d2"),
+]
+
+
+@pytest.mark.parametrize("fields, message", BAD_INSTANCES,
+                         ids=["d1", "d2", "no-pairs", "pair-shape", "algebra-dimension"])
+def test_instance_checks_name_the_fault(fields, message):
+    algebras = {"G1": full_algebra(2), "G2": full_algebra(2)}
+    with pytest.raises(InputError, match=f"^{message}$"):
+        UepInstance(**{**algebras, **fields})
 
 
 class TestBuildSystem:
@@ -581,6 +601,30 @@ class TestPivot:
         assert verdict.solution_dimension is None
         assert verdict.detail.startswith("singular values differ at block (")
         assert verdict.detail.endswith(") of pair index 1")
+
+    def test_one_pair_of_two_blocks_leaves_an_empty_second_batch(self, monkeypatch):
+        # M (x) I_2 against the full algebra on C^3: the one pair has the two
+        # blocks y_p = u_p x_p v^dag, whose spectra, and the pair's, are kept;
+        # the first batch of blocks is all of them and the second is empty
+        rng = np.random.default_rng(21)
+        x = [ginibre(3, 3, rng) for _ in range(2)]
+        v = haar(3, rng)
+        y = [haar(3, rng) @ x_p @ v.conj().T for x_p in x]
+        X, Y = (np.stack(blocks, axis=1).reshape(6, 3) for blocks in (x, y))
+        compared = []
+        real = solver_mod.singular_value_prefilter
+
+        def spy(pairs, tol=Tolerances()):
+            compared.append(len(pairs))
+            return real(pairs, tol)
+
+        monkeypatch.setattr(solver_mod, "singular_value_prefilter", spy)
+        verdict = decide_uep(UepInstance(6, 3, ((X, Y),), factor_algebra(3, 2), full_algebra(3)),
+                             CFG)
+        assert compared == [1, 2, 0]
+        assert (verdict.verdict, verdict.certainty) == ("NO", "exact")
+        assert verdict.detail == ("singular values differ at the random pivot pair "
+                                  "sum_i c_i (X_i, Y_i)")
 
     def test_reduced_yes_certificate_checks_out(self):
         inst, _ = random_yes_instance(6, 4, 2, seed=12)

@@ -186,6 +186,11 @@ class TestSimultaneousLuPure:
         with pytest.raises(InputError):
             simultaneous_lu_pure([s], [s, s], CFG)
 
+    def test_rejects_other_output_dimensions(self, rng):
+        with pytest.raises(InputError, match=r"^input dimensions \(2, 2\) differ from output "
+                                             r"dimensions \(2, 3\)$"):
+            simultaneous_lu_pure([_random_state(2, 2, rng)], [_random_state(2, 3, rng)], CFG)
+
 
 class TestUnilocalMixed:
     def test_maximally_mixed(self):
@@ -269,11 +274,28 @@ class TestUnilocalMixed:
         assert verdict.verdict == "NO" and verdict.certainty == "exact"
         assert verdict.detail.startswith("block (") and "of rho_1 vs sigma_1" in verdict.detail
 
+    def test_no_with_every_spectrum_kept_is_the_pivots(self, rng):
+        # each rho_i conjugated by its own U_i (x) I keeps the spectra of rho_i
+        # and of its blocks, so nothing explains the pivot route's NO further
+        rhos = [random_density(2, 3, rng) for _ in range(2)]
+        bigs = [np.kron(haar(2, rng), np.eye(3)) for _ in rhos]
+        sigmas = [density_operator(2, 3, W @ r.matrix @ W.conj().T) for W, r in zip(bigs, rhos)]
+        verdict = unilocal_mixed_equivalence(rhos, sigmas, CFG)
+        assert (verdict.verdict, verdict.certainty) == ("NO", "exact")
+        assert verdict.detail == ("singular values differ at the random pivot pair "
+                                  "sum_i c_i (X_i, Y_i)")
+
+    def test_mixed_dimensions_are_rejected(self, rng):
+        rho, other = random_density(2, 2, rng), random_density(2, 3, rng)
+        with pytest.raises(InputError, match=r"^density operators have mixed dimensions: "
+                                             r"\[\(2, 2\), \(2, 3\)\]$"):
+            unilocal_mixed_equivalence([rho, other], [rho, other], CFG)
+
 
 def _aligned(psis, phis):
     """phis rescaled by the resolved phases; the trace graph must be connected."""
-    lambdas, components = _resolve_phase_components(psis, phis)
-    assert components == [list(range(len(psis)))]
+    lambdas, label = _resolve_phase_components(psis, phis)
+    assert label.tolist() == [0] * len(psis)
     return [lam * phi for lam, phi in zip(lambdas, phis)]
 
 
@@ -319,8 +341,8 @@ class TestPhaseResolution:
     def test_disconnected_graph_splits_into_components(self):
         # orthogonal supports: every cross trace vanishes
         psis = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
-        _, components = _resolve_phase_components(psis, psis)
-        assert components == [[0], [1]]
+        _, label = _resolve_phase_components(psis, psis)
+        assert label.tolist() == [0, 1]
 
     def test_end_to_end_rephased_transform(self, rng):
         d1, d2 = 2, 2
@@ -450,7 +472,8 @@ class TestGenericMixed:
         assert len(solver_calls) == 8
 
     @pytest.mark.parametrize("phase_grid, combo, solves",
-                             [(1, None, 1), (2, (0, 1, 1), 4), (4, (0, 2, 2), 11)])
+                             [(1, None, 1), (2, (0, 1, 1), 4), (4, (0, 2, 2), 11),
+                              (14, (0, 7, 7), 106), (24, (0, 12, 12), 301)])
     def test_phase_grid_finds_the_missing_phases(self, rng, solver_calls, phase_grid, combo,
                                                  solves):
         # I (x) Z keeps every product eigenvector up to a sign, which a grid
@@ -471,6 +494,23 @@ class TestGenericMixed:
                                      "phase_components", "grid_solves"]
         assert verdict.aux["phase_grid_combo"] == combo
         assert (verdict.aux["phase_components"], verdict.aux["grid_solves"]) == (4, solves)
+
+    @pytest.mark.parametrize("phase_grid, ended", [
+        (12, "grid fallback with K=12 exhausted"),
+        (13, "solve budget spent after 1728 of the 13^3 = 2197 grid points"),
+    ], ids=["exhausted", "budget"])
+    def test_grid_stops_at_the_solve_budget(self, rng, solver_calls, phase_grid, ended):
+        # the default grid of four components is the whole budget
+        verdict = generic_mixed_lu(*_classical_quantum_pair(rng), CFG, phase_grid=phase_grid)
+        assert (verdict.verdict, verdict.certainty) == ("INCONCLUSIVE", "probabilistic")
+        assert verdict.detail == (f"phase graph disconnected into 4 components; {ended} "
+                                  "without a certificate")
+        assert verdict.aux == {"phase_components": 4, "grid_solves": 1728}
+        assert len(solver_calls) == 1728
+
+    def test_mismatched_dimensions_are_rejected(self, rng):
+        with pytest.raises(InputError, match="^density operators have mismatched dimensions$"):
+            generic_mixed_lu(random_density(2, 2, rng), random_density(2, 3, rng), CFG)
 
     @pytest.mark.parametrize("phase_grid", [0, -3])
     def test_phase_grid_below_one_is_rejected(self, rng, solver_calls, phase_grid):
