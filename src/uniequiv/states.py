@@ -353,10 +353,9 @@ def _generic_mixed(rho, sigma, cfg: SamplerConfig, tol: Tolerances, phase_grid: 
             verdict.aux["phase_grid_combo"] = combo
         if verdict.verdict == "YES" or not combo:
             return verdict, components, solves
-    size = phase_grid ** (components - 1)
-    ended = (f"grid fallback with K={phase_grid} exhausted" if solves == size else
-             f"solve budget spent after {solves} of the {phase_grid}^{components - 1} = {size} "
-             "grid points")
+    whole = solves == phase_grid ** (components - 1)
+    ended = (f"grid fallback with K={phase_grid} exhausted" if whole else
+             f"solve budget spent after {solves} of the {phase_grid}^{components - 1} grid points")
     return UepVerdict(
         verdict="INCONCLUSIVE", certainty="probabilistic",
         detail=f"phase graph disconnected into {components} components; {ended} without a certificate",

@@ -497,7 +497,7 @@ class TestGenericMixed:
 
     @pytest.mark.parametrize("phase_grid, ended", [
         (12, "grid fallback with K=12 exhausted"),
-        (13, "solve budget spent after 1728 of the 13^3 = 2197 grid points"),
+        (13, "solve budget spent after 1728 of the 13^3 grid points"),
     ], ids=["exhausted", "budget"])
     def test_grid_stops_at_the_solve_budget(self, rng, solver_calls, phase_grid, ended):
         # the default grid of four components is the whole budget
