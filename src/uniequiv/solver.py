@@ -33,8 +33,12 @@ unitaries, spectra that differ at the pivot are an exact NO, as
 U X_c V^dag = Y_c; once s = t the adjoint pivot row gives
 (s_k^2 - s_j^2) A'_jk = 0, so only the units inside one cluster of equal
 singular values are kept: about a unknowns in place of 2a^2 for distinct
-singular values, where a square matrix polynomial keeps d^2 of 2d^2.
-Clusters merge below a relative gap of the pivot cut, 1e3 eps /
+singular values. A matrix polynomial has one cluster and keeps d^2 of 2d^2
+in these frames, unless it is square and its pivot invertible: then the
+eigen frames of X_c^-1 X_c2, for a second random combination, take the
+pivot to (I, I) and leave one unknown per eigenvalue where the eigenvalues
+are distinct (_eigen_frames), and only a YES they give that passes the
+certificate check stands. Clusters merge below a relative gap of the pivot cut, 1e3 eps /
 min(rank_rel, residual_abs): merging only enlarges the searched space,
 while a split leaves the frames about eps / gap off, and every solution a
 residual of that size. As the pivot rows hold exactly, a system of pivot
@@ -70,7 +74,6 @@ from .linalg import (
     nullspace_basis,
     numerical_rank,
     same_spectrum,
-    singular_values,
 )
 
 __all__ = [
@@ -189,20 +192,31 @@ class LinearSystem:
 # rank cut and the certificate bound.
 _PIVOT_MARGIN = 1e3
 
+# The eigen frames of a square pencil save the d^2 - d columns of its system in
+# the singular frames for about 30 more array operations (a second draw, an
+# eig, the matching and three inverses). Warm, on one BLAS thread, they cost
+# 0.17 ms more at d = 3, 0.08 ms at d = 5, break even at d = 6 and save
+# 0.2 ms at d = 7 and 2.6 ms at d = 10 (degree 3), so smaller pencils keep
+# the d^2 system.
+_EIGEN_MIN_DIM = 6
+
 # (1, i): _RE_IM @ parts is parts[0] + i parts[1], exactly
 _RE_IM = np.array([1.0, 1.0j])
 
 
 class _PivotFrames(NamedTuple):
-    """Singular frames X_c = W_x S R_x^dag, Y_c = W_y T R_y^dag of a pivot pair
-    as the stacks W = (W_x, W_y) and R = (R_x, R_y), its spectra s, t
-    zero-padded to max(d1, d2), and its cut (_pivot_frames)."""
+    """Frames X_c = W_x S R_x^-1, Y_c = W_y T R_y^-1 of a pivot pair as the
+    stacks W = (W_x, W_y) and R = (R_x, R_y), the diagonals s, t of S, T
+    zero-padded to max(d1, d2), and the cut on them: the singular frames
+    (_pivot_frames), with unitary W and R, or the eigen frames of a square
+    pencil (_eigen_frames), with S = T = I."""
 
     W: np.ndarray
     R: np.ndarray
     s: np.ndarray
     t: np.ndarray
     cut: float
+    unitary: bool = True
 
 
 def singular_value_prefilter(pairs, tol: Tolerances = Tolerances()):
@@ -258,26 +272,30 @@ def _separate_unknowns(E1, E2):
             np.concatenate([np.zeros((len(E1),) + E2.shape[1:], dtype=complex), E2]))
 
 
-def _pivot_pair(Z, seed: int) -> np.ndarray:
+def _pivot_pair(Z, seed: int, key: int = 0) -> np.ndarray:
     """The pivot pair (X_c, Y_c) = sum_i c_i (X_i, Y_i) of the (n, 2, a, a') stack
     Z of pairs, in one product, for a unit complex Gaussian vector c.
 
-    c comes from the child seed of `seed` with spawn key (0,), which none of
-    the sampler's per-trial seeds (seed, trial) reaches.
+    c comes from the child seed of `seed` with spawn key (key,): (0,) for the
+    pivot, (1,) for the eigen frames' second combination; none of the
+    sampler's per-trial seeds (seed, trial) reaches either.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(0,)))
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(key,)))
     re, im = parts = rng.standard_normal((2, len(Z)))
     c = (_RE_IM @ parts) / math.sqrt(re @ re + im @ im)  # the 2-norm as np.linalg.norm takes it
     return (c @ Z.reshape(len(Z), -1)).reshape(Z.shape[1:])
 
 
+def _pivot_cut(tol: Tolerances) -> float:
+    """The relative pivot cut, _PIVOT_MARGIN * eps / min(rank_rel, residual_abs)."""
+    return _PIVOT_MARGIN * _EPS / min(tol.rank_rel, tol.residual_abs)
+
+
 def _pivot_frames(P, tol: Tolerances) -> _PivotFrames:
     """Full SVDs of the pivot pair P = (X_c, Y_c) in one batched call, its padded
-    spectra and its cut, _PIVOT_MARGIN * eps / min(rank_rel, residual_abs)
-    times max(1, s_1, t_1)."""
+    spectra and its cut, _pivot_cut times max(1, s_1, t_1)."""
     W, sv, Rh = np.linalg.svd(P)
-    cut = (_PIVOT_MARGIN * _EPS / min(tol.rank_rel, tol.residual_abs)
-           * max(1.0, float(sv[:, 0].max())))
+    cut = _pivot_cut(tol) * max(1.0, float(sv[:, 0].max()))
     st = np.zeros((2, max(P.shape[1:])))
     st[:, :sv.shape[1]] = sv
     return _PivotFrames(W, Rh.conj().transpose(0, 2, 1), st[0], st[1], cut)
@@ -302,12 +320,68 @@ def _clusters(frames: _PivotFrames) -> tuple:
                    "pivot_split_gap": float(kept.min()) / ref if kept.size else None}
 
 
+def _eigen_frames(Z, frames: _PivotFrames, seed: int, tol: Tolerances) -> tuple:
+    """(eigen frames, pivot_eigen_margin) of the spanned (n, 2, d, d) stack Z of
+    square pairs, from the singular frames of its pivot (X_c, Y_c); (None,
+    None) where they do not apply.
+
+    With X_c and Y_c invertible, every solution of A X_i = Y_i B has
+    N B = B M for M = X_c^-1 X_c2 and N = Y_c^-1 Y_c2, (X_c2, Y_c2) the
+    combination of spawn key (1,); an invertible B makes them similar (the
+    eigenvalues of a regular pencil are invariants of strict equivalence).
+    Taken into the singular frames X_c = W_x S R_x^dag, R_x^dag M R_x =
+    S^-1 W_x^dag X_c2 R_x needs no solve; one batched eig gives
+    U diag(lam) U^-1 for both sides, and each eigenvalue of N is matched to
+    its nearest of M. With V = (R_x U_x, R_y U_y), in the frames
+    W = (X_c V_x, Y_c V_y) and R = V the pivot is (I, I) and the second
+    combination (diag lam, diag lam), so A' = W_y^-1 A W_x equals
+    B' = R_y^-1 B R_x, and (lam_k - lam_j) A'_jk = 0 leaves it diagonal.
+
+    The frames apply when n >= 2, d >= _EIGEN_MIN_DIM, X_c and Y_c have full
+    numerical rank, the match is one to one within the eigen cut, _pivot_cut
+    times max(1, |lam|), and every gap between two eigenvalues of one side
+    lies above it; pivot_eigen_margin is the smallest gap over the cut. A gap
+    at the cut leaves the frames about eps / gap off, as a cluster split does
+    in the singular frames; an ill-conditioned X_c or V multiplies that,
+    which only the certificate check sees.
+    """
+    n, _, d, d2 = Z.shape
+    if (n < 2 or d != d2 or d < _EIGEN_MIN_DIM
+            or min(numerical_rank(st, tol) for st in (frames.s, frames.t)) < d):
+        return None, None
+    st = np.stack([frames.s, frames.t])[:, :, None]
+    Wh, rel = frames.W.conj().swapaxes(1, 2), _pivot_cut(tol)
+    # a YES makes X_c^-1 X_j and Y_c^-1 Y_j similar for every pair j, so the
+    # traces of the first pair's stop most NOs before the second combination
+    # is drawn; rounding moves them far less than d times the cut
+    M = Wh @ Z[0] @ frames.R / st
+    tr = M.trace(axis1=1, axis2=2)
+    if abs(tr[0] - tr[1]) > d * rel * max(1.0, frobenius(M)):
+        return None, None
+    lam, U = np.linalg.eig(Wh @ _pivot_pair(Z, seed, key=1) @ frames.R / st)
+    gaps = np.abs(lam[:, :, None] - lam[:, None, :])  # within each side
+    gaps.reshape(2, -1)[:, ::d + 1] = np.inf
+    match = np.abs(lam[0][:, None] - lam[1]).argmin(axis=1)
+    cut = rel * max(1.0, float(np.abs(lam).max()))
+    gap = float(gaps.min())
+    if not gap > cut >= np.abs(lam[0] - lam[1][match]).max() or len(set(match.tolist())) < d:
+        return None, None
+    U[1] = U[1][:, match]
+    ones = np.ones(d)
+    return _PivotFrames(frames.W @ (st * U), frames.R @ U, ones, ones, rel, unitary=False), gap / cut
+
+
+def _inverse(F, unitary: bool):
+    """F^-1 for the matrix or stack F: its adjoint when F is unitary."""
+    return F.conj().swapaxes(-1, -2) if unitary else np.linalg.inv(F)
+
+
 def _into_frames(Z, frames: _PivotFrames):
-    """X' = W_x^dag X_i R_x and Y' = W_y^dag Y_i R_y for the (n, 2, d1, d2) stack Z
+    """X' = W_x^-1 X_i R_x and Y' = W_y^-1 Y_i R_y for the (n, 2, d1, d2) stack Z
     of pairs, as two stacks, in one GEMM per side for each factor."""
     n, _, d1, d2 = Z.shape
     T = (Z.transpose(1, 0, 2, 3).reshape(2, n * d1, d2) @ frames.R).reshape(2, n, d1, d2)
-    T = frames.W.conj().transpose(0, 2, 1) @ T.transpose(0, 2, 1, 3).reshape(2, d1, n * d2)
+    T = _inverse(frames.W, frames.unitary) @ T.transpose(0, 2, 1, 3).reshape(2, d1, n * d2)
     return T.reshape(2, d1, n, d2).transpose(0, 2, 1, 3)
 
 
@@ -322,9 +396,12 @@ def _pivot_system(Z, frames: _PivotFrames, label, adjoint: bool):
     with no side is dropped, as row (j, k) forces the other entry to 0. Then
     the units below the cut keep free columns E_jk in A', then in B'. The
     rows are the entries of A' X'_i - Y'_i B', then with adjoint those of
-    B' X'_i^dag - Y'_i^dag A', for X' = W_x^dag X R_x and Y' = W_y^dag Y R_y.
+    B' X'_i^dag - Y'_i^dag A', for X' = W_x^-1 X R_x and Y' = W_y^-1 Y R_y.
     The bases are the units alpha E_jk and beta E_jk, in the frames: a
-    solution (A', B') carries back as (W_y A' W_x^dag, R_y B' R_x^dag).
+    solution (A', B') carries back as (W_y A' W_x^-1, R_y B' R_x^-1). The
+    scale is hypot(s_1, t_1), the size of the rotated pivot's rows; in
+    frames that are not unitary the other rotated pairs can be far larger
+    than the pivot (I, I), so there it is at least their largest entry.
     aux holds pivot_unknowns (columns), pivot_free_units and
     pivot_coupling_margin (the smallest w / cut of a coupled column, None
     without one).
@@ -348,7 +425,7 @@ def _pivot_system(Z, frames: _PivotFrames, label, adjoint: bool):
     alpha[len(kept):na], alpha[na:], beta[len(kept):na], beta[na:] = 1.0, 0.0, 0.0, 1.0
     a, b = alpha.nonzero()[0], beta.nonzero()[0]
     (ra, ca, wa), (rb, cb, wb) = (r[a], c[a], alpha[a]), (r[b], c[b], beta[b])
-    X, Y = _into_frames(Z, frames)
+    X, Y = XY = _into_frames(Z, frames)
     # row (p, q) of A' X'_i - Y'_i B': A'_rc adds X'_i[c, q] at p = r, B'_rc
     # subtracts Y'_i[p, r] at q = c; of B' X'_i^dag - Y'_i^dag A': B'_rc adds
     # conj(X'_i[q, c]) at p = r, A'_rc subtracts conj(Y'_i[r, p]) at q = c
@@ -364,7 +441,10 @@ def _pivot_system(Z, frames: _PivotFrames, label, adjoint: bool):
     basis_a[a, ra, ca] = wa
     basis_b = np.zeros((g, d2, d2), dtype=complex)
     basis_b[b, rb, cb] = wb
-    system = LinearSystem(rows.reshape(-1, g), basis_a, basis_b, scale=float(np.hypot(s[0], t[0])))
+    scale = float(np.hypot(s[0], t[0]))
+    if not frames.unitary:
+        scale = max(scale, float(np.abs(XY).max()))
+    system = LinearSystem(rows.reshape(-1, g), basis_a, basis_b, scale=scale)
     margin = float(weight[kept].min() / cut) if kept.size else None
     return system, {"pivot_unknowns": g, "pivot_free_units": len(free_a) + len(free_b),
                     "pivot_coupling_margin": margin}
@@ -502,7 +582,10 @@ def certificate_residuals(mode: str, payload, U, V, tol: Tolerances = Tolerances
             raise InputError(f"certificate {name} has shape {got}, expected {shape} for {mode}")
     X, Y = np.asarray(pairs, dtype=complex).transpose(1, 0, 2, 3)
     if mode == "matpoly":
-        if any(numerical_rank(singular_values(M), tol) < len(M) for M in (U, V)):
+        for name, M in zip("UV", (U, V)):
+            if not np.isfinite(M).all():
+                raise InputError(f"certificate {name} contains non-finite entries")
+        if any(numerical_rank(np.linalg.svd(M, compute_uv=False), tol) < len(M) for M in (U, V)):
             return np.inf, np.inf
         UXVinv = np.linalg.solve(V.T, (U @ X).transpose(0, 2, 1)).transpose(0, 2, 1)
         return _worst_relative(UXVinv - Y, Y), 0.0
@@ -578,20 +661,42 @@ def _spanning_pairs(Z) -> np.ndarray:
     return np.linalg.qr(Z.reshape(n, -1), mode="r").reshape((-1,) + Z.shape[1:])
 
 
-def _pivot_decide(Z, cfg: SamplerConfig, tol: Tolerances, kind: str = "unitary") -> UepVerdict:
+def _solve_in_frames(Z, frames: _PivotFrames, label, cfg: SamplerConfig, tol: Tolerances,
+                     kind: str, aux: dict) -> UepVerdict:
+    """_decide on the reduced system of the stack Z in frames (_pivot_system,
+    with the adjoint rows for kind "unitary"), a YES carried back as
+    A = W_y A' W_x^-1, B = R_y B' R_x^-1; the verdict records aux, then the
+    system's aux."""
+    system, system_aux = _pivot_system(Z, frames, label, kind == "unitary")
+    verdict = _decide(system, cfg, tol, kind)
+    if verdict.verdict == "YES":
+        (W_x, W_y), (R_x, R_y) = frames.W, frames.R
+        verdict.U = W_y @ verdict.U @ _inverse(W_x, frames.unitary)
+        verdict.V = R_y @ verdict.V @ _inverse(R_x, frames.unitary)
+    verdict.aux.update(aux, **system_aux)
+    return verdict
+
+
+def _pivot_decide(Z, cfg: SamplerConfig, tol: Tolerances, kind: str = "unitary",
+                  payload=None) -> UepVerdict:
     """Decide u X_j v^dag = Y_j over two full algebras, or for kind "invertible"
     A X_j = Y_j B, for the (n, 2, a, a') stack Z of pairs, leaving Z unchanged
-    and a YES unchecked.
+    and a YES unchecked, except that given the matpoly payload (P, Q) every
+    invertible YES leaves through check_certificate.
 
     Neither equation changes when a pair is scaled, so each nonzero pair of a
     copy of Z is divided by its largest real or imaginary part (a norm would
     square the entries, and overflow near 1e154), and the result cut to its
     spanning pairs: one rank cut then sees small pairs next to large ones. A
     unitary pivot drawn from cfg.seed with differing spectra is an exact NO;
-    an invertible one takes one cluster and no adjoint rows. The solution
-    space is sampled in the pivot frames: only a YES's certificate is carried
-    back. Every verdict past the pivot records the aux of _clusters (unitary
-    only) and _pivot_system.
+    an invertible one first tries its eigen frames (_eigen_frames), with one
+    unknown per eigenvalue. Their answer stands only as a YES that passes the
+    check (without a payload, any YES); otherwise the singular frames decide,
+    with one cluster and no adjoint rows. The solution space is sampled in
+    the frames: only a YES's certificate is carried back. Every verdict past
+    the pivot records the aux of _clusters (unitary only) and _pivot_system,
+    and an invertible one pivot_eigen_margin (None unless the eigen frames
+    answered).
     """
     Z = np.array(Z, dtype=complex, order="C")
     R = Z.view(float).reshape(len(Z), -1)  # re and im of pair j in row j; dividing R divides Z
@@ -599,19 +704,25 @@ def _pivot_decide(Z, cfg: SamplerConfig, tol: Tolerances, kind: str = "unitary")
     R /= m + (m == 0)
     Z = _spanning_pairs(Z)
     frames = _pivot_frames(_pivot_pair(Z, cfg.seed), tol)
-    unitary = kind == "unitary"
-    if unitary and not same_spectrum(frames.s, frames.t, tol):
-        return UepVerdict(verdict="NO", certainty="exact",
-                          detail="singular values differ at the random pivot pair "
-                                 "sum_i c_i (X_i, Y_i)")
-    label, aux = _clusters(frames) if unitary else (np.zeros(len(frames.s), dtype=int), {})
-    system, system_aux = _pivot_system(Z, frames, label, adjoint=unitary)
-    verdict = _decide(system, cfg, tol, kind)
-    if verdict.verdict == "YES":  # A = W_y A' W_x^dag, B = R_y B' R_x^dag
-        (W_x, W_y), (R_x, R_y) = frames.W, frames.R
-        verdict.U, verdict.V = W_y @ verdict.U @ W_x.conj().T, R_y @ verdict.V @ R_x.conj().T
-    verdict.aux.update(aux, **system_aux)
-    return verdict
+    if kind == "unitary":
+        if not same_spectrum(frames.s, frames.t, tol):
+            return UepVerdict(verdict="NO", certainty="exact",
+                              detail="singular values differ at the random pivot pair "
+                                     "sum_i c_i (X_i, Y_i)")
+        label, aux = _clusters(frames)
+        return _solve_in_frames(Z, frames, label, cfg, tol, kind, aux)
+
+    def checked(verdict):
+        return verdict if payload is None else check_certificate(verdict, "matpoly", payload, tol)
+
+    eigen, margin = _eigen_frames(Z, frames, cfg.seed, tol)
+    if eigen is not None:
+        verdict = checked(_solve_in_frames(Z, eigen, np.arange(len(eigen.s)), cfg, tol, kind,
+                                           {"pivot_eigen_margin": margin}))
+        if verdict.verdict == "YES":
+            return verdict
+    return checked(_solve_in_frames(Z, frames, np.zeros(len(frames.s), dtype=int), cfg, tol, kind,
+                                    {"pivot_eigen_margin": None}))
 
 
 def _spectrum_mismatch(pairs, blocks, shape: tuple, tol: Tolerances):
@@ -688,9 +799,15 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
     Coefficient ranks are invariant under the equivalence and serve as an
     exact prefilter. Past it, one _pivot_decide of kind "invertible" solves
     A X_i = Y_i B over full algebras on the normalized coefficient pairs,
-    with every unit in one cluster and no adjoint rows, and records
-    pivot_unknowns, pivot_free_units and pivot_coupling_margin in aux. The
-    certificate is the sampled (A, B) itself, checked on the unscaled (P, Q).
+    without adjoint rows: square coefficients with an invertible pivot and
+    distinct eigenvalues of X_c^-1 X_c2 in d unknowns (the eigen frames),
+    and every other pencil, or an eigen-frame answer that is not a verified
+    YES, with every unit in one cluster (d^2 unknowns for square
+    coefficients). aux records pivot_unknowns,
+    pivot_free_units, pivot_coupling_margin and pivot_eigen_margin (the
+    smallest eigenvalue gap over the eigen cut, None unless the eigen frames
+    answered). The certificate is the sampled (A, B) itself, checked on the
+    unscaled (P, Q).
     """
     if P.shape != Q.shape or P.degree != Q.degree:
         raise InputError("matrix polynomials must share shape and degree")
@@ -699,8 +816,7 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
         if numerical_rank(sx, tol) != numerical_rank(sy, tol):
             return UepVerdict(verdict="NO", certainty="exact", certificate_kind="invertible",
                               detail=f"coefficient ranks differ at index {idx}")
-    verdict = _pivot_decide(Z, cfg, tol, "invertible")
-    return check_certificate(verdict, "matpoly", (P, Q), tol)
+    return _pivot_decide(Z, cfg, tol, "invertible", (P, Q))
 
 
 def uep_instance_full(d1: int, d2: int, pairs) -> UepInstance:

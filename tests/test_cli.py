@@ -258,8 +258,10 @@ class TestDecide:
         # B-only columns, forces B'_j2 (j < 2) to 0 and leaves B'_22 free
         assert {k: aux[k] for k in ("pivot_unknowns", "pivot_free_units")} == {
             "pivot_unknowns": 7, "pivot_free_units": 1}
-        assert set(aux) == {"pivot_unknowns", "pivot_free_units", "pivot_coupling_margin"}
+        assert set(aux) == {"pivot_unknowns", "pivot_free_units", "pivot_coupling_margin",
+                            "pivot_eigen_margin"}
         assert aux["pivot_coupling_margin"] > 1.0
+        assert aux["pivot_eigen_margin"] is None  # rectangular: the singular frames answer
 
     def test_pure_sets_mode(self, tmp_path, rng):
         d1, d2 = 2, 2

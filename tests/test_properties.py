@@ -7,6 +7,8 @@ the deferred singular-value comparisons give over factor shapes and in
 unilocal-mixed; and the Gram route of nullspace_basis against the dense
 QR + SVD reference on planted spectra around the rank cut."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
@@ -19,6 +21,8 @@ from uniequiv.algebra import span_residual
 from uniequiv.linalg import same_spectrum
 from uniequiv.oracle import haar_unitary_in_algebra, random_yes_instance
 from uniequiv.solver import SolutionSpace, _clusters, _pivot_frames, _pivot_pair, _pivot_system
+
+import uniequiv.solver as solver_mod
 
 from conftest import ginibre, haar, random_density
 from exact_reference import (dense_nullspace_basis, generic_mixed_by_matrix_pairs,
@@ -327,6 +331,61 @@ def test_matpoly_pivot_reduction_keeps_the_solution_space(case):
         assert decide_invertible_equivalence(P, Q, SamplerConfig(seed=seed)).verdict == "YES"
     if reduced.dimension:
         assert _largest_angle_sine(full, _stacked_basis(reduced)) <= 1e-6
+
+
+@st.composite
+def square_pencils(draw):
+    """Planted matrix polynomials Y_i = A X_i B^-1 with X_i = G D_i H and the
+    spectrum of X_c^-1 X_c2 set by the D_i: diagonal with random entries
+    (distinct eigenvalues), with D_i[1, 1] = D_i[0, 0] (a repeated one), that
+    plus a random D_i[0, 1] (a 2 x 2 Jordan block), D_i[1, 1] 1e-12 relative
+    off D_i[0, 0] (two clustered ones), or rectangular random coefficients."""
+    kind = draw(st.sampled_from(["distinct", "repeated", "jordan", "clustered", "rectangular"]))
+    d = draw(st.integers(6, 8))
+    m = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if kind == "rectangular":
+        d2 = d + draw(st.sampled_from([-1, 1]))
+        Xs = [ginibre(d, d2, rng) for _ in range(m + 1)]
+    else:
+        d2 = d
+        G, H = (ginibre(d, d, rng) + 3 * np.eye(d) for _ in "GH")
+        Ds = [np.diag(ginibre(1, d, rng).ravel()) for _ in range(m + 1)]
+        for D in Ds:
+            if kind == "clustered":
+                D[1, 1] = D[0, 0] * (1 + 1e-12 * ginibre(1, 1, rng)[0, 0])
+            elif kind != "distinct":
+                D[1, 1] = D[0, 0]
+            if kind == "jordan":
+                D[0, 1] = ginibre(1, 1, rng)[0, 0]
+        Xs = [G @ D @ H for D in Ds]
+    A, B = ginibre(d, d, rng) + 2 * np.eye(d), ginibre(d2, d2, rng) + 2 * np.eye(d2)
+    Ys = [A @ X @ np.linalg.inv(B) for X in Xs]
+    return kind, MatrixPolynomial(tuple(Xs)), MatrixPolynomial(tuple(Ys)), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(square_pencils())
+def test_eigen_frames_answer_exactly_the_distinct_spectra(case):
+    # every planted pencil is a YES; the eigen frames build its system (the
+    # frames that are not unitary) only for distinct, well-separated
+    # eigenvalues, and the singular frames alone decide the rest
+    kind, P, Q, seed = case
+    unitary_frames = []
+    real = solver_mod._pivot_system
+
+    def spy(Z, frames, label, adjoint):
+        unitary_frames.append(frames.unitary)
+        return real(Z, frames, label, adjoint)
+
+    with mock.patch.object(solver_mod, "_pivot_system", spy):
+        verdict = decide_invertible_equivalence(P, Q, SamplerConfig(seed=seed))
+    assert verdict.verdict == "YES" and verdict.residual <= 1e-8, (kind, verdict.detail)
+    if kind == "distinct":
+        assert unitary_frames == [False] and verdict.aux["pivot_eigen_margin"] > 1.0
+        assert verdict.aux["pivot_unknowns"] == P.shape[0]
+    else:
+        assert unitary_frames == [True] and verdict.aux["pivot_eigen_margin"] is None
 
 
 def _scale_spectrum(M, rng):

@@ -29,7 +29,8 @@ from uniequiv.algebra import factor_algebra, span_residual
 from uniequiv.cli import main
 from uniequiv.linalg import same_spectrum
 from uniequiv.oracle import random_yes_instance
-from uniequiv.serialize import certificate_to_json, dumps_document, instance_to_json
+from uniequiv.serialize import (certificate_to_json, dumps_document, instance_to_json,
+                                verdict_document)
 from uniequiv.solver import (SolutionSpace, UepVerdict, certificate_residuals, check_certificate,
                              _clusters, _pivot_frames, _pivot_pair, draw_candidate,
                              per_trial_failure_bound)
@@ -854,6 +855,50 @@ class TestInvertibleEquivalence:
             decide_invertible_equivalence(P, Q, CFG)
 
 
+def _matpoly_document(P, Q, seed):
+    verdict = decide_invertible_equivalence(P, Q, SamplerConfig(seed=seed))
+    return dumps_document(verdict_document(verdict, "matpoly", seed, verbose=True))
+
+
+class TestEigenFrames:
+    # the random-NO shapes (d, degree) of the benchmark's matpoly cases, and
+    # the rank-profile NO
+    @pytest.mark.parametrize("d, degree", [(3, 3), (6, 2), (8, 1), (10, 3)])
+    def test_no_documents_match_the_singular_frames_alone(self, d, degree, monkeypatch):
+        # the eigen frames claim no NO: with them switched off, every random
+        # NO reads the same document, verdict, certainty and detail included
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            P, Q = (MatrixPolynomial(tuple(ginibre(d, d, rng) for _ in range(degree + 1)))
+                    for _ in "PQ")
+            with_eigen = _matpoly_document(P, Q, seed + 1)
+            assert json.loads(with_eigen)["verdict"] == "NO"
+            with monkeypatch.context() as patch:
+                patch.setattr(solver_mod, "_eigen_frames", lambda *args: (None, None))
+                assert _matpoly_document(P, Q, seed + 1) == with_eigen
+
+    def test_rank_profile_no_matches_the_singular_frames_alone(self, monkeypatch):
+        P = MatrixPolynomial((np.eye(2), np.eye(2)))
+        Q = MatrixPolynomial((np.diag([1.0, 0.0]), np.eye(2)))
+        with_eigen = _matpoly_document(P, Q, 1)
+        monkeypatch.setattr(solver_mod, "_eigen_frames", lambda *args: (None, None))
+        assert _matpoly_document(P, Q, 1) == with_eigen
+        assert json.loads(with_eigen)["detail"] == "coefficient ranks differ at index 0"
+
+    def test_eigen_yes_reruns_byte_identical(self):
+        # acceptance criterion 9 on a YES that the eigen frames answer: one
+        # unknown per eigenvalue, and the same document from the same seed
+        rng = np.random.default_rng(8)
+        A, B = (ginibre(8, 8, rng) + 2 * np.eye(8) for _ in "AB")
+        P = MatrixPolynomial(tuple(ginibre(8, 8, rng) for _ in range(3)))
+        Q = MatrixPolynomial(tuple(A @ C @ np.linalg.inv(B) for C in P.coefficients))
+        first = _matpoly_document(P, Q, 5)
+        doc = json.loads(first)
+        assert doc["verdict"] == "YES" and doc["residual"] <= 1e-10
+        assert doc["aux"]["pivot_unknowns"] == 8 and doc["aux"]["pivot_eigen_margin"] > 1.0
+        assert _matpoly_document(P, Q, 5) == first
+
+
 MODES = ("matrix-pairs", "matpoly", "pure-sets", "unilocal-mixed", "generic-mixed")
 UNITARY_MODES = tuple(m for m in MODES if m != "matpoly")
 
@@ -907,6 +952,15 @@ class TestCertificateResiduals:
         payload, A, B = _planted("matpoly", rng)
         A[0] = 0.0
         assert certificate_residuals("matpoly", payload, A, B) == (np.inf, np.inf)
+
+    @pytest.mark.parametrize("name", ["U", "V"])
+    def test_non_finite_matpoly_certificate_raises(self, name, rng):
+        # a library caller's certificate is checked for finite entries before
+        # its ranks are taken
+        payload, A, B = _planted("matpoly", rng)
+        (A if name == "U" else B)[0, 0] = np.nan
+        with pytest.raises(InputError, match=f"certificate {name} contains non-finite entries"):
+            certificate_residuals("matpoly", payload, A, B)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_wrong_shapes_raise(self, mode, rng):

@@ -1,9 +1,12 @@
 """Smoke tests of the comparison tools: a tree compared with itself differs
-nowhere (tools/verdict_diff.py), and tools/case_ab.py prints one timing line
+nowhere (tools/verdict_diff.py), which tallies differences by key and case
+kind, and tools/case_ab.py prints one timing line
 per case of a cycle, or per matched case with --match, and the cycle total,
 each with the rounds won by either tree and both trees' quartiles. And
 tools/src_lines.py counts only the lines that hold code."""
 
+import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -21,6 +24,34 @@ def test_verdict_diff_of_the_tree_against_itself_is_empty():
     # 21 cases of one cycle and the warm-up, each decided in both processes
     assert proc.stdout.splitlines() == [
         "22 documents: 0 differ in a compared key, 22 byte-identical without timing"]
+
+
+def test_verdict_diff_tallies_each_key_and_case_kind():
+    spec = importlib.util.spec_from_file_location("verdict_diff", ROOT / "tools" / "verdict_diff.py")
+    verdict_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(verdict_diff)
+
+    def reply(verdict, aux):
+        return {"text": json.dumps({"verdict": verdict, "timing": 0.1}), "aux": aux}
+
+    requests = [(f"states-small s11 #{i} {kind} d=8", "", i + 1)
+                for i, kind in enumerate(["matpoly/yes", "matpoly/yes", "matpoly/random-no",
+                                          "pure/yes"])]
+    mine = [reply("YES", {"pivot_unknowns": 8, "pivot_eigen_margin": None}),
+            reply("YES", {"pivot_unknowns": 9, "pivot_eigen_margin": None}),
+            reply("NO", {"pivot_unknowns": 64, "pivot_eigen_margin": None}),
+            reply("NO", {})]
+    theirs = [reply("YES", {"pivot_unknowns": 64}), reply("YES", {"pivot_unknowns": 81}),
+              reply("NO", {"pivot_unknowns": 64}), reply("YES", {})]
+    lines, differing, identical = verdict_diff.compare(requests, mine, theirs)
+    # sorted by key, then kind
+    assert lines == [
+        "pivot_eigen_margin: 1 documents (matpoly/random-no), first "
+        "states-small s11 #2 matpoly/random-no d=8",
+        "pivot_eigen_margin: 2 documents (matpoly/yes), first states-small s11 #0 matpoly/yes d=8",
+        "pivot_unknowns: 2 documents (matpoly/yes), first states-small s11 #0 matpoly/yes d=8",
+        "verdict: 1 documents (pure/yes), first states-small s11 #3 pure/yes d=8"]
+    assert (differing, identical) == (4, 3)
 
 
 def test_case_ab_of_the_tree_against_itself_prints_every_case_and_the_cycle():

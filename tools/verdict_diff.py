@@ -17,10 +17,13 @@ failure_bound and trials_used are compared, and so is the verdict's aux
 entry that is an int or a list or tuple of ints (pivot_clusters,
 pivot_unknowns, pivot_free_units, phase_components, grid_solves,
 phase_grid_combo). Float entries such as uv_gap and the pivot gaps follow
-the sampled certificate or rounding, so only their keys are compared. Each
-difference is printed on one line; the summary counts the documents with a
-difference and those that are byte-identical once `timing` is left out.
-The exit status is 1 when any document differs, else 0.
+the sampled certificate or rounding, so only their keys are compared. One
+tally line is printed per differing key (a document key or an aux key) and
+case kind (the kind's first word, say matpoly/yes), with the number of
+documents and the first of them, so an expected change to one aux key reads
+as one line; the summary counts the documents with a difference and those
+that are byte-identical once `timing` is left out. The exit status is 1
+when any document differs, else 0.
 """
 
 from __future__ import annotations
@@ -100,6 +103,27 @@ def without_timing(text: str) -> str:
     return json.dumps(doc)
 
 
+def compare(requests, mine, theirs):
+    """(tally lines, documents differing, documents byte-identical without
+    timing) for the replies of two trees to requests."""
+    tally = {}  # (key, kind) -> [documents, first label]
+    differing = identical = 0
+    absent = object()
+    for (label, _, _), a, b in zip(requests, mine, theirs):
+        doc_a, doc_b = json.loads(a["text"]), json.loads(b["text"])
+        keys = [key for key in KEYS if doc_a.get(key) != doc_b.get(key)]
+        keys += [key for key in sorted(a["aux"].keys() | b["aux"].keys())
+                 if a["aux"].get(key, absent) != b["aux"].get(key, absent)]
+        kind = label.split()[3]
+        for key in keys:
+            tally.setdefault((key, kind), [0, label])[0] += 1
+        differing += bool(keys)
+        identical += without_timing(a["text"]) == without_timing(b["text"])
+    lines = [f"{key}: {count} documents ({kind}), first {first}"
+             for (key, kind), (count, first) in sorted(tally.items())]
+    return lines, differing, identical
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", type=Path, help="root of the checkout to compare against")
@@ -113,18 +137,9 @@ def main(argv=None) -> int:
     if not (other / "perfbench" / "worker.py").is_file():
         parser.error(f"{other} has no perfbench/worker.py")
     requests = build_requests(args.workload or WORKLOADS, args.seed or (11, 12, 13))
-    mine, theirs = replay(HERE, requests), replay(other, requests)
-    differing = identical = 0
-    for (label, _, _), a, b in zip(requests, mine, theirs):
-        doc_a, doc_b = json.loads(a["text"]), json.loads(b["text"])
-        diffs = [f"{key}: {doc_a.get(key)!r} here, {doc_b.get(key)!r} there"
-                 for key in KEYS if doc_a.get(key) != doc_b.get(key)]
-        if a["aux"] != b["aux"]:
-            diffs.append(f"aux: {a['aux']} here, {b['aux']} there")
-        for diff in diffs:
-            print(f"{label}: {diff}")
-        differing += bool(diffs)
-        identical += without_timing(a["text"]) == without_timing(b["text"])
+    lines, differing, identical = compare(requests, replay(HERE, requests), replay(other, requests))
+    for line in lines:
+        print(line)
     print(f"{len(requests)} documents: {differing} differ in a compared key, "
           f"{identical} byte-identical without timing")
     return 1 if differing else 0
