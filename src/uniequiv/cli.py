@@ -10,7 +10,6 @@ that cannot be written.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -18,7 +17,6 @@ from . import serialize
 from .errors import (
     InputError,
     InvalidAlgebraError,
-    MalformedInstanceError,
     NotGenericError,
     UniequivError,
 )
@@ -61,10 +59,10 @@ def _build_parser() -> _Parser:
                         help="override the mode recorded in the file")
     decide.add_argument("--seed", type=int, required=True,
                         help="sampler seed (recorded in the verdict document)")
-    decide.add_argument("--trials", type=int, default=32)
-    decide.add_argument("--sample-max", type=int, default=1_000_000)
-    decide.add_argument("--tol-rank", type=float, default=1e-10)
-    decide.add_argument("--tol-residual", type=float, default=1e-8)
+    decide.add_argument("--trials", type=int, default=SamplerConfig.trials)
+    decide.add_argument("--sample-max", type=int, default=SamplerConfig.sample_max)
+    decide.add_argument("--tol-rank", type=float, default=Tolerances.rank_rel)
+    decide.add_argument("--tol-residual", type=float, default=Tolerances.residual_abs)
     decide.add_argument("--phase-grid", type=int, default=12,
                         help="grid points per circle for generic-mixed phase fallback (>= 1)")
     decide.add_argument("--verbose", action="store_true")
@@ -88,7 +86,7 @@ def _build_parser() -> _Parser:
     verify.add_argument("instance", help="path to the JSON instance file (any mode)")
     verify.add_argument("certificate",
                         help="path to the certificate JSON with U, V (V null for unilocal-mixed)")
-    verify.add_argument("--tol-residual", type=float, default=1e-8)
+    verify.add_argument("--tol-residual", type=float, default=Tolerances.residual_abs)
     return parser
 
 
@@ -157,8 +155,6 @@ def cmd_gen(args) -> int:
     """Write a planted instance; gen reads no file, so every error is a usage error."""
     g1 = _parse_algebra_flag(args.g1, "g1")
     g2 = _parse_algebra_flag(args.g2, "g2")
-    if args.d1 < 1 or args.d2 < 1 or args.m < 0:
-        raise InputError("dimensions must be positive and m non-negative")
     if args.no_ and args.witness:
         raise InputError("--witness needs --yes: a NO instance has no planted certificate")
     if args.yes:
@@ -184,12 +180,7 @@ def cmd_verify(args) -> int:
     """
     tol = _options(Tolerances, residual_abs=args.tol_residual)
     mode, payload = serialize.load_instance(args.instance)
-    try:
-        with open(args.certificate, "r", encoding="utf-8") as fh:
-            cert_doc = json.load(fh)
-    except Exception as exc:
-        raise MalformedInstanceError(f"cannot read certificate: {exc}") from exc
-    U, V = serialize.certificate_from_json(cert_doc)
+    U, V = serialize.certificate_from_json(serialize.read_json(args.certificate))
     residual, defect = certificate_residuals(mode, payload, U, V, tol)
     print(f"residual: {residual:.6e}  defect: {defect:.6e}")
     return EXIT_YES if max(residual, defect) <= tol.residual_abs else EXIT_NO

@@ -31,6 +31,7 @@ __all__ = [
     "algebra_to_json",
     "algebra_from_json",
     "instance_to_json",
+    "read_json",
     "load_instance",
     "parse_instance",
     "verdict_document",
@@ -216,16 +217,11 @@ def _parse_matrix_pairs(doc, d1, d2) -> UepInstance:
 
 
 def _parse_matpoly(doc, d1, d2):
-    out = []
-    for key in ("P", "Q"):
-        coeffs_obj = doc.get(key)
-        if not isinstance(coeffs_obj, list) or not coeffs_obj:
-            raise MalformedInstanceError(f"{key}: expected a non-empty list of coefficient matrices")
-        coeffs = [matrix_from_json(C, f"{key}[{i}]") for i, C in enumerate(coeffs_obj)]
+    lists = _parse_lists(doc, ("P", "Q"), "coefficient matrices", matrix_from_json)
+    for key, coeffs in zip("PQ", lists):
         if any(C.shape != (d1, d2) for C in coeffs):
             raise MalformedInstanceError(f"{key}: coefficients must all be {d1} x {d2}")
-        out.append(MatrixPolynomial(tuple(coeffs)))
-    return tuple(out)
+    return tuple(MatrixPolynomial(tuple(coeffs)) for coeffs in lists)
 
 
 def _parse_lists(doc, keys, what, parse):
@@ -250,16 +246,21 @@ def _parse_generic_mixed(doc, d1, d2):
     return tuple(out)
 
 
-def load_instance(path: str, mode: str | None = None):
-    """parse_instance(doc, mode) of the JSON document in the file at path."""
+def read_json(path: str):
+    """The JSON document in the UTF-8 file at path; MalformedInstanceError when
+    the file cannot be read or holds no valid JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInstanceError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedInstanceError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return parse_instance(doc, mode)
+
+
+def load_instance(path: str, mode: str | None = None):
+    """parse_instance(doc, mode) of the JSON document in the file at path."""
+    return parse_instance(read_json(path), mode)
 
 
 def verdict_document(verdict: UepVerdict, mode: str, seed: int,

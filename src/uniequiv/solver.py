@@ -20,9 +20,10 @@ per basis pair (A_j, B_j) in every system lets one solve serve every route.
 Over two factor shapes (a, b) and (a', b') (full is (d, 1)), U = u (x) I_b
 and V = v (x) I_b' solve the equations exactly when u X_pq v^dag = Y_pq for
 the realigned blocks X_pq[r, c] = X_i[(r, p), (c, q)]: a system over two
-full algebras. It and the matrix-polynomial system A X_i = Y_i B (invertible
-A, B, no adjoint equation) are solved by _pivot_decide, on the pairs each
-divided by its largest entry, for A' = W_y^dag A W_x and
+full algebras. _pivot_decide solves it, and decide_invertible_equivalence
+the matrix-polynomial system A X_i = Y_i B (invertible A, B, no adjoint
+equation), both on the pairs each divided by its largest entry and spanned
+(_pivot_prepared), for A' = W_y^dag A W_x and
 B' = R_y^dag B R_x in the singular frames X_c = W_x S R_x^dag and
 Y_c = W_y T R_y^dag of one random pivot pair X_c = sum c_i X_i,
 Y_c = sum c_i Y_i, with s and t zero-padded to max(d1, d2). Row (j, k) of
@@ -38,11 +39,11 @@ in these frames, unless it is square and its pivot invertible: then the
 eigen frames of X_c^-1 X_c2, for a second random combination, take the
 pivot to (I, I) and leave one unknown per eigenvalue where the eigenvalues
 are distinct (_eigen_frames), and only a YES they give that passes the
-certificate check stands. Clusters merge below a relative gap of the pivot cut, 1e3 eps /
-min(rank_rel, residual_abs): merging only enlarges the searched space,
-while a split leaves the frames about eps / gap off, and every solution a
-residual of that size. As the pivot rows hold exactly, a system of pivot
-rows alone is rounding noise, so the rank cut is
+certificate check stands. Clusters merge below a relative gap of the pivot
+cut, 1e3 eps / min(rank_rel, residual_abs): merging only enlarges the
+searched space, while a split leaves the frames about eps / gap off, and
+every solution a residual of that size. As the pivot rows hold exactly, a
+system of pivot rows alone is rounding noise, so the rank cut is
 rank_rel * max(sigma_1, hypot(s_1, t_1)).
 
 Over factor shapes other than two full algebras (and in unilocal-mixed),
@@ -677,52 +678,40 @@ def _solve_in_frames(Z, frames: _PivotFrames, label, cfg: SamplerConfig, tol: To
     return verdict
 
 
-def _pivot_decide(Z, cfg: SamplerConfig, tol: Tolerances, kind: str = "unitary",
-                  payload=None) -> UepVerdict:
-    """Decide u X_j v^dag = Y_j over two full algebras, or for kind "invertible"
-    A X_j = Y_j B, for the (n, 2, a, a') stack Z of pairs, leaving Z unchanged
-    and a YES unchecked, except that given the matpoly payload (P, Q) every
-    invertible YES leaves through check_certificate.
-
-    Neither equation changes when a pair is scaled, so each nonzero pair of a
-    copy of Z is divided by its largest real or imaginary part (a norm would
-    square the entries, and overflow near 1e154), and the result cut to its
-    spanning pairs: one rank cut then sees small pairs next to large ones. A
-    unitary pivot drawn from cfg.seed with differing spectra is an exact NO;
-    an invertible one first tries its eigen frames (_eigen_frames), with one
-    unknown per eigenvalue. Their answer stands only as a YES that passes the
-    check (without a payload, any YES); otherwise the singular frames decide,
-    with one cluster and no adjoint rows. The solution space is sampled in
-    the frames: only a YES's certificate is carried back. Every verdict past
-    the pivot records the aux of _clusters (unitary only) and _pivot_system,
-    and an invertible one pivot_eigen_margin (None unless the eigen frames
-    answered).
-    """
+def _pivot_prepared(Z, cfg: SamplerConfig, tol: Tolerances) -> tuple:
+    """(Z', frames) for the (n, 2, a, a') stack Z of pairs, which stays unchanged:
+    Z' is a copy of Z with each nonzero pair divided by its largest real or
+    imaginary part (a norm would square the entries, and overflow near
+    1e154), cut to its spanning pairs, and frames the singular frames of its
+    pivot pair drawn from cfg.seed. Neither u X_j v^dag = Y_j nor
+    A X_j = Y_j B changes when a pair is scaled, and one rank cut then sees
+    small pairs next to large ones."""
     Z = np.array(Z, dtype=complex, order="C")
     R = Z.view(float).reshape(len(Z), -1)  # re and im of pair j in row j; dividing R divides Z
     m = np.abs(R).max(axis=1, keepdims=True)
     R /= m + (m == 0)
     Z = _spanning_pairs(Z)
-    frames = _pivot_frames(_pivot_pair(Z, cfg.seed), tol)
-    if kind == "unitary":
-        if not same_spectrum(frames.s, frames.t, tol):
-            return UepVerdict(verdict="NO", certainty="exact",
-                              detail="singular values differ at the random pivot pair "
-                                     "sum_i c_i (X_i, Y_i)")
-        label, aux = _clusters(frames)
-        return _solve_in_frames(Z, frames, label, cfg, tol, kind, aux)
+    return Z, _pivot_frames(_pivot_pair(Z, cfg.seed), tol)
 
-    def checked(verdict):
-        return verdict if payload is None else check_certificate(verdict, "matpoly", payload, tol)
 
-    eigen, margin = _eigen_frames(Z, frames, cfg.seed, tol)
-    if eigen is not None:
-        verdict = checked(_solve_in_frames(Z, eigen, np.arange(len(eigen.s)), cfg, tol, kind,
-                                           {"pivot_eigen_margin": margin}))
-        if verdict.verdict == "YES":
-            return verdict
-    return checked(_solve_in_frames(Z, frames, np.zeros(len(frames.s), dtype=int), cfg, tol, kind,
-                                    {"pivot_eigen_margin": None}))
+def _pivot_decide(Z, cfg: SamplerConfig, tol: Tolerances) -> UepVerdict:
+    """Decide u X_j v^dag = Y_j over two full algebras for the (n, 2, a, a')
+    stack Z of pairs, leaving Z unchanged and a YES unchecked.
+
+    On the prepared pairs (_pivot_prepared), differing spectra of the pivot
+    are an exact NO; otherwise the units inside each cluster of equal
+    singular values (_clusters) are solved with the adjoint rows, the
+    solution space sampled in the frames, and only a YES's certificate
+    carried back. Every verdict past the pivot records the aux of _clusters
+    and _pivot_system.
+    """
+    Z, frames = _pivot_prepared(Z, cfg, tol)
+    if not same_spectrum(frames.s, frames.t, tol):
+        return UepVerdict(verdict="NO", certainty="exact",
+                          detail="singular values differ at the random pivot pair "
+                                 "sum_i c_i (X_i, Y_i)")
+    label, aux = _clusters(frames)
+    return _solve_in_frames(Z, frames, label, cfg, tol, "unitary", aux)
 
 
 def _spectrum_mismatch(pairs, blocks, shape: tuple, tol: Tolerances):
@@ -797,17 +786,19 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
     """Decide whether invertible A, B exist with A X_i B^(-1) = Y_i for all i.
 
     Coefficient ranks are invariant under the equivalence and serve as an
-    exact prefilter. Past it, one _pivot_decide of kind "invertible" solves
-    A X_i = Y_i B over full algebras on the normalized coefficient pairs,
-    without adjoint rows: square coefficients with an invertible pivot and
-    distinct eigenvalues of X_c^-1 X_c2 in d unknowns (the eigen frames),
-    and every other pencil, or an eigen-frame answer that is not a verified
-    YES, with every unit in one cluster (d^2 unknowns for square
-    coefficients). aux records pivot_unknowns,
-    pivot_free_units, pivot_coupling_margin and pivot_eigen_margin (the
-    smallest eigenvalue gap over the eigen cut, None unless the eigen frames
-    answered). The certificate is the sampled (A, B) itself, checked on the
-    unscaled (P, Q).
+    exact prefilter. Past it, A X_i = Y_i B is solved over full algebras,
+    without adjoint rows, on the coefficient pairs prepared as for the
+    unitary pivot (_pivot_prepared: normalized pair by pair and spanned). A
+    square pencil with an invertible pivot and distinct eigenvalues of
+    X_c^-1 X_c2 is solved first in d unknowns in its eigen frames
+    (_eigen_frames), and their YES is checked at once; a YES that passes
+    stands. Every other pencil, and an eigen-frame answer that is not a
+    verified YES, is solved in the singular frames with every unit in one
+    cluster (d^2 unknowns for square coefficients), and a YES checked
+    there. The certificate is the sampled (A, B) itself, checked on the
+    unscaled (P, Q). aux records pivot_unknowns, pivot_free_units,
+    pivot_coupling_margin and pivot_eigen_margin (the smallest eigenvalue
+    gap over the eigen cut, None unless the eigen frames answered).
     """
     if P.shape != Q.shape or P.degree != Q.degree:
         raise InputError("matrix polynomials must share shape and degree")
@@ -816,7 +807,17 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
         if numerical_rank(sx, tol) != numerical_rank(sy, tol):
             return UepVerdict(verdict="NO", certainty="exact", certificate_kind="invertible",
                               detail=f"coefficient ranks differ at index {idx}")
-    return _pivot_decide(Z, cfg, tol, "invertible", (P, Q))
+    Z, frames = _pivot_prepared(Z, cfg, tol)
+    eigen, margin = _eigen_frames(Z, frames, cfg.seed, tol)
+    if eigen is not None:
+        verdict = _solve_in_frames(Z, eigen, np.arange(len(eigen.s)), cfg, tol, "invertible",
+                                   {"pivot_eigen_margin": margin})
+        verdict = check_certificate(verdict, "matpoly", (P, Q), tol)
+        if verdict.verdict == "YES":
+            return verdict
+    verdict = _solve_in_frames(Z, frames, np.zeros(len(frames.s), dtype=int), cfg, tol,
+                               "invertible", {"pivot_eigen_margin": None})
+    return check_certificate(verdict, "matpoly", (P, Q), tol)
 
 
 def uep_instance_full(d1: int, d2: int, pairs) -> UepInstance:

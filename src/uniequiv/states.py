@@ -291,7 +291,9 @@ def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
     identity, and the stacked eigenvector pairs go to the pivot route once
     per point of a grid of phase_grid >= 1 points per free phase, one per
     trace graph component after the first (a connected graph: one solve,
-    whose verdict stands). Each candidate is checked once, on rho, sigma.
+    whose verdict stands). A disconnected graph first compares the spectra
+    of both marginals, which are LU invariants: a mismatch is an exact NO
+    naming the subsystem, before any grid point is solved. Each candidate is checked once, on rho, sigma.
     At most _MAX_GRID_SOLVES candidates are solved; a grid left without a
     certificate, whole or cut by that budget, is INCONCLUSIVE.
 
@@ -343,6 +345,11 @@ def _generic_mixed(rho, sigma, cfg: SamplerConfig, tol: Tolerances, phase_grid: 
                           detail=f"Schmidt coefficients of eigenvector {idx} differ"), 0, 0
     lambdas, label = _resolve_phase_components(psis, phis)
     components = int(label.max()) + 1
+    if components > 1:  # the marginal spectra are LU invariants: compared before a grid
+        for name, r, s in zip("AB", marg_r, marg_s):
+            if not same_spectrum(*(np.linalg.eigvalsh(M)[::-1] for M in (r, s)), tol):
+                detail = f"marginal spectra differ on subsystem {name}"
+                return UepVerdict(verdict="NO", certainty="exact", detail=detail), components, 0
     # one free phase per component after the first: a connected graph's one solve stands
     grid = np.exp(2j * np.pi * np.arange(phase_grid) / phase_grid)
     candidates = product(range(phase_grid), repeat=components - 1)

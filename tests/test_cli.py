@@ -1,9 +1,11 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from uniequiv.cli import main
+from uniequiv import SamplerConfig, Tolerances, generic_mixed_lu
+from uniequiv.cli import _build_parser, main
 from uniequiv.serialize import (
     dumps_document,
     instance_to_json,
@@ -61,6 +63,18 @@ class TestSerialization:
             parse_instance({"mode": "matrix-pairs", "d1": 1, "pairs": []})
 
 
+def test_parser_defaults_are_the_library_defaults():
+    # cli-cold and the in-process callers must decide under the same settings
+    parser = _build_parser()
+    decide = parser.parse_args(["decide", "i.json", "--seed", "0"])
+    verify = parser.parse_args(["verify", "i.json", "c.json"])
+    cfg, tol = SamplerConfig(), Tolerances()
+    assert (decide.trials, decide.sample_max) == (cfg.trials, cfg.sample_max)
+    assert (decide.tol_rank, decide.tol_residual) == (tol.rank_rel, tol.residual_abs)
+    assert verify.tol_residual == tol.residual_abs
+    assert decide.phase_grid == inspect.signature(generic_mixed_lu).parameters["phase_grid"].default
+
+
 class TestGen:
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -87,6 +101,17 @@ class TestGen:
         assert main(["gen", "--d1", "2", "--d2", "2", "--seed", "1", "-o", "i.json", *flags]) == 64
         assert "error:" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags", [["--d1", "0", "--d2", "2"], ["--d1", "2", "--d2", "0"],
+                                       ["--d1", "2", "--d2", "2", "--m", "-1"]],
+                             ids=["d1", "d2", "m"])
+    @pytest.mark.parametrize("kind", ["--yes", "--no"])
+    def test_out_of_range_size_exits_64_with_the_generator_message(self, tmp_path, capsys, flags,
+                                                                  kind):
+        out = tmp_path / "i.json"
+        assert main(["gen", kind, *flags, "--seed", "1", "-o", str(out)]) == 64
+        assert capsys.readouterr().err == "error: need d1, d2 >= 1 and m >= 0\n"
+        assert not out.exists()
 
     def test_no_instance_fails_prefilter(self, tmp_path):
         out = tmp_path / "no.json"
@@ -481,6 +506,26 @@ class TestVerify:
             {"U": matrix_to_json(np.eye(2)), "V": matrix_to_json(np.eye(3))}
         ))
         assert main(["verify", str(inst_path), str(cert_path)]) == 0
+
+    def test_unreadable_files_exit_3_with_the_reader_message(self, tmp_path, capsys):
+        inst_path, wit_path = tmp_path / "i.json", tmp_path / "w.json"
+        main(["gen", "--yes", "--d1", "2", "--d2", "2", "--seed", "51",
+              "-o", str(inst_path), "--witness", str(wit_path)])
+        missing, invalid, binary = (tmp_path / name for name in ("none.json", "bad.json", "b.json"))
+        invalid.write_text('{"U": [[[1.0, 0.0]]],\n "V": ')
+        binary.write_bytes(b"\xff\xfe")
+        capsys.readouterr()
+        for paths, message in [
+                ((inst_path, missing),
+                 f"cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"),
+                ((inst_path, invalid), f"{invalid}: invalid JSON at line 2: Expecting value"),
+                ((inst_path, binary), f"cannot read {binary}: 'utf-8' codec can't decode byte "
+                                      "0xff in position 0: invalid start byte"),
+                ((missing, wit_path),
+                 f"cannot read {missing}: [Errno 2] No such file or directory: '{missing}'")]:
+            assert main(["verify", *map(str, paths)]) == 3
+            out = capsys.readouterr()
+            assert out.out == "" and out.err == f"error: {message}\n"
 
     def test_shape_mismatch_exits_3(self, tmp_path):
         inst_path = tmp_path / "i.json"

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uniequiv import serialize
+from uniequiv import matrix_algebra, serialize
+from uniequiv.cli import main
 from uniequiv.errors import MalformedInstanceError
 from uniequiv.oracle import random_yes_instance
 from uniequiv.serialize import (
@@ -22,7 +23,7 @@ from uniequiv.serialize import (
     vector_from_json,
     verdict_document,
 )
-from uniequiv.solver import UepVerdict
+from uniequiv.solver import UepInstance, UepVerdict
 
 from test_cli import STATE_MODES, _state_doc
 
@@ -121,6 +122,74 @@ class TestParseErrors:
     def test_empty_vector(self):
         text = '{"mode": "pure-sets", "d1": 1, "d2": 1, "states_in": [[]], "states_out": [[[1, 0]]]}'
         assert _parse_error(text) == "states_in[0]: expected a non-empty list of [re, im] pairs"
+
+
+def _pairs_doc(d1, d2, **fields):
+    """A matrix-pairs document with one pair of zero d1 x d2 matrices and fields."""
+    zero = matrix_to_json(np.zeros((d1, d2)))
+    return {"mode": "matrix-pairs", "d1": d1, "d2": d2, "pairs": [{"X": zero, "Y": zero}],
+            **fields}
+
+
+_ONE = [[[1.0, 0.0]]]
+_PURE = {"mode": "pure-sets", "d1": 1, "d2": 1}
+_MATPOLY = {"mode": "matpoly", "d1": 2, "d2": 3}
+
+# (document, the whole message of the error it raises)
+BAD_DOCUMENTS = [
+    (_pairs_doc(2, 2, G1={"a": 1}), "G1: expected an object with a 'kind' field"),
+    (_pairs_doc(4, 1, G1={"kind": "factor", "a": 2, "b": 3}),
+     "G1: factor 2x3 does not tile dimension 4"),
+    (_pairs_doc(2, 2, G1={"kind": "span", "basis": []}),
+     "G1.basis: expected a non-empty list of matrices"),
+    (_pairs_doc(2, 2, G1={"kind": "span", "basis": [matrix_to_json(np.eye(2))] * 2}),
+     "G1: algebra basis is not linearly independent at rank_rel"),
+    (_pairs_doc(2, 2, G2={"kind": "diagonal"}), "G2.kind: unknown algebra kind 'diagonal'"),
+    ([], "top level: expected a JSON object"),
+    ({"mode": "pairs", "d1": 1, "d2": 1},
+     "mode: unknown mode 'pairs', expected one of ('matrix-pairs', 'matpoly', 'pure-sets', "
+     "'unilocal-mixed', 'generic-mixed')"),
+    ({**_pairs_doc(1, 1), "d1": 0}, "top level.d1: expected a positive integer, got 0"),
+    ({"d1": 1, "d2": 1, "pairs": [{"X": _ONE}]}, "pairs[0]: expected an object with 'X' and 'Y'"),
+    ({**_MATPOLY, "P": [matrix_to_json(np.zeros((2, 3))), matrix_to_json(np.zeros((3, 2)))],
+      "Q": [matrix_to_json(np.zeros((2, 3)))] * 2}, "P: coefficients must all be 2 x 3"),
+    ({**_MATPOLY, "P": [matrix_to_json(np.zeros((2, 3)))] * 2,
+      "Q": [matrix_to_json(np.zeros((2, 3)))]}, "P and Q must have equal length"),
+    ({**_PURE, "states_in": [], "states_out": [_ONE[0]]},
+     "states_in: expected a non-empty list of state vectors"),
+    ({**_PURE, "states_in": [_ONE[0]] * 2, "states_out": [_ONE[0]]},
+     "states_in and states_out must have equal length"),
+    ({"mode": "generic-mixed", "d1": 1, "d2": 1, "sigma": _ONE}, "rho: missing required field"),
+]
+
+
+class TestDocumentErrors:
+    """Each check of the document layer, pinned by its whole message."""
+
+    @pytest.mark.parametrize("doc, message", BAD_DOCUMENTS,
+                             ids=["no-kind", "factor-tiling", "empty-basis", "dependent-basis",
+                                  "unknown-kind", "not-an-object", "unknown-mode", "d1-zero",
+                                  "pair-without-Y", "matpoly-shape", "matpoly-degrees", "empty-states",
+                                  "unequal-states", "no-rho"])
+    def test_message(self, doc, message):
+        with pytest.raises(MalformedInstanceError) as info:
+            parse_instance(doc)
+        assert str(info.value) == message
+
+    def test_certificate_that_is_not_an_object(self):
+        with pytest.raises(MalformedInstanceError) as info:
+            certificate_from_json([_ONE])
+        assert str(info.value) == "certificate: expected a JSON object"
+
+    @pytest.mark.parametrize("case", [1, 10], ids=["factor-tiling", "matpoly-degrees"])
+    def test_decide_exits_3_with_the_message(self, case, tmp_path, capsys):
+        doc, message = BAD_DOCUMENTS[case]
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decide", str(path), "--seed", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def _slow_matrix(obj):
@@ -231,6 +300,16 @@ class TestDumpsDocument:
         assert _equal_to_json(instance_to_json(inst, seed=seed))
         for mode in STATE_MODES:
             assert _equal_to_json(_state_doc(mode, rng))
+
+    def test_span_algebra_round_trip(self, rng):
+        basis = [np.eye(3), np.diag([1.0, 0.0, 0.0]), 1j * np.diag([0.0, 1.0, 0.0])]
+        inst, _ = random_yes_instance(3, 2, 1, seed=5)
+        inst = UepInstance(3, 2, inst.pairs, matrix_algebra(basis), inst.G2)
+        doc = instance_to_json(inst)
+        assert doc["G1"]["kind"] == "span" and _equal_to_json(doc)
+        _, parsed = parse_instance(json.loads(dumps_document(doc)))
+        assert parsed.G1.kind == "span"
+        assert all(np.array_equal(E, F) for E, F in zip(parsed.G1.basis, basis, strict=True))
 
     @pytest.mark.parametrize("U", [
         [[[float("nan"), 0.0]]],

@@ -656,7 +656,14 @@ class TestPivot:
         X[4] = 0.0
         Z = np.stack([X, haar(2, rng) @ X @ haar(2, rng).conj().T], axis=1)
         before = Z.copy()
-        verdict = solver_mod._pivot_decide(Z, CFG, Tolerances(), kind)
+        if kind == "unitary":
+            verdict = solver_mod._pivot_decide(Z, CFG, Tolerances())
+        else:
+            # matpoly shares the preparation only; its coefficients are views of Z
+            solver_mod._pivot_prepared(Z, CFG, Tolerances())
+            assert np.array_equal(Z, before)
+            P, Q = (MatrixPolynomial(tuple(Z[:, side])) for side in (0, 1))
+            verdict = decide_invertible_equivalence(P, Q, CFG)
         assert verdict.verdict == "YES"
         assert np.array_equal(Z, before)
 
@@ -961,6 +968,15 @@ class TestCertificateResiduals:
         (A if name == "U" else B)[0, 0] = np.nan
         with pytest.raises(InputError, match=f"certificate {name} contains non-finite entries"):
             certificate_residuals("matpoly", payload, A, B)
+
+    def test_non_finite_certificate_fails_the_check(self, rng):
+        # the residual of a certificate with a nan entry is inf, never nan
+        payload, U, V = _planted("pure-sets", rng)
+        U[0, 0] = np.nan
+        assert certificate_residuals("pure-sets", payload, U, V)[0] == np.inf
+        verdict = check_certificate(UepVerdict(verdict="YES", certainty="probabilistic", U=U, V=V),
+                                    "pure-sets", payload)
+        assert verdict.verdict == "INCONCLUSIVE" and verdict.residual == np.inf
 
     @pytest.mark.parametrize("mode", MODES)
     def test_wrong_shapes_raise(self, mode, rng):

@@ -344,6 +344,13 @@ class TestPhaseResolution:
         _, label = _resolve_phase_components(psis, psis)
         assert label.tolist() == [0, 1]
 
+    def test_edge_needs_a_ratio_of_unit_modulus(self, rng):
+        # phi_1 = 2 psi_1 scales every trace ratio across the two indices by
+        # 1/2 or 1/8: no edge is usable, and each index is its own component
+        a, b = ginibre(2, 2, rng), ginibre(2, 2, rng)
+        assert _resolve_phase_components([a, b], [a, b])[1].tolist() == [0, 0]
+        assert _resolve_phase_components([a, b], [a, 2 * b])[1].tolist() == [0, 1]
+
     def test_end_to_end_rephased_transform(self, rng):
         d1, d2 = 2, 2
         U0, V0 = haar(d1, rng), haar(d2, rng)
@@ -494,6 +501,34 @@ class TestGenericMixed:
                                      "phase_components", "grid_solves"]
         assert verdict.aux["phase_grid_combo"] == combo
         assert (verdict.aux["phase_components"], verdict.aux["grid_solves"]) == (4, solves)
+
+    @pytest.mark.parametrize("swap, subsystem", [(False, "B"), (True, "A")])
+    def test_marginal_spectra_decide_a_disconnected_graph(self, solver_calls, swap, subsystem):
+        # equal spectra and product eigenvectors, so the Schmidt test passes and
+        # the phase graph splits into 4 components; neither state is a product
+        # state, but tr_A rho has spectrum (0.6, 0.4) and tr_A sigma (0.571, 0.429)
+        e0, e1 = np.eye(2)
+        plus, minus = (e0 + e1) / np.sqrt(2), (e0 - e1) / np.sqrt(2)
+
+        def mixture(vectors):
+            M = sum(w * np.outer(np.kron(a, b), np.kron(a, b))
+                    for w, (a, b) in zip([0.4, 0.3, 0.2, 0.1], vectors))
+            return density_operator(2, 2, M[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])] if swap else M)
+
+        rho = mixture([(e0, e0), (e0, e1), (e1, e0), (e1, e1)])
+        sigma = mixture([(e0, e0), (e0, e1), (e1, plus), (e1, minus)])
+        verdict = generic_mixed_lu(rho, sigma, CFG)
+        assert (verdict.verdict, verdict.certainty) == ("NO", "exact")
+        assert verdict.detail == f"marginal spectra differ on subsystem {subsystem}"
+        assert verdict.aux == {"phase_components": 4, "grid_solves": 0}
+        assert not solver_calls
+
+    def test_equal_marginal_spectra_leave_the_grid_to_run(self, rng, solver_calls):
+        # the classical-quantum pair is LU-equivalent, so its marginals agree
+        verdict = generic_mixed_lu(*_classical_quantum_pair(rng), CFG, phase_grid=1)
+        assert verdict.verdict == "INCONCLUSIVE"
+        assert verdict.aux == {"phase_components": 4, "grid_solves": 1}
+        assert len(solver_calls) == 1
 
     @pytest.mark.parametrize("phase_grid, ended", [
         (12, "grid fallback with K=12 exhausted"),

@@ -3,7 +3,8 @@ nowhere (tools/verdict_diff.py), which tallies differences by key and case
 kind, and tools/case_ab.py prints one timing line
 per case of a cycle, or per matched case with --match, and the cycle total,
 each with the rounds won by either tree and both trees' quartiles. And
-tools/src_lines.py counts only the lines that hold code."""
+tools/src_lines.py counts only the lines that hold code, and
+tools/src_coverage.py lists the statements a run never executes."""
 
 import importlib.util
 import json
@@ -146,3 +147,26 @@ def test_src_lines_defaults_to_every_module_of_the_package():
     assert [Path(path).name for _, path in modules] == sorted(
         path.name for path in (ROOT / "src" / "uniequiv").glob("*.py"))
     assert total == [str(sum(int(count) for count, _ in modules)), "total"]
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_src_coverage_lists_each_statement_never_run(tmp_path):
+    src_coverage = _load_tool("src_coverage")
+    root = tmp_path.resolve()
+    path = root / "tiny.py"
+    path.write_text('"""A module."""\n\n\ndef f(x):\n    """Doc."""\n    if x:\n'
+                    "        return 1\n    return (2 +\n            3)\n")
+    spec = importlib.util.spec_from_file_location("tiny", path)
+    tiny = importlib.util.module_from_spec(spec)
+    with src_coverage.LineTrace(root) as trace:
+        spec.loader.exec_module(tiny)
+        assert tiny.f(True) == 1
+    # the statements are the def, the if and both returns; docstrings are not
+    assert src_coverage.report([path], trace.hits, root) == [
+        "tiny.py:8: return (2 +", "1 of 4 statements not executed"]
