@@ -293,9 +293,10 @@ def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
     trace graph component after the first (a connected graph: one solve,
     whose verdict stands). A disconnected graph first compares the spectra
     of both marginals, which are LU invariants: a mismatch is an exact NO
-    naming the subsystem, before any grid point is solved. Each candidate is checked once, on rho, sigma.
-    At most _MAX_GRID_SOLVES candidates are solved; a grid left without a
-    certificate, whole or cut by that budget, is INCONCLUSIVE.
+    naming the subsystem, before any grid point is solved. Each candidate
+    is checked once, on rho, sigma. At most _MAX_GRID_SOLVES candidates are
+    solved; a grid left without a certificate, whole or cut by that budget,
+    is INCONCLUSIVE.
 
     Every verdict's aux holds `phase_components` (components of the trace
     graph, 0 when a test before the graph decides) and `grid_solves` (the

@@ -527,6 +527,18 @@ class TestVerify:
             out = capsys.readouterr()
             assert out.out == "" and out.err == f"error: {message}\n"
 
+    def test_matpoly_of_unequal_degrees_exits_3(self, tmp_path, capsys):
+        # certificate_residuals pairs the coefficients with zip, which would
+        # drop P's extra coefficient and verify I, I for P = I + t D against Q = I
+        doc = {"mode": "matpoly", "d1": 2, "d2": 2,
+               "P": [matrix_to_json(np.eye(2)), matrix_to_json(np.diag([1.0, 2.0]))],
+               "Q": [matrix_to_json(np.eye(2))]}
+        inst_path = tmp_path / "i.json"
+        inst_path.write_text(dumps_document(doc))
+        assert self._verify(tmp_path, inst_path,
+                            {"U": matrix_to_json(np.eye(2)), "V": matrix_to_json(np.eye(2))}) == 3
+        assert capsys.readouterr().err == "error: P and Q must have equal length\n"
+
     def test_shape_mismatch_exits_3(self, tmp_path):
         inst_path = tmp_path / "i.json"
         main(["gen", "--yes", "--d1", "2", "--d2", "2", "--seed", "51", "-o", str(inst_path)])

@@ -169,8 +169,8 @@ class TestDocumentErrors:
     @pytest.mark.parametrize("doc, message", BAD_DOCUMENTS,
                              ids=["no-kind", "factor-tiling", "empty-basis", "dependent-basis",
                                   "unknown-kind", "not-an-object", "unknown-mode", "d1-zero",
-                                  "pair-without-Y", "matpoly-shape", "matpoly-degrees", "empty-states",
-                                  "unequal-states", "no-rho"])
+                                  "pair-without-Y", "matpoly-shape", "matpoly-degrees",
+                                  "empty-states", "unequal-states", "no-rho"])
     def test_message(self, doc, message):
         with pytest.raises(MalformedInstanceError) as info:
             parse_instance(doc)

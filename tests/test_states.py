@@ -523,13 +523,6 @@ class TestGenericMixed:
         assert verdict.aux == {"phase_components": 4, "grid_solves": 0}
         assert not solver_calls
 
-    def test_equal_marginal_spectra_leave_the_grid_to_run(self, rng, solver_calls):
-        # the classical-quantum pair is LU-equivalent, so its marginals agree
-        verdict = generic_mixed_lu(*_classical_quantum_pair(rng), CFG, phase_grid=1)
-        assert verdict.verdict == "INCONCLUSIVE"
-        assert verdict.aux == {"phase_components": 4, "grid_solves": 1}
-        assert len(solver_calls) == 1
-
     @pytest.mark.parametrize("phase_grid, ended", [
         (12, "grid fallback with K=12 exhausted"),
         (13, "solve budget spent after 1728 of the 13^3 grid points"),

@@ -149,15 +149,11 @@ def test_src_lines_defaults_to_every_module_of_the_package():
     assert total == [str(sum(int(count) for count, _ in modules)), "total"]
 
 
-def _load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_src_coverage_lists_each_statement_never_run(tmp_path):
-    src_coverage = _load_tool("src_coverage")
+    spec = importlib.util.spec_from_file_location("src_coverage",
+                                                  ROOT / "tools" / "src_coverage.py")
+    src_coverage = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_coverage)
     root = tmp_path.resolve()
     path = root / "tiny.py"
     path.write_text('"""A module."""\n\n\ndef f(x):\n    """Doc."""\n    if x:\n'

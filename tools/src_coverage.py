@@ -80,7 +80,8 @@ def statements(source: str) -> list:
         body = getattr(node, "body", None)
         if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
                 and body and isinstance(body[0], ast.Expr)
-                and isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)):
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)):
             docstrings.add(id(body[0]))
         if (isinstance(node, ast.stmt) and id(node) not in docstrings
                 and not isinstance(node, (ast.Global, ast.Nonlocal))):
