@@ -48,7 +48,8 @@ rank_rel * max(sigma_1, hypot(s_1, t_1)).
 
 Over factor shapes other than two full algebras (and in unilocal-mixed),
 singular values are compared only to explain a solve that ended without a
-verified YES (see decide_uep).
+verified YES (see decide_uep). Every singular-value NO but the pivot's, in
+every mode, is found and worded by _spectrum_no.
 
 Every YES, in every mode, leaves the package through `check_certificate`,
 which recomputes the certificate's residual and side conditions with
@@ -562,26 +563,26 @@ def certificate_residuals(mode: str, payload, U, V, tol: Tolerances = Tolerances
     condition: the unitarity defect of U and V, with the distance to G1, G2
     for matrix-pairs; for matpoly 0.0 when A and B have full numerical rank,
     otherwise inf (and the residual is then inf too). V is None exactly for
-    unilocal-mixed; any other shape raises InputError.
+    unilocal-mixed; any other shape raises InputError, as do fewer outputs
+    than inputs or more.
     """
     if mode == "matrix-pairs":
-        dims, pairs = (payload.d1, payload.d2), payload.pairs
+        dims, sides = (payload.d1, payload.d2), tuple(zip(*payload.pairs))
     elif mode == "matpoly":
-        P, Q = payload
-        dims, pairs = P.shape, tuple(zip(P.coefficients, Q.coefficients))
-    elif mode == "pure-sets":
-        dims = (payload[0][0].d1, payload[0][0].d2)
-        pairs = [(a.amplitudes.reshape(dims), b.amplitudes.reshape(dims)) for a, b in zip(*payload)]
-    else:  # unilocal-mixed: two lists of density operators; generic-mixed: one pair
-        rhos, sigmas = payload if mode == "unilocal-mixed" else ([payload[0]], [payload[1]])
-        dims = (rhos[0].d1, rhos[0].d2)
-        pairs = [(r.matrix, s.matrix) for r, s in zip(rhos, sigmas)]
+        dims, sides = payload[0].shape, [F.coefficients for F in payload]
+    else:  # pure-sets, unilocal-mixed: two lists of states; generic-mixed: one pair
+        sides = ([payload[0]], [payload[1]]) if mode == "generic-mixed" else payload
+        dims = (sides[0][0].d1, sides[0][0].d2)
+        sides = [[s.amplitudes.reshape(dims) if mode == "pure-sets" else s.matrix for s in states]
+                 for states in sides]
+    if len(sides[0]) != len(sides[1]):
+        raise InputError(f"{mode} certificate: {len(sides[0])} inputs but {len(sides[1])} outputs")
     expected = ((dims[0],) * 2, None if mode == "unilocal-mixed" else (dims[1],) * 2)
     for name, M, shape in zip("UV", (U, V), expected):
         got = None if M is None else np.shape(M)
         if got != shape:
             raise InputError(f"certificate {name} has shape {got}, expected {shape} for {mode}")
-    X, Y = np.asarray(pairs, dtype=complex).transpose(1, 0, 2, 3)
+    X, Y = np.asarray(list(zip(*sides)), dtype=complex).transpose(1, 0, 2, 3)
     if mode == "matpoly":
         for name, M in zip("UV", (U, V)):
             if not np.isfinite(M).all():
@@ -714,19 +715,26 @@ def _pivot_decide(Z, cfg: SamplerConfig, tol: Tolerances) -> UepVerdict:
     return _solve_in_frames(Z, frames, label, cfg, tol, "unitary", aux)
 
 
-def _spectrum_mismatch(pairs, blocks, shape: tuple, tol: Tolerances):
-    """The first of the stacked pairs (i,), else of their realigned blocks (i, p, q)
-    (shape = (b, b') per pair), whose singular values differ; None when every
-    spectrum matches. The first pair's blocks are compared alone, as a NO's
-    mismatch mostly shows there, then the rest in one batch."""
+def _spectrum_no(pairs, tol: Tolerances, pair_detail: str, blocks=None, shape: tuple = (1, 1),
+                 block_detail: str = "") -> UepVerdict | None:
+    """The exact NO at the first of the stacked pairs whose singular values
+    differ, worded pair_detail.format(i=i); else, given the pairs' realigned
+    blocks (shape = (b, b') per pair), at the first block (i, p, q) whose
+    singular values differ, worded block_detail.format(i=i, p=p, q=q); None
+    when every spectrum matches. The first pair's blocks are compared alone,
+    as a NO's mismatch mostly shows there, then the rest in one batch."""
     ok, i = singular_value_prefilter(pairs, tol)
     if not ok:
-        return (i,)
+        return UepVerdict(verdict="NO", certainty="exact", detail=pair_detail.format(i=i))
+    if blocks is None:
+        return None
     first = shape[0] * shape[1]
     for lo, hi in ((0, first), (first, len(blocks))):
         ok, idx = singular_value_prefilter(blocks[lo:hi], tol)
         if not ok:
-            return tuple(int(v) for v in np.unravel_index(lo + idx, (len(pairs),) + shape))
+            i, p, q = (int(v) for v in np.unravel_index(lo + idx, (len(pairs),) + shape))
+            return UepVerdict(verdict="NO", certainty="exact",
+                              detail=block_detail.format(i=i, p=p, q=q))
     return None
 
 
@@ -749,17 +757,13 @@ def decide_uep(inst: UepInstance, cfg: SamplerConfig = SamplerConfig(),
     where the comparison would have said NO, which its residual allows only
     within about sqrt(rank) of the comparison's tolerance.
     """
-    def no(where):
-        return UepVerdict(verdict="NO", certainty="exact",
-                          detail=f"singular values differ at {where}")
-
     shapes = inst.G1.factor_shape, inst.G2.factor_shape
     blocks_are_pairs = None in shapes or shapes[0][1] * shapes[1][1] == 1
     pairs = np.array(inst.pairs)
-    if blocks_are_pairs:
-        ok, idx = singular_value_prefilter(pairs, tol)
-        if not ok:
-            return no(f"pair index {idx}")
+    pair_detail = "singular values differ at pair index {i}"
+    no = _spectrum_no(pairs, tol, pair_detail) if blocks_are_pairs else None
+    if no is not None:
+        return no
     if None in shapes:
         return check_certificate(_decide(build_linear_system(inst, tol), cfg, tol),
                                  "matrix-pairs", inst, tol)
@@ -773,11 +777,8 @@ def decide_uep(inst: UepInstance, cfg: SamplerConfig = SamplerConfig(),
     verdict = check_certificate(verdict, "matrix-pairs", inst, tol)
     if blocks_are_pairs or verdict.verdict == "YES":
         return verdict
-    mismatch = _spectrum_mismatch(pairs, blocks, (b, b2), tol)
-    if mismatch is None:
-        return verdict
-    i, *block = mismatch
-    return no(f"block ({block[0]}, {block[1]}) of pair index {i}" if block else f"pair index {i}")
+    return _spectrum_no(pairs, tol, pair_detail, blocks, (b, b2),
+                        "singular values differ at block ({p}, {q}) of pair index {i}") or verdict
 
 
 def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,

@@ -25,9 +25,8 @@ from .solver import (
     UepVerdict,
     _pivot_decide,
     _realigned_blocks,
-    _spectrum_mismatch,
+    _spectrum_no,
     check_certificate,
-    singular_value_prefilter,
 )
 from .solver import decide_uep  # noqa: F401 -- unused; perfbench/spans.py wraps this name
 
@@ -139,11 +138,8 @@ def simultaneous_lu_pure(states_in, states_out, cfg: SamplerConfig = SamplerConf
     if d_in != d_out:
         raise InputError(f"input dimensions {d_in} differ from output dimensions {d_out}")
     Z = np.stack([(state_to_matrix(a), state_to_matrix(b)) for a, b in zip(states_in, states_out)])
-    ok, idx = singular_value_prefilter(Z, tol)
-    if not ok:
-        return UepVerdict(verdict="NO", certainty="exact",
-                          detail=f"singular values differ at pair index {idx}")
-    return check_certificate(_pivot_lu(Z, cfg, tol), "pure-sets", (states_in, states_out), tol)
+    return (_spectrum_no(Z, tol, "singular values differ at pair index {i}")
+            or check_certificate(_pivot_lu(Z, cfg, tol), "pure-sets", (states_in, states_out), tol))
 
 
 def unilocal_mixed_equivalence(rhos, sigmas, cfg: SamplerConfig = SamplerConfig(),
@@ -175,13 +171,9 @@ def unilocal_mixed_equivalence(rhos, sigmas, cfg: SamplerConfig = SamplerConfig(
         verdict = check_certificate(verdict, "unilocal-mixed", (rhos, sigmas), tol)
         if verdict.verdict == "YES":
             return verdict
-    mismatch = _spectrum_mismatch(pairs, Z[1:], (d2, d2), tol)
-    if mismatch is None:
-        return verdict
-    i, *block = mismatch
-    where = f"block ({block[0]}, {block[1]}) of " if block else ""
-    return UepVerdict(verdict="NO", certainty="exact",
-                      detail=f"{where}rho_{i} vs sigma_{i}: singular values differ")
+    detail = "rho_{i} vs sigma_{i}: singular values differ"
+    return (_spectrum_no(pairs, tol, detail, Z[1:], (d2, d2), "block ({p}, {q}) of " + detail)
+            or verdict)
 
 
 _EDGE_DENOM = 1e-6
@@ -340,10 +332,9 @@ def _generic_mixed(rho, sigma, cfg: SamplerConfig, tol: Tolerances, phase_grid: 
                                  "generic-mixed", (rho, sigma), tol), 0, 0
     psis, phis = (Q[:, :n].T.reshape(n, d1, d2) for Q in (Q_r, Q_s))
     Z = np.stack([psis, phis], axis=1)
-    ok, idx = singular_value_prefilter(Z, tol)
-    if not ok:
-        return UepVerdict(verdict="NO", certainty="exact",
-                          detail=f"Schmidt coefficients of eigenvector {idx} differ"), 0, 0
+    no = _spectrum_no(Z, tol, "Schmidt coefficients of eigenvector {i} differ")
+    if no is not None:
+        return no, 0, 0
     lambdas, label = _resolve_phase_components(psis, phis)
     components = int(label.max()) + 1
     if components > 1:  # the marginal spectra are LU invariants: compared before a grid

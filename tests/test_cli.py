@@ -528,8 +528,8 @@ class TestVerify:
             assert out.out == "" and out.err == f"error: {message}\n"
 
     def test_matpoly_of_unequal_degrees_exits_3(self, tmp_path, capsys):
-        # certificate_residuals pairs the coefficients with zip, which would
-        # drop P's extra coefficient and verify I, I for P = I + t D against Q = I
+        # P = I + t D against Q = I: the parser rejects the unequal lists
+        # before certificate_residuals, which would reject them too, sees them
         doc = {"mode": "matpoly", "d1": 2, "d2": 2,
                "P": [matrix_to_json(np.eye(2)), matrix_to_json(np.diag([1.0, 2.0]))],
                "Q": [matrix_to_json(np.eye(2))]}

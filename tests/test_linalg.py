@@ -114,6 +114,9 @@ class TestNullspace:
         assert nullspace_basis(noise, Tolerances()).shape == (8, 0)
         assert numerical_rank(np.array([1e-15, 1e-16]), Tolerances(), scale=1.0) == 0
 
+    def test_empty_spectrum_has_rank_zero(self):
+        assert numerical_rank(np.array([])) == 0
+
     @pytest.mark.parametrize("c", [5e-324, 1e-300, 1e-160, 1e160, 1e300])
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_gram_rescales_matrices_it_would_over_or_underflow(self, rng, c, field):

@@ -1,6 +1,9 @@
 """Property-based invariances of decide_uep on small full and factor instances,
 its agreement with the plain system over mixed factor shapes, of
-generic_mixed_lu under local unitaries, the state reductions against the
+generic_mixed_lu under local unitaries, of the matpoly verdict under
+(P, Q) -> (S P T, Q) and swapping P and Q, of the pure-sets verdict under
+swapping inputs with outputs and local unitaries on the inputs, the state
+reductions against the
 decide_uep round trip they replaced, and of the pivot reductions'
 solution spaces (matrix pairs and matrix polynomials); the exact NO that
 the deferred singular-value comparisons give over factor shapes and in
@@ -333,6 +336,27 @@ def test_matpoly_pivot_reduction_keeps_the_solution_space(case):
         assert _largest_angle_sine(full, _stacked_basis(reduced)) <= 1e-6
 
 
+def _well_conditioned(n, rng):
+    """W_1 diag(1..2) W_2 for Haar W_1, W_2: condition number at most 2."""
+    return (haar(n, rng) * rng.uniform(1.0, 2.0, size=n)) @ haar(n, rng)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(matpoly_pairs(), st.integers(0, 2**16))
+def test_matpoly_verdict_invariant_under_equivalence_and_swap(case, transform_seed):
+    # A P_i B^-1 = Q_i holds exactly when (A S^-1) (S P_i T) (B T)^-1 = Q_i
+    # and A^-1 Q_i B = P_i, so neither change can move the verdict
+    pairs, seed, _ = case
+    cfg = SamplerConfig(seed=seed)
+    P, Q = (MatrixPolynomial(side) for side in zip(*pairs))
+    rng = np.random.default_rng(transform_seed)
+    S, T = (_well_conditioned(n, rng) for n in P.shape)
+    moved = MatrixPolynomial(tuple(S @ X @ T for X in P.coefficients))
+    verdict = decide_invertible_equivalence(P, Q, cfg).verdict
+    assert decide_invertible_equivalence(moved, Q, cfg).verdict == verdict
+    assert decide_invertible_equivalence(Q, P, cfg).verdict == verdict
+
+
 @st.composite
 def square_pencils(draw):
     """Planted matrix polynomials Y_i = A X_i B^-1 with X_i = G D_i H and the
@@ -544,14 +568,15 @@ def _state_stack(d1, d2, k, rng):
 
 
 @st.composite
-def state_reduction_cases(draw):
-    """(mode, inputs, outputs, seed): pure-sets stacks or a generic-mixed
-    (rho, sigma), planted YES or one of three NOs. For pure-sets: random
-    outputs (Schmidt coefficients differ), rephased outputs lam_i (U (x) V)
-    psi_i and conjugated ones (both keep every Schmidt coefficient); for
-    generic-mixed: a global unitary (Schmidt test), a conjugate (U (x) V)
-    conj(rho) (U (x) V)^dag, and an unrelated state (spectrum)."""
-    mode = draw(st.sampled_from(["pure-sets", "generic-mixed"]))
+def state_reduction_cases(draw, modes=("pure-sets", "generic-mixed")):
+    """(mode, inputs, outputs, seed) of a mode in modes: pure-sets stacks or a
+    generic-mixed (rho, sigma), planted YES or one of three NOs. For
+    pure-sets: random outputs (Schmidt coefficients differ), rephased outputs
+    lam_i (U (x) V) psi_i and conjugated ones (both keep every Schmidt
+    coefficient); for generic-mixed: a global unitary (Schmidt test), a
+    conjugate (U (x) V) conj(rho) (U (x) V)^dag, and an unrelated state
+    (spectrum)."""
+    mode = draw(st.sampled_from(modes))
     d1, d2 = draw(st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 2)] if mode == "pure-sets"
                                   else [(2, 2), (2, 3)]))
     seed = draw(st.integers(0, 2**16))
@@ -595,6 +620,26 @@ def test_state_reductions_decide_as_the_matrix_pairs_route(case):
     if got.verdict == "YES":
         assert np.array_equal(got.U, ref.U) and np.array_equal(got.V, ref.V)
         assert got.residual <= Tolerances().residual_abs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(state_reduction_cases(modes=("pure-sets",)), st.integers(0, 2**16))
+def test_pure_sets_verdict_invariant_under_swap_and_local_unitaries(case, unitary_seed):
+    # (U (x) V)|psi_i> = |phi_i> holds exactly when (U^dag (x) V^dag)|phi_i> =
+    # |psi_i> and (U L^dag (x) V R^dag)(L (x) R)|psi_i> = |phi_i>
+    _, X, Y, seed = case
+    cfg = SamplerConfig(seed=seed)
+    d1, d2 = X.shape[1:]
+    rng = np.random.default_rng(unitary_seed)
+    moved = haar(d1, rng) @ X @ haar(d2, rng).T  # (U (x) V)|psi_i> is U psi_i V^T
+
+    def decide(ins, outs):
+        return simultaneous_lu_pure(*([pure_state(d1, d2, Z.ravel()) for Z in side]
+                                      for side in (ins, outs)), cfg).verdict
+
+    verdict = decide(X, Y)
+    assert decide(Y, X) == verdict
+    assert decide(moved, Y) == verdict
 
 
 # derandomized: 3,000 draws of this family kept every dimension, with

@@ -986,6 +986,21 @@ class TestCertificateResiduals:
         with pytest.raises(InputError):
             certificate_residuals(mode, payload, U, np.eye(2) if V is None else None)
 
+    @pytest.mark.parametrize("mode", ["matpoly", "pure-sets", "unilocal-mixed"])
+    def test_unequal_lists_raise(self, mode, rng):
+        # zip would drop the longer list's tail and pass I, I on the pairs left
+        I = np.eye(2)
+        if mode == "matpoly":
+            payload = (MatrixPolynomial((I, np.diag([1.0, 2.0]))), MatrixPolynomial((I,)))
+        elif mode == "pure-sets":
+            ket00, ket01 = (pure_state(2, 2, e) for e in np.eye(4)[:2])
+            payload = ([ket00, ket01], [ket00])
+        else:
+            rho = random_density(2, 2, rng)
+            payload = ([rho, random_density(2, 2, rng)], [rho])
+        with pytest.raises(InputError, match=f"^{mode} certificate: 2 inputs but 1 outputs$"):
+            certificate_residuals(mode, payload, I, None if mode == "unilocal-mixed" else I)
+
     @pytest.mark.parametrize("case, checked_as", [
         ("full", "matrix-pairs"), ("factor", "matrix-pairs"), ("matpoly", "matpoly"),
         ("pure-sets", "pure-sets"), ("unilocal-mixed", "unilocal-mixed"),

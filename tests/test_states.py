@@ -14,7 +14,7 @@ from uniequiv import (
     state_to_matrix,
     unilocal_mixed_equivalence,
 )
-from uniequiv import states
+from uniequiv import solver as solver_mod, states
 from uniequiv.algebra import factor_algebra
 from uniequiv.solver import (UepInstance, _realigned_blocks, _spanning_pairs, build_linear_system,
                              certificate_residuals, solve_solution_space, uep_instance_full)
@@ -617,3 +617,35 @@ class TestRankDeficientGenericMixed:
             pair = ((Q * [0.6 - 2e-8, 0.4, 2e-8, 0.0]) @ Q.conj().T, banded)
         with pytest.raises(NotGenericError, match=f"^{banded_in} has nonzero eigenvalues"):
             generic_mixed_lu(*(density_operator(2, 2, M) for M in pair), CFG)
+
+
+@pytest.mark.parametrize("mode", ["pure-sets", "generic-mixed"])
+def test_state_nos_at_index_one_go_through_the_solver_prefilter(mode, monkeypatch):
+    # the perfbench recorder wraps uniequiv.solver.singular_value_prefilter, so
+    # the state modes compare singular values through that name only
+    calls = []
+    real = solver_mod.singular_value_prefilter
+
+    def spy(pairs, tol=Tolerances()):
+        calls.append(len(pairs))
+        return real(pairs, tol)
+
+    monkeypatch.setattr(solver_mod, "singular_value_prefilter", spy)
+    ket00 = np.eye(4)[0]
+    if mode == "pure-sets":
+        bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
+        verdict = simultaneous_lu_pure(*([pure_state(2, 2, v) for v in side]
+                                         for side in ([bell, ket00], [bell, bell])), CFG)
+        detail = "singular values differ at pair index 1"
+    else:
+        # 0.6 |00><00| + 0.4 |psi><psi| for |Psi+> against cos t |01> + sin t |10>:
+        # equal spectra, and |00> in both, so only the second eigenvector's
+        # Schmidt coefficients (1, 1) / sqrt(2) and (cos t, sin t) differ
+        t = np.pi / 8
+        rho, sigma = (density_operator(2, 2, 0.6 * np.outer(ket00, ket00) + 0.4 * np.outer(v, v))
+                      for v in (np.array([0, 1, 1, 0]) / np.sqrt(2),
+                                np.array([0, np.cos(t), np.sin(t), 0])))
+        verdict = generic_mixed_lu(rho, sigma, CFG)
+        detail = "Schmidt coefficients of eigenvector 1 differ"
+    assert (verdict.verdict, verdict.certainty, verdict.detail) == ("NO", "exact", detail)
+    assert calls == [2]
