@@ -2,7 +2,8 @@
 
 Complex numbers serialize as two-element [re, im] arrays; matrices as
 row-major lists of rows. Python's shortest-round-trip float printing makes
-the encoding lossless for binary64 values and byte-deterministic.
+the encoding lossless for binary64 values and byte-deterministic. Documents
+are written with one top-level key per line and each value on that line.
 
 Matrices and vectors are decoded in one numpy conversion when every leaf is
 an int or float and every value is finite; otherwise the per-entry reader
@@ -12,7 +13,6 @@ runs, and it alone words the errors.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import MatrixAlgebra, factor_algebra, full_algebra, matrix_algebra
 from .errors import MalformedInstanceError
 from .linalg import MatrixPolynomial
-from .solver import UepInstance, UepVerdict
+from .solver import MODES, UepInstance, UepVerdict
 from .states import DensityOperator, PureState, density_operator, pure_state
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
     "certificate_from_json",
     "dumps_document",
 ]
-
-MODES = ("matrix-pairs", "matpoly", "pure-sets", "unilocal-mixed", "generic-mixed")
 
 
 def matrix_to_json(M) -> list:
@@ -302,51 +300,11 @@ def certificate_from_json(doc: dict):
     return tuple(out)
 
 
-@lru_cache(maxsize=64)
-def _matrix_template(nrows: int, ncols: int) -> str:
-    """The text json.dumps(indent=2) gives an nrows x ncols matrix of [re, im]
-    pairs as a top-level value, with %r for each float."""
-    pair = "\n      [\n        %r,\n        %r\n      ]"
-    row = "\n    [" + ",".join([pair] * ncols) + "\n    ]"
-    return "[" + ",".join([row] * nrows) + "\n  ]"
-
-
-def _matrix_text(value) -> str | None:
-    """The indented JSON text of a top-level value that is a non-empty matrix
-    of finite [re, im] float pairs, or None for any other value."""
-    if type(value) is not list or not value or type(value[0]) is not list:
-        return None
-    ncols = len(value[0])
-    if ncols == 0 or any(type(r) is not list or len(r) != ncols for r in value):
-        return None
-    entries = list(chain.from_iterable(value))
-    if any(type(e) is not list or len(e) != 2 for e in entries):
-        return None
-    floats = tuple(chain.from_iterable(entries))
-    if set(map(type, floats)) != {float} or not np.isfinite(floats).all():
-        return None
-    return _matrix_template(len(value), ncols) % floats
-
-
 def dumps_document(doc: dict) -> str:
-    """json.dumps(doc, indent=2) + "\n", byte for byte.
+    """doc as JSON text, one top-level key per line, each value compact.
 
-    json's indenting encoder is pure Python; each top-level matrix value is
-    written from a %r template instead and spliced in where a placeholder
-    string stood. A placeholder whose text occurs anywhere else sends the
-    whole document through json.dumps.
+    Every value is written by json's C encoder, so a matrix sits on one
+    line; `python -m json.tool` re-indents the text. The keys must be
+    strings, as they are in every document the package writes.
     """
-    texts = {}
-    for key, value in doc.items():
-        text = _matrix_text(value)
-        if text is not None:
-            texts[key] = (f"\x00matrix {len(texts)}\x00", text)
-    if not texts:
-        return json.dumps(doc, indent=2) + "\n"
-    out = json.dumps({**doc, **{k: token for k, (token, _) in texts.items()}}, indent=2)
-    for token, text in texts.values():
-        quoted = json.dumps(token)
-        if out.count(quoted) != 1:
-            return json.dumps(doc, indent=2) + "\n"
-        out = out.replace(quoted, text)
-    return out + "\n"
+    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in doc.items()) + "\n}\n"

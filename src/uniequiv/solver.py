@@ -97,6 +97,8 @@ __all__ = [
     "uep_instance_full",
 ]
 
+MODES = ("matrix-pairs", "matpoly", "pure-sets", "unilocal-mixed", "generic-mixed")
+
 
 @dataclass(frozen=True, eq=False)
 class UepInstance:
@@ -564,8 +566,10 @@ def certificate_residuals(mode: str, payload, U, V, tol: Tolerances = Tolerances
     for matrix-pairs; for matpoly 0.0 when A and B have full numerical rank,
     otherwise inf (and the residual is then inf too). V is None exactly for
     unilocal-mixed; any other shape raises InputError, as do fewer outputs
-    than inputs or more.
+    than inputs or more, and a mode not in MODES.
     """
+    if mode not in MODES:
+        raise InputError(f"unknown mode {mode!r}, expected one of {MODES}")
     if mode == "matrix-pairs":
         dims, sides = (payload.d1, payload.d2), tuple(zip(*payload.pairs))
     elif mode == "matpoly":

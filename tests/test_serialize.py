@@ -1,5 +1,5 @@
 """The JSON codec: pinned parse errors, the one-conversion decode against the
-per-entry reader, and dumps_document against json.dumps."""
+per-entry reader, and dumps_document's value and one-key-per-line layout."""
 
 import json
 from unittest import mock
@@ -274,8 +274,18 @@ AUX = st.dictionaries(
     max_size=4)
 
 
-def _equal_to_json(doc):
-    return dumps_document(doc) == json.dumps(doc, indent=2) + "\n"
+def _written_as_json(doc):
+    """dumps_document(doc) holds doc's JSON value (compared as json.dumps text,
+    so that NaN equals itself) on a "{" line, one line per top-level key in
+    doc's order, each but the last ending in a comma, and a "}" line."""
+    text = dumps_document(doc)
+    first, *middle, last, end = text.split("\n")
+    entries = [json.loads("{" + line.removesuffix(",") + "}") for line in middle]
+    return (json.dumps(json.loads(text)) == json.dumps(doc)
+            and (first, last, end) == ("{", "}", "")
+            and all(line.endswith(",") for line in middle[:-1])
+            and all(len(entry) == 1 for entry in entries)
+            and [key for entry in entries for key in entry] == list(doc))
 
 
 class TestDumpsDocument:
@@ -287,26 +297,26 @@ class TestDumpsDocument:
         verdict = UepVerdict(verdict="YES", certainty="probabilistic", U=U, V=V,
                              residual=residual, trials_used=1, failure_bound=1e-5,
                              solution_dimension=None if U is None else 3, detail=detail, aux=aux)
-        assert _equal_to_json(verdict_document(verdict, "matrix-pairs", 7, timing, verbose))
+        assert _written_as_json(verdict_document(verdict, "matrix-pairs", 7, timing, verbose))
 
     @SETTINGS
     @given(U=st.none() | _complex_matrices(), V=st.none() | _complex_matrices())
     def test_certificate_document(self, U, V):
-        assert _equal_to_json(certificate_to_json(U, V))
+        assert _written_as_json(certificate_to_json(U, V))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_instance_documents(self, seed, rng):
         inst, _ = random_yes_instance(3, 2, 2, g1_kind=("factor", 3, 1), seed=seed)
-        assert _equal_to_json(instance_to_json(inst, seed=seed))
+        assert _written_as_json(instance_to_json(inst, seed=seed))
         for mode in STATE_MODES:
-            assert _equal_to_json(_state_doc(mode, rng))
+            assert _written_as_json(_state_doc(mode, rng))
 
     def test_span_algebra_round_trip(self, rng):
         basis = [np.eye(3), np.diag([1.0, 0.0, 0.0]), 1j * np.diag([0.0, 1.0, 0.0])]
         inst, _ = random_yes_instance(3, 2, 1, seed=5)
         inst = UepInstance(3, 2, inst.pairs, matrix_algebra(basis), inst.G2)
         doc = instance_to_json(inst)
-        assert doc["G1"]["kind"] == "span" and _equal_to_json(doc)
+        assert doc["G1"]["kind"] == "span" and _written_as_json(doc)
         _, parsed = parse_instance(json.loads(dumps_document(doc)))
         assert parsed.G1.kind == "span"
         assert all(np.array_equal(E, F) for E, F in zip(parsed.G1.basis, basis, strict=True))
@@ -322,13 +332,12 @@ class TestDumpsDocument:
         [],
         [[[np.float64(1.0), 0.0]]],
     ])
-    def test_other_values_take_the_plain_path(self, U):
-        assert _equal_to_json({"verdict": "YES", "U": U, "V": [[[1.0, -0.0]]]})
+    def test_non_finite_ragged_and_other_values(self, U):
+        assert _written_as_json({"verdict": "YES", "U": U, "V": [[[1.0, -0.0]]]})
 
-    def test_placeholder_text_elsewhere(self):
-        # strings whose JSON text holds a placeholder's send the document through json.dumps
+    def test_nul_delimited_strings_in_values_and_keys(self):
         doc = {"U": [[[1.0, 2.0]]], "V": [[[3.0, 4.0]]]}
         for detail in ("\x00matrix 0\x00", 'a"\x00matrix 1\x00', "\x00matrix 1\x00"):
-            assert _equal_to_json({**doc, "detail": detail})
-            assert _equal_to_json({"detail": detail, **doc})
-            assert _equal_to_json({**doc, detail: None})
+            assert _written_as_json({**doc, "detail": detail})
+            assert _written_as_json({"detail": detail, **doc})
+            assert _written_as_json({**doc, detail: None})

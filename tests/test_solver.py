@@ -1001,6 +1001,18 @@ class TestCertificateResiduals:
         with pytest.raises(InputError, match=f"^{mode} certificate: 2 inputs but 1 outputs$"):
             certificate_residuals(mode, payload, I, None if mode == "unilocal-mixed" else I)
 
+    def test_misspelt_mode_raises_before_the_payload_is_read(self):
+        # a mode outside MODES once fell into the state branch and raised TypeError
+        inst, _ = random_yes_instance(2, 2, 1, seed=3)
+        I = np.eye(2)
+        message = (r"^unknown mode 'matrix-pair', expected one of \('matrix-pairs', 'matpoly', "
+                   r"'pure-sets', 'unilocal-mixed', 'generic-mixed'\)$")
+        with pytest.raises(InputError, match=message):
+            certificate_residuals("matrix-pair", inst, I, I)
+        with pytest.raises(InputError, match=message):
+            check_certificate(UepVerdict(verdict="YES", certainty="probabilistic", U=I, V=I),
+                              "matrix-pair", inst)
+
     @pytest.mark.parametrize("case, checked_as", [
         ("full", "matrix-pairs"), ("factor", "matrix-pairs"), ("matpoly", "matpoly"),
         ("pure-sets", "pure-sets"), ("unilocal-mixed", "unilocal-mixed"),

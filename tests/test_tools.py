@@ -4,7 +4,9 @@ kind, and tools/case_ab.py prints one timing line
 per case of a cycle, or per matched case with --match, and the cycle total,
 each with the rounds won by either tree and both trees' quartiles. And
 tools/src_lines.py counts only the lines that hold code, and
-tools/src_coverage.py lists the statements a run never executes."""
+tools/src_coverage.py lists the statements a run never executes. Both
+comparison tools reject a workload that perfbench/workloads.py does not
+define."""
 
 import importlib.util
 import json
@@ -12,6 +14,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -100,6 +104,19 @@ def test_case_ab_match_without_a_case_is_an_error():
     assert proc.returncode == 2
     assert ("no case of states-small at seed 11 has a kind starting with 'no-such-kind'"
             in proc.stderr)
+
+
+@pytest.mark.parametrize("tool", ["case_ab.py", "verdict_diff.py"])
+def test_unknown_workload_names_those_of_perfbench(tool):
+    # the names come from perfbench/workloads.py, so a workload added there
+    # reaches both tools without a change to them
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / tool), str(ROOT), "--workload", "pairs-ful"],
+        capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1].endswith(
+        "error: unknown workload 'pairs-ful'; expected one of "
+        "pairs-full, unilocal-factor, states-small, cli-cold")
 
 
 # 8 lines of code: the docstrings of the module, the class and both functions,

@@ -38,15 +38,11 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
-WORKLOADS = ("pairs-full", "unilocal-factor", "states-small", "cli-cold")
 
 
-def build_cycle(workload: str, seed: int, match: str = ""):
-    """[(label, instance text, decide seed)] for the cases of one cycle whose
-    kind starts with match, and the warm-up request."""
-    sys.path[:0] = [str(HERE / "src"), str(HERE / "perfbench")]
-    import workloads as wl
-
+def build_cycle(wl, workload: str, seed: int, match: str = ""):
+    """[(label, instance text, decide seed)] for the cases of one cycle of wl's
+    workload whose kind starts with match, and the warm-up request."""
     cases, warmup = wl.build(workload, seed)
     requests = [(f"#{i} {case.kind}", json.dumps(case.doc), i + 1) for i, case in enumerate(cases)
                 if case.kind.startswith(match)]
@@ -115,7 +111,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", type=Path, help="root of the checkout to compare against")
     parser.add_argument("--serve", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--workload", choices=WORKLOADS)
+    parser.add_argument("--workload", metavar="NAME",
+                        help="a workload of perfbench/workloads.py")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--match", default="", metavar="PREFIX",
@@ -130,7 +127,15 @@ def main(argv=None) -> int:
         parser.error("--workload is required")
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    requests, warmup = build_cycle(args.workload, args.seed, args.match)
+    # workloads imports uniequiv, so only this parent imports it: each child
+    # decides with its own tree's package
+    sys.path[:0] = [str(HERE / "src"), str(HERE / "perfbench")]
+    import workloads as wl
+
+    if args.workload not in wl.WORKLOADS:
+        parser.error(f"unknown workload {args.workload!r}; "
+                     f"expected one of {', '.join(wl.WORKLOADS)}")
+    requests, warmup = build_cycle(wl, args.workload, args.seed, args.match)
     if not requests:
         parser.error(f"no case of {args.workload} at seed {args.seed} has a kind "
                      f"starting with {args.match!r}")

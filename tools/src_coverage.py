@@ -29,7 +29,6 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
 PACKAGE = HERE / "src" / "uniequiv"
-WORKLOADS = ("pairs-full", "unilocal-factor", "states-small", "cli-cold")
 
 
 class LineTrace:
@@ -117,7 +116,7 @@ def run_workloads(seed: int) -> None:
     import worker
     import workloads as wl
 
-    for name in WORKLOADS:
+    for name in wl.WORKLOADS:
         cases, warmup = wl.build(name, seed)
         for i, case in enumerate(cases):
             worker.decide_text(json.dumps(case.doc), i + 1)

@@ -2,7 +2,7 @@
 
     python3 tools/verdict_diff.py OTHER_TREE [--workload NAME ...] [--seed N ...]
 
-Every case and the warm-up of each `perfbench` workload (all four, at seeds
+Every case and the warm-up of each `perfbench` workload (all of them, at seeds
 11, 12 and 13 unless narrowed) is built once, by this tree's
 `perfbench/workloads.py`, and decided in two fresh processes: one imports
 `uniequiv` and `perfbench/worker.py` from this tree, the other from
@@ -36,15 +36,12 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
-WORKLOADS = ("pairs-full", "unilocal-factor", "states-small", "cli-cold")
 KEYS = ("verdict", "certainty", "solution_dimension", "detail", "failure_bound", "trials_used")
 
 
-def build_requests(workloads, seeds):
-    """[(label, instance text, decide seed)] for every case and warm-up, from this tree."""
-    sys.path[:0] = [str(HERE / "src"), str(HERE / "perfbench")]
-    import workloads as wl
-
+def build_requests(wl, workloads, seeds):
+    """[(label, instance text, decide seed)] for every case and warm-up of the
+    named workloads of wl."""
     requests = []
     for name in workloads:
         for seed in seeds:
@@ -128,7 +125,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", type=Path, help="root of the checkout to compare against")
     parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS)
+    parser.add_argument("--workload", action="append", metavar="NAME",
+                        help="a workload of perfbench/workloads.py (default: every one)")
     parser.add_argument("--seed", action="append", type=int)
     args = parser.parse_args(argv)
     if args.emit:
@@ -136,7 +134,15 @@ def main(argv=None) -> int:
     other = args.other.resolve()
     if not (other / "perfbench" / "worker.py").is_file():
         parser.error(f"{other} has no perfbench/worker.py")
-    requests = build_requests(args.workload or WORKLOADS, args.seed or (11, 12, 13))
+    # workloads imports uniequiv, so only this parent imports it: each child
+    # decides with its own tree's package
+    sys.path[:0] = [str(HERE / "src"), str(HERE / "perfbench")]
+    import workloads as wl
+
+    for name in args.workload or ():
+        if name not in wl.WORKLOADS:
+            parser.error(f"unknown workload {name!r}; expected one of {', '.join(wl.WORKLOADS)}")
+    requests = build_requests(wl, args.workload or wl.WORKLOADS, args.seed or (11, 12, 13))
     lines, differing, identical = compare(requests, replay(HERE, requests), replay(other, requests))
     for line in lines:
         print(line)
