@@ -237,6 +237,12 @@ class TestFastDecode:
         assert np.signbit(M.real).tolist() == [[True, False]]
         assert np.signbit(M.imag).tolist() == [[False, True]]
 
+    def test_entry_lengths_are_checked_one_by_one(self):
+        # lengths 3 and 1 hold the four leaves of two pairs, so only the
+        # per-entry check keeps the fast path from reshaping them
+        with pytest.raises(MalformedInstanceError, match=r"^M\[0\]\[0\]: expected a \[re, im\]"):
+            matrix_from_json([[[1.0, 2.0, 3.0], [4.0]]], "M")
+
     def test_float_subclass_takes_the_per_entry_reader(self):
         # np.float64 is a float to the per-entry reader, but not a JSON leaf type
         obj = [[[np.float64(1.5), 2]]]
@@ -267,6 +273,11 @@ def _complex_matrices(draw):
     return np.array(parts).view(complex).reshape(rows, cols)
 
 
+# orjson's text for these differs from repr: 0.00001 for 1e-05, 3e-7 for
+# 3e-07, 1e16 for 1e+16
+REPR_DIFFERS = st.one_of(st.floats(-1e-4, 1e-4), st.floats(min_value=1e16, allow_infinity=False),
+                         st.floats(max_value=-1e16, allow_infinity=False))
+
 AUX = st.dictionaries(
     st.text(max_size=6),
     st.recursive(st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)),
@@ -275,13 +286,14 @@ AUX = st.dictionaries(
 
 
 def _written_as_json(doc):
-    """dumps_document(doc) holds doc's JSON value (compared as json.dumps text,
-    so that NaN equals itself) on a "{" line, one line per top-level key in
-    doc's order, each but the last ending in a comma, and a "}" line."""
+    """dumps_document(doc) is ASCII text that holds doc's JSON value (compared
+    as json.dumps text, so that NaN equals itself) on a "{" line, one line
+    per top-level key in doc's order, each but the last ending in a comma,
+    and a "}" line."""
     text = dumps_document(doc)
     first, *middle, last, end = text.split("\n")
     entries = [json.loads("{" + line.removesuffix(",") + "}") for line in middle]
-    return (json.dumps(json.loads(text)) == json.dumps(doc)
+    return (json.dumps(json.loads(text)) == json.dumps(doc) and text.isascii()
             and (first, last, end) == ("{", "}", "")
             and all(line.endswith(",") for line in middle[:-1])
             and all(len(entry) == 1 for entry in entries)
@@ -331,9 +343,26 @@ class TestDumpsDocument:
         [[]],
         [],
         [[[np.float64(1.0), 0.0]]],
+        [2**64],
+        [None, 1.5],
+        ["null"],
+        ["\ud800"],
+        ["é"],
+        [1e-05, 3e-7, 1e16, 1e22, 5e-324, -0.0],
     ])
     def test_non_finite_ragged_and_other_values(self, U):
         assert _written_as_json({"verdict": "YES", "U": U, "V": [[[1.0, -0.0]]]})
+
+    @SETTINGS
+    @given(st.lists(REPR_DIFFERS | st.floats(allow_nan=False), max_size=40))
+    def test_floats_read_back_bit_for_bit(self, floats):
+        got = json.loads(dumps_document({"U": floats}))["U"]
+        assert np.array(got, dtype=float).tobytes() == np.array(floats, dtype=float).tobytes()
+
+    def test_lists_are_written_by_orjson(self):
+        doc = {"U": [[1.0, -0.0], [1e-05, 1e16]], "detail": "a, b", "seed": 7}
+        assert dumps_document(doc) == (
+            '{\n  "U": [[1.0,-0.0],[0.00001,1e16]],\n  "detail": "a, b",\n  "seed": 7\n}\n')
 
     def test_nul_delimited_strings_in_values_and_keys(self):
         doc = {"U": [[[1.0, 2.0]]], "V": [[[3.0, 4.0]]]}

@@ -28,7 +28,8 @@ def test_verdict_diff_of_the_tree_against_itself_is_empty():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     # 21 cases of one cycle and the warm-up, each decided in both processes
     assert proc.stdout.splitlines() == [
-        "22 documents: 0 differ in a compared key, 22 byte-identical without timing"]
+        "22 documents: 0 differ in a compared key, 22 byte-identical without timing,"
+        " 22 value-identical"]
 
 
 def test_verdict_diff_tallies_each_key_and_case_kind():
@@ -36,8 +37,10 @@ def test_verdict_diff_tallies_each_key_and_case_kind():
     verdict_diff = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(verdict_diff)
 
-    def reply(verdict, aux):
-        return {"text": json.dumps({"verdict": verdict, "timing": 0.1}), "aux": aux}
+    def reply(verdict, aux, timing=0.1, U="[1.0,2.0]"):
+        # a document as dumps_document lays it out
+        text = f'{{\n  "verdict": "{verdict}",\n  "U": {U},\n  "timing": {timing}\n}}\n'
+        return {"text": text, "aux": aux}
 
     requests = [(f"states-small s11 #{i} {kind} d=8", "", i + 1)
                 for i, kind in enumerate(["matpoly/yes", "matpoly/yes", "matpoly/random-no",
@@ -46,9 +49,11 @@ def test_verdict_diff_tallies_each_key_and_case_kind():
             reply("YES", {"pivot_unknowns": 9, "pivot_eigen_margin": None}),
             reply("NO", {"pivot_unknowns": 64, "pivot_eigen_margin": None}),
             reply("NO", {})]
-    theirs = [reply("YES", {"pivot_unknowns": 64}), reply("YES", {"pivot_unknowns": 81}),
+    # timing never counts; the spacing of U counts only for the raw text
+    theirs = [reply("YES", {"pivot_unknowns": 64}, timing=0.2),
+              reply("YES", {"pivot_unknowns": 81}, U="[1.0, 2.0]"),
               reply("NO", {"pivot_unknowns": 64}), reply("YES", {})]
-    lines, differing, identical = verdict_diff.compare(requests, mine, theirs)
+    lines, differing, identical, same_value = verdict_diff.compare(requests, mine, theirs)
     # sorted by key, then kind
     assert lines == [
         "pivot_eigen_margin: 1 documents (matpoly/random-no), first "
@@ -56,7 +61,7 @@ def test_verdict_diff_tallies_each_key_and_case_kind():
         "pivot_eigen_margin: 2 documents (matpoly/yes), first states-small s11 #0 matpoly/yes d=8",
         "pivot_unknowns: 2 documents (matpoly/yes), first states-small s11 #0 matpoly/yes d=8",
         "verdict: 1 documents (pure/yes), first states-small s11 #3 pure/yes d=8"]
-    assert (differing, identical) == (4, 3)
+    assert (differing, identical, same_value) == (4, 2, 3)
 
 
 def test_case_ab_of_the_tree_against_itself_prints_every_case_and_the_cycle():

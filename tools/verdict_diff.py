@@ -21,8 +21,9 @@ the sampled certificate or rounding, so only their keys are compared. One
 tally line is printed per differing key (a document key or an aux key) and
 case kind (the kind's first word, say matpoly/yes), with the number of
 documents and the first of them, so an expected change to one aux key reads
-as one line; the summary counts the documents with a difference and those
-that are byte-identical once `timing` is left out. The exit status is 1
+as one line; the summary counts the documents with a difference, those whose
+raw text is byte-identical once the `timing` line is left out, and those that
+hold the same JSON value once `timing` is left out. The exit status is 1
 when any document differs, else 0.
 """
 
@@ -95,16 +96,24 @@ def emit(tree: Path) -> int:
 
 
 def without_timing(text: str) -> str:
-    doc = json.loads(text)
-    doc.pop("timing", None)
-    return json.dumps(doc)
+    """The raw text of a document with its `"timing"` line left out: every
+    document is written one top-level key per line."""
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith('  "timing": '))
+
+
+def value_without_timing(doc: dict) -> str:
+    """The JSON value of a parsed document without `timing`, as json.dumps
+    text, so that NaN equals itself."""
+    return json.dumps({key: value for key, value in doc.items() if key != "timing"})
 
 
 def compare(requests, mine, theirs):
     """(tally lines, documents differing, documents byte-identical without
-    timing) for the replies of two trees to requests."""
+    timing, documents value-identical without timing) for the replies of two
+    trees to requests."""
     tally = {}  # (key, kind) -> [documents, first label]
-    differing = identical = 0
+    differing = identical = same_value = 0
     absent = object()
     for (label, _, _), a, b in zip(requests, mine, theirs):
         doc_a, doc_b = json.loads(a["text"]), json.loads(b["text"])
@@ -116,9 +125,10 @@ def compare(requests, mine, theirs):
             tally.setdefault((key, kind), [0, label])[0] += 1
         differing += bool(keys)
         identical += without_timing(a["text"]) == without_timing(b["text"])
+        same_value += value_without_timing(doc_a) == value_without_timing(doc_b)
     lines = [f"{key}: {count} documents ({kind}), first {first}"
              for (key, kind), (count, first) in sorted(tally.items())]
-    return lines, differing, identical
+    return lines, differing, identical, same_value
 
 
 def main(argv=None) -> int:
@@ -143,11 +153,12 @@ def main(argv=None) -> int:
         if name not in wl.WORKLOADS:
             parser.error(f"unknown workload {name!r}; expected one of {', '.join(wl.WORKLOADS)}")
     requests = build_requests(wl, args.workload or wl.WORKLOADS, args.seed or (11, 12, 13))
-    lines, differing, identical = compare(requests, replay(HERE, requests), replay(other, requests))
+    lines, differing, identical, same_value = compare(requests, replay(HERE, requests),
+                                                      replay(other, requests))
     for line in lines:
         print(line)
     print(f"{len(requests)} documents: {differing} differ in a compared key, "
-          f"{identical} byte-identical without timing")
+          f"{identical} byte-identical without timing, {same_value} value-identical")
     return 1 if differing else 0
 
 
