@@ -35,11 +35,14 @@ U X_c V^dag = Y_c; once s = t the adjoint pivot row gives
 (s_k^2 - s_j^2) A'_jk = 0, so only the units inside one cluster of equal
 singular values are kept: about a unknowns in place of 2a^2 for distinct
 singular values. A matrix polynomial has one cluster and keeps d^2 of 2d^2
-in these frames, unless it is square and its pivot invertible: then the
-eigen frames of X_c^-1 X_c2, for a second random combination, take the
-pivot to (I, I) and leave one unknown per eigenvalue where the eigenvalues
-are distinct (_eigen_frames), and only a YES they give that passes the
-certificate check stands. Clusters merge below a relative gap of the pivot
+in these frames, unless it is square and its pivot invertible. Then a
+certificate makes X_c^-1 X_j and Y_c^-1 Y_j similar up to its residual, so
+traces of the two that differ past a Neumann bound on that residual are an
+exact NO before any system is built (_trace_no); otherwise the eigen frames
+of X_c^-1 X_c2, for a second random combination, take the pivot to (I, I)
+and leave one unknown per eigenvalue where the eigenvalues are distinct
+(_eigen_frames), and only a YES they give that passes the certificate
+check stands. Clusters merge below a relative gap of the pivot
 cut, 1e3 eps / min(rank_rel, residual_abs): merging only enlarges the
 searched space, while a split leaves the frames about eps / gap off, and
 every solution a residual of that size. As the pivot rows hold exactly, a
@@ -324,10 +327,77 @@ def _clusters(frames: _PivotFrames) -> tuple:
                    "pivot_split_gap": float(kept.min()) / ref if kept.size else None}
 
 
+def _trace_no(Z, m, frames: _PivotFrames, tol: Tolerances) -> UepVerdict | None:
+    """The exact NO that the traces of a regular pencil give, or None.
+
+    Z is the prepared (n, 2, d, d) stack of square pairs (X_j, Y_j), n >= 2,
+    m the scales m_i of the pairs as given (_pivot_prepared), and frames the
+    singular frames X_c = W_x S R_x^dag, Y_c = W_y T R_y^dag of its pivot,
+    both of full numerical rank. X_c^-1 = R_x S^-1 W_x^dag and Y_c^-1 give
+    tr(X_c^-1 X_j) and tr(Y_c^-1 Y_j) for every pair j in one elementwise
+    product, and M_j = X_c^-1 X_j, N_j = Y_c^-1 Y_j their norms.
+
+    The bound. certificate_residuals accepts (A, B) when every given pair has
+    E_i = A X_i B^-1 - Y_i with ||E_i||_F <= r max(1, ||Y_i||_F), r =
+    residual_abs. The scaled pair's error E_i / m_i is then at most
+    r max(1 / m_i, ||Y_i / m_i||_F), and 0 for a zero pair. The spanning QR
+    and the pivot's unit vector c combine the scaled pairs with coefficient
+    vectors of 2-norm at most 1, and the QR keeps the Y side's Frobenius
+    norm, so by Cauchy-Schwarz every prepared pair's error E_j and the
+    pivot's E_c lie within
+        e = r (sum_i m_i^-2 + sum_j ||Y_j||_F^2)^(1/2)
+    in Frobenius norm, the first sum over the nonzero pairs. A X_c B^-1 =
+    Y_c + E_c holds exactly, so X_c^-1 X_j = B^-1 (Y_c + E_c)^-1 (Y_j + E_j) B
+    and tr(X_c^-1 X_j) = tr((Y_c + E_c)^-1 (Y_j + E_j)). For G = Y_c^-1 E_c,
+    ||G||_2 <= e / t_min = f with t_min = t_d; if f < 1, (I + G)^-1 =
+    I - G (I + G)^-1 with ||G (I + G)^-1||_2 <= f / (1 - f), and
+
+        (Y_c + E_c)^-1 (Y_j + E_j) - Y_c^-1 Y_j
+            = Y_c^-1 E_j - G (I + G)^-1 (Y_c^-1 Y_j + Y_c^-1 E_j).
+
+    A trace is at most d times the 2-norm, so the two traces differ by at most
+    d [f + f / (1 - f) (||N_j||_F + f)], the Neumann bound with its
+    second-order term kept. Added to it is the rounding margin
+    d _pivot_cut max(1, ||(M_j, N_j)||_F), the cut that the clusters and
+    eigenvalues are split at. Past the bound on some pair, no certificate
+    passes the check: the NO names the pair j with the largest gap over its
+    bound, and aux records trace_pair (j), trace_gap_ratio (that ratio) and
+    trace_f (f). f >= 1 claims nothing. Two tests come first, each enough
+    to claim nothing: every gap at most d _pivot_cut, below every bound,
+    which ends a YES after the traces alone; and a nonzero m_i <= r / ||Y||_F,
+    which makes f >= 1 (t_min <= ||Y_c||_F <= ||Y||_F over the stack), so
+    that no m_i^-2 overflows.
+    """
+    d, r, cut = Z.shape[2], tol.residual_abs, _pivot_cut(tol)
+    inverse = (frames.R / np.array((frames.s, frames.t))[:, None]) @ frames.W.conj().swapaxes(1, 2)
+    traces = (Z * inverse.swapaxes(1, 2)).sum(axis=(2, 3))
+    gap = np.abs(traces[:, 0] - traces[:, 1])
+    if not gap.max() > d * cut:
+        return None
+    norm_y = frobenius(Z[:, 1])
+    m = m[m > 0]
+    if not m.min() * norm_y > r:
+        return None
+    f = float(r * math.sqrt((m ** -2.0).sum() + norm_y * norm_y) / frames.t[d - 1])
+    if not f < 1.0:
+        return None
+    norms = np.sqrt(np.square((inverse @ Z).view(float)).sum(axis=(2, 3)))  # ||M_j||_F, ||N_j||_F
+    bound = d * (f + f / (1 - f) * (norms[:, 1] + f) + cut * np.maximum(1.0, np.hypot(*norms.T)))
+    ratio = gap / bound
+    j = int(ratio.argmax())
+    if not ratio[j] > 1.0:
+        return None
+    return UepVerdict(verdict="NO", certainty="exact", certificate_kind="invertible",
+                      detail="traces of X_c^-1 X_j and Y_c^-1 Y_j differ at spanned pair "
+                             f"index {j}",
+                      aux={"trace_pair": j, "trace_gap_ratio": float(ratio[j]), "trace_f": f})
+
+
 def _eigen_frames(Z, frames: _PivotFrames, seed: int, tol: Tolerances) -> tuple:
     """(eigen frames, pivot_eigen_margin) of the spanned (n, 2, d, d) stack Z of
-    square pairs, from the singular frames of its pivot (X_c, Y_c); (None,
-    None) where they do not apply.
+    a regular pencil (n >= 2, X_c and Y_c of full numerical rank), from the
+    singular frames of its pivot (X_c, Y_c); (None, None) where they do not
+    apply.
 
     With X_c and Y_c invertible, every solution of A X_i = Y_i B has
     N B = B M for M = X_c^-1 X_c2 and N = Y_c^-1 Y_c2, (X_c2, Y_c2) the
@@ -341,28 +411,18 @@ def _eigen_frames(Z, frames: _PivotFrames, seed: int, tol: Tolerances) -> tuple:
     combination (diag lam, diag lam), so A' = W_y^-1 A W_x equals
     B' = R_y^-1 B R_x, and (lam_k - lam_j) A'_jk = 0 leaves it diagonal.
 
-    The frames apply when n >= 2, d >= _EIGEN_MIN_DIM, X_c and Y_c have full
-    numerical rank, the match is one to one within the eigen cut, _pivot_cut
-    times max(1, |lam|), and every gap between two eigenvalues of one side
-    lies above it; pivot_eigen_margin is the smallest gap over the cut. A gap
-    at the cut leaves the frames about eps / gap off, as a cluster split does
-    in the singular frames; an ill-conditioned X_c or V multiplies that,
-    which only the certificate check sees.
+    The frames apply when the match is one to one within the eigen cut,
+    _pivot_cut times max(1, |lam|), and every gap between two eigenvalues of
+    one side lies above it; pivot_eigen_margin is the smallest gap over the
+    cut. A gap at the cut leaves the frames about eps / gap off, as a cluster
+    split does in the singular frames; an ill-conditioned X_c or V multiplies
+    that, which only the certificate check sees.
     """
-    n, _, d, d2 = Z.shape
-    if (n < 2 or d != d2 or d < _EIGEN_MIN_DIM
-            or min(numerical_rank(st, tol) for st in (frames.s, frames.t)) < d):
-        return None, None
-    st = np.stack([frames.s, frames.t])[:, :, None]
-    Wh, rel = frames.W.conj().swapaxes(1, 2), _pivot_cut(tol)
-    # a YES makes X_c^-1 X_j and Y_c^-1 Y_j similar for every pair j, so the
-    # traces of the first pair's stop most NOs before the second combination
-    # is drawn; rounding moves them far less than d times the cut
-    M = Wh @ Z[0] @ frames.R / st
-    tr = M.trace(axis1=1, axis2=2)
-    if abs(tr[0] - tr[1]) > d * rel * max(1.0, frobenius(M)):
-        return None, None
-    lam, U = np.linalg.eig(Wh @ _pivot_pair(Z, seed, key=1) @ frames.R / st)
+    d = Z.shape[2]
+    st = np.array((frames.s, frames.t))[:, :, None]
+    rel = _pivot_cut(tol)
+    lam, U = np.linalg.eig(frames.W.conj().swapaxes(1, 2) @ _pivot_pair(Z, seed, key=1)
+                           @ frames.R / st)
     gaps = np.abs(lam[:, :, None] - lam[:, None, :])  # within each side
     gaps.reshape(2, -1)[:, ::d + 1] = np.inf
     match = np.abs(lam[0][:, None] - lam[1]).argmin(axis=1)
@@ -514,22 +574,37 @@ class SampleResult(NamedTuple):
     A: np.ndarray
     B: np.ndarray
     trials_used: int
-    U: np.ndarray  # the polar factors of A and of B (extract_unitaries)
-    V: np.ndarray
+    U: np.ndarray  # the certificate: the polar factors of A and of B
+    V: np.ndarray  # (extract_unitaries), or for kind "invertible" A and B
 
 
-def sample_invertible(space: SolutionSpace, cfg: SamplerConfig, tol: Tolerances = Tolerances()):
+def _full_rank(A, B, tol: Tolerances) -> bool:
+    """Whether the square A and B both have full numerical rank, from their
+    singular values alone, in one batched SVD when they share a shape."""
+    spectra = (np.linalg.svd(np.stack([A, B]), compute_uv=False) if A.shape == B.shape
+               else [np.linalg.svd(M, compute_uv=False) for M in (A, B)])
+    return all(numerical_rank(s, tol) == len(s) for s in spectra)
+
+
+def sample_invertible(space: SolutionSpace, cfg: SamplerConfig, tol: Tolerances = Tolerances(),
+                      kind: str = "unitary"):
     """Search the solution space for a pair with both blocks invertible.
 
-    A candidate is accepted exactly when extract_unitaries takes its polar
-    factors, which the hit keeps. Returns the first hit, or None after all
-    trials fail; in the latter case the caller reports the failure bound
+    For kind "unitary" a candidate is accepted exactly when extract_unitaries
+    takes its polar factors, which the hit keeps as U, V; for kind
+    "invertible" when both blocks have full numerical rank (_full_rank), and
+    the hit's U, V are A, B themselves. Returns the first hit, or None after
+    all trials fail; in the latter case the caller reports the failure bound
     per_trial_bound ** trials.
     """
     if space.dimension < 1:
         raise InputError("sample_invertible needs a non-trivial solution space")
     for t in range(cfg.trials):
         A, B = draw_candidate(space, cfg, t)
+        if kind == "invertible":
+            if _full_rank(A, B, tol):
+                return SampleResult(A=A, B=B, trials_used=t + 1, U=A, V=B)
+            continue
         try:
             U, V = extract_unitaries(A, B, tol)
         except DegenerateCandidateError:
@@ -591,7 +666,7 @@ def certificate_residuals(mode: str, payload, U, V, tol: Tolerances = Tolerances
         for name, M in zip("UV", (U, V)):
             if not np.isfinite(M).all():
                 raise InputError(f"certificate {name} contains non-finite entries")
-        if any(numerical_rank(np.linalg.svd(M, compute_uv=False), tol) < len(M) for M in (U, V)):
+        if not _full_rank(U, V, tol):
             return np.inf, np.inf
         UXVinv = np.linalg.solve(V.T, (U @ X).transpose(0, 2, 1)).transpose(0, 2, 1)
         return _worst_relative(UXVinv - Y, Y), 0.0
@@ -635,15 +710,14 @@ def _decide(system: LinearSystem, cfg: SamplerConfig, tol: Tolerances,
         return UepVerdict(verdict="NO", certainty="exact", solution_dimension=0,
                           certificate_kind=kind,
                           detail="linear system has only the trivial solution")
-    found = sample_invertible(space, cfg, tol)
+    found = sample_invertible(space, cfg, tol, kind)
     if found is None:
         eps = per_trial_failure_bound(space.A.shape[1], space.B.shape[1], cfg.sample_max)
         return UepVerdict(verdict="NO", certainty="probabilistic",
                           trials_used=cfg.trials, failure_bound=eps ** cfg.trials,
                           solution_dimension=space.dimension, certificate_kind=kind,
                           detail="no invertible element found by randomized search")
-    U, V = (found.A, found.B) if kind == "invertible" else (found.U, found.V)
-    return UepVerdict(verdict="YES", certainty="probabilistic", U=U, V=V,
+    return UepVerdict(verdict="YES", certainty="probabilistic", U=found.U, V=found.V,
                       trials_used=found.trials_used, solution_dimension=space.dimension,
                       certificate_kind=kind)
 
@@ -684,19 +758,19 @@ def _solve_in_frames(Z, frames: _PivotFrames, label, cfg: SamplerConfig, tol: To
 
 
 def _pivot_prepared(Z, cfg: SamplerConfig, tol: Tolerances) -> tuple:
-    """(Z', frames) for the (n, 2, a, a') stack Z of pairs, which stays unchanged:
-    Z' is a copy of Z with each nonzero pair divided by its largest real or
-    imaginary part (a norm would square the entries, and overflow near
-    1e154), cut to its spanning pairs, and frames the singular frames of its
-    pivot pair drawn from cfg.seed. Neither u X_j v^dag = Y_j nor
-    A X_j = Y_j B changes when a pair is scaled, and one rank cut then sees
-    small pairs next to large ones."""
+    """(Z', frames, m) for the (n, 2, a, a') stack Z of pairs, which stays
+    unchanged: Z' is a copy of Z with each nonzero pair divided by its largest
+    real or imaginary part m_i (a norm would square the entries, and overflow
+    near 1e154; m_i = 0 for a zero pair, left as it is), cut to its spanning
+    pairs, and frames the singular frames of its pivot pair drawn from
+    cfg.seed. Neither u X_j v^dag = Y_j nor A X_j = Y_j B changes when a pair
+    is scaled, and one rank cut then sees small pairs next to large ones."""
     Z = np.array(Z, dtype=complex, order="C")
     R = Z.view(float).reshape(len(Z), -1)  # re and im of pair j in row j; dividing R divides Z
     m = np.abs(R).max(axis=1, keepdims=True)
     R /= m + (m == 0)
     Z = _spanning_pairs(Z)
-    return Z, _pivot_frames(_pivot_pair(Z, cfg.seed), tol)
+    return Z, _pivot_frames(_pivot_pair(Z, cfg.seed), tol), m
 
 
 def _pivot_decide(Z, cfg: SamplerConfig, tol: Tolerances) -> UepVerdict:
@@ -710,7 +784,7 @@ def _pivot_decide(Z, cfg: SamplerConfig, tol: Tolerances) -> UepVerdict:
     carried back. Every verdict past the pivot records the aux of _clusters
     and _pivot_system.
     """
-    Z, frames = _pivot_prepared(Z, cfg, tol)
+    Z, frames, _ = _pivot_prepared(Z, cfg, tol)
     if not same_spectrum(frames.s, frames.t, tol):
         return UepVerdict(verdict="NO", certainty="exact",
                           detail="singular values differ at the random pivot pair "
@@ -794,14 +868,19 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
     exact prefilter. Past it, A X_i = Y_i B is solved over full algebras,
     without adjoint rows, on the coefficient pairs prepared as for the
     unitary pivot (_pivot_prepared: normalized pair by pair and spanned). A
-    square pencil with an invertible pivot and distinct eigenvalues of
-    X_c^-1 X_c2 is solved first in d unknowns in its eigen frames
-    (_eigen_frames), and their YES is checked at once; a YES that passes
-    stands. Every other pencil, and an eigen-frame answer that is not a
-    verified YES, is solved in the singular frames with every unit in one
-    cluster (d^2 unknowns for square coefficients), and a YES checked
-    there. The certificate is the sampled (A, B) itself, checked on the
-    unscaled (P, Q). aux records pivot_unknowns, pivot_free_units,
+    regular pencil (square, two or more spanned pairs, a pivot X_c, Y_c of
+    full numerical rank) first compares tr(X_c^-1 X_j) with tr(Y_c^-1 Y_j)
+    for every pair j: a gap past the bound that the certificate check
+    allows is an exact NO, and no system is built (_trace_no). Otherwise a
+    regular pencil of d >= _EIGEN_MIN_DIM with distinct eigenvalues of
+    X_c^-1 X_c2 is solved in d unknowns in its eigen frames (_eigen_frames),
+    and their YES is checked at once; a YES that passes stands. Every other
+    pencil, and an eigen-frame answer that is not a verified YES, is solved
+    in the singular frames with every unit in one cluster (d^2 unknowns for
+    square coefficients), and a YES checked there. The certificate is the
+    sampled (A, B) itself, checked on the unscaled (P, Q). aux records
+    trace_pair, trace_gap_ratio and trace_f on a trace NO, and on every
+    verdict of a system pivot_unknowns, pivot_free_units,
     pivot_coupling_margin and pivot_eigen_margin (the smallest eigenvalue
     gap over the eigen cut, None unless the eigen frames answered).
     """
@@ -812,8 +891,16 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
         if numerical_rank(sx, tol) != numerical_rank(sy, tol):
             return UepVerdict(verdict="NO", certainty="exact", certificate_kind="invertible",
                               detail=f"coefficient ranks differ at index {idx}")
-    Z, frames = _pivot_prepared(Z, cfg, tol)
-    eigen, margin = _eigen_frames(Z, frames, cfg.seed, tol)
+    Z, frames, m = _pivot_prepared(Z, cfg, tol)
+    n, _, d, d2 = Z.shape
+    # full numerical rank: the smallest singular value above numerical_rank's cut
+    regular = (n >= 2 and d == d2
+               and all(st[-1] > tol.rank_rel * st[0] for st in (frames.s, frames.t)))
+    no = _trace_no(Z, m, frames, tol) if regular else None
+    if no is not None:
+        return no
+    eigen, margin = (_eigen_frames(Z, frames, cfg.seed, tol) if regular and d >= _EIGEN_MIN_DIM
+                     else (None, None))
     if eigen is not None:
         verdict = _solve_in_frames(Z, eigen, np.arange(len(eigen.s)), cfg, tol, "invertible",
                                    {"pivot_eigen_margin": margin})

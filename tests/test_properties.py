@@ -1,7 +1,8 @@
 """Property-based invariances of decide_uep on small full and factor instances,
 its agreement with the plain system over mixed factor shapes, of
 generic_mixed_lu under local unitaries, of the matpoly verdict under
-(P, Q) -> (S P T, Q) and swapping P and Q, of the pure-sets verdict under
+(P, Q) -> (S P T, Q) and swapping P and Q, the matpoly trace NO against
+noisy planted pencils whose certificate passes, of the pure-sets verdict under
 swapping inputs with outputs and local unitaries on the inputs, the state
 reductions against the
 decide_uep round trip they replaced, and of the pivot reductions'
@@ -23,7 +24,8 @@ from uniequiv import (MatrixPolynomial, SamplerConfig, Tolerances, UepInstance,
 from uniequiv.algebra import span_residual
 from uniequiv.linalg import same_spectrum
 from uniequiv.oracle import haar_unitary_in_algebra, random_yes_instance
-from uniequiv.solver import SolutionSpace, _clusters, _pivot_frames, _pivot_pair, _pivot_system
+from uniequiv.solver import (SolutionSpace, _clusters, _pivot_frames, _pivot_pair, _pivot_system,
+                            certificate_residuals)
 
 import uniequiv.solver as solver_mod
 
@@ -410,6 +412,35 @@ def test_eigen_frames_answer_exactly_the_distinct_spectra(case):
         assert verdict.aux["pivot_unknowns"] == P.shape[0]
     else:
         assert unitary_frames == [True] and verdict.aux["pivot_eigen_margin"] is None
+
+
+@st.composite
+def noisy_planted_pencils(draw):
+    """(P, Q, A, B, seed) with Q_i = Y_i + eta ||Y_i||_F N_i, Y_i = A P_i B^-1,
+    for complex Gaussian P_i and N_i, square or rectangular, d1, d2 in 2..8,
+    degree 1 to 3 and eta from 1e-12 to 1e-8: the planted A, B then leave a
+    relative residual of about eta sqrt(d1 d2), on either side of the
+    certificate check's bound."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    d1 = draw(st.integers(2, 8))
+    d2 = d1 if draw(st.booleans()) else draw(st.integers(2, 8))
+    eta = 10.0 ** draw(st.floats(-12.0, -8.0))
+    A, B = ginibre(d1, d1, rng) + 2 * np.eye(d1), ginibre(d2, d2, rng) + 2 * np.eye(d2)
+    Binv = np.linalg.inv(B)
+    Xs = [ginibre(d1, d2, rng) for _ in range(draw(st.integers(2, 4)))]
+    Ys = [Y + eta * np.linalg.norm(Y) * ginibre(d1, d2, rng) for Y in (A @ X @ Binv for X in Xs)]
+    return MatrixPolynomial(tuple(Xs)), MatrixPolynomial(tuple(Ys)), A, B, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(noisy_planted_pencils())
+def test_a_verified_planted_pencil_is_never_a_trace_no(case):
+    # the trace bound holds for every certificate that passes the check, so
+    # the planted one rules out a trace NO; other NOs are out of its scope
+    P, Q, A, B, seed = case
+    assume(certificate_residuals("matpoly", (P, Q), A, B)[0] <= Tolerances().residual_abs)
+    verdict = decide_invertible_equivalence(P, Q, SamplerConfig(seed=seed))
+    assert "trace_pair" not in verdict.aux, verdict.detail
 
 
 def _scale_spectrum(M, rng):

@@ -872,8 +872,9 @@ class TestEigenFrames:
     # the rank-profile NO
     @pytest.mark.parametrize("d, degree", [(3, 3), (6, 2), (8, 1), (10, 3)])
     def test_no_documents_match_the_singular_frames_alone(self, d, degree, monkeypatch):
-        # the eigen frames claim no NO: with them switched off, every random
-        # NO reads the same document, verdict, certainty and detail included
+        # the eigen frames claim no NO, and every random NO ends at the trace
+        # test before them: with them switched off, every random NO reads the
+        # same document, verdict, certainty and detail included
         for seed in range(3):
             rng = np.random.default_rng(seed)
             P, Q = (MatrixPolynomial(tuple(ginibre(d, d, rng) for _ in range(degree + 1)))
@@ -904,6 +905,89 @@ class TestEigenFrames:
         assert doc["verdict"] == "YES" and doc["residual"] <= 1e-10
         assert doc["aux"]["pivot_unknowns"] == 8 and doc["aux"]["pivot_eigen_margin"] > 1.0
         assert _matpoly_document(P, Q, 5) == first
+
+
+def _trace_returns(monkeypatch):
+    """Records what every _trace_no call returns."""
+    returned = []
+    real = solver_mod._trace_no
+
+    def spy(*args):
+        returned.append(real(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(solver_mod, "_trace_no", spy)
+    return returned
+
+
+def _pencil_to_skip(case, rng):
+    """(P, Q) of a pencil whose traces claim nothing, and the _trace_no returns
+    expected: rectangular, a singular pivot (every last column zero) and one
+    pair are not regular pencils; Q_i = a_i Y_0 with sigma_min(Y_0) = 1e-9
+    keeps full numerical rank but makes f >= sqrt(3) 1e-8 / 1e-9; pairs of
+    entries near 1e-10 make f >= 1, and there (I, I) passes the certificate
+    check's absolute floor; a planted pencil with noise 1e-3 has traces
+    apart by more than d times the cut but within their bound."""
+    if case == "rectangular":
+        return [[ginibre(4, 5, rng) for _ in range(3)] for _ in "PQ"], []
+    if case == "singular pivot":
+        sides = [[ginibre(4, 4, rng) for _ in range(3)] for _ in "PQ"]
+        for C in sides[0] + sides[1]:
+            C[:, -1] = 0.0
+        return sides, []
+    if case == "one pair":
+        return [[ginibre(4, 4, rng)] for _ in "PQ"], []
+    if case == "f >= 1":
+        Y0 = haar(4, rng) @ np.diag([1.0, 1.0, 1.0, 1e-9]) @ haar(4, rng)
+        Qs = [a * Y0 for a in ginibre(1, 3, rng)[0]]
+        return [[ginibre(4, 4, rng) for _ in range(3)], Qs], [None]
+    if case == "below the floor":
+        return [[1e-10 * ginibre(4, 4, rng) for _ in range(2)] for _ in "PQ"], [None]
+    rng = np.random.default_rng(3)
+    A, B = (ginibre(3, 3, rng) + 2 * np.eye(3) for _ in "AB")
+    Xs = [ginibre(3, 3, rng) for _ in range(2)]
+    return [Xs, [A @ X @ np.linalg.inv(B) + 1e-3 * ginibre(3, 3, rng) for X in Xs]], [None]
+
+
+class TestTraceNo:
+    @pytest.mark.parametrize("d, degree", [(3, 3), (6, 2), (8, 1), (10, 3)])
+    def test_random_nos_end_at_the_trace_test(self, d, degree, monkeypatch):
+        # the benchmark's random-NO shapes: no reduced system is built, and
+        # the NO names the pair whose traces differ most past their bound
+        seen = _pivot_systems_seen(monkeypatch)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            P, Q = (MatrixPolynomial(tuple(ginibre(d, d, rng) for _ in range(degree + 1)))
+                    for _ in "PQ")
+            verdict = decide_invertible_equivalence(P, Q, SamplerConfig(seed=seed + 1))
+            aux = verdict.aux
+            assert (verdict.verdict, verdict.certainty) == ("NO", "exact")
+            assert verdict.detail == ("traces of X_c^-1 X_j and Y_c^-1 Y_j differ at spanned "
+                                      f"pair index {aux['trace_pair']}")
+            assert 0 <= aux["trace_pair"] <= degree and verdict.solution_dimension is None
+            assert aux["trace_gap_ratio"] > 1.0 > aux["trace_f"] > 0.0
+        assert seen == []
+
+    @pytest.mark.parametrize("case", ["rectangular", "singular pivot", "one pair", "f >= 1",
+                                      "below the floor", "within the bound"])
+    def test_pencils_the_test_must_skip(self, case, monkeypatch, rng):
+        sides, expected = _pencil_to_skip(case, rng)
+        P, Q = (MatrixPolynomial(tuple(side)) for side in sides)
+        returned = _trace_returns(monkeypatch)
+        verdict = decide_invertible_equivalence(P, Q, CFG)
+        assert returned == expected and "trace_pair" not in verdict.aux
+        if case == "below the floor":
+            I = np.eye(4)
+            assert certificate_residuals("matpoly", (P, Q), I, I)[0] <= Tolerances().residual_abs
+        if case == "one pair":
+            assert verdict.verdict == "YES"
+        if case == "within the bound":
+            # past the first test, which every gap below d times the cut ends
+            Z, frames, _ = solver_mod._pivot_prepared(np.stack(sides, axis=1), CFG, Tolerances())
+            Xc, Yc = (W * st @ R.conj().T
+                      for W, st, R in zip(frames.W, (frames.s, frames.t), frames.R))
+            gaps = [abs(np.trace(np.linalg.solve(Xc, X) - np.linalg.solve(Yc, Y))) for X, Y in Z]
+            assert max(gaps) > 3 * solver_mod._pivot_cut(Tolerances())
 
 
 MODES = ("matrix-pairs", "matpoly", "pure-sets", "unilocal-mixed", "generic-mixed")
@@ -1020,8 +1104,9 @@ class TestCertificateResiduals:
     def test_a_yes_is_checked_once(self, case, checked_as, monkeypatch, rng):
         # every decide path ends in one certificate check, in its own mode:
         # the state reductions check their states or density operators. The
-        # sampler accepts a candidate by taking its polar factors, so each
-        # pivot route calls extract_unitaries once per trial
+        # sampler accepts a unitary candidate by taking its polar factors, so
+        # each unitary route calls extract_unitaries once per trial; matpoly's
+        # certificate is the sampled A, B, accepted on their singular values
         modes, extracted = [], []
         real_check, real_extract = solver_mod.certificate_residuals, solver_mod.extract_unitaries
 
@@ -1045,7 +1130,8 @@ class TestCertificateResiduals:
                       "unilocal-mixed": unilocal_mixed_equivalence}[case]
             verdict = decide(ins, outs, CFG)
         assert verdict.verdict == "YES" and modes == [checked_as]
-        assert len(extracted) == verdict.trials_used >= 1
+        assert verdict.trials_used >= 1
+        assert len(extracted) == (0 if case == "matpoly" else verdict.trials_used)
 
     @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e200])
     def test_turned_certificate_fails_at_every_scale(self, scale, tmp_path, capsys):
