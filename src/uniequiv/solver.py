@@ -49,10 +49,16 @@ every solution a residual of that size. As the pivot rows hold exactly, a
 system of pivot rows alone is rounding noise, so the rank cut is
 rank_rel * max(sigma_1, hypot(s_1, t_1)).
 
-Over factor shapes other than two full algebras (and in unilocal-mixed),
-singular values are compared only to explain a solve that ended without a
-verified YES (see decide_uep). Every singular-value NO but the pivot's, in
-every mode, is found and worded by _spectrum_no.
+On every pivot route the solve decides: equal singular values are only
+necessary, so they are compared only to word a solve that ended without a
+verified YES (_explained), and a pair or block whose spectra differ
+generically ends the route at the pivot's exact NO, before any system is
+built. A
+comparison gates a step only where it spares a costly one: the span
+route's pairs before verify_algebra and the plain system, matpoly's
+coefficient ranks before a singular pencil's d^2 system, and generic-mixed's
+Schmidt and marginal spectra before the phase search. Every singular-value
+NO but the pivot's, in every mode, is found and worded by _spectrum_no.
 
 Every YES, in every mode, leaves the package through `check_certificate`,
 which recomputes the certificate's residual and side conditions with
@@ -146,9 +152,10 @@ class SolutionSpace:
 class SamplerConfig:
     """Randomized search configuration.
 
-    Coefficients are drawn uniformly from the integers {1, ..., sample_max};
-    each trial uses the child seed (seed, trial_index) so trials are
-    independent and the whole run is reproducible.
+    Coefficients are drawn uniformly from the integers {1, ..., sample_max},
+    2 <= sample_max <= 2^63 - 1; each trial uses the child seed
+    (seed, trial_index) so trials are independent and the whole run is
+    reproducible.
     """
 
     sample_max: int = 1_000_000
@@ -158,6 +165,8 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if self.sample_max < 2:
             raise InputError("sample_max must be at least 2")
+        if self.sample_max > 2**63 - 1:  # the draws are int64
+            raise InputError(f"sample_max must be at most {2**63 - 1}")
         if self.trials < 1:
             raise InputError("trials must be positive")
         if self.seed < 0:
@@ -800,11 +809,13 @@ def _spectrum_no(pairs, tol: Tolerances, pair_detail: str, blocks=None, shape: t
     blocks (shape = (b, b') per pair), at the first block (i, p, q) whose
     singular values differ, worded block_detail.format(i=i, p=p, q=q); None
     when every spectrum matches. The first pair's blocks are compared alone,
-    as a NO's mismatch mostly shows there, then the rest in one batch."""
+    as a NO's mismatch mostly shows there, then the rest in one batch; the
+    blocks of shape (1, 1) are the pairs themselves, and are not compared
+    again."""
     ok, i = singular_value_prefilter(pairs, tol)
     if not ok:
         return UepVerdict(verdict="NO", certainty="exact", detail=pair_detail.format(i=i))
-    if blocks is None:
+    if blocks is None or shape == (1, 1):
         return None
     first = shape[0] * shape[1]
     for lo, hi in ((0, first), (first, len(blocks))):
@@ -816,35 +827,39 @@ def _spectrum_no(pairs, tol: Tolerances, pair_detail: str, blocks=None, shape: t
     return None
 
 
+def _explained(verdict: UepVerdict, *spectra) -> UepVerdict:
+    """The checked verdict of a pivot route when it is a YES; else the exact
+    NO that _spectrum_no(*spectra) finds, or the verdict itself when every
+    spectrum matches. So a certificate that passes check_certificate stands
+    even where the comparison would say NO, which its residual allows only
+    within about sqrt(rank) of the comparison's tolerance."""
+    if verdict.verdict == "YES":
+        return verdict
+    return _spectrum_no(*spectra) or verdict
+
+
 def decide_uep(inst: UepInstance, cfg: SamplerConfig = SamplerConfig(),
                tol: Tolerances = Tolerances()) -> UepVerdict:
     """Full decision pipeline; YES verdicts carry a verified (U, V) certificate.
 
-    Over a span algebra, and over two full algebras, where the blocks below
-    are the pairs, pairs whose singular values differ are an exact NO first.
-    A span algebra then takes the plain system. Factor shapes (a, b) and
-    (a', b') are checked against d1 and d2 without a projection, so unless
-    b = b' = 1 a shape that does not tile its dimension raises before any
-    NO; _pivot_decide solves the realigned blocks, normalized pair by pair
-    and spanned, and u, v lift to u (x) I_b, v (x) I_b'.
-    The failure bound is that of the blocks' (a, a'). Over any other pair of
-    shapes the pairs' and then the blocks' singular values are compared only
-    when the solve ends in anything but a verified YES: they explain a
-    non-YES, as the exact NO naming the pair or the block, instead of gating
-    the solve. So a certificate that passes check_certificate stands even
-    where the comparison would have said NO, which its residual allows only
-    within about sqrt(rank) of the comparison's tolerance.
+    Over a span algebra, pairs whose singular values differ are an exact NO
+    first, as it spares verify_algebra and the plain system; the rest take
+    the plain system. Factor shapes (a, b) and (a', b') (full is (d, 1)) are
+    checked against d1 and d2 without a projection, so a shape that does not
+    tile its dimension raises before any NO; _pivot_decide solves the
+    realigned blocks, normalized pair by pair and spanned, and u, v lift to
+    u (x) I_b, v (x) I_b'. The failure bound is that of the blocks' (a, a').
+    The solve decides: the pairs' and then the blocks' singular values are
+    compared only when it ends in anything but a verified YES, and a
+    mismatch is the exact NO naming the pair or the block (_explained).
     """
     shapes = inst.G1.factor_shape, inst.G2.factor_shape
-    blocks_are_pairs = None in shapes or shapes[0][1] * shapes[1][1] == 1
     pairs = np.array(inst.pairs)
     pair_detail = "singular values differ at pair index {i}"
-    no = _spectrum_no(pairs, tol, pair_detail) if blocks_are_pairs else None
-    if no is not None:
-        return no
-    if None in shapes:
-        return check_certificate(_decide(build_linear_system(inst, tol), cfg, tol),
-                                 "matrix-pairs", inst, tol)
+    if None in shapes:  # the pairs' spectra spare a NO verify_algebra and the plain system
+        return (_spectrum_no(pairs, tol, pair_detail)
+                or check_certificate(_decide(build_linear_system(inst, tol), cfg, tol),
+                                     "matrix-pairs", inst, tol))
     _usable_algebras(inst, tol)  # unprojected: a shape passes when a * b = dim
     (a, b), (a2, b2) = shapes
     blocks = _realigned_blocks(pairs, (a, b), (a2, b2))
@@ -852,11 +867,9 @@ def decide_uep(inst: UepInstance, cfg: SamplerConfig = SamplerConfig(),
     if verdict.verdict == "YES":
         verdict.U, verdict.V = (W if n == 1 else np.kron(W, np.eye(n))
                                 for W, n in ((verdict.U, b), (verdict.V, b2)))
-    verdict = check_certificate(verdict, "matrix-pairs", inst, tol)
-    if blocks_are_pairs or verdict.verdict == "YES":
-        return verdict
-    return _spectrum_no(pairs, tol, pair_detail, blocks, (b, b2),
-                        "singular values differ at block ({p}, {q}) of pair index {i}") or verdict
+    return _explained(check_certificate(verdict, "matrix-pairs", inst, tol),
+                      pairs, tol, pair_detail, blocks, (b, b2),
+                      "singular values differ at block ({p}, {q}) of pair index {i}")
 
 
 def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
@@ -887,15 +900,15 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
     if P.shape != Q.shape or P.degree != Q.degree:
         raise InputError("matrix polynomials must share shape and degree")
     Z = np.stack([P.coefficients, Q.coefficients], axis=1)
+    # a gate: a rank NO spares the d^2 system of a pencil that _trace_no skips
     for idx, (sx, sy) in enumerate(np.linalg.svd(Z, compute_uv=False)):
         if numerical_rank(sx, tol) != numerical_rank(sy, tol):
             return UepVerdict(verdict="NO", certainty="exact", certificate_kind="invertible",
                               detail=f"coefficient ranks differ at index {idx}")
     Z, frames, m = _pivot_prepared(Z, cfg, tol)
     n, _, d, d2 = Z.shape
-    # full numerical rank: the smallest singular value above numerical_rank's cut
     regular = (n >= 2 and d == d2
-               and all(st[-1] > tol.rank_rel * st[0] for st in (frames.s, frames.t)))
+               and all(numerical_rank(st, tol) == len(st) for st in (frames.s, frames.t)))
     no = _trace_no(Z, m, frames, tol) if regular else None
     if no is not None:
         return no

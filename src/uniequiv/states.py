@@ -23,6 +23,7 @@ from .linalg import (Tolerances, _worst_relative, as_complex_matrix, frobenius,
 from .solver import (
     SamplerConfig,
     UepVerdict,
+    _explained,
     _pivot_decide,
     _realigned_blocks,
     _spectrum_no,
@@ -127,9 +128,11 @@ def simultaneous_lu_pure(states_in, states_out, cfg: SamplerConfig = SamplerConf
                          tol: Tolerances = Tolerances()) -> UepVerdict:
     """Simultaneous local-unitary equivalence of two lists of pure states.
 
-    Matricized states whose Schmidt coefficients differ at a pair are an
-    exact NO; else their pair stack goes to the pivot route. A YES (U, V), with
-    (U (x) V)|psi_i> = |phi_i>, is checked once on the states.
+    The matricized states' pair stack goes to the pivot route, which
+    decides; a YES (U, V), with (U (x) V)|psi_i> = |phi_i>, is checked once
+    on the states. Schmidt coefficients are compared only when that ends in
+    anything but a verified YES: a pair whose coefficients differ is then
+    the exact NO naming it (_explained).
     """
     if len(states_in) != len(states_out) or not states_in:
         raise InputError("state lists must be non-empty and of equal length")
@@ -138,8 +141,8 @@ def simultaneous_lu_pure(states_in, states_out, cfg: SamplerConfig = SamplerConf
     if d_in != d_out:
         raise InputError(f"input dimensions {d_in} differ from output dimensions {d_out}")
     Z = np.stack([(state_to_matrix(a), state_to_matrix(b)) for a, b in zip(states_in, states_out)])
-    return (_spectrum_no(Z, tol, "singular values differ at pair index {i}")
-            or check_certificate(_pivot_lu(Z, cfg, tol), "pure-sets", (states_in, states_out), tol))
+    verdict = check_certificate(_pivot_lu(Z, cfg, tol), "pure-sets", (states_in, states_out), tol)
+    return _explained(verdict, Z, tol, "singular values differ at pair index {i}")
 
 
 def unilocal_mixed_equivalence(rhos, sigmas, cfg: SamplerConfig = SamplerConfig(),
@@ -153,10 +156,7 @@ def unilocal_mixed_equivalence(rhos, sigmas, cfg: SamplerConfig = SamplerConfig(
     unitaries to coincide, and aux["uv_gap"] is their distance. When it ends
     in anything but a verified YES, singular values of a rho_i, or else of a
     block, that differ from sigma_i's explain it: an exact NO naming i (and
-    p, q), counted from 0. A certificate that passes check_certificate
-    stands even where that comparison would say NO, which its residual
-    allows only within about sqrt(rank) of the comparison's tolerance.
-    Non-acting parties fold into d2.
+    p, q), counted from 0 (_explained). Non-acting parties fold into d2.
     """
     if len(rhos) != len(sigmas) or not rhos:
         raise InputError("density operator lists must be non-empty and of equal length")
@@ -168,12 +168,9 @@ def unilocal_mixed_equivalence(rhos, sigmas, cfg: SamplerConfig = SamplerConfig(
     if verdict.verdict == "YES":
         verdict.aux["uv_gap"] = frobenius(verdict.U - verdict.V)
         verdict.V = None
-        verdict = check_certificate(verdict, "unilocal-mixed", (rhos, sigmas), tol)
-        if verdict.verdict == "YES":
-            return verdict
     detail = "rho_{i} vs sigma_{i}: singular values differ"
-    return (_spectrum_no(pairs, tol, detail, Z[1:], (d2, d2), "block ({p}, {q}) of " + detail)
-            or verdict)
+    return _explained(check_certificate(verdict, "unilocal-mixed", (rhos, sigmas), tol),
+                      pairs, tol, detail, Z[1:], (d2, d2), "block ({p}, {q}) of " + detail)
 
 
 _EDGE_DENOM = 1e-6
@@ -332,21 +329,22 @@ def _generic_mixed(rho, sigma, cfg: SamplerConfig, tol: Tolerances, phase_grid: 
                                  "generic-mixed", (rho, sigma), tol), 0, 0
     psis, phis = (Q[:, :n].T.reshape(n, d1, d2) for Q in (Q_r, Q_s))
     Z = np.stack([psis, phis], axis=1)
+    # the Schmidt coefficients spare a NO the phase graph and its grid of solves
     no = _spectrum_no(Z, tol, "Schmidt coefficients of eigenvector {i} differ")
     if no is not None:
         return no, 0, 0
     lambdas, label = _resolve_phase_components(psis, phis)
     components = int(label.max()) + 1
-    if components > 1:  # the marginal spectra are LU invariants: compared before a grid
+    if components > 1:  # the marginal spectra, LU invariants, spare a NO the grid of solves
         for name, r, s in zip("AB", marg_r, marg_s):
             if not same_spectrum(*(np.linalg.eigvalsh(M)[::-1] for M in (r, s)), tol):
                 detail = f"marginal spectra differ on subsystem {name}"
                 return UepVerdict(verdict="NO", certainty="exact", detail=detail), components, 0
     # one free phase per component after the first: a connected graph's one solve stands
-    grid = np.exp(2j * np.pi * np.arange(phase_grid) / phase_grid)
     candidates = product(range(phase_grid), repeat=components - 1)
     for solves, combo in enumerate(islice(candidates, _MAX_GRID_SOLVES), 1):
-        Z[:, 1] = (lambdas * grid[[0, *combo]][label])[:, None, None] * phis
+        phases = np.exp(2j * np.pi * np.array((0, *combo)) / phase_grid)
+        Z[:, 1] = (lambdas * phases[label])[:, None, None] * phis
         verdict = check_certificate(_pivot_lu(Z, cfg, tol), "generic-mixed", (rho, sigma), tol)
         if verdict.verdict == "YES" and combo:
             verdict.aux["phase_grid_combo"] = combo

@@ -31,6 +31,8 @@ OUT_OF_RANGE = [
     (["--phase-grid", "-3"], "--phase-grid must be at least 1, got -3"),
     (["--trials", "0"], "--trials must be positive"),
     (["--sample-max", "1"], "--sample-max must be at least 2"),
+    (["--sample-max", "100000000000000000000"],
+     "--sample-max must be at most 9223372036854775807"),
     (["--tol-rank", "0"], "--tol-rank must lie strictly in (0, 1), got 0.0"),
     (["--tol-residual", "2"], "--tol-residual must lie strictly in (0, 1), got 2.0"),
     (["--seed", "-1"], "--seed must be a non-negative integer"),

@@ -41,6 +41,8 @@ CHECKS = {
     "kind-unknown": (lambda: algebra_from_kind("diagonal", 2),
                      "unsupported algebra kind 'diagonal'"),
     "generator-size": (lambda: random_yes_instance(0, 2, 1), "need d1, d2 >= 1 and m >= 0"),
+    "sample-max-int64": (lambda: SamplerConfig(sample_max=2**63),
+                         "sample_max must be at most 9223372036854775807"),
     "empty-space": (lambda: sample_invertible(SolutionSpace(np.zeros((0, 2, 2)),
                                                             np.zeros((0, 2, 2))), SamplerConfig()),
                     "sample_invertible needs a non-trivial solution space"),

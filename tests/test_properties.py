@@ -7,8 +7,7 @@ swapping inputs with outputs and local unitaries on the inputs, the state
 reductions against the
 decide_uep round trip they replaced, and of the pivot reductions'
 solution spaces (matrix pairs and matrix polynomials); the exact NO that
-the deferred singular-value comparisons give over factor shapes and in
-unilocal-mixed; and the Gram route of nullspace_basis against the dense
+the deferred singular-value comparisons give on every pivot route; and the Gram route of nullspace_basis against the dense
 QR + SVD reference on planted spectra around the rank cut."""
 
 from unittest import mock
@@ -481,22 +480,29 @@ def _local(b, swap, rng):
 
 @st.composite
 def spectrum_nos(draw):
-    """NO instances whose spectra differ, over factor shapes (square,
-    rectangular, or a full algebra against a factor one) and in unilocal-mixed
-    with 1-3 states: one pair's singular values scaled, one block's singular
-    values scaled, or I (x) V on the factor sides of one pair, which keeps
-    the pair's spectrum but, generically, not its blocks'. V is Haar, or the
-    swap of the last two indices, whose first mismatch is a block past
-    (0, 0) when b' > 2."""
+    """NO instances whose spectra differ: over two full algebras or factor
+    shapes (square, rectangular, or a full algebra against a factor one), in
+    pure-sets and in unilocal-mixed with 1-3 states. Over factor shapes and
+    in unilocal-mixed, one pair's singular values are scaled, one block's
+    singular values are scaled, or I (x) V acts on the factor sides of one
+    pair, which keeps the pair's spectrum but, generically, not its blocks'.
+    V is Haar, or the swap of the last two indices, whose first mismatch is
+    a block past (0, 0) when b' > 2. Over full algebras, where the blocks
+    are the pairs, and in pure-sets, where the Schmidt coefficients are
+    renormalized, one pair's singular values are scaled."""
     plant = draw(st.sampled_from(["pair", "block", "ixv"]))
     swap = plant == "ixv" and draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     seed = draw(st.integers(0, 2**16))
-    if draw(st.booleans()):
-        kind = draw(st.sampled_from(["square", "rectangular", "mixed"]))
+    mode = draw(st.sampled_from(["pairs", "pure", "unilocal"]))
+    if mode == "pairs":
+        kind = draw(st.sampled_from(["square", "rectangular", "mixed", "full"]))
         a, b = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+        if kind == "full":
+            a, b, plant = draw(st.integers(1, 6)), 1, "pair"
         shape2 = {"square": (a, b), "mixed": (draw(st.integers(2, 6)), 1),
-                  "rectangular": (draw(st.integers(1, 3)), draw(st.integers(1, 3)))}[kind]
+                  "rectangular": (draw(st.integers(1, 3)), draw(st.integers(1, 3))),
+                  "full": (draw(st.integers(1, 6)), 1)}[kind]
         shapes = [(a, b), shape2][::draw(st.sampled_from([1, -1]))]
         kinds = ["full" if sb == 1 else ("factor", sa, sb) for sa, sb in shapes]
         m = draw(st.integers(0, 2))
@@ -517,10 +523,20 @@ def spectrum_nos(draw):
             pairs[i] = (X, L @ Y @ R.conj().T)
         return "pairs", _with_pairs(inst, pairs), shapes, seed
     d1, d2, k = draw(st.integers(1, 3)), draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    i = draw(st.integers(0, k - 1))
+    if mode == "pure":
+        # two Schmidt coefficients at least, as one is 1 after renormalizing
+        d1 = max(d1, 2)
+        psis = [M / np.linalg.norm(M) for M in (ginibre(d1, d2, rng) for _ in range(k))]
+        U, V = haar(d1, rng), haar(d2, rng)
+        phis = [U @ M @ V.T for M in psis]
+        phis[i] = _scale_spectrum(phis[i], rng)
+        phis[i] /= np.linalg.norm(phis[i])
+        states = [[pure_state(d1, d2, M.ravel()) for M in side] for side in (psis, phis)]
+        return "pure", states, ((d1, 1), (d2, 1)), seed
     rhos = [random_density(d1, d2, rng) for _ in range(k)]
     big = np.kron(haar(d1, rng), np.eye(d2))
     sigmas = [r.matrix for r in rhos]
-    i = draw(st.integers(0, k - 1))
     if plant == "pair":
         w, Q = np.linalg.eigh(sigmas[i])
         shift = 1e-3 * w[0]  # from the largest eigenvalue to the smallest
@@ -541,29 +557,34 @@ def spectrum_nos(draw):
     return "unilocal", (rhos, sigmas), ((d1, d2), (d1, d2)), seed
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(spectrum_nos())
 def test_deferred_spectrum_comparisons_name_the_mismatch(case):
-    # over factor shapes and in unilocal-mixed the singular values are compared
-    # only after the solve, and then name the pair, else the block, exactly
-    # as singular_value_prefilter run over the pairs and then the blocks does
+    # on every pivot route (full algebras, factor shapes, pure-sets and
+    # unilocal-mixed) the singular values are compared only after the solve,
+    # and then name the pair, else the block, exactly as
+    # singular_value_prefilter run over the pairs and then the blocks does
     mode, payload, (shape1, shape2), seed = case
     cfg = SamplerConfig(seed=seed)
     if mode == "pairs":
         verdict = decide_uep(payload, cfg)
         pairs = payload.pairs
+    elif mode == "pure":
+        verdict = simultaneous_lu_pure(*payload, cfg)
+        pairs = [(a.amplitudes.reshape(a.d1, a.d2), b.amplitudes.reshape(b.d1, b.d2))
+                 for a, b in zip(*payload)]
     else:
         verdict = unilocal_mixed_equivalence(*payload, cfg)
         pairs = [(r.matrix, s.matrix) for r, s in zip(*payload)]
     assert (verdict.verdict, verdict.certainty) == ("NO", "exact")
     assert verdict.solution_dimension is None and verdict.aux == {}
     i, *block = _named_mismatch(pairs, shape1, shape2)
-    if mode == "pairs":
-        where = f"block ({block[0]}, {block[1]}) of pair index {i}" if block else f"pair index {i}"
-        assert verdict.detail == f"singular values differ at {where}"
-    else:
+    if mode == "unilocal":
         where = f"block ({block[0]}, {block[1]}) of " if block else ""
         assert verdict.detail == f"{where}rho_{i} vs sigma_{i}: singular values differ"
+    else:
+        where = f"block ({block[0]}, {block[1]}) of pair index {i}" if block else f"pair index {i}"
+        assert verdict.detail == f"singular values differ at {where}"
 
 
 @st.composite

@@ -260,6 +260,13 @@ class TestSampler:
             per_trial_failure_bound(2, 3, CFG.sample_max) ** CFG.trials
         )
 
+    def test_the_largest_sample_max_draws(self):
+        # 2^63 - 1 is the last bound the int64 draws take; one more is an
+        # InputError (tests/test_input_checks.py), not a crash in the draw
+        units = np.eye(4, dtype=complex).reshape(4, 2, 2)
+        A, _ = draw_candidate(SolutionSpace(units, units), SamplerConfig(sample_max=2**63 - 1), 0)
+        assert np.all(A.real >= 1) and np.all(A.imag >= 1)
+
     @pytest.mark.parametrize("seed", [0, 7, 2**40])
     def test_draws_and_the_pivot_follow_their_rng_streams(self, seed):
         # over the matrix units a draw's entries are its coefficients: the 2k

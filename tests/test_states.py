@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,11 @@ from uniequiv import (
     NotGenericError,
     SamplerConfig,
     Tolerances,
+    decide_uep,
     density_operator,
     generic_mixed_lu,
     pure_state,
+    random_yes_instance,
     simultaneous_lu_pure,
     singular_values,
     state_to_matrix,
@@ -536,6 +540,22 @@ class TestGenericMixed:
         assert verdict.aux == {"phase_components": 4, "grid_solves": 1728}
         assert len(solver_calls) == 1728
 
+    def test_a_connected_graph_allocates_no_grid(self, rng):
+        # the one point a connected graph solves gets its phases alone, where
+        # the whole grid of 10^6 complex points would take 16 MB
+        rho = random_density(2, 2, rng, min_gap=1e-3)
+        local = np.kron(haar(2, rng), haar(2, rng))
+        sigma = density_operator(2, 2, local @ rho.matrix @ local.conj().T)
+        tracemalloc.start()
+        try:
+            verdict = generic_mixed_lu(rho, sigma, CFG, phase_grid=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.verdict == "YES"
+        assert (verdict.aux["phase_components"], verdict.aux["grid_solves"]) == (1, 1)
+        assert peak < 2**20
+
     def test_mismatched_dimensions_are_rejected(self, rng):
         with pytest.raises(InputError, match="^density operators have mismatched dimensions$"):
             generic_mixed_lu(random_density(2, 2, rng), random_density(2, 3, rng), CFG)
@@ -649,3 +669,32 @@ def test_state_nos_at_index_one_go_through_the_solver_prefilter(mode, monkeypatc
         detail = "Schmidt coefficients of eigenvector 1 differ"
     assert (verdict.verdict, verdict.certainty, verdict.detail) == ("NO", "exact", detail)
     assert calls == [2]
+
+
+@pytest.mark.parametrize("mode", ["pairs-full", "pairs-factor", "pure-sets", "unilocal-mixed"])
+def test_a_planted_yes_compares_no_singular_values(mode, monkeypatch, rng):
+    # on every pivot route the solve decides and singular values only word a
+    # non-YES, so a planted YES never reaches singular_value_prefilter
+    calls = []
+    real = solver_mod.singular_value_prefilter
+
+    def spy(pairs, tol=Tolerances()):
+        calls.append(len(pairs))
+        return real(pairs, tol)
+
+    monkeypatch.setattr(solver_mod, "singular_value_prefilter", spy)
+    if mode.startswith("pairs"):
+        kinds = ["full", "full"] if mode == "pairs-full" else [("factor", 2, 2), ("factor", 3, 2)]
+        verdict = decide_uep(random_yes_instance(4, 6, 2, *kinds, seed=3)[0], CFG)
+    elif mode == "pure-sets":
+        U, V = haar(2, rng), haar(3, rng)
+        psis = [M / np.linalg.norm(M) for M in (ginibre(2, 3, rng) for _ in range(2))]
+        verdict = simultaneous_lu_pure(*([pure_state(2, 3, M.ravel()) for M in side]
+                                         for side in (psis, [U @ M @ V.T for M in psis])), CFG)
+    else:
+        rhos = [random_density(2, 3, rng) for _ in range(2)]
+        big = np.kron(haar(2, rng), np.eye(3))
+        verdict = unilocal_mixed_equivalence(
+            rhos, [density_operator(2, 3, big @ r.matrix @ big.conj().T) for r in rhos], CFG)
+    assert verdict.verdict == "YES"
+    assert calls == []
