@@ -173,14 +173,19 @@ def cmd_gen(args) -> int:
 def cmd_verify(args) -> int:
     """Check a certificate {U, V} against an instance of any mode.
 
-    The check is certificate_residuals, the function every YES of `decide`
-    passes through: it shares only matrix kernels with the solver, not the
-    linear system, the sampler or the extraction. perfbench/check.py is the
-    checker that shares no code with the package.
+    The certificate may be a whole verdict document of `decide`: the instance
+    is then read under the document's "mode", which `decide --mode` may have
+    set apart from the file's own. The check is certificate_residuals, the
+    function every YES of `decide` passes through: it shares only matrix
+    kernels with the solver, not the linear system, the sampler or the
+    extraction. perfbench/check.py is the checker that shares no code with
+    the package.
     """
     tol = _options(Tolerances, residual_abs=args.tol_residual)
-    mode, payload = serialize.load_instance(args.instance)
-    U, V = serialize.certificate_from_json(serialize.read_json(args.certificate))
+    cert = serialize.read_json(args.certificate)
+    mode = cert.get("mode") if isinstance(cert, dict) else None
+    mode, payload = serialize.load_instance(args.instance, mode)
+    U, V = serialize.certificate_from_json(cert)
     residual, defect = certificate_residuals(mode, payload, U, V, tol)
     print(f"residual: {residual:.6e}  defect: {defect:.6e}")
     return EXIT_YES if max(residual, defect) <= tol.residual_abs else EXIT_NO

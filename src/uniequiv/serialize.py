@@ -18,7 +18,6 @@ import json
 from itertools import chain
 
 import numpy as np
-import orjson
 
 from .algebra import MatrixAlgebra, factor_algebra, full_algebra, matrix_algebra
 from .errors import MalformedInstanceError
@@ -322,6 +321,8 @@ def dumps_document(doc: dict) -> str:
 
 def _dumps_value(v) -> str:
     if isinstance(v, list):
+        import orjson  # here, not at the top: a process that writes no list skips its import
+
         try:
             raw = orjson.dumps(v)
         except TypeError:

@@ -59,6 +59,7 @@ route's pairs before verify_algebra and the plain system, matpoly's
 coefficient ranks before a singular pencil's d^2 system, and generic-mixed's
 Schmidt and marginal spectra before the phase search. Every singular-value
 NO but the pivot's, in every mode, is found and worded by _spectrum_no.
+Every exact NO, in every mode, is built by _exact_no.
 
 Every YES, in every mode, leaves the package through `check_certificate`,
 which recomputes the certificate's residual and side conditions with
@@ -186,6 +187,12 @@ class UepVerdict:
     certificate_kind: str = "unitary"
     detail: str = ""
     aux: dict = field(default_factory=dict)
+
+
+def _exact_no(detail: str, **fields) -> UepVerdict:
+    """An exact NO, the one verdict that claims NO without a failure bound:
+    every such verdict in the package is built here."""
+    return UepVerdict(verdict="NO", certainty="exact", detail=detail, **fields)
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,10 +403,9 @@ def _trace_no(Z, m, frames: _PivotFrames, tol: Tolerances) -> UepVerdict | None:
     j = int(ratio.argmax())
     if not ratio[j] > 1.0:
         return None
-    return UepVerdict(verdict="NO", certainty="exact", certificate_kind="invertible",
-                      detail="traces of X_c^-1 X_j and Y_c^-1 Y_j differ at spanned pair "
-                             f"index {j}",
-                      aux={"trace_pair": j, "trace_gap_ratio": float(ratio[j]), "trace_f": f})
+    return _exact_no(f"traces of X_c^-1 X_j and Y_c^-1 Y_j differ at spanned pair index {j}",
+                     certificate_kind="invertible",
+                     aux={"trace_pair": j, "trace_gap_ratio": float(ratio[j]), "trace_f": f})
 
 
 def _eigen_frames(Z, frames: _PivotFrames, seed: int, tol: Tolerances) -> tuple:
@@ -716,9 +722,8 @@ def _decide(system: LinearSystem, cfg: SamplerConfig, tol: Tolerances,
     each caller checks a YES."""
     space = solve_solution_space(system, tol)
     if space.dimension == 0:
-        return UepVerdict(verdict="NO", certainty="exact", solution_dimension=0,
-                          certificate_kind=kind,
-                          detail="linear system has only the trivial solution")
+        return _exact_no("linear system has only the trivial solution", solution_dimension=0,
+                         certificate_kind=kind)
     found = sample_invertible(space, cfg, tol, kind)
     if found is None:
         eps = per_trial_failure_bound(space.A.shape[1], space.B.shape[1], cfg.sample_max)
@@ -795,9 +800,7 @@ def _pivot_decide(Z, cfg: SamplerConfig, tol: Tolerances) -> UepVerdict:
     """
     Z, frames, _ = _pivot_prepared(Z, cfg, tol)
     if not same_spectrum(frames.s, frames.t, tol):
-        return UepVerdict(verdict="NO", certainty="exact",
-                          detail="singular values differ at the random pivot pair "
-                                 "sum_i c_i (X_i, Y_i)")
+        return _exact_no("singular values differ at the random pivot pair sum_i c_i (X_i, Y_i)")
     label, aux = _clusters(frames)
     return _solve_in_frames(Z, frames, label, cfg, tol, "unitary", aux)
 
@@ -814,7 +817,7 @@ def _spectrum_no(pairs, tol: Tolerances, pair_detail: str, blocks=None, shape: t
     again."""
     ok, i = singular_value_prefilter(pairs, tol)
     if not ok:
-        return UepVerdict(verdict="NO", certainty="exact", detail=pair_detail.format(i=i))
+        return _exact_no(pair_detail.format(i=i))
     if blocks is None or shape == (1, 1):
         return None
     first = shape[0] * shape[1]
@@ -822,8 +825,7 @@ def _spectrum_no(pairs, tol: Tolerances, pair_detail: str, blocks=None, shape: t
         ok, idx = singular_value_prefilter(blocks[lo:hi], tol)
         if not ok:
             i, p, q = (int(v) for v in np.unravel_index(lo + idx, (len(pairs),) + shape))
-            return UepVerdict(verdict="NO", certainty="exact",
-                              detail=block_detail.format(i=i, p=p, q=q))
+            return _exact_no(block_detail.format(i=i, p=p, q=q))
     return None
 
 
@@ -903,8 +905,8 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
     # a gate: a rank NO spares the d^2 system of a pencil that _trace_no skips
     for idx, (sx, sy) in enumerate(np.linalg.svd(Z, compute_uv=False)):
         if numerical_rank(sx, tol) != numerical_rank(sy, tol):
-            return UepVerdict(verdict="NO", certainty="exact", certificate_kind="invertible",
-                              detail=f"coefficient ranks differ at index {idx}")
+            return _exact_no(f"coefficient ranks differ at index {idx}",
+                             certificate_kind="invertible")
     Z, frames, m = _pivot_prepared(Z, cfg, tol)
     n, _, d, d2 = Z.shape
     regular = (n >= 2 and d == d2
@@ -914,15 +916,14 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
         return no
     eigen, margin = (_eigen_frames(Z, frames, cfg.seed, tol) if regular and d >= _EIGEN_MIN_DIM
                      else (None, None))
-    if eigen is not None:
-        verdict = _solve_in_frames(Z, eigen, np.arange(len(eigen.s)), cfg, tol, "invertible",
-                                   {"pivot_eigen_margin": margin})
+    tries = [(eigen, np.arange(d), margin)] if eigen is not None else []
+    for F, label, eigen_margin in tries + [(frames, np.zeros(len(frames.s), dtype=int), None)]:
+        verdict = _solve_in_frames(Z, F, label, cfg, tol, "invertible",
+                                   {"pivot_eigen_margin": eigen_margin})
         verdict = check_certificate(verdict, "matpoly", (P, Q), tol)
         if verdict.verdict == "YES":
             return verdict
-    verdict = _solve_in_frames(Z, frames, np.zeros(len(frames.s), dtype=int), cfg, tol,
-                               "invertible", {"pivot_eigen_margin": None})
-    return check_certificate(verdict, "matpoly", (P, Q), tol)
+    return verdict
 
 
 def uep_instance_full(d1: int, d2: int, pairs) -> UepInstance:

@@ -23,6 +23,7 @@ from .linalg import (Tolerances, _worst_relative, as_complex_matrix, frobenius,
 from .solver import (
     SamplerConfig,
     UepVerdict,
+    _exact_no,
     _explained,
     _pivot_decide,
     _realigned_blocks,
@@ -253,8 +254,7 @@ def _product_lu(marginals_rho, marginals_sigma, tol: Tolerances) -> UepVerdict:
         w_r, Q_r = hermitian_eigendecomposition(r, tol)
         w_s, Q_s = hermitian_eigendecomposition(s, tol)
         if not same_spectrum(w_r, w_s, tol):
-            return UepVerdict(verdict="NO", certainty="exact",
-                              detail=f"product states with different spectra on subsystem {name}")
+            return _exact_no(f"product states with different spectra on subsystem {name}")
         factors.append(Q_s @ Q_r.conj().T)
     U, V = factors
     return UepVerdict(verdict="YES", certainty="exact", U=U, V=V)
@@ -315,15 +315,14 @@ def _generic_mixed(rho, sigma, cfg: SamplerConfig, tol: Tolerances, phase_grid: 
     require_gaps("rho", w_r[:n + 1])
     require_gaps("sigma", w_s[:n])
     if not same_spectrum(w_r, w_s, tol):
-        return UepVerdict(verdict="NO", certainty="exact", detail="eigenvalue spectra differ"), 0, 0
+        return _exact_no("eigenvalue spectra differ"), 0, 0
     # sigma's gap below its first n: a rank mismatch has answered NO by now
     require_gaps("sigma", w_s[n - 1:n + 1])
     marg_r, marg_s = _marginals(rho), _marginals(sigma)
     product_r, product_s = _is_product(rho, marg_r, tol), _is_product(sigma, marg_s, tol)
     if product_r != product_s:
         which = "rho" if product_r else "sigma"
-        return UepVerdict(verdict="NO", certainty="exact",
-                          detail=f"only {which} is a product state"), 0, 0
+        return _exact_no(f"only {which} is a product state"), 0, 0
     if product_r:
         return check_certificate(_product_lu(marg_r, marg_s, tol),
                                  "generic-mixed", (rho, sigma), tol), 0, 0
@@ -338,8 +337,7 @@ def _generic_mixed(rho, sigma, cfg: SamplerConfig, tol: Tolerances, phase_grid: 
     if components > 1:  # the marginal spectra, LU invariants, spare a NO the grid of solves
         for name, r, s in zip("AB", marg_r, marg_s):
             if not same_spectrum(*(np.linalg.eigvalsh(M)[::-1] for M in (r, s)), tol):
-                detail = f"marginal spectra differ on subsystem {name}"
-                return UepVerdict(verdict="NO", certainty="exact", detail=detail), components, 0
+                return _exact_no(f"marginal spectra differ on subsystem {name}"), components, 0
     # one free phase per component after the first: a connected graph's one solve stands
     candidates = product(range(phase_grid), repeat=components - 1)
     for solves, combo in enumerate(islice(candidates, _MAX_GRID_SOLVES), 1):

@@ -1,9 +1,14 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uniequiv
 from uniequiv import SamplerConfig, Tolerances, generic_mixed_lu
 from uniequiv.cli import _build_parser, main
 from uniequiv.serialize import (
@@ -468,6 +473,28 @@ class TestVerify:
             out = capsys.readouterr()
             assert out.out == ""
             assert out.err == f"error: --tol-residual must lie strictly in (0, 1), got {float(tol)}\n"
+
+    def test_verdict_document_verifies_under_its_mode(self, tmp_path, rng):
+        # the file names no mode, so read alone it would be matrix-pairs
+        doc = _state_doc("matpoly", rng)
+        del doc["mode"]
+        inst_path, verdict_path = tmp_path / "i.json", tmp_path / "v.json"
+        inst_path.write_text(dumps_document(doc))
+        assert main(["decide", str(inst_path), "--mode", "matpoly", "--seed", "1",
+                     "-o", str(verdict_path)]) == 0
+        assert main(["verify", str(inst_path), str(verdict_path)]) == 0
+
+    def test_verify_does_not_import_the_list_writer(self, tmp_path):
+        inst_path, wit_path = tmp_path / "i.json", tmp_path / "w.json"
+        main(["gen", "--yes", "--d1", "3", "--d2", "3", "--m", "1", "--seed", "21",
+              "-o", str(inst_path), "--witness", str(wit_path)])
+        code = ("import sys; from uniequiv.cli import main; "
+                "print(main(sys.argv[1:]), 'orjson' in sys.modules)")
+        src = str(Path(uniequiv.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code, "verify", str(inst_path), str(wit_path)],
+                              capture_output=True, text=True, timeout=120, check=False,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.splitlines()[-1] == "0 False", proc.stdout + proc.stderr
 
     def test_witness_verifies(self, tmp_path):
         inst_path, wit_path = tmp_path / "i.json", tmp_path / "w.json"

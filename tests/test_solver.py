@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +72,32 @@ def test_instance_checks_name_the_fault(fields, message):
     algebras = {"G1": full_algebra(2), "G2": full_algebra(2)}
     with pytest.raises(InputError, match=f"^{message}$"):
         UepInstance(**{**algebras, **fields})
+
+
+def test_every_exact_no_is_built_by_exact_no():
+    """An exact NO claims NO without a failure bound, so a rule that every
+    such NO must obey needs one place to hook into: no UepVerdict call in the
+    package but the one in solver._exact_no names verdict "NO" with
+    certainty "exact"."""
+    sites = []
+    for path in sorted(Path(solver_mod.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "_exact_no"
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if name != "UepVerdict" or id(node) in allowed:
+                continue
+            fields = dict(zip(("verdict", "certainty"), node.args))
+            fields.update((k.arg, k.value) for k in node.keywords)
+            if all(getattr(fields.get(k), "value", None) == v
+                   for k, v in (("verdict", "NO"), ("certainty", "exact"))):
+                sites.append(f"{path.name}:{node.lineno}")
+    assert sites == []
+    assert solver_mod._exact_no("d", solution_dimension=0).__dict__ == UepVerdict(
+        verdict="NO", certainty="exact", detail="d", solution_dimension=0).__dict__
 
 
 class TestBuildSystem:
