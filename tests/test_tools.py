@@ -1,15 +1,13 @@
-"""Smoke tests of the comparison tools: a tree compared with itself differs
-nowhere (tools/verdict_diff.py), which tallies differences by key and case
-kind, and tools/case_ab.py prints one timing line
-per case of a cycle, or per matched case with --match, and the cycle total,
-each with the rounds won by either tree and both trees' quartiles. And
-tools/src_lines.py counts only the lines that hold code, and
-tools/src_coverage.py lists the statements a run never executes. Both
-comparison tools reject a workload that perfbench/workloads.py does not
-define."""
+"""Smoke tests of the tools: tools/ab.py, compared with the tree itself,
+differs in no document and prints one timing line per case of a cycle, or
+per matched case with --match, and one per cycle, each with the rounds won by
+either tree and both trees' quartiles; it tallies differences by key and
+case kind, and rejects a workload that perfbench/workloads.py does not
+define. tools/src_lines.py counts only the lines that hold code, and
+tools/src_coverage.py lists the statements a run never executes, replaying
+for --workloads the requests that tools/ab.py builds."""
 
 import importlib.util
-import json
 import re
 import subprocess
 import sys
@@ -20,29 +18,72 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_verdict_diff_of_the_tree_against_itself_is_empty():
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "verdict_diff.py"), str(ROOT),
-         "--workload", "unilocal-factor", "--seed", "11"],
-        capture_output=True, text=True, timeout=300, check=False)
+@pytest.fixture
+def tools(monkeypatch):
+    """Import a module of tools/ (or perfbench/) by name, as the tools import each other."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    return importlib.import_module
+
+
+def run_ab(*args):
+    return subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), *args],
+                          capture_output=True, text=True, timeout=300, check=False)
+
+
+def test_ab_of_the_tree_against_itself_prints_every_case_and_the_cycle():
+    proc = run_ab("--workload", "unilocal-factor", "--seed", "11", "--rounds", "1")
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    header, *cases, cycle, summary = proc.stdout.splitlines()
+    assert header.split() == ["case", "here", "(s)", "there", "(s)", "change", "won", "here/there",
+                              "here", "q1-q3", "(s)", "there", "q1-q3", "(s)"]
     # 21 cases of one cycle and the warm-up, each decided in both processes
-    assert proc.stdout.splitlines() == [
-        "22 documents: 0 differ in a compared key, 22 byte-identical without timing,"
-        " 22 value-identical"]
+    assert summary == ("22 documents: 0 differ in a compared key, 22 byte-identical without"
+                       " timing, 22 value-identical")
+    # the timings are not checked, only the format and what one round implies:
+    # 21 timed cases (the warm-up is not timed), each round won by at most one
+    # tree, and every quartile the round's own time
+    t = r"(\d+\.\d{6})"
+    timing = rf"\s+{t}\s+{t}\s+[+-]\d+\.\d%\s+(\d+)/(\d+)\s+{t}-{t}\s+{t}-{t}$"
+    assert len(cases) == 21
+    for i, line in enumerate(cases + [cycle]):
+        label = f"#{i} \\S+ .*?" if i < len(cases) else "cycle"
+        match = re.fullmatch("unilocal-factor s11 " + label + timing, line)
+        assert match, line
+        here, there, won_here, won_there, *quartiles = match.groups()
+        assert int(won_here) + int(won_there) <= 1
+        assert quartiles == [here, here, there, there]
 
 
-def test_verdict_diff_tallies_each_key_and_case_kind():
-    spec = importlib.util.spec_from_file_location("verdict_diff", ROOT / "tools" / "verdict_diff.py")
-    verdict_diff = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(verdict_diff)
+def test_ab_match_times_only_the_cases_of_that_kind():
+    proc = run_ab("--workload", "states-small", "--seed", "11", "--rounds", "1",
+                  "--match", "generic/yes")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    _, *cases, cycle, summary = proc.stdout.splitlines()
+    # the six generic-mixed YES cases of the 51 in the cycle, under their cycle index
+    assert [line.split()[2:4] for line in cases] == [
+        [f"#{i}", "generic/yes"] for i in (13, 14, 24, 29, 38, 42)]
+    assert cycle.startswith("states-small s11 cycle ")
+    # and the warm-up, compared but not timed
+    assert summary.startswith("7 documents: 0 differ in a compared key")
+
+
+def test_ab_match_without_a_case_is_an_error():
+    proc = run_ab("--workload", "states-small", "--seed", "11", "--match", "no-such-kind")
+    assert proc.returncode == 2
+    assert ("no case of states-small at seed 11 has a kind starting with 'no-such-kind'"
+            in proc.stderr)
+
+
+def test_ab_tallies_each_key_and_case_kind(tools):
+    ab = tools("ab")
 
     def reply(verdict, aux, timing=0.1, U="[1.0,2.0]"):
-        # a document as dumps_document lays it out
-        text = f'{{\n  "verdict": "{verdict}",\n  "U": {U},\n  "timing": {timing}\n}}\n'
-        return {"text": text, "aux": aux}
+        # a document as dumps_document lays it out, after its wall time
+        return [0.001, f'{{\n  "verdict": "{verdict}",\n  "U": {U},\n  "timing": {timing}\n}}\n',
+                aux]
 
-    requests = [(f"states-small s11 #{i} {kind} d=8", "", i + 1)
+    requests = [(f"states-small s11 #{i} {kind} d=8", "", i + 1, True)
                 for i, kind in enumerate(["matpoly/yes", "matpoly/yes", "matpoly/random-no",
                                           "pure/yes"])]
     mine = [reply("YES", {"pivot_unknowns": 8, "pivot_eigen_margin": None}),
@@ -53,7 +94,7 @@ def test_verdict_diff_tallies_each_key_and_case_kind():
     theirs = [reply("YES", {"pivot_unknowns": 64}, timing=0.2),
               reply("YES", {"pivot_unknowns": 81}, U="[1.0, 2.0]"),
               reply("NO", {"pivot_unknowns": 64}), reply("YES", {})]
-    lines, differing, identical, same_value = verdict_diff.compare(requests, mine, theirs)
+    lines, differing, identical, same_value = ab.compare(requests, mine, theirs)
     # sorted by key, then kind
     assert lines == [
         "pivot_eigen_margin: 1 documents (matpoly/random-no), first "
@@ -64,64 +105,34 @@ def test_verdict_diff_tallies_each_key_and_case_kind():
     assert (differing, identical, same_value) == (4, 2, 3)
 
 
-def test_case_ab_of_the_tree_against_itself_prints_every_case_and_the_cycle():
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "case_ab.py"), str(ROOT),
-         "--workload", "unilocal-factor", "--seed", "11", "--rounds", "1"],
-        capture_output=True, text=True, timeout=300, check=False)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    header, *cases, cycle = proc.stdout.splitlines()
-    assert header.split() == ["case", "here", "(s)", "there", "(s)", "change", "won", "here/there",
-                              "here", "q1-q3", "(s)", "there", "q1-q3", "(s)"]
-    # the timings are not checked, only the format and what one round implies:
-    # 21 cases of one cycle, each round won by at most one tree, and every
-    # quartile the round's own time
-    t = r"(\d+\.\d{6})"
-    timing = rf"\s+{t}\s+{t}\s+[+-]\d+\.\d%\s+(\d+)/(\d+)\s+{t}-{t}\s+{t}-{t}$"
-    assert len(cases) == 21
-    for i, line in enumerate(cases + [cycle]):
-        label = f"#{i} \\S+ .*?" if i < len(cases) else "cycle"
-        match = re.fullmatch(label + timing, line)
-        assert match, line
-        here, there, won_here, won_there, *quartiles = match.groups()
-        assert int(won_here) + int(won_there) <= 1
-        assert quartiles == [here, here, there, there]
-
-
-def test_case_ab_match_times_only_the_cases_of_that_kind():
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "case_ab.py"), str(ROOT),
-         "--workload", "states-small", "--seed", "11", "--rounds", "1", "--match", "generic/yes"],
-        capture_output=True, text=True, timeout=300, check=False)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    _, *cases, cycle = proc.stdout.splitlines()
-    # the six generic-mixed YES cases of the 51 in the cycle, under their cycle index
-    assert [line.split()[:2] for line in cases] == [
-        [f"#{i}", "generic/yes"] for i in (13, 14, 24, 29, 38, 42)]
-    assert cycle.startswith("cycle ")
-
-
-def test_case_ab_match_without_a_case_is_an_error():
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "case_ab.py"), str(ROOT),
-         "--workload", "states-small", "--match", "no-such-kind"],
-        capture_output=True, text=True, timeout=300, check=False)
-    assert proc.returncode == 2
-    assert ("no case of states-small at seed 11 has a kind starting with 'no-such-kind'"
-            in proc.stderr)
-
-
-@pytest.mark.parametrize("tool", ["case_ab.py", "verdict_diff.py"])
-def test_unknown_workload_names_those_of_perfbench(tool):
+@pytest.mark.parametrize("args, message", [
     # the names come from perfbench/workloads.py, so a workload added there
-    # reaches both tools without a change to them
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / tool), str(ROOT), "--workload", "pairs-ful"],
-        capture_output=True, text=True, timeout=300, check=False)
+    # reaches the tool without a change to it; each named workload is checked
+    (["--workload", "pairs-ful"], "unknown workload 'pairs-ful'; expected one of "
+                                  "pairs-full, unilocal-factor, states-small, cli-cold"),
+    (["--workload", "states-small", "--workload", "pairs-ful"],
+     "unknown workload 'pairs-ful'; expected one of "
+     "pairs-full, unilocal-factor, states-small, cli-cold"),
+    (["--rounds", "0"], "--rounds must be at least 1"),
+])
+def test_ab_usage_errors_exit_2_with_their_message(args, message):
+    proc = run_ab(*args)
     assert proc.returncode == 2
-    assert proc.stderr.splitlines()[-1].endswith(
-        "error: unknown workload 'pairs-ful'; expected one of "
-        "pairs-full, unilocal-factor, states-small, cli-cold")
+    assert proc.stderr.splitlines()[-1].endswith("error: " + message)
+
+
+def test_src_coverage_replays_the_requests_of_ab(tools, monkeypatch):
+    ab, src_coverage, worker, workloads = map(tools, ["ab", "src_coverage", "worker", "workloads"])
+    requests = ab.build_requests(workloads, workloads.WORKLOADS, (11, 12, 13))
+    # every case and warm-up of the four workloads at three seeds
+    assert len(requests) == 354
+    sent = []
+    monkeypatch.setattr(worker, "decide_text", lambda text, seed: sent.append((text, seed)))
+    for seed in (11, 12, 13):
+        src_coverage.run_workloads(seed)
+    # one seed after the other, each as ab sends it
+    assert sent == [(text, decide_seed) for seed in (11, 12, 13)
+                    for label, text, decide_seed, _ in requests if label.split()[1] == f"s{seed}"]
 
 
 # 8 lines of code: the docstrings of the module, the class and both functions,
@@ -171,11 +182,8 @@ def test_src_lines_defaults_to_every_module_of_the_package():
     assert total == [str(sum(int(count) for count, _ in modules)), "total"]
 
 
-def test_src_coverage_lists_each_statement_never_run(tmp_path):
-    spec = importlib.util.spec_from_file_location("src_coverage",
-                                                  ROOT / "tools" / "src_coverage.py")
-    src_coverage = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(src_coverage)
+def test_src_coverage_lists_each_statement_never_run(tmp_path, tools):
+    src_coverage = tools("src_coverage")
     root = tmp_path.resolve()
     path = root / "tiny.py"
     path.write_text('"""A module."""\n\n\ndef f(x):\n    """Doc."""\n    if x:\n'

@@ -4,11 +4,10 @@
     python3 tools/src_coverage.py --workloads [--seed N]
 
 With --tests, the tier-1 suite (tests/ and perfbench/test_perfbench.py) runs
-in this process under pytest; with --workloads, every case and the warm-up
-of each `perfbench` workload, built by `perfbench/workloads.py` at seed N
-(default 11), goes through `worker.decide_text` with the seed the benchmark
-gives it (case i of a cycle: i + 1; the warm-up: 1). `perfbench` is only
-imported, never edited. Code run in a child process is not seen.
+in this process under pytest; with --workloads, the requests that
+`tools/ab.py` sends at seed N (default 11), every case and the warm-up of
+each `perfbench` workload, go through `worker.decide_text`. `perfbench` is
+only imported, never edited. Code run in a child process is not seen.
 
 Lines are recorded with `sys.settrace` from before the package is imported.
 A statement (an `ast.stmt` other than a docstring, `global` or `nonlocal`)
@@ -23,9 +22,11 @@ from __future__ import annotations
 
 import argparse
 import ast
-import json
 import sys
 from pathlib import Path
+
+import ab
+from src_lines import docstring_lines
 
 HERE = Path(__file__).resolve().parents[1]
 PACKAGE = HERE / "src" / "uniequiv"
@@ -73,19 +74,13 @@ def _own_lines(node: ast.stmt) -> range:
 
 def statements(source: str) -> list:
     """[(line, own lines)] of every statement of source but docstrings, global and nonlocal."""
-    docstrings = set()
-    out = []
-    for node in ast.walk(ast.parse(source)):
-        body = getattr(node, "body", None)
-        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
-                and body and isinstance(body[0], ast.Expr)
-                and isinstance(body[0].value, ast.Constant)
-                and isinstance(body[0].value.value, str)):
-            docstrings.add(id(body[0]))
-        if (isinstance(node, ast.stmt) and id(node) not in docstrings
-                and not isinstance(node, (ast.Global, ast.Nonlocal))):
-            out.append((node.lineno, _own_lines(node)))
-    return sorted(out, key=lambda item: item[0])
+    tree = ast.parse(source)
+    docstrings = docstring_lines(tree)
+    return sorted(((node.lineno, _own_lines(node)) for node in ast.walk(tree)
+                   if isinstance(node, ast.stmt)
+                   and not isinstance(node, (ast.Global, ast.Nonlocal))
+                   and not (isinstance(node, ast.Expr) and node.lineno in docstrings)),
+                  key=lambda item: item[0])
 
 
 def report(paths, hits: dict, base: Path) -> list:
@@ -116,11 +111,8 @@ def run_workloads(seed: int) -> None:
     import worker
     import workloads as wl
 
-    for name in wl.WORKLOADS:
-        cases, warmup = wl.build(name, seed)
-        for i, case in enumerate(cases):
-            worker.decide_text(json.dumps(case.doc), i + 1)
-        worker.decide_text(json.dumps(warmup.doc), 1)
+    for _, text, decide_seed, _ in ab.build_requests(wl, wl.WORKLOADS, [seed]):
+        worker.decide_text(text, decide_seed)
 
 
 def main(argv=None) -> int:
