@@ -1,7 +1,8 @@
 """Unital matrix sub-algebras: factor shapes and spanning bases.
 
 The factor algebra {M (x) I_b : M in C^(a x a)} and the full algebra (the
-shape (d, 1)) are stored by their factor_shape (a, b) alone. Any other
+shape (d, 1)) are stored by their factor_shape (a, b) alone; so is a basis
+of d^2 independent d x d matrices, which spans the full algebra. Any other
 algebra is a span: linearly independent d x d matrices and an orthonormal
 basis span_q of their vectorized span. The solver only trusts an algebra
 after `verify_algebra` confirms unitality and multiplicative closure: for a
@@ -60,7 +61,9 @@ class AlgebraReport(NamedTuple):
 
 
 def matrix_algebra(basis, tol: Tolerances = Tolerances()) -> MatrixAlgebra:
-    """Build a span algebra from a spanning basis, checking linear independence."""
+    """Build an algebra from a spanning basis, checking linear independence:
+    d^2 independent d x d matrices span the full algebra, returned as its
+    shape (d, 1); fewer give a span."""
     mats = tuple(as_complex_matrix(E, "algebra basis element") for E in basis)
     if not mats:
         raise InputError("algebra basis must be non-empty")
@@ -70,6 +73,8 @@ def matrix_algebra(basis, tol: Tolerances = Tolerances()) -> MatrixAlgebra:
     u, s, _ = np.linalg.svd(np.stack(mats).reshape(len(mats), -1).T, full_matrices=False)
     if len(mats) > d * d or numerical_rank(s, tol) < len(mats):
         raise InputError("algebra basis is not linearly independent at rank_rel")
+    if len(mats) == d * d:
+        return full_algebra(d)
     return MatrixAlgebra(dim=d, kind="span", span_basis=mats, span_q=u)
 
 

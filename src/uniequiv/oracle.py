@@ -22,18 +22,12 @@ __all__ = [
 ]
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def haar_unitary_in_algebra(G: MatrixAlgebra, seed) -> np.ndarray:
     """Haar-random unitary u (x) I_b inside an algebra of factor shape (a, b)."""
     if G.factor_shape is None:
         raise InputError(f"no canonical Haar measure for algebra kind {G.kind!r}")
     a, b = G.factor_shape
-    u = _haar_unitary(a, _as_rng(seed))
+    u = _haar_unitary(a, np.random.default_rng(seed))
     return u if b == 1 else np.kron(u, np.eye(b, dtype=complex))
 
 
@@ -65,7 +59,7 @@ def random_yes_instance(d1: int, d2: int, m: int, g1_kind="full", g2_kind="full"
     """Planted instance Y_i = U0 X_i V0^dag; returns (instance, (U0, V0))."""
     if d1 < 1 or d2 < 1 or m < 0:
         raise InputError("need d1, d2 >= 1 and m >= 0")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     G1 = algebra_from_kind(g1_kind, d1)
     G2 = algebra_from_kind(g2_kind, d2)
     Xs = [_ginibre(d1, d2, rng) for _ in range(m + 1)]

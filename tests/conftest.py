@@ -34,13 +34,14 @@ def random_density(d1, d2, rng, min_gap=None):
 
 @st.composite
 def algebras(draw):
-    """Spans from five families, the last element perturbed by 0, 1e-10 or
+    """Spans from four families, the last element perturbed by 0, 1e-10 or
     1e-6 (100x either side of the default residual_abs of 1e-8):
     W (M_n1 (+) M_n2) W^-1 with W unitary or merely invertible, upper-triangular
-    algebras in a random unitary frame, I plus random matrices, and a random
-    basis of all of C^(d x d)."""
+    algebras in a random unitary frame, and I plus fewer than d^2 - 1 random
+    matrices. None holds d^2 elements: matrix_algebra stores d^2 independent
+    matrices as the full shape (d, 1), not a span."""
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    family = draw(st.sampled_from(["blocks-unitary", "blocks-invertible", "upper", "identity-plus", "all"]))
+    family = draw(st.sampled_from(["blocks-unitary", "blocks-invertible", "upper", "identity-plus"]))
     if family.startswith("blocks"):
         n1, n2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
         d = n1 + n2
@@ -53,16 +54,13 @@ def algebras(draw):
                  for lo, hi in ((0, n1), (n1, d)) for i in range(lo, hi) for j in range(lo, hi)]
         basis = [W @ E @ np.linalg.inv(W) for E in units]
     elif family == "upper":
-        d = draw(st.integers(1, 4))
+        d = draw(st.integers(2, 4))
         Q = haar(d, rng)
         basis = [Q @ np.outer(np.eye(d)[i], np.eye(d)[j]) @ Q.conj().T
                  for i in range(d) for j in range(i, d)]
     elif family == "identity-plus":
         d = draw(st.integers(2, 4))
-        basis = [np.eye(d)] + [ginibre(d, d, rng) for _ in range(draw(st.integers(0, 3)))]
-    else:
-        d = draw(st.integers(1, 4))
-        basis = [ginibre(d, d, rng) for _ in range(d * d)]
+        basis = [np.eye(d)] + [ginibre(d, d, rng) for _ in range(draw(st.integers(0, min(3, d * d - 2))))]
     basis[-1] = basis[-1] + draw(st.sampled_from([0.0, 1e-10, 1e-6])) * ginibre(d, d, rng)
     return matrix_algebra(basis)
 

@@ -43,7 +43,12 @@ class TestFullAlgebra:
     def test_matches_the_span_of_its_units(self, a, b, rng):
         # the shape alone stands for the span of the E_jk (x) I_b
         G = full_algebra(a) if b == 1 else factor_algebra(a, b)
-        ref = matrix_algebra(np.kron(matrix_units(a), np.eye(b)))
+        units = tuple(np.kron(matrix_units(a), np.eye(b)))
+        if b == 1:  # matrix_algebra returns the shape (a, 1) itself
+            ref = MatrixAlgebra(dim=a, kind="span", span_basis=units,
+                                span_q=np.eye(a * a, dtype=complex))
+        else:
+            ref = matrix_algebra(units)
         assert G.factor_shape == (a, b) and G.size == ref.size == a * a
         assert all(np.array_equal(E, F) for E, F in zip(G.basis, ref.basis))
         assert verify_algebra(G) == verify_algebra(ref) == AlgebraReport(True, True, True)
@@ -51,6 +56,18 @@ class TestFullAlgebra:
         for M in (member, ginibre(a * b, a * b, rng)):
             assert span_residual(G, M) == pytest.approx(span_residual(ref, M), abs=1e-12)
         assert span_residual(G, member) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_a_basis_of_d2_independent_matrices_is_the_full_shape(self, d, rng):
+        # d^2 independent matrices span all of C^(d x d), however written
+        for basis in (matrix_units(d), [ginibre(d, d, rng) for _ in range(d * d)]):
+            G = matrix_algebra(basis)
+            assert (G.kind, G.factor_shape, G.size) == ("full", (d, 1), d * d)
+            assert G.span_q is None and G.span_basis is None
+        if d > 1:
+            G = matrix_algebra(matrix_units(d)[:-1])
+            assert (G.kind, G.factor_shape, G.size) == ("span", None, d * d - 1)
+            assert G.span_q.shape == (d * d, d * d - 1)
 
     def test_shapes_store_no_arrays(self):
         # full_algebra(32) held a d^2 x d^2 identity, 16.8 MB, as span_q

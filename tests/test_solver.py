@@ -27,7 +27,7 @@ from uniequiv import (
 )
 from uniequiv import (density_operator, generic_mixed_lu, pure_state, simultaneous_lu_pure,
                       unilocal_mixed_equivalence)
-from uniequiv.algebra import factor_algebra, span_residual
+from uniequiv.algebra import factor_algebra, matrix_units, span_residual
 from uniequiv.cli import main
 from uniequiv.linalg import same_spectrum
 from uniequiv.oracle import random_yes_instance
@@ -432,6 +432,34 @@ class TestDecide:
             scales = rng.choice([1.0, 1e6, 1e-6], size=3)
             pairs = tuple((c * X, c * Y) for (X, Y), c in zip(inst.pairs, scales))
             verdict = decide_uep(UepInstance(d1, d2, pairs, inst.G1, inst.G2),
+                                 SamplerConfig(seed=seed))
+            assert verdict.verdict == "YES", (seed, verdict.detail)
+
+    @pytest.mark.parametrize("d1, d2, m", [(3, 3, 1), (4, 2, 2)])
+    def test_span_written_full_algebras_decide_as_the_shape(self, d1, d2, m, rng):
+        # a gauged NO over a Ginibre basis of C^(d1 x d1) and the matrix units
+        # of C^(d2 x d2); as spans it took the plain system, with another
+        # solution_dimension (a planted YES is the disparate-scale test below)
+        inst = _gauged([ginibre(d1, d2, rng) for _ in range(m + 1)], rng)
+        spans = (matrix_algebra([ginibre(d1, d1, rng) for _ in range(d1 * d1)]),
+                 matrix_algebra(matrix_units(d2)))
+        verdict, shape = (decide_uep(UepInstance(d1, d2, inst.pairs, *G), CFG)
+                          for G in (spans, (full_algebra(d1), full_algebra(d2))))
+        assert verdict.verdict == shape.verdict == "NO"
+        assert verdict.solution_dimension == shape.solution_dimension
+
+    def test_disparate_scales_over_a_span_written_full_algebra(self):
+        # (1e6 I, 1e6 I) beside two planted pairs at 1e-6, G1 the span of the
+        # matrix units: as a span, its unnormalized plain system ended
+        # INCONCLUSIVE on all 30 seeds; as the shape (3, 1) it decides YES
+        G1 = matrix_algebra(matrix_units(3))
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            U = haar(3, rng)
+            Xs = [1e-6 * ginibre(3, 3, rng) for _ in range(2)]
+            pairs = (((1e6 * np.eye(3), 1e6 * np.eye(3)),)
+                     + tuple((X, U @ X @ U.conj().T) for X in Xs))
+            verdict = decide_uep(UepInstance(3, 3, pairs, G1, full_algebra(3)),
                                  SamplerConfig(seed=seed))
             assert verdict.verdict == "YES", (seed, verdict.detail)
 
