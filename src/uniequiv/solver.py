@@ -11,6 +11,12 @@ U of A and V of B then solve the original equations and stay inside the
 algebras. Invertible elements of the solution space are found by randomized
 polynomial identity testing (Schwartz-Zippel).
 
+Every random draw is the module's own: the pivot combinations and each
+trial's integer coefficients come from SplitMix64 streams named by (seed,
+name, index) (_stream_state, _words), computed as uint64 array operations
+on a counter. A verdict is a function of the instance, the seed and this
+module, and deciding never imports numpy.random.
+
 The system is complex-linear, so the solution set is a complex-linear space:
 the adjoint equation is imposed as its adjoint B X_i^dag = Y_i^dag A, and
 A, A^dag in G1 by drawing A from a basis of G1 cap G1^dag (likewise B), which
@@ -154,9 +160,10 @@ class SamplerConfig:
     """Randomized search configuration.
 
     Coefficients are drawn uniformly from the integers {1, ..., sample_max},
-    2 <= sample_max <= 2^63 - 1; each trial uses the child seed
-    (seed, trial_index) so trials are independent and the whole run is
-    reproducible.
+    2 <= sample_max <= 2^63 - 1. Trial t draws from the SplitMix64 stream
+    (seed, "trial", t) and the pivot from (seed, "pivot", key), so trials
+    are independent of each other and of the pivot, and the whole run is
+    reproducible from the seed, of any size, with no other generator.
     """
 
     sample_max: int = 1_000_000
@@ -166,7 +173,7 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if self.sample_max < 2:
             raise InputError("sample_max must be at least 2")
-        if self.sample_max > 2**63 - 1:  # the draws are int64
+        if self.sample_max > 2**63 - 1:
             raise InputError(f"sample_max must be at most {2**63 - 1}")
         if self.trials < 1:
             raise InputError("trials must be positive")
@@ -225,6 +232,63 @@ _EIGEN_MIN_DIM = 6
 
 # (1, i): _RE_IM @ parts is parts[0] + i parts[1], exactly
 _RE_IM = np.array([1.0, 1.0j])
+
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014; Vigna's splitmix64.c): word
+# i = 1, 2, ... of the stream at state s is the output function of
+# s + i * _GOLDEN mod 2^64, z -> (z ^ z >> 30) * _M1 -> (z ^ z >> 27) * _M2
+# -> z ^ z >> 31, a bijection of 64-bit words
+_GOLDEN, _M1, _M2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_MASK64 = 2**64 - 1
+_U64 = tuple(np.uint64(c) for c in (_GOLDEN, _M1, _M2, 30, 27, 31))
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64's output function on a Python int below 2^64."""
+    z = (z ^ z >> 30) * _M1 & _MASK64
+    z = (z ^ z >> 27) * _M2 & _MASK64
+    return z ^ z >> 31
+
+
+def _stream_state(seed: int, name: str, index: int) -> int:
+    """The state of the stream (seed, name, index), for a name of at most 8
+    bytes: h -> _mix64((h ^ w) + _GOLDEN) folded from h = 0 over the words
+    w: the number of the seed's 64-bit limbs, the limbs, the name's bytes and
+    the index. Each fold is a bijection of h and of w, so two streams that
+    differ only in the seed (of as many limbs), only in the name or only in
+    the index never share a state."""
+    limbs = [seed >> b & _MASK64 for b in range(0, seed.bit_length() or 1, 64)]
+    h = 0
+    for w in (len(limbs), *limbs, int.from_bytes(name.encode(), "little"), index):
+        h = _mix64((h ^ w) + _GOLDEN & _MASK64)
+    return h
+
+
+def _words(state: int, start: int, n: int) -> np.ndarray:
+    """Words start + 1, ..., start + n of the SplitMix64 stream at `state`:
+    the output function as uint64 array operations on the counter, whose
+    products wrap mod 2^64 as the reference's do."""
+    golden, m1, m2, r1, r2, r3 = _U64
+    z = np.arange(start + 1, start + n + 1, dtype=np.uint64) * golden + np.uint64(state)
+    z = (z ^ z >> r1) * m1
+    z = (z ^ z >> r2) * m2
+    return z ^ z >> r3
+
+
+def _uniform_ints(state: int, n: int, high: int) -> np.ndarray:
+    """n integers uniform on {1, ..., high}, 2 <= high < 2^64: in stream order,
+    each word's top ceil(log2 high) bits that fall below high, plus 1.
+
+    A word is kept with probability high / 2^bits > 1/2. A batch of words is
+    expected to keep 4 sqrt(n) + 16 more than n, so one batch nearly always
+    serves; the batch size never changes which integers are drawn.
+    """
+    bits = (high - 1).bit_length()
+    batch, shift = ((n + 4 * math.isqrt(n) + 16) << bits) // high, np.uint64(64 - bits)
+    kept, start = np.empty(0, dtype=np.uint64), 0
+    while len(kept) < n:
+        v = _words(state, start, batch) >> shift
+        kept, start = np.concatenate([kept, v[v < high]]), start + batch
+    return kept[:n] + 1
 
 
 class _PivotFrames(NamedTuple):
@@ -297,14 +361,15 @@ def _separate_unknowns(E1, E2):
 
 def _pivot_pair(Z, seed: int, key: int = 0) -> np.ndarray:
     """The pivot pair (X_c, Y_c) = sum_i c_i (X_i, Y_i) of the (n, 2, a, a') stack
-    Z of pairs, in one product, for a unit complex Gaussian vector c.
+    Z of pairs, in one product, for c the unit vector along n complex
+    coefficients whose real and imaginary parts are uniform on [-1, 1).
 
-    c comes from the child seed of `seed` with spawn key (key,): (0,) for the
-    pivot, (1,) for the eigen frames' second combination; none of the
-    sampler's per-trial seeds (seed, trial) reaches either.
+    The 2n parts are words 1, ..., 2n of the stream (seed, "pivot", key),
+    real parts first: key 0 for the pivot, 1 for the eigen frames' second
+    combination; the sampler's streams (seed, "trial", t) reach neither.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(key,)))
-    re, im = parts = rng.standard_normal((2, len(Z)))
+    words = _words(_stream_state(int(seed), "pivot", key), 0, 2 * len(Z))
+    re, im = parts = (words >> np.uint64(11)).reshape(2, -1) * 2.0**-52 - 1.0  # 53 bits each
     c = (_RE_IM @ parts) / math.sqrt(re @ re + im @ im)  # the 2-norm as np.linalg.norm takes it
     return (c @ Z.reshape(len(Z), -1)).reshape(Z.shape[1:])
 
@@ -416,7 +481,7 @@ def _eigen_frames(Z, frames: _PivotFrames, seed: int, tol: Tolerances) -> tuple:
 
     With X_c and Y_c invertible, every solution of A X_i = Y_i B has
     N B = B M for M = X_c^-1 X_c2 and N = Y_c^-1 Y_c2, (X_c2, Y_c2) the
-    combination of spawn key (1,); an invertible B makes them similar (the
+    combination of pivot key 1; an invertible B makes them similar (the
     eigenvalues of a regular pencil are invariants of strict equivalence).
     Taken into the singular frames X_c = W_x S R_x^dag, R_x^dag M R_x =
     S^-1 W_x^dag X_c2 R_x needs no solve; one batched eig gives
@@ -577,11 +642,13 @@ def per_trial_failure_bound(d1: int, d2: int, sample_max: int) -> float:
 def draw_candidate(space: SolutionSpace, cfg: SamplerConfig, trial: int):
     """The (A, B) combination for one trial; deterministic given (seed, trial).
 
-    The 2k integers drawn are the real and imaginary parts of the k complex
-    coefficients.
+    The 2k integers uniform on {1, ..., sample_max} drawn from the stream
+    (seed, "trial", trial) (_uniform_ints) are the real, then the imaginary
+    parts of the k complex coefficients.
     """
-    rng = np.random.default_rng([int(cfg.seed), int(trial)])
-    coeffs = _RE_IM @ rng.integers(1, cfg.sample_max + 1, size=(2, space.dimension))
+    k = space.dimension
+    ints = _uniform_ints(_stream_state(int(cfg.seed), "trial", int(trial)), 2 * k, cfg.sample_max)
+    coeffs = _RE_IM @ ints.reshape(2, k)
     return tuple((coeffs @ E.reshape(len(E), -1)).reshape(E.shape[1:]) for E in (space.A, space.B))
 
 

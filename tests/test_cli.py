@@ -424,6 +424,19 @@ def _state_doc(mode, rng):
 STATE_MODES = ("pure-sets", "unilocal-mixed", "generic-mixed", "matpoly")
 
 
+def _no_doc(mode, rng):
+    """A NO instance document of a mode other than matrix-pairs: a YES of
+    _state_doc whose output side is that of another, independent YES; for
+    matpoly, whose generic 2x3 pencils are all equivalent, two square pencils
+    with different eigenvalues."""
+    if mode == "matpoly":
+        P, Q = ([matrix_to_json(np.eye(2)), matrix_to_json(np.diag([1.0, e]))] for e in (2.0, 3.0))
+        return {"mode": mode, "d1": 2, "d2": 2, "P": P, "Q": Q}
+    doc, other = _state_doc(mode, rng), _state_doc(mode, rng)
+    key = {"pure-sets": "states_out", "unilocal-mixed": "sigmas", "generic-mixed": "sigma"}[mode]
+    return {**doc, key: other[key]}
+
+
 class TestVerify:
     @staticmethod
     def _decided(tmp_path, mode, rng):
@@ -495,6 +508,38 @@ class TestVerify:
                               capture_output=True, text=True, timeout=120, check=False,
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.stdout.splitlines()[-1] == "0 False", proc.stdout + proc.stderr
+
+    def test_decide_and_verify_do_not_import_numpy_random(self, tmp_path, rng):
+        # the draws are the package's own; numpy.random would bring secrets
+        # and OpenSSL's _hashlib into every cold decide. gen, which uses
+        # numpy's Generator, runs last: it shows that the probe sees them
+        paths = {}
+        for label in ("yes", "no"):
+            paths["matrix-pairs", label] = tmp_path / f"pairs-{label}.json"
+            main(["gen", f"--{label}", "--d1", "3", "--d2", "3", "--m", "1", "--seed", "21",
+                  "-o", str(paths["matrix-pairs", label])])
+        for mode in STATE_MODES:
+            for label, doc in (("yes", _state_doc(mode, rng)), ("no", _no_doc(mode, rng))):
+                paths[mode, label] = tmp_path / f"{mode}-{label}.json"
+                paths[mode, label].write_text(dumps_document(doc))
+        verdict_path = tmp_path / "v.json"
+        runs = [["decide", str(path), "--seed", "3", "-o", str(verdict_path)]
+                for path in paths.values()]
+        runs.insert(1, ["verify", str(paths["matrix-pairs", "yes"]), str(verdict_path)])
+        runs.append(["gen", "--yes", "--d1", "2", "--d2", "2", "--seed", "1",
+                     "-o", str(tmp_path / "g.json")])
+        code = ("import json, sys; from uniequiv.cli import main; "
+                "print(json.dumps([(main(run), [m for m in ('numpy.random', 'secrets', "
+                "'_hashlib') if m in sys.modules]) for run in json.loads(sys.argv[1])]))")
+        src = str(Path(uniequiv.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                              capture_output=True, text=True, timeout=120, check=False,
+                              env={**os.environ, "PYTHONPATH": src})
+        results = json.loads(proc.stdout.splitlines()[-1])
+        codes = [0, 0, 1] + [0, 1] * len(STATE_MODES) + [0]  # decide: 0 YES, 1 NO
+        assert [code for code, _ in results] == codes, proc.stdout + proc.stderr
+        assert [seen for _, seen in results[:-1]] == [[]] * (len(runs) - 1)
+        assert results[-1][1] == ["numpy.random", "secrets", "_hashlib"]
 
     def test_witness_verifies(self, tmp_path):
         inst_path, wit_path = tmp_path / "i.json", tmp_path / "w.json"

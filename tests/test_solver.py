@@ -1,5 +1,6 @@
 import ast
 import json
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -256,7 +257,39 @@ class TestStarPart:
             assert _at_rank_cut(membership_rows_system(inst))
 
 
+# the first outputs of Vigna's reference splitmix64.c at state 1234567
+SPLITMIX64_AT_1234567 = [6457827717110365317, 3203168211198807973, 9817491932198370423]
+
+
+def _splitmix64(state):
+    """Vigna's splitmix64.c next(), one word at a time, in Python ints."""
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        yield z ^ (z >> 31)
+
+
+def _stream(seed, name, index, n):
+    """The first n words of the package's stream (seed, name, index), by the reference."""
+    return list(islice(_splitmix64(solver_mod._stream_state(seed, name, index)), n))
+
+
+def _unit_combination(words):
+    """The pivot's coefficients from 2n words: real, then imaginary parts uniform
+    on [-1, 1), the words' top 53 bits, normalized to a unit vector."""
+    re, im = np.reshape([(w >> 11) * 2.0**-52 - 1.0 for w in words], (2, -1))
+    return (re + 1j * im) / np.linalg.norm(re + 1j * im)
+
+
 class TestSampler:
+    def test_the_core_is_splitmix64(self):
+        assert list(islice(_splitmix64(1234567), 3)) == SPLITMIX64_AT_1234567
+        assert solver_mod._words(1234567, 0, 3).tolist() == SPLITMIX64_AT_1234567
+        # any stretch of a stream, at a state with every bit in use
+        state = 2**64 - 1 - 1234567
+        assert solver_mod._words(state, 5, 300).tolist() == list(islice(_splitmix64(state), 5, 305))
+
     def test_identity_span_succeeds_first_trial(self):
         space = SolutionSpace(np.eye(2)[None], np.eye(2)[None])
         result = sample_invertible(space, CFG)
@@ -289,33 +322,65 @@ class TestSampler:
         )
 
     def test_the_largest_sample_max_draws(self):
-        # 2^63 - 1 is the last bound the int64 draws take; one more is an
+        # 2^63 - 1 is the last bound a sampler takes; one more is an
         # InputError (tests/test_input_checks.py), not a crash in the draw
         units = np.eye(4, dtype=complex).reshape(4, 2, 2)
         A, _ = draw_candidate(SolutionSpace(units, units), SamplerConfig(sample_max=2**63 - 1), 0)
         assert np.all(A.real >= 1) and np.all(A.imag >= 1)
 
-    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    @pytest.mark.parametrize("sample_max", [2, 2**63 - 1])
+    def test_draws_stay_in_range_at_both_ends(self, sample_max):
+        # the integers as drawn, before a float holds them; the upper half of
+        # the range is reached, so the top bits are the ones used
+        ints = solver_mod._uniform_ints(solver_mod._stream_state(5, "trial", 0), 512, sample_max)
+        assert 1 <= min(ints.tolist()) and max(ints.tolist()) <= sample_max
+        assert max(ints.tolist()) > sample_max // 2 and len(ints) == 512
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40, 2**70])
     def test_draws_and_the_pivot_follow_their_rng_streams(self, seed):
-        # over the matrix units a draw's entries are its coefficients: the 2k
-        # integers of default_rng([seed, trial]) as real and imaginary parts
-        cfg = SamplerConfig(seed=seed, sample_max=1000)
+        # over the matrix units a draw's entries are its coefficients: the top
+        # 10 bits of the words of stream (seed, "trial", trial) that fall below
+        # sample_max = 600, plus 1, as real parts, then imaginary parts
+        cfg = SamplerConfig(seed=seed, sample_max=600)
         units = np.eye(4, dtype=complex).reshape(4, 2, 2)
         space = SolutionSpace(units, units[:, ::-1])
+        rejected = 0
         for trial in range(3):
-            re, im = np.random.default_rng([seed, trial]).integers(1, 1001, (2, 4))
+            tops = [w >> 54 for w in _stream(seed, "trial", trial, 40)]
+            last = [i for i, v in enumerate(tops) if v < 600][7]  # where the 8th is kept
+            kept = [v + 1 for v in tops[:last + 1] if v < 600]
+            rejected += last + 1 - len(kept)
             A, B = draw_candidate(space, cfg, trial)
-            assert np.array_equal(A.ravel(), re + 1j * im)
+            assert np.array_equal(A.ravel(), np.add(kept[:4], 1j * np.array(kept[4:])))
             assert np.array_equal(B, A[::-1])
-        # the pivot pair of pairs (e_i, 0) is (c, 0), c the unit complex
-        # Gaussian of the child seed (seed, spawn key (0,))
+        assert rejected  # 424 of 1024 tops are rejected: the rule is exercised
+        # the pivot pair of pairs (e_i, 0) is (c, 0), c from the first 10 words
+        # of stream (seed, "pivot", 0)
         Z = np.zeros((5, 2, 1, 5))
         Z[range(5), 0, 0, range(5)] = 1.0
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-        re, im = rng.standard_normal((2, 5))
-        c = (re + 1j * im) / np.linalg.norm(re + 1j * im)
         pivot = _pivot_pair(Z, seed)
-        assert np.array_equal(pivot[0, 0], c) and not pivot[1].any()
+        np.testing.assert_allclose(pivot[0, 0], _unit_combination(_stream(seed, "pivot", 0, 10)),
+                                   rtol=1e-15, atol=0)
+        assert not pivot[1].any()
+
+    def test_seeds_of_any_size_draw_their_own_streams(self):
+        units = np.eye(16, dtype=complex).reshape(16, 4, 4)
+        space, seeds = SolutionSpace(units, units), (0, 7, 2**40, 2**70)
+        Z = np.stack([units[:6], units[6:12]], axis=1)
+        draws = [(draw_candidate(space, SamplerConfig(seed=s), 0)[0], _pivot_pair(Z, s))
+                 for s in seeds]
+        for (A, P), s in zip(draws, seeds):
+            assert np.array_equal(A, draw_candidate(space, SamplerConfig(seed=s), 0)[0])
+            assert np.array_equal(P, _pivot_pair(Z, s))
+        for i, (A, P) in enumerate(draws):
+            for B, Q in draws[i + 1:]:
+                assert not np.array_equal(A, B) and not np.array_equal(P, Q)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40, 2**70])
+    def test_pivot_and_trial_streams_share_no_word(self, seed):
+        streams = [_stream(seed, "pivot", key, 64) for key in (0, 1)]
+        streams += [_stream(seed, "trial", trial, 64) for trial in range(4)]
+        assert len(set().union(*streams)) == 6 * 64
 
     def test_draw_is_deterministic(self):
         space = SolutionSpace(np.eye(2)[None], np.eye(2)[None])
@@ -513,14 +578,18 @@ def _tuned_pivot(d, gap, seed):
     drawn from seed has relative gap `gap` between its two largest singular
     values. The two pairs differ strongly on those two directions, so a frame
     error there is not a symmetry of the instance: a split that rounding
-    cannot resolve loses the solutions."""
+    cannot resolve loses the solutions. x_1 and x_2 are scaled so that the
+    pivot's s_1 is 1: the pivot cut is relative to max(1, s_1), so a gap
+    relative to s_1 is relative to the cut only where s_1 >= 1."""
     rng = np.random.default_rng(seed)
     one = [np.ones((1, 1)), np.zeros((1, 1))]
     c1, c2 = (_pivot_pair(np.stack([probe, probe], axis=1), seed)[0, 0, 0]
               for probe in (one, one[::-1]))
     x1 = np.concatenate([[12.0, 4.0], rng.uniform(0.1, 0.5, d - 2)]).astype(complex)
     x2 = np.concatenate([[0.0, 12.0], rng.uniform(0.1, 0.5, d - 2)]).astype(complex)
-    x2[0] = ((1 + gap) * abs(c1 * x1[1] + c2 * x2[1]) - c1 * x1[0]) / c2
+    s1 = (1 + gap) * abs(c1 * x1[1] + c2 * x2[1])
+    x2[0] = (s1 - c1 * x1[0]) / c2
+    x1, x2 = x1 / s1, x2 / s1
     W, R, U, V = (haar(d, rng) for _ in range(4))
     Xs = [W @ np.diag(x) @ R.conj().T for x in (x1, x2)]
     return uep_instance_full(d, d, [(X, U @ X @ V.conj().T) for X in Xs])
@@ -570,8 +639,8 @@ class TestPivot:
         X, Xc = Z[:, 0], _pivot_pair(Z, 9)[0]
         assert np.array_equal(Xc, _pivot_pair(Z, 9)[0])
         for trial in range(4):
-            re, im = np.random.default_rng([9, trial]).standard_normal((2, 2))
-            c = (re + 1j * im) / np.linalg.norm(re + 1j * im)
+            # the combination the pivot would take from a trial's stream
+            c = _unit_combination(_stream(9, "trial", trial, 4))
             assert np.linalg.norm(Xc - np.tensordot(c, X, axes=1)) > 1e-3
 
     def test_gauged_no_ends_at_the_pivot_without_a_nullspace(self, monkeypatch):
@@ -989,8 +1058,11 @@ def _pencil_to_skip(case, rng):
     pair are not regular pencils; Q_i = a_i Y_0 with sigma_min(Y_0) = 1e-9
     keeps full numerical rank but makes f >= sqrt(3) 1e-8 / 1e-9; pairs of
     entries near 1e-10 make f >= 1, and there (I, I) passes the certificate
-    check's absolute floor; a planted pencil with noise 1e-3 has traces
-    apart by more than d times the cut but within their bound."""
+    check's absolute floor; a planted pencil with noise has traces apart by
+    more than d times the cut but within their bound. How far the noise moves
+    the traces follows the pivot, so the noise is scaled for CFG's pivot to
+    put the largest gap at 2 d times the cut, a few times below the bound's
+    rounding margin d times the cut times max(1, ||(M_j, N_j)||_F)."""
     if case == "rectangular":
         return [[ginibre(4, 5, rng) for _ in range(3)] for _ in "PQ"], []
     if case == "singular pivot":
@@ -1009,7 +1081,13 @@ def _pencil_to_skip(case, rng):
     rng = np.random.default_rng(3)
     A, B = (ginibre(3, 3, rng) + 2 * np.eye(3) for _ in "AB")
     Xs = [ginibre(3, 3, rng) for _ in range(2)]
-    return [Xs, [A @ X @ np.linalg.inv(B) + 1e-3 * ginibre(3, 3, rng) for X in Xs]], [None]
+    Ys, Es = [A @ X @ np.linalg.inv(B) for X in Xs], [ginibre(3, 3, rng) for _ in Xs]
+    Z, frames, _ = solver_mod._pivot_prepared(
+        np.stack([Xs, [Y + 1e-3 * E for Y, E in zip(Ys, Es)]], axis=1), CFG, Tolerances())
+    Xc, Yc = (W * st @ R.conj().T for W, st, R in zip(frames.W, (frames.s, frames.t), frames.R))
+    gap = max(abs(np.trace(np.linalg.solve(Xc, X) - np.linalg.solve(Yc, Y))) for X, Y in Z)
+    eta = 1e-3 * 2 * 3 * solver_mod._pivot_cut(Tolerances()) / gap  # the gap is about linear in it
+    return [Xs, [Y + eta * E for Y, E in zip(Ys, Es)]], [None]
 
 
 class TestTraceNo:
