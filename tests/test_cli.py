@@ -537,7 +537,7 @@ class TestVerify:
                               env={**os.environ, "PYTHONPATH": src})
         results = json.loads(proc.stdout.splitlines()[-1])
         codes = [0, 0, 1] + [0, 1] * len(STATE_MODES) + [0]  # decide: 0 YES, 1 NO
-        assert [code for code, _ in results] == codes, proc.stdout + proc.stderr
+        assert [status for status, _ in results] == codes, proc.stdout + proc.stderr
         assert [seen for _, seen in results[:-1]] == [[]] * (len(runs) - 1)
         assert results[-1][1] == ["numpy.random", "secrets", "_hashlib"]
 
