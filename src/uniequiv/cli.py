@@ -24,7 +24,7 @@ from .linalg import Tolerances
 from .oracle import random_no_instance, random_yes_instance
 from .solver import (SamplerConfig, certificate_residuals, decide_invertible_equivalence,
                      decide_uep)
-from .states import generic_mixed_lu, simultaneous_lu_pure, unilocal_mixed_equivalence
+from .states import PHASE_GRID, generic_mixed_lu, simultaneous_lu_pure, unilocal_mixed_equivalence
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -63,7 +63,7 @@ def _build_parser() -> _Parser:
     decide.add_argument("--sample-max", type=int, default=SamplerConfig.sample_max)
     decide.add_argument("--tol-rank", type=float, default=Tolerances.rank_rel)
     decide.add_argument("--tol-residual", type=float, default=Tolerances.residual_abs)
-    decide.add_argument("--phase-grid", type=int, default=12,
+    decide.add_argument("--phase-grid", type=int, default=PHASE_GRID,
                         help="grid points per circle for generic-mixed phase fallback (>= 1)")
     decide.add_argument("--verbose", action="store_true")
     decide.add_argument("-o", "--output", help="write the verdict document here instead of stdout")

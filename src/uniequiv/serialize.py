@@ -7,15 +7,17 @@ print every binary64 value as its shortest round-trip text, so the encoding
 is lossless and byte-deterministic; orjson's exponent forms differ from
 Python's repr (1e16 for 1e+16, 0.00001 for 1e-05).
 
-Matrices and vectors are decoded in one numpy conversion when every leaf is
-an int or float and every value is finite; otherwise the per-entry reader
-runs, and it alone words the errors.
+Matrices and vectors are built in one numpy conversion, which takes exactly
+the arrays whose every entry is a list or tuple of two finite ints or floats
+(bools are neither); any other array is walked entry by entry only to word
+the error of its first bad entry.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from contextlib import suppress
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -52,28 +54,36 @@ def vector_to_json(v) -> list:
     return matrix_to_json(np.ravel(v))
 
 
-def _fast_pairs(obj, shape):
+def _array_from_json(obj, where: str, shape) -> np.ndarray:
     """obj, a vector or a list of equally long rows, as a complex array of
-    the given shape, or None unless every entry is a [re, im] list of finite
-    ints and floats. The entries are listed once and their flat floats
+    the given shape. The entries are listed once, their types and lengths
+    tested once per distinct type and length, and their flat floats
     converted in one np.array call; the view keeps every bit, signed zeros
-    too."""
+    too. The test and the conversion accept exactly what _entry_from_json
+    accepts, so on any array they decline, the walk in row-major order
+    raises at the first bad entry, located as where[i][j] (a vector:
+    where[i])."""
     entries = obj if len(shape) == 1 else list(chain.from_iterable(obj))
-    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
-        return None
-    leaves = list(chain.from_iterable(entries))
-    if not set(map(type, leaves)) <= {int, float}:
-        return None
-    try:
-        a = np.array(leaves, dtype=float)
-    except OverflowError:  # an int beyond binary64
-        return None
-    if not np.isfinite(a).all():
-        return None
-    return a.view(complex).reshape(shape)
+    if (_only(entries, (list, tuple)) and set(map(len, entries)) == {2}
+            and _only(leaves := list(chain.from_iterable(entries)), (int, float))):
+        with suppress(OverflowError):  # an int beyond binary64
+            a = np.array(leaves, dtype=float)
+            if np.isfinite(a).all():
+                return a.view(complex).reshape(shape)
+    for index, entry in zip(np.ndindex(shape), entries):
+        _entry_from_json(entry, where + "".join(f"[{i}]" for i in index))
 
 
-def _entry_from_json(obj, where: str) -> complex:
+def _only(values, kinds) -> bool:
+    """Whether every value is an instance of kinds and none is a bool (a type
+    that cannot be subclassed), tested once per distinct type."""
+    types = set(map(type, values))
+    return bool not in types and all(map(issubclass, types, repeat(kinds)))
+
+
+def _entry_from_json(obj, where: str) -> None:
+    """Raise the MalformedInstanceError of obj at where unless obj is a list
+    or tuple of two ints or floats (not bools) that are finite as floats."""
     if (not isinstance(obj, (list, tuple)) or len(obj) != 2
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)):
         raise MalformedInstanceError(f"{where}: expected a [re, im] number pair, got {obj!r}")
@@ -83,7 +93,6 @@ def _entry_from_json(obj, where: str) -> complex:
         raise MalformedInstanceError(f"{where}: entry beyond the binary64 range") from None
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
         raise MalformedInstanceError(f"{where}: non-finite entry {obj!r}")
-    return z
 
 
 def matrix_from_json(obj, where: str) -> np.ndarray:
@@ -92,24 +101,13 @@ def matrix_from_json(obj, where: str) -> np.ndarray:
     ncols = len(obj[0])
     if ncols == 0 or any(len(r) != ncols for r in obj):
         raise MalformedInstanceError(f"{where}: rows must be non-empty and of equal length")
-    fast = _fast_pairs(obj, (len(obj), ncols))
-    if fast is not None:
-        return fast
-    return np.array(
-        [[_entry_from_json(e, f"{where}[{i}][{j}]") for j, e in enumerate(row)]
-         for i, row in enumerate(obj)],
-        dtype=complex,
-    )
+    return _array_from_json(obj, where, (len(obj), ncols))
 
 
 def vector_from_json(obj, where: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise MalformedInstanceError(f"{where}: expected a non-empty list of [re, im] pairs")
-    fast = _fast_pairs(obj, (len(obj),))
-    if fast is not None:
-        return fast
-    return np.array([_entry_from_json(e, f"{where}[{i}]") for i, e in enumerate(obj)],
-                    dtype=complex)
+    return _array_from_json(obj, where, (len(obj),))
 
 
 def algebra_to_json(G: MatrixAlgebra) -> dict:

@@ -176,9 +176,12 @@ def unilocal_mixed_equivalence(rhos, sigmas, cfg: SamplerConfig = SamplerConfig(
 
 _EDGE_DENOM = 1e-6
 _EDGE_MODULUS = 1e-4
+# grid points per circle of generic_mixed_lu's phase fallback, unless the
+# caller names another number (the CLI's --phase-grid default)
+PHASE_GRID = 12
 # pivot-route solves one generic-mixed decision may run: the whole default grid
-# (K = 12) of four components, which the 2x2 classical-quantum states have
-_MAX_GRID_SOLVES = 12**3
+# of four components, which the 2x2 classical-quantum states have
+_MAX_GRID_SOLVES = PHASE_GRID**3
 
 
 def _quartic_traces(mats) -> np.ndarray:
@@ -263,7 +266,7 @@ def _product_lu(marginals_rho, marginals_sigma, tol: Tolerances) -> UepVerdict:
 def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
                      cfg: SamplerConfig = SamplerConfig(),
                      tol: Tolerances = Tolerances(),
-                     phase_grid: int = 12) -> UepVerdict:
+                     phase_grid: int = PHASE_GRID) -> UepVerdict:
     """LU equivalence (U (x) V) rho (U (x) V)^dag = sigma for generic states.
 
     Requires the n eigenvalues of rho above residual_abs and the next one

@@ -1,7 +1,9 @@
-"""The JSON codec: pinned parse errors, the one-conversion decode against the
-per-entry reader, and dumps_document's value and one-key-per-line layout."""
+"""The JSON codec: pinned parse errors, the one conversion against a
+per-entry reference and against the per-entry rule's first error, and
+dumps_document's value and one-key-per-line layout."""
 
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -192,9 +194,9 @@ class TestDocumentErrors:
         assert captured.err == f"error: {message}\n"
 
 
-def _slow_matrix(obj):
-    return np.array([[serialize._entry_from_json(e, "M") for e in row] for row in obj],
-                    dtype=complex)
+def _reference(entries):
+    """The complex array of [re, im] entries, one Python complex at a time."""
+    return np.array([complex(float(re), float(im)) for re, im in entries], dtype=complex)
 
 
 def _no_entry_reader(*args):
@@ -219,7 +221,7 @@ class TestFastDecode:
         st.lists(st.lists(LEAVES, min_size=2, max_size=2), min_size=cols, max_size=cols),
         min_size=1, max_size=5)))
     def test_matrix_matches_per_entry_reader(self, obj):
-        expected = _slow_matrix(obj)
+        expected = _reference(e for row in obj for e in row).reshape(len(obj), -1)
         with mock.patch.object(serialize, "_entry_from_json", _no_entry_reader):
             got = matrix_from_json(obj, "M")
         assert _same_bits(got, expected)
@@ -227,7 +229,7 @@ class TestFastDecode:
     @SETTINGS
     @given(st.lists(st.lists(LEAVES, min_size=2, max_size=2), min_size=1, max_size=8))
     def test_vector_matches_per_entry_reader(self, obj):
-        expected = np.array([serialize._entry_from_json(e, "v") for e in obj], dtype=complex)
+        expected = _reference(obj)
         with mock.patch.object(serialize, "_entry_from_json", _no_entry_reader):
             got = vector_from_json(obj, "v")
         assert _same_bits(got, expected)
@@ -243,10 +245,70 @@ class TestFastDecode:
         with pytest.raises(MalformedInstanceError, match=r"^M\[0\]\[0\]: expected a \[re, im\]"):
             matrix_from_json([[[1.0, 2.0, 3.0], [4.0]]], "M")
 
-    def test_float_subclass_takes_the_per_entry_reader(self):
-        # np.float64 is a float to the per-entry reader, but not a JSON leaf type
+    def test_float_subclass_leaf_reads_as_its_value(self):
+        # np.float64 is no JSON leaf type, but a float subclass, which library
+        # callers may pass: the one conversion reads it as the float it is
         obj = [[[np.float64(1.5), 2]]]
         assert matrix_from_json(obj, "M").tolist() == [[1.5 + 2j]]
+
+
+# entries the per-entry rule refuses: a bool, a string, None, NaN, an
+# infinity or an int beyond binary64 in either place, an np.int64 (no int
+# subclass), the wrong length, a bare leaf; and entries it reads: tuples and
+# np.float64 leaves (a float subclass)
+ODD_ENTRIES = st.one_of(
+    st.sampled_from([
+        [True, 0.0], (0.5, False), ["1", 2], (0, None), [math.nan, 0.0], (1, math.inf),
+        [-math.inf, 1.5], [2**1024, 0], (0.0, -2**1100), [np.int64(3), 0.0],
+        (np.float64(math.nan), 0), [0.0, np.float64(-math.inf)], [1.0], (1.0,), [], [1, 2, 3],
+        (1.0, 2.0, 3.0), 5, 1.5, None, "ab", np.float64(1.0), {"re": 1.0, "im": 0.0},
+    ]),
+    st.tuples(LEAVES, LEAVES),
+    st.lists(st.one_of(LEAVES, st.floats(allow_nan=False, allow_infinity=False).map(np.float64)),
+             min_size=2, max_size=2),
+)
+
+
+@st.composite
+def _mixed_arrays(draw):
+    """(shape, row-major entries): [re, im] lists of JSON leaves, up to three
+    of them replaced by odd entries."""
+    shape = draw(st.one_of(st.tuples(st.integers(1, 8)), SHAPES))
+    pair = st.lists(LEAVES, min_size=2, max_size=2)
+    entries = draw(st.lists(pair, min_size=math.prod(shape), max_size=math.prod(shape)))
+    for k in draw(st.lists(st.integers(0, len(entries) - 1), max_size=3)):
+        entries[k] = draw(ODD_ENTRIES)
+    return shape, entries
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mixed_arrays())
+def test_an_array_decodes_or_raises_at_its_first_bad_entry(case):
+    """The one conversion and the per-entry rule accept the same arrays: so
+    every array either reads bit-equal to the reference or raises the
+    per-entry message of its first bad entry in row-major order, never
+    returning None from a walk that found nothing to word."""
+    shape, entries = case
+    cols = shape[-1]
+    if len(shape) == 1:
+        obj, where, places = entries, "v", [f"v[{k}]" for k in range(cols)]
+    else:
+        obj = [entries[k:k + cols] for k in range(0, len(entries), cols)]
+        where, places = "M", [f"M[{k // cols}][{k % cols}]" for k in range(len(entries))]
+    message = None
+    for place, e in zip(places, entries):
+        try:
+            serialize._entry_from_json(e, place)
+        except MalformedInstanceError as exc:
+            message = str(exc)
+            break
+    read = vector_from_json if len(shape) == 1 else matrix_from_json
+    if message is None:
+        assert _same_bits(read(obj, where), _reference(entries).reshape(shape))
+    else:
+        with pytest.raises(MalformedInstanceError) as info:
+            read(obj, where)
+        assert str(info.value) == message
 
 
 def test_well_formed_documents_never_reach_the_per_entry_reader(monkeypatch, rng):

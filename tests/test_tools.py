@@ -3,12 +3,14 @@ differs in no document and prints one timing line per case of a cycle, or
 per matched case with --match, and one per cycle, each with the rounds won by
 either tree and both trees' quartiles; it tallies differences by key and
 case kind, and rejects a workload that perfbench/workloads.py does not
-define. tools/src_lines.py counts only the lines that hold code, and
+define; it writes no bytecode into either tree.
+tools/src_lines.py counts only the lines that hold code, and
 tools/src_coverage.py lists the statements a run never executes, replaying
 for --workloads the requests that tools/ab.py builds."""
 
 import importlib.util
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +68,23 @@ def test_ab_match_times_only_the_cases_of_that_kind():
     assert cycle.startswith("states-small s11 cycle ")
     # and the warm-up, compared but not timed
     assert summary.startswith("7 documents: 0 differ in a compared key")
+
+
+def test_ab_leaves_no_bytecode_in_the_trees_it_compares(tmp_path, monkeypatch):
+    # a __pycache__ in a checkout moves its cold start and every setup_s, so
+    # both trees compared by ab.py must stay clean benchmark trees, even when
+    # the caller's environment lets Python write bytecode
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    for tree, names in (("here", ("src", "perfbench", "tools")), ("there", ("src", "perfbench"))):
+        for name in names:
+            shutil.copytree(ROOT / name, tmp_path / tree / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+    proc = subprocess.run([sys.executable, str(tmp_path / "here" / "tools" / "ab.py"),
+                           str(tmp_path / "there"), "--workload", "states-small", "--seed", "11",
+                           "--rounds", "1", "--match", "pure/yes"],
+                          capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert list(tmp_path.rglob("__pycache__")) == []
 
 
 def test_ab_match_without_a_case_is_an_error():

@@ -16,7 +16,8 @@ wall time of `worker.decide_text`, the verdict text and the verdict's
 compared aux, under one BLAS thread. Each of K rounds (default 5) sends
 every request to both children, one after the other, alternating which goes
 first from request to request and from round to round, so that both trees
-see the same machine state. `perfbench` is only imported, never edited.
+see the same machine state. `perfbench` is only imported, never edited,
+and no process writes bytecode into either tree.
 
 Timing. One line per case gives the median wall time here and there over
 the rounds, the change (here - there) / there, how many rounds each tree won
@@ -80,7 +81,10 @@ class Child:
     """A process deciding requests with tree's code, one JSON line in, one out."""
 
     def __init__(self, tree: Path):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        # no bytecode is written: a __pycache__ left in a tree moves its cold
+        # start, so a compared tree would no longer be a clean benchmark tree
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+                   PYTHONDONTWRITEBYTECODE="1")
         env.pop("PYTHONPATH", None)
         self.tree = tree
         self.proc = subprocess.Popen([sys.executable, __file__, str(tree), "--serve"], env=env,
@@ -209,7 +213,9 @@ def main(argv=None) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     # workloads imports uniequiv, so only this parent imports it: each child
-    # decides with its own tree's package
+    # decides with its own tree's package. Like the children, it writes no
+    # bytecode into this tree.
+    sys.dont_write_bytecode = True
     sys.path[:0] = [str(HERE / "src"), str(HERE / "perfbench")]
     import workloads as wl
 
