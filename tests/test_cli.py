@@ -1,3 +1,4 @@
+import gc
 import inspect
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import uniequiv
 from uniequiv import SamplerConfig, Tolerances, generic_mixed_lu
-from uniequiv.cli import _build_parser, main
+from uniequiv.cli import _build_parser, main, run
 from uniequiv.serialize import (
     dumps_document,
     instance_to_json,
@@ -174,6 +175,24 @@ class TestDecide:
         path.write_text(dumps_document(doc))
         assert main(["decide", str(path), "--seed", "1"]) == 4
 
+    def test_tol_rank_reaches_the_span_basis_test(self, tmp_path, capsys, rng):
+        # sigma_min/sigma_max of {I, diag(1, 1 + 1e-8)} is 2.5e-9: independent
+        # at the default rank_rel 1e-10, dependent at 1e-6
+        doc = {"mode": "matrix-pairs", "d1": 2, "d2": 2,
+               "pairs": [{"X": matrix_to_json(ginibre(2, 2, rng)),
+                          "Y": matrix_to_json(ginibre(2, 2, rng))}],
+               "G1": {"kind": "span", "basis": [matrix_to_json(np.eye(2)),
+                                                matrix_to_json(np.diag([1.0, 1.0 + 1e-8]))]}}
+        path, out = tmp_path / "i.json", tmp_path / "v.json"
+        path.write_text(dumps_document(doc))
+        args = ["decide", str(path), "--seed", "1", "-o", str(out)]
+        assert main(args + ["--tol-rank", "1e-6"]) == 3
+        assert capsys.readouterr().err == ("error: G1: algebra basis is not linearly independent"
+                                           " at rank_rel\n")
+        assert not out.exists()
+        assert main(args) == 1
+        assert json.loads(out.read_text())["detail"] == "singular values differ at pair index 0"
+
     def test_usage_error_exits_64(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["decide"])  # missing instance and --seed
@@ -221,9 +240,9 @@ class TestDecide:
 
         calls = []
 
-        def counted(doc, mode=None):
+        def counted(doc, mode=None, **kwargs):
             calls.append(mode)
-            return parse(doc, mode)
+            return parse(doc, mode, **kwargs)
 
         parse = serialize_mod.parse_instance
         monkeypatch.setattr(serialize_mod, "parse_instance", counted)
@@ -621,3 +640,77 @@ class TestVerify:
             {"U": matrix_to_json(np.eye(3)), "V": matrix_to_json(np.eye(2))}
         ))
         assert main(["verify", str(inst_path), str(cert_path)]) == 3
+
+
+def _without_timing(text):
+    """A document's text without its `"timing"` line (one top-level key per line)."""
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith('  "timing": '))
+
+
+class TestProcessEntry:
+    """run() is main() with the collector frozen after it, so the
+    interpreter's shutdown collections skip the objects made at import."""
+
+    def test_main_leaves_the_collector_unfrozen(self, tmp_path):
+        # library callers and this test process keep their collector as it was
+        before = gc.get_freeze_count()
+        inst_path = tmp_path / "i.json"
+        assert main(["gen", "--yes", "--d1", "2", "--d2", "2", "--seed", "3",
+                     "-o", str(inst_path)]) == 0
+        assert main(["decide", str(inst_path), "--seed", "1", "-o", str(tmp_path / "v.json")]) == 0
+        with pytest.raises(SystemExit):
+            main(["decide"])
+        assert gc.get_freeze_count() == before
+
+    def test_run_returns_the_status_of_main_and_freezes(self, tmp_path, capsys):
+        inst_path = tmp_path / "i.json"
+        assert main(["gen", "--no", "--d1", "2", "--d2", "2", "--seed", "3",
+                     "-o", str(inst_path)]) == 0
+        before = gc.get_freeze_count()
+        try:
+            assert run(["decide", str(inst_path), "--seed", "1",
+                        "-o", str(tmp_path / "v.json")]) == 1
+            assert gc.get_freeze_count() > before
+            gc.unfreeze()
+            # argparse exits through SystemExit; the collector is frozen all the same
+            with pytest.raises(SystemExit) as exc:
+                run(["decide"])
+            assert exc.value.code == 64
+            assert gc.get_freeze_count() > before
+        finally:
+            gc.unfreeze()
+        assert "error: the following arguments are required" in capsys.readouterr().err
+
+    def test_a_process_writes_what_main_writes(self, tmp_path, capsys):
+        # nothing is lost at exit: each `python -m uniequiv.cli` run gives the
+        # exit status, stderr and document (without timing) of main in process
+        yes, no, wit = tmp_path / "yes.json", tmp_path / "no.json", tmp_path / "w.json"
+        main(["gen", "--yes", "--d1", "3", "--d2", "2", "--m", "1", "--seed", "11",
+              "-o", str(yes), "--witness", str(wit)])
+        main(["gen", "--no", "--d1", "2", "--d2", "3", "--seed", "9", "-o", str(no)])
+        bad, out = tmp_path / "bad.json", tmp_path / "v.json"
+        bad.write_text('{"mode": "matrix-pairs", "d1": 2')
+        src = str(Path(uniequiv.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+        capsys.readouterr()
+        seen = []
+        for argv, path in [(["decide", str(yes), "--seed", "2"], None),
+                           (["decide", str(no), "--seed", "1", "-o", str(out)], out),
+                           (["decide", str(bad), "--seed", "1"], None),
+                           (["verify", str(yes), str(wit)], None)]:
+            proc = subprocess.run([sys.executable, "-m", "uniequiv.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120, check=False)
+            document = path.read_text() if path else proc.stdout
+            code = main(argv)
+            expected = capsys.readouterr()
+            assert (proc.returncode, proc.stderr) == (code, expected.err)
+            assert _without_timing(document) == _without_timing(
+                path.read_text() if path else expected.out)
+            seen.append((code, proc.stderr, document))
+        (yes_code, _, yes_doc), (no_code, _, no_doc), truncated, verified = seen
+        assert yes_code == 0 and '"verdict": "YES"' in yes_doc
+        assert no_code == 1 and '"verdict": "NO"' in no_doc
+        assert truncated == (3, f"error: {bad}: invalid JSON at line 1: "
+                                "Expecting ',' delimiter\n", "")
+        assert verified[0] == 0 and verified[2].startswith("residual: ")

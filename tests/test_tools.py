@@ -70,6 +70,30 @@ def test_ab_match_times_only_the_cases_of_that_kind():
     assert summary.startswith("7 documents: 0 differ in a compared key")
 
 
+def test_ab_times_a_cli_cold_case_as_a_fresh_process():
+    # a warm decide of these cases takes a few milliseconds; a process that
+    # starts the interpreter and imports numpy takes tens of them
+    proc = run_ab("--workload", "cli-cold", "--seed", "11", "--rounds", "1",
+                  "--match", "pure/yes")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    _, *cases, cycle, summary = proc.stdout.splitlines()
+    assert cases and summary.startswith(f"{len(cases) + 1} documents: 0 differ in a compared key")
+    for line in cases + [cycle]:
+        here, there = map(float, line.split()[-6:-4])
+        assert here > 0.03 and there > 0.03, line
+
+
+def test_ab_tallies_a_cold_document_that_differs_from_the_warm_one(tools):
+    ab = tools("ab")
+    doc = '{\n  "verdict": "YES",\n  "timing": 0.1\n}\n'
+    requests = [("cli-cold s11 #0 pure/yes d=2", "", 1, True)]
+    lines, differing, identical, same_value = ab.compare(
+        requests, [[0.2, doc, {}, doc.replace("0.1", "0.3")]],
+        [[0.2, doc, {}, "exit 3: error: bad\n"]])
+    assert lines == ["cold there: 1 documents (pure/yes), first cli-cold s11 #0 pure/yes d=2"]
+    assert (differing, identical, same_value) == (1, 1, 1)
+
+
 def test_ab_leaves_no_bytecode_in_the_trees_it_compares(tmp_path, monkeypatch):
     # a __pycache__ in a checkout moves its cold start and every setup_s, so
     # both trees compared by ab.py must stay clean benchmark trees, even when

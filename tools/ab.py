@@ -13,7 +13,11 @@ warm-ups, so a change to one mode can be shown case by case. Two persistent
 child processes, one per tree, each import `uniequiv` and
 `perfbench/worker.py` from their own tree and answer each request with the
 wall time of `worker.decide_text`, the verdict text and the verdict's
-compared aux, under one BLAS thread. Each of K rounds (default 5) sends
+compared aux, under one BLAS thread. A timed `cli-cold` case is timed as
+the benchmark times it: each tree's wall is a fresh `python -m uniequiv.cli
+decide FILE --seed S -o OUT` process with that tree's `src`, one BLAS thread
+and no bytecode written, from spawn to exit, so a default run starts about
+500 processes beside the two children. Each of K rounds (default 5) sends
 every request to both children, one after the other, alternating which goes
 first from request to request and from round to round, so that both trees
 see the same machine state. `perfbench` is only imported, never edited,
@@ -38,13 +42,16 @@ and the value of every entry that is an int or a list or tuple of ints
 (pivot_clusters, pivot_unknowns, pivot_free_units, phase_components,
 grid_solves, phase_grid_combo). Float entries such as uv_gap and the pivot
 gaps follow the sampled certificate or rounding, so only their keys are
-compared. One tally line is printed per differing key (a document key or an
-aux key) and case kind (the kind's first word, say matpoly/yes), with the
-number of documents and the first of them, so an expected change to one aux
-key reads as one line; the summary counts the documents with a difference,
-those whose raw text is byte-identical once the `timing` line is left out,
-and those that hold the same JSON value once `timing` is left out. The exit
-status is 1 when any document differs in a compared key, else 0.
+compared. The document of a cold process is compared with the warm one
+without `timing`; when they differ, the key `cold here` or `cold there` is
+tallied. One tally line is printed per differing key (a document key, an
+aux key or a cold key) and case kind (the kind's first word, say
+matpoly/yes), with the number of documents and the first of them, so an
+expected change to one aux key reads as one line; the summary counts the
+documents with a difference, those whose raw text is byte-identical once
+the `timing` line is left out, and those that hold the same JSON value
+once `timing` is left out. The exit status is 1 when any document differs
+in a compared key, else 0.
 """
 
 from __future__ import annotations
@@ -56,11 +63,23 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
 KEYS = ("verdict", "certainty", "solution_dimension", "detail", "failure_bound", "trials_used")
+
+
+def child_env(**extra) -> dict:
+    """The environment of every process started here: one BLAS thread, no
+    bytecode written, and no PYTHONPATH but what extra sets."""
+    # a __pycache__ left in a tree moves its cold start, so a compared tree
+    # would no longer be a clean benchmark tree
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPATH", None)
+    return {**env, **extra}
 
 
 def build_requests(wl, workloads, seeds, match: str = ""):
@@ -81,13 +100,9 @@ class Child:
     """A process deciding requests with tree's code, one JSON line in, one out."""
 
     def __init__(self, tree: Path):
-        # no bytecode is written: a __pycache__ left in a tree moves its cold
-        # start, so a compared tree would no longer be a clean benchmark tree
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-                   PYTHONDONTWRITEBYTECODE="1")
-        env.pop("PYTHONPATH", None)
         self.tree = tree
-        self.proc = subprocess.Popen([sys.executable, __file__, str(tree), "--serve"], env=env,
+        self.proc = subprocess.Popen([sys.executable, __file__, str(tree), "--serve"],
+                                     env=child_env(),
                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
 
     def decide(self, text: str, seed: int) -> list:
@@ -103,6 +118,24 @@ class Child:
         self.proc.stdin.close()
         self.proc.stdout.close()
         self.proc.wait()
+
+
+def cold_decide(tree: Path, path: Path, seed: int) -> list:
+    """[wall seconds from spawn to exit, document text] of a fresh `python -m
+    uniequiv.cli decide` process with tree's code on the instance at path;
+    without a document, the text is the exit status and stderr."""
+    out = path.with_suffix(".out")
+    out.unlink(missing_ok=True)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "uniequiv.cli", "decide", str(path),
+                           "--seed", str(seed), "-o", str(out)],
+                          env=child_env(PYTHONPATH=str(tree / "src")), cwd=path.parent,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          check=False)
+    wall = time.perf_counter() - start
+    if proc.returncode not in (0, 1, 2) or not out.is_file():
+        return [wall, f"exit {proc.returncode}: {proc.stderr}"]
+    return [wall, out.read_text(encoding="utf-8")]
 
 
 def compared_aux(aux: dict) -> dict:
@@ -174,15 +207,20 @@ def value_without_timing(doc: dict) -> str:
 def compare(requests, mine, theirs):
     """(tally lines, documents differing, documents byte-identical without
     timing, documents value-identical without timing) for the replies of two
-    trees to requests."""
+    trees to requests. A reply of a cold case carries the cold process's
+    document after the warm one's aux."""
     tally = {}  # (key, kind) -> [documents, first label]
     differing = identical = same_value = 0
     absent = object()
-    for (label, *_), (_, text_a, aux_a), (_, text_b, aux_b) in zip(requests, mine, theirs):
+    for (label, *_), (_, text_a, aux_a, *cold_a), (_, text_b, aux_b, *cold_b) in zip(
+            requests, mine, theirs):
         doc_a, doc_b = json.loads(text_a), json.loads(text_b)
         keys = [key for key in KEYS if doc_a.get(key) != doc_b.get(key)]
         keys += [key for key in sorted(aux_a.keys() | aux_b.keys())
                  if aux_a.get(key, absent) != aux_b.get(key, absent)]
+        keys += [f"cold {side}" for side, text, cold in (("here", text_a, cold_a),
+                                                        ("there", text_b, cold_b))
+                 if cold and without_timing(cold[0]) != without_timing(text)]
         kind = label.split()[3]
         for key in keys:
             tally.setdefault((key, kind), [0, label])[0] += 1
@@ -228,20 +266,29 @@ def main(argv=None) -> int:
     if not timed:
         parser.error(f"no case of {', '.join(names)} at seed {', '.join(map(str, seeds))} "
                      f"has a kind starting with {args.match!r}")
-    children = (Child(HERE), Child(other))
+    trees, children = (HERE, other), (Child(HERE), Child(other))
     walls = [([], []) for _ in requests]
     first = ([], [])  # each tree's replies in the first round
+    scratch = tempfile.TemporaryDirectory()
+    cold = {i: Path(scratch.name) / f"{i}.json" for i, (label, *_, is_timed) in enumerate(requests)
+            if is_timed and label.startswith("cli-cold ")}
     try:
+        for i, path in cold.items():
+            path.write_text(requests[i][1], encoding="utf-8")
         for r in range(args.rounds):
             for i, (_, text, seed, _) in enumerate(requests):
                 for side in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
                     reply = children[side].decide(text, seed)
+                    if i in cold:
+                        wall, cold_text = cold_decide(trees[side], cold[i], seed)
+                        reply = [wall, *reply[1:], cold_text]
                     walls[i][side].append(reply[0])
                     if r == 0:
                         first[side].append(reply)
     finally:
         for child in children:
             child.close()
+        scratch.cleanup()
     width = max(len(requests[i][0]) for i in timed)
     print(f"{'case':<{width}}  {'here (s)':>10}  {'there (s)':>10}  {'change':>7}  won here/there"
           "  here q1-q3 (s)  there q1-q3 (s)")
