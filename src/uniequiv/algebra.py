@@ -60,10 +60,11 @@ class AlgebraReport(NamedTuple):
     star_closed: bool
 
 
-def matrix_algebra(basis, tol: Tolerances = Tolerances()) -> MatrixAlgebra:
-    """Build an algebra from a spanning basis, checking linear independence:
-    d^2 independent d x d matrices span the full algebra, returned as its
-    shape (d, 1); fewer give a span."""
+def matrix_algebra(basis) -> MatrixAlgebra:
+    """Build an algebra from a spanning basis, checking linear independence at
+    numerical_rank's default rank_rel (1e-10), whatever tolerances a solve
+    uses: d^2 independent d x d matrices span the full algebra, returned as
+    its shape (d, 1); fewer give a span."""
     mats = tuple(as_complex_matrix(E, "algebra basis element") for E in basis)
     if not mats:
         raise InputError("algebra basis must be non-empty")
@@ -71,7 +72,7 @@ def matrix_algebra(basis, tol: Tolerances = Tolerances()) -> MatrixAlgebra:
     if any(E.shape != (d, d) for E in mats):
         raise InputError("algebra basis elements must all be square of one size")
     u, s, _ = np.linalg.svd(np.stack(mats).reshape(len(mats), -1).T, full_matrices=False)
-    if len(mats) > d * d or numerical_rank(s, tol) < len(mats):
+    if len(mats) > d * d or numerical_rank(s) < len(mats):
         raise InputError("algebra basis is not linearly independent at rank_rel")
     if len(mats) == d * d:
         return full_algebra(d)

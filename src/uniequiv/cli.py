@@ -133,7 +133,7 @@ def cmd_decide(args) -> int:
     cfg = _options(SamplerConfig, sample_max=args.sample_max, trials=args.trials, seed=args.seed)
     if args.phase_grid < 1:
         raise _UsageError(f"--phase-grid must be at least 1, got {args.phase_grid}")
-    mode, payload = serialize.load_instance(args.instance, args.mode, tol=tol)
+    mode, payload = serialize.load_instance(args.instance, args.mode)
     start = time.perf_counter()
     if mode == "matrix-pairs":
         verdict = decide_uep(payload, cfg, tol)
@@ -187,7 +187,7 @@ def cmd_verify(args) -> int:
     mode = cert.get("mode") if isinstance(cert, dict) else None
     mode, payload = serialize.load_instance(args.instance, mode)
     U, V = serialize.certificate_from_json(cert)
-    residual, defect = certificate_residuals(mode, payload, U, V, tol)
+    residual, defect = certificate_residuals(mode, payload, U, V)
     print(f"residual: {residual:.6e}  defect: {defect:.6e}")
     return EXIT_YES if max(residual, defect) <= tol.residual_abs else EXIT_NO
 

@@ -131,8 +131,9 @@ def nullspace_basis(M, tol: Tolerances = Tolerances(), scale: float = 0.0) -> np
     """Orthonormal basis of the numerical right nullspace of a real or complex matrix.
 
     Returns an (n, k) array whose columns span the nullspace; k = 0 when the
-    nullspace is trivial, and the identity when every direction is null. The
-    cut is numerical_rank's, rank_rel * ref with ref = max(sigma_1, scale).
+    nullspace is trivial, and the identity when every direction is null (an
+    all-zero matrix, or one with no rows). The cut is numerical_rank's,
+    rank_rel * ref with ref = max(sigma_1, scale).
     One eigh of the n x n Gram G = M^dag M gives sigma_1^2 and keeps the
     eigenvectors V with eigenvalue <= t^2, where
     t = max(1e3 sqrt(n) eps / rank_rel * sigma_1^2 / ref, 10 rank_rel ref);
@@ -159,7 +160,7 @@ def nullspace_basis(M, tol: Tolerances = Tolerances(), scale: float = 0.0) -> np
         if not np.all(np.isfinite(M)):
             raise InputError("nullspace input contains non-finite entries")
         # a power of two takes M's largest entry near 1 and scales M and scale exactly
-        unit = 2.0 ** min(1000, -int(np.frexp(np.max(np.abs(M)))[1]))
+        unit = 2.0 ** min(1000, -int(np.frexp(np.max(np.abs(M), initial=0.0))[1]))
         M, scale = M * unit, scale * unit
         G = M.conj().T @ M
     w, V = np.linalg.eigh(G)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import MatrixAlgebra, factor_algebra, full_algebra, matrix_algebra
 from .errors import MalformedInstanceError
-from .linalg import MatrixPolynomial, Tolerances
+from .linalg import MatrixPolynomial
 from .solver import MODES, UepInstance, UepVerdict
 from .states import DensityOperator, PureState, density_operator, pure_state
 
@@ -119,9 +119,9 @@ def algebra_to_json(G: MatrixAlgebra) -> dict:
     return {"kind": "span", "basis": [matrix_to_json(E) for E in G.basis]}
 
 
-def algebra_from_json(obj, d: int, where: str, *,
-                      tol: Tolerances = Tolerances()) -> MatrixAlgebra:
-    """The algebra of a descriptor; a span basis is tested for independence at tol.rank_rel."""
+def algebra_from_json(obj, d: int, where: str) -> MatrixAlgebra:
+    """The algebra of a descriptor; a span basis is tested for independence at
+    numerical_rank's default rank_rel, whatever tolerances the solve uses."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise MalformedInstanceError(f"{where}: expected an object with a 'kind' field")
     kind = obj["kind"]
@@ -138,7 +138,7 @@ def algebra_from_json(obj, d: int, where: str, *,
             if not isinstance(basis_obj, list) or not basis_obj:
                 raise MalformedInstanceError(f"{where}.basis: expected a non-empty list of matrices")
             basis = [matrix_from_json(E, f"{where}.basis[{i}]") for i, E in enumerate(basis_obj)]
-            return matrix_algebra(basis, tol)
+            return matrix_algebra(basis)
     except MalformedInstanceError:
         raise
     except Exception as exc:
@@ -169,13 +169,16 @@ def instance_to_json(inst: UepInstance, seed=None) -> dict:
     return doc
 
 
-def parse_instance(doc: dict, mode: str | None = None, *, tol: Tolerances = Tolerances()):
+def parse_instance(doc: dict, mode: str | None = None):
     """Parse an instance document into (mode, payload), under mode when given,
     else under the document's own "mode" (default matrix-pairs).
 
     Payload depends on the mode: a UepInstance, a (P, Q) polynomial pair,
     two pure-state lists, two density-operator lists, or a (rho, sigma) pair.
-    A span algebra's basis is tested for independence at tol.rank_rel.
+    Validity is judged at fixed bounds, never at a caller's tolerances: a
+    span basis is tested for independence at the default rank_rel, a state
+    by pure_state and density_operator. So decide and verify read every file
+    alike.
     """
     if not isinstance(doc, dict):
         raise MalformedInstanceError("top level: expected a JSON object")
@@ -186,7 +189,7 @@ def parse_instance(doc: dict, mode: str | None = None, *, tol: Tolerances = Tole
     d2 = _require_int(doc, "d2", "top level")
     try:
         if mode == "matrix-pairs":
-            return mode, _parse_matrix_pairs(doc, d1, d2, tol=tol)
+            return mode, _parse_matrix_pairs(doc, d1, d2)
         if mode == "matpoly":
             return mode, _parse_matpoly(doc, d1, d2)
         if mode == "pure-sets":
@@ -202,7 +205,7 @@ def parse_instance(doc: dict, mode: str | None = None, *, tol: Tolerances = Tole
         raise MalformedInstanceError(f"instance validation failed: {exc}") from exc
 
 
-def _parse_matrix_pairs(doc, d1, d2, *, tol: Tolerances = Tolerances()) -> UepInstance:
+def _parse_matrix_pairs(doc, d1, d2) -> UepInstance:
     pairs_obj = doc.get("pairs")
     if not isinstance(pairs_obj, list) or not pairs_obj:
         raise MalformedInstanceError("pairs: expected a non-empty list")
@@ -212,8 +215,8 @@ def _parse_matrix_pairs(doc, d1, d2, *, tol: Tolerances = Tolerances()) -> UepIn
             raise MalformedInstanceError(f"pairs[{i}]: expected an object with 'X' and 'Y'")
         pairs.append((matrix_from_json(p["X"], f"pairs[{i}].X"),
                       matrix_from_json(p["Y"], f"pairs[{i}].Y")))
-    G1 = algebra_from_json(doc.get("G1", {"kind": "full"}), d1, "G1", tol=tol)
-    G2 = algebra_from_json(doc.get("G2", {"kind": "full"}), d2, "G2", tol=tol)
+    G1 = algebra_from_json(doc.get("G1", {"kind": "full"}), d1, "G1")
+    G2 = algebra_from_json(doc.get("G2", {"kind": "full"}), d2, "G2")
     return UepInstance(d1=d1, d2=d2, pairs=tuple(pairs), G1=G1, G2=G2)
 
 
@@ -249,19 +252,20 @@ def _parse_generic_mixed(doc, d1, d2):
 
 def read_json(path: str):
     """The JSON document in the UTF-8 file at path; MalformedInstanceError when
-    the file cannot be read or holds no valid JSON."""
+    the file cannot be read, holds no valid JSON or nests deeper than the
+    parser's recursion limit."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise MalformedInstanceError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedInstanceError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
-def load_instance(path: str, mode: str | None = None, *, tol: Tolerances = Tolerances()):
-    """parse_instance(doc, mode, tol=tol) of the JSON document in the file at path."""
-    return parse_instance(read_json(path), mode, tol=tol)
+def load_instance(path: str, mode: str | None = None):
+    """parse_instance(doc, mode) of the JSON document in the file at path."""
+    return parse_instance(read_json(path), mode)
 
 
 def verdict_document(verdict: UepVerdict, mode: str, seed: int,

@@ -660,7 +660,7 @@ class SampleResult(NamedTuple):
     V: np.ndarray  # (extract_unitaries), or for kind "invertible" A and B
 
 
-def _full_rank(A, B, tol: Tolerances) -> bool:
+def _full_rank(A, B, tol: Tolerances = Tolerances()) -> bool:
     """Whether the square A and B both have full numerical rank, from their
     singular values alone, in one batched SVD when they share a shape."""
     spectra = (np.linalg.svd(np.stack([A, B]), compute_uv=False) if A.shape == B.shape
@@ -711,7 +711,7 @@ def extract_unitaries(A, B, tol: Tolerances = Tolerances()):
     return tuple(factors)
 
 
-def certificate_residuals(mode: str, payload, U, V, tol: Tolerances = Tolerances()):
+def certificate_residuals(mode: str, payload, U, V):
     """(residual, defect) of the certificate (U, V) for an instance of mode.
 
     payload is what serialize.parse_instance returns for the mode. residual
@@ -720,10 +720,12 @@ def certificate_residuals(mode: str, payload, U, V, tol: Tolerances = Tolerances
     = sigma_i, (U (x) V) rho (U (x) V)^dag = sigma, or U X_i V^(-1) = Y_i for
     matpoly, whose U, V are the invertible A, B. defect is the worst side
     condition: the unitarity defect of U and V, with the distance to G1, G2
-    for matrix-pairs; for matpoly 0.0 when A and B have full numerical rank,
-    otherwise inf (and the residual is then inf too). V is None exactly for
-    unilocal-mixed; any other shape raises InputError, as do fewer outputs
-    than inputs or more, and a mode not in MODES.
+    for matrix-pairs; for matpoly 0.0 when A and B have full numerical rank
+    at numerical_rank's default rank_rel (1e-10), otherwise inf (and the
+    residual is then inf too). It takes no tolerances, so check_certificate
+    and `uniequiv verify` compute the same pair at every setting. V is None
+    exactly for unilocal-mixed; any other shape raises InputError, as do
+    fewer outputs than inputs or more, and a mode not in MODES.
     """
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -748,7 +750,7 @@ def certificate_residuals(mode: str, payload, U, V, tol: Tolerances = Tolerances
         for name, M in zip("UV", (U, V)):
             if not np.isfinite(M).all():
                 raise InputError(f"certificate {name} contains non-finite entries")
-        if not _full_rank(U, V, tol):
+        if not _full_rank(U, V):
             return np.inf, np.inf
         UXVinv = np.linalg.solve(V.T, (U @ X).transpose(0, 2, 1)).transpose(0, 2, 1)
         return _worst_relative(UXVinv - Y, Y), 0.0
@@ -774,7 +776,7 @@ def check_certificate(verdict: UepVerdict, mode: str, payload,
     """
     if verdict.verdict != "YES":
         return verdict
-    verdict.residual, defect = certificate_residuals(mode, payload, verdict.U, verdict.V, tol)
+    verdict.residual, defect = certificate_residuals(mode, payload, verdict.U, verdict.V)
     if not max(verdict.residual, defect) <= tol.residual_abs:  # a nan fails too
         verdict.verdict = "INCONCLUSIVE"
         verdict.detail = ("numerical breakdown: certificate failed verification "

@@ -254,8 +254,8 @@ def _product_lu(marginals_rho, marginals_sigma, tol: Tolerances) -> UepVerdict:
     match; U and V then map the marginal eigenbases of rho onto those of sigma."""
     factors = []
     for name, r, s in zip("AB", marginals_rho, marginals_sigma):
-        w_r, Q_r = hermitian_eigendecomposition(r, tol)
-        w_s, Q_s = hermitian_eigendecomposition(s, tol)
+        w_r, Q_r = hermitian_eigendecomposition(r)
+        w_s, Q_s = hermitian_eigendecomposition(s)
         if not same_spectrum(w_r, w_s, tol):
             return _exact_no(f"product states with different spectra on subsystem {name}")
         factors.append(Q_s @ Q_r.conj().T)
@@ -306,8 +306,8 @@ def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
 def _generic_mixed(rho, sigma, cfg: SamplerConfig, tol: Tolerances, phase_grid: int) -> tuple:
     """generic_mixed_lu's verdict, trace graph components and solves run."""
     d1, d2 = rho.d1, rho.d2
-    w_r, Q_r = hermitian_eigendecomposition(rho.matrix, tol)
-    w_s, Q_s = hermitian_eigendecomposition(sigma.matrix, tol)
+    w_r, Q_r = hermitian_eigendecomposition(rho.matrix)
+    w_s, Q_s = hermitian_eigendecomposition(sigma.matrix)
 
     def require_gaps(name, w):
         if w.size > 1 and np.min(w[:-1] - w[1:]) <= tol.residual_abs:

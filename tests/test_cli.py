@@ -175,23 +175,22 @@ class TestDecide:
         path.write_text(dumps_document(doc))
         assert main(["decide", str(path), "--seed", "1"]) == 4
 
-    def test_tol_rank_reaches_the_span_basis_test(self, tmp_path, capsys, rng):
+    def test_the_reader_ignores_tol_rank(self, tmp_path, rng):
         # sigma_min/sigma_max of {I, diag(1, 1 + 1e-8)} is 2.5e-9: independent
-        # at the default rank_rel 1e-10, dependent at 1e-6
+        # at the default rank_rel 1e-10, at which the reader tests a span
+        # basis whatever --tol-rank is, so that verify reads every file alike
         doc = {"mode": "matrix-pairs", "d1": 2, "d2": 2,
                "pairs": [{"X": matrix_to_json(ginibre(2, 2, rng)),
                           "Y": matrix_to_json(ginibre(2, 2, rng))}],
                "G1": {"kind": "span", "basis": [matrix_to_json(np.eye(2)),
                                                 matrix_to_json(np.diag([1.0, 1.0 + 1e-8]))]}}
-        path, out = tmp_path / "i.json", tmp_path / "v.json"
+        path, out, default = tmp_path / "i.json", tmp_path / "v.json", tmp_path / "d.json"
         path.write_text(dumps_document(doc))
-        args = ["decide", str(path), "--seed", "1", "-o", str(out)]
-        assert main(args + ["--tol-rank", "1e-6"]) == 3
-        assert capsys.readouterr().err == ("error: G1: algebra basis is not linearly independent"
-                                           " at rank_rel\n")
-        assert not out.exists()
-        assert main(args) == 1
+        args = ["decide", str(path), "--seed", "1"]
+        assert main(args + ["--tol-rank", "1e-6", "-o", str(out)]) == 1
+        assert main(args + ["-o", str(default)]) == 1
         assert json.loads(out.read_text())["detail"] == "singular values differ at pair index 0"
+        assert _strip_timing(out) == _strip_timing(default)
 
     def test_usage_error_exits_64(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -640,6 +639,96 @@ class TestVerify:
             {"U": matrix_to_json(np.eye(3)), "V": matrix_to_json(np.eye(2))}
         ))
         assert main(["verify", str(inst_path), str(cert_path)]) == 3
+
+
+def _span_yes_doc(rng):
+    """A planted YES over G1 = M_2 (+) M_1, the span of five matrix units, and G2 full."""
+    units = [np.outer(np.eye(3)[i], np.eye(3)[j])
+             for i, j in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))]
+    U = np.eye(3, dtype=complex)
+    U[:2, :2], U[2, 2] = haar(2, rng), np.exp(2j * np.pi * rng.uniform())
+    V = haar(2, rng)
+    Xs = [ginibre(3, 2, rng) for _ in range(2)]
+    return {"mode": "matrix-pairs", "d1": 3, "d2": 2,
+            "pairs": [{"X": matrix_to_json(X), "Y": matrix_to_json(U @ X @ V.conj().T)}
+                      for X in Xs],
+            "G1": {"kind": "span", "basis": [matrix_to_json(E) for E in units]}}
+
+
+def _near_dependent_span_doc(rng):
+    """X = Y over G1 = span {I, diag(1, 1 + 1e-11)}: sigma_min/sigma_max 2.5e-12,
+    independent only below the default rank_rel 1e-10."""
+    X = matrix_to_json(ginibre(2, 2, rng))
+    return {"mode": "matrix-pairs", "d1": 2, "d2": 2, "pairs": [{"X": X, "Y": X}],
+            "G1": {"kind": "span", "basis": [matrix_to_json(np.eye(2)),
+                                             matrix_to_json(np.diag([1.0, 1.0 + 1e-11]))]}}
+
+
+def _ill_conditioned_matpoly_doc(rng):
+    """A 3x3 planted matpoly YES whose planted A = Q1 diag(1, 1, 1e-11) Q2 has
+    condition number 1e11, above 1 / rank_rel at the default."""
+    A = haar(3, rng) @ np.diag([1.0, 1.0, 1e-11]) @ haar(3, rng)
+    B = ginibre(3, 3, rng) + 2 * np.eye(3)
+    coeffs = [ginibre(3, 3, rng) for _ in range(2)]
+    return {"mode": "matpoly", "d1": 3, "d2": 3, "P": [matrix_to_json(C) for C in coeffs],
+            "Q": [matrix_to_json(A @ C @ np.linalg.inv(B)) for C in coeffs]}
+
+
+def _non_hermitian_generic_doc(rng):
+    """A 2x2 generic-mixed YES whose rho and sigma have Hermitian defect
+    ||M - M^dag||_F = 4e-11: within the reader's 1e-10, above 1e-11."""
+    E = ginibre(4, 4, rng)
+    np.fill_diagonal(E, 0.0)
+    N = (E - E.conj().T) / np.linalg.norm(E - E.conj().T)
+    rho = random_density(2, 2, rng, min_gap=1e-3).matrix + 2e-11 * N
+    W = np.kron(haar(2, rng), haar(2, rng))
+    return {"mode": "generic-mixed", "d1": 2, "d2": 2,
+            "rho": matrix_to_json(rho), "sigma": matrix_to_json(W @ rho @ W.conj().T)}
+
+
+PLANTED_YES = {
+    "pairs-full": lambda rng: instance_to_json(random_yes_instance(2, 3, 1, seed=1)[0]),
+    "pairs-factor": lambda rng: instance_to_json(
+        random_yes_instance(4, 4, 1, ("factor", 2, 2), ("factor", 2, 2), seed=2)[0]),
+    "pairs-span": _span_yes_doc,
+    **{mode: (lambda rng, mode=mode: _state_doc(mode, rng)) for mode in STATE_MODES},
+}
+EDGE_FILES = {
+    "near-dependent-span": _near_dependent_span_doc,
+    "ill-conditioned-matpoly": _ill_conditioned_matpoly_doc,
+    "non-hermitian-generic": _non_hermitian_generic_doc,
+}
+# (--tol-rank, --tol-residual)
+TOLERANCE_SETTINGS = [("1e-13", "1e-11"), ("1e-10", "1e-8"), ("1e-6", "1e-5")]
+
+
+class TestDecideThenVerify:
+    """Tolerances steer the solve, never what counts as a valid file or
+    certificate: every YES of decide verifies at its --tol-residual, and a
+    file decide calls malformed is malformed to verify too."""
+
+    @pytest.mark.parametrize("name", [*PLANTED_YES, *EDGE_FILES])
+    def test_at_every_setting(self, tmp_path, capsys, rng, name):
+        doc = {**PLANTED_YES, **EDGE_FILES}[name](rng)
+        inst, out, cert = tmp_path / "i.json", tmp_path / "v.json", tmp_path / "c.json"
+        inst.write_text(dumps_document(doc))
+        # a certificate of the right shapes, to show whether verify reads the file
+        cert.write_text(json.dumps({
+            "U": matrix_to_json(np.eye(doc["d1"])),
+            "V": None if doc["mode"] == "unilocal-mixed" else matrix_to_json(np.eye(doc["d2"]))}))
+        for rank, residual in TOLERANCE_SETTINGS:
+            out.unlink(missing_ok=True)
+            code = main(["decide", str(inst), "--seed", "1", "--tol-rank", rank,
+                         "--tol-residual", residual, "-o", str(out)])
+            capsys.readouterr()
+            assert code == 0 or name in EDGE_FILES, (rank, code)
+            if code == 0:
+                assert main(["verify", str(inst), str(out), "--tol-residual", residual]) == 0, rank
+                residual_line = f"residual: {json.loads(out.read_text())['residual']:.6e}  "
+                assert capsys.readouterr().out.startswith(residual_line)
+            elif code == 3:
+                verify = ["verify", str(inst), str(cert), "--tol-residual", residual]
+                assert main(verify) == 3, rank
 
 
 def _without_timing(text):

@@ -49,6 +49,14 @@ class TestNullspace:
         assert ns.shape == (3, 3)
         assert np.allclose(ns.T @ ns, np.eye(3), atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matrix_without_rows(self, dtype):
+        # every direction is null, as for the all-zero matrix; the rescale
+        # branch takes the largest entry of no entries as 0
+        ns = nullspace_basis(np.zeros((0, 3), dtype=dtype))
+        assert ns.dtype == dtype
+        assert np.array_equal(ns, np.eye(3))
+
     def test_trivial_nullspace(self):
         assert nullspace_basis(np.eye(4)).shape == (4, 0)
 

@@ -4,6 +4,7 @@ dumps_document's value and one-key-per-line layout."""
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -192,6 +193,49 @@ class TestDocumentErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @staticmethod
+    def _main_on_a_fresh_stack(argv):
+        """main(argv) in a new thread, whose recursion depth starts at 0 as in a
+        fresh process, whatever depth the test runner has reached."""
+        with ThreadPoolExecutor(1) as pool:
+            return pool.submit(main, argv).result()
+
+    @staticmethod
+    def _pair_text(X="[[[1, 0]]]"):
+        """A 1 x 1 matrix-pairs document of the JSON text X and Y = [[1]]."""
+        return ('{"mode": "matrix-pairs", "d1": 1, "d2": 1, '
+                f'"pairs": [{{"X": {X}, "Y": [[[1, 0]]]}}]}}')
+
+    @pytest.mark.parametrize("side", ["instance", "certificate"])
+    @pytest.mark.parametrize("depth", [100000, 990], ids=["bare-lists", "pair-X"])
+    def test_json_nested_past_the_parser_exits_3(self, tmp_path, capsys, side, depth):
+        # json.load raises RecursionError there; exit 1 would read as NO for
+        # decide and as a rejected certificate for verify
+        text = ("[" * depth + "]" * depth if depth > 990
+                else self._pair_text("[" * depth + "1" + "]" * depth))
+        good_inst, good_cert, nested = (tmp_path / n for n in ("i.json", "c.json", "n.json"))
+        good_inst.write_text(self._pair_text())
+        good_cert.write_text(json.dumps({"U": [[[1, 0]]], "V": [[[1, 0]]]}))
+        nested.write_text(text)
+        runs = [["verify", str(good_inst), str(nested)]]
+        if side == "instance":
+            runs = [["decide", str(nested), "--seed", "1"],
+                    ["verify", str(nested), str(good_cert)]]
+        for argv in runs:
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: cannot read {nested}: maximum recursion depth "
+                                    "exceeded while decoding a JSON array from a unicode string\n")
+
+    def test_x_nested_within_the_parser_keeps_the_entry_message(self, tmp_path, capsys):
+        path = tmp_path / "i.json"
+        path.write_text(self._pair_text("[" * 960 + "1" + "]" * 960))
+        assert self._main_on_a_fresh_stack(["decide", str(path), "--seed", "1"]) == 3
+        entry = "[" * 958 + "1" + "]" * 958
+        assert capsys.readouterr().err == ("error: pairs[0].X[0][0]: expected a [re, im] number "
+                                           f"pair, got {entry}\n")
 
 
 def _reference(entries):

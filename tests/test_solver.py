@@ -445,7 +445,7 @@ class TestDecide:
             ratio = min(singular_value_ratio(A), singular_value_ratio(B))
             near_cut += rank_rel / 10 <= ratio <= 10 * rank_rel
             if verdict.verdict == "YES":
-                residuals = certificate_residuals("matrix-pairs", inst, verdict.U, verdict.V, tol)
+                residuals = certificate_residuals("matrix-pairs", inst, verdict.U, verdict.V)
                 assert max(residuals) <= tol.residual_abs
             else:
                 assert verdict.verdict == "NO" and ratio <= rank_rel
