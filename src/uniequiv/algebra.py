@@ -7,8 +7,11 @@ algebra is a span: linearly independent d x d matrices and an orthonormal
 basis span_q of their vectorized span. The solver only trusts an algebra
 after `verify_algebra` confirms unitality and multiplicative closure: for a
 shape that is a * b = dim, for a span batched projections onto span_q.
-Star-closure is reported but not required: the solver draws a span that is
-not star-closed from its star part G cap G^dag, which holds its unitaries.
+Star-closure is reported but not required: the solver draws every span from
+an orthonormal basis of its star part G cap G^dag, which holds its unitaries.
+Validity is judged at fixed bounds, as independence is by matrix_algebra,
+whatever tolerances a solve uses, so `decide` and `verify` judge an algebra
+alike at every setting.
 """
 
 from __future__ import annotations
@@ -116,21 +119,23 @@ def span_residual(G: MatrixAlgebra, M) -> float:
     return float(np.linalg.norm(blocks - m[:, None, :, None] * np.eye(b)[:, None]))
 
 
-def _all_in_span(G: MatrixAlgebra, Ms: np.ndarray, tol: Tolerances) -> bool:
+def _all_in_span(G: MatrixAlgebra, Ms: np.ndarray) -> bool:
     """Whether every matrix of the stack Ms lies in the span, each under the rule
-    ||vec M - Q Q^dag vec M|| <= residual_abs * max(1, ||M||_F)."""
+    ||vec M - Q Q^dag vec M|| <= residual_abs * max(1, ||M||_F) at the default
+    residual_abs (1e-8)."""
     V = Ms.reshape(len(Ms), -1).T
-    residuals = np.linalg.norm(V - G.span_q @ (G.span_q.conj().T @ V), axis=0)
-    return bool(np.all(residuals <= tol.residual_abs * np.maximum(1.0, np.linalg.norm(V, axis=0))))
+    res = np.linalg.norm(V - G.span_q @ (G.span_q.conj().T @ V), axis=0)
+    return bool(np.all(res <= Tolerances.residual_abs * np.maximum(1.0, np.linalg.norm(V, axis=0))))
 
 
-def verify_algebra(G: MatrixAlgebra, tol: Tolerances = Tolerances()) -> AlgebraReport:
+def verify_algebra(G: MatrixAlgebra) -> AlgebraReport:
     """Check unitality, multiplicative closure and star closure of the span.
 
     The identity, the products E_j @ E_k for each E_j, and the adjoints
-    E_k^dag are projected onto span_q in one batch each. A factor shape (a, b)
-    is a *-algebra by construction: it is checked unprojected, and passes
-    exactly when a * b = dim.
+    E_k^dag are projected onto span_q in one batch each, and each judged at
+    the default residual_abs (1e-8) whatever tolerances a solve uses. A
+    factor shape (a, b) is a *-algebra by construction: it is checked
+    unprojected, and passes exactly when a * b = dim.
 
     Returns a report rather than raising; callers that need a valid algebra
     (the solver) reject when unital or multiplicatively_closed is false.
@@ -140,7 +145,7 @@ def verify_algebra(G: MatrixAlgebra, tol: Tolerances = Tolerances()) -> AlgebraR
         return AlgebraReport(unital=ok, multiplicatively_closed=ok, star_closed=ok)
     E = np.stack(G.basis)
     return AlgebraReport(
-        unital=_all_in_span(G, np.eye(G.dim, dtype=complex)[None], tol),
-        multiplicatively_closed=all(_all_in_span(G, Ej @ E, tol) for Ej in E),
-        star_closed=_all_in_span(G, E.conj().transpose(0, 2, 1), tol),
+        unital=_all_in_span(G, np.eye(G.dim, dtype=complex)[None]),
+        multiplicatively_closed=all(_all_in_span(G, Ej @ E) for Ej in E),
+        star_closed=_all_in_span(G, E.conj().transpose(0, 2, 1)),
     )

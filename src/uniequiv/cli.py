@@ -23,8 +23,8 @@ from .errors import (
 )
 from .linalg import Tolerances
 from .oracle import random_no_instance, random_yes_instance
-from .solver import (SamplerConfig, certificate_residuals, decide_invertible_equivalence,
-                     decide_uep)
+from .solver import (SamplerConfig, _usable_algebras, certificate_residuals,
+                     decide_invertible_equivalence, decide_uep)
 from .states import PHASE_GRID, generic_mixed_lu, simultaneous_lu_pure, unilocal_mixed_equivalence
 
 EXIT_YES = 0
@@ -176,17 +176,21 @@ def cmd_verify(args) -> int:
 
     The certificate may be a whole verdict document of `decide`: the instance
     is then read under the document's "mode", which `decide --mode` may have
-    set apart from the file's own. The check is certificate_residuals, the
-    function every YES of `decide` passes through: it shares only matrix
-    kernels with the solver, not the linear system, the sampler or the
-    extraction. perfbench/check.py is the checker that shares no code with
-    the package.
+    set apart from the file's own. A matrix-pairs instance's algebras are
+    judged as `decide` judges them (_usable_algebras, at fixed bounds), so a
+    file that `decide` calls an invalid algebra exits 4 here too. The check
+    is certificate_residuals, the function every YES of `decide` passes
+    through: it shares only matrix kernels with the solver, not the linear
+    system, the sampler or the extraction. perfbench/check.py is the checker
+    that shares no code with the package.
     """
     tol = _options(Tolerances, residual_abs=args.tol_residual)
     cert = serialize.read_json(args.certificate)
     mode = cert.get("mode") if isinstance(cert, dict) else None
     mode, payload = serialize.load_instance(args.instance, mode)
     U, V = serialize.certificate_from_json(cert)
+    if mode == "matrix-pairs":
+        _usable_algebras(payload)
     residual, defect = certificate_residuals(mode, payload, U, V)
     print(f"residual: {residual:.6e}  defect: {defect:.6e}")
     return EXIT_YES if max(residual, defect) <= tol.residual_abs else EXIT_NO

@@ -180,16 +180,18 @@ def nullspace_basis(M, tol: Tolerances = Tolerances(), scale: float = 0.0) -> np
     return V @ vh[rank:].conj().T
 
 
-def hermitian_eigendecomposition(H, tol: Tolerances = Tolerances()):
+def hermitian_eigendecomposition(H):
     """Eigendecomposition H = Q diag(w) Q^dag with w sorted descending.
 
+    H is Hermitian when ||H - H^dag||_F <= residual_abs * max(1, ||H||_F) at
+    the default residual_abs (1e-8), whatever tolerances a solve uses.
     Ties are broken by the eigensolver's original (ascending) ordering so the
     output is deterministic across runs.
     """
     H = as_complex_matrix(H, "Hermitian matrix")
     if H.shape[0] != H.shape[1]:
         raise InputError(f"expected a square matrix, got shape {H.shape}")
-    if _worst_relative((H - H.conj().T)[None], H[None]) > tol.residual_abs:
+    if _worst_relative((H - H.conj().T)[None], H[None]) > Tolerances.residual_abs:
         raise InputError("matrix is not Hermitian within tolerance")
     w, Q = np.linalg.eigh((H + H.conj().T) / 2.0)
     order = np.argsort(-w, kind="stable")

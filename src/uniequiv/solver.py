@@ -333,18 +333,20 @@ def _linear_system(E1, E2, pairs) -> np.ndarray:
                       for a, b in blocks])
 
 
-def _star_part(G: MatrixAlgebra, star_closed: bool, tol: Tolerances) -> tuple:
+def _star_part(G: MatrixAlgebra, tol: Tolerances) -> tuple:
     """A stacked basis of G cap G^dag, where every unitary of G lies, and the
     factor 1 + 1/gap by which restricting to it widens the plain system's cut.
 
-    A shape or a star-closed span keeps its basis (factor 1). Otherwise the
-    orthonormal F_j = span_q[:, j] combine over the right singular vectors,
-    at most residual_abs, of K = (I - conj(Q) Q^T) vec(F_j^T): ||K a|| is how
-    far (sum a_j F_j)^dag lies off G. An element whose adjoint lies r off G
-    lies r / gap off them, gap K's next singular value: a cut rank_rel (1 + 1/gap)
+    A shape keeps its basis (factor 1). A span's orthonormal F_j =
+    span_q[:, j] combine over the right singular vectors, at most
+    residual_abs, of K = (I - conj(Q) Q^T) vec(F_j^T): ||K a|| is how far
+    (sum a_j F_j)^dag lies off G. An element whose adjoint lies r off G lies
+    r / gap off them, gap K's next singular value: a cut rank_rel (1 + 1/gap)
     sigma_1 keeps solutions within rank_rel of the equations and G cap G^dag.
+    A star-closed span has no singular value above the cut, so it gets an
+    orthonormal basis of all of G and factor 1, whatever basis G was given in.
     """
-    if star_closed:
+    if G.factor_shape is not None:
         return np.stack(G.basis), 1.0
     Q = G.span_q
     T = Q.T.reshape(-1, G.dim, G.dim).transpose(0, 2, 1).reshape(Q.shape[1], -1).T
@@ -594,19 +596,17 @@ def _pivot_system(Z, frames: _PivotFrames, label, adjoint: bool):
                     "pivot_coupling_margin": margin}
 
 
-def _usable_algebras(inst: UepInstance, tol: Tolerances) -> list:
-    """The verify_algebra reports of G1 and G2; InvalidAlgebraError unless both
-    are unital and multiplicatively closed."""
-    reports = []
+def _usable_algebras(inst: UepInstance) -> None:
+    """InvalidAlgebraError unless verify_algebra finds G1 and G2 both unital
+    and multiplicatively closed, at its fixed bounds: `decide` and `verify`
+    reject the same files at every setting."""
     for name, G in (("G1", inst.G1), ("G2", inst.G2)):
-        report = verify_algebra(G, tol)
+        report = verify_algebra(G)
         if not (report.unital and report.multiplicatively_closed):
             raise InvalidAlgebraError(
                 f"{name} is not a usable algebra: unital={report.unital}, "
                 f"multiplicatively_closed={report.multiplicatively_closed}"
             )
-        reports.append(report)
-    return reports
 
 
 def build_linear_system(inst: UepInstance, tol: Tolerances = Tolerances()) -> LinearSystem:
@@ -614,12 +614,13 @@ def build_linear_system(inst: UepInstance, tol: Tolerances = Tolerances()) -> Li
 
     Unknowns are the coordinates of A over a basis of G1 cap G1^dag followed
     by those of B over one of G2 cap G2^dag (_star_part), whose larger factor
-    f sets the scale f * sigma_1. decide_uep takes this plain system only
-    with a span algebra; over factor shapes it is the reference that the
-    pivot route (_pivot_system) is tested against.
+    f sets the scale f * sigma_1; a span's basis is orthonormal, so the
+    system reads the span, never the basis the file wrote it in. decide_uep
+    takes this plain system only with a span algebra; over factor shapes it
+    is the reference that the pivot route (_pivot_system) is tested against.
     """
-    (E1, f1), (E2, f2) = (_star_part(G, report.star_closed, tol)
-                          for report, G in zip(_usable_algebras(inst, tol), (inst.G1, inst.G2)))
+    _usable_algebras(inst)
+    (E1, f1), (E2, f2) = (_star_part(G, tol) for G in (inst.G1, inst.G2))
     M, f = _linear_system(E1, E2, inst.pairs), max(f1, f2)
     return LinearSystem(M, *_separate_unknowns(E1, E2), f * np.linalg.norm(M, 2) if f > 1 else 0.0)
 
@@ -931,7 +932,7 @@ def decide_uep(inst: UepInstance, cfg: SamplerConfig = SamplerConfig(),
         return (_spectrum_no(pairs, tol, pair_detail)
                 or check_certificate(_decide(build_linear_system(inst, tol), cfg, tol),
                                      "matrix-pairs", inst, tol))
-    _usable_algebras(inst, tol)  # unprojected: a shape passes when a * b = dim
+    _usable_algebras(inst)  # unprojected: a shape passes when a * b = dim
     (a, b), (a2, b2) = shapes
     blocks = _realigned_blocks(pairs, (a, b), (a2, b2))
     verdict = _pivot_decide(blocks, cfg, tol)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from uniequiv import (InputError, Tolerances, decide_uep, hermitian_eigendecomposition,
-                      singular_values, uep_instance_full)
+                      singular_values, uep_instance_full, verify_algebra)
 from uniequiv.linalg import as_complex_matrix, numerical_rank, same_spectrum
 from uniequiv.solver import (LinearSystem, UepVerdict, _linear_system, _separate_unknowns,
                              _usable_algebras, check_certificate, singular_value_prefilter)
@@ -33,7 +33,7 @@ class NotPositiveDefiniteError(Exception):
 
 def inverse_sqrt_psd(H, tol: Tolerances = Tolerances()) -> np.ndarray:
     """Hermitian S with S H S = I, for positive definite H (spectral method)."""
-    w, Q = hermitian_eigendecomposition(H, tol)
+    w, Q = hermitian_eigendecomposition(H)
     if w[0] <= 0.0 or w[-1] <= tol.rank_rel * w[0]:
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite at rank_rel={tol.rank_rel}: spectrum "
@@ -205,12 +205,15 @@ def membership_constraints(G) -> np.ndarray:
 def membership_rows_system(inst, tol: Tolerances = Tolerances()) -> LinearSystem:
     """The plain system with A, B over the algebras' own bases, and below the
     equations, for each algebra that is not star-closed, its membership rows
-    applied as conj(C) vec(A^T) (likewise B), which say A^dag lies in it."""
+    applied as conj(C) vec(A^T) (likewise B), which say A^dag lies in it.
+    Star-closure is verify_algebra's, at its fixed bounds; tol is taken only
+    to stand in for build_linear_system."""
     E1, E2 = np.stack(inst.G1.basis), np.stack(inst.G2.basis)
     rows = [_linear_system(E1, E2, inst.pairs)]
     sides = (slice(0, len(E1)), slice(len(E1), None))
-    for report, G, E, cols in zip(_usable_algebras(inst, tol), (inst.G1, inst.G2), (E1, E2), sides):
-        if not report.star_closed:
+    _usable_algebras(inst)
+    for G, E, cols in zip((inst.G1, inst.G2), (E1, E2), sides):
+        if not verify_algebra(G).star_closed:
             C = membership_constraints(G)
             block = np.zeros((len(C), len(E1) + len(E2)), dtype=complex)
             block[:, cols] = C.conj() @ E.transpose(0, 2, 1).reshape(len(E), -1).T
@@ -234,7 +237,7 @@ def generic_mixed_by_matrix_pairs(rho, sigma, cfg, tol: Tolerances = Tolerances(
     eigenvalues on lu_by_matrix_pairs: the spectrum and Schmidt tests, the
     eigenvectors aligned by the resolved phases, and a YES checked again on
     rho, sigma. None when the phase graph is disconnected."""
-    (w_r, Q_r), (w_s, Q_s) = (hermitian_eigendecomposition(r.matrix, tol) for r in (rho, sigma))
+    (w_r, Q_r), (w_s, Q_s) = (hermitian_eigendecomposition(r.matrix) for r in (rho, sigma))
     if not same_spectrum(w_r, w_s, tol):
         return UepVerdict(verdict="NO", certainty="exact", detail="eigenvalue spectra differ")
     psis, phis = ([Q[:, i].reshape(rho.d1, rho.d2) for i in range(len(w_r))] for Q in (Q_r, Q_s))

@@ -140,15 +140,17 @@ class TestVerify:
         with pytest.raises(InputError):
             matrix_algebra([ginibre(2, 2, rng) for _ in range(5)])
 
-    def test_report_follows_the_tolerance_of_each_call(self):
-        # the adjoint of the last element leaves the span by 1e-5: outside at
-        # the default residual_abs, inside at 1e-3
+    def test_report_is_judged_at_fixed_bounds(self):
+        # the adjoint of the last element leaves the span by 1e-5, outside the
+        # default residual_abs 1e-8, or by 1e-10, inside it; no call takes a
+        # tolerance, so decide and verify judge an algebra alike at every setting
         e00, e11 = np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])
         e01 = np.outer(np.eye(3)[0], np.eye(3)[1])
-        G = matrix_algebra([np.eye(3), e00, e11, e00 + 1e-5 * e01])
-        assert not verify_algebra(G).star_closed
-        assert verify_algebra(G, Tolerances(residual_abs=1e-3)).star_closed
-        assert not verify_algebra(G).star_closed
+        for nudge, star_closed in ((1e-5, False), (1e-10, True)):
+            G = matrix_algebra([np.eye(3), e11, e00 + nudge * e01])
+            assert verify_algebra(G).star_closed is star_closed
+        with pytest.raises(TypeError):
+            verify_algebra(G, Tolerances(residual_abs=1e-3))
 
     @settings(max_examples=25, deadline=None)
     @given(algebras())

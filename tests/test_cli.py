@@ -686,6 +686,34 @@ def _non_hermitian_generic_doc(rng):
             "rho": matrix_to_json(rho), "sigma": matrix_to_json(W @ rho @ W.conj().T)}
 
 
+def _ill_conditioned_span_doc(rng):
+    """A planted YES with diagonal U and V over G1 = G2 = span {I, diag(1, 1 + 1e-8)},
+    a basis of condition number about 4e8."""
+    G = {"kind": "span", "basis": [matrix_to_json(np.eye(2)),
+                                   matrix_to_json(np.diag([1.0, 1.0 + 1e-8]))]}
+    U, V = (np.diag(np.exp(2j * np.pi * rng.uniform(size=2))) for _ in range(2))
+    Xs = [ginibre(2, 2, rng) for _ in range(2)]
+    return {"mode": "matrix-pairs", "d1": 2, "d2": 2,
+            "pairs": [{"X": matrix_to_json(X), "Y": matrix_to_json(U @ X @ V.conj().T)}
+                      for X in Xs],
+            "G1": G, "G2": G}
+
+
+def _moved_closure_span_doc(rng, nudge):
+    """A planted YES with diagonal U over G1 = M_2 (+) M_1 with E_01 moved to
+    E_01 + nudge E_02, and G2 full: U lies in the moved span, which is closed
+    and star-closed only up to nudge."""
+    units = [np.outer(np.eye(3)[i], np.eye(3)[j])
+             for i, j in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))]
+    units[1] = units[1] + nudge * np.outer(np.eye(3)[0], np.eye(3)[2])
+    U, V = np.diag(np.exp(2j * np.pi * rng.uniform(size=3))), haar(2, rng)
+    Xs = [ginibre(3, 2, rng) for _ in range(2)]
+    return {"mode": "matrix-pairs", "d1": 3, "d2": 2,
+            "pairs": [{"X": matrix_to_json(X), "Y": matrix_to_json(U @ X @ V.conj().T)}
+                      for X in Xs],
+            "G1": {"kind": "span", "basis": [matrix_to_json(E) for E in units]}}
+
+
 PLANTED_YES = {
     "pairs-full": lambda rng: instance_to_json(random_yes_instance(2, 3, 1, seed=1)[0]),
     "pairs-factor": lambda rng: instance_to_json(
@@ -697,15 +725,22 @@ EDGE_FILES = {
     "near-dependent-span": _near_dependent_span_doc,
     "ill-conditioned-matpoly": _ill_conditioned_matpoly_doc,
     "non-hermitian-generic": _non_hermitian_generic_doc,
+    "ill-conditioned-span": _ill_conditioned_span_doc,
+    # closed within the fixed residual_abs 1e-8, and outside it
+    "nudged-closure-span": lambda rng: _moved_closure_span_doc(rng, 1e-10),
+    "loose-closure-span": lambda rng: _moved_closure_span_doc(rng, 1e-7),
 }
+# the edge files that decide answers YES at every setting
+EDGE_YES = ("ill-conditioned-span", "nudged-closure-span")
 # (--tol-rank, --tol-residual)
 TOLERANCE_SETTINGS = [("1e-13", "1e-11"), ("1e-10", "1e-8"), ("1e-6", "1e-5")]
 
 
 class TestDecideThenVerify:
-    """Tolerances steer the solve, never what counts as a valid file or
-    certificate: every YES of decide verifies at its --tol-residual, and a
-    file decide calls malformed is malformed to verify too."""
+    """Tolerances steer the solve, never what counts as a valid file, algebra
+    or certificate: every YES of decide verifies at its --tol-residual, and a
+    file decide calls malformed (exit 3) or an invalid algebra (exit 4) at one
+    setting is so at every setting, and to verify too."""
 
     @pytest.mark.parametrize("name", [*PLANTED_YES, *EDGE_FILES])
     def test_at_every_setting(self, tmp_path, capsys, rng, name):
@@ -716,19 +751,22 @@ class TestDecideThenVerify:
         cert.write_text(json.dumps({
             "U": matrix_to_json(np.eye(doc["d1"])),
             "V": None if doc["mode"] == "unilocal-mixed" else matrix_to_json(np.eye(doc["d2"]))}))
+        codes = []
         for rank, residual in TOLERANCE_SETTINGS:
             out.unlink(missing_ok=True)
             code = main(["decide", str(inst), "--seed", "1", "--tol-rank", rank,
                          "--tol-residual", residual, "-o", str(out)])
             capsys.readouterr()
-            assert code == 0 or name in EDGE_FILES, (rank, code)
+            codes.append(code)
+            assert code == 0 or name in EDGE_FILES and name not in EDGE_YES, (rank, code)
             if code == 0:
                 assert main(["verify", str(inst), str(out), "--tol-residual", residual]) == 0, rank
                 residual_line = f"residual: {json.loads(out.read_text())['residual']:.6e}  "
                 assert capsys.readouterr().out.startswith(residual_line)
-            elif code == 3:
+            elif code in (3, 4):
                 verify = ["verify", str(inst), str(cert), "--tol-residual", residual]
-                assert main(verify) == 3, rank
+                assert main(verify) == code, rank
+        assert not {3, 4} & set(codes) or len(set(codes)) == 1, codes
 
 
 def _without_timing(text):

@@ -25,6 +25,7 @@ from uniequiv import (
     singular_value_prefilter,
     solve_solution_space,
     uep_instance_full,
+    verify_algebra,
 )
 from uniequiv import (density_operator, generic_mixed_lu, pure_state, simultaneous_lu_pure,
                       unilocal_mixed_equivalence)
@@ -221,10 +222,20 @@ class TestStarPart:
 
     def test_star_part_of_upper_triangular_algebra_is_the_diagonal(self):
         # E_12's adjoint lies at distance 1 off the span: the factor is 1 + 1/1
-        E, factor = solver_mod._star_part(_upper_triangular(2), False, Tolerances())
+        E, factor = solver_mod._star_part(_upper_triangular(2), Tolerances())
         assert len(E) == 2 and factor == pytest.approx(2.0)
         assert np.allclose(np.tril(E, -1), 0) and np.allclose(np.triu(E, 1), 0)
-        assert solver_mod._star_part(full_algebra(2), True, Tolerances())[1] == 1.0
+        assert solver_mod._star_part(full_algebra(2), Tolerances())[1] == 1.0
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(algebras().filter(lambda G: verify_algebra(G).star_closed))
+    def test_a_star_closed_span_gets_an_orthonormal_basis_of_itself(self, G):
+        # no adjoint direction lies above the cut: all of G, in orthonormal elements
+        E, factor = solver_mod._star_part(G, Tolerances())
+        assert factor == 1.0 and len(E) == G.size
+        F = E.reshape(len(E), -1)
+        assert np.abs(F.conj() @ F.T - np.eye(len(E))).max() <= 1e-12
+        assert max(span_residual(G, M) for M in E) <= 1e-12
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(algebras(), st.sampled_from(["planted", "gauged", "identity"]), st.booleans(),
