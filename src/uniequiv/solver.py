@@ -53,7 +53,13 @@ cut, 1e3 eps / min(rank_rel, residual_abs): merging only enlarges the
 searched space, while a split leaves the frames about eps / gap off, and
 every solution a residual of that size. As the pivot rows hold exactly, a
 system of pivot rows alone is rounding noise, so the rank cut is
-rank_rel * max(sigma_1, hypot(s_1, t_1)).
+rank_rel * max(sigma_1, hypot(s_1, t_1)). Square frames whose every cluster
+is one index with a coupled column (a unitary pivot of distinct singular
+values, or the eigen frames) hold only the diagonal solutions
+A' = B' = diag(a), a_j X'_i[j, k] = Y'_i[j, k] a_k: a is read off column 0
+of the rotated pairs and taken through the sampler's own acceptance, so such
+a YES builds, solves and samples nothing (_read_diagonal), and whatever the
+read declines is solved.
 
 On every pivot route the solve decides: equal singular values are only
 necessary, so they are compared only to word a solve that ended without a
@@ -531,28 +537,20 @@ def _into_frames(Z, frames: _PivotFrames):
     return T.reshape(2, d1, n, d2).transpose(0, 2, 1, 3)
 
 
-def _pivot_system(Z, frames: _PivotFrames, label, adjoint: bool):
-    """The reduced system of the (n, 2, d1, d2) stack Z of pairs (X_i, Y_i) in
-    the pivot frames, and its aux.
+def _pivot_columns(frames: _PivotFrames, label, d1: int, d2: int) -> tuple:
+    """The columns of _pivot_system for pivots of d1 x d2 pairs, as the units
+    (r, c) and their weights alpha on A' and beta on B', and the system's aux.
 
     Of the units (j, k) with label[j] == label[k], those with
     w = max(s_k, t_j) above frames.cut keep one coupled column, alpha E_jk on
     A' and beta E_jk on B' for (alpha, beta) = (t_j, s_k) / hypot(s_k, t_j),
     with weight 0 on a side outside A' (d1 x d1) or B' (d2 x d2); a column
     with no side is dropped, as row (j, k) forces the other entry to 0. Then
-    the units below the cut keep free columns E_jk in A', then in B'. The
-    rows are the entries of A' X'_i - Y'_i B', then with adjoint those of
-    B' X'_i^dag - Y'_i^dag A', for X' = W_x^-1 X R_x and Y' = W_y^-1 Y R_y.
-    The bases are the units alpha E_jk and beta E_jk, in the frames: a
-    solution (A', B') carries back as (W_y A' W_x^-1, R_y B' R_x^-1). The
-    scale is hypot(s_1, t_1), the size of the rotated pivot's rows; in
-    frames that are not unitary the other rotated pairs can be far larger
-    than the pivot (I, I), so there it is at least their largest entry.
-    aux holds pivot_unknowns (columns), pivot_free_units and
+    the units below the cut keep free columns E_jk in A', then in B'. aux
+    holds pivot_unknowns (columns), pivot_free_units and
     pivot_coupling_margin (the smallest w / cut of a coupled column, None
     without one).
     """
-    n, _, d1, d2 = Z.shape
     s, t, cut = frames.s, frames.t, frames.cut
     j, k = (label[:, None] == label).nonzero()
     side = np.maximum(j, k)
@@ -566,9 +564,30 @@ def _pivot_system(Z, frames: _PivotFrames, label, adjoint: bool):
     free = (~coupled).nonzero()[0]
     free_a, free_b = free[in_a[free]], free[in_b[free]]
     idx = np.concatenate([kept, free_a, free_b])
-    r, c, alpha, beta, g = j[idx], k[idx], alpha[idx], beta[idx], len(idx)
+    alpha, beta = alpha[idx], beta[idx]
     na = len(kept) + len(free_a)
     alpha[len(kept):na], alpha[na:], beta[len(kept):na], beta[na:] = 1.0, 0.0, 0.0, 1.0
+    margin = float(weight[kept].min() / cut) if kept.size else None
+    return (j[idx], k[idx], alpha, beta), {"pivot_unknowns": len(idx),
+                                           "pivot_free_units": len(free_a) + len(free_b),
+                                           "pivot_coupling_margin": margin}
+
+
+def _pivot_system(Z, frames: _PivotFrames, label, adjoint: bool):
+    """The reduced system of the (n, 2, d1, d2) stack Z of pairs (X_i, Y_i) in
+    the pivot frames, on the columns of _pivot_columns, and their aux.
+
+    The rows are the entries of A' X'_i - Y'_i B', then with adjoint those of
+    B' X'_i^dag - Y'_i^dag A', for X' = W_x^-1 X R_x and Y' = W_y^-1 Y R_y.
+    The bases are the units alpha E_jk and beta E_jk, in the frames: a
+    solution (A', B') carries back as (W_y A' W_x^-1, R_y B' R_x^-1). The
+    scale is hypot(s_1, t_1), the size of the rotated pivot's rows; in
+    frames that are not unitary the other rotated pairs can be far larger
+    than the pivot (I, I), so there it is at least their largest entry.
+    """
+    n, _, d1, d2 = Z.shape
+    (r, c, alpha, beta), aux = _pivot_columns(frames, label, d1, d2)
+    g = len(r)
     a, b = alpha.nonzero()[0], beta.nonzero()[0]
     (ra, ca, wa), (rb, cb, wb) = (r[a], c[a], alpha[a]), (r[b], c[b], beta[b])
     X, Y = XY = _into_frames(Z, frames)
@@ -587,13 +606,10 @@ def _pivot_system(Z, frames: _PivotFrames, label, adjoint: bool):
     basis_a[a, ra, ca] = wa
     basis_b = np.zeros((g, d2, d2), dtype=complex)
     basis_b[b, rb, cb] = wb
-    scale = float(np.hypot(s[0], t[0]))
+    scale = float(np.hypot(frames.s[0], frames.t[0]))
     if not frames.unitary:
         scale = max(scale, float(np.abs(XY).max()))
-    system = LinearSystem(rows.reshape(-1, g), basis_a, basis_b, scale=scale)
-    margin = float(weight[kept].min() / cut) if kept.size else None
-    return system, {"pivot_unknowns": g, "pivot_free_units": len(free_a) + len(free_b),
-                    "pivot_coupling_margin": margin}
+    return LinearSystem(rows.reshape(-1, g), basis_a, basis_b, scale=scale), aux
 
 
 def _usable_algebras(inst: UepInstance) -> None:
@@ -684,16 +700,21 @@ def sample_invertible(space: SolutionSpace, cfg: SamplerConfig, tol: Tolerances 
         raise InputError("sample_invertible needs a non-trivial solution space")
     for t in range(cfg.trials):
         A, B = draw_candidate(space, cfg, t)
-        if kind == "invertible":
-            if _full_rank(A, B, tol):
-                return SampleResult(A=A, B=B, trials_used=t + 1, U=A, V=B)
-            continue
-        try:
-            U, V = extract_unitaries(A, B, tol)
-        except DegenerateCandidateError:
-            continue
-        return SampleResult(A=A, B=B, trials_used=t + 1, U=U, V=V)
+        found = _accepted(A, B, tol, kind)
+        if found is not None:
+            return SampleResult(A, B, t + 1, *found)
     return None
+
+
+def _accepted(A, B, tol: Tolerances, kind: str):
+    """The certificate (U, V) of the candidate (A, B) under the sampler's rule
+    for kind, or None when the rule rejects it."""
+    if kind == "invertible":
+        return (A, B) if _full_rank(A, B, tol) else None
+    try:
+        return extract_unitaries(A, B, tol)
+    except DegenerateCandidateError:
+        return None
 
 
 def extract_unitaries(A, B, tol: Tolerances = Tolerances()):
@@ -825,14 +846,63 @@ def _spanning_pairs(Z) -> np.ndarray:
     return np.linalg.qr(Z.reshape(n, -1), mode="r").reshape((-1,) + Z.shape[1:])
 
 
+def _read_diagonal(Z, frames: _PivotFrames, tol: Tolerances, kind: str) -> UepVerdict | None:
+    """The YES read off the square stack Z of pairs in frames whose every
+    cluster is one index with a coupled column, or None where the read does
+    not give one.
+
+    In such frames every solution is A' = B' = diag(a) with
+    a_j X'_i[j, k] = Y'_i[j, k] a_k (_pivot_columns keeps the units (j, j)
+    alone, with s_j = t_j for unitaries, and S = T = I in the eigen frames).
+    Column k = 0 ties a_j to a_0 = 1 through p_j = sum_i Y'_i[j, 0]
+    conj(X'_i[j, 0]): a_j = p_j / |p_j| for kind "unitary", whose a_j have
+    modulus 1, and the least-squares p_j / sum_i |X'_i[j, 0]|^2 for
+    "invertible". Every index tied to index 0 leaves the diagonal solutions
+    one line, which the solve would report as solution_dimension 1 and
+    sample at its first trial. The read gives None when some |p_j| is at
+    most rank_rel times the largest (index j is not tied to index 0, as
+    when every pair shares the pivot's frames), when diag(a) leaves a
+    relative residual above residual_abs on the rotated pairs, or when the
+    sampler's rule (_accepted) rejects it.
+    """
+    X, Y = _into_frames(Z, frames)
+    p = (Y[:, :, 0] * X[:, :, 0].conj()).sum(axis=0)
+    size = np.abs(p)
+    if not size.min() > tol.rank_rel * size.max():
+        return None
+    a = p / (size if kind == "unitary" else np.square(np.abs(X[:, :, 0])).sum(axis=0))
+    if not _worst_relative(a[:, None] * X - Y * a, Y) <= tol.residual_abs:
+        return None
+    A = np.diag(a)
+    found = _accepted(A, A, tol, kind)
+    return None if found is None else UepVerdict(
+        verdict="YES", certainty="probabilistic", U=found[0], V=found[1], trials_used=1,
+        solution_dimension=1, certificate_kind=kind)
+
+
 def _solve_in_frames(Z, frames: _PivotFrames, label, cfg: SamplerConfig, tol: Tolerances,
                      kind: str, aux: dict) -> UepVerdict:
-    """_decide on the reduced system of the stack Z in frames (_pivot_system,
-    with the adjoint rows for kind "unitary"), a YES carried back as
+    """The verdict on the stack Z in frames, a YES carried back as
     A = W_y A' W_x^-1, B = R_y B' R_x^-1; the verdict records aux, then the
-    system's aux."""
-    system, system_aux = _pivot_system(Z, frames, label, kind == "unitary")
-    verdict = _decide(system, cfg, tol, kind)
+    aux of _pivot_columns.
+
+    Square frames whose every cluster is one index with a coupled column are
+    read first (_read_diagonal), when Z holds more pairs than made the
+    frames: the pivot makes the singular frames, and the pivot and a second
+    combination the eigen frames, and every pair of their span is diagonal
+    in them, so the read would find no index tied to another. Everything
+    else, and whatever the read declines, is _decide on the reduced system
+    (_pivot_system, with the adjoint rows for kind "unitary").
+    """
+    verdict, d = None, len(label)
+    # square, every cluster one index, and a pair beyond the span that made the frames
+    if Z.shape[2:] == (d, d) and label[-1] == d - 1 and len(Z) > 2 - frames.unitary:
+        _, system_aux = _pivot_columns(frames, label, d, d)
+        if not system_aux["pivot_free_units"]:
+            verdict = _read_diagonal(Z, frames, tol, kind)
+    if verdict is None:
+        system, system_aux = _pivot_system(Z, frames, label, kind == "unitary")
+        verdict = _decide(system, cfg, tol, kind)
     if verdict.verdict == "YES":
         (W_x, W_y), (R_x, R_y) = frames.W, frames.R
         verdict.U = W_y @ verdict.U @ _inverse(W_x, frames.unitary)
@@ -862,11 +932,13 @@ def _pivot_decide(Z, cfg: SamplerConfig, tol: Tolerances) -> UepVerdict:
     stack Z of pairs, leaving Z unchanged and a YES unchecked.
 
     On the prepared pairs (_pivot_prepared), differing spectra of the pivot
-    are an exact NO; otherwise the units inside each cluster of equal
-    singular values (_clusters) are solved with the adjoint rows, the
-    solution space sampled in the frames, and only a YES's certificate
-    carried back. Every verdict past the pivot records the aux of _clusters
-    and _pivot_system.
+    are an exact NO; otherwise distinct singular values of a square pivot
+    are first read as one diagonal solution (_read_diagonal), and the rest,
+    or what the read declines, solves the units inside each cluster of equal
+    singular values (_clusters) with the adjoint rows and samples the
+    solution space in the frames (_solve_in_frames). Only a YES's
+    certificate is carried back. Every verdict past the pivot records the
+    aux of _clusters and _pivot_columns.
     """
     Z, frames, _ = _pivot_prepared(Z, cfg, tol)
     if not same_spectrum(frames.s, frames.t, tol):
@@ -959,11 +1031,14 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
     allows is an exact NO, and no system is built (_trace_no). Otherwise a
     regular pencil of d >= _EIGEN_MIN_DIM with distinct eigenvalues of
     X_c^-1 X_c2 is solved in d unknowns in its eigen frames (_eigen_frames),
-    and their YES is checked at once; a YES that passes stands. Every other
-    pencil, and an eigen-frame answer that is not a verified YES, is solved
-    in the singular frames with every unit in one cluster (d^2 unknowns for
-    square coefficients), and a YES checked there. The certificate is the
-    sampled (A, B) itself, checked on the unscaled (P, Q). aux records
+    where its one diagonal solution is first read without a system
+    (_read_diagonal; a pencil of two coefficients is diagonal there and
+    never read), and their YES is checked at once; a YES that passes stands.
+    Every other pencil, and an eigen-frame answer that is not a verified
+    YES, is solved in the singular frames with every unit in one cluster
+    (d^2 unknowns for square coefficients), and a YES checked there. The
+    certificate is the sampled or read (A, B) itself, checked on the
+    unscaled (P, Q). aux records
     trace_pair, trace_gap_ratio and trace_f on a trace NO, and on every
     verdict of a system pivot_unknowns, pivot_free_units,
     pivot_coupling_margin and pivot_eigen_margin (the smallest eigenvalue

@@ -28,6 +28,8 @@ from uniequiv.algebra import span_residual
 from uniequiv.serialize import dumps_document, verdict_document
 from uniequiv.solver import build_linear_system, draw_candidate, sample_invertible, solve_solution_space
 
+import uniequiv.solver as solver_mod
+
 from conftest import ginibre, haar, random_density
 from exact_reference import (
     exact_nullspace_dimension,
@@ -162,8 +164,10 @@ def test_criterion_3_polynomial_extraction_crosscheck(capsys):
     _report(capsys, 3, "interpolated inverse sqrt and extraction", ok)
 
 
-def test_criterion_4_sampling_accounting(capsys):
-    # large sample set: the very first trial succeeds essentially always
+def test_criterion_4_sampling_accounting(capsys, monkeypatch):
+    # large sample set: the very first trial succeeds essentially always. The
+    # diagonal read declines, so each instance is solved and sampled
+    monkeypatch.setattr(solver_mod, "_read_diagonal", lambda *args: None)
     first_trial_hits = 0
     for i in range(1000):
         inst, _ = random_yes_instance(2, 2, 1, seed=10_000 + i)

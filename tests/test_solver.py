@@ -2,6 +2,7 @@ import ast
 import json
 from itertools import islice
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ import uniequiv.solver as solver_mod
 
 from conftest import algebras, ginibre, haar, random_density
 from exact_reference import dense_nullspace_basis, membership_rows_system, singular_value_ratio
+from test_properties import factor_shape_instances, full_pairs
 
 CFG = SamplerConfig(seed=17)
 
@@ -573,6 +575,12 @@ def _pivot_systems_seen(monkeypatch):
     return seen
 
 
+def _declined(*args):
+    """Stands in for solver._read_diagonal where a test needs the solve: every
+    read declines."""
+    return None
+
+
 def _gauged(Xs, rng):
     """Y_i = U_i X_i V_i^dag with independent unitaries per pair: every pair
     keeps its singular values, but no one (U, V) serves them all."""
@@ -780,9 +788,11 @@ class TestPivot:
     def test_distinct_spectrum_keeps_one_coupled_column_per_unit(self, monkeypatch):
         # distinct singular values leave one cluster per index, whose unit
         # (j, j) keeps the coupled column (t_j, s_j) / hypot(s_j, t_j): d
-        # unknowns where free units of A' and B' would take 2d
+        # unknowns where free units of A' and B' would take 2d. One pair
+        # leaves every index untied to the others, so the diagonal read
+        # declines and the system is built
         seen = _pivot_systems_seen(monkeypatch)
-        inst, _ = random_yes_instance(6, 6, 2, seed=14)
+        inst, _ = random_yes_instance(6, 6, 0, seed=14)
         verdict = decide_uep(inst, CFG)
         ((_, _, label, _, columns),) = seen
         assert label == list(range(6)) and columns == 6
@@ -869,6 +879,122 @@ class TestPivot:
         assert system.scale == np.hypot(frames.s[0], frames.t[0])
 
 
+def _square_planted(case):
+    """A planted YES of the property strategies whose pivot pairs are square."""
+    inst, _, planted = case
+    return planted and inst.G1.factor_shape[0] == inst.G2.factor_shape[0]
+
+
+def _pencil(d, n, rng):
+    """Coefficients P_i and Q_i = A P_i B^-1 of a planted regular pencil."""
+    A, B = (ginibre(d, d, rng) + 2 * np.eye(d) for _ in "AB")
+    P = [ginibre(d, d, rng) for _ in range(n)]
+    return (MatrixPolynomial(tuple(P)),
+            MatrixPolynomial(tuple(A @ X @ np.linalg.inv(B) for X in P)))
+
+
+class TestDiagonalRead:
+    # frames with one index per cluster, square and coupled, hold only the
+    # diagonal solutions A' = B' = diag(a), which the read takes from column 0
+    # of the rotated pairs; whatever it declines is built, solved and sampled
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.one_of(full_pairs(), factor_shape_instances()).filter(_square_planted))
+    def test_a_read_yes_reports_what_the_solve_reports(self, case):
+        inst, seed, _ = case
+        cfg = SamplerConfig(seed=seed)
+        read = decide_uep(inst, cfg)
+        with mock.patch.object(solver_mod, "_read_diagonal", _declined):
+            solved = decide_uep(inst, cfg)
+        for verdict in (read, solved):
+            assert verdict.verdict == "YES"
+            assert max(certificate_residuals("matrix-pairs", inst, verdict.U, verdict.V)) <= 1e-8
+        assert ((read.trials_used, read.solution_dimension)
+                == (solved.trials_used, solved.solution_dimension))
+        assert read.aux == solved.aux  # the pivot_* integers, and the margins and gaps too
+
+    def test_a_read_yes_builds_solves_and_samples_nothing(self, monkeypatch):
+        # the read takes the sampler's rule once (the polar factors), and the
+        # YES still leaves through one certificate check
+        calls = []
+
+        def spy(name):
+            real = getattr(solver_mod, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(solver_mod, name, wrapped)
+
+        for name in ("_pivot_system", "nullspace_basis", "draw_candidate", "extract_unitaries",
+                     "certificate_residuals"):
+            spy(name)
+        inst, _ = random_yes_instance(5, 5, 2, seed=31)
+        verdict = decide_uep(inst, CFG)
+        assert calls == ["extract_unitaries", "certificate_residuals"]
+        assert verdict.verdict == "YES" and verdict.residual <= 1e-12
+        assert (verdict.trials_used, verdict.solution_dimension) == (1, 1)
+        assert (verdict.aux["pivot_unknowns"], verdict.aux["pivot_free_units"]) == (5, 0)
+        assert verdict.aux["pivot_coupling_margin"] > 1
+
+    @pytest.mark.parametrize("case, columns, dimension", [
+        ("one-pair", 6, 6), ("rectangular", 5, 1), ("repeated", 6, 6), ("matpoly-4", 16, 1),
+        ("pencil-6", 6, 6), ("shared-frames", 4, 4)])
+    def test_a_declined_read_reports_the_solve(self, case, columns, dimension, monkeypatch, rng):
+        # one spanned pair, or a pencil of two coefficients, is diagonal in the
+        # frames it made; a rectangular pivot, a repeated singular value and
+        # matpoly's singular frames (d < 6, one cluster) are never read; pairs
+        # that share the pivot's frames leave p_j = 0 off index 0. Each builds
+        # its system and reports its solution space
+        seen = _pivot_systems_seen(monkeypatch)
+        if case.startswith(("matpoly", "pencil")):
+            P, Q = _pencil(*((4, 3) if case == "matpoly-4" else (6, 2)), rng)
+            verdict = decide_invertible_equivalence(P, Q, CFG)
+        else:
+            if case in ("repeated", "shared-frames"):
+                W, R, U, V = (haar(4, rng) for _ in range(4))
+                D = np.diag([2.0, 1.0, 1.0 if case == "repeated" else 0.8, 0.5])
+                inst = uep_instance_full(4, 4, [(a * W @ D @ R.conj().T,
+                                                 a * U @ W @ D @ R.conj().T @ V.conj().T)
+                                                for a in (1.0, 0.5j)])
+            else:
+                inst, _ = (random_yes_instance(6, 6, 0, seed=14) if case == "one-pair"
+                           else random_yes_instance(4, 5, 2, seed=14))
+            verdict = decide_uep(inst, CFG)
+            assert dimension == _space(inst).dimension
+        ((_, _, label, _, built),) = seen
+        assert built == columns == verdict.aux["pivot_unknowns"]
+        assert verdict.verdict == "YES" and verdict.solution_dimension == dimension
+        assert (case == "repeated") == (len(set(label)) == 3)
+
+    def test_a_read_that_leaves_a_residual_declines_to_the_solve(self, monkeypatch, rng):
+        # Y_i = U X_i^T V^dag keeps the spectrum of every combination, so the
+        # pivot passes and every index is tied to index 0, but diag(a) leaves
+        # a residual of order 1: the solve answers, with its trivial space
+        seen = _pivot_systems_seen(monkeypatch)
+        U, V = haar(4, rng), haar(4, rng)
+        Xs = [ginibre(4, 4, rng) for _ in range(3)]
+        verdict = decide_uep(uep_instance_full(4, 4, [(X, U @ X.T @ V.conj().T) for X in Xs]),
+                             CFG)
+        ((_, _, label, _, built),) = seen
+        assert label == [0, 1, 2, 3] and built == 4
+        assert (verdict.verdict, verdict.certainty, verdict.solution_dimension) == ("NO", "exact", 0)
+
+    @pytest.mark.parametrize("eta", [1e-10, 3e-10, 1e-9])
+    def test_a_noisy_square_planted_yes_is_read(self, eta):
+        # Y_i + eta N_i with ||N_i||_F = 1: the planted certificate passes the
+        # check, while the solve's rank cut leaves only the trivial solution
+        for seed in range(40):
+            inst, _ = random_yes_instance(4, 4, 2, seed=seed)
+            rng = np.random.default_rng(seed)
+            noise = [ginibre(4, 4, rng) for _ in inst.pairs]
+            pairs = tuple((X, Y + eta * N / np.linalg.norm(N))
+                          for (X, Y), N in zip(inst.pairs, noise))
+            verdict = decide_uep(UepInstance(4, 4, pairs, inst.G1, inst.G2),
+                                 SamplerConfig(seed=seed))
+            assert verdict.verdict == "YES" and verdict.residual <= 1e-8, (seed, verdict.detail)
+
+
 def _perturbed_full_yes(d, size):
     inst, _ = random_yes_instance(d, d, 2, seed=d)
     rng = np.random.default_rng(d)
@@ -898,7 +1024,9 @@ class TestGramNullspace:
     def test_cut_crossing_decides_as_the_dense_reference(self, monkeypatch):
         # planted full-algebra YES cases perturbed across the cut, and degree-1
         # matpoly YES cases, whose reduced system has sigma_1 below its
-        # reference scale, so the cut is rank_rel * scale
+        # reference scale, so the cut is rank_rel * scale; the diagonal read
+        # declines, so every case reaches the Gram nullspace
+        monkeypatch.setattr(solver_mod, "_read_diagonal", _declined)
         cases = [(_perturbed_full_yes, case) for case in _CUT_CROSSING]
         cases += [(_matpoly_yes, (d, seed)) for d in (8, 9, 10) for seed in range(4)]
         scales = []
@@ -915,11 +1043,13 @@ class TestGramNullspace:
         assert min(scales[-12:]) > 1.0
 
     @pytest.mark.parametrize("c", [1e-160, 1e160])
-    def test_planted_yes_at_extreme_scales(self, c):
+    def test_planted_yes_at_extreme_scales(self, c, monkeypatch):
         # the Gram of the reduced system would underflow (a NO with no
         # solution) or overflow (eigh fails) without its power-of-two rescaling;
         # a pair's Frobenius norm, which squares the entries, would overflow
-        # at 1e160 unless the pair is divided by its largest entry first
+        # at 1e160 unless the pair is divided by its largest entry first. The
+        # diagonal read declines, so the square unitary case reaches the Gram
+        monkeypatch.setattr(solver_mod, "_read_diagonal", _declined)
         inst, _ = random_yes_instance(4, 4, 2, seed=3)
         pairs = tuple((c * X, c * Y) for X, Y in inst.pairs)
         verdict = decide_uep(UepInstance(d1=4, d2=4, pairs=pairs, G1=inst.G1, G2=inst.G2), CFG)
@@ -1258,7 +1388,9 @@ class TestCertificateResiduals:
         # the state reductions check their states or density operators. The
         # sampler accepts a unitary candidate by taking its polar factors, so
         # each unitary route calls extract_unitaries once per trial; matpoly's
-        # certificate is the sampled A, B, accepted on their singular values
+        # certificate is the sampled A, B, accepted on their singular values.
+        # The diagonal read declines, so every route samples
+        monkeypatch.setattr(solver_mod, "_read_diagonal", _declined)
         modes, extracted = [], []
         real_check, real_extract = solver_mod.certificate_residuals, solver_mod.extract_unitaries
 

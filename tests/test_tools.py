@@ -2,8 +2,10 @@
 differs in no document and prints one timing line per case of a cycle, or
 per matched case with --match, and one per cycle, each with the rounds won by
 either tree and both trees' quartiles; it tallies differences by key and
-case kind, and rejects a workload that perfbench/workloads.py does not
-define; it writes no bytecode into either tree.
+case kind, prints the largest residual of each tree's changed YES
+documents per case kind, and rejects a workload that
+perfbench/workloads.py does not define; it writes no bytecode into either
+tree.
 tools/src_lines.py counts only the lines that hold code, and
 tools/src_coverage.py lists the statements a run never executes, replaying
 for --workloads the requests that tools/ab.py builds."""
@@ -146,6 +148,27 @@ def test_ab_tallies_each_key_and_case_kind(tools):
         "pivot_unknowns: 2 documents (matpoly/yes), first states-small s11 #0 matpoly/yes d=8",
         "verdict: 1 documents (pure/yes), first states-small s11 #3 pure/yes d=8"]
     assert (differing, identical, same_value) == (4, 2, 3)
+
+
+def test_ab_prints_the_largest_residual_of_changed_yes_documents(tools):
+    ab = tools("ab")
+
+    def reply(verdict, residual, U):
+        return [0.001, f'{{\n  "verdict": "{verdict}",\n  "U": {U},\n  "residual": {residual},'
+                       f'\n  "timing": 0.1\n}}\n', {}]
+
+    # the same YES with another certificate, here with the larger residual
+    requests = [("states-small s11 #0 pure/yes d=2", "", 1, True)]
+    lines = ab.residual_lines(requests, [reply("YES", 3e-15, "[1.0,0.0]")],
+                              [reply("YES", 1e-16, "[0.0,1.0]")])
+    assert lines == ["largest residual of 1 changed YES documents (pure/yes): "
+                     "here 3.00e-15, there 1.00e-16"]
+    # a NO on one side has no residual to give, and unchanged text gives no line
+    assert ab.residual_lines(requests, [reply("NO", 0.0, "null")],
+                             [reply("YES", 1e-16, "[0.0,1.0]")]) == [
+        "largest residual of 1 changed YES documents (pure/yes): here none, there 1.00e-16"]
+    assert ab.residual_lines(requests, [reply("YES", 1e-16, "[0.0,1.0]")],
+                             [reply("YES", 1e-16, "[0.0,1.0]")]) == []
 
 
 @pytest.mark.parametrize("args, message", [

@@ -50,8 +50,11 @@ matpoly/yes), with the number of documents and the first of them, so an
 expected change to one aux key reads as one line; the summary counts the
 documents with a difference, those whose raw text is byte-identical once
 the `timing` line is left out, and those that hold the same JSON value
-once `timing` is left out. The exit status is 1 when any document differs
-in a compared key, else 0.
+once `timing` is left out. Then, per case kind whose YES documents differ
+in their text without `timing` (another certificate, say), one line gives
+how many and the largest `residual` of each tree's YES among them, so that
+a change of certificate shows its quality. The exit status is 1 when any
+document differs in a compared key, else 0.
 """
 
 from __future__ import annotations
@@ -232,6 +235,28 @@ def compare(requests, mine, theirs):
     return lines, differing, identical, same_value
 
 
+def residual_lines(requests, mine, theirs) -> list:
+    """One line per case kind, in name order, over the documents whose text
+    differs without timing and that are a YES in either tree: their count
+    and the largest residual of each tree's YES among them ("none" for a tree
+    with no YES there)."""
+    kinds = {}  # kind -> [documents, residuals here, residuals there]
+    for (label, *_), (_, text_a, *_), (_, text_b, *_) in zip(requests, mine, theirs):
+        if without_timing(text_a) == without_timing(text_b):
+            continue
+        docs = json.loads(text_a), json.loads(text_b)
+        residuals = [[doc["residual"]] if doc["verdict"] == "YES" else [] for doc in docs]
+        if residuals != [[], []]:
+            entry = kinds.setdefault(label.split()[3], [0, [], []])
+            entry[0] += 1
+            entry[1] += residuals[0]
+            entry[2] += residuals[1]
+    return [f"largest residual of {count} changed YES documents ({kind}): "
+            + ", ".join(f"{side} {max(values):.2e}" if values else f"{side} none"
+                        for side, values in (("here", here), ("there", there)))
+            for kind, (count, here, there) in sorted(kinds.items())]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", type=Path, help="root of the checkout to compare against")
@@ -300,7 +325,7 @@ def main(argv=None) -> int:
                   for side in (0, 1)]
         print(row(" ".join(group) + " cycle", width, *totals))
     lines, differing, identical, same_value = compare(requests, *first)
-    for line in lines:
+    for line in lines + residual_lines(requests, *first):
         print(line)
     print(f"{len(requests)} documents: {differing} differ in a compared key, "
           f"{identical} byte-identical without timing, {same_value} value-identical")
