@@ -53,11 +53,15 @@ cut, 1e3 eps / min(rank_rel, residual_abs): merging only enlarges the
 searched space, while a split leaves the frames about eps / gap off, and
 every solution a residual of that size. As the pivot rows hold exactly, a
 system of pivot rows alone is rounding noise, so the rank cut is
-rank_rel * max(sigma_1, hypot(s_1, t_1)). Square frames whose every cluster
-is one index with a coupled column (a unitary pivot of distinct singular
-values, or the eigen frames) hold only the diagonal solutions
-A' = B' = diag(a), a_j X'_i[j, k] = Y'_i[j, k] a_k: a is read off column 0
-of the rotated pairs and taken through the sampler's own acceptance, so such
+rank_rel * max(sigma_1, hypot(s_1, t_1)). Frames whose indices below
+r = min(d1, d2) are one cluster each with a coupled column, and whose padded
+indices form one cluster (a unitary pivot of distinct singular values, or
+the eigen frames), hold one line of solutions A' = diag(a),
+B' = diag(a) (+) C (C in A' when d1 > d2), a_j X'_i[j, k] = Y'_i[j, k] a_k:
+a is read off column 0 of the rotated pairs and C from one least-squares
+solve of their padded columns, while two coefficients in the eigen frames
+are both diagonal, so A' = B' = I solves them. The sampler's own rule
+accepts a read from the moduli |a_j| and the singular values of C, so such
 a YES builds, solves and samples nothing (_read_diagonal), and whatever the
 read declines is solved.
 
@@ -227,14 +231,6 @@ class LinearSystem:
 # in the reduced system; splitting needs eps / g this factor below both the
 # rank cut and the certificate bound.
 _PIVOT_MARGIN = 1e3
-
-# The eigen frames of a square pencil save the d^2 - d columns of its system in
-# the singular frames for about 30 more array operations (a second draw, an
-# eig, the matching and three inverses). Warm, on one BLAS thread, they cost
-# 0.17 ms more at d = 3, 0.08 ms at d = 5, break even at d = 6 and save
-# 0.2 ms at d = 7 and 2.6 ms at d = 10 (degree 3), so smaller pencils keep
-# the d^2 system.
-_EIGEN_MIN_DIM = 6
 
 # (1, i): _RE_IM @ parts is parts[0] + i parts[1], exactly
 _RE_IM = np.array([1.0, 1.0j])
@@ -573,9 +569,9 @@ def _pivot_columns(frames: _PivotFrames, label, d1: int, d2: int) -> tuple:
                                            "pivot_coupling_margin": margin}
 
 
-def _pivot_system(Z, frames: _PivotFrames, label, adjoint: bool):
-    """The reduced system of the (n, 2, d1, d2) stack Z of pairs (X_i, Y_i) in
-    the pivot frames, on the columns of _pivot_columns, and their aux.
+def _pivot_system(XY, frames: _PivotFrames, columns, adjoint: bool) -> LinearSystem:
+    """The reduced system of the rotated pairs XY = (X', Y') (_into_frames) in
+    the pivot frames, on the columns (r, c, alpha, beta) of _pivot_columns.
 
     The rows are the entries of A' X'_i - Y'_i B', then with adjoint those of
     B' X'_i^dag - Y'_i^dag A', for X' = W_x^-1 X R_x and Y' = W_y^-1 Y R_y.
@@ -585,12 +581,12 @@ def _pivot_system(Z, frames: _PivotFrames, label, adjoint: bool):
     frames that are not unitary the other rotated pairs can be far larger
     than the pivot (I, I), so there it is at least their largest entry.
     """
-    n, _, d1, d2 = Z.shape
-    (r, c, alpha, beta), aux = _pivot_columns(frames, label, d1, d2)
+    X, Y = XY
+    n, d1, d2 = X.shape
+    r, c, alpha, beta = columns
     g = len(r)
     a, b = alpha.nonzero()[0], beta.nonzero()[0]
     (ra, ca, wa), (rb, cb, wb) = (r[a], c[a], alpha[a]), (r[b], c[b], beta[b])
-    X, Y = XY = _into_frames(Z, frames)
     # row (p, q) of A' X'_i - Y'_i B': A'_rc adds X'_i[c, q] at p = r, B'_rc
     # subtracts Y'_i[p, r] at q = c; of B' X'_i^dag - Y'_i^dag A': B'_rc adds
     # conj(X'_i[q, c]) at p = r, A'_rc subtracts conj(Y'_i[r, p]) at q = c
@@ -609,7 +605,7 @@ def _pivot_system(Z, frames: _PivotFrames, label, adjoint: bool):
     scale = float(np.hypot(frames.s[0], frames.t[0]))
     if not frames.unitary:
         scale = max(scale, float(np.abs(XY).max()))
-    return LinearSystem(rows.reshape(-1, g), basis_a, basis_b, scale=scale), aux
+    return LinearSystem(rows.reshape(-1, g), basis_a, basis_b, scale=scale)
 
 
 def _usable_algebras(inst: UepInstance) -> None:
@@ -846,63 +842,120 @@ def _spanning_pairs(Z) -> np.ndarray:
     return np.linalg.qr(Z.reshape(n, -1), mode="r").reshape((-1,) + Z.shape[1:])
 
 
-def _read_diagonal(Z, frames: _PivotFrames, tol: Tolerances, kind: str) -> UepVerdict | None:
-    """The YES read off the square stack Z of pairs in frames whose every
-    cluster is one index with a coupled column, or None where the read does
-    not give one.
+def _read_diagonal(XY, frames: _PivotFrames, tol: Tolerances, kind: str) -> UepVerdict | None:
+    """The YES read off the rotated pairs XY = (X', Y') (_into_frames) of at
+    least two d1 x d2 pairs, in frames where the indices 0, ..., r - 1,
+    r = min(d1, d2), are one cluster each with a coupled column and the
+    padded ones (s = t = 0) one cluster of their own; or None where the read
+    does not give one.
 
-    In such frames every solution is A' = B' = diag(a) with
-    a_j X'_i[j, k] = Y'_i[j, k] a_k (_pivot_columns keeps the units (j, j)
-    alone, with s_j = t_j for unitaries, and S = T = I in the eigen frames).
-    Column k = 0 ties a_j to a_0 = 1 through p_j = sum_i Y'_i[j, 0]
-    conj(X'_i[j, 0]): a_j = p_j / |p_j| for kind "unitary", whose a_j have
-    modulus 1, and the least-squares p_j / sum_i |X'_i[j, 0]|^2 for
-    "invertible". Every index tied to index 0 leaves the diagonal solutions
-    one line, which the solve would report as solution_dimension 1 and
-    sample at its first trial. The read gives None when some |p_j| is at
-    most rank_rel times the largest (index j is not tied to index 0, as
-    when every pair shares the pivot's frames), when diag(a) leaves a
-    relative residual above residual_abs on the rotated pairs, or when the
-    sampler's rule (_accepted) rejects it.
+    Two pairs in the eigen frames are the span of the pivot (I, I) and the
+    second combination (diag lam, diag lam), so every diagonal matrix solves
+    them: A' = B' = I is read once X'_i - Y'_i is screened, and reported as
+    the solve's solution_dimension d. In all other such frames every
+    solution is A' = diag(a), B' = diag(a) (+) C for d1 <= d2
+    (_pivot_columns keeps the units (j, j) alone, with s_j = t_j for
+    unitaries and S = T = I in the eigen frames, and leaves the padded
+    block C free, (d - r) x (d - r) for d = max(d1, d2)), with
+    a_j X'_i[j, k] = Y'_i[j, k] a_k for k < r and
+    Y'_i[:, r:] C = diag(a) X'_i[:, r:]; for
+    d1 > d2, C lies in A' and the transposed equations hold, so the read
+    takes the transposes with X' and Y' swapped. Column k = 0 ties a_j to
+    a_0 = 1 through p_j = sum_i Y'_i[j, 0] conj(X'_i[j, 0]): a_j = p_j / |p_j|
+    for kind "unitary", whose a_j have modulus 1, and the least-squares
+    p_j / sum_i |X'_i[j, 0]|^2 for "invertible". One least-squares solve of
+    the stacked padded columns gives C. With every index tied to index 0 and
+    C pinned by a of full column rank, the solutions form one line, which
+    the solve would report as solution_dimension 1 and sample at its first
+    trial.
+
+    The read gives None when some |p_j| is at most rank_rel times the
+    largest (index j is not tied to index 0, as when every pair shares the
+    pivot's frames); when (n - 1) r < d - r, as the pivot's own padded
+    columns are zero and the stack cannot reach full column rank (no solve
+    is made); when the stack's smallest singular value is at most rank_rel
+    times the larger of its largest and hypot(s_1, t_1), the scale of the
+    solve's cut (pairs that are all multiples of one leave padded columns of
+    rounding noise, whose one singular value is its own largest); when
+    (A', B') leaves a relative residual above residual_abs on the rotated
+    pairs; or when the sampler's rule rejects it. That rule reads the
+    moduli: the singular values of B' are the |a_j| with those of C, and
+    each must exceed rank_rel times the largest. The certificate is
+    (A', B') for "invertible", and for "unitary" their polar factors, which
+    are diag(a) itself (|a_j| = 1) and, for C, W Vh from its SVD.
     """
-    X, Y = _into_frames(Z, frames)
+    X, Y = XY
+    n, d1, d2 = X.shape
+    if not frames.unitary and n == 2:
+        if not _worst_relative(X - Y, Y) <= tol.residual_abs:
+            return None
+        eye = np.eye(d1, dtype=complex)
+        return UepVerdict(verdict="YES", certainty="probabilistic", U=eye, V=eye, trials_used=1,
+                          solution_dimension=d1, certificate_kind=kind)
+    r, pad = min(d1, d2), abs(d1 - d2)
+    if (n - 1) * r < pad:
+        return None
+    if d1 > d2:  # A' X' = Y' B' transposes to B'^T Y'^T = X'^T A'^T: C moves to the right
+        X, Y = Y.swapaxes(1, 2), X.swapaxes(1, 2)
     p = (Y[:, :, 0] * X[:, :, 0].conj()).sum(axis=0)
     size = np.abs(p)
     if not size.min() > tol.rank_rel * size.max():
         return None
     a = p / (size if kind == "unitary" else np.square(np.abs(X[:, :, 0])).sum(axis=0))
-    if not _worst_relative(a[:, None] * X - Y * a, Y) <= tol.residual_abs:
+    # D becomes diag(a) X' - Y' B', laid out in C order as _worst_relative views it
+    D, moduli = np.multiply(a[:, None], X, order="C"), np.abs(a)
+    D[:, :, :r] -= Y[:, :, :r] * a
+    if pad:
+        C, _, _, sv = np.linalg.lstsq(Y[:, :, r:].reshape(-1, pad), D[:, :, r:].reshape(-1, pad),
+                                      rcond=None)
+        if numerical_rank(sv, tol, float(np.hypot(frames.s[0], frames.t[0]))) < pad:
+            return None
+        D[:, :, r:] -= Y[:, :, r:] @ C
+    # transposed, the residual is measured against Y'^T, which is X here
+    if not _worst_relative(D, X if d1 > d2 else Y) <= tol.residual_abs:
         return None
-    A = np.diag(a)
-    found = _accepted(A, A, tol, kind)
-    return None if found is None else UepVerdict(
-        verdict="YES", certainty="probabilistic", U=found[0], V=found[1], trials_used=1,
-        solution_dimension=1, certificate_kind=kind)
+    B = np.zeros((r + pad, r + pad), dtype=complex)
+    B[range(r), range(r)] = a
+    if pad:
+        W, sc, Vh = np.linalg.svd(C)
+        moduli = np.concatenate([moduli, sc])
+        B[r:, r:] = W @ Vh if kind == "unitary" else C
+    if not moduli.min() > tol.rank_rel * moduli.max():
+        return None
+    A = B[:r, :r]
+    return UepVerdict(verdict="YES", certainty="probabilistic", U=B.T if d1 > d2 else A,
+                      V=A if d1 > d2 else B, trials_used=1, solution_dimension=1,
+                      certificate_kind=kind)
 
 
 def _solve_in_frames(Z, frames: _PivotFrames, label, cfg: SamplerConfig, tol: Tolerances,
                      kind: str, aux: dict) -> UepVerdict:
-    """The verdict on the stack Z in frames, a YES carried back as
-    A = W_y A' W_x^-1, B = R_y B' R_x^-1; the verdict records aux, then the
-    aux of _pivot_columns.
+    """The verdict on the (n, 2, d1, d2) stack Z in frames, a YES carried back
+    as A = W_y A' W_x^-1, B = R_y B' R_x^-1; the verdict records aux, then
+    the aux of _pivot_columns.
 
-    Square frames whose every cluster is one index with a coupled column are
-    read first (_read_diagonal), when Z holds more pairs than made the
-    frames: the pivot makes the singular frames, and the pivot and a second
-    combination the eigen frames, and every pair of their span is diagonal
-    in them, so the read would find no index tied to another. Everything
-    else, and whatever the read declines, is _decide on the reduced system
-    (_pivot_system, with the adjoint rows for kind "unitary").
+    The stack is rotated into the frames and the columns counted once
+    (_into_frames, _pivot_columns), for the read and the system alike.
+    Frames whose indices below r = min(d1, d2) are one coupled cluster each,
+    with the padded indices one cluster of their own, are read first
+    (_read_diagonal) when Z holds two pairs or more: a single pair made the
+    singular frames and is diagonal in them, so the read would find no index
+    tied to another. Everything else, and whatever the read declines, is
+    _decide on the reduced system (_pivot_system, with the adjoint rows for
+    kind "unitary").
     """
-    verdict, d = None, len(label)
-    # square, every cluster one index, and a pair beyond the span that made the frames
-    if Z.shape[2:] == (d, d) and label[-1] == d - 1 and len(Z) > 2 - frames.unitary:
-        _, system_aux = _pivot_columns(frames, label, d, d)
-        if not system_aux["pivot_free_units"]:
-            verdict = _read_diagonal(Z, frames, tol, kind)
+    n, _, d1, d2 = Z.shape
+    r, d = min(d1, d2), len(label)
+    XY = _into_frames(Z, frames)
+    columns, system_aux = _pivot_columns(frames, label, d1, d2)
+    verdict = None
+    # label is 0, 1, ..., r - 1 and then r on every padded index; the padded
+    # units are the only free ones, so every index below r is coupled
+    if (n > 1 and label[r - 1] == r - 1 and label[-1] == min(r, d - 1)
+            and system_aux["pivot_free_units"] == (d - r) ** 2):
+        verdict = _read_diagonal(XY, frames, tol, kind)
     if verdict is None:
-        system, system_aux = _pivot_system(Z, frames, label, kind == "unitary")
-        verdict = _decide(system, cfg, tol, kind)
+        verdict = _decide(_pivot_system(XY, frames, columns, kind == "unitary"), cfg, tol, kind)
     if verdict.verdict == "YES":
         (W_x, W_y), (R_x, R_y) = frames.W, frames.R
         verdict.U = W_y @ verdict.U @ _inverse(W_x, frames.unitary)
@@ -932,10 +985,10 @@ def _pivot_decide(Z, cfg: SamplerConfig, tol: Tolerances) -> UepVerdict:
     stack Z of pairs, leaving Z unchanged and a YES unchecked.
 
     On the prepared pairs (_pivot_prepared), differing spectra of the pivot
-    are an exact NO; otherwise distinct singular values of a square pivot
-    are first read as one diagonal solution (_read_diagonal), and the rest,
-    or what the read declines, solves the units inside each cluster of equal
-    singular values (_clusters) with the adjoint rows and samples the
+    are an exact NO; otherwise distinct singular values of the pivot, square
+    or rectangular, are first read as one solution (_read_diagonal), and the
+    rest, or what the read declines, solves the units inside each cluster of
+    equal singular values (_clusters) with the adjoint rows and samples the
     solution space in the frames (_solve_in_frames). Only a YES's
     certificate is carried back. Every verdict past the pivot records the
     aux of _clusters and _pivot_columns.
@@ -1029,11 +1082,11 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
     full numerical rank) first compares tr(X_c^-1 X_j) with tr(Y_c^-1 Y_j)
     for every pair j: a gap past the bound that the certificate check
     allows is an exact NO, and no system is built (_trace_no). Otherwise a
-    regular pencil of d >= _EIGEN_MIN_DIM with distinct eigenvalues of
-    X_c^-1 X_c2 is solved in d unknowns in its eigen frames (_eigen_frames),
-    where its one diagonal solution is first read without a system
-    (_read_diagonal; a pencil of two coefficients is diagonal there and
-    never read), and their YES is checked at once; a YES that passes stands.
+    regular pencil of d >= 2 with distinct eigenvalues of X_c^-1 X_c2 is
+    solved in d unknowns in its eigen frames (_eigen_frames), where it is
+    first read without a system (_read_diagonal: its one diagonal solution,
+    or A' = B' = I for a pencil of two coefficients, which is diagonal
+    there), and their YES is checked at once; a YES that passes stands.
     Every other pencil, and an eigen-frame answer that is not a verified
     YES, is solved in the singular frames with every unit in one cluster
     (d^2 unknowns for square coefficients), and a YES checked there. The
@@ -1059,8 +1112,8 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
     no = _trace_no(Z, m, frames, tol) if regular else None
     if no is not None:
         return no
-    eigen, margin = (_eigen_frames(Z, frames, cfg.seed, tol) if regular and d >= _EIGEN_MIN_DIM
-                     else (None, None))
+    # a 1 x 1 pencil has no eigenvalue gap, and its singular frames hold one unknown
+    eigen, margin = _eigen_frames(Z, frames, cfg.seed, tol) if regular and d > 1 else (None, None)
     tries = [(eigen, np.arange(d), margin)] if eigen is not None else []
     for F, label, eigen_margin in tries + [(frames, np.zeros(len(frames.s), dtype=int), None)]:
         verdict = _solve_in_frames(Z, F, label, cfg, tol, "invertible",

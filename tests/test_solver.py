@@ -44,7 +44,7 @@ import uniequiv.solver as solver_mod
 
 from conftest import algebras, ginibre, haar, random_density
 from exact_reference import dense_nullspace_basis, membership_rows_system, singular_value_ratio
-from test_properties import factor_shape_instances, full_pairs
+from test_properties import _reduced_system, factor_shape_instances, full_pairs
 
 CFG = SamplerConfig(seed=17)
 
@@ -561,15 +561,15 @@ def _stacks(inst):
 
 
 def _pivot_systems_seen(monkeypatch):
-    """Records (a, a', label, adjoint, columns) for every reduced system the
-    pivot routes assemble."""
+    """Records (a, a', adjoint, columns) for every reduced system the pivot
+    routes assemble."""
     seen = []
     real = solver_mod._pivot_system
 
-    def spy(Z, frames, label, adjoint):
-        system, aux = real(Z, frames, label, adjoint)
-        seen.append((Z.shape[2], Z.shape[3], label.tolist(), adjoint, system.matrix.shape[1]))
-        return system, aux
+    def spy(XY, frames, columns, adjoint):
+        system = real(XY, frames, columns, adjoint)
+        seen.append((XY.shape[2], XY.shape[3], adjoint, system.matrix.shape[1]))
+        return system
 
     monkeypatch.setattr(solver_mod, "_pivot_system", spy)
     return seen
@@ -698,8 +698,8 @@ class TestPivot:
         seen = _pivot_systems_seen(monkeypatch)
         inst = uep_instance_full(6, 6, [(X, X)])
         verdict = decide_uep(inst, CFG)
-        ((_, _, label, adjoint, _),) = seen
-        assert verdict.verdict == "YES" and label == [0] * 6 and adjoint
+        ((_, _, adjoint, _),) = seen
+        assert verdict.verdict == "YES" and adjoint
         margin = verdict.aux.pop("pivot_coupling_margin")
         assert margin is None if free else margin > 1  # no coupled column, no margin
         assert verdict.aux == {"pivot_clusters": [1, 1], "pivot_merged_gap": 0.0,
@@ -710,11 +710,13 @@ class TestPivot:
     def test_factor_algebra_takes_the_realigned_pivot(self, monkeypatch):
         # M (x) I_2 against the full algebra on C^4: the pivot route runs on the
         # two realigned 2 x 4 blocks, and the lifted u (x) I_2 checks out on the
-        # instance itself
+        # instance itself. The blocks would be read; declined, they build the
+        # system
+        monkeypatch.setattr(solver_mod, "_read_diagonal", _declined)
         seen = _pivot_systems_seen(monkeypatch)
         inst, _ = random_yes_instance(4, 4, 0, g1_kind=("factor", 2, 2), seed=6)
         verdict = decide_uep(inst, CFG)
-        assert [(a, a2, adjoint) for a, a2, _, adjoint, _ in seen] == [(2, 4, True)]
+        assert [(a, a2, adjoint) for a, a2, adjoint, _ in seen] == [(2, 4, True)]
         assert verdict.verdict == "YES" and verdict.residual <= 1e-12
         assert verdict.aux["pivot_clusters"] == [2, 3]  # the B side merges two padded zeros
         assert span_residual(inst.G1, verdict.U) <= 1e-12
@@ -794,8 +796,8 @@ class TestPivot:
         seen = _pivot_systems_seen(monkeypatch)
         inst, _ = random_yes_instance(6, 6, 0, seed=14)
         verdict = decide_uep(inst, CFG)
-        ((_, _, label, _, columns),) = seen
-        assert label == list(range(6)) and columns == 6
+        ((_, _, _, columns),) = seen
+        assert verdict.aux["pivot_clusters"] == [6, 6] and columns == 6
         assert verdict.verdict == "YES" and verdict.residual <= 1e-12
         monkeypatch.undo()
         assert verdict.solution_dimension == _space(inst).dimension
@@ -842,7 +844,7 @@ class TestPivot:
         label = _clusters(frames)[0] if adjoint else np.zeros(5, dtype=int)
         if shared and adjoint:
             assert label.tolist() == [0, 0, 1, 2, 3]
-        system, aux = solver_mod._pivot_system(Z, frames, label, adjoint)
+        system, aux = _reduced_system(Z, frames, label, adjoint)
 
         def unit(d, j, k):
             return np.outer(np.eye(d)[j], np.eye(d)[k]) if max(j, k) < d else np.zeros((d, d))
@@ -879,12 +881,6 @@ class TestPivot:
         assert system.scale == np.hypot(frames.s[0], frames.t[0])
 
 
-def _square_planted(case):
-    """A planted YES of the property strategies whose pivot pairs are square."""
-    inst, _, planted = case
-    return planted and inst.G1.factor_shape[0] == inst.G2.factor_shape[0]
-
-
 def _pencil(d, n, rng):
     """Coefficients P_i and Q_i = A P_i B^-1 of a planted regular pencil."""
     A, B = (ginibre(d, d, rng) + 2 * np.eye(d) for _ in "AB")
@@ -893,14 +889,28 @@ def _pencil(d, n, rng):
             MatrixPolynomial(tuple(A @ X @ np.linalg.inv(B) for X in P)))
 
 
-class TestDiagonalRead:
-    # frames with one index per cluster, square and coupled, hold only the
-    # diagonal solutions A' = B' = diag(a), which the read takes from column 0
-    # of the rotated pairs; whatever it declines is built, solved and sampled
+def _shared_frames(d1, d2, spectrum, rng):
+    """Two planted pairs a W D R^dag, a = 1 and 0.5i, whose d1 x d2 D carries
+    spectrum: every combination shares their singular frames."""
+    W, R, U, V = haar(d1, rng), haar(d2, rng), haar(d1, rng), haar(d2, rng)
+    D = np.zeros((d1, d2))
+    D[range(len(spectrum)), range(len(spectrum))] = spectrum
+    X = W @ D @ R.conj().T
+    return uep_instance_full(d1, d2, [(a * X, a * U @ X @ V.conj().T) for a in (1.0, 0.5j)])
 
-    @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(st.one_of(full_pairs(), factor_shape_instances()).filter(_square_planted))
+
+class TestDiagonalRead:
+    # frames whose indices below r = min(d1, d2) are one coupled cluster
+    # each, with the padded indices one cluster of their own, hold one line of
+    # solutions A' = diag(a), B' = diag(a) (+) C (C in A' when d1 > d2), which
+    # the read takes from column 0 and one least-squares solve of the padded
+    # columns; two coefficients in the eigen frames are read as A' = B' = I.
+    # Whatever the read declines is built, solved and sampled
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(full_pairs(), factor_shape_instances()).filter(lambda case: case[2]))
     def test_a_read_yes_reports_what_the_solve_reports(self, case):
+        # every planted YES of the strategies, square or rectangular either way
         inst, seed, _ = case
         cfg = SamplerConfig(seed=seed)
         read = decide_uep(inst, cfg)
@@ -913,9 +923,30 @@ class TestDiagonalRead:
                 == (solved.trials_used, solved.solution_dimension))
         assert read.aux == solved.aux  # the pivot_* integers, and the margins and gaps too
 
-    def test_a_read_yes_builds_solves_and_samples_nothing(self, monkeypatch):
-        # the read takes the sampler's rule once (the polar factors), and the
-        # YES still leaves through one certificate check
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_a_pencil_read_reports_what_the_solve_reports(self, d):
+        # two coefficients are diagonal in the eigen frames: the read's
+        # identity and the solve's sampled diagonal both pass the check, and
+        # both report the solve's d-dimensional space
+        for seed in range(3):
+            P, Q = _pencil(d, 2, np.random.default_rng(seed))
+            cfg = SamplerConfig(seed=seed)
+            read = decide_invertible_equivalence(P, Q, cfg)
+            with mock.patch.object(solver_mod, "_read_diagonal", _declined):
+                solved = decide_invertible_equivalence(P, Q, cfg)
+            for verdict in (read, solved):
+                assert verdict.verdict == "YES" and verdict.residual <= 1e-8
+                assert (verdict.trials_used, verdict.solution_dimension) == (1, d)
+            assert read.aux == solved.aux and read.aux["pivot_eigen_margin"] > 1.0
+
+    @pytest.mark.parametrize("case, unknowns, free, dimension", [
+        ("square", 5, 0, 1), ("rectangular", 5, 1, 1), ("transposed", 5, 1, 1),
+        ("wide", 6, 4, 1), ("matpoly-4", 4, 0, 1), ("pencil-6", 6, 0, 6)])
+    def test_a_read_yes_builds_solves_and_samples_nothing(self, case, unknowns, free, dimension,
+                                                          monkeypatch):
+        # the read accepts from the moduli of its diagonal and the SVD of the
+        # padded block alone, so no polar factor is taken, and the YES still
+        # leaves through one certificate check
         calls = []
 
         def spy(name):
@@ -929,43 +960,83 @@ class TestDiagonalRead:
         for name in ("_pivot_system", "nullspace_basis", "draw_candidate", "extract_unitaries",
                      "certificate_residuals"):
             spy(name)
-        inst, _ = random_yes_instance(5, 5, 2, seed=31)
-        verdict = decide_uep(inst, CFG)
-        assert calls == ["extract_unitaries", "certificate_residuals"]
+        if case in ("matpoly-4", "pencil-6"):
+            P, Q = _pencil(*((4, 3) if case == "matpoly-4" else (6, 2)), np.random.default_rng(2))
+            verdict = decide_invertible_equivalence(P, Q, CFG)
+        else:
+            d1, d2, m = {"square": (5, 5, 2), "rectangular": (4, 5, 2), "transposed": (5, 4, 2),
+                         "wide": (2, 4, 1)}[case]
+            verdict = decide_uep(random_yes_instance(d1, d2, m, seed=31)[0], CFG)
+            assert verdict.aux["pivot_coupling_margin"] > 1
+        assert calls == ["certificate_residuals"]
         assert verdict.verdict == "YES" and verdict.residual <= 1e-12
-        assert (verdict.trials_used, verdict.solution_dimension) == (1, 1)
-        assert (verdict.aux["pivot_unknowns"], verdict.aux["pivot_free_units"]) == (5, 0)
-        assert verdict.aux["pivot_coupling_margin"] > 1
+        assert (verdict.trials_used, verdict.solution_dimension) == (1, dimension)
+        assert (verdict.aux["pivot_unknowns"], verdict.aux["pivot_free_units"]) == (unknowns, free)
 
     @pytest.mark.parametrize("case, columns, dimension", [
         ("one-pair", 6, 6), ("rectangular", 5, 1), ("repeated", 6, 6), ("matpoly-4", 16, 1),
-        ("pencil-6", 6, 6), ("shared-frames", 4, 4)])
+        ("pencil-6", 6, 6), ("shared-frames", 4, 4), ("padded-rank", 18, 5),
+        ("rectangular-repeated", 9, 9)])
     def test_a_declined_read_reports_the_solve(self, case, columns, dimension, monkeypatch, rng):
-        # one spanned pair, or a pencil of two coefficients, is diagonal in the
-        # frames it made; a rectangular pivot, a repeated singular value and
-        # matpoly's singular frames (d < 6, one cluster) are never read; pairs
-        # that share the pivot's frames leave p_j = 0 off index 0. Each builds
-        # its system and reports its solution space
+        # one spanned pair is diagonal in the frames it made; a repeated
+        # singular value, square or rectangular, and matpoly's singular frames
+        # (one cluster) are never read; pairs that share the pivot's frames
+        # leave p_j = 0 off index 0; a 2 x 6 pair beside the pivot pins at most
+        # 2 of the 4 padded columns' rows, so the read declines before its
+        # least-squares solve. The rectangular pivot and the pencil of two
+        # coefficients are read: with the read declined, their solve shows
+        # what the read reports, and matpoly-4 is kept in its singular frames.
+        # Each builds its system and reports its solution space, and no case
+        # reaches the read's least-squares solve
+        def forbidden(*args, **kwargs):
+            raise AssertionError("lstsq called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+        if case in ("rectangular", "pencil-6"):
+            monkeypatch.setattr(solver_mod, "_read_diagonal", _declined)
+        if case == "matpoly-4":
+            monkeypatch.setattr(solver_mod, "_eigen_frames", lambda *args: (None, None))
         seen = _pivot_systems_seen(monkeypatch)
         if case.startswith(("matpoly", "pencil")):
             P, Q = _pencil(*((4, 3) if case == "matpoly-4" else (6, 2)), rng)
             verdict = decide_invertible_equivalence(P, Q, CFG)
         else:
             if case in ("repeated", "shared-frames"):
-                W, R, U, V = (haar(4, rng) for _ in range(4))
-                D = np.diag([2.0, 1.0, 1.0 if case == "repeated" else 0.8, 0.5])
-                inst = uep_instance_full(4, 4, [(a * W @ D @ R.conj().T,
-                                                 a * U @ W @ D @ R.conj().T @ V.conj().T)
-                                                for a in (1.0, 0.5j)])
+                third = 1.0 if case == "repeated" else 0.8
+                inst = _shared_frames(4, 4, [2.0, 1.0, third, 0.5], rng)
+            elif case == "rectangular-repeated":
+                inst = _shared_frames(3, 5, [2.0, 1.0, 1.0], rng)
             else:
-                inst, _ = (random_yes_instance(6, 6, 0, seed=14) if case == "one-pair"
-                           else random_yes_instance(4, 5, 2, seed=14))
+                shape = {"one-pair": (6, 6, 0), "rectangular": (4, 5, 2), "padded-rank": (2, 6, 1)}
+                inst, _ = random_yes_instance(*shape[case], seed=14)
             verdict = decide_uep(inst, CFG)
+            monkeypatch.undo()
             assert dimension == _space(inst).dimension
-        ((_, _, label, _, built),) = seen
+        ((_, _, _, built),) = seen
         assert built == columns == verdict.aux["pivot_unknowns"]
         assert verdict.verdict == "YES" and verdict.solution_dimension == dimension
-        assert (case == "repeated") == (len(set(label)) == 3)
+        clusters = {"repeated": [3, 3], "rectangular-repeated": [2, 3]}
+        if case in clusters:
+            assert verdict.aux["pivot_clusters"] == clusters[case]
+
+    def test_a_singular_padded_block_fails_the_samplers_rule(self):
+        # rotated 2 x 3 pairs with the pivot (S, S) first: the second pair ties
+        # index 1 to index 0 (a = 1) and pins C = 0 through a zero padded
+        # column of X' against a nonzero one of Y'. (I, I (+) 0) leaves no
+        # residual, but B' has the singular value 0, which the rule rejects
+        S = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        X1 = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0]])
+        Y1 = X1 + np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        XY = np.array([[S, X1], [S, Y1]], dtype=complex)
+        st = np.array([2.0, 1.0, 0.0])
+        frames = solver_mod._PivotFrames(np.stack([np.eye(2)] * 2), np.stack([np.eye(3)] * 2),
+                                         st, st, solver_mod._pivot_cut(Tolerances()))
+        assert solver_mod._read_diagonal(XY, frames, Tolerances(), "unitary") is None
+        XY[:, 1, :, 2] = [[1.0], [2.0]]  # C = 1/2, whose polar factor is 1
+        verdict = solver_mod._read_diagonal(XY, frames, Tolerances(), "unitary")
+        assert (verdict.verdict, verdict.trials_used, verdict.solution_dimension) == ("YES", 1, 1)
+        np.testing.assert_allclose(verdict.U, np.eye(2), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(verdict.V, np.eye(3), rtol=0, atol=1e-15)
 
     def test_a_read_that_leaves_a_residual_declines_to_the_solve(self, monkeypatch, rng):
         # Y_i = U X_i^T V^dag keeps the spectrum of every combination, so the
@@ -976,8 +1047,8 @@ class TestDiagonalRead:
         Xs = [ginibre(4, 4, rng) for _ in range(3)]
         verdict = decide_uep(uep_instance_full(4, 4, [(X, U @ X.T @ V.conj().T) for X in Xs]),
                              CFG)
-        ((_, _, label, _, built),) = seen
-        assert label == [0, 1, 2, 3] and built == 4
+        ((_, _, _, built),) = seen
+        assert verdict.aux["pivot_clusters"] == [4, 4] and built == 4
         assert (verdict.verdict, verdict.certainty, verdict.solution_dimension) == ("NO", "exact", 0)
 
     @pytest.mark.parametrize("eta", [1e-10, 3e-10, 1e-9])
