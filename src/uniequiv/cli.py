@@ -4,7 +4,8 @@ Exit codes: 0 = YES, 1 = NO, 2 = INCONCLUSIVE, 3 = malformed file or shape
 mismatch, 4 = invalid algebra, 5 = unmet precondition (e.g. degenerate
 spectrum in generic-mixed mode), 64 = usage error: a missing, malformed or
 out-of-range option, options that contradict each other, or an output path
-that cannot be written.
+that cannot be written, 70 = internal error: any other exception, named on
+stderr, with no verdict document written.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .linalg import Tolerances
 from .oracle import random_no_instance, random_yes_instance
 from .solver import (SamplerConfig, _usable_algebras, certificate_residuals,
                      decide_invertible_equivalence, decide_uep)
-from .states import PHASE_GRID, generic_mixed_lu, simultaneous_lu_pure, unilocal_mixed_equivalence
+from .states import generic_mixed_lu, simultaneous_lu_pure, unilocal_mixed_equivalence
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -34,6 +35,7 @@ EXIT_MALFORMED = 3
 EXIT_INVALID_ALGEBRA = 4
 EXIT_PRECONDITION = 5
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 
 class _UsageError(UniequivError):
@@ -64,8 +66,6 @@ def _build_parser() -> _Parser:
     decide.add_argument("--sample-max", type=int, default=SamplerConfig.sample_max)
     decide.add_argument("--tol-rank", type=float, default=Tolerances.rank_rel)
     decide.add_argument("--tol-residual", type=float, default=Tolerances.residual_abs)
-    decide.add_argument("--phase-grid", type=int, default=PHASE_GRID,
-                        help="grid points per circle for generic-mixed phase fallback (>= 1)")
     decide.add_argument("--verbose", action="store_true")
     decide.add_argument("-o", "--output", help="write the verdict document here instead of stdout")
 
@@ -131,8 +131,6 @@ def _write(text: str, path: str | None) -> None:
 def cmd_decide(args) -> int:
     tol = _options(Tolerances, rank_rel=args.tol_rank, residual_abs=args.tol_residual)
     cfg = _options(SamplerConfig, sample_max=args.sample_max, trials=args.trials, seed=args.seed)
-    if args.phase_grid < 1:
-        raise _UsageError(f"--phase-grid must be at least 1, got {args.phase_grid}")
     mode, payload = serialize.load_instance(args.instance, args.mode)
     start = time.perf_counter()
     if mode == "matrix-pairs":
@@ -144,7 +142,7 @@ def cmd_decide(args) -> int:
     elif mode == "unilocal-mixed":
         verdict = unilocal_mixed_equivalence(payload[0], payload[1], cfg, tol)
     else:
-        verdict = generic_mixed_lu(payload[0], payload[1], cfg, tol, phase_grid=args.phase_grid)
+        verdict = generic_mixed_lu(payload[0], payload[1], cfg, tol)
     timing = time.perf_counter() - start
     out = serialize.verdict_document(verdict, mode=mode, seed=args.seed,
                                      timing=timing, verbose=args.verbose)
@@ -214,6 +212,9 @@ def main(argv=None) -> int:
         if isinstance(exc, NotGenericError):
             return EXIT_PRECONDITION
         return EXIT_MALFORMED
+    except Exception as exc:  # a crash must not exit 1, the NO status
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run(argv=None) -> int:

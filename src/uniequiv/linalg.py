@@ -72,7 +72,8 @@ def _worst_relative(D, Y) -> float:
     for a non-finite D. The norms square the entries, so each pair is divided
     by its largest real or imaginary part m first, and the ratio taken as
     ||D_i / m||_F / max(1 / m, ||Y_i / m||_F): no inf or nan is formed."""
-    Z = np.concatenate([D, Y], axis=1).view(float)  # D_i over Y_i, re and im side by side
+    # D_i over Y_i, re and im side by side; C order, whatever the layout of D and Y
+    Z = np.ascontiguousarray(np.concatenate([D, Y], axis=1)).view(float)
     m = np.abs(Z).max(axis=(1, 2))
     if not m.max() < np.inf:  # nan fails too
         return np.inf

@@ -65,15 +65,14 @@ accepts a read from the moduli |a_j| and the singular values of C, so such
 a YES builds, solves and samples nothing (_read_diagonal), and whatever the
 read declines is solved.
 
-On every pivot route the solve decides: equal singular values are only
-necessary, so they are compared only to word a solve that ended without a
-verified YES (_explained), and a pair or block whose spectra differ
-generically ends the route at the pivot's exact NO, before any system is
-built. A
-comparison gates a step only where it spares a costly one: the span
-route's pairs before verify_algebra and the plain system, matpoly's
-coefficient ranks before a singular pencil's d^2 system, and generic-mixed's
-Schmidt and marginal spectra before the phase search. Every singular-value
+On every pivot route and the span route the solve decides: equal singular
+values are only necessary, so they are compared only to word a solve that
+ended without a verified YES (_explained), and a pair or block whose
+spectra differ generically ends a pivot route at the pivot's exact NO,
+before any system is built. A comparison gates a step only where it spares
+a costly one and no input is left unvalidated: matpoly's coefficient ranks
+before a singular pencil's d^2 system, and generic-mixed's Schmidt and
+marginal spectra before the phase search. Every singular-value
 NO but the pivot's, in every mode, is found and worded by _spectrum_no.
 Every exact NO, in every mode, is built by _exact_no.
 
@@ -902,8 +901,7 @@ def _read_diagonal(XY, frames: _PivotFrames, tol: Tolerances, kind: str) -> UepV
     if not size.min() > tol.rank_rel * size.max():
         return None
     a = p / (size if kind == "unitary" else np.square(np.abs(X[:, :, 0])).sum(axis=0))
-    # D becomes diag(a) X' - Y' B', laid out in C order as _worst_relative views it
-    D, moduli = np.multiply(a[:, None], X, order="C"), np.abs(a)
+    D, moduli = a[:, None] * X, np.abs(a)  # becomes diag(a) X' - Y' B'
     D[:, :, :r] -= Y[:, :, :r] * a
     if pad:
         C, _, _, sv = np.linalg.lstsq(Y[:, :, r:].reshape(-1, pad), D[:, :, r:].reshape(-1, pad),
@@ -1039,24 +1037,24 @@ def decide_uep(inst: UepInstance, cfg: SamplerConfig = SamplerConfig(),
                tol: Tolerances = Tolerances()) -> UepVerdict:
     """Full decision pipeline; YES verdicts carry a verified (U, V) certificate.
 
-    Over a span algebra, pairs whose singular values differ are an exact NO
-    first, as it spares verify_algebra and the plain system; the rest take
-    the plain system. Factor shapes (a, b) and (a', b') (full is (d, 1)) are
-    checked against d1 and d2 without a projection, so a shape that does not
-    tile its dimension raises before any NO; _pivot_decide solves the
-    realigned blocks, normalized pair by pair and spanned, and u, v lift to
-    u (x) I_b, v (x) I_b'. The failure bound is that of the blocks' (a, a').
-    The solve decides: the pairs' and then the blocks' singular values are
-    compared only when it ends in anything but a verified YES, and a
-    mismatch is the exact NO naming the pair or the block (_explained).
+    Over a span algebra, build_linear_system validates the algebras, so an
+    invalid one raises before any NO, and builds the plain system. Factor
+    shapes (a, b) and (a', b') (full is (d, 1)) are checked against d1 and
+    d2 without a projection, so a shape that does not tile its dimension
+    raises before any NO; _pivot_decide solves the realigned blocks,
+    normalized pair by pair and spanned, and u, v lift to u (x) I_b,
+    v (x) I_b'. The failure bound is that of the blocks' (a, a').
+    On either route the solve decides: the pairs' (and then the blocks')
+    singular values are compared only when it ends in anything but a
+    verified YES, and a mismatch is the exact NO naming the pair or the
+    block (_explained).
     """
     shapes = inst.G1.factor_shape, inst.G2.factor_shape
     pairs = np.array(inst.pairs)
     pair_detail = "singular values differ at pair index {i}"
-    if None in shapes:  # the pairs' spectra spare a NO verify_algebra and the plain system
-        return (_spectrum_no(pairs, tol, pair_detail)
-                or check_certificate(_decide(build_linear_system(inst, tol), cfg, tol),
-                                     "matrix-pairs", inst, tol))
+    if None in shapes:
+        return _explained(check_certificate(_decide(build_linear_system(inst, tol), cfg, tol),
+                                            "matrix-pairs", inst, tol), pairs, tol, pair_detail)
     _usable_algebras(inst)  # unprojected: a shape passes when a * b = dim
     (a, b), (a2, b2) = shapes
     blocks = _realigned_blocks(pairs, (a, b), (a2, b2))

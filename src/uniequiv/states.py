@@ -176,12 +176,13 @@ def unilocal_mixed_equivalence(rhos, sigmas, cfg: SamplerConfig = SamplerConfig(
 
 _EDGE_DENOM = 1e-6
 _EDGE_MODULUS = 1e-4
-# grid points per circle of generic_mixed_lu's phase fallback, unless the
-# caller names another number (the CLI's --phase-grid default)
-PHASE_GRID = 12
-# pivot-route solves one generic-mixed decision may run: the whole default grid
-# of four components, which the 2x2 classical-quantum states have
-_MAX_GRID_SOLVES = PHASE_GRID**3
+# the phases generic_mixed_lu's grid tries per free component, exact and in
+# this order: signs for real states under real U (x) V, and +-i too for
+# Bell-diagonal states under U (x) conj(U)
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+# pivot-route solves one generic-mixed decision may run: the whole grid of
+# six components, which 2x3 classical-quantum states have
+_MAX_GRID_SOLVES = len(_QUARTER_TURNS)**5
 
 
 def _quartic_traces(mats) -> np.ndarray:
@@ -207,8 +208,8 @@ def _resolve_phase_components(psis, phis):
     |T_phi| > _EDGE_DENOM and modulus within _EDGE_MODULUS of 1. Returns
     (lambdas, label): label[j] numbers the component of index j, in the order
     of the components' smallest indices, and each component is gauged to
-    lam = 1 at its smallest index. generic_mixed_lu grids over the phases of
-    every component after the first.
+    lam = 1 at its smallest index. generic_mixed_lu grids over the quarter
+    turns of every component after the first.
     """
     n = len(psis)
     Tpsi = _quartic_traces(psis)
@@ -265,8 +266,7 @@ def _product_lu(marginals_rho, marginals_sigma, tol: Tolerances) -> UepVerdict:
 
 def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
                      cfg: SamplerConfig = SamplerConfig(),
-                     tol: Tolerances = Tolerances(),
-                     phase_grid: int = PHASE_GRID) -> UepVerdict:
+                     tol: Tolerances = Tolerances()) -> UepVerdict:
     """LU equivalence (U (x) V) rho (U (x) V)^dag = sigma for generic states.
 
     Requires the n eigenvalues of rho above residual_abs and the next one
@@ -281,29 +281,30 @@ def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
     exact NOs, and two product states are decided from their marginals.
     Otherwise per-vector phases are aligned via the quartic-trace
     identity, and the stacked eigenvector pairs go to the pivot route once
-    per point of a grid of phase_grid >= 1 points per free phase, one per
-    trace graph component after the first (a connected graph: one solve,
-    whose verdict stands). A disconnected graph first compares the spectra
-    of both marginals, which are LU invariants: a mismatch is an exact NO
-    naming the subsystem, before any grid point is solved. Each candidate
-    is checked once, on rho, sigma. At most _MAX_GRID_SOLVES candidates are
-    solved; a grid left without a certificate, whole or cut by that budget,
-    is INCONCLUSIVE.
+    per point of a grid of the four quarter turns 1, i, -1, -i for each
+    trace graph component after the first, in lexicographic order of their
+    indices 0-3 (a connected graph: one solve, whose verdict stands). A
+    disconnected graph first compares the spectra of both marginals, which
+    are LU invariants: a mismatch is an exact NO naming the subsystem,
+    before any grid point is solved. Each candidate is checked once, on
+    rho, sigma. At most _MAX_GRID_SOLVES = 4^5 candidates are solved, the
+    whole grid of six components; a grid left without a certificate, whole
+    or cut by that budget, is INCONCLUSIVE. So only equivalences whose
+    phases the trace graph leaves open up to quarter turns are certified.
 
     Every verdict's aux holds `phase_components` (components of the trace
     graph, 0 when a test before the graph decides) and `grid_solves` (the
-    pivot-route solves run).
+    pivot-route solves run); a YES after the first grid point adds
+    `phase_grid_combo`, the indices of its quarter turns.
     """
     if (rho.d1, rho.d2) != (sigma.d1, sigma.d2):
         raise InputError("density operators have mismatched dimensions")
-    if phase_grid < 1:
-        raise InputError(f"phase_grid must be at least 1, got {phase_grid}")
-    verdict, components, solves = _generic_mixed(rho, sigma, cfg, tol, phase_grid)
+    verdict, components, solves = _generic_mixed(rho, sigma, cfg, tol)
     verdict.aux.update(phase_components=components, grid_solves=solves)
     return verdict
 
 
-def _generic_mixed(rho, sigma, cfg: SamplerConfig, tol: Tolerances, phase_grid: int) -> tuple:
+def _generic_mixed(rho, sigma, cfg: SamplerConfig, tol: Tolerances) -> tuple:
     """generic_mixed_lu's verdict, trace graph components and solves run."""
     d1, d2 = rho.d1, rho.d2
     w_r, Q_r = hermitian_eigendecomposition(rho.matrix)
@@ -342,18 +343,18 @@ def _generic_mixed(rho, sigma, cfg: SamplerConfig, tol: Tolerances, phase_grid: 
             if not same_spectrum(*(np.linalg.eigvalsh(M)[::-1] for M in (r, s)), tol):
                 return _exact_no(f"marginal spectra differ on subsystem {name}"), components, 0
     # one free phase per component after the first: a connected graph's one solve stands
-    candidates = product(range(phase_grid), repeat=components - 1)
+    candidates = product(range(len(_QUARTER_TURNS)), repeat=components - 1)
     for solves, combo in enumerate(islice(candidates, _MAX_GRID_SOLVES), 1):
-        phases = np.exp(2j * np.pi * np.array((0, *combo)) / phase_grid)
+        phases = _QUARTER_TURNS[[0, *combo]]
         Z[:, 1] = (lambdas * phases[label])[:, None, None] * phis
         verdict = check_certificate(_pivot_lu(Z, cfg, tol), "generic-mixed", (rho, sigma), tol)
         if verdict.verdict == "YES" and combo:
             verdict.aux["phase_grid_combo"] = combo
         if verdict.verdict == "YES" or not combo:
             return verdict, components, solves
-    whole = solves == phase_grid ** (components - 1)
-    ended = (f"grid fallback with K={phase_grid} exhausted" if whole else
-             f"solve budget spent after {solves} of the {phase_grid}^{components - 1} grid points")
+    grid = len(_QUARTER_TURNS)
+    ended = ("grid of quarter turns exhausted" if solves == grid ** (components - 1) else
+             f"solve budget spent after {solves} of the {grid}^{components - 1} grid points")
     return UepVerdict(
         verdict="INCONCLUSIVE", certainty="probabilistic",
         detail=f"phase graph disconnected into {components} components; {ended} without a certificate",

@@ -12,7 +12,7 @@ from uniequiv import (
     nullspace_basis,
     singular_values,
 )
-from uniequiv.linalg import numerical_rank, same_spectrum
+from uniequiv.linalg import _worst_relative, numerical_rank, same_spectrum
 
 from conftest import ginibre, haar
 from exact_reference import (
@@ -275,3 +275,15 @@ class TestDeterminant:
             M = rng.integers(-2, 3, size=(4, 4)).astype(float)
             exact_singular = exact_nullspace_dimension(M) > 0
             assert (numerical_rank(singular_values(M), tol) < 4) == exact_singular
+
+
+class TestWorstRelative:
+    def test_any_layout_gives_the_contiguous_value(self, rng):
+        # a swapaxes view has no contiguous last axis to view as floats
+        D, Y = (np.stack([ginibre(3, 5, rng) for _ in range(2)]) for _ in range(2))
+        D[1] *= 1e3
+        Ds, Ys = D.swapaxes(1, 2), Y.swapaxes(1, 2)
+        expected = _worst_relative(np.ascontiguousarray(Ds), np.ascontiguousarray(Ys))
+        assert _worst_relative(Ds, Ys) == _worst_relative(Ds, Ys.copy()) == expected
+        direct = max(np.linalg.norm(d) / max(1.0, np.linalg.norm(y)) for d, y in zip(Ds, Ys))
+        assert np.isclose(expected, direct, rtol=1e-14, atol=0.0)
