@@ -193,6 +193,18 @@ class TestDecide:
             main(["decide"])  # missing instance and --seed
         assert exc.value.code == 64
 
+    def test_the_removed_phase_grid_option_exits_64(self, tmp_path, capsys):
+        # a caller that still passes --phase-grid is told so, not silently ignored
+        inst_path, out = tmp_path / "i.json", tmp_path / "v.json"
+        assert main(["gen", "--yes", "--d1", "2", "--d2", "2", "--seed", "3",
+                     "-o", str(inst_path)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["decide", str(inst_path), "--seed", "1", "--phase-grid", "12", "-o", str(out)])
+        assert exc.value.code == 64
+        assert "unrecognized arguments: --phase-grid 12" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("option, message", OUT_OF_RANGE,
                              ids=["=".join(o) for o, _ in OUT_OF_RANGE])
     def test_out_of_range_option_exits_64_before_reading_the_file(self, tmp_path, capsys, option,

@@ -574,10 +574,11 @@ class TestQuarterTurnGrid:
             assert max(residual, defect) <= 1e-8
         return verdict
 
-    def test_a_real_classical_quantum_state_needs_signs_past_the_first_points(self):
+    @pytest.mark.parametrize("seed", [100, 101, 105])
+    def test_a_real_classical_quantum_state_needs_signs_past_the_first_points(self, seed):
         # sum_i p_i |i><i| (x) Q_i diag(w_i) Q_i^T on 2x3 has six components, and
         # real O (x) O needs signs on the first free ones, beyond 12^3 points
-        rng = np.random.default_rng(100)
+        rng = np.random.default_rng(seed)
         rho = np.zeros((6, 6))
         for i, p in enumerate(_spread(2, rng)):
             Q = _orthogonal(3, rng)
@@ -587,10 +588,11 @@ class TestQuarterTurnGrid:
         assert verdict.verdict == "YES"
         assert verdict.aux["phase_components"] == 6 and verdict.aux["grid_solves"] <= 1024
 
-    def test_a_bell_diagonal_state_under_u_ubar_needs_quarter_turns(self):
+    @pytest.mark.parametrize("seed", range(100, 106))
+    def test_a_bell_diagonal_state_under_u_ubar_needs_quarter_turns(self, seed):
         # U (x) conj(U) holds |Phi+> and turns the other Bell states by +-i
         # against the trace graph's gauge; a grid of signs alone misses them
-        rng = np.random.default_rng(100)
+        rng = np.random.default_rng(seed)
         s = np.sqrt(0.5)
         bell = np.array([[s, 0, 0, s], [s, 0, 0, -s], [0, s, s, 0], [0, s, -s, 0]]).T
         rho = (bell * _spread(4, rng)[::-1]) @ bell.T
