@@ -62,17 +62,19 @@ a is read off column 0 of the rotated pairs and C from one least-squares
 solve of their padded columns, while two coefficients in the eigen frames
 are both diagonal, so A' = B' = I solves them. The sampler's own rule
 accepts a read from the moduli |a_j| and the singular values of C, so such
-a YES builds, solves and samples nothing (_read_diagonal), and whatever the
-read declines is solved.
+a YES counts no columns and builds, solves and samples nothing
+(_read_diagonal), and whatever the read declines is solved in a system of
+at most _MAX_SYSTEM_BYTES, or INCONCLUSIVE.
 
 On every pivot route and the span route the solve decides: equal singular
 values are only necessary, so they are compared only to word a solve that
 ended without a verified YES (_explained), and a pair or block whose
 spectra differ generically ends a pivot route at the pivot's exact NO,
-before any system is built. A comparison gates a step only where it spares
-a costly one and no input is left unvalidated: matpoly's coefficient ranks
-before a singular pencil's d^2 system, and generic-mixed's Schmidt and
-marginal spectra before the phase search. Every singular-value
+before any system is built. Matpoly's coefficient ranks likewise only word
+a non-YES (_rank_no). A comparison gates a step only where it spares a
+costly search and no input is left unvalidated: generic-mixed's Schmidt and
+marginal spectra before the phase grid of a disconnected trace graph, which
+may run up to 4^5 solves. Every singular-value
 NO but the pivot's, in every mode, is found and worded by _spectrum_no.
 Every exact NO, in every mode, is built by _exact_no.
 
@@ -230,6 +232,12 @@ class LinearSystem:
 # in the reduced system; splitting needs eps / g this factor below both the
 # rank cut and the certificate bound.
 _PIVOT_MARGIN = 1e3
+
+# bytes the rows and bases of one reduced system (_pivot_system) may take, as
+# _MAX_GRID_SOLVES bounds generic-mixed's phase grid: a planted YES of three
+# d x d pairs needs about 1.03e9 at d = 192 (218 unknowns) and 1.78e10 at
+# d = 384 (941 unknowns)
+_MAX_SYSTEM_BYTES = 2**31
 
 # (1, i): _RE_IM @ parts is parts[0] + i parts[1], exactly
 _RE_IM = np.array([1.0, 1.0j])
@@ -932,28 +940,43 @@ def _solve_in_frames(Z, frames: _PivotFrames, label, cfg: SamplerConfig, tol: To
     as A = W_y A' W_x^-1, B = R_y B' R_x^-1; the verdict records aux, then
     the aux of _pivot_columns.
 
-    The stack is rotated into the frames and the columns counted once
-    (_into_frames, _pivot_columns), for the read and the system alike.
-    Frames whose indices below r = min(d1, d2) are one coupled cluster each,
-    with the padded indices one cluster of their own, are read first
-    (_read_diagonal) when Z holds two pairs or more: a single pair made the
-    singular frames and is diagonal in them, so the read would find no index
-    tied to another. Everything else, and whatever the read declines, is
-    _decide on the reduced system (_pivot_system, with the adjoint rows for
-    kind "unitary").
+    The stack is rotated into the frames once (_into_frames), for the read
+    and the system alike. Frames whose indices below r = min(d1, d2) are one
+    cluster each, with the padded indices one cluster of their own and
+    low = max(s_r-1, t_r-1) above the cut, are read first (_read_diagonal)
+    when Z holds two pairs or more: a single pair made the singular frames
+    and is diagonal in them, so the read would find no index tied to
+    another. The weights max(s_j, t_j) of the units (j, j) do not increase
+    with j, so there _pivot_columns would couple every index below r and
+    leave exactly the (d - r)^2 padded units free, d = max(d1, d2): a read
+    YES records that aux from the frames, r + (d - r)^2 unknowns and the
+    margin low / cut, and counts no columns. Everything else, and whatever
+    the read declines, is _decide on the reduced system (_pivot_system,
+    with the adjoint rows for kind "unitary"), unless its rows and bases
+    would take more than _MAX_SYSTEM_BYTES: that is INCONCLUSIVE, and
+    nothing is allocated.
     """
     n, _, d1, d2 = Z.shape
     r, d = min(d1, d2), len(label)
     XY = _into_frames(Z, frames)
-    columns, system_aux = _pivot_columns(frames, label, d1, d2)
+    low = max(frames.s[r - 1], frames.t[r - 1])
     verdict = None
-    # label is 0, 1, ..., r - 1 and then r on every padded index; the padded
-    # units are the only free ones, so every index below r is coupled
-    if (n > 1 and label[r - 1] == r - 1 and label[-1] == min(r, d - 1)
-            and system_aux["pivot_free_units"] == (d - r) ** 2):
+    if n > 1 and label[r - 1] == r - 1 and label[-1] == min(r, d - 1) and low > frames.cut:
         verdict = _read_diagonal(XY, frames, tol, kind)
+        system_aux = {"pivot_unknowns": r + (d - r) ** 2, "pivot_free_units": (d - r) ** 2,
+                      "pivot_coupling_margin": float(low / frames.cut)}
     if verdict is None:
-        verdict = _decide(_pivot_system(XY, frames, columns, kind == "unitary"), cfg, tol, kind)
+        columns, system_aux = _pivot_columns(frames, label, d1, d2)
+        g = len(columns[0])
+        size = 16 * g * ((2 if kind == "unitary" else 1) * n * d1 * d2 + d1 * d1 + d2 * d2)
+        if size > _MAX_SYSTEM_BYTES:
+            verdict = UepVerdict(verdict="INCONCLUSIVE", certainty="probabilistic",
+                                 certificate_kind=kind,
+                                 detail=f"the reduced system of {g} unknowns would take {size} "
+                                        f"bytes, over the budget of {_MAX_SYSTEM_BYTES} bytes")
+        else:
+            verdict = _decide(_pivot_system(XY, frames, columns, kind == "unitary"), cfg, tol,
+                              kind)
     if verdict.verdict == "YES":
         (W_x, W_y), (R_x, R_y) = frames.W, frames.R
         verdict.U = W_y @ verdict.U @ _inverse(W_x, frames.unitary)
@@ -1072,12 +1095,11 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
                                   tol: Tolerances = Tolerances()) -> UepVerdict:
     """Decide whether invertible A, B exist with A X_i B^(-1) = Y_i for all i.
 
-    Coefficient ranks are invariant under the equivalence and serve as an
-    exact prefilter. Past it, A X_i = Y_i B is solved over full algebras,
-    without adjoint rows, on the coefficient pairs prepared as for the
-    unitary pivot (_pivot_prepared: normalized pair by pair and spanned). A
-    regular pencil (square, two or more spanned pairs, a pivot X_c, Y_c of
-    full numerical rank) first compares tr(X_c^-1 X_j) with tr(Y_c^-1 Y_j)
+    A X_i = Y_i B is solved over full algebras, without adjoint rows, on
+    the coefficient pairs prepared as for the unitary pivot
+    (_pivot_prepared: normalized pair by pair and spanned). A regular pencil
+    (square, two or more spanned pairs, a pivot X_c, Y_c of full numerical
+    rank) first compares tr(X_c^-1 X_j) with tr(Y_c^-1 Y_j)
     for every pair j: a gap past the bound that the certificate check
     allows is an exact NO, and no system is built (_trace_no). Otherwise a
     regular pencil of d >= 2 with distinct eigenvalues of X_c^-1 X_c2 is
@@ -1089,37 +1111,48 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
     YES, is solved in the singular frames with every unit in one cluster
     (d^2 unknowns for square coefficients), and a YES checked there. The
     certificate is the sampled or read (A, B) itself, checked on the
-    unscaled (P, Q). aux records
-    trace_pair, trace_gap_ratio and trace_f on a trace NO, and on every
-    verdict of a system pivot_unknowns, pivot_free_units,
-    pivot_coupling_margin and pivot_eigen_margin (the smallest eigenvalue
-    gap over the eigen cut, None unless the eigen frames answered).
+    unscaled (P, Q). Coefficient ranks are invariant under the
+    equivalence, but a rank gap can lie within the condition numbers that
+    the check accepts, so they only word a verdict that is not a verified
+    YES: ranks that differ make it the exact NO naming the first such
+    coefficient (_rank_no). aux records trace_pair, trace_gap_ratio and
+    trace_f on a trace NO, and on every verdict of a system pivot_unknowns,
+    pivot_free_units, pivot_coupling_margin and pivot_eigen_margin (the
+    smallest eigenvalue gap over the eigen cut, None unless the eigen frames
+    answered); a rank NO records none.
     """
     if P.shape != Q.shape or P.degree != Q.degree:
         raise InputError("matrix polynomials must share shape and degree")
     Z = np.stack([P.coefficients, Q.coefficients], axis=1)
-    # a gate: a rank NO spares the d^2 system of a pencil that _trace_no skips
+    spanned, frames, m = _pivot_prepared(Z, cfg, tol)
+    n, _, d, d2 = spanned.shape
+    regular = (n >= 2 and d == d2
+               and all(numerical_rank(st, tol) == len(st) for st in (frames.s, frames.t)))
+    verdict = _trace_no(spanned, m, frames, tol) if regular else None
+    if verdict is None:
+        # a 1 x 1 pencil has no eigenvalue gap, and its singular frames hold one unknown
+        eigen, margin = (_eigen_frames(spanned, frames, cfg.seed, tol) if regular and d > 1
+                         else (None, None))
+        tries = [(eigen, np.arange(d), margin)] if eigen is not None else []
+        for F, label, eigen_margin in tries + [(frames, np.zeros(len(frames.s), dtype=int), None)]:
+            verdict = _solve_in_frames(spanned, F, label, cfg, tol, "invertible",
+                                       {"pivot_eigen_margin": eigen_margin})
+            verdict = check_certificate(verdict, "matpoly", (P, Q), tol)
+            if verdict.verdict == "YES":
+                return verdict
+    return _rank_no(Z, tol) or verdict
+
+
+def _rank_no(Z, tol: Tolerances) -> UepVerdict | None:
+    """The exact NO at the first coefficient pair of the (n, 2, a, a') stack Z
+    whose numerical ranks differ, or None. Ranks are invariant under the
+    equivalence, so decide_invertible_equivalence compares them only to word
+    a verdict that is not a verified YES, as _explained does for spectra."""
     for idx, (sx, sy) in enumerate(np.linalg.svd(Z, compute_uv=False)):
         if numerical_rank(sx, tol) != numerical_rank(sy, tol):
             return _exact_no(f"coefficient ranks differ at index {idx}",
                              certificate_kind="invertible")
-    Z, frames, m = _pivot_prepared(Z, cfg, tol)
-    n, _, d, d2 = Z.shape
-    regular = (n >= 2 and d == d2
-               and all(numerical_rank(st, tol) == len(st) for st in (frames.s, frames.t)))
-    no = _trace_no(Z, m, frames, tol) if regular else None
-    if no is not None:
-        return no
-    # a 1 x 1 pencil has no eigenvalue gap, and its singular frames hold one unknown
-    eigen, margin = _eigen_frames(Z, frames, cfg.seed, tol) if regular and d > 1 else (None, None)
-    tries = [(eigen, np.arange(d), margin)] if eigen is not None else []
-    for F, label, eigen_margin in tries + [(frames, np.zeros(len(frames.s), dtype=int), None)]:
-        verdict = _solve_in_frames(Z, F, label, cfg, tol, "invertible",
-                                   {"pivot_eigen_margin": eigen_margin})
-        verdict = check_certificate(verdict, "matpoly", (P, Q), tol)
-        if verdict.verdict == "YES":
-            return verdict
-    return verdict
+    return None
 
 
 def uep_instance_full(d1: int, d2: int, pairs) -> UepInstance:

@@ -276,24 +276,27 @@ def generic_mixed_lu(rho: DensityOperator, sigma: DensityOperator,
     only once the spectra match. LU equivalence then forces
     U psi_j V^T = lam_j phi_j with |lam_j| = 1 for the matricized
     eigenvectors of those n eigenvalues, so before any solve: different
-    spectra (a rank mismatch too), a product state against a non-product
-    one, and different Schmidt coefficients of some psi_j and phi_j are
-    exact NOs, and two product states are decided from their marginals.
+    spectra (a rank mismatch too) and a product state against a non-product
+    one are exact NOs, and two product states are decided from their
+    marginals.
     Otherwise per-vector phases are aligned via the quartic-trace
     identity, and the stacked eigenvector pairs go to the pivot route once
     per point of a grid of the four quarter turns 1, i, -1, -i for each
     trace graph component after the first, in lexicographic order of their
-    indices 0-3 (a connected graph: one solve, whose verdict stands). A
-    disconnected graph first compares the spectra of both marginals, which
-    are LU invariants: a mismatch is an exact NO naming the subsystem,
-    before any grid point is solved. Each candidate is checked once, on
+    indices 0-3. A connected graph takes one solve, which decides: different
+    Schmidt coefficients of some psi_j and phi_j, which no phase changes,
+    only word a verdict that is not a verified YES (_explained). A
+    disconnected graph first compares those Schmidt coefficients and then
+    the spectra of both marginals, which are LU invariants: a mismatch is
+    an exact NO naming the eigenvector or the subsystem, before any grid
+    point is solved. Each candidate is checked once, on
     rho, sigma. At most _MAX_GRID_SOLVES = 4^5 candidates are solved, the
     whole grid of six components; a grid left without a certificate, whole
     or cut by that budget, is INCONCLUSIVE. So only equivalences whose
     phases the trace graph leaves open up to quarter turns are certified.
 
     Every verdict's aux holds `phase_components` (components of the trace
-    graph, 0 when a test before the graph decides) and `grid_solves` (the
+    graph, 0 when a test before any solve decides) and `grid_solves` (the
     pivot-route solves run); a YES after the first grid point adds
     `phase_grid_combo`, the indices of its quarter turns.
     """
@@ -332,25 +335,29 @@ def _generic_mixed(rho, sigma, cfg: SamplerConfig, tol: Tolerances) -> tuple:
                                  "generic-mixed", (rho, sigma), tol), 0, 0
     psis, phis = (Q[:, :n].T.reshape(n, d1, d2) for Q in (Q_r, Q_s))
     Z = np.stack([psis, phis], axis=1)
-    # the Schmidt coefficients spare a NO the phase graph and its grid of solves
-    no = _spectrum_no(Z, tol, "Schmidt coefficients of eigenvector {i} differ")
-    if no is not None:
-        return no, 0, 0
+    schmidt = "Schmidt coefficients of eigenvector {i} differ"
     lambdas, label = _resolve_phase_components(psis, phis)
     components = int(label.max()) + 1
-    if components > 1:  # the marginal spectra, LU invariants, spare a NO the grid of solves
+    if components > 1:
+        # the Schmidt coefficients and the marginal spectra, LU invariants,
+        # spare a NO the grid of solves
+        no = _spectrum_no(Z, tol, schmidt)
+        if no is not None:
+            return no, 0, 0
         for name, r, s in zip("AB", marg_r, marg_s):
             if not same_spectrum(*(np.linalg.eigvalsh(M)[::-1] for M in (r, s)), tol):
                 return _exact_no(f"marginal spectra differ on subsystem {name}"), components, 0
-    # one free phase per component after the first: a connected graph's one solve stands
+    # one free phase per component after the first: a connected graph's one
+    # solve decides, and its Schmidt coefficients only word a non-YES
     candidates = product(range(len(_QUARTER_TURNS)), repeat=components - 1)
     for solves, combo in enumerate(islice(candidates, _MAX_GRID_SOLVES), 1):
         phases = _QUARTER_TURNS[[0, *combo]]
         Z[:, 1] = (lambdas * phases[label])[:, None, None] * phis
         verdict = check_certificate(_pivot_lu(Z, cfg, tol), "generic-mixed", (rho, sigma), tol)
-        if verdict.verdict == "YES" and combo:
+        if not combo:  # no phase changes a singular value
+            return _explained(verdict, Z, tol, schmidt), components, solves
+        if verdict.verdict == "YES":
             verdict.aux["phase_grid_combo"] = combo
-        if verdict.verdict == "YES" or not combo:
             return verdict, components, solves
     grid = len(_QUARTER_TURNS)
     ended = ("grid of quarter turns exhausted" if solves == grid ** (components - 1) else

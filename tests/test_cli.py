@@ -10,6 +10,7 @@ import pytest
 
 import uniequiv
 from uniequiv import SamplerConfig, Tolerances, cli
+from uniequiv import solver as solver_mod
 from uniequiv.cli import _build_parser, main, run
 from uniequiv.serialize import (
     dumps_document,
@@ -849,6 +850,21 @@ class TestProcessEntry:
                 assert not out.exists()
         finally:
             gc.unfreeze()
+
+    def test_a_system_over_the_budget_exits_inconclusive(self, tmp_path, monkeypatch):
+        # one 3 x 3 pair is never read, and its reduced system of 3 unknowns
+        # takes 16 * 3 * (2 * 9 + 18) bytes: over a budget one byte short it
+        # is not allocated, and the verdict INCONCLUSIVE exits 2, not 1 or 70
+        inst_path, out = tmp_path / "i.json", tmp_path / "v.json"
+        assert main(["gen", "--yes", "--d1", "3", "--d2", "3", "--m", "0", "--seed", "3",
+                     "-o", str(inst_path)]) == 0
+        monkeypatch.setattr(solver_mod, "_MAX_SYSTEM_BYTES", 16 * 3 * 36 - 1)
+        monkeypatch.setattr(solver_mod, "_pivot_system", None)  # calling it would raise
+        assert main(["decide", str(inst_path), "--seed", "1", "-o", str(out)]) == 2
+        doc = json.loads(out.read_text())
+        assert (doc["verdict"], doc["detail"]) == (
+            "INCONCLUSIVE", "the reduced system of 3 unknowns would take 1728 bytes, over the "
+            "budget of 1727 bytes")
 
     def test_a_process_writes_what_main_writes(self, tmp_path, capsys):
         # nothing is lost at exit: each `python -m uniequiv.cli` run gives the

@@ -1,5 +1,6 @@
 import ast
 import json
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from unittest import mock
@@ -889,6 +890,19 @@ def _pencil(d, n, rng):
             MatrixPolynomial(tuple(A @ X @ np.linalg.inv(B) for X in P)))
 
 
+def _read_yes(case):
+    """The verdict on a planted YES that the diagonal read answers: square,
+    rectangular either way and wide pairs of random_yes_instance, a
+    degree-3 matrix polynomial (its one diagonal solution in the eigen
+    frames) and a pencil of two coefficients (A' = B' = I there)."""
+    if case in ("matpoly-4", "pencil-6"):
+        P, Q = _pencil(*((4, 3) if case == "matpoly-4" else (6, 2)), np.random.default_rng(2))
+        return decide_invertible_equivalence(P, Q, CFG)
+    d1, d2, m = {"square": (5, 5, 2), "rectangular": (4, 5, 2), "transposed": (5, 4, 2),
+                 "wide": (2, 4, 1)}[case]
+    return decide_uep(random_yes_instance(d1, d2, m, seed=31)[0], CFG)
+
+
 def _shared_frames(d1, d2, spectrum, rng):
     """Two planted pairs a W D R^dag, a = 1 and 0.5i, whose d1 x d2 D carries
     spectrum: every combination shares their singular frames."""
@@ -960,18 +974,34 @@ class TestDiagonalRead:
         for name in ("_pivot_system", "nullspace_basis", "draw_candidate", "extract_unitaries",
                      "certificate_residuals"):
             spy(name)
-        if case in ("matpoly-4", "pencil-6"):
-            P, Q = _pencil(*((4, 3) if case == "matpoly-4" else (6, 2)), np.random.default_rng(2))
-            verdict = decide_invertible_equivalence(P, Q, CFG)
-        else:
-            d1, d2, m = {"square": (5, 5, 2), "rectangular": (4, 5, 2), "transposed": (5, 4, 2),
-                         "wide": (2, 4, 1)}[case]
-            verdict = decide_uep(random_yes_instance(d1, d2, m, seed=31)[0], CFG)
+        verdict = _read_yes(case)
+        if case not in ("matpoly-4", "pencil-6"):
             assert verdict.aux["pivot_coupling_margin"] > 1
         assert calls == ["certificate_residuals"]
         assert verdict.verdict == "YES" and verdict.residual <= 1e-12
         assert (verdict.trials_used, verdict.solution_dimension) == (1, dimension)
         assert (verdict.aux["pivot_unknowns"], verdict.aux["pivot_free_units"]) == (unknowns, free)
+
+    @pytest.mark.parametrize("case", ["square", "rectangular", "transposed", "wide", "matpoly-4",
+                                      "pencil-6"])
+    def test_a_read_yes_counts_no_columns_and_reports_theirs(self, case, monkeypatch):
+        # the read's gate and aux come from the frames: a read YES never runs
+        # _pivot_columns, and records what it returns on the same frames
+        seen, counted = [], []
+        real_solve, real_columns = solver_mod._solve_in_frames, solver_mod._pivot_columns
+
+        def solve(Z, frames, label, *args):
+            seen.append((frames, label, *Z.shape[2:]))
+            return real_solve(Z, frames, label, *args)
+
+        monkeypatch.setattr(solver_mod, "_solve_in_frames", solve)
+        monkeypatch.setattr(solver_mod, "_pivot_columns", lambda *args: counted.append(args))
+        verdict = _read_yes(case)
+        assert verdict.verdict == "YES" and counted == []
+        ((frames, label, d1, d2),) = seen  # read in the first frames tried
+        assert frames.unitary == (case not in ("matpoly-4", "pencil-6"))  # else the eigen frames
+        _, expected = real_columns(frames, label, d1, d2)
+        assert {key: verdict.aux[key] for key in expected} == expected
 
     @pytest.mark.parametrize("case, columns, dimension", [
         ("one-pair", 6, 6), ("rectangular", 5, 1), ("repeated", 6, 6), ("matpoly-4", 16, 1),
@@ -1091,6 +1121,65 @@ _CUT_CROSSING = [(d, 0.0) for d in range(6, 25)] + [
     (6 + i % 19, 10.0 ** (-13 + 5 * i / 94)) for i in range(95)]
 
 
+def _budget_case(kind):
+    """(decide, bytes, unknowns) of a YES whose read declines, with the bytes
+    16 g (k n d1 d2 + d1^2 + d2^2) of its reduced system's rows and bases:
+    one 6 x 6 pair (a single pair is never read) over full algebras, g = 6
+    and k = 2 with the adjoint rows, or one 3 x 3 coefficient pair in the
+    singular frames, one cluster of g = 9 units and k = 1."""
+    if kind == "unitary":
+        inst, _ = random_yes_instance(6, 6, 0, seed=14)
+        return partial(decide_uep, inst, CFG), 16 * 6 * (2 * 36 + 72), 6
+    P, Q = _pencil(3, 1, np.random.default_rng(4))
+    return partial(decide_invertible_equivalence, P, Q, CFG), 16 * 9 * (9 + 18), 9
+
+
+class TestSystemBudget:
+    # a declined read counts its columns; a reduced system whose rows and
+    # bases would take more than _MAX_SYSTEM_BYTES is INCONCLUSIVE before
+    # anything is allocated
+
+    @pytest.mark.parametrize("kind", ["unitary", "invertible"])
+    def test_a_system_over_the_budget_is_inconclusive_and_never_built(self, kind, monkeypatch):
+        solve, size, g = _budget_case(kind)
+        seen = _pivot_systems_seen(monkeypatch)
+        monkeypatch.setattr(solver_mod, "_MAX_SYSTEM_BYTES", size)
+        verdict = solve()
+        assert verdict.verdict == "YES" and len(seen) == 1 and verdict.aux["pivot_unknowns"] == g
+        monkeypatch.setattr(solver_mod, "_MAX_SYSTEM_BYTES", size - 1)
+        verdict = solve()
+        assert len(seen) == 1  # the second call built nothing
+        assert (verdict.verdict, verdict.certainty, verdict.certificate_kind) == (
+            "INCONCLUSIVE", "probabilistic", kind)
+        assert verdict.detail == (f"the reduced system of {g} unknowns would take {size} bytes, "
+                                  f"over the budget of {size - 1} bytes")
+        assert verdict.aux["pivot_unknowns"] == g and verdict.U is None
+
+    @pytest.mark.parametrize("d, unknowns, built", [(192, 218, True), (384, 941, False)])
+    def test_the_budget_admits_d_192_and_stops_d_384(self, d, unknowns, built, monkeypatch):
+        # the planted YES of three pairs has clusters of two below the cut of
+        # the pivot drawn from seed 0, so it is solved: about 1.03e9 bytes at
+        # d = 192, inside 2^31, and 1.78e10 at d = 384, where np.zeros raised
+        # MemoryError. Neither system is built here
+        class Built(Exception):
+            pass
+
+        def refuse(XY, frames, columns, adjoint):
+            raise Built(len(columns[0]))
+
+        monkeypatch.setattr(solver_mod, "_pivot_system", refuse)
+        inst, _ = random_yes_instance(d, d, 2, seed=1)
+        if built:
+            with pytest.raises(Built, match=f"^{unknowns}$"):
+                decide_uep(inst)
+            return
+        verdict = decide_uep(inst)
+        size = 16 * unknowns * (2 * 3 * d * d + 2 * d * d)
+        assert verdict.verdict == "INCONCLUSIVE" and size > solver_mod._MAX_SYSTEM_BYTES == 2**31
+        assert verdict.detail.startswith(f"the reduced system of {unknowns} unknowns would take "
+                                         f"{size} bytes")
+
+
 class TestGramNullspace:
     def test_cut_crossing_decides_as_the_dense_reference(self, monkeypatch):
         # planted full-algebra YES cases perturbed across the cut, and degree-1
@@ -1198,6 +1287,22 @@ class TestInvertibleEquivalence:
         Q = MatrixPolynomial(tuple(A @ C @ np.linalg.inv(B) for C in P.coefficients))
         verdict = decide_invertible_equivalence(P, Q, CFG)
         assert verdict.verdict == "YES" and verdict.residual <= 1e-8
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_rank_gap_inside_the_check_is_no_exact_no(self, seed):
+        # P = (diag(1, 1e-11), X_1) and Q = A P with A = diag(1, 1e9): the
+        # first coefficients' ranks differ at rank_rel, but (A, I) passes the
+        # check, so the ranks only word a non-YES and the solve's YES stands.
+        # (Q, P) is not pinned: there the solve's candidate fails the check,
+        # and the ranks word that as the exact NO, though (A^-1, I) passes
+        X1 = ginibre(2, 2, np.random.default_rng(seed))
+        A = np.diag([1.0, 1e9])
+        P = MatrixPolynomial((np.diag([1.0, 1e-11]), X1))
+        Q = MatrixPolynomial(tuple(A @ C for C in P.coefficients))
+        assert certificate_residuals("matpoly", (P, Q), A, np.eye(2)) == (0.0, 0.0)
+        verdict = decide_invertible_equivalence(P, Q)
+        assert verdict.verdict == "YES"
+        assert max(certificate_residuals("matpoly", (P, Q), verdict.U, verdict.V)) <= 1e-8
 
     def test_rejects_shape_mismatch(self, rng):
         P = MatrixPolynomial((ginibre(2, 2, rng),))

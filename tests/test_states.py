@@ -3,9 +3,11 @@ import pytest
 
 from uniequiv import (
     InputError,
+    MatrixPolynomial,
     NotGenericError,
     SamplerConfig,
     Tolerances,
+    decide_invertible_equivalence,
     decide_uep,
     density_operator,
     generic_mixed_lu,
@@ -702,10 +704,13 @@ def test_state_nos_at_index_one_go_through_the_solver_prefilter(mode, monkeypatc
     assert calls == [2]
 
 
-@pytest.mark.parametrize("mode", ["pairs-full", "pairs-factor", "pure-sets", "unilocal-mixed"])
+@pytest.mark.parametrize("mode", ["pairs-full", "pairs-factor", "pure-sets", "unilocal-mixed",
+                                  "generic-mixed", "matpoly"])
 def test_a_planted_yes_compares_no_singular_values(mode, monkeypatch, rng):
     # on every pivot route the solve decides and singular values only word a
-    # non-YES, so a planted YES never reaches singular_value_prefilter
+    # non-YES, so a planted YES never reaches singular_value_prefilter: nor
+    # does a connected generic-mixed YES, and a matpoly YES never compares
+    # coefficient ranks
     calls = []
     real = solver_mod.singular_value_prefilter
 
@@ -713,8 +718,24 @@ def test_a_planted_yes_compares_no_singular_values(mode, monkeypatch, rng):
         calls.append(len(pairs))
         return real(pairs, tol)
 
+    def no_ranks(*args):
+        calls.append("ranks")
+
     monkeypatch.setattr(solver_mod, "singular_value_prefilter", spy)
-    if mode.startswith("pairs"):
+    if mode == "generic-mixed":
+        rho = random_density(2, 3, rng, min_gap=1e-3)
+        local = np.kron(haar(2, rng), haar(3, rng))
+        sigma = density_operator(2, 3, local @ rho.matrix @ local.conj().T)
+        verdict = generic_mixed_lu(rho, sigma, CFG)
+        assert (verdict.aux["phase_components"], verdict.aux["grid_solves"]) == (1, 1)
+    elif mode == "matpoly":
+        monkeypatch.setattr(solver_mod, "_rank_no", no_ranks)
+        A, B = (ginibre(d, d, rng) + 2 * np.eye(d) for d in (3, 4))
+        P = [ginibre(3, 4, rng) for _ in range(3)]
+        Q = [A @ X @ np.linalg.inv(B) for X in P]
+        verdict = decide_invertible_equivalence(MatrixPolynomial(tuple(P)),
+                                                MatrixPolynomial(tuple(Q)), CFG)
+    elif mode.startswith("pairs"):
         kinds = ["full", "full"] if mode == "pairs-full" else [("factor", 2, 2), ("factor", 3, 2)]
         verdict = decide_uep(random_yes_instance(4, 6, 2, *kinds, seed=3)[0], CFG)
     elif mode == "pure-sets":

@@ -1,7 +1,8 @@
 """Smoke tests of the tools: tools/ab.py, compared with the tree itself,
 differs in no document and prints one timing line per case of a cycle, or
 per matched case with --match, and one per cycle, each with the rounds won by
-either tree and both trees' quartiles; it tallies differences by key and
+either tree and both trees' quartiles, then one line of the pooled requests'
+median and tail as perfbench/run.py takes it; it tallies differences by key and
 case kind, prints the largest residual of each tree's changed YES
 documents per case kind, and rejects a workload that
 perfbench/workloads.py does not define; it writes no bytecode into either
@@ -38,7 +39,7 @@ def run_ab(*args):
 def test_ab_of_the_tree_against_itself_prints_every_case_and_the_cycle():
     proc = run_ab("--workload", "unilocal-factor", "--seed", "11", "--rounds", "1")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    header, *cases, cycle, summary = proc.stdout.splitlines()
+    header, *cases, cycle, pooled, summary = proc.stdout.splitlines()
     assert header.split() == ["case", "here", "(s)", "there", "(s)", "change", "won", "here/there",
                               "here", "q1-q3", "(s)", "there", "q1-q3", "(s)"]
     # 21 cases of one cycle and the warm-up, each decided in both processes
@@ -57,17 +58,26 @@ def test_ab_of_the_tree_against_itself_prints_every_case_and_the_cycle():
         here, there, won_here, won_there, *quartiles = match.groups()
         assert int(won_here) + int(won_there) <= 1
         assert quartiles == [here, here, there, there]
+    # 21 requests in one round: the median is a case's own time, and the tail
+    # that perfbench/run.py takes of 21 requests is p50 too
+    medians = [sorted(line.split()[-6 + i] for line in cases)[10] for i in (0, 1)]
+    match = re.fullmatch(rf"unilocal-factor s11 pooled\s+p50\s+{t}\s+{t}\s+([+-]\d+\.\d%)"
+                         rf"\s+p50\s+{t}\s+{t}\s+([+-]\d+\.\d%)", pooled)
+    assert match, pooled
+    assert list(match.groups()) == [*medians, match[3], *medians, match[3]]
 
 
 def test_ab_match_times_only_the_cases_of_that_kind():
     proc = run_ab("--workload", "states-small", "--seed", "11", "--rounds", "1",
                   "--match", "generic/yes")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    _, *cases, cycle, summary = proc.stdout.splitlines()
+    _, *cases, cycle, pooled, summary = proc.stdout.splitlines()
     # the six generic-mixed YES cases of the 51 in the cycle, under their cycle index
     assert [line.split()[2:4] for line in cases] == [
         [f"#{i}", "generic/yes"] for i in (13, 14, 24, 29, 38, 42)]
     assert cycle.startswith("states-small s11 cycle ")
+    assert pooled.startswith("states-small s11 pooled ")
+    assert pooled.endswith("  no tail of 6 requests")
     # and the warm-up, compared but not timed
     assert summary.startswith("7 documents: 0 differ in a compared key")
 
@@ -78,7 +88,7 @@ def test_ab_times_a_cli_cold_case_as_a_fresh_process():
     proc = run_ab("--workload", "cli-cold", "--seed", "11", "--rounds", "1",
                   "--match", "pure/yes")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    _, *cases, cycle, summary = proc.stdout.splitlines()
+    _, *cases, cycle, _, summary = proc.stdout.splitlines()
     assert cases and summary.startswith(f"{len(cases) + 1} documents: 0 differ in a compared key")
     for line in cases + [cycle]:
         here, there = map(float, line.split()[-6:-4])
@@ -169,6 +179,19 @@ def test_ab_prints_the_largest_residual_of_changed_yes_documents(tools):
         "largest residual of 1 changed YES documents (pure/yes): here none, there 1.00e-16"]
     assert ab.residual_lines(requests, [reply("YES", 1e-16, "[0.0,1.0]")],
                              [reply("YES", 1e-16, "[0.0,1.0]")]) == []
+
+
+def test_ab_pools_the_requests_into_the_benchmarks_median_and_tail(tools):
+    ab = tools("ab")
+    # 40 requests, the largest 10 ms, against the same twice as slow: the
+    # tail perfbench/run.py takes of 40 is p75, the 30th smallest
+    mine = [0.001 * i for i in range(40, 0, -1)]
+    theirs = [2 * wall for wall in mine]
+    line = ab.pooled_row("states-small s11 pooled", 24, mine, theirs)
+    assert line == ("states-small s11 pooled   p50   0.020500    0.041000   -50.0%"
+                    "  p75   0.030000    0.060000   -50.0%")
+    # ten requests leave none beyond the lowest percentile's rank
+    assert ab.pooled_row("x", 1, mine[:10], theirs[:10]).endswith("  no tail of 10 requests")
 
 
 @pytest.mark.parametrize("args, message", [

@@ -27,7 +27,12 @@ Timing. One line per case gives the median wall time here and there over
 the rounds, the change (here - there) / there, how many rounds each tree won
 (here/there; a tie counts for neither) and each tree's quartiles q1-q3; a
 `cycle` line per workload and seed does the same for the total of its cases
-in each round. The warm-ups are compared but never timed. These are the
+in each round. After it, a `pooled` line gives each tree's median and tail
+of all the timed requests of that workload and seed over every round, with
+their changes; the tail is the percentile that `perfbench/run.py`'s
+`tail_percentile` takes of that many requests (imported, not copied), which
+is how the benchmark reads `decide_tail_s` (no tail below 11 requests).
+The warm-ups are compared but never timed. These are the
 figures a claimed gain is judged by: the share of rounds won, and whether
 the medians differ by more than there's q3 - q1. Each request finds its
 child's caches colder than the benchmark's closed loop does, as the other
@@ -194,6 +199,22 @@ def row(label: str, width: int, mine, theirs) -> str:
             f"{won[0]:>4}/{won[1]:<4}  {spread}")
 
 
+def pooled_row(label: str, width: int, mine, theirs) -> str:
+    """One output line over the pooled wall times of two trees: the medians
+    and their change, then the tail percentile of perfbench/run.py and each
+    tree's value there with their change, or the number of requests where
+    they are too few for a tail."""
+    from run import tail_percentile  # perfbench/, which main puts on sys.path
+
+    a, b = statistics.median(mine), statistics.median(theirs)
+    line = f"{label:<{width}}  p50 {a:10.6f}  {b:10.6f}  {change(a, b):>7}"
+    tails = tail_percentile(mine), tail_percentile(theirs)
+    if None in tails:
+        return f"{line}  no tail of {len(mine)} requests"
+    (p, x), (_, y) = tails
+    return f"{line}  p{p:g} {x:10.6f}  {y:10.6f}  {change(x, y):>7}"
+
+
 def without_timing(text: str) -> str:
     """The raw text of a document with its `"timing"` line left out: every
     document is written one top-level key per line."""
@@ -324,6 +345,8 @@ def main(argv=None) -> int:
         totals = [[sum(walls[i][side][r] for i in cases) for r in range(args.rounds)]
                   for side in (0, 1)]
         print(row(" ".join(group) + " cycle", width, *totals))
+        print(pooled_row(" ".join(group) + " pooled", width,
+                         *([wall for i in cases for wall in walls[i][side]] for side in (0, 1))))
     lines, differing, identical, same_value = compare(requests, *first)
     for line in lines + residual_lines(requests, *first):
         print(line)
