@@ -71,10 +71,11 @@ values are only necessary, so they are compared only to word a solve that
 ended without a verified YES (_explained), and a pair or block whose
 spectra differ generically ends a pivot route at the pivot's exact NO,
 before any system is built. Matpoly's coefficient ranks likewise only word
-a non-YES (_rank_no). A comparison gates a step only where it spares a
-costly search and no input is left unvalidated: generic-mixed's Schmidt and
-marginal spectra before the phase grid of a disconnected trace graph, which
-may run up to 4^5 solves. Every singular-value
+a NO (_rank_no), so a failed certificate check stays INCONCLUSIVE. A
+comparison gates a step only where it spares a costly search and no input
+is left unvalidated: generic-mixed's Schmidt and marginal spectra before
+the phase grid of a disconnected trace graph, which may run up to 4^5
+solves. Every singular-value
 NO but the pivot's, in every mode, is found and worded by _spectrum_no.
 Every exact NO, in every mode, is built by _exact_no.
 
@@ -359,7 +360,7 @@ def _star_part(G: MatrixAlgebra, tol: Tolerances) -> tuple:
         return np.stack(G.basis), 1.0
     Q = G.span_q
     T = Q.T.reshape(-1, G.dim, G.dim).transpose(0, 2, 1).reshape(Q.shape[1], -1).T
-    _, s, vh = np.linalg.svd(T - Q.conj() @ (Q.T @ T))
+    _, s, vh = np.linalg.svd(T - Q.conj() @ (Q.T @ T), full_matrices=False)
     r = numerical_rank(s, Tolerances(rank_rel=tol.residual_abs), 1.0)
     return (vh[r:].conj() @ Q.T).reshape(-1, G.dim, G.dim), (1.0 + 1.0 / s[r - 1] if r else 1.0)
 
@@ -1113,13 +1114,14 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
     certificate is the sampled or read (A, B) itself, checked on the
     unscaled (P, Q). Coefficient ranks are invariant under the
     equivalence, but a rank gap can lie within the condition numbers that
-    the check accepts, so they only word a verdict that is not a verified
-    YES: ranks that differ make it the exact NO naming the first such
-    coefficient (_rank_no). aux records trace_pair, trace_gap_ratio and
-    trace_f on a trace NO, and on every verdict of a system pivot_unknowns,
-    pivot_free_units, pivot_coupling_margin and pivot_eigen_margin (the
-    smallest eigenvalue gap over the eigen cut, None unless the eigen frames
-    answered); a rank NO records none.
+    the check accepts, so they only word a NO: ranks that differ make it
+    the exact NO naming the first such coefficient (_rank_no), and an
+    INCONCLUSIVE, a candidate that failed the check, stays one. aux records
+    trace_pair, trace_gap_ratio and trace_f on a trace NO, and on every
+    verdict of a system pivot_unknowns, pivot_free_units,
+    pivot_coupling_margin and pivot_eigen_margin (the smallest eigenvalue gap
+    over the eigen cut, None unless the eigen frames answered); a rank NO
+    records none.
     """
     if P.shape != Q.shape or P.degree != Q.degree:
         raise InputError("matrix polynomials must share shape and degree")
@@ -1140,14 +1142,15 @@ def decide_invertible_equivalence(P: MatrixPolynomial, Q: MatrixPolynomial,
             verdict = check_certificate(verdict, "matpoly", (P, Q), tol)
             if verdict.verdict == "YES":
                 return verdict
-    return _rank_no(Z, tol) or verdict
+    return (verdict.verdict == "NO" and _rank_no(Z, tol)) or verdict
 
 
 def _rank_no(Z, tol: Tolerances) -> UepVerdict | None:
     """The exact NO at the first coefficient pair of the (n, 2, a, a') stack Z
     whose numerical ranks differ, or None. Ranks are invariant under the
-    equivalence, so decide_invertible_equivalence compares them only to word
-    a verdict that is not a verified YES, as _explained does for spectra."""
+    equivalence, but a gap may lie within the condition numbers the check
+    accepts, so decide_invertible_equivalence compares them only to word a
+    NO."""
     for idx, (sx, sy) in enumerate(np.linalg.svd(Z, compute_uv=False)):
         if numerical_rank(sx, tol) != numerical_rank(sy, tol):
             return _exact_no(f"coefficient ranks differ at index {idx}",

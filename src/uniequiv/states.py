@@ -185,58 +185,50 @@ _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 _MAX_GRID_SOLVES = len(_QUARTER_TURNS)**5
 
 
-def _quartic_traces(mats) -> np.ndarray:
-    """T[i, j, k] = tr(m_i^dag m_j m_k^dag m_i); invariant up to lam_j conj(lam_k).
-
-    With P[a, b] = m_a^dag m_b, T[i, j, k] = sum_{y,z} P[i, j]_yz P[k, i]_zy,
-    and P[k, i] = P[i, k]^dag: so T[i] = L_i L_i^dag for the rows
-    L_i[j] = vec P[i, j]. Every P[a, b] is a block of one product
-    [m_1 ... m_n]^dag [m_1 ... m_n].
-    """
-    M = np.stack(mats)
-    n, d1, d2 = M.shape
-    S = M.transpose(1, 0, 2).reshape(d1, n * d2)  # [m_1 ... m_n]
-    L = (S.conj().T @ S).reshape(n, d2, n, d2).transpose(0, 2, 1, 3).reshape(n, n, d2 * d2)
-    return L @ L.conj().transpose(0, 2, 1)
-
-
 def _resolve_phase_components(psis, phis):
     """Per-index phases lam_j with U psi_j V^dag = lam_j phi_j, up to one free
     phase per connected component of the trace graph.
 
     An edge k -> j needs a trace ratio T_psi[i, j, k] / T_phi[i, j, k] with
-    |T_phi| > _EDGE_DENOM and modulus within _EDGE_MODULUS of 1. Returns
-    (lambdas, label): label[j] numbers the component of index j, in the order
-    of the components' smallest indices, and each component is gauged to
-    lam = 1 at its smallest index. generic_mixed_lu grids over the quarter
-    turns of every component after the first.
+    |T_phi| > _EDGE_DENOM and modulus within _EDGE_MODULUS of 1, for the
+    first such i. T[i, j, k] = tr(m_i^dag m_j m_k^dag m_i) is invariant up to
+    lam_j conj(lam_k), and equals sum_ab (m_j m_k^dag)[a, b] G_i[b, a] with
+    G_i = m_i m_i^dag, so a breadth-first search reads, for each source k it
+    pops, only the column of the indices j not yet labelled: one batched
+    product m_j m_k^dag and one product with the rows vec(conj(G_i)) (G_i is
+    Hermitian), in O(n^2 + n d1^2) memory. Returns (lambdas, label):
+    label[j] numbers the component of index j, in the order of the
+    components' smallest indices, and each component is gauged to lam = 1 at
+    its smallest index. generic_mixed_lu grids over the quarter turns of
+    every component after the first.
     """
+    sides = [(M, (M.conj() @ M.transpose(0, 2, 1)).reshape(len(M), -1))
+             for M in map(np.asarray, (psis, phis))]
     n = len(psis)
-    Tpsi = _quartic_traces(psis)
-    Tphi = _quartic_traces(phis)
     lambdas = np.ones(n, dtype=complex)
-    label = [-1] * n
+    label = np.full(n, -1)
     for root in range(n):
         if label[root] >= 0:
             continue
-        label[root] = max(label) + 1
+        label[root] = label.max() + 1
         queue = [root]
         for k in queue:  # breadth first: the queue grows while it is read
-            for j in range(n):
-                if label[j] >= 0:
-                    continue
-                for i in range(n):
-                    denom = Tphi[i, j, k]
-                    if abs(denom) <= _EDGE_DENOM:
-                        continue
-                    ratio = Tpsi[i, j, k] / denom
-                    if abs(abs(ratio) - 1.0) > _EDGE_MODULUS:
-                        continue  # unusable edge: non-equivalence or noise
-                    lambdas[j] = (ratio / abs(ratio)) * lambdas[k]
-                    label[j] = label[k]
-                    queue.append(j)
-                    break
-    return lambdas, np.array(label)
+            todo = np.flatnonzero(label < 0)
+            if not todo.size:
+                break
+            Tpsi, Tphi = (G @ (M[todo] @ M[k].conj().T).reshape(len(todo), -1).T
+                          for M, G in sides)
+            ratio = np.divide(Tpsi, Tphi, out=np.zeros(Tpsi.shape, dtype=complex),
+                              where=np.abs(Tphi) > _EDGE_DENOM)
+            # a ratio off unit modulus is unusable (non-equivalence or noise),
+            # and so is a small denominator's, left at 0
+            usable = np.abs(np.abs(ratio) - 1.0) <= _EDGE_MODULUS
+            hit = usable.any(axis=0)
+            ratio, found = ratio[usable.argmax(axis=0)[hit], hit], todo[hit]
+            lambdas[found] = ratio / np.abs(ratio) * lambdas[k]
+            label[found] = label[k]
+            queue.extend(found)
+    return lambdas, label
 
 
 def _marginals(rho: DensityOperator):

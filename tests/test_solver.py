@@ -1,5 +1,6 @@
 import ast
 import json
+import tracemalloc
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -229,6 +230,19 @@ class TestStarPart:
         assert len(E) == 2 and factor == pytest.approx(2.0)
         assert np.allclose(np.tril(E, -1), 0) and np.allclose(np.triu(E, 1), 0)
         assert solver_mod._star_part(full_algebra(2), Tolerances())[1] == 1.0
+
+    def test_star_part_of_a_span_forms_no_d2_by_d2_array(self):
+        # nine diagonal projections at d = 64: the full SVD of the d^2 x 9
+        # matrix formed a d^2 x d^2 U of 268 MB and discarded it
+        G = matrix_algebra([np.diag((np.arange(64) % 9 == k) * 1.0) for k in range(9)])
+        tracemalloc.start()
+        try:
+            E, factor = solver_mod._star_part(G, Tolerances())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert len(E) == 9 and factor == 1.0
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(algebras().filter(lambda G: verify_algebra(G).star_closed))
@@ -1292,23 +1306,38 @@ class TestInvertibleEquivalence:
     def test_a_rank_gap_inside_the_check_is_no_exact_no(self, seed):
         # P = (diag(1, 1e-11), X_1) and Q = A P with A = diag(1, 1e9): the
         # first coefficients' ranks differ at rank_rel, but (A, I) passes the
-        # check, so the ranks only word a non-YES and the solve's YES stands.
-        # (Q, P) is not pinned: there the solve's candidate fails the check,
-        # and the ranks word that as the exact NO, though (A^-1, I) passes
-        X1 = ginibre(2, 2, np.random.default_rng(seed))
-        A = np.diag([1.0, 1e9])
-        P = MatrixPolynomial((np.diag([1.0, 1e-11]), X1))
-        Q = MatrixPolynomial(tuple(A @ C for C in P.coefficients))
+        # check, so the ranks only word a NO and the solve's YES stands
+        P, Q, A = _rank_gap_pair(seed)
         assert certificate_residuals("matpoly", (P, Q), A, np.eye(2)) == (0.0, 0.0)
         verdict = decide_invertible_equivalence(P, Q)
         assert verdict.verdict == "YES"
         assert max(certificate_residuals("matpoly", (P, Q), verdict.U, verdict.V)) <= 1e-8
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_failed_check_across_a_rank_gap_stays_inconclusive(self, seed):
+        # (Q, P) the other way round: the singular frames' candidate fails the
+        # check, though (A^-1, I) passes it, and the ranks that differ do not
+        # word that INCONCLUSIVE as the exact NO
+        P, Q, A = _rank_gap_pair(seed)
+        assert max(certificate_residuals("matpoly", (Q, P), np.linalg.inv(A), np.eye(2))) <= 1e-16
+        verdict = decide_invertible_equivalence(Q, P)
+        assert (verdict.verdict, verdict.certainty) == ("INCONCLUSIVE", "probabilistic")
+        assert verdict.detail.startswith("numerical breakdown: certificate failed verification")
 
     def test_rejects_shape_mismatch(self, rng):
         P = MatrixPolynomial((ginibre(2, 2, rng),))
         Q = MatrixPolynomial((ginibre(2, 3, rng),))
         with pytest.raises(InputError):
             decide_invertible_equivalence(P, Q, CFG)
+
+
+def _rank_gap_pair(seed):
+    """P = (diag(1, 1e-11), X_1), Q = A P and A = diag(1, 1e9): the first
+    coefficients' ranks differ at rank_rel, and (A, I) passes the check."""
+    X1 = ginibre(2, 2, np.random.default_rng(seed))
+    A = np.diag([1.0, 1e9])
+    P = MatrixPolynomial((np.diag([1.0, 1e-11]), X1))
+    return P, MatrixPolynomial(tuple(A @ C for C in P.coefficients)), A
 
 
 def _matpoly_document(P, Q, seed):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,8 @@ from uniequiv import solver as solver_mod, states
 from uniequiv.algebra import factor_algebra
 from uniequiv.solver import (UepInstance, _realigned_blocks, _spanning_pairs, build_linear_system,
                              certificate_residuals, solve_solution_space, uep_instance_full)
-from uniequiv.states import _pivot_lu, _quartic_traces, _resolve_phase_components
+from uniequiv.linalg import hermitian_eigendecomposition
+from uniequiv.states import _pivot_lu, _resolve_phase_components
 
 from conftest import ginibre, haar, random_density
 
@@ -30,7 +33,8 @@ CFG = SamplerConfig(seed=29)
 
 
 def _reference_quartic_traces(mats):
-    """The O(n^3) loop _quartic_traces replaced, kept as its reference."""
+    """T[i, j, k] = tr(m_i^dag m_j m_k^dag m_i), the whole n x n x n tensor, by
+    an O(n^3) loop."""
     n = len(mats)
     P = np.empty((n, n), dtype=object)
     for a in range(n):
@@ -42,6 +46,36 @@ def _reference_quartic_traces(mats):
             for k in range(n):
                 T[i, j, k] = np.trace(P[i, j] @ P[k, i])
     return T
+
+
+def _reference_phase_components(psis, phis):
+    """_resolve_phase_components as a triple loop over both whole trace
+    tensors: its reference."""
+    n = len(psis)
+    Tpsi, Tphi = _reference_quartic_traces(psis), _reference_quartic_traces(phis)
+    lambdas = np.ones(n, dtype=complex)
+    label = [-1] * n
+    for root in range(n):
+        if label[root] >= 0:
+            continue
+        label[root] = max(label) + 1
+        queue = [root]
+        for k in queue:
+            for j in range(n):
+                if label[j] >= 0:
+                    continue
+                for i in range(n):
+                    denom = Tphi[i, j, k]
+                    if abs(denom) <= states._EDGE_DENOM:
+                        continue
+                    ratio = Tpsi[i, j, k] / denom
+                    if abs(abs(ratio) - 1.0) > states._EDGE_MODULUS:
+                        continue
+                    lambdas[j] = (ratio / abs(ratio)) * lambdas[k]
+                    label[j] = label[k]
+                    queue.append(j)
+                    break
+    return lambdas, np.array(label)
 
 
 @pytest.fixture
@@ -303,6 +337,24 @@ def _aligned(psis, phis):
     return [lam * phi for lam, phi in zip(lambdas, phis)]
 
 
+def _matches_reference(psis, phis):
+    """The search's labels, once they equal the reference's and its phases lie
+    within 1e-10 of the reference's."""
+    lambdas, label = _resolve_phase_components(psis, phis)
+    ref_lambdas, ref_label = _reference_phase_components(psis, phis)
+    assert label.tolist() == ref_label.tolist()
+    assert np.abs(lambdas - ref_lambdas).max() <= 1e-10
+    return label
+
+
+def _eigenvector_stacks(rho, sigma):
+    """The matricized eigenvectors of rho's nonzero eigenvalues and sigma's
+    first as many, stacked as generic_mixed_lu stacks them."""
+    (w_r, Q_r), (_, Q_s) = (hermitian_eigendecomposition(r.matrix) for r in (rho, sigma))
+    n = int(np.count_nonzero(w_r > Tolerances().residual_abs))
+    return [Q[:, :n].T.reshape(n, rho.d1, rho.d2) for Q in (Q_r, Q_s)]
+
+
 class TestPhaseResolution:
     def test_identity_transformation(self, rng):
         psis = [ginibre(2, 3, rng) for _ in range(4)]
@@ -323,37 +375,80 @@ class TestPhaseResolution:
             assert np.linalg.norm(a - g * p) <= 1e-8
 
     def test_quartic_trace_identity(self, rng):
-        # the gauge invariant behind the resolution procedure
+        # the gauge invariant behind the resolution procedure, and the phases
+        # the search reads from it, gauged to 1 at index 0
         psis = [ginibre(2, 2, rng) for _ in range(3)]
         lam = np.exp(1j * rng.uniform(0, 2 * np.pi, size=3))
         phis = [l * p for l, p in zip(lam, psis)]
-        Tpsi, Tphi = _quartic_traces(psis), _quartic_traces(phis)
+        Tpsi, Tphi = _reference_quartic_traces(psis), _reference_quartic_traces(phis)
         for i in range(3):
             for j in range(3):
                 for k in range(3):
                     if abs(Tpsi[i, j, k]) > 1e-6:
                         ratio = Tpsi[i, j, k] / Tphi[i, j, k]
                         assert abs(ratio - lam[k] * np.conj(lam[j])) <= 1e-8
+        lambdas, label = _resolve_phase_components(psis, phis)
+        assert label.tolist() == [0, 0, 0]
+        assert np.abs(lambdas - lam[0] * lam.conj()).max() <= 1e-8
 
-    @pytest.mark.parametrize("shape", [(1, 1, 1), (4, 2, 2), (9, 3, 3), (16, 4, 4), (6, 2, 3)],
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (4, 2, 2), (9, 3, 3), (16, 4, 4), (6, 2, 3),
+                                       (12, 4, 3)],
                              ids=lambda s: f"n={s[0]},{s[1]}x{s[2]}")
-    def test_quartic_traces_match_the_loop(self, shape, rng):
+    def test_search_matches_the_reference_on_connected_families(self, shape, rng):
+        # m_j against U m_j V^dag at random phases: one component
         n, d1, d2 = shape
-        mats = [ginibre(d1, d2, rng) for _ in range(n)]
-        assert np.max(np.abs(_quartic_traces(mats) - _reference_quartic_traces(mats))) <= 1e-10
+        psis = np.stack([ginibre(d1, d2, rng) for _ in range(n)])
+        lam = np.exp(1j * rng.uniform(0, 2 * np.pi, size=n))
+        phis = lam[:, None, None] * (haar(d1, rng) @ psis @ haar(d2, rng).conj().T)
+        assert _matches_reference(psis, phis).tolist() == [0] * n
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("family, components", [("classical-quantum 2x2", 4),
+                                                    ("classical-quantum 2x3", 6),
+                                                    ("Bell-diagonal", 4)])
+    def test_search_matches_the_reference_on_disconnected_families(self, family, components,
+                                                                   seed):
+        rng = np.random.default_rng(seed)
+        if family == "Bell-diagonal":
+            pair = _bell_diagonal_pair(rng)
+        else:
+            weights = (((0.7, 0.3), (0.85, 0.15)) if family.endswith("2x2")
+                       else ((0.5, 0.3, 0.2), (0.6, 0.25, 0.15)))
+            pair = _classical_quantum_pair(rng, weights)
+        assert _matches_reference(*_eigenvector_stacks(*pair)).max() + 1 == components
 
     def test_disconnected_graph_splits_into_components(self):
         # orthogonal supports: every cross trace vanishes
         psis = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
-        _, label = _resolve_phase_components(psis, psis)
-        assert label.tolist() == [0, 1]
+        assert _matches_reference(psis, psis).tolist() == [0, 1]
 
     def test_edge_needs_a_ratio_of_unit_modulus(self, rng):
         # phi_1 = 2 psi_1 scales every trace ratio across the two indices by
         # 1/2 or 1/8: no edge is usable, and each index is its own component
         a, b = ginibre(2, 2, rng), ginibre(2, 2, rng)
-        assert _resolve_phase_components([a, b], [a, b])[1].tolist() == [0, 0]
-        assert _resolve_phase_components([a, b], [a, 2 * b])[1].tolist() == [0, 1]
+        assert _matches_reference([a, b], [a, b]).tolist() == [0, 0]
+        assert _matches_reference([a, b], [a, 2 * b]).tolist() == [0, 1]
+
+    def test_a_16x16_graph_resolves_in_bounded_memory(self):
+        # 256 eigenvector pairs of 16 x 16: the whole trace tensors and their
+        # n x n x d2^2 factors took about 1 GB, one source's column takes a few MB
+        rng = np.random.default_rng(16)
+        rho = random_density(16, 16, rng)
+        U, V = haar(16, rng), haar(16, rng)
+        psis, phis = _eigenvector_stacks(
+            rho, density_operator(16, 16, np.kron(U, V) @ rho.matrix @ np.kron(U, V).conj().T))
+        tracemalloc.start()
+        try:
+            lambdas, label = _resolve_phase_components(psis, phis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert label.tolist() == [0] * 256
+        # U psi_j V^T = c lam_j phi_j for one phase c, the gauge at index 0
+        aligned, moved = lambdas[:, None, None] * phis, U @ psis @ V.T
+        c = np.vdot(aligned[0], moved[0])
+        assert abs(abs(c) - 1.0) <= 1e-8 and np.abs(moved - c * aligned).max() <= 1e-8
 
     def test_end_to_end_rephased_transform(self, rng):
         d1, d2 = 2, 2
@@ -444,6 +539,18 @@ class TestGenericMixed:
                                "pivot_free_units": verdict.aux["pivot_free_units"],
                                "pivot_coupling_margin": verdict.aux["pivot_coupling_margin"]}
         assert verdict.aux["pivot_split_gap"] > 1e-6
+        assert len(solver_calls) == 1
+
+    def test_a_24x24_planted_yes_decides_a_verified_yes(self, solver_calls):
+        # 576 eigenvector pairs: the whole trace tensors would take about 9 GB
+        rng = np.random.default_rng(24)
+        rho = random_density(24, 24, rng, min_gap=1e-3)
+        local = np.kron(haar(24, rng), haar(24, rng))
+        sigma = density_operator(24, 24, local @ rho.matrix @ local.conj().T)
+        verdict = generic_mixed_lu(rho, sigma, CFG)
+        assert verdict.verdict == "YES" and verdict.aux["phase_components"] == 1
+        assert max(certificate_residuals("generic-mixed", (rho, sigma),
+                                         verdict.U, verdict.V)) <= 1e-8
         assert len(solver_calls) == 1
 
     def test_product_states_decided_from_marginals(self, rng, solver_calls):
@@ -561,6 +668,16 @@ def _conjugated(d1, d2, rho, W):
     return density_operator(d1, d2, rho), density_operator(d1, d2, W @ rho @ W.conj().T)
 
 
+def _bell_diagonal_pair(rng):
+    """A Bell-diagonal 2x2 state of distinct weights and its U (x) conj(U)
+    conjugate, for a Haar U."""
+    s = np.sqrt(0.5)
+    bell = np.array([[s, 0, 0, s], [s, 0, 0, -s], [0, s, s, 0], [0, s, -s, 0]]).T
+    rho = (bell * _spread(4, rng)[::-1]) @ bell.T
+    U = haar(2, rng)
+    return _conjugated(2, 2, rho.astype(complex), np.kron(U, U.conj()))
+
+
 class TestQuarterTurnGrid:
     """States whose trace graph leaves phases open that are quarter turns:
     each took more solves on a grid of 12 points per circle than its budget
@@ -594,12 +711,7 @@ class TestQuarterTurnGrid:
     def test_a_bell_diagonal_state_under_u_ubar_needs_quarter_turns(self, seed):
         # U (x) conj(U) holds |Phi+> and turns the other Bell states by +-i
         # against the trace graph's gauge; a grid of signs alone misses them
-        rng = np.random.default_rng(seed)
-        s = np.sqrt(0.5)
-        bell = np.array([[s, 0, 0, s], [s, 0, 0, -s], [0, s, s, 0], [0, s, -s, 0]]).T
-        rho = (bell * _spread(4, rng)[::-1]) @ bell.T
-        U = haar(2, rng)
-        verdict = self._decide(*_conjugated(2, 2, rho.astype(complex), np.kron(U, U.conj())))
+        verdict = self._decide(*_bell_diagonal_pair(np.random.default_rng(seed)))
         assert verdict.verdict == "YES"
         assert verdict.aux["phase_components"] == 4 and verdict.aux["grid_solves"] <= 64
         assert 1 in verdict.aux["phase_grid_combo"]
